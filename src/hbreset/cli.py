@@ -460,12 +460,14 @@ def logreg_reference(model: ObjectiveModel, h: float, max_iter: int,
     """Long plain gradient-descent run; returns (q*, phi*, iters, |grad|)."""
     q = np.zeros(model.dim)
     it = 0
-    gn = float(np.linalg.norm(model.gradient(q)))
+    phi, g = model.value_grad(q)
+    gn = float(np.linalg.norm(g))
     while gn > tol and it < max_iter:
-        q = q - h * model.gradient(q)
+        q = q - h * g
         it += 1
-        gn = float(np.linalg.norm(model.gradient(q)))
-    return q, float(model.value(q)), it, gn
+        phi, g = model.value_grad(q)
+        gn = float(np.linalg.norm(g))
+    return q, float(phi), it, gn
 
 
 def cmd_logreg(cfg: ExperimentConfig) -> int:

@@ -8,7 +8,9 @@ The two-step family
 switches beta between beta_hi (momentum kept) and beta_lo (reset branch)
 on the sign of <grad phi(q_k), p_k>. POL evaluates the gradient at q_k,
 NES at the extrapolated point q_k + eps*beta*p_k. GD and a time-varying
-Nesterov schedule are included as baselines.
+Nesterov schedule are included as baselines. `step` is the one step map:
+it dispatches on params.variant, so each variant's update is written
+once, and `run` drives it with one oracle call per visited iterate.
 """
 from __future__ import annotations
 
@@ -50,6 +52,8 @@ class AlgoParams:
 
     def __post_init__(self):
         self.variant = Variant(self.variant)
+        if not all(math.isfinite(v) for v in (self.eps, self.beta_lo, self.beta_hi)):
+            raise ValueError("eps, beta_lo and beta_hi must be finite")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.variant is not Variant.GD:
@@ -88,12 +92,6 @@ class IterState:
     p: Array
     k: int = 0
 
-    def check(self, eps: float) -> None:
-        scale = max(1.0, float(np.linalg.norm(self.q - self.q_prev)))
-        err = float(np.linalg.norm(self.p * eps - (self.q - self.q_prev)))
-        if err > 1e-12 * scale:
-            raise AssertionError(f"state conventions disagree: |p*eps - dq| = {err:.3e}")
-
 
 def initial_state(q0: Array, eps: float, p0: Optional[Array] = None) -> IterState:
     q0 = np.asarray(q0, dtype=float)
@@ -113,58 +111,37 @@ def switching_beta(grad: Array, p: Array, params: AlgoParams) -> tuple[float, bo
     return params.beta_lo, True
 
 
-def _advance(state: IterState, q_next: Array, eps: float) -> IterState:
-    return IterState(q_prev=state.q, q=q_next, p=(q_next - state.q) / eps, k=state.k + 1)
-
-
-def step_pol(state: IterState, params: AlgoParams, model: ObjectiveModel,
-             grad: Optional[Array] = None) -> IterState:
-    """Polyak-form step: gradient at q_k."""
-    if params.variant is not Variant.POL:
-        raise ValueError("step_pol requires variant POL")
-    g = model.gradient(state.q) if grad is None else grad
+def _finite(g: Array) -> Array:
     if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite gradient")
-    beta, _ = switching_beta(g, state.p, params)
-    q_next = state.q + params.eps * (beta * state.p - params.eps * g)
-    return _advance(state, q_next, params.eps)
+    return g
 
 
-def step_nes(state: IterState, params: AlgoParams, model: ObjectiveModel,
-             grad: Optional[Array] = None, beta: Optional[float] = None) -> IterState:
-    """Nesterov-form step: gradient at the extrapolated point q_k + eps*beta*p_k.
+def step(state: IterState, params: AlgoParams, model: ObjectiveModel,
+         grad: Optional[Array] = None, beta: Optional[float] = None) -> IterState:
+    """One iteration of params.variant from (q_{k-1}, q_k).
 
-    For NES the switching law picks beta from <grad phi(q_k), p_k>; for
-    NES_SCHEDULE the caller supplies beta from the alpha recursion.
+    grad is grad phi(q_k) when the caller has it already. beta defaults to
+    the switching law on <grad phi(q_k), p_k>; NES_SCHEDULE needs it from
+    the caller, who owns the alpha recursion. POL uses the gradient at
+    q_k, NES and NES_SCHEDULE the gradient at q_k + eps*beta*p_k, and GD
+    is q_k - h*grad phi(q_k) (p is kept for uniform records).
     """
-    if params.variant is Variant.NES:
-        g = model.gradient(state.q) if grad is None else grad
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient")
-        beta, _ = switching_beta(g, state.p, params)
-    elif params.variant is Variant.NES_SCHEDULE:
-        if beta is None:
-            raise ValueError("NES_SCHEDULE needs the schedule's beta")
+    variant = params.variant
+    if variant is not Variant.NES_SCHEDULE:
+        g = _finite(model.gradient(state.q) if grad is None else grad)
+    if variant is Variant.GD:
+        q_next = state.q - params.h * g
     else:
-        raise ValueError("step_nes requires variant NES or NES_SCHEDULE")
-    y = state.q + params.eps * beta * state.p
-    gy = model.gradient(y)
-    if not np.all(np.isfinite(gy)):
-        raise FloatingPointError("non-finite gradient")
-    q_next = state.q + params.eps * (beta * state.p - params.eps * gy)
-    return _advance(state, q_next, params.eps)
-
-
-def step_gd(state: IterState, params: AlgoParams, model: ObjectiveModel,
-            grad: Optional[Array] = None) -> IterState:
-    """Plain gradient descent q_{k+1} = q_k - h grad; p kept for uniform records."""
-    if params.variant is not Variant.GD:
-        raise ValueError("step_gd requires variant GD")
-    g = model.gradient(state.q) if grad is None else grad
-    if not np.all(np.isfinite(g)):
-        raise FloatingPointError("non-finite gradient")
-    q_next = state.q - params.h * g
-    return _advance(state, q_next, params.eps)
+        if beta is None:
+            if variant is Variant.NES_SCHEDULE:
+                raise ValueError("NES_SCHEDULE needs the schedule's beta")
+            beta, _ = switching_beta(g, state.p, params)
+        if variant is not Variant.POL:
+            g = _finite(model.gradient(state.q + params.eps * beta * state.p))
+        q_next = state.q + params.eps * (beta * state.p - params.eps * g)
+    return IterState(q_prev=state.q, q=q_next, p=(q_next - state.q) / params.eps,
+                     k=state.k + 1)
 
 
 def nesterov_beta_schedule(alpha_prev: float) -> tuple[float, float]:
@@ -229,72 +206,52 @@ def run(model: ObjectiveModel, params: AlgoParams, q0: Array, max_iter: int,
     """Iterate the configured step, recording reset diagnostics per iterate.
 
     Stops at max_iter, at ||grad|| <= grad_tol, or when phi exceeds the
-    divergence guard 1e12 * max(1, |phi(q0)|) (status "diverged").
+    divergence guard 1e12 * max(1, |phi(q0)|) (status "diverged"). Each
+    visited iterate costs one value_grad call, whose value feeds the guard
+    and the gap record and whose gradient feeds the record and the step;
+    NES variants add one gradient at the extrapolated point per step.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     state = initial_state(q0, params.eps, p0)
     q0_prev = state.q_prev.copy()
-    phi0 = model.value(state.q)
-    guard = DIVERGENCE_FACTOR * max(1.0, abs(phi0))
+    phi, g = model.value_grad(state.q)
+    guard = DIVERGENCE_FACTOR * max(1.0, abs(phi))
+    phi_star = math.nan if model.min_value is None else model.min_value
     alpha = 1.0  # NES_SCHEDULE state
 
     qs = [state.q.copy()]
     gaps, signs, betas, resets, gnorms = [], [], [], [], []
-
-    def record(g: Array, beta_used: float, reset_used: bool) -> None:
-        gaps.append(model.gap(state.q))
-        inner = float(np.dot(g, state.p))
-        signs.append(int(np.sign(inner)) if np.isfinite(inner) else 0)
-        betas.append(beta_used)
-        resets.append(reset_used)
-        gnorms.append(float(np.linalg.norm(g)))
-
     status = STATUS_MAX_ITER
-    for _ in range(max_iter):
-        g = model.gradient(state.q)
-        if float(np.linalg.norm(g)) <= grad_tol:
-            status = STATUS_CONVERGED
-            record(g, *_peek_beta(g, state, params, alpha))
-            break
-        if params.variant is Variant.POL:
-            beta_used, reset_used = switching_beta(g, state.p, params)
-            record(g, beta_used, reset_used)
-            state = step_pol(state, params, model, grad=g)
-        elif params.variant is Variant.NES:
-            beta_used, reset_used = switching_beta(g, state.p, params)
-            record(g, beta_used, reset_used)
-            state = step_nes(state, params, model, grad=g)
-        elif params.variant is Variant.NES_SCHEDULE:
-            beta_used, alpha = nesterov_beta_schedule(alpha)
-            record(g, beta_used, False)
-            state = step_nes(state, params, model, beta=beta_used)
+    while True:
+        if params.variant is Variant.NES_SCHEDULE:
+            beta, alpha = nesterov_beta_schedule(alpha)
+            reset = False
+        elif params.variant is Variant.GD:
+            beta, reset = 0.0, False
         else:
-            record(g, 0.0, False)
-            state = step_gd(state, params, model, grad=g)
-        qs.append(state.q.copy())
-        val = model.value(state.q)
-        if not np.isfinite(val) or val > guard:
-            status = STATUS_DIVERGED
-            g = model.gradient(state.q)
-            record(g, *_peek_beta(g, state, params, alpha))
+            beta, reset = switching_beta(g, state.p, params)
+        gnorm = float(np.linalg.norm(g))
+        inner = float(np.dot(g, state.p))
+        gaps.append(float(phi - phi_star))
+        signs.append(int(np.sign(inner)) if np.isfinite(inner) else 0)
+        betas.append(beta)
+        resets.append(reset)
+        gnorms.append(gnorm)
+        if status == STATUS_DIVERGED or state.k == max_iter:
             break
-    else:
-        g = model.gradient(state.q)
-        record(g, *_peek_beta(g, state, params, alpha))
+        if gnorm <= grad_tol:
+            status = STATUS_CONVERGED
+            break
+        state = step(state, params, model, grad=g, beta=beta)
+        qs.append(state.q.copy())
+        phi, g = model.value_grad(state.q)
+        if not np.isfinite(phi) or phi > guard:
+            status = STATUS_DIVERGED
 
     return Trajectory(params=params, q0_prev=q0_prev, qs=qs, phi_gaps=gaps,
                       inner_signs=signs, betas=betas, resets=resets,
                       grad_norms=gnorms, status=status)
-
-
-def _peek_beta(g: Array, state: IterState, params: AlgoParams, alpha: float):
-    """beta/reset the next step would use, for the trailing record."""
-    if params.variant in (Variant.POL, Variant.NES):
-        return switching_beta(g, state.p, params)
-    if params.variant is Variant.NES_SCHEDULE:
-        return nesterov_beta_schedule(alpha)[0], False
-    return 0.0, False
 
 
 def count_nonmonotone(traj: Trajectory) -> int:

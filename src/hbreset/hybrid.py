@@ -9,7 +9,8 @@ condition. Fixed-step classical RK4 with bisection event localization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import astuple, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -17,9 +18,6 @@ import numpy as np
 from .objectives import ObjectiveModel
 
 Array = np.ndarray
-
-MODE_HB = "hb"
-MODE_HHB = "hhb"
 
 GRAD_STOP = 1e-10
 MAX_EVENT_BISECTIONS = 100
@@ -48,6 +46,8 @@ class HybridParams:
     event_tol: float = 1e-10
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise ValueError("HybridParams fields must be finite")
         if not (0.0 < self.K_lo <= self.K_hi):
             raise ValueError("need 0 < K_lo <= K_hi")
         if self.T_min <= 0 or self.step <= 0 or self.event_tol <= 0:
@@ -106,20 +106,19 @@ class HybridArc:
             sort_keys=True)
 
 
-def flow_map(state: HybridState, params: HybridParams, model: ObjectiveModel,
-             mode: str = MODE_HHB):
-    """(qdot, pdot, taudot) = (p, -K p - grad phi(q), 1); HB mode omits tau."""
-    g = model.gradient(state.q)
-    if not np.all(np.isfinite(g)):
-        raise FloatingPointError("non-finite gradient")
-    dp = -params.K * state.p - g
-    if mode == MODE_HB:
-        return state.p.copy(), dp
-    return state.p.copy(), dp, 1.0
-
-
 def _inner(model: ObjectiveModel, q: Array, p: Array) -> float:
     return float(np.dot(model.gradient(q), p))
+
+
+def _jumps(inner: float, tau: float, params: HybridParams) -> bool:
+    """The jump set: timer elapsed and momentum not opposing descent."""
+    return tau >= params.T_min and inner >= 0.0
+
+
+def _damping(inner: float, params: HybridParams) -> float:
+    """The damping switch: K_lo while momentum opposes descent by more than
+    event_tol, K_hi otherwise (near the boundary included)."""
+    return params.K_lo if inner < -params.event_tol else params.K_hi
 
 
 def in_flow_set(state: HybridState, params: HybridParams, model: ObjectiveModel) -> bool:
@@ -129,7 +128,7 @@ def in_flow_set(state: HybridState, params: HybridParams, model: ObjectiveModel)
 
 
 def in_jump_set(state: HybridState, params: HybridParams, model: ObjectiveModel) -> bool:
-    return state.tau >= params.T_min and _inner(model, state.q, state.p) >= 0.0
+    return _jumps(_inner(model, state.q, state.p), state.tau, params)
 
 
 def jump_map(state: HybridState) -> HybridState:
@@ -140,36 +139,39 @@ def energy(state: HybridState, model: ObjectiveModel) -> float:
     return float(model.value(state.q)) + 0.5 * float(np.dot(state.p, state.p))
 
 
-def kappa_select(state: HybridState, params: HybridParams, model: ObjectiveModel) -> float:
-    """K_hi when momentum opposes descent (or near the boundary), else K_lo."""
-    if _inner(model, state.q, state.p) < -params.event_tol:
-        return params.K_lo
-    return params.K_hi
-
-
-def _rk4(q: Array, p: Array, dt: float, deriv) -> tuple[Array, Array]:
-    k1q, k1p = deriv(q, p)
-    k2q, k2p = deriv(q + 0.5 * dt * k1q, p + 0.5 * dt * k1p)
-    k3q, k3p = deriv(q + 0.5 * dt * k2q, p + 0.5 * dt * k2p)
-    k4q, k4p = deriv(q + dt * k3q, p + dt * k3p)
+def _rk4(q: Array, p: Array, g: Array, dt: float, model: ObjectiveModel,
+         accel) -> tuple[Array, Array]:
+    """One RK4 step of (qdot, pdot) = (p, accel(grad phi(q), p)); g is the
+    gradient at the start point, which the caller already has."""
+    k1q, k1p = p, accel(g, p)
+    k2q = p + 0.5 * dt * k1p
+    q2 = q + 0.5 * dt * k1q
+    k2p = accel(model.gradient(q2), k2q)
+    k3q = p + 0.5 * dt * k2p
+    q3 = q + 0.5 * dt * k2q
+    k3p = accel(model.gradient(q3), k3q)
+    k4q = p + dt * k3p
+    q4 = q + dt * k3q
+    k4p = accel(model.gradient(q4), k4q)
     qn = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
     pn = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
     return qn, pn
 
 
 class _ArcBuilder:
-    def __init__(self, model: ObjectiveModel):
-        self.model = model
+    def __init__(self):
         self.t, self.j, self.q, self.p, self.tau, self.e = [], [], [], [], [], []
         self.jumps = []
 
-    def sample(self, t: float, j: int, q: Array, p: Array, tau: float) -> None:
+    def sample(self, t: float, j: int, q: Array, p: Array, tau: float,
+               phi: float) -> None:
+        """Record a sample; phi = phi(q) comes from the caller's evaluation."""
         self.t.append(t)
         self.j.append(j)
         self.q.append(q.copy())
         self.p.append(p.copy())
         self.tau.append(tau)
-        self.e.append(float(self.model.value(q)) + 0.5 * float(np.dot(p, p)))
+        self.e.append(float(phi) + 0.5 * float(np.dot(p, p)))
 
     def build(self) -> HybridArc:
         return HybridArc(
@@ -189,41 +191,40 @@ def integrate_hhb(model: ObjectiveModel, params: HybridParams, z0: HybridState,
     if t_end <= 0:
         raise ValueError("t_end must be positive")
 
-    def deriv(q, p):
-        return p, -params.K * p - model.gradient(q)
+    def accel(g, p):
+        return -params.K * p - g
 
-    arc = _ArcBuilder(model)
+    arc = _ArcBuilder()
     q, p, tau = z0.q.astype(float).copy(), z0.p.astype(float).copy(), float(z0.tau)
     t, j = 0.0, 0
-
-    def in_jump(qv, pv, tv) -> bool:
-        return tv >= params.T_min and _inner(model, qv, pv) >= 0.0
+    phi, g = model.value_grad(q)
 
     # a start inside the jump set jumps immediately
-    if in_jump(q, p, tau):
-        arc.sample(t, j, q, p, tau)
+    if _jumps(float(np.dot(g, p)), tau, params):
+        arc.sample(t, j, q, p, tau, phi)
         j += 1
         p = np.zeros_like(p)
         tau = 0.0
         arc.jumps.append((t, j, q.copy()))
-    arc.sample(t, j, q, p, tau)
+    arc.sample(t, j, q, p, tau, phi)
 
     while t < t_end - 1e-15:
-        if float(np.linalg.norm(model.gradient(q))) <= GRAD_STOP:
+        if float(np.linalg.norm(g)) <= GRAD_STOP:
             break
         dt = min(params.step, t_end - t)
-        q1, p1 = _rk4(q, p, dt, deriv)
-        if in_jump(q1, p1, tau + dt):
+        q1, p1 = _rk4(q, p, g, dt, model, accel)
+        phi1, g1 = model.value_grad(q1)
+        if _jumps(float(np.dot(g1, p1)), tau + dt, params):
             # earliest entry time into the jump set within (0, dt]
             lo, hi = 0.0, dt
-            qe, pe = q1, p1
             for _ in range(MAX_EVENT_BISECTIONS):
                 if hi - lo <= params.event_tol:
                     break
                 mid = 0.5 * (lo + hi)
-                qm, pm = _rk4(q, p, mid, deriv)
-                if in_jump(qm, pm, tau + mid):
-                    hi, qe, pe = mid, qm, pm
+                qm, pm = _rk4(q, p, g, mid, model, accel)
+                phim, gm = model.value_grad(qm)
+                if _jumps(float(np.dot(gm, pm)), tau + mid, params):
+                    hi, q1, p1, phi1, g1 = mid, qm, pm, phim, gm
                 else:
                     lo = mid
             else:
@@ -231,47 +232,45 @@ def integrate_hhb(model: ObjectiveModel, params: HybridParams, z0: HybridState,
                     f"event localization did not converge in {MAX_EVENT_BISECTIONS} bisections")
             t += hi
             tau += hi
-            arc.sample(t, j, qe, pe, tau)
+            arc.sample(t, j, q1, p1, tau, phi1)
             j += 1
-            q, p, tau = qe.copy(), np.zeros_like(pe), 0.0
+            q, p, tau, phi, g = q1.copy(), np.zeros_like(p1), 0.0, phi1, g1
             arc.jumps.append((t, j, q.copy()))
-            arc.sample(t, j, q, p, tau)
+            arc.sample(t, j, q, p, tau, phi)
         else:
-            q, p, tau, t = q1, p1, tau + dt, t + dt
-            arc.sample(t, j, q, p, tau)
+            q, p, tau, t, phi, g = q1, p1, tau + dt, t + dt, phi1, g1
+            arc.sample(t, j, q, p, tau, phi)
     return arc.build()
 
 
 def integrate_hihb(model: ObjectiveModel, params: HybridParams, x0: HybridState,
                    t_end: float) -> HybridArc:
-    """Simulate the switched-damping flow; the damping is re-evaluated each
-    RK4 stage via kappa_select. No jumps: j stays 0 and tau is unused."""
+    """Simulate the switched-damping flow; the damping switch is re-evaluated
+    at each RK4 stage. No jumps: j stays 0 and tau is unused."""
     if t_end <= 0:
         raise ValueError("t_end must be positive")
 
-    def deriv(q, p):
-        g = model.gradient(q)
-        kap = params.K_lo if float(np.dot(g, p)) < -params.event_tol else params.K_hi
-        return p, -kap * p - g
+    def accel(g, p):
+        return -_damping(float(np.dot(g, p)), params) * p - g
 
-    arc = _ArcBuilder(model)
+    arc = _ArcBuilder()
     q, p = x0.q.astype(float).copy(), x0.p.astype(float).copy()
     t = 0.0
-    arc.sample(t, 0, q, p, 0.0)
+    phi, g = model.value_grad(q)
+    arc.sample(t, 0, q, p, 0.0, phi)
     while t < t_end - 1e-15:
-        if float(np.linalg.norm(model.gradient(q))) <= GRAD_STOP:
+        if float(np.linalg.norm(g)) <= GRAD_STOP:
             break
         dt = min(params.step, t_end - t)
-        q, p = _rk4(q, p, dt, deriv)
+        q, p = _rk4(q, p, g, dt, model, accel)
         t += dt
-        arc.sample(t, 0, q, p, 0.0)
+        phi, g = model.value_grad(q)
+        arc.sample(t, 0, q, p, 0.0, phi)
     return arc.build()
 
 
 def integrate_hb(model: ObjectiveModel, params: HybridParams, x0: HybridState,
                  t_end: float) -> HybridArc:
     """Plain heavy-ball flow with damping K (no switching, no jumps)."""
-    fixed = HybridParams(K=params.K, K_lo=params.K, K_hi=params.K,
-                         T_min=params.T_min, step=params.step,
-                         event_tol=params.event_tol)
+    fixed = replace(params, K_lo=params.K, K_hi=params.K)
     return integrate_hihb(model, fixed, x0, t_end)

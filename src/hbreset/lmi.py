@@ -125,7 +125,8 @@ def build_ct(K: float, n: int, mu: float, L: float,
                      b_coupled=b_coupled)
 
 
-def _ct_problem(data: CtLmiData, alpha: float, eps_infl: float) -> FeasProblem:
+def ct_problem(data: CtLmiData, alpha: float, eps_infl: float) -> FeasProblem:
+    """The feasibility problem behind ct_feasible, for export or inspection."""
     # v = [p11, p12, p22, sigma_phi, sigma_1, sigma_2]
     flow_basis = [(i, data.M_F(E, alpha)) for i, E in enumerate(_P_BASIS)]
     flow_basis += [(3, data.M_phi), (4, data.M_eps(eps_infl))]
@@ -153,7 +154,7 @@ def ct_feasible(data: CtLmiData, alpha: float, eps_infl: float,
     "infeasible" from "indeterminate" (budget ran out)."""
     if alpha <= 0 or eps_infl <= 0:
         raise ValueError("alpha and eps_infl must be positive")
-    res = solve_feasibility(_ct_problem(data, alpha, eps_infl),
+    res = solve_feasibility(ct_problem(data, alpha, eps_infl),
                             max_oracle_calls=max_oracle_calls, v_init=v_init)
     cert = None
     if res.status == FEASIBLE:
@@ -291,7 +292,8 @@ def build_theorem2(sys: DtSystemMatrices, mu: float, L: float, rho: float) -> Dt
     return DtLmiData(sys=sys, mu=mu, lipschitz=L, rho=rho)
 
 
-def _dt_problem(data: DtLmiData) -> FeasProblem:
+def dt_problem(data: DtLmiData) -> FeasProblem:
+    """The feasibility problem behind dt_feasible, for export or inspection."""
     # v = [p11, p12, p22, a, lam, lam_r, sigma, sigma_r]
     rho2 = data.rho * data.rho
     main, reset = data.main, data.reset
@@ -317,7 +319,7 @@ def dt_feasible(data: DtLmiData, max_oracle_calls: int = 200,
 
     With detail=True returns (status, certificate-or-None), separating
     "infeasible" from "indeterminate" (budget ran out)."""
-    res = solve_feasibility(_dt_problem(data), max_oracle_calls=max_oracle_calls,
+    res = solve_feasibility(dt_problem(data), max_oracle_calls=max_oracle_calls,
                             v_init=v_init)
     cert = None
     if res.status == FEASIBLE:
@@ -514,17 +516,3 @@ def ct_alpha_builder(K: float, mu: float, L: float, eps_infl: float,
         return cert
 
     return probe
-
-
-# ---------------------------------------------------------------------------
-# problem export
-
-
-def ct_problem(data: CtLmiData, alpha: float, eps_infl: float) -> FeasProblem:
-    """The raw feasibility problem behind ct_feasible, for export or inspection."""
-    return _ct_problem(data, alpha, eps_infl)
-
-
-def dt_problem(data: DtLmiData) -> FeasProblem:
-    """The raw feasibility problem behind dt_feasible, for export or inspection."""
-    return _dt_problem(data)

@@ -2,7 +2,9 @@
 
 Two concrete families: strongly convex quadratics with a controlled
 spectrum, and full-batch logistic regression on synthetic data. Models
-carry (mu, L) curvature metadata consumed by the rate certifiers.
+carry (mu, L) curvature metadata consumed by the rate certifiers. Each
+model has one oracle, value_grad(q) -> (phi(q), grad phi(q)), so a
+caller that needs both at a point pays for one evaluation.
 """
 from __future__ import annotations
 
@@ -20,16 +22,17 @@ Array = np.ndarray
 class ObjectiveModel:
     """Evaluatable objective with gradient and curvature metadata.
 
-    mu = 0 means the strong-convexity modulus is unknown or absent.
-    minimizer/min_value are optional; when minimizer is given its
+    value_grad(q) returns (phi(q), grad phi(q)) from one evaluation;
+    value() and gradient() are the two halves of it, for callers that
+    need only one. mu = 0 means the strong-convexity modulus is unknown
+    or absent. minimizer/min_value are optional; when minimizer is given its
     gradient must vanish to within 1e-8 * max(1, ||q*||).
     """
 
     dim: int
     mu: float
     lipschitz: float
-    value: Callable[[Array], float]
-    gradient: Callable[[Array], Array]
+    value_grad: Callable[[Array], tuple[float, Array]]
     minimizer: Optional[Array] = None
     min_value: Optional[float] = None
 
@@ -45,6 +48,12 @@ class ObjectiveModel:
             if gnorm > bound:
                 raise ValueError(
                     f"gradient norm {gnorm:.3e} at claimed minimizer exceeds {bound:.3e}")
+
+    def value(self, q: Array) -> float:
+        return self.value_grad(q)[0]
+
+    def gradient(self, q: Array) -> Array:
+        return self.value_grad(q)[1]
 
     def gap(self, q: Array) -> float:
         """phi(q) - phi*, or nan when the minimum is unknown."""
@@ -116,16 +125,15 @@ def quadratic_model(spec: QuadraticSpec) -> ObjectiveModel:
     """Wrap a quadratic spec as an ObjectiveModel with exact (mu, L) and minimizer."""
     eigs = np.linalg.eigvalsh(spec.Q)
     qstar = np.linalg.solve(spec.Q, -spec.b)
-    value = lambda q: quad_eval_grad(spec, q)[0]
-    grad = lambda q: quad_eval_grad(spec, q)[1]
     return ObjectiveModel(
         dim=spec.dim,
         mu=float(eigs[0]),
         lipschitz=float(eigs[-1]),
-        value=value,
-        gradient=grad,
+        # looked up at call time, so wrapping quad_eval_grad (to trace
+        # it, say) takes effect; logistic_model does the same
+        value_grad=lambda q: quad_eval_grad(spec, q),
         minimizer=qstar,
-        min_value=float(value(qstar)),
+        min_value=quad_eval_grad(spec, qstar)[0],
     )
 
 
@@ -183,14 +191,11 @@ def logistic_model(spec: LogisticSpec, mu: float = 0.0) -> ObjectiveModel:
     convex globally. No minimizer is attached here; experiment code pins
     one operationally via a long gradient-descent reference run.
     """
-    value = lambda q: logistic_eval_grad(spec, q)[0]
-    grad = lambda q: logistic_eval_grad(spec, q)[1]
     return ObjectiveModel(
         dim=spec.dim,
         mu=mu,
         lipschitz=logistic_lipschitz(spec),
-        value=value,
-        gradient=grad,
+        value_grad=lambda q: logistic_eval_grad(spec, q),
     )
 
 

@@ -1,5 +1,6 @@
 """Two-step iteration family: step maps, switching law, trajectory records."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,14 +9,13 @@ import pytest
 from hbreset.discrete import (AlgoParams, STATUS_CONVERGED, STATUS_DIVERGED,
                               STATUS_MAX_ITER, Trajectory, Variant,
                               count_nonmonotone, initial_state,
-                              nesterov_beta_schedule, run, step_gd, step_nes,
-                              step_pol, switching_beta)
+                              nesterov_beta_schedule, run, step,
+                              switching_beta)
 from hbreset.objectives import QuadraticSpec, gen_random_quadratic, quadratic_model
 
 
 def scalar_model(curv=2.0):
     return quadratic_model(QuadraticSpec(Q=np.array([[curv]]), b=np.zeros(1)))
-
 
 def test_params_h_is_eps_squared_exactly():
     p = AlgoParams(eps=0.3, beta_lo=0.1, beta_hi=0.5, variant=Variant.POL)
@@ -34,6 +34,13 @@ def test_params_validation():
         AlgoParams(eps=0.1, beta_lo=0.0, beta_hi=1.5)
     # GD ignores the beta ordering check
     AlgoParams(eps=0.1, beta_lo=0.0, beta_hi=0.0, variant=Variant.GD)
+    for bad in ({"eps": math.nan}, {"eps": math.inf},
+                {"eps": 0.1, "beta_lo": math.nan, "beta_hi": 0.5},
+                {"eps": 0.1, "beta_hi": math.inf, "variant": Variant.GD}):
+        with pytest.raises(ValueError):
+            AlgoParams(**bad)
+    with pytest.raises(ValueError):
+        AlgoParams.from_h(math.nan)
 
 
 def test_params_json_round_trip():
@@ -50,7 +57,7 @@ def test_initial_state_embedding():
     np.testing.assert_allclose(st.p, p0)
     st0 = initial_state(q0, eps=0.1)
     np.testing.assert_allclose(st0.q_prev, q0)
-    st.check(0.1)
+    np.testing.assert_allclose(st.p * 0.1, st.q - st.q_prev, rtol=0, atol=1e-12)
 
 
 def test_switching_law_boundary_resets():
@@ -69,7 +76,7 @@ def test_step_pol_matches_classic_recursion():
     p = AlgoParams(eps=0.2, beta_lo=0.5, beta_hi=0.5, variant=Variant.POL)
     st = initial_state(np.array([1.0]), p.eps, np.array([0.7]))
     beta = 0.5
-    nxt = step_pol(st, p, model)
+    nxt = step(st, p, model)
     expected = st.q + beta * (st.q - st.q_prev) - p.h * model.gradient(st.q)
     np.testing.assert_allclose(nxt.q, expected, rtol=1e-14)
     np.testing.assert_allclose(nxt.p, (nxt.q - st.q) / p.eps, rtol=1e-14)
@@ -80,7 +87,7 @@ def test_step_nes_gradient_at_extrapolated_point():
     model = scalar_model(3.0)
     p = AlgoParams(eps=0.2, beta_lo=0.6, beta_hi=0.6, variant=Variant.NES)
     st = initial_state(np.array([1.0]), p.eps, np.array([0.7]))
-    nxt = step_nes(st, p, model)
+    nxt = step(st, p, model)
     y = st.q + 0.6 * (st.q - st.q_prev)
     expected = st.q + 0.6 * (st.q - st.q_prev) - p.h * model.gradient(y)
     np.testing.assert_allclose(nxt.q, expected, rtol=1e-14)
@@ -90,7 +97,7 @@ def test_step_gd_is_plain_descent():
     model = scalar_model(5.0)
     p = AlgoParams(eps=0.1, variant=Variant.GD)
     st = initial_state(np.array([2.0]), p.eps)
-    nxt = step_gd(st, p, model)
+    nxt = step(st, p, model)
     np.testing.assert_allclose(nxt.q, st.q - p.h * model.gradient(st.q))
 
 
@@ -101,9 +108,9 @@ def test_reset_branch_equals_momentum_zeroing():
     # ascending state: grad and momentum aligned, so <g, p> > 0
     st = initial_state(np.array([1.0]), p.eps, np.array([0.5]))
     assert float(model.gradient(st.q) @ st.p) > 0
-    nxt = step_pol(st, p, model)
+    nxt = step(st, p, model)
     zeroed = initial_state(st.q, p.eps)  # same point, no momentum
-    nxt0 = step_pol(zeroed, p, model)
+    nxt0 = step(zeroed, p, model)
     np.testing.assert_allclose(nxt.q, nxt0.q, rtol=1e-15)
 
 
@@ -154,6 +161,41 @@ def test_run_divergence_guard():
     traj = run(model, p, np.array([1.0]), max_iter=1000)
     assert traj.status == STATUS_DIVERGED
     assert traj.iterations < 1000
+
+
+@pytest.mark.parametrize("variant, calls_per_step", [
+    (Variant.POL, 1), (Variant.GD, 1), (Variant.NES, 2), (Variant.NES_SCHEDULE, 2)])
+def test_run_one_oracle_call_per_iterate(variant, calls_per_step):
+    _, base = gen_random_quadratic(4, 10.0, 3)
+    calls = []
+
+    def value_grad(q):
+        calls.append(1)
+        return base.value_grad(q)
+
+    model = dataclasses.replace(base, value_grad=value_grad)
+    calls.clear()
+    p = AlgoParams.from_h(1.0 / 10.0, 0.2, 0.6, variant)
+    traj = run(model, p, np.ones(4), max_iter=30)
+    assert traj.iterations == 30
+    # NES variants add the gradient at the extrapolated point
+    assert len(calls) == calls_per_step * 30 + 1
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_run_raises_on_nan_gradient_with_finite_value(variant):
+    # the tuner scores a FloatingPointError as a failed setting
+    base = scalar_model(2.0)
+
+    def value_grad(q):
+        phi, g = base.value_grad(q)
+        return phi, g if q[0] > 0.5 else np.full_like(g, np.nan)
+
+    model = dataclasses.replace(base, value_grad=value_grad, minimizer=None,
+                                min_value=None)
+    p = AlgoParams.from_h(0.1, 0.3, 0.3, variant)
+    with pytest.raises(FloatingPointError):
+        run(model, p, np.array([1.0]), max_iter=50)
 
 
 def test_run_nes_schedule_uses_recursion_betas():

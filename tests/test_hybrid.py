@@ -1,5 +1,6 @@
 """Hybrid flows: event localization, dwell times, energy accounting."""
 
+import dataclasses
 import json
 import math
 
@@ -23,8 +24,33 @@ def test_params_validation():
         HybridParams(K_lo=0.0, K_hi=1.0)
     with pytest.raises(ValueError):
         HybridParams(T_min=0.0)
+    for name in ("K", "K_lo", "K_hi", "T_min", "step", "event_tol"):
+        with pytest.raises(ValueError):
+            HybridParams(**{name: math.nan})
+    with pytest.raises(ValueError):
+        HybridParams(K_hi=math.inf)
+    HybridParams(K=0.0)  # undamped hb/hhb runs stay legal
     with pytest.raises(ValueError):
         HybridState(q=np.zeros(1), p=np.zeros(1), tau=-1.0)
+
+
+def test_hihb_four_oracle_calls_per_step():
+    _, base = gen_random_quadratic(3, 10.0, 2)
+    calls = []
+
+    def value_grad(q):
+        calls.append(1)
+        return base.value_grad(q)
+
+    model = dataclasses.replace(base, value_grad=value_grad)
+    calls.clear()
+    par = HybridParams(K_lo=0.5, K_hi=2.0, step=1e-2)
+    arc = integrate_hihb(model, par, HybridState(q=np.ones(3), p=np.zeros(3)), 1.0)
+    steps = len(arc) - 1
+    assert steps >= 99
+    # three new RK4 stages per step plus the end point, which the next
+    # step's first stage and the energy sample share
+    assert len(calls) == 4 * steps + 1
 
 
 def test_default_dwell_scales_with_stiffness():

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from hbreset.discrete import AlgoParams, IterState, Variant, initial_state, run, \
-    step_nes, step_pol
+from hbreset.discrete import AlgoParams, IterState, Variant, initial_state, run, step
 from hbreset.lmi import (NES, POL, Certificate, CertRequest, NoCertificate,
                          bisect_rate, build_ct, build_dt, build_sector,
                          build_theorem2, certify_discrete, ct_alpha_builder,
@@ -199,8 +198,7 @@ def test_matrix_recursion_matches_step_functions():
     eps = np.sqrt(h)
     _, model = gen_random_quadratic(2, 10.0, 5)
     rng = np.random.default_rng(6)
-    for disc, stepper, variant in ((POL, step_pol, Variant.POL),
-                                   (NES, step_nes, Variant.NES)):
+    for disc, variant in ((POL, Variant.POL), (NES, Variant.NES)):
         br = build_dt(h, beta, disc)
         lift = {k: np.kron(getattr(br, k), np.eye(2)) for k in ("A", "B", "C")}
         params = AlgoParams.from_h(h, beta_lo=beta, beta_hi=beta, variant=variant)
@@ -209,7 +207,7 @@ def test_matrix_recursion_matches_step_functions():
             x = np.concatenate([q_prev, q])
             x_next = lift["A"] @ x + lift["B"] @ model.gradient(lift["C"] @ x)
             state = IterState(q_prev=q_prev, q=q, p=(q - q_prev) / eps)
-            out = stepper(state, params, model)
+            out = step(state, params, model)
             np.testing.assert_allclose(out.q, x_next[2:], atol=1e-12)
             np.testing.assert_allclose(out.q_prev, q, atol=0)
 
