@@ -1,10 +1,9 @@
-"""Self-contained LMI feasibility via analytic-center cutting planes.
+"""LMI feasibility via analytic-center cutting planes.
 
 Problems are small (matrix blocks up to 16x16, at most a dozen scalar
-unknowns), so everything here is plain dense numpy: a cyclic Jacobi
-eigensolver supplies eigenvalues and the cutting-plane oracle, and a
-damped-Newton analytic center method drives the search. No external
-solver is used.
+unknowns), so everything here is plain dense numpy: numpy's LAPACK `eigh`
+supplies eigenvalues and the cutting-plane oracle, and a damped-Newton
+analytic center method drives the search. No external solver is used.
 
 A problem is a set of affine symmetric matrix maps v -> F0 + sum v_i F_i,
 split into blocks required NSD by a margin and blocks required PD by the
@@ -27,7 +26,6 @@ INFEASIBLE = "infeasible"
 INDETERMINATE = "indeterminate"
 
 MAX_EIG_DIM = 16
-_OFF_TOL = 1e-13
 _ASYM_TOL = 1e-10
 
 
@@ -35,6 +33,8 @@ def _check_symmetric(a: Array, what: str) -> Array:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what}: expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what}: matrix has a non-finite entry")
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.T).max()) > _ASYM_TOL * scale:
         raise ValueError(f"{what}: matrix is not symmetric")
@@ -42,7 +42,7 @@ def _check_symmetric(a: Array, what: str) -> Array:
 
 
 def symmetric_eig(a: Array) -> tuple[Array, Array]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a symmetric matrix by LAPACK (numpy's `eigh`).
 
     Returns (eigenvalues ascending, eigenvectors as columns). Meant for
     the small blocks that arise here; dimensions above 16 are rejected.
@@ -51,48 +51,7 @@ def symmetric_eig(a: Array) -> tuple[Array, Array]:
     n = a.shape[0]
     if n > MAX_EIG_DIM:
         raise ValueError(f"matrix dimension {n} exceeds supported maximum {MAX_EIG_DIM}")
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    work = 0.5 * (a + a.T)
-    vecs = np.eye(n)
-    norm = float(np.linalg.norm(work))
-    if norm == 0.0:
-        return np.zeros(n), vecs
-    for _ in range(60):
-        off = float(np.sqrt(np.sum(np.tril(work, -1) ** 2) * 2.0))
-        if off <= _OFF_TOL * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (work[q, q] - work[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    t = 1.0 / (theta - np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * col_q
-                work[:, q] = s * col_p + c * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s * row_q
-                work[q, :] = s * row_p + c * row_q
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                vcp = vecs[:, p].copy()
-                vcq = vecs[:, q].copy()
-                vecs[:, p] = c * vcp - s * vcq
-                vecs[:, q] = s * vcp + c * vcq
-    else:
-        raise RuntimeError("Jacobi iteration did not converge in 60 sweeps")
-    vals = np.diag(work).copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
+    return np.linalg.eigh(0.5 * (a + a.T))
 
 
 def eig_max(a: Array) -> tuple[float, Array]:
@@ -158,8 +117,8 @@ class FeasProblem:
     def __post_init__(self):
         if self.nvar < 0:
             raise ValueError("nvar must be nonnegative")
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
+        if not (np.isfinite(self.margin) and self.margin > 0):
+            raise ValueError("margin must be positive and finite")
         if not self.nsd_blocks and not self.pd_blocks:
             raise ValueError("need at least one matrix block")
         for blk in list(self.nsd_blocks) + list(self.pd_blocks):
@@ -177,6 +136,15 @@ class FeasProblem:
                 raise ValueError("normalization vector is zero")
         if self.bounds is not None and len(self.bounds) != self.nvar:
             raise ValueError("bounds list has wrong length")
+        # the oracle's view of compiled_blocks(): (name, constant, variable
+        # indices, stacked basis matrices) per block; compiling also rejects
+        # a non-finite floor
+        self._oracle_blocks = []
+        for blk in self.compiled_blocks():
+            m = blk.dim
+            idx = np.array([i for i, _ in blk.basis], dtype=np.intp)
+            mats = np.array([mat for _, mat in blk.basis], dtype=float).reshape(-1, m, m)
+            self._oracle_blocks.append((blk.name, blk.constant, idx, mats))
 
     def compiled_blocks(self) -> list:
         """Everything as NSD maps: pd blocks negated, floors as 1x1 maps
@@ -193,18 +161,18 @@ class FeasProblem:
     def worst_block(self, v: Array) -> tuple[float, Array, str]:
         """Largest eigenvalue over all sign-adjusted blocks at v, with a
         subgradient (u' F_i u per coordinate, u the top eigenvector of
-        the worst block)."""
+        the worst block; repeated indices add up)."""
         worst = -np.inf
         grad = np.zeros(self.nvar)
         which = ""
-        for blk in self.compiled_blocks():
-            lam, u = eig_max(blk.value(v))
-            if lam > worst:
-                worst = lam
-                which = blk.name
-                grad = np.zeros(self.nvar)
-                for idx, mat in blk.basis:
-                    grad[idx] += float(u @ mat @ u)
+        for name, const, idx, mats in self._oracle_blocks:
+            vals, vecs = np.linalg.eigh(const + np.tensordot(v[idx], mats, 1))
+            if vals[-1] > worst:
+                worst = float(vals[-1])
+                which = name
+                u = vecs[:, -1]
+                grad = np.bincount(idx, np.einsum("i,kij,j->k", u, mats, u),
+                                   minlength=self.nvar)
         return worst, grad, which
 
 
@@ -282,31 +250,31 @@ def _interior_point(poly: _Polytope, w0: Array, box_radius: float):
     (None, "stalled") otherwise.
     """
     a, b = poly.matrices()
-    m = a.shape[0]
-    logm = np.log(m)
+    logm = np.log(a.shape[0])
+    reg = np.eye(poly.dim)
     w = w0.copy()
-    viol0 = float((a @ w - b).max())
-    if viol0 < -1e-12:
-        return w, None
+    r = a @ w - b  # constraint residuals at w; positive = violated
 
-    def softmax_at(wv: Array, t: float):
-        z = (a @ wv - b) / t
+    def softmax_terms(res: Array, t: float):
+        # psi = t * log sum exp(res / t), with the unnormalised weights
+        # and their sum (pi = weights / sum)
+        z = res / t
         zmax = float(z.max())
-        pi = np.exp(z - zmax)
-        pi /= pi.sum()
-        psi = t * (zmax + np.log(np.sum(np.exp(z - zmax))))
-        return psi, pi
+        e = np.exp(z - zmax)
+        total = e.sum()
+        return t * (zmax + np.log(total)), e, total
 
     # the final temperatures must resolve slacks near the solve margin,
     # which can be as tight as ~1e-9 in well-cut regions
     for t in (1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
         tlogm = t * logm
         psi_prev = None
+        terms = None  # softmax terms at w for this t, kept from the line search
         for _ in range(60):
-            viol = float((a @ w - b).max())
-            if viol < -1e-12:
+            if float(r.max()) < -1e-12:
                 return w, None
-            psi, pi = softmax_at(w, t)
+            psi, e, total = terms if terms is not None else softmax_terms(r, t)
+            pi = e / total
             grad = a.T @ pi
             gnorm = float(np.linalg.norm(grad))
             # convexity bound: min of max-violation over the box is at
@@ -325,7 +293,7 @@ def _interior_point(poly: _Polytope, w0: Array, box_radius: float):
                 break
             psi_prev = psi
             hess = (a.T * pi) @ a / t - np.outer(grad, grad) / t
-            hess += (1e-12 / t) * np.eye(poly.dim)
+            hess += (1e-12 / t) * reg
             try:
                 step = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
@@ -337,15 +305,17 @@ def _interior_point(poly: _Polytope, w0: Array, box_radius: float):
             alpha = 1.0
             moved = False
             for _ in range(40):
-                psin, _ = softmax_at(w + alpha * step, t)
-                if psin <= psi + 1e-4 * alpha * slope:
-                    w = w + alpha * step
+                w_try = w + alpha * step
+                r_try = a @ w_try - b
+                terms = softmax_terms(r_try, t)
+                if terms[0] <= psi + 1e-4 * alpha * slope:
+                    w, r = w_try, r_try
                     moved = True
                     break
                 alpha *= 0.5
             if not moved:
                 break
-    if float((a @ w - b).max()) < -1e-12:
+    if float(r.max()) < -1e-12:
         return w, None
     return None, "stalled"
 
@@ -399,8 +369,7 @@ def solve_feasibility(problem: FeasProblem, max_oracle_calls: int = 200,
     calls = 0
 
     if problem.nvar == 0:
-        worst = max(eig_max(blk.value(np.zeros(0)))[0]
-                    for blk in problem.compiled_blocks())
+        worst, _, _ = problem.worst_block(np.zeros(0))
         ok = worst <= -margin
         return FeasResult(FEASIBLE if ok else INFEASIBLE, np.zeros(0), worst, 1)
 

@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hbreset.sdp import (AffineMatrixMap, FEASIBLE, FeasProblem, INDETERMINATE,
                          INFEASIBLE, check_nsd, eig_max, problem_from_json,
@@ -39,12 +42,32 @@ def test_eig_matches_numpy_and_reconstructs():
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(dim), atol=1e-12)
 
 
+@st.composite
+def _symmetric_matrices(draw):
+    n = draw(st.integers(1, 16))
+    a = draw(arrays(float, (n, n), elements=st.floats(-1e3, 1e3)))
+    return 0.5 * (a + a.T)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(_symmetric_matrices())
+def test_eig_property_reconstructs_and_orthonormal(a):
+    vals, vecs = symmetric_eig(a)
+    assert np.all(np.diff(vals) >= 0.0)
+    recon = vecs @ np.diag(vals) @ vecs.T
+    assert np.linalg.norm(recon - a) <= 1e-12 * max(1.0, np.linalg.norm(a))
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(a.shape[0]), atol=1e-12)
+
+
 def test_eig_rejects_asymmetry_and_big_dims():
     bad = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         symmetric_eig(bad)
     with pytest.raises(ValueError):
         symmetric_eig(np.eye(17))
+    for bad_entry in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            symmetric_eig(np.array([[1.0, bad_entry], [bad_entry, 1.0]]))
 
 
 def test_check_nsd_boundaries():
@@ -205,6 +228,15 @@ def test_problem_validation():
         FeasProblem(nvar=1, nsd_blocks=[amap], normalization=np.zeros(1))
     with pytest.raises(ValueError):
         FeasProblem(nvar=2, nsd_blocks=[amap], bounds=[(0.0, 1.0)])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            FeasProblem(nvar=1, nsd_blocks=[amap], margin=bad)
+        with pytest.raises(ValueError, match="floor_v0.*non-finite"):
+            FeasProblem(nvar=1, nsd_blocks=[amap], nonneg={0: bad})
+        with pytest.raises(ValueError, match="non-finite"):
+            AffineMatrixMap(constant=np.full((1, 1), bad), basis=[])
+        with pytest.raises(ValueError, match="non-finite"):
+            AffineMatrixMap(constant=np.eye(1), basis=[(0, np.full((1, 1), bad))])
 
 
 def test_conflicting_bounds_infeasible():
@@ -244,3 +276,58 @@ def test_feasible_result_verified_at_half_margin():
     assert res.worst_eig <= -1e-9
     for amap in prob.compiled_blocks():
         assert check_nsd(amap.value(res.v), -0.5e-9)
+
+
+def _random_oracle_problem(rng):
+    # 3x3 nsd block with a repeated variable index, a 1x1 nsd block, a 3x3
+    # pd block and two floors over five unknowns; the 3x3 bases are scaled
+    # down so that each block is the worst one at some sample points
+    def sym(m, scale=1.0):
+        x = scale * rng.standard_normal((m, m))
+        return 0.5 * (x + x.T)
+
+    nsd = [AffineMatrixMap(constant=sym(3), name="lmi3",
+                           basis=[(i, sym(3, 0.2)) for i in (0, 2, 0, 4)]),
+           AffineMatrixMap(constant=sym(1), name="lmi1",
+                           basis=[(1, sym(1)), (3, sym(1))])]
+    pd = [AffineMatrixMap(constant=sym(3), name="pd3",
+                          basis=[(i, sym(3, 0.2)) for i in range(5)])]
+    return FeasProblem(nvar=5, nsd_blocks=nsd, pd_blocks=pd,
+                       nonneg={1: float(rng.uniform(-1, 1)), 3: float(rng.uniform(-1, 1))})
+
+
+def _loop_oracle(prob, v):
+    # reference: every compiled block evaluated and decomposed on its own
+    worst, name, grad = -np.inf, "", None
+    for blk in prob.compiled_blocks():
+        vals, vecs = np.linalg.eigh(blk.value(v))
+        if vals[-1] > worst:
+            worst, name, u = float(vals[-1]), blk.name, vecs[:, -1]
+            grad = np.zeros(prob.nvar)
+            for idx, mat in blk.basis:
+                grad[idx] += u @ mat @ u
+    return worst, grad, name
+
+
+def test_worst_block_matches_loop_reference():
+    rng = np.random.default_rng(11)
+    names = set()
+    for _ in range(10):
+        prob = _random_oracle_problem(rng)
+        again = problem_from_json(problem_to_json(prob))
+        for _ in range(20):
+            v = 2.0 * rng.standard_normal(prob.nvar)
+            worst, grad, name = prob.worst_block(v)
+            ref_worst, ref_grad, ref_name = _loop_oracle(prob, v)
+            assert abs(worst - ref_worst) <= 1e-12 * max(1.0, abs(ref_worst))
+            assert name == ref_name
+            names.add(name)
+            np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-10)
+            for _ in range(5):
+                v2 = v + rng.standard_normal(prob.nvar)
+                assert _loop_oracle(prob, v2)[0] >= worst + grad @ (v2 - v) - 1e-10
+            w2, g2, n2 = again.worst_block(v)
+            assert (w2, n2) == (worst, name)
+            np.testing.assert_array_equal(g2, grad)
+    # every kind of block is the worst one somewhere
+    assert names == {"lmi3", "lmi1", "pd3", "floor_v1", "floor_v3"}
