@@ -3,7 +3,7 @@
 Layers, bottom up: `objectives` (quadratic / logistic test functions),
 `discrete` (the switched two-step iteration family), `hybrid`
 (continuous-time flows with momentum resets or switched damping), `sdp`
-(a self-contained cutting-plane feasibility engine), `lmi` (rate
+(a self-contained log-det barrier feasibility engine), `lmi` (rate
 certificates built on it), `cli` (benchmark front end).
 """
 

@@ -8,7 +8,7 @@ of the switched two-step iteration is certified by two inequalities in
 best rho is located by bisection. All work is done at state dimension 1;
 a certificate lifts to any dimension blockwise (P kron I).
 
-Feasibility itself is delegated to the cutting-plane engine in `sdp`.
+Feasibility itself is delegated to the phase-I barrier engine in `sdp`.
 """
 from __future__ import annotations
 

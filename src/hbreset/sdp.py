@@ -1,9 +1,11 @@
-"""LMI feasibility via analytic-center cutting planes.
+"""LMI feasibility via a log-det barrier phase I.
 
 Problems are small (matrix blocks up to 16x16, at most a dozen scalar
 unknowns), so everything here is plain dense numpy: numpy's LAPACK `eigh`
-supplies eigenvalues and the cutting-plane oracle, and a damped-Newton
-analytic center method drives the search. No external solver is used.
+supplies eigenvalues, and one damped-Newton loop on the phase-I barrier
+(Boyd & Vandenberghe, Convex Optimization, 11.4 and 11.6) either finds a
+point or bounds the best achievable margin by weak duality. No external
+solver is used.
 
 A problem is a set of affine symmetric matrix maps v -> F0 + sum v_i F_i,
 split into blocks required NSD by a margin and blocks required PD by the
@@ -27,6 +29,11 @@ INDETERMINATE = "indeterminate"
 
 MAX_EIG_DIM = 16
 _ASYM_TOL = 1e-10
+
+# phase I: tau grows by this factor once the Newton decrement is at most
+# _CENTERED, i.e. once the point is close enough to the central path
+_TAU_GROWTH = 10.0
+_CENTERED = 0.25
 
 
 def _check_symmetric(a: Array, what: str) -> Array:
@@ -189,181 +196,73 @@ class FeasResult:
         return self.status == FEASIBLE
 
 
-def _nullspace_basis(c: Array) -> Array:
-    # columns span {w : c.w = 0}; QR of c as a single column
-    n = len(c)
-    q, _ = np.linalg.qr(c.reshape(n, 1), mode="complete")
-    return q[:, 1:]
+def _block_eigh(groups: list, w: Array) -> list:
+    """(eigenvalues, eigenvectors) of the blocks of each size at w: one
+    stacked LAPACK call per size."""
+    return [np.linalg.eigh(const + np.tensordot(w, coef, axes=(0, 1)))
+            for const, coef in groups]
 
 
-class _Polytope:
-    """Rows a_k.w <= b_k with unit-norm a_k; supports center finding."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows_a: list = []
-        self.rows_b: list = []
-
-    def add(self, a: Array, b: float) -> Optional[str]:
-        nrm = float(np.linalg.norm(a))
-        if nrm <= 1e-14:
-            # degenerate cut: 0 <= b decides outright
-            return None if b >= 0.0 else INFEASIBLE
-        self.rows_a.append(np.asarray(a, dtype=float) / nrm)
-        self.rows_b.append(b / nrm)
-        return None
-
-    def matrices(self) -> tuple[Array, Array]:
-        return np.array(self.rows_a), np.array(self.rows_b)
-
-
-def _quick_interior(poly: _Polytope, w_prev: Optional[Array],
-                    w_cut: Array) -> Optional[Array]:
-    """Cheap interior candidates: the previous interior point (the new
-    cut may have missed it), then a step off the newest row from the cut
-    center, sized from the exact slack interval along the row normal."""
-    tau = 1e-11
-    a, b = poly.matrices()
-    if w_prev is not None and float((b - a @ w_prev).min()) > tau:
-        return w_prev
-    a_new = a[-1]
-    s = b - a @ w_cut  # s[-1] < 0: the cut removed the center
-    c = a @ a_new
-    lo = float(-s[-1]) + tau
-    hi = np.inf
-    for j in range(len(b) - 1):
-        if c[j] < -1e-14:
-            hi = min(hi, (s[j] - tau) / (-c[j]))
-    if hi > lo:
-        w = w_cut - 0.5 * (lo + min(hi, 3.0 * lo + 1.0)) * a_new
-        if float((b - a @ w).min()) > tau:
-            return w
-    return None
+def _barrier_terms(groups: list, eigs: list, w: Array, s: float, radius: float):
+    """Gradient and Hessian in x = (w, s) of the barrier
+    -sum_j log det(sI - F_j(w)) - sum_i log(R^2 - w_i^2), together with
+    sum_j tr Z_j and the weak-duality lower bound that Z_j = (sI - F_j)^-1
+    gives on min over the box of max_j lambda_max(F_j)."""
+    d = len(w)
+    grad = np.zeros(d + 1)
+    hess = np.zeros((d + 1, d + 1))
+    trz = lamz = 0.0
+    for (_, coef), (lam, vecs) in zip(groups, eigs):
+        inv = 1.0 / (s - lam)
+        # U' G_i U for every block k and coordinate i: shape (k, d, m, m)
+        rot = vecs.swapaxes(1, 2)[:, None] @ coef @ vecs[:, None]
+        diag = np.diagonal(rot, axis1=2, axis2=3)
+        root = np.sqrt(inv)
+        scaled = rot * root[:, None, :, None] * root[:, None, None, :]
+        scaled = scaled.swapaxes(0, 1).reshape(d, -1)
+        grad[:d] += np.einsum("kim,km->i", diag, inv)
+        hess[:d, :d] += scaled @ scaled.T
+        hess[:d, d] -= np.einsum("kim,km->i", diag, inv * inv)
+        hess[d, d] += float((inv * inv).sum())
+        trz += float(inv.sum())
+        lamz += float((lam * inv).sum())
+    # tr(Z C) = sum lam/(s - lam) - w . tr(Z G); the box caps w . tr(Z G)
+    bound = (lamz - float(w @ grad[:d]) - radius * float(np.abs(grad[:d]).sum())) / trz
+    hess[d, :d] = hess[:d, d]
+    grad[d] = -trz
+    up, dn = 1.0 / (radius - w), 1.0 / (radius + w)
+    grad[:d] += up - dn
+    hess[np.diag_indices(d)] += up * up + dn * dn
+    return grad, hess, trz, bound
 
 
-def _interior_point(poly: _Polytope, w0: Array, box_radius: float):
-    """Find a strictly interior point, or certify the polytope empty.
-
-    Minimizes the softmax of constraint violations with a decreasing
-    temperature. Returns (w, None) on success, (None, "empty") when the
-    convexity lower bound shows max-violation > 0 everywhere, and
-    (None, "stalled") otherwise.
-    """
-    a, b = poly.matrices()
-    logm = np.log(a.shape[0])
-    reg = np.eye(poly.dim)
-    w = w0.copy()
-    r = a @ w - b  # constraint residuals at w; positive = violated
-
-    def softmax_terms(res: Array, t: float):
-        # psi = t * log sum exp(res / t), with the unnormalised weights
-        # and their sum (pi = weights / sum)
-        z = res / t
-        zmax = float(z.max())
-        e = np.exp(z - zmax)
-        total = e.sum()
-        return t * (zmax + np.log(total)), e, total
-
-    # the final temperatures must resolve slacks near the solve margin,
-    # which can be as tight as ~1e-9 in well-cut regions
-    for t in (1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
-        tlogm = t * logm
-        psi_prev = None
-        terms = None  # softmax terms at w for this t, kept from the line search
-        for _ in range(60):
-            if float(r.max()) < -1e-12:
-                return w, None
-            psi, e, total = terms if terms is not None else softmax_terms(r, t)
-            pi = e / total
-            grad = a.T @ pi
-            gnorm = float(np.linalg.norm(grad))
-            # convexity bound: min of max-violation over the box is at
-            # least psi - |grad|*reach - t*log m; positive proves the
-            # polytope empty (reach = farthest box point from w)
-            reach = float(np.sqrt(np.sum(np.maximum(np.abs(w - box_radius),
-                                                    np.abs(w + box_radius)) ** 2)))
-            if psi - gnorm * reach - tlogm > 0.0:
-                return None, "empty"
-            if gnorm <= 1e-15:
-                break
-            if (psi_prev is not None and psi_prev - psi < 0.05 * t
-                    and psi <= tlogm):
-                # too coarse: the emptiness bound cannot fire at this
-                # temperature and progress has flattened out, so descend
-                break
-            psi_prev = psi
-            hess = (a.T * pi) @ a / t - np.outer(grad, grad) / t
-            hess += (1e-12 / t) * reg
-            try:
-                step = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                step = -grad
-            slope = float(grad @ step)
-            if slope >= 0.0:
-                step = -grad
-                slope = -gnorm * gnorm
-            alpha = 1.0
-            moved = False
-            for _ in range(40):
-                w_try = w + alpha * step
-                r_try = a @ w_try - b
-                terms = softmax_terms(r_try, t)
-                if terms[0] <= psi + 1e-4 * alpha * slope:
-                    w, r = w_try, r_try
-                    moved = True
-                    break
-                alpha *= 0.5
-            if not moved:
-                break
-    if float(r.max()) < -1e-12:
-        return w, None
-    return None, "stalled"
-
-
-def _analytic_center(poly: _Polytope, w0: Array) -> Array:
-    """Damped Newton on -sum log(slack), started strictly inside."""
-    a, b = poly.matrices()
-    w = w0.copy()
-    s = b - a @ w
-    if s.min() <= 0.0:
-        return w
-    for _ in range(50):
-        inv = 1.0 / s
-        grad = a.T @ inv
-        hess = (a.T * inv ** 2) @ a + 1e-14 * np.eye(poly.dim)
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            break
-        decrement = float(-grad @ step)
-        if decrement <= 2e-12:
-            break
-        alpha = 1.0
-        phi0 = float(-np.sum(np.log(s)))
-        for _ in range(60):
-            sn = b - a @ (w + alpha * step)
-            if sn.min() > 0.0:
-                phin = float(-np.sum(np.log(sn)))
-                if phin < phi0 - 1e-4 * alpha * decrement or alpha < 1e-8:
-                    break
-            alpha *= 0.5
-        else:
-            return w
-        w = w + alpha * step
-        s = b - a @ w
-    return w
+def _newton_step(hess: Array, grad: Array, tau: float) -> tuple[Array, float]:
+    """Newton step and decrement for tau * s plus the barrier, from a
+    Cholesky factor of the Jacobi-scaled Hessian (LinAlgError when that
+    is not numerically positive definite)."""
+    scale = 1.0 / np.sqrt(np.diag(hess))
+    chol = np.linalg.cholesky(hess * scale[:, None] * scale)
+    rhs = -scale * grad
+    rhs[-1] = -scale[-1] * (grad[-1] + tau)
+    half = np.linalg.solve(chol, rhs)
+    return scale * np.linalg.solve(chol.T, half), float(np.sqrt(half @ half))
 
 
 def solve_feasibility(problem: FeasProblem, max_oracle_calls: int = 200,
-                      v_init: Optional[Array] = None,
-                      box_radius: Optional[float] = None) -> FeasResult:
+                      v_init: Optional[Array] = None) -> FeasResult:
     """Search for v meeting every block constraint by the problem margin.
 
-    Analytic-center cutting planes on f(v) = max block eigenvalue (a
-    convex function; subgradient from the top eigenvector). FEASIBLE
-    results are re-verified at half margin before being returned.
-    INFEASIBLE is only reported when the cut region is certifiably empty.
-    Budget exhaustion yields INDETERMINATE, never a guess.
+    Phase I with a log-det barrier: over x = (w, s), v = v_base + basis w
+    inside the box |w_i| <= R, damped Newton minimizes
+    tau s - sum_j log det(sI - F_j(w)) - sum log(box slacks), and tau
+    grows after each centering. Bounds enter as 1x1 blocks shifted by
+    -margin, so "<= -margin" on them means the bound holds. FEASIBLE is
+    returned at the first evaluated point whose worst eigenvalue clears
+    the margin and that an independent re-check passes at half margin.
+    INFEASIBLE is returned only when the weak-duality bound from
+    Z_j = (sI - F_j)^-1 proves that no point of the box clears the
+    margin; the bound is in the message. An exhausted budget or a
+    numerically stalled step yields INDETERMINATE, never a guess.
     """
     margin = problem.margin
     calls = 0
@@ -371,128 +270,127 @@ def solve_feasibility(problem: FeasProblem, max_oracle_calls: int = 200,
     if problem.nvar == 0:
         worst, _, _ = problem.worst_block(np.zeros(0))
         ok = worst <= -margin
-        return FeasResult(FEASIBLE if ok else INFEASIBLE, np.zeros(0), worst, 1)
+        return FeasResult(FEASIBLE if ok else INFEASIBLE, np.zeros(0), worst, 1,
+                          "" if ok else f"no variables: worst eigenvalue {worst!r} > -margin")
 
     if problem.normalization is not None:
         c = problem.normalization
         v_base = c / float(c @ c)
-        basis = _nullspace_basis(c)
-        radius = 4.0 if box_radius is None else box_radius
+        # columns span {w : c.w = 0}: QR of c as a single column
+        basis = np.linalg.qr(c.reshape(-1, 1), mode="complete")[0][:, 1:]
+        radius = 4.0
     else:
-        c = None
         v_base = np.zeros(problem.nvar)
         basis = np.eye(problem.nvar)
-        radius = 10.0 if box_radius is None else box_radius
+        radius = 10.0
     dim = basis.shape[1]
 
     def lift(w: Array) -> Array:
         return v_base + basis @ w
 
-    best_worst = np.inf
-    best_v = None
-
-    def probe(v: Array):
-        nonlocal calls, best_worst, best_v
-        calls += 1
-        worst, grad, name = problem.worst_block(v)
-        if worst < best_worst:
-            best_worst, best_v = worst, v.copy()
-        return worst, grad, name
-
-    def verify(v: Array) -> bool:
+    def verified(v: Array) -> bool:
+        # the half-margin re-check, independent of the search's evaluation
         nonlocal calls
         calls += 1
-        worst, _, _ = problem.worst_block(v)
-        return worst <= -0.5 * margin
+        return all(np.linalg.eigvalsh(blk.value(v))[-1] <= -0.5 * margin
+                   for blk in problem.compiled_blocks())
 
     if dim == 0:
         # normalization pins v completely
-        worst, _, _ = probe(v_base)
-        if worst <= -margin and verify(v_base):
+        calls += 1
+        worst, _, _ = problem.worst_block(v_base)
+        if worst <= -margin and verified(v_base):
             return FeasResult(FEASIBLE, v_base, worst, calls)
         return FeasResult(INFEASIBLE, None, worst, calls,
-                          "variable fixed by normalization")
+                          f"variable fixed by normalization: worst eigenvalue "
+                          f"{worst!r} > -margin")
 
-    poly = _Polytope(dim)
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        poly.add(e, radius)
-        poly.add(-e, radius)
-    if problem.bounds is not None:
-        for i, bd in enumerate(problem.bounds):
-            if bd is None:
+    # every block in w-coordinates, stacked by size: F(w) = C + sum w_i G_i
+    by_size: dict = {}
+    for _, const, idx, mats in problem._oracle_blocks:
+        by_size.setdefault(const.shape[0], []).append(
+            (const + np.tensordot(v_base[idx], mats, 1),
+             np.tensordot(basis[idx].T, mats, 1)))
+    for i, bd in enumerate(problem.bounds or ()):
+        for sign, limit in zip((-1.0, 1.0), bd or ()):
+            if limit is None:
                 continue
-            lo, hi = bd
-            row = basis[i, :]
-            if hi is not None:
-                st = poly.add(row, hi - v_base[i])
-                if st == INFEASIBLE:
+            # row a.w <= b, unit-normalized; a zero row decides outright
+            a, b = sign * basis[i], sign * (limit - v_base[i])
+            nrm = float(np.linalg.norm(a))
+            if nrm <= 1e-14:
+                if b < 0.0:
                     return FeasResult(INFEASIBLE, None, np.inf, calls, "bounds conflict")
-            if lo is not None:
-                st = poly.add(-row, v_base[i] - lo)
-                if st == INFEASIBLE:
-                    return FeasResult(INFEASIBLE, None, np.inf, calls, "bounds conflict")
+                continue
+            by_size.setdefault(1, []).append((np.array([[-b / nrm - margin]]),
+                                              (a / nrm).reshape(dim, 1, 1)))
+    groups = [(np.array([c for c, _ in blocks]), np.array([g for _, g in blocks]))
+              for _, blocks in sorted(by_size.items())]
 
-
-    def add_cut(w_at: Array, worst: float, grad_v: Array) -> Optional[str]:
-        # subgradient inequality: any margin-feasible v obeys
-        # grad.(v - v_at) <= -margin - worst (a deep cut when worst > -margin)
-        rhs = -margin - worst
-        a_row = basis.T @ grad_v
-        return poly.add(a_row, rhs + float(a_row @ w_at))
-
-    def find_interior(w_prev: Optional[Array], w_cut: Array):
-        w = _quick_interior(poly, w_prev, w_cut)
-        if w is not None:
-            return w, None
-        return _interior_point(poly, w_cut, radius)
-
-    w_int, status = find_interior(np.zeros(dim), np.zeros(dim))
-    if status == "empty":
-        return FeasResult(INFEASIBLE, None, np.inf, calls, "search box empty")
-    if w_int is None:
-        return FeasResult(INDETERMINATE, best_v, best_worst, calls, "no interior start")
-
+    w = np.zeros(dim)
     if v_init is not None:
+        # warm start: the first point is v_init, projected onto the
+        # normalization and moved strictly inside the box if need be
         v_init = np.asarray(v_init, dtype=float)
         if v_init.shape != (problem.nvar,):
             raise ValueError("v_init has wrong length")
-        worst, grad, name = probe(v_init)
-        if worst <= -margin and verify(v_init):
-            return FeasResult(FEASIBLE, v_init, worst, calls)
-        w_at = basis.T @ (v_init - v_base)
-        st = add_cut(w_at, worst, grad)
-        if st == INFEASIBLE:
-            return FeasResult(INFEASIBLE, None, best_worst, calls,
-                              "flat objective exceeds margin")
-        w_int, status = find_interior(w_int, w_at)
-        if status == "empty":
-            return FeasResult(INFEASIBLE, None, best_worst, calls, "cut region empty")
-        if w_int is None:
-            return FeasResult(INDETERMINATE, best_v, best_worst, calls,
-                              "interior search stalled")
+        w = np.clip(basis.T @ (v_init - v_base), -0.99 * radius, 0.99 * radius)
 
-    while calls < max_oracle_calls:
-        w_c = _analytic_center(poly, w_int)
-        v_c = lift(w_c)
-        worst, grad, name = probe(v_c)
+    best_worst, best_v, bound = np.inf, None, -np.inf
+
+    def evaluate(w: Array):
+        # one oracle call: every block at one point
+        nonlocal calls, best_worst, best_v
+        calls += 1
+        eigs = _block_eigh(groups, w)
+        worst = max(float(lam[:, -1].max()) for lam, _ in eigs)
+        if worst < best_worst:
+            best_worst, best_v = worst, lift(w)
+        return eigs, worst
+
+    def undecided(reason: str) -> FeasResult:
+        return FeasResult(INDETERMINATE, best_v, best_worst, calls,
+                          f"{reason}; best worst eigenvalue {best_worst:.3e}, "
+                          f"last lower bound {bound:.3e}")
+
+    if calls >= max_oracle_calls:
+        return undecided("oracle budget exhausted")
+    eigs, worst = evaluate(w)
+    s, tau = worst + 1.0, None
+    while True:
         if worst <= -margin:
-            if verify(v_c):
-                return FeasResult(FEASIBLE, v_c, worst, calls)
-            return FeasResult(INDETERMINATE, v_c, worst, calls,
+            v = lift(w)
+            if verified(v):
+                return FeasResult(FEASIBLE, v, worst, calls)
+            return FeasResult(INDETERMINATE, v, worst, calls,
                               "verification at half margin failed")
-        st = add_cut(w_c, worst, grad)
-        if st == INFEASIBLE:
+        grad, hess, trz, bound = _barrier_terms(groups, eigs, w, s, radius)
+        if bound > -margin:
             return FeasResult(INFEASIBLE, None, best_worst, calls,
-                              "flat objective exceeds margin")
-        w_int, status = find_interior(w_int, w_c)
-        if status == "empty":
-            return FeasResult(INFEASIBLE, None, best_worst, calls, "cut region empty")
-        if w_int is None:
-            return FeasResult(INDETERMINATE, best_v, best_worst, calls,
-                              "interior search stalled")
-    return FeasResult(INDETERMINATE, best_v, best_worst, calls, "oracle budget exhausted")
+                              f"phase-I lower bound {bound!r} > -margin")
+        tau = trz if tau is None else tau  # zero s-gradient at the start
+        try:
+            step, dec = _newton_step(hess, grad, tau)
+            while dec <= _CENTERED:
+                tau *= _TAU_GROWTH
+                step, dec = _newton_step(hess, grad, tau)
+        except np.linalg.LinAlgError:
+            return undecided("Newton system not positive definite")
+        # the damped step 1/(1 + dec) stays in the barrier's domain and
+        # lowers it; halving only guards against rounding
+        alpha = 1.0 / (1.0 + dec)
+        while True:
+            if calls >= max_oracle_calls:
+                return undecided("oracle budget exhausted")
+            w_try, s_try = w + alpha * step[:-1], s + alpha * step[-1]
+            eigs_try, worst_try = evaluate(w_try)
+            if worst_try <= -margin or (s_try > worst_try
+                                        and np.abs(w_try).max() < radius):
+                break
+            alpha *= 0.5
+            if alpha < 1e-10:
+                return undecided("line search stalled")
+        w, s, eigs, worst = w_try, s_try, eigs_try, worst_try
 
 
 def _map_to_doc(blk: AffineMatrixMap) -> dict:

@@ -1,6 +1,7 @@
-"""Cutting-plane feasibility engine and its dense eigensolver."""
+"""Phase-I barrier feasibility engine and its dense eigensolver."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hbreset import sdp
 from hbreset.sdp import (AffineMatrixMap, FEASIBLE, FeasProblem, INDETERMINATE,
                          INFEASIBLE, check_nsd, eig_max, problem_from_json,
                          problem_to_json, result_to_json, solve_feasibility,
@@ -93,6 +95,15 @@ def test_affine_map_evaluation():
     np.testing.assert_allclose(amap.negated().value(v), np.diag([-5.0, 1.0]))
 
 
+def _stated_bound(res):
+    # the lower bound on the worst eigenvalue that an INFEASIBLE result's
+    # message states, e.g. "phase-I lower bound 0.0123 > -margin"
+    assert res.status == INFEASIBLE
+    found = re.search(r"(\S+) > -margin$", res.message)
+    assert found, res.message
+    return float(found.group(1))
+
+
 def _scalar_problem():
     # one block (v1 - 1) * I, v1 in [0, 2]
     amap = AffineMatrixMap(constant=-np.eye(2), basis=[(0, np.eye(2))])
@@ -114,6 +125,7 @@ def test_constant_identity_infeasible():
     prob = FeasProblem(nvar=0, nsd_blocks=[amap])
     res = solve_feasibility(prob, max_oracle_calls=10)
     assert res.status == INFEASIBLE
+    assert _stated_bound(res) == 1.0
 
 
 def test_constant_nsd_feasible_without_variables():
@@ -124,12 +136,13 @@ def test_constant_nsd_feasible_without_variables():
 
 
 def test_flat_violated_block_is_infeasible_with_variables():
-    # block ignores v entirely and sits at +1/2: subgradient is zero, which
-    # certifies the minimum of the objective exceeds the margin
+    # block ignores v entirely and sits at +1/2: any dual weight on it
+    # gives a lower bound above the margin
     amap = AffineMatrixMap(constant=0.5 * np.eye(1), basis=[])
     prob = FeasProblem(nvar=1, nsd_blocks=[amap], bounds=[(0.0, 1.0)])
     res = solve_feasibility(prob, max_oracle_calls=20)
     assert res.status == INFEASIBLE
+    assert -prob.margin < _stated_bound(res) <= 0.5
 
 
 def test_lyapunov_block_feasible_iff_stable():
@@ -158,12 +171,14 @@ def test_lyapunov_block_feasible_iff_stable():
     assert np.linalg.eigvalsh(p_mat)[0] >= 0.5e-9
 
     unstable = np.array([[1.2, 0.0], [0.3, 1.1]])
-    res2 = solve_feasibility(lyap_problem(unstable), max_oracle_calls=200)
+    prob2 = lyap_problem(unstable)
+    res2 = solve_feasibility(prob2, max_oracle_calls=200)
     assert res2.status == INFEASIBLE
+    assert _stated_bound(res2) > -prob2.margin
 
 
 def test_budget_exhaustion_is_indeterminate_not_infeasible():
-    # feasible problem, but the 1-call budget runs out after the first cut
+    # feasible problem, but the 1-call budget runs out at the first point
     amap = AffineMatrixMap(constant=-np.eye(2) * 1e-12, basis=[(0, np.eye(2))])
     prob = FeasProblem(nvar=1, nsd_blocks=[amap], bounds=[(-1.0, 1.0)])
     res = solve_feasibility(prob, max_oracle_calls=1)
@@ -244,6 +259,29 @@ def test_conflicting_bounds_infeasible():
     prob = FeasProblem(nvar=1, nsd_blocks=[amap], bounds=[(1.0, -1.0)])
     res = solve_feasibility(prob, max_oracle_calls=10)
     assert res.status == INFEASIBLE
+    assert _stated_bound(res) > -prob.margin
+    # a variable pinned by the normalization outside its bounds
+    pinned = FeasProblem(nvar=2, nsd_blocks=[amap], normalization=np.array([1.0, 0.0]),
+                         bounds=[(2.0, 3.0), None])
+    res = solve_feasibility(pinned, max_oracle_calls=10)
+    assert (res.status, res.message) == (INFEASIBLE, "bounds conflict")
+
+
+def test_warm_start_cannot_bypass_bounds_or_normalization():
+    # v0 <= -margin holds only outside the bounds [0, 1]; a warm start
+    # there must not be returned, so the verdict cannot depend on it
+    amap = AffineMatrixMap(constant=np.zeros((1, 1)), basis=[(0, np.eye(1))])
+    prob = FeasProblem(nvar=1, nsd_blocks=[amap], bounds=[(0.0, 1.0)])
+    for v_init in (None, np.array([-5.0])):
+        res = solve_feasibility(prob, max_oracle_calls=100, v_init=v_init)
+        assert res.status == INFEASIBLE
+        assert _stated_bound(res) > -prob.margin
+    # a warm start off the normalization is projected onto it
+    amap = AffineMatrixMap(constant=-np.eye(1), basis=[(0, np.eye(1))])
+    prob = FeasProblem(nvar=2, nsd_blocks=[amap], normalization=np.array([1.0, 1.0]))
+    res = solve_feasibility(prob, max_oracle_calls=50, v_init=np.array([0.2, 0.2]))
+    assert res.status == FEASIBLE
+    assert res.v.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_problem_json_round_trip():
@@ -276,6 +314,114 @@ def test_feasible_result_verified_at_half_margin():
     assert res.worst_eig <= -1e-9
     for amap in prob.compiled_blocks():
         assert check_nsd(amap.value(res.v), -0.5e-9)
+
+
+def test_half_margin_recheck_is_independent_of_the_search(monkeypatch):
+    # every block evaluation of the search under-reports the top eigenvalue
+    # by 1.0, so a violated block looks satisfied; the re-check at half
+    # margin must still refuse to certify it
+    real_eigh, real_worst = sdp._block_eigh, FeasProblem.worst_block
+
+    def lying_eigh(groups, w):
+        out = []
+        for lam, vecs in real_eigh(groups, w):
+            lam = lam.copy()
+            lam[:, -1] -= 1.0
+            out.append((lam, vecs))
+        return out
+
+    def lying_worst(self, v):
+        worst, grad, name = real_worst(self, v)
+        return worst - 1.0, grad, name
+
+    monkeypatch.setattr(sdp, "_block_eigh", lying_eigh)
+    monkeypatch.setattr(FeasProblem, "worst_block", lying_worst)
+    amap = AffineMatrixMap(constant=0.5 * np.eye(2), basis=[(0, np.eye(2))])
+    free = FeasProblem(nvar=1, nsd_blocks=[amap], bounds=[(-1.0, 1.0)])
+    pinned = FeasProblem(nvar=1, nsd_blocks=[amap], normalization=np.array([1.0]))
+    for prob, v_init in ((free, None), (free, np.array([0.2])), (pinned, None)):
+        res = solve_feasibility(prob, max_oracle_calls=50, v_init=v_init)
+        assert res.status != FEASIBLE
+
+
+def _random_small_problem(rng):
+    # one or two unknowns, random 1x1 to 3x3 blocks shifted so that some
+    # problems are feasible and most are not; sometimes a floor, a pd
+    # block or a normalization
+    def sym(m, scale=1.0):
+        x = scale * rng.standard_normal((m, m))
+        return 0.5 * (x + x.T)
+
+    nvar = int(rng.integers(1, 3))
+    nsd = []
+    for k in range(int(rng.integers(1, 3))):
+        m = int(rng.integers(1, 4))
+        nsd.append(AffineMatrixMap(constant=sym(m) + rng.uniform(-1.5, 1.5) * np.eye(m),
+                                   basis=[(i, sym(m, 0.3)) for i in range(nvar)],
+                                   name=f"nsd{k}"))
+    pd = []
+    if rng.uniform() < 0.3:
+        pd.append(AffineMatrixMap(constant=sym(2, 0.1),
+                                  basis=[(i, sym(2, 0.3)) for i in range(nvar)], name="pd"))
+    nonneg = {0: float(rng.uniform(-1.0, 1.0))} if rng.uniform() < 0.3 else {}
+    norm = None
+    if nvar == 2 and rng.uniform() < 0.5:
+        norm = rng.uniform(0.5, 1.5, 2)
+    return FeasProblem(nvar=nvar, nsd_blocks=nsd, pd_blocks=pd, nonneg=nonneg,
+                       normalization=norm)
+
+
+def _grid_minimum(prob, points=201):
+    # brute force: the worst sign-adjusted eigenvalue on a grid over the
+    # search box, |v_i| <= 10, or |w| <= 4 along the normalization's
+    # nullspace (the box is symmetric, so the direction's sign is moot)
+    if prob.normalization is None:
+        axes = [np.linspace(-10.0, 10.0, points)] * prob.nvar
+        vs = np.stack(np.meshgrid(*axes), -1).reshape(-1, prob.nvar)
+    else:
+        c = prob.normalization
+        along = np.array([-c[1], c[0]]) / np.linalg.norm(c)
+        vs = c / (c @ c) + np.linspace(-4.0, 4.0, points)[:, None] * along
+    worst = np.full(len(vs), -np.inf)
+    for blk in prob.compiled_blocks():
+        mats = blk.constant + sum(vs[:, i, None, None] * m for i, m in blk.basis)
+        worst = np.maximum(worst, np.linalg.eigvalsh(mats)[:, -1])
+    return float(worst.min())
+
+
+def test_lower_bound_never_exceeds_grid_minimum(monkeypatch):
+    # every bound the search computes, and every bound an INFEASIBLE result
+    # states, is at most the brute-force minimum of the worst eigenvalue
+    # over the search box; each random problem is solved as drawn and
+    # shifted so that its grid minimum is 1e-4, which makes the search
+    # press its bound up against the minimum
+    seen = []
+    real_terms = sdp._barrier_terms
+
+    def recording_terms(*args):
+        out = real_terms(*args)
+        seen.append(out[3])
+        return out
+
+    monkeypatch.setattr(sdp, "_barrier_terms", recording_terms)
+    rng = np.random.default_rng(2024)
+    statuses = []
+    for _ in range(30):
+        prob = _random_small_problem(rng)
+        floor = _grid_minimum(prob)
+        tight = FeasProblem(
+            nvar=prob.nvar, normalization=prob.normalization,
+            nsd_blocks=[AffineMatrixMap(blk.constant - (floor - 1e-4) * np.eye(blk.dim),
+                                        blk.basis) for blk in prob.compiled_blocks()])
+        for case in (prob, tight):
+            seen.clear()
+            res = solve_feasibility(case, max_oracle_calls=200)
+            statuses.append(res.status)
+            grid_min = _grid_minimum(case)
+            if res.status == INFEASIBLE:
+                seen.append(_stated_bound(res))
+            assert max(seen, default=-np.inf) <= grid_min + 1e-12
+    assert statuses.count(INFEASIBLE) >= 20 and statuses.count(FEASIBLE) >= 5
 
 
 def _random_oracle_problem(rng):
