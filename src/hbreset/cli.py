@@ -102,14 +102,14 @@ class ExperimentConfig:
         """Fill per-subcommand defaults so the dumped config is complete."""
         cfg = dataclasses.replace(self)
         if cfg.subcommand == "certify":
-            cfg.methods = cfg.methods or CERTIFY_METHODS
+            cfg.methods = cfg.methods if cfg.methods is not None else CERTIFY_METHODS
         elif cfg.subcommand == "quad":
-            cfg.methods = cfg.methods or QUAD_METHODS
+            cfg.methods = cfg.methods if cfg.methods is not None else QUAD_METHODS
             cfg.n = cfg.n if cfg.n is not None else 50
             cfg.iters = cfg.iters if cfg.iters is not None else 5000
             cfg.h = cfg.h if cfg.h is not None else 1e-4
         elif cfg.subcommand == "logreg":
-            cfg.methods = cfg.methods or LOGREG_METHODS
+            cfg.methods = cfg.methods if cfg.methods is not None else LOGREG_METHODS
             cfg.n = cfg.n if cfg.n is not None else 20
             cfg.iters = cfg.iters if cfg.iters is not None else 3000
         elif cfg.subcommand == "tune":
@@ -126,12 +126,24 @@ class ExperimentConfig:
             raise ValueError("--seed is required for randomized experiments")
         if self.seed is not None and not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must fit in 64 bits")
+        if (self.subcommand in ("certify", "quad", "logreg")
+                and self.methods is not None and not self.methods):
+            raise ValueError("--methods must name at least one method")
         if self.subcommand == "certify":
             if not self.grid_L:
                 raise ValueError("grid of L values must be non-empty")
+            if not all(math.isfinite(L) for L in self.grid_L):
+                raise ValueError(f"--grid-L entries must be finite, got {self.grid_L}")
+            if not math.isfinite(self.mu):
+                raise ValueError(f"--mu must be finite, got {self.mu}")
             bad = set(self.methods or ()) - set(CERTIFY_METHODS)
             if bad:
                 raise ValueError(f"unknown certify methods: {sorted(bad)}")
+        uses_cond = (self.subcommand == "quad"
+                     or (self.subcommand == "tune" and self.objective == "quad")
+                     or (self.subcommand == "simulate" and self.model == "gen"))
+        if uses_cond and not math.isfinite(self.cond):
+            raise ValueError(f"--cond must be finite, got {self.cond}")
         if self.subcommand == "quad":
             if not self.k_values:
                 raise ValueError("K grid must be non-empty")
@@ -151,6 +163,8 @@ class ExperimentConfig:
                 raise ValueError("--model must be scalar, file or gen")
             if self.model == "file" and not self.model_file:
                 raise ValueError("--model-file required with --model file")
+            if self.model == "scalar" and not (math.isfinite(self.curv) and self.curv > 0.0):
+                raise ValueError(f"--curv must be finite and positive, got {self.curv}")
 
     def resolved_json(self) -> str:
         # the output path is excluded so bytes do not depend on where the
@@ -523,7 +537,8 @@ def _simulate_model(cfg: ExperimentConfig):
         with open(cfg.model_file) as fh:
             return quadratic_model(quad_from_json(fh.read()))
     if cfg.model == "gen":
-        _, model = gen_random_quadratic(cfg.n or 2, cfg.cond, cfg.seed)
+        _, model = gen_random_quadratic(cfg.n if cfg.n is not None else 2,
+                                        cfg.cond, cfg.seed)
         return model
     spec = QuadraticSpec(Q=np.array([[cfg.curv]]), b=np.zeros(1))
     return quadratic_model(spec)

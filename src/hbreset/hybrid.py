@@ -91,14 +91,20 @@ class HybridArc:
         n = self.q.shape[1]
         cols = ["t", "j"] + [f"q{i}" for i in range(n)] + [f"p{i}" for i in range(n)] \
             + ["tau", "energy"]
+        # one format string per row over plain Python numbers gives the
+        # bytes of formatting each numpy scalar on its own, at about half
+        # the cost; converting 1024 rows at a time keeps the Python copies
+        # of a long arc from raising the peak memory
+        row = "%.17g,%d," + ",".join(["%.17g"] * (2 * n + 2)) + "\n"
         with open(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
-            for i in range(len(self.t)):
-                vals = [("%.17g" % self.t[i]), str(int(self.j[i]))]
-                vals += ["%.17g" % v for v in self.q[i]]
-                vals += ["%.17g" % v for v in self.p[i]]
-                vals += ["%.17g" % self.tau[i], "%.17g" % self.energy[i]]
-                fh.write(",".join(vals) + "\n")
+            for lo in range(0, len(self.t), 1024):
+                part = slice(lo, lo + 1024)
+                for t, j, q, p, tau, e in zip(
+                        self.t[part].tolist(), self.j[part].tolist(),
+                        self.q[part].tolist(), self.p[part].tolist(),
+                        self.tau[part].tolist(), self.energy[part].tolist()):
+                    fh.write(row % (t, j, *q, *p, tau, e))
 
     def jumps_json(self) -> str:
         return json.dumps(

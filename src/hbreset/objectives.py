@@ -8,12 +8,12 @@ caller that needs both at a point pays for one evaluation.
 """
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
 Array = np.ndarray
 
@@ -163,6 +163,21 @@ def gen_random_quadratic(n: int, L: float, seed: int) -> tuple[QuadraticSpec, Ob
     return spec, model
 
 
+@functools.cache
+def _expit():
+    """scipy's logistic sigmoid, imported on first use.
+
+    Only the logistic objective needs scipy, and importing scipy.special
+    costs more than importing the rest of the package; loading it here
+    keeps it out of every run that never evaluates a sigmoid. scipy's
+    expit (libm exp) stays rather than 1/(1+np.exp(-z)): numpy's SIMD exp
+    differs from it in the last bit on some inputs, enough to move the
+    logreg tuner's pick at ties.
+    """
+    from scipy.special import expit
+    return expit
+
+
 def logistic_eval_grad(spec: LogisticSpec, q: Array) -> tuple[float, Array]:
     """Value sum_i log(1 + exp(-b_i theta_i'q)) and its gradient.
 
@@ -174,7 +189,7 @@ def logistic_eval_grad(spec: LogisticSpec, q: Array) -> tuple[float, Array]:
         raise ValueError(f"point of dim {q.shape} does not match spec dim {spec.dim}")
     z = -spec.labels * (spec.features.T @ q)
     value = float(np.logaddexp(0.0, z).sum())
-    grad = -(spec.features @ (spec.labels * expit(z)))
+    grad = -(spec.features @ (spec.labels * _expit()(z)))
     return value, grad
 
 

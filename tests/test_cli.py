@@ -73,6 +73,43 @@ def test_validation_rejects_bad_configs():
         ExperimentConfig(subcommand="quad", seed=-1).with_defaults().validate()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["certify", "--grid-L", "1,nan"], "--grid-L"),
+    (["certify", "--grid-L", "inf"], "--grid-L"),
+    (["certify", "--mu", "nan"], "--mu"),
+    (["certify", "--mu=-inf"], "--mu"),
+    (["quad", "--seed", "1", "--cond", "nan"], "--cond"),
+    (["quad", "--seed", "1", "--cond", "inf"], "--cond"),
+    (["tune", "--seed", "1", "--method", "gd", "--cond", "nan"], "--cond"),
+    (["simulate", "--model", "gen", "--seed", "1", "--cond", "nan"], "--cond"),
+    (["simulate", "--model", "scalar", "--curv", "0"], "--curv"),
+    (["simulate", "--model", "scalar", "--curv=-1"], "--curv"),
+    (["simulate", "--model", "scalar", "--curv", "nan"], "--curv"),
+    (["simulate", "--model", "scalar", "--curv", "inf"], "--curv"),
+    (["certify", "--methods", ","], "--methods"),
+    (["quad", "--seed", "1", "--methods", ","], "--methods"),
+    (["logreg", "--seed", "1", "--methods", ","], "--methods"),
+])
+def test_validation_names_the_flag_of_an_edge_input(argv, flag, tmp_path):
+    with pytest.raises(ValueError, match=flag):
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_edge_checks_apply_only_where_the_value_is_used():
+    # configs that carry an unused non-finite cond or mu, a zero curv or an
+    # empty methods tuple were accepted before these checks and still are
+    nan = float("nan")
+    for cfg in (ExperimentConfig(subcommand="logreg", seed=1, cond=nan, mu=nan),
+                ExperimentConfig(subcommand="tune", seed=1, method="gd",
+                                 objective="logreg", cond=nan),
+                ExperimentConfig(subcommand="simulate", cond=nan, methods=()),
+                ExperimentConfig(subcommand="simulate", model="file",
+                                 model_file="m.json", curv=0.0),
+                ExperimentConfig(subcommand="quad", seed=1, curv=0.0, mu=nan)):
+        cfg.with_defaults().validate()
+
+
 def test_config_file_merge_and_flag_override(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 4, "iters": 50, "out": "ignored",
@@ -434,6 +471,19 @@ def test_simulate_model_file_and_dimension_check(tmp_path):
         main(["simulate", "--mode", "hb", "--model", "file",
               "--model-file", str(path), "--q0", "1",
               "--out", str(tmp_path / "bad")])
+
+
+def test_simulate_gen_dimension(tmp_path):
+    # n defaults to 2 only when it is not given: n = 0 must reach the
+    # generator's check, not run a 2-d arc
+    with pytest.raises(ValueError, match="n >= 2"):
+        main(["simulate", "--model", "gen", "--seed", "1", "--n", "0",
+              "--t-end", "0.1", "--out", str(tmp_path / "zero")])
+    assert main(["simulate", "--model", "gen", "--seed", "1", "--t-end", "0.1",
+                 "--out", str(tmp_path / "default")]) == 0
+    header, _ = parse_csv(tmp_path / "default" / "arc.csv")
+    assert header[:4] == ["t", "j", "q0", "q1"] and header[4] == "p0"
+    assert json.loads((tmp_path / "default" / "config.json").read_text())["n"] is None
 
 
 def test_simulate_gen_requires_seed(tmp_path):

@@ -215,6 +215,29 @@ def test_arc_csv_and_jump_log(tmp_path):
         assert set(log[0]) == {"t", "j", "q"}
 
 
+def test_arc_csv_matches_per_value_formatting(tmp_path):
+    # the row writer formats plain Python numbers with one format string;
+    # it must give the bytes of formatting each numpy scalar on its own
+    _, model = gen_random_quadratic(2, 20.0, 12)
+    par = HybridParams(K=0.3, T_min=0.05, step=1e-3)
+    z0 = HybridState(q=np.array([1.0, -0.5]), p=np.zeros(2))
+    arc = integrate_hhb(model, par, z0, 5.0)
+    assert len(arc.jumps) >= 2 and len(arc) > 2048  # spans the 1024-row blocks
+    path = tmp_path / "arc.csv"
+    arc.to_csv(path)
+    lines = ["t,j,q0,q1,p0,p1,tau,energy"]
+    for i in range(len(arc.t)):
+        vals = [("%.17g" % arc.t[i]), str(int(arc.j[i]))]
+        vals += ["%.17g" % v for v in arc.q[i]]
+        vals += ["%.17g" % v for v in arc.p[i]]
+        vals += ["%.17g" % arc.tau[i], "%.17g" % arc.energy[i]]
+        lines.append(",".join(vals))
+    got = path.read_text().split("\n")
+    assert got[-1] == "" and len(got) == len(lines) + 1
+    bad = [i for i, (a, b) in enumerate(zip(got, lines)) if a != b]
+    assert not bad, (bad[0], got[bad[0]], lines[bad[0]])
+
+
 def test_final_state_round_trip():
     model = scalar_model(3.0)
     par = HybridParams(K=0.8, T_min=0.05, step=1e-3)

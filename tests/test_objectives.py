@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+
+import hbreset
 
 from hbreset.objectives import (LogisticSpec, QuadraticSpec, finite_diff_check,
                                 gen_logistic_dataset, gen_random_quadratic,
@@ -82,6 +88,48 @@ def test_logistic_stable_at_large_margins():
     val, grad = logistic_eval_grad(spec, q)
     assert np.isfinite(val)
     assert np.all(np.isfinite(grad))
+
+
+def test_logistic_gradient_is_scipy_expit_bitwise():
+    # where numpy's exp is vectorised (AVX-512), 1/(1+np.exp(-z)) differs
+    # from scipy's expit in the last bit on some margins, which changes this
+    # gradient and moves the logreg tuner's picks at ties
+    from scipy.special import expit
+    spec = gen_logistic_dataset(6, 200, 19)
+    q = np.random.default_rng(19).standard_normal(6)
+    z = -spec.labels * (spec.features.T @ q)
+    for scale in (1.0, 1e3 / np.max(np.abs(z))):  # margins up to ~8, then 1e3
+        _, grad = logistic_eval_grad(spec, scale * q)
+        zs = -spec.labels * (spec.features.T @ (scale * q))
+        want = -(spec.features @ (spec.labels * expit(zs)))
+        assert grad.tobytes() == want.tobytes()
+    assert np.max(np.abs(zs)) == pytest.approx(1e3)
+
+
+def test_scipy_loaded_only_by_the_logistic_objective(tmp_path):
+    # a fresh interpreter: the CLI and the non-logistic subcommands must
+    # not import scipy, and the first logistic evaluation must
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import hbreset.cli
+        from hbreset.objectives import gen_logistic_dataset, logistic_eval_grad
+        out = sys.argv[1]
+        assert hbreset.cli.main(["simulate", "--model", "scalar", "--t-end", "0.1",
+                                 "--out", out + "/sim"]) == 0
+        assert hbreset.cli.main(["quad", "--seed", "1", "--n", "4", "--iters", "20",
+                                 "--K", "1", "--methods", "polyak",
+                                 "--out", out + "/quad"]) == 0
+        assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+        logistic_eval_grad(gen_logistic_dataset(3, 5, 0), np.zeros(3))
+        assert "scipy.special" in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hbreset.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_finite_differences_agree():
