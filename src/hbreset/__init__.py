@@ -5,39 +5,34 @@ Layers, bottom up: `objectives` (quadratic / logistic test functions),
 (continuous-time flows with momentum resets or switched damping), `sdp`
 (a self-contained log-det barrier feasibility engine), `lmi` (rate
 certificates built on it), `cli` (benchmark front end).
+
+The names below are the entry points of each layer. Building blocks such
+as `lmi.DtLmiData`, `lmi.build_sector`, `discrete.initial_state` or
+`objectives.quad_to_json` are imported from their own module.
 """
 
-from .discrete import (AlgoParams, IterState, Trajectory, Variant,
-                       count_nonmonotone, initial_state, nesterov_beta_schedule,
-                       run, switching_beta)
+from .discrete import (AlgoParams, Trajectory, Variant, count_nonmonotone,
+                       run)
 from .hybrid import (HybridArc, HybridParams, HybridState, default_dwell,
                      integrate_hb, integrate_hhb, integrate_hihb)
-from .lmi import (Certificate, CertRequest, CtLmiData, DtLmiData, NoCertificate,
-                  bisect_rate, build_ct, build_sector, build_theorem2,
-                  certify_discrete, ct_alpha_builder, ct_feasible,
-                  dt_feasible, dt_rate_builder, dt_system, reduce_to_scalar)
+from .lmi import (Certificate, CertRequest, NoCertificate, bisect_rate,
+                  build_ct, certify_discrete, ct_feasible, dt_feasible,
+                  dt_system)
 from .objectives import (LogisticSpec, ObjectiveModel, QuadraticSpec,
                          gen_logistic_dataset, gen_random_quadratic,
-                         logistic_lipschitz, logistic_model, quad_from_json,
-                         quad_to_json, quadratic_model)
+                         logistic_model, quadratic_model)
 from .sdp import (AffineMatrixMap, FeasProblem, FeasResult, FEASIBLE,
-                  INDETERMINATE, INFEASIBLE, check_nsd, eig_max,
-                  solve_feasibility, symmetric_eig)
+                  INDETERMINATE, INFEASIBLE, solve_feasibility)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMatrixMap", "AlgoParams", "CertRequest", "Certificate", "CtLmiData",
-    "DtLmiData", "FEASIBLE", "FeasProblem", "FeasResult", "HybridArc",
-    "HybridParams", "HybridState", "INDETERMINATE", "INFEASIBLE", "IterState",
-    "LogisticSpec", "NoCertificate", "ObjectiveModel", "QuadraticSpec",
-    "Trajectory", "Variant", "bisect_rate", "build_ct", "build_sector",
-    "build_theorem2", "certify_discrete", "check_nsd", "count_nonmonotone",
-    "ct_alpha_builder", "ct_feasible", "default_dwell", "dt_feasible",
-    "dt_rate_builder", "dt_system", "eig_max", "gen_logistic_dataset",
-    "gen_random_quadratic", "initial_state", "integrate_hb", "integrate_hhb",
-    "integrate_hihb", "logistic_lipschitz", "logistic_model",
-    "nesterov_beta_schedule", "quad_from_json", "quad_to_json",
-    "quadratic_model", "reduce_to_scalar", "run", "solve_feasibility",
-    "switching_beta", "symmetric_eig",
+    "AffineMatrixMap", "AlgoParams", "CertRequest", "Certificate", "FEASIBLE",
+    "FeasProblem", "FeasResult", "HybridArc", "HybridParams", "HybridState",
+    "INDETERMINATE", "INFEASIBLE", "LogisticSpec", "NoCertificate",
+    "ObjectiveModel", "QuadraticSpec", "Trajectory", "Variant", "bisect_rate",
+    "build_ct", "certify_discrete", "count_nonmonotone", "ct_feasible",
+    "default_dwell", "dt_feasible", "dt_system", "gen_logistic_dataset",
+    "gen_random_quadratic", "integrate_hb", "integrate_hhb", "integrate_hihb",
+    "logistic_model", "quadratic_model", "run", "solve_feasibility",
 ]

@@ -136,6 +136,12 @@ class ExperimentConfig:
                 raise ValueError(f"--grid-L entries must be finite, got {self.grid_L}")
             if not math.isfinite(self.mu):
                 raise ValueError(f"--mu must be finite, got {self.mu}")
+            if self.max_oracle_calls < 1:
+                raise ValueError(f"--max-oracle-calls must be at least 1, "
+                                 f"got {self.max_oracle_calls}")
+            if self.bisect_iters < 0:
+                raise ValueError(f"--bisect-iters must be nonnegative, "
+                                 f"got {self.bisect_iters}")
             bad = set(self.methods or ()) - set(CERTIFY_METHODS)
             if bad:
                 raise ValueError(f"unknown certify methods: {sorted(bad)}")
@@ -165,6 +171,8 @@ class ExperimentConfig:
                 raise ValueError("--model-file required with --model file")
             if self.model == "scalar" and not (math.isfinite(self.curv) and self.curv > 0.0):
                 raise ValueError(f"--curv must be finite and positive, got {self.curv}")
+            if not (math.isfinite(self.t_end) and self.t_end > 0.0):
+                raise ValueError(f"--t-end must be finite and positive, got {self.t_end}")
 
     def resolved_json(self) -> str:
         # the output path is excluded so bytes do not depend on where the

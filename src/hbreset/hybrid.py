@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
@@ -186,6 +186,11 @@ class _ArcBuilder:
             energy=np.array(self.e), jumps=self.jumps)
 
 
+def _check_t_end(t_end: float) -> None:
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and positive, got {t_end}")
+
+
 def integrate_hhb(model: ObjectiveModel, params: HybridParams, z0: HybridState,
                   t_end: float) -> HybridArc:
     """Simulate the hybrid system: flow under damping K, jump to (q, 0, 0).
@@ -194,8 +199,7 @@ def integrate_hhb(model: ObjectiveModel, params: HybridParams, z0: HybridState,
     function g = <grad phi(q), p> reaches 0 from below, localized by
     bisection on the step to within event_tol in time.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    _check_t_end(t_end)
 
     def accel(g, p):
         return -params.K * p - g
@@ -249,16 +253,11 @@ def integrate_hhb(model: ObjectiveModel, params: HybridParams, z0: HybridState,
     return arc.build()
 
 
-def integrate_hihb(model: ObjectiveModel, params: HybridParams, x0: HybridState,
-                   t_end: float) -> HybridArc:
-    """Simulate the switched-damping flow; the damping switch is re-evaluated
-    at each RK4 stage. No jumps: j stays 0 and tau is unused."""
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-
-    def accel(g, p):
-        return -_damping(float(np.dot(g, p)), params) * p - g
-
+def _flow(model: ObjectiveModel, params: HybridParams, x0: HybridState,
+          t_end: float, accel) -> HybridArc:
+    """An RK4 arc of (qdot, pdot) = (p, accel(grad phi(q), p)) with no
+    jumps: j stays 0 and tau is unused."""
+    _check_t_end(t_end)
     arc = _ArcBuilder()
     q, p = x0.q.astype(float).copy(), x0.p.astype(float).copy()
     t = 0.0
@@ -275,8 +274,16 @@ def integrate_hihb(model: ObjectiveModel, params: HybridParams, x0: HybridState,
     return arc.build()
 
 
+def integrate_hihb(model: ObjectiveModel, params: HybridParams, x0: HybridState,
+                   t_end: float) -> HybridArc:
+    """Simulate the switched-damping flow; the damping switch is re-evaluated
+    at each RK4 stage."""
+    return _flow(model, params, x0, t_end,
+                 lambda g, p: -_damping(float(np.dot(g, p)), params) * p - g)
+
+
 def integrate_hb(model: ObjectiveModel, params: HybridParams, x0: HybridState,
                  t_end: float) -> HybridArc:
-    """Plain heavy-ball flow with damping K (no switching, no jumps)."""
-    fixed = replace(params, K_lo=params.K, K_hi=params.K)
-    return integrate_hihb(model, fixed, x0, t_end)
+    """Plain heavy-ball flow with damping K (no switching, no jumps); K = 0
+    is the undamped flow."""
+    return _flow(model, params, x0, t_end, lambda g, p: -params.K * p - g)

@@ -6,7 +6,9 @@ sigma_2) at a given decay exponent alpha. Discrete time: geometric decay
 of the switched two-step iteration is certified by two inequalities in
 (P, a, lambda, lambda_R, sigma, sigma_R) at a given factor rho, and the
 best rho is located by bisection. All work is done at state dimension 1;
-a certificate lifts to any dimension blockwise (P kron I).
+a certificate lifts to any dimension blockwise (P kron I), so a
+`CertRequest` carries no dimension and `Certificate.lyapunov` evaluates
+the lifted form on states of any dimension.
 
 Feasibility itself is delegated to the phase-I barrier engine in `sdp`.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,23 +49,16 @@ class NoCertificate(RuntimeError):
     pass
 
 
-@dataclass
-class SectorMatrix:
-    """Quadratic form that is nonnegative on pairs (v - w, grad(v) - grad(w))
-    for any mu-strongly-convex, L-smooth function."""
-
-    matrix: Array
-    mu: float
-    lipschitz: float
-
-
-def build_sector(mu: float, L: float, n: int = 1) -> SectorMatrix:
+def build_sector(mu: float, L: float, n: int = 1) -> Array:
+    """The 2n x 2n quadratic form that is nonnegative on pairs
+    (v - w, grad(v) - grad(w)) for any mu-strongly-convex, L-smooth
+    function."""
     if not (0.0 < mu <= L):
         raise ValueError("need 0 < mu <= L")
     eye = np.eye(n)
     top = np.hstack([-(mu * L / (mu + L)) * eye, 0.5 * eye])
     bot = np.hstack([0.5 * eye, -(1.0 / (mu + L)) * eye])
-    return SectorMatrix(matrix=np.vstack([top, bot]), mu=mu, lipschitz=L)
+    return np.vstack([top, bot])
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +82,7 @@ class CtLmiData:
 
     def __post_init__(self):
         cmat = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])  # [C 0; 0 I]
-        sector = build_sector(self.mu, self.lipschitz).matrix
+        sector = build_sector(self.mu, self.lipschitz)
         self.M_phi = cmat.T @ sector @ cmat
         m0 = np.zeros((3, 3))
         m0[1, 2] = m0[2, 1] = -0.5
@@ -226,11 +221,6 @@ def dt_system(h: float, beta_hi: float, beta_lo: float, disc: str) -> DtSystemMa
 
 @dataclass
 class _Stack:
-    Sigma1: Array
-    Sigma2: Array
-    N1: Array
-    N2: Array
-    N3: Array
     M1: Array
     M2: Array
     M3: Array
@@ -255,9 +245,8 @@ def _branch_stack(br: DtBranch, mu: float, L: float) -> _Stack:
     n1 = sigma1.T @ w_upper @ sigma1
     n2 = sigma2.T @ w_lower @ sigma2
     n3 = c0.T @ w_lower @ c0
-    m3 = c0.T @ build_sector(mu, L).matrix @ c0
-    return _Stack(Sigma1=sigma1, Sigma2=sigma2, N1=n1, N2=n2, N3=n3,
-                  M1=n1 + n2, M2=n1 + n3, M3=m3, A=br.A, B=br.B)
+    m3 = c0.T @ build_sector(mu, L) @ c0
+    return _Stack(M1=n1 + n2, M2=n1 + n3, M3=m3, A=br.A, B=br.B)
 
 
 @dataclass
@@ -283,9 +272,6 @@ class DtLmiData:
         m[0, 2] = m[2, 0] = 0.5
         m[1, 2] = m[2, 1] = -0.5
         self.M = m
-
-    def fixed_point(self, q_star: float) -> dict:
-        return {"x": (q_star, q_star), "u": 0.0, "y": q_star, "xi": q_star}
 
 
 def build_theorem2(sys: DtSystemMatrices, mu: float, L: float, rho: float) -> DtLmiData:
@@ -364,22 +350,22 @@ class Certificate:
     def lyapunov(self, q_prev: Array, q: Array, model: ObjectiveModel) -> float:
         """Certified decrease function at state x = (q_prev, q), any n.
 
-        a*(phi(q) - phi*) + (x - x*)' (P kron I) (x - x*). The objective
-        is read at the position component E x = q for both
-        discretizations; only the gradient sample point differs between
-        them.
+        a*(phi(q) - phi*) + (x - x*)' (P kron I) (x - x*), where the
+        quadratic term is sum_ij P_ij <d_i, d_j> with
+        d = (q_prev - q*, q - q*). The objective is read at the position
+        component E x = q for both discretizations; only the gradient
+        sample point differs between them.
         """
         if self.rate_kind != "rho":
             raise ValueError("Lyapunov evaluation applies to discrete certificates")
         if model.minimizer is None or model.min_value is None:
             raise ValueError("model minimum unknown")
-        q_prev = np.atleast_1d(np.asarray(q_prev, dtype=float))
         q = np.atleast_1d(np.asarray(q, dtype=float))
-        n = q.size
-        x = np.concatenate([q_prev, q])
-        x_star = np.concatenate([model.minimizer, model.minimizer])
-        lift = np.kron(self.P, np.eye(n))
-        quad = float((x - x_star) @ lift @ (x - x_star))
+        d0 = np.atleast_1d(np.asarray(q_prev, dtype=float)) - model.minimizer
+        d1 = q - model.minimizer
+        P = self.P
+        quad = float(P[0, 0] * (d0 @ d0) + (P[0, 1] + P[1, 0]) * (d0 @ d1)
+                     + P[1, 1] * (d1 @ d1))
         return self.multipliers["a"] * (float(model.value(q)) - model.min_value) + quad
 
     def guarantee_constant(self, q_prev0: Array, q0: Array,
@@ -408,7 +394,8 @@ class Certificate:
 
 @dataclass
 class CertRequest:
-    """What to certify: tuning, conditioning, and state dimension."""
+    """What to certify: tuning and conditioning. The switched LMIs hold in
+    dimension n iff they hold at n=1, so no dimension is asked for."""
 
     mu: float
     lipschitz: float
@@ -416,13 +403,6 @@ class CertRequest:
     beta_hi: float
     beta_lo: float
     disc: str
-    n: int = 1
-
-
-def reduce_to_scalar(request: CertRequest) -> CertRequest:
-    """The switched LMIs hold for dimension n iff they hold at n=1, so
-    all solver work happens on the scalar reduction."""
-    return replace(request, n=1)
 
 
 SCAN_POINTS = 32
@@ -495,9 +475,8 @@ def certify_discrete(request: CertRequest, lo: float = 0.05, hi: float = 1.0,
                      iters: int = 40, scan: bool = True,
                      max_oracle_calls: int = 200):
     """Bisected contraction factor and certificate for a tuning request."""
-    req = reduce_to_scalar(request)
-    builder = dt_rate_builder(req.mu, req.lipschitz, req.h, req.beta_hi,
-                              req.beta_lo, req.disc,
+    builder = dt_rate_builder(request.mu, request.lipschitz, request.h,
+                              request.beta_hi, request.beta_lo, request.disc,
                               max_oracle_calls=max_oracle_calls)
     return bisect_rate(builder, lo, hi, iters=iters, scan=scan)
 

@@ -11,7 +11,13 @@ A problem is a set of affine symmetric matrix maps v -> F0 + sum v_i F_i,
 split into blocks required NSD by a margin and blocks required PD by the
 same margin, plus scalar floors on selected variables and (optionally)
 one linear normalization c.v = 1 that removes the scaling ray of a
-homogeneous LMI system.
+homogeneous LMI system, and optional per-variable bounds.
+
+`FeasProblem` compiles every constraint once into NSD maps
+(`compiled_blocks()`). The search stacks those maps by size in its own
+coordinates; the half-margin re-check evaluates them one by one with
+`eigvalsh`. `symmetric_eig` and `FeasProblem.worst_block` are not called
+by the engine: they are the hooks that the benchmark's tracer patches.
 """
 from __future__ import annotations
 
@@ -59,17 +65,6 @@ def symmetric_eig(a: Array) -> tuple[Array, Array]:
     if n > MAX_EIG_DIM:
         raise ValueError(f"matrix dimension {n} exceeds supported maximum {MAX_EIG_DIM}")
     return np.linalg.eigh(0.5 * (a + a.T))
-
-
-def eig_max(a: Array) -> tuple[float, Array]:
-    """Largest eigenvalue and a unit eigenvector."""
-    vals, vecs = symmetric_eig(a)
-    return float(vals[-1]), vecs[:, -1].copy()
-
-
-def check_nsd(a: Array, tol: float = 0.0) -> bool:
-    vals, _ = symmetric_eig(a)
-    return bool(vals[-1] <= tol)
 
 
 @dataclass
@@ -143,43 +138,34 @@ class FeasProblem:
                 raise ValueError("normalization vector is zero")
         if self.bounds is not None and len(self.bounds) != self.nvar:
             raise ValueError("bounds list has wrong length")
-        # the oracle's view of compiled_blocks(): (name, constant, variable
-        # indices, stacked basis matrices) per block; compiling also rejects
-        # a non-finite floor
-        self._oracle_blocks = []
-        for blk in self.compiled_blocks():
-            m = blk.dim
-            idx = np.array([i for i, _ in blk.basis], dtype=np.intp)
-            mats = np.array([mat for _, mat in blk.basis], dtype=float).reshape(-1, m, m)
-            self._oracle_blocks.append((blk.name, blk.constant, idx, mats))
+        # everything as NSD maps, once: pd blocks negated, floors as 1x1
+        # maps (floor - v_i <= -margin, i.e. v_i >= floor + margin);
+        # building a floor's map also rejects a non-finite floor
+        self._compiled = list(self.nsd_blocks)
+        self._compiled += [blk.negated() for blk in self.pd_blocks]
+        for idx in sorted(self.nonneg):
+            self._compiled.append(AffineMatrixMap(
+                constant=np.array([[float(self.nonneg[idx])]]),
+                basis=[(idx, np.array([[-1.0]]))], name=f"floor_v{idx}"))
 
     def compiled_blocks(self) -> list:
-        """Everything as NSD maps: pd blocks negated, floors as 1x1 maps
-        (floor - v_i <= -margin, i.e. v_i >= floor + margin)."""
-        out = list(self.nsd_blocks)
-        out += [blk.negated() for blk in self.pd_blocks]
-        for idx in sorted(self.nonneg):
-            floor = self.nonneg[idx]
-            out.append(AffineMatrixMap(constant=np.array([[float(floor)]]),
-                                       basis=[(idx, np.array([[-1.0]]))],
-                                       name=f"floor_v{idx}"))
-        return out
+        """Every constraint as an NSD map: nsd blocks, then the pd blocks
+        negated, then the floors as 1x1 maps."""
+        return list(self._compiled)
 
     def worst_block(self, v: Array) -> tuple[float, Array, str]:
-        """Largest eigenvalue over all sign-adjusted blocks at v, with a
-        subgradient (u' F_i u per coordinate, u the top eigenvector of
-        the worst block; repeated indices add up)."""
-        worst = -np.inf
-        grad = np.zeros(self.nvar)
-        which = ""
-        for name, const, idx, mats in self._oracle_blocks:
-            vals, vecs = np.linalg.eigh(const + np.tensordot(v[idx], mats, 1))
+        """Largest eigenvalue over compiled_blocks() at v, with a
+        subgradient (u' F_i u per coordinate, u the top eigenvector of the
+        worst block; repeated indices add up) and the block's name."""
+        # no engine code calls this; it is the bench tracer's sdp.oracle hook
+        worst, grad, which = -np.inf, np.zeros(self.nvar), ""
+        for blk in self.compiled_blocks():
+            vals, vecs = np.linalg.eigh(blk.value(v))
             if vals[-1] > worst:
-                worst = float(vals[-1])
-                which = name
-                u = vecs[:, -1]
-                grad = np.bincount(idx, np.einsum("i,kij,j->k", u, mats, u),
-                                   minlength=self.nvar)
+                worst, which, u = float(vals[-1]), blk.name, vecs[:, -1]
+                grad = np.zeros(self.nvar)
+                for idx, mat in blk.basis:
+                    grad[idx] += u @ mat @ u
         return worst, grad, which
 
 
@@ -258,20 +244,17 @@ def solve_feasibility(problem: FeasProblem, max_oracle_calls: int = 200,
     grows after each centering. Bounds enter as 1x1 blocks shifted by
     -margin, so "<= -margin" on them means the bound holds. FEASIBLE is
     returned at the first evaluated point whose worst eigenvalue clears
-    the margin and that an independent re-check passes at half margin.
+    the margin and that an independent re-check passes at half margin
+    (every block by eigvalsh, every bound relaxed by half the margin).
     INFEASIBLE is returned only when the weak-duality bound from
     Z_j = (sI - F_j)^-1 proves that no point of the box clears the
-    margin; the bound is in the message. An exhausted budget or a
-    numerically stalled step yields INDETERMINATE, never a guess.
+    margin; the bound is in the message. With no free variable the one
+    point decides, and its worst eigenvalue is the stated bound. An
+    exhausted budget or a numerically stalled step yields INDETERMINATE,
+    never a guess.
     """
     margin = problem.margin
     calls = 0
-
-    if problem.nvar == 0:
-        worst, _, _ = problem.worst_block(np.zeros(0))
-        ok = worst <= -margin
-        return FeasResult(FEASIBLE if ok else INFEASIBLE, np.zeros(0), worst, 1,
-                          "" if ok else f"no variables: worst eigenvalue {worst!r} > -margin")
 
     if problem.normalization is not None:
         c = problem.normalization
@@ -289,27 +272,28 @@ def solve_feasibility(problem: FeasProblem, max_oracle_calls: int = 200,
         return v_base + basis @ w
 
     def verified(v: Array) -> bool:
-        # the half-margin re-check, independent of the search's evaluation
+        # the half-margin re-check, independent of the search's evaluation:
+        # every block, and every bound (which the search enforces exactly)
+        # relaxed by half the margin
         nonlocal calls
         calls += 1
-        return all(np.linalg.eigvalsh(blk.value(v))[-1] <= -0.5 * margin
+        half = 0.5 * margin
+        for i, bd in enumerate(problem.bounds or ()):
+            lo, hi = bd or (None, None)
+            if (lo is not None and not v[i] >= lo - half) or \
+                    (hi is not None and not v[i] <= hi + half):
+                return False
+        return all(np.linalg.eigvalsh(blk.value(v))[-1] <= -half
                    for blk in problem.compiled_blocks())
-
-    if dim == 0:
-        # normalization pins v completely
-        calls += 1
-        worst, _, _ = problem.worst_block(v_base)
-        if worst <= -margin and verified(v_base):
-            return FeasResult(FEASIBLE, v_base, worst, calls)
-        return FeasResult(INFEASIBLE, None, worst, calls,
-                          f"variable fixed by normalization: worst eigenvalue "
-                          f"{worst!r} > -margin")
 
     # every block in w-coordinates, stacked by size: F(w) = C + sum w_i G_i
     by_size: dict = {}
-    for _, const, idx, mats in problem._oracle_blocks:
-        by_size.setdefault(const.shape[0], []).append(
-            (const + np.tensordot(v_base[idx], mats, 1),
+    for blk in problem.compiled_blocks():
+        m = blk.dim
+        idx = np.array([i for i, _ in blk.basis], dtype=np.intp)
+        mats = np.array([mat for _, mat in blk.basis], dtype=float).reshape(-1, m, m)
+        by_size.setdefault(m, []).append(
+            (blk.constant + np.tensordot(v_base[idx], mats, 1),
              np.tensordot(basis[idx].T, mats, 1)))
     for i, bd in enumerate(problem.bounds or ()):
         for sign, limit in zip((-1.0, 1.0), bd or ()):
@@ -356,6 +340,11 @@ def solve_feasibility(problem: FeasProblem, max_oracle_calls: int = 200,
     if calls >= max_oracle_calls:
         return undecided("oracle budget exhausted")
     eigs, worst = evaluate(w)
+    if dim == 0 and worst > -margin:
+        # no free variable (none at all, or all pinned by the
+        # normalization): the one point there is decides
+        return FeasResult(INFEASIBLE, None, worst, calls,
+                          f"no free variables: worst eigenvalue {worst!r} > -margin")
     s, tau = worst + 1.0, None
     while True:
         if worst <= -margin:

@@ -1,0 +1,63 @@
+"""The public surface: `hbreset.__all__`, and the library names that the
+benchmark under bench/ reads (its tracer patches them by name, and its
+checks rebuild certificates with them)."""
+
+import ast
+import importlib
+import os
+
+import hbreset
+from hbreset.lmi import POL, build_theorem2, dt_problem, dt_system
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "bench")
+
+
+def _bench_tree(name):
+    with open(os.path.join(BENCH, name)) as fh:
+        return ast.parse(fh.read())
+
+
+def test_public_api_is_small_and_importable():
+    assert len(hbreset.__all__) <= 35
+    assert len(set(hbreset.__all__)) == len(hbreset.__all__)
+    namespace = {}
+    exec("from hbreset import *", namespace)
+    assert set(hbreset.__all__) <= set(namespace)
+
+
+def test_bench_tracer_patches_resolve():
+    # Tracer.install reads vars(owner)[attr] for each PATCHES entry
+    # (module[:class], attribute, ...); a missing name is a KeyError there
+    patches = next(node.value for node in _bench_tree("tracing.py").body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "PATCHES" for t in node.targets))
+    targets = [tuple(ast.literal_eval(entry.elts[i]) for i in (0, 1))
+               for entry in patches.elts]
+    assert len(targets) >= 10
+    for target, attr in targets:
+        module, _, cls = target.partition(":")
+        owner = importlib.import_module(module)
+        if cls:
+            owner = getattr(owner, cls)
+        assert attr in vars(owner), f"{target}.{attr}"
+
+
+def test_bench_checks_names_exist():
+    tree = _bench_tree("checks.py")
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module
+                and node.module.startswith("hbreset") for alias in node.names]
+    assert imported
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+    # the attributes the certificate re-check reads on the rebuilt problem
+    # (`problem`) and on its blocks (`blk`)
+    problem = dt_problem(build_theorem2(dt_system(0.1, 0.5, 0.0, POL), 1.0, 10.0, 0.9))
+    owners = {"problem": problem, "blk": problem.nsd_blocks[0]}
+    read = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in owners}
+    assert {attr for owner, attr in read if owner == "problem"} >= {"margin", "nonneg"}
+    for owner, attr in read:
+        assert hasattr(owners[owner], attr), f"{owner}.{attr}"

@@ -89,6 +89,12 @@ def test_validation_rejects_bad_configs():
     (["certify", "--methods", ","], "--methods"),
     (["quad", "--seed", "1", "--methods", ","], "--methods"),
     (["logreg", "--seed", "1", "--methods", ","], "--methods"),
+    (["certify", "--max-oracle-calls", "0"], "--max-oracle-calls"),
+    (["certify", "--max-oracle-calls=-5"], "--max-oracle-calls"),
+    (["certify", "--bisect-iters=-1"], "--bisect-iters"),
+    (["simulate", "--t-end", "nan"], "--t-end"),
+    (["simulate", "--t-end", "inf"], "--t-end"),
+    (["simulate", "--t-end", "0"], "--t-end"),
 ])
 def test_validation_names_the_flag_of_an_edge_input(argv, flag, tmp_path):
     with pytest.raises(ValueError, match=flag):
@@ -413,21 +419,25 @@ def test_tune_params_rejects_unknown_method():
 
 
 def test_simulate_hb_matches_damped_oscillator(tmp_path):
-    assert main(["simulate", "--mode", "hb", "--model", "scalar",
-                 "--curv", "1.0", "--K", "1.0", "--dt", "0.001",
-                 "--t-end", "1.0", "--q0", "1", "--p0", "0",
-                 "--out", str(tmp_path)]) == 0
-    header, rows = parse_csv(tmp_path / "arc.csv")
-    assert header == ["t", "j", "q0", "p0", "tau", "energy"]
-    last = dict(zip(header, rows[-1]))
-    t = float(last["t"])
-    assert t == pytest.approx(1.0, abs=1e-12)
-    om = math.sqrt(1.0 - 0.25)
-    want = math.exp(-0.5 * t) * (math.cos(om * t) + (0.5 / om) * math.sin(om * t))
-    assert float(last["q0"]) == pytest.approx(want, abs=1e-6)
-    assert json.loads((tmp_path / "jumps.json").read_text()) == []
-    assert int(last["j"]) == 0
-    assert (tmp_path / "energy.svg").exists()
+    # K = 1, and the undamped K = 0 (q = cos t)
+    for K in ("1.0", "0.0"):
+        out = tmp_path / K
+        assert main(["simulate", "--mode", "hb", "--model", "scalar",
+                     "--curv", "1.0", "--K", K, "--dt", "0.001",
+                     "--t-end", "1.0", "--q0", "1", "--p0", "0",
+                     "--out", str(out)]) == 0
+        header, rows = parse_csv(out / "arc.csv")
+        assert header == ["t", "j", "q0", "p0", "tau", "energy"]
+        last = dict(zip(header, rows[-1]))
+        t = float(last["t"])
+        assert t == pytest.approx(1.0, abs=1e-12)
+        a = -0.5 * float(K)
+        om = math.sqrt(1.0 - a * a)
+        want = math.exp(a * t) * (math.cos(om * t) - (a / om) * math.sin(om * t))
+        assert float(last["q0"]) == pytest.approx(want, abs=1e-6)
+        assert json.loads((out / "jumps.json").read_text()) == []
+        assert int(last["j"]) == 0
+        assert (out / "energy.svg").exists()
 
 
 def test_simulate_hhb_jump_log_nonempty_undamped(tmp_path):

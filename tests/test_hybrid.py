@@ -32,6 +32,11 @@ def test_params_validation():
     HybridParams(K=0.0)  # undamped hb/hhb runs stay legal
     with pytest.raises(ValueError):
         HybridState(q=np.zeros(1), p=np.zeros(1), tau=-1.0)
+    z0 = HybridState(q=np.ones(1), p=np.zeros(1))
+    for integrate in (integrate_hb, integrate_hhb, integrate_hihb):
+        for t_end in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="t_end"):
+                integrate(scalar_model(), HybridParams(), z0, t_end)
 
 
 def test_hihb_four_oracle_calls_per_step():
@@ -102,13 +107,15 @@ def _damped_oscillator(q0, p0, K, w2, t):
 
 
 def test_hb_matches_closed_form_oscillator():
-    w2, K = 4.0, 1.0
+    w2 = 4.0
     model = scalar_model(w2)
-    par = HybridParams(K=K, K_lo=K, K_hi=K, T_min=1.0, step=1e-3)
-    arc = integrate_hb(model, par, HybridState(q=np.array([1.0]), p=np.array([0.0])), 1.0)
-    qT, pT = _damped_oscillator(1.0, 0.0, K, w2, 1.0)
-    assert float(arc.q[-1][0]) == pytest.approx(qT, abs=1e-6)
-    assert float(arc.p[-1][0]) == pytest.approx(pT, abs=1e-6)
+    # damped, and undamped (K = 0 with the default damping pair)
+    for K, par in ((1.0, HybridParams(K=1.0, K_lo=1.0, K_hi=1.0, T_min=1.0, step=1e-3)),
+                   (0.0, HybridParams(K=0.0, T_min=1.0, step=1e-3))):
+        arc = integrate_hb(model, par, HybridState(q=np.array([1.0]), p=np.array([0.0])), 1.0)
+        qT, pT = _damped_oscillator(1.0, 0.0, K, w2, 1.0)
+        assert float(arc.q[-1][0]) == pytest.approx(qT, abs=1e-6)
+        assert float(arc.p[-1][0]) == pytest.approx(pT, abs=1e-6)
 
 
 def test_first_jump_at_quarter_period():

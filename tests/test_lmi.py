@@ -8,7 +8,7 @@ from hbreset.lmi import (NES, POL, Certificate, CertRequest, NoCertificate,
                          bisect_rate, build_ct, build_dt, build_sector,
                          build_theorem2, certify_discrete, ct_alpha_builder,
                          ct_feasible, ct_problem, dt_feasible, dt_problem,
-                         dt_rate_builder, dt_system, reduce_to_scalar)
+                         dt_rate_builder, dt_system)
 from hbreset.objectives import QuadraticSpec, gen_random_quadratic, quadratic_model
 from hbreset.sdp import FEASIBLE, problem_to_json
 
@@ -43,11 +43,11 @@ def switched_step(sys_mats, model, x):
 
 
 def test_sector_matrix_values():
-    m = build_sector(1.0, 1.0).matrix
+    m = build_sector(1.0, 1.0)
     np.testing.assert_allclose(m, [[-0.5, 0.5], [0.5, -0.5]], atol=1e-15)
-    m = build_sector(1.0, 3.0).matrix
+    m = build_sector(1.0, 3.0)
     np.testing.assert_allclose(m, [[-0.75, 0.5], [0.5, -0.25]], atol=1e-15)
-    m2 = build_sector(1.0, 3.0, n=2).matrix
+    m2 = build_sector(1.0, 3.0, n=2)
     assert m2.shape == (4, 4)
     np.testing.assert_allclose(m2[:2, :2], -0.75 * np.eye(2), atol=1e-15)
     np.testing.assert_allclose(m2[:2, 2:], 0.5 * np.eye(2), atol=1e-15)
@@ -63,7 +63,7 @@ def test_sector_matrix_validation():
 def test_sector_form_nonnegative_on_matching_quadratic():
     mu, L = 1.0, 3.0
     _, model = gen_random_quadratic(2, L, 11)
-    sec = build_sector(mu, L, n=2).matrix
+    sec = build_sector(mu, L, n=2)
     rng = np.random.default_rng(12)
     for _ in range(1000):
         v, w = rng.uniform(-10.0, 10.0, (2, 2))
@@ -216,9 +216,7 @@ def test_constraint_stacks_shapes_and_symmetry():
     sys_mats = dt_system(0.05, 0.7, 0.2, NES)
     data = build_theorem2(sys_mats, 1.0, 10.0, 0.9)
     for stack in (data.main, data.reset):
-        for name in ("Sigma1", "Sigma2"):
-            assert getattr(stack, name).shape == (2, 3)
-        for name in ("N1", "N2", "N3", "M1", "M2", "M3"):
+        for name in ("M1", "M2", "M3"):
             mat = getattr(stack, name)
             assert mat.shape == (3, 3)
             np.testing.assert_allclose(mat, mat.T, atol=1e-14)
@@ -227,14 +225,15 @@ def test_constraint_stacks_shapes_and_symmetry():
         np.testing.assert_allclose(mp, mp.T, atol=1e-14)
     np.testing.assert_allclose(
         data.M, [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.5, -0.5, 0.0]], atol=0)
-    fp = data.fixed_point(1.5)
-    assert fp["x"] == (1.5, 1.5) and fp["u"] == 0.0 and fp["xi"] == 1.5
 
 
 def test_sigma_one_top_row():
-    data = build_theorem2(dt_system(0.1, 0.5, 0.0, POL), 1.0, 10.0, 0.9)
-    np.testing.assert_allclose(data.main.Sigma1[0], [-0.5, 0.5, -0.1], atol=1e-15)
-    np.testing.assert_allclose(data.reset.Sigma1[0], [0.0, 0.0, -0.1], atol=1e-15)
+    # Sigma1's top row maps (x, u) to E x_next - C x: [E A - C, E B]
+    sys_mats = dt_system(0.1, 0.5, 0.0, POL)
+    for br, want in ((sys_mats.main, [-0.5, 0.5, -0.1]),
+                     (sys_mats.reset, [0.0, 0.0, -0.1])):
+        top = np.hstack([br.E @ br.A - br.C, br.E @ br.B])[0]
+        np.testing.assert_allclose(top, want, atol=1e-15)
 
 
 def test_alignment_form_identity():
@@ -292,7 +291,7 @@ def test_gradient_descent_embedding_rate():
     # h=0.1 on mu=1, L=19 balances both ends of the spectrum: the true
     # contraction factor is exactly 0.9
     req = CertRequest(mu=1.0, lipschitz=19.0, h=0.1, beta_hi=0.0, beta_lo=0.0,
-                      disc=POL, n=3)
+                      disc=POL)
     rate, cert = certify_discrete(req, lo=0.88, hi=0.92, iters=14, scan=False)
     assert 0.89999 <= rate <= 0.9005
     assert cert.rate == rate
@@ -345,6 +344,12 @@ def test_certificate_decrease_along_plain_runs():
         for k in range(len(traj)):
             qp, q = traj.state_pair(k)
             v = cert.lyapunov(qp, q, model)
+            if k % 50 == 0:
+                # reference: a (phi(q) - phi*) + e' (P kron I) e
+                e = np.concatenate([qp, q]) - np.tile(model.minimizer, 2)
+                ref = (cert.multipliers["a"] * model.gap(q)
+                       + e @ np.kron(cert.P, np.eye(3)) @ e)
+                assert v == pytest.approx(ref, rel=1e-12, abs=1e-15)
             if v_prev is not None and v_prev > 1e-10 * v0:
                 assert v <= rho * rho * v_prev + 1e-9 * v0
             bound = c_env * rho ** (2 * k)
@@ -458,16 +463,6 @@ def test_rate_builder_warm_start_consistency():
     assert cert_a is not None and cert_b is not None
     assert cert_a.rate == cert_b.rate == 0.95
     assert cert_a.tuning["beta_hi"] == 0.0
-
-
-def test_reduce_to_scalar():
-    req = CertRequest(mu=1.0, lipschitz=10.0, h=0.1, beta_hi=0.5, beta_lo=0.0,
-                      disc=NES, n=5)
-    red = reduce_to_scalar(req)
-    assert red.n == 1
-    assert (red.mu, red.lipschitz, red.h, red.beta_hi, red.beta_lo, red.disc) \
-        == (1.0, 10.0, 0.1, 0.5, 0.0, NES)
-    assert reduce_to_scalar(red) == red
 
 
 def test_certificate_json_round_trip():

@@ -185,7 +185,7 @@ def test_sector_inequality_on_samples(family):
         model = logistic_model(spec)
         mu, L, dim = 0.0, logistic_lipschitz(spec), 6
     if mu > 0.0:
-        M = build_sector(mu, L, n=dim).matrix
+        M = build_sector(mu, L, n=dim)
     else:
         # mu = 0 limit of the sector blocks (convex, L-smooth)
         eye = np.eye(dim)

@@ -11,9 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from hbreset import sdp
 from hbreset.sdp import (AffineMatrixMap, FEASIBLE, FeasProblem, INDETERMINATE,
-                         INFEASIBLE, check_nsd, eig_max, problem_from_json,
-                         problem_to_json, result_to_json, solve_feasibility,
-                         symmetric_eig)
+                         INFEASIBLE, problem_from_json, problem_to_json,
+                         result_to_json, solve_feasibility, symmetric_eig)
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +72,18 @@ def test_eig_rejects_asymmetry_and_big_dims():
 
 
 def test_check_nsd_boundaries():
-    assert check_nsd(np.zeros((2, 2)), 0.0)
-    assert not check_nsd(np.eye(2), 0.0)
+    # the NSD test the half-margin re-check makes: top eigenvalue <= tol
+    def nsd(a, tol):
+        return np.linalg.eigvalsh(a)[-1] <= tol
+
+    assert nsd(np.zeros((2, 2)), 0.0)
+    assert not nsd(np.eye(2), 0.0)
     rng = np.random.default_rng(1)
     pert = rng.standard_normal((3, 3)) * 1e-12
-    assert check_nsd(-np.eye(3) + 0.5 * (pert + pert.T), 1e-9)
-    lam, vec = eig_max(np.diag([-5.0, 2.0]))
-    assert lam == pytest.approx(2.0, abs=1e-13)
-    np.testing.assert_allclose(np.abs(vec), [0.0, 1.0], atol=1e-13)
+    assert nsd(-np.eye(3) + 0.5 * (pert + pert.T), 1e-9)
+    vals, vecs = np.linalg.eigh(np.diag([-5.0, 2.0]))
+    assert vals[-1] == pytest.approx(2.0, abs=1e-13)
+    np.testing.assert_allclose(np.abs(vecs[:, -1]), [0.0, 1.0], atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +136,8 @@ def test_constant_nsd_feasible_without_variables():
     res = solve_feasibility(FeasProblem(nvar=0, nsd_blocks=[amap]), 10)
     assert res.status == FEASIBLE
     assert res.worst_eig == pytest.approx(-1.0, abs=1e-12)
+    # one evaluation and the half-margin re-check
+    assert res.oracle_calls == 2
 
 
 def test_flat_violated_block_is_infeasible_with_variables():
@@ -263,8 +268,12 @@ def test_conflicting_bounds_infeasible():
     # a variable pinned by the normalization outside its bounds
     pinned = FeasProblem(nvar=2, nsd_blocks=[amap], normalization=np.array([1.0, 0.0]),
                          bounds=[(2.0, 3.0), None])
-    res = solve_feasibility(pinned, max_oracle_calls=10)
-    assert (res.status, res.message) == (INFEASIBLE, "bounds conflict")
+    # the same with every variable pinned, which leaves nothing to search
+    all_pinned = FeasProblem(nvar=1, nsd_blocks=[AffineMatrixMap(-np.eye(1), [])],
+                             normalization=np.array([1.0]), bounds=[(2.0, 3.0)])
+    for prob in (pinned, all_pinned):
+        res = solve_feasibility(prob, max_oracle_calls=10)
+        assert (res.status, res.message) == (INFEASIBLE, "bounds conflict")
 
 
 def test_warm_start_cannot_bypass_bounds_or_normalization():
@@ -294,8 +303,8 @@ def test_problem_json_round_trip():
 
 
 def test_feasible_result_verified_at_half_margin():
-    # soundness invariant: every returned FEASIBLE passes check_nsd at
-    # margin/2 on all sign-adjusted blocks
+    # soundness invariant: every returned FEASIBLE is NSD at margin/2 on
+    # all sign-adjusted blocks
     rng = np.random.default_rng(7)
     a = rng.standard_normal((3, 3))
     stable = 0.4 * a / np.linalg.norm(a, 2)
@@ -313,13 +322,13 @@ def test_feasible_result_verified_at_half_margin():
     assert res.status == FEASIBLE
     assert res.worst_eig <= -1e-9
     for amap in prob.compiled_blocks():
-        assert check_nsd(amap.value(res.v), -0.5e-9)
+        assert np.linalg.eigvalsh(amap.value(res.v))[-1] <= -0.5e-9
 
 
 def test_half_margin_recheck_is_independent_of_the_search(monkeypatch):
     # every block evaluation of the search under-reports the top eigenvalue
-    # by 1.0, so a violated block looks satisfied; the re-check at half
-    # margin must still refuse to certify it
+    # by 1.0, so a violated block or bound looks satisfied; the re-check at
+    # half margin must still refuse to certify it
     real_eigh, real_worst = sdp._block_eigh, FeasProblem.worst_block
 
     def lying_eigh(groups, w):
@@ -339,7 +348,12 @@ def test_half_margin_recheck_is_independent_of_the_search(monkeypatch):
     amap = AffineMatrixMap(constant=0.5 * np.eye(2), basis=[(0, np.eye(2))])
     free = FeasProblem(nvar=1, nsd_blocks=[amap], bounds=[(-1.0, 1.0)])
     pinned = FeasProblem(nvar=1, nsd_blocks=[amap], normalization=np.array([1.0]))
-    for prob, v_init in ((free, None), (free, np.array([0.2])), (pinned, None)):
+    constant = FeasProblem(nvar=0, nsd_blocks=[AffineMatrixMap(0.5 * np.eye(2), [])])
+    # the block holds everywhere; the start v = 0 violates the bound 0.5
+    bounded = FeasProblem(nvar=1, nsd_blocks=[AffineMatrixMap(-np.eye(1), [])],
+                          bounds=[(0.5, 3.0)])
+    for prob, v_init in ((free, None), (free, np.array([0.2])), (pinned, None),
+                         (constant, None), (bounded, None)):
         res = solve_feasibility(prob, max_oracle_calls=50, v_init=v_init)
         assert res.status != FEASIBLE
 
