@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from hbreset.cli import quad_params
-from hbreset.discrete import count_nonmonotone, run
+from hbreset.discrete import count_nonmonotone, run_many
 from hbreset.objectives import gen_random_quadratic
 from hbreset.svg import write_chart
 
@@ -38,8 +38,10 @@ def main() -> None:
     print(f"{'method':>10} {'gap at k=2000':>14} {'final gap':>12} "
           f"{'nonmonotone steps':>18}")
     series = []
-    for method in ("polyak", "hhb-pol", "nesterov", "hhb-nes"):
-        traj = run(model, quad_params(method, K_UNDER, eps), q0, ITERS)
+    methods = ("polyak", "hhb-pol", "nesterov", "hhb-nes")
+    trajs = run_many(model, [quad_params(m, K_UNDER, eps) for m in methods],
+                     q0, ITERS)
+    for method, traj in zip(methods, trajs):
         # clip float dust around phi* so the table and log chart stay readable
         gaps = np.maximum(traj.phi_gaps, 1e-12)
         print(f"{method:>10} {gaps[2000]:14.3e} {gaps[-1]:12.3e} "

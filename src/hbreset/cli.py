@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .discrete import AlgoParams, Trajectory, Variant, count_nonmonotone, run
+from .discrete import (AlgoParams, Trajectory, Variant, count_nonmonotone, run,
+                       run_many)
 from .hybrid import (HybridParams, HybridState, default_dwell, integrate_hb,
                      integrate_hhb, integrate_hihb)
 from .lmi import (NES, POL, NoCertificate, bisect_rate, build_theorem2,
@@ -150,9 +151,16 @@ class ExperimentConfig:
                      or (self.subcommand == "simulate" and self.model == "gen"))
         if uses_cond and not math.isfinite(self.cond):
             raise ValueError(f"--cond must be finite, got {self.cond}")
+        if (self.subcommand in ("quad", "logreg") and self.iters is not None
+                and self.iters < 0):
+            raise ValueError(f"--iters must be nonnegative, got {self.iters}")
         if self.subcommand == "quad":
             if not self.k_values:
                 raise ValueError("K grid must be non-empty")
+            if not all(math.isfinite(K) for K in self.k_values):
+                raise ValueError(f"--K entries must be finite, got {self.k_values}")
+            if self.h is not None:
+                _require_positive("--h", self.h)
             bad = set(self.methods or ()) - set(QUAD_METHODS)
             if bad:
                 raise ValueError(f"unknown quad methods: {sorted(bad)}")
@@ -169,10 +177,12 @@ class ExperimentConfig:
                 raise ValueError("--model must be scalar, file or gen")
             if self.model == "file" and not self.model_file:
                 raise ValueError("--model-file required with --model file")
-            if self.model == "scalar" and not (math.isfinite(self.curv) and self.curv > 0.0):
-                raise ValueError(f"--curv must be finite and positive, got {self.curv}")
-            if not (math.isfinite(self.t_end) and self.t_end > 0.0):
-                raise ValueError(f"--t-end must be finite and positive, got {self.t_end}")
+            if self.model == "scalar":
+                _require_positive("--curv", self.curv)
+            _require_positive("--t-end", self.t_end)
+            _require_positive("--dt", self.dt)
+            if self.t_min is not None:
+                _require_positive("--t-min", self.t_min)
 
     def resolved_json(self) -> str:
         # the output path is excluded so bytes do not depend on where the
@@ -180,6 +190,11 @@ class ExperimentConfig:
         d = dataclasses.asdict(self)
         d.pop("out")
         return json.dumps(d, sort_keys=True, indent=2) + "\n"
+
+
+def _require_positive(flag: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{flag} must be finite and positive, got {value}")
 
 
 def _prepare(cfg: ExperimentConfig) -> str:
@@ -336,11 +351,13 @@ def cmd_quad(cfg: ExperimentConfig) -> int:
     q0 = rng.uniform(-100.0, 100.0, size=cfg.n)
     with open(os.path.join(out, "problem.json"), "w") as fh:
         fh.write(quad_to_json(spec))
+    # every K x method run starts at q0, so they step together
+    trajs = iter(run_many(model, [quad_params(method, K, eps) for K in cfg.k_values
+                                  for method in cfg.methods], q0, cfg.iters))
     summary = []
     for K in cfg.k_values:
         series = []
-        for method in cfg.methods:
-            traj = run(model, quad_params(method, K, eps), q0, cfg.iters)
+        for method, traj in zip(cfg.methods, trajs):
             traj.to_csv(os.path.join(out, f"traj_{method}_K{K:g}.csv"))
             try:
                 nonmono = count_nonmonotone(traj)
@@ -403,8 +420,7 @@ def _phi_at_budget(method: str, h: float, beta: float, model: ObjectiveModel,
         traj = run(model, tune_params(method, h, beta), q0, budget)
     except FloatingPointError:
         return float("inf")
-    val = model.value(traj.qs[-1])
-    return float(val) if np.isfinite(val) else float("inf")
+    return traj.phi if np.isfinite(traj.phi) else float("inf")
 
 
 def tune_method(method: str, model: ObjectiveModel, q0, budget: int,

@@ -113,12 +113,24 @@ class LogisticSpec:
 
 
 def quad_eval_grad(spec: QuadraticSpec, q: Array) -> tuple[float, Array]:
-    """Value 1/2 q'Qq + b'q and gradient Qq + b."""
+    """Value 1/2 q'Qq + b'q and gradient Qq + b.
+
+    q is one point (n,) or a (B, n) stack of points, which gives (B,)
+    values and (B, n) gradients. Each row costs one gemv and two dot
+    products, as a single point does, so a row of a stack gets the bits
+    that the point gets alone. One point keeps the `@` form: the stack
+    form's gufunc calls cost about a microsecond more per call, which
+    the scalar loops (`discrete.run`, the hybrid integrators) would pay
+    at every evaluation.
+    """
     q = np.asarray(q, dtype=float)
-    if q.shape != (spec.dim,):
+    if q.shape == (spec.dim,):
+        Qq = spec.Q @ q
+        return 0.5 * float(q @ Qq) + float(spec.b @ q), Qq + spec.b
+    if q.ndim != 2 or q.shape[1] != spec.dim:
         raise ValueError(f"point of dim {q.shape} does not match spec dim {spec.dim}")
-    Qq = spec.Q @ q
-    return 0.5 * float(q @ Qq) + float(spec.b @ q), Qq + spec.b
+    Qq = np.matmul(spec.Q, q[..., None])[..., 0]
+    return 0.5 * np.vecdot(q, Qq) + np.vecdot(spec.b, q), Qq + spec.b
 
 
 def quadratic_model(spec: QuadraticSpec) -> ObjectiveModel:

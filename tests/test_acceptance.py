@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from hbreset.cli import main as cli_main, quad_params
-from hbreset.discrete import count_nonmonotone, run
+from hbreset.discrete import count_nonmonotone, run_many
 from hbreset.hybrid import HybridParams, HybridState, integrate_hhb, integrate_hihb
 from hbreset.lmi import (NES, POL, Certificate, CertRequest, NoCertificate,
                          bisect_rate, build_ct, build_theorem2, certify_discrete,
@@ -381,8 +381,9 @@ def test_criterion_06_quadratic_benchmark_orderings():
         rng = np.random.default_rng(seed)
         _, model = gen_random_quadratic(50, 1e3, rng)
         q0 = rng.uniform(-100.0, 100.0, 50)
-        runs = {m: run(model, quad_params(m, 1.0, eps), q0, 5000)
-                for pair in pairs for m in pair}
+        methods = [m for pair in pairs for m in pair]
+        runs = dict(zip(methods, run_many(
+            model, [quad_params(m, 1.0, eps) for m in methods], q0, 5000)))
         for pair in pairs:
             gc, gh = clipped_gaps(runs[pair[0]]), clipped_gaps(runs[pair[1]])
             live = np.where(np.maximum(gc, gh) > GAP_FLOOR)[0]
@@ -392,8 +393,8 @@ def test_criterion_06_quadratic_benchmark_orderings():
             if gh[ke] < gc[ke] and nh < nc:
                 order_hits[pair] += 1
         if seed == 2:
-            slope_runs = {m: run(model, quad_params(m, 1.97, eps), q0, 5000)
-                          for pair in pairs for m in pair}
+            slope_runs = dict(zip(methods, run_many(
+                model, [quad_params(m, 1.97, eps) for m in methods], q0, 5000)))
             for classic, reset in pairs:
                 sc = live_slope(clipped_gaps(slope_runs[classic]))
                 sh = live_slope(clipped_gaps(slope_runs[reset]))

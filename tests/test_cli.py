@@ -1,5 +1,6 @@
 """Front-end behavior: config resolution, outputs, determinism, orderings."""
 
+import dataclasses
 import filecmp
 import json
 import math
@@ -10,10 +11,12 @@ import warnings
 import numpy as np
 import pytest
 
+import hbreset.cli
 from hbreset.cli import (ExperimentConfig, LOGREG_METHODS, SWEEP_HEADER,
                          certify_tuning, config_from_args, build_parser,
                          golden_min, logreg_start, main, quad_params,
-                         read_sweep, replot_sweep, tail_slope, tune_params)
+                         read_sweep, replot_sweep, tail_slope, tune_method,
+                         tune_params)
 from hbreset.lmi import build_dt
 from hbreset.objectives import gen_random_quadratic, quad_from_json, quad_to_json
 from hbreset.sdp import problem_from_json
@@ -95,16 +98,33 @@ def test_validation_rejects_bad_configs():
     (["simulate", "--t-end", "nan"], "--t-end"),
     (["simulate", "--t-end", "inf"], "--t-end"),
     (["simulate", "--t-end", "0"], "--t-end"),
+    (["simulate", "--dt", "nan"], "--dt"),
+    (["simulate", "--dt", "0"], "--dt"),
+    (["simulate", "--dt=-1e-3"], "--dt"),
+    (["simulate", "--dt", "inf"], "--dt"),
+    (["simulate", "--t-min", "nan"], "--t-min"),
+    (["simulate", "--t-min", "0"], "--t-min"),
+    (["simulate", "--model", "gen", "--seed", "1", "--t-min=-1"], "--t-min"),
+    (["quad", "--seed", "1", "--h", "nan"], "--h"),
+    (["quad", "--seed", "1", "--h=-1"], "--h"),
+    (["quad", "--seed", "1", "--h", "0"], "--h"),
+    (["quad", "--seed", "1", "--h", "inf"], "--h"),
+    (["quad", "--seed", "1", "--K", "1,nan"], "--K"),
+    (["quad", "--seed", "1", "--K", "inf"], "--K"),
+    (["quad", "--seed", "1", "--iters=-1"], "--iters"),
+    (["logreg", "--seed", "1", "--iters=-1"], "--iters"),
 ])
 def test_validation_names_the_flag_of_an_edge_input(argv, flag, tmp_path):
     with pytest.raises(ValueError, match=flag):
         main(argv + ["--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out" / "config.json").exists()
     assert not (tmp_path / "out").exists()
 
 
 def test_edge_checks_apply_only_where_the_value_is_used():
-    # configs that carry an unused non-finite cond or mu, a zero curv or an
-    # empty methods tuple were accepted before these checks and still are
+    # configs that carry an unused non-finite cond or mu, a zero curv, an
+    # empty methods tuple, or an unused bad h, K, dt, t_min or iters were
+    # accepted before these checks and still are
     nan = float("nan")
     for cfg in (ExperimentConfig(subcommand="logreg", seed=1, cond=nan, mu=nan),
                 ExperimentConfig(subcommand="tune", seed=1, method="gd",
@@ -112,7 +132,10 @@ def test_edge_checks_apply_only_where_the_value_is_used():
                 ExperimentConfig(subcommand="simulate", cond=nan, methods=()),
                 ExperimentConfig(subcommand="simulate", model="file",
                                  model_file="m.json", curv=0.0),
-                ExperimentConfig(subcommand="quad", seed=1, curv=0.0, mu=nan)):
+                ExperimentConfig(subcommand="quad", seed=1, curv=0.0, mu=nan),
+                ExperimentConfig(subcommand="logreg", seed=1, h=nan,
+                                 k_values=(nan,), dt=nan, t_min=-1.0),
+                ExperimentConfig(subcommand="certify", iters=-1, h=-1.0, dt=0.0)):
         cfg.with_defaults().validate()
 
 
@@ -407,6 +430,34 @@ def test_tune_hihb_polyak_stepsize_coincidence_soft(tmp_path):
     if not (1.0 / 1.3 <= ratio <= 1.3):
         warnings.warn(f"hihb/polyak tuned stepsize ratio {ratio:.3f} "
                       "departs from the reported coincidence")
+
+
+@pytest.mark.parametrize("method", ["polyak", "gd"])
+def test_tune_scores_a_setting_with_the_runs_own_evaluations(method, monkeypatch):
+    # one value_grad call per visited iterate of each tuner run and none
+    # after it: the score is the value the run computed at its last iterate
+    _, base = gen_random_quadratic(4, 50.0, 3)
+    calls = []
+
+    def value_grad(q):
+        calls.append(1)
+        return base.value_grad(q)
+
+    model = dataclasses.replace(base, value_grad=value_grad)
+    trajs, lone_run = [], hbreset.cli.run
+
+    def recording_run(*args, **kwargs):
+        trajs.append(lone_run(*args, **kwargs))
+        return trajs[-1]
+
+    monkeypatch.setattr(hbreset.cli, "run", recording_run)
+    calls.clear()
+    result = tune_method(method, model, np.full(4, 5.0), 15, 1e-3 / 50.0,
+                         10.0 / 50.0, outer_iters=3, inner_iters=2)
+    inner = 4 if method == "polyak" else 1
+    assert len(trajs) == 5 * inner
+    assert len(calls) == sum(len(t) for t in trajs)
+    assert result["phi_at_budget"] == min(t.phi for t in trajs)
 
 
 def test_tune_params_rejects_unknown_method():

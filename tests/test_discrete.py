@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbreset.discrete import (AlgoParams, STATUS_CONVERGED, STATUS_DIVERGED,
                               STATUS_MAX_ITER, Trajectory, Variant,
                               count_nonmonotone, initial_state,
-                              nesterov_beta_schedule, run, step,
+                              nesterov_beta_schedule, run, run_many, step,
                               switching_beta)
 from hbreset.objectives import QuadraticSpec, gen_random_quadratic, quadratic_model
 
@@ -139,12 +141,22 @@ def test_run_record_counts_and_state_pairs():
     assert traj.iterations == 25
     assert traj.status == STATUS_MAX_ITER
     assert len(traj.phi_gaps) == len(traj) == len(traj.betas) == len(traj.resets)
-    prev, cur = traj.state_pair(0)
+    # the run keeps no iterates; stepping from q0 again rebuilds them, and
+    # they reproduce the recorded gaps and gradient norms bit for bit
+    states = [initial_state(q0, p.eps)]
+    for _ in range(traj.iterations):
+        states.append(step(states[-1], p, model))
+    assert [model.gap(s.q) for s in states] == traj.phi_gaps.tolist()
+    assert ([float(np.linalg.norm(model.gradient(s.q))) for s in states]
+            == traj.grad_norms.tolist())
+    np.testing.assert_array_equal(traj.q, states[-1].q)
+    assert traj.phi == model.value(states[-1].q)
+    prev, cur = states[0].q_prev, states[0].q
     np.testing.assert_allclose(cur, q0)
     np.testing.assert_allclose(prev, q0)  # p0 = 0
-    prev, cur = traj.state_pair(5)
-    np.testing.assert_array_equal(prev, traj.qs[4])
-    np.testing.assert_array_equal(cur, traj.qs[5])
+    prev, cur = states[5].q_prev, states[5].q
+    np.testing.assert_array_equal(prev, states[4].q)
+    np.testing.assert_array_equal(cur, states[5].q)
 
 
 def test_run_grad_tol_stops_early():
@@ -239,11 +251,10 @@ def test_iterations_to_gap():
 
 def test_count_nonmonotone_hand_case():
     p = AlgoParams(eps=0.1, variant=Variant.GD)
-    traj = Trajectory(params=p, q0_prev=np.zeros(1),
-                      qs=[np.zeros(1)] * 5,
-                      phi_gaps=[5.0, 3.0, 4.0, 1.0, 2.0],
+    traj = Trajectory(params=p, phi_gaps=[5.0, 3.0, 4.0, 1.0, 2.0],
                       inner_signs=[0] * 5, betas=[0.0] * 5,
-                      resets=[False] * 5, grad_norms=[0.0] * 5)
+                      resets=[False] * 5, grad_norms=[0.0] * 5,
+                      q=np.zeros(1), phi=2.0)
     assert count_nonmonotone(traj) == 2
     traj.phi_gaps[2] = float("nan")
     with pytest.raises(ValueError):
@@ -263,3 +274,86 @@ def test_reset_count_drops_with_reset_branch():
                                   variant=Variant.POL), q0, 3000)
     assert count_nonmonotone(reset) < count_nonmonotone(classic)
     assert reset.phi_gaps[-1] < classic.phi_gaps[-1]
+
+
+def assert_same_run(a, b):
+    """Two trajectories agree bit for bit: records, status, final q and phi."""
+    assert (a.status, len(a), a.phi) == (b.status, len(b), b.phi)
+    for name in ("phi_gaps", "inner_signs", "betas", "resets", "grad_norms"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert a.q.tobytes() == b.q.tobytes()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(2, 8), cond=st.floats(1.0, 1e3), seed=st.integers(0, 2 ** 16),
+       runs=st.lists(st.tuples(st.sampled_from(list(Variant)),
+                               st.floats(-2.0, 1.0),  # log10(h * L)
+                               st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                     min_size=1, max_size=7),
+       max_iter=st.integers(0, 300), tol_frac=st.sampled_from([0.0, 1e-3, 0.5]))
+def test_run_many_matches_run_bitwise(n, cond, seed, runs, max_iter, tol_frac):
+    # rows that diverge (h*L up to 10), meet grad_tol early or run to
+    # max_iter, in stacks of mixed variants, leave the stack at their
+    # own iterate and must record what a lone run records
+    _, model = gen_random_quadratic(n, cond, seed)
+    q0 = np.random.default_rng(seed).uniform(-10.0, 10.0, n)
+    grad_tol = tol_frac * float(np.linalg.norm(model.gradient(q0)))
+    params = [AlgoParams.from_h(10.0 ** lh / model.lipschitz, min(a, b), max(a, b),
+                                variant) for variant, lh, a, b in runs]
+    trajs = run_many(model, params, q0, max_iter, grad_tol)
+    assert len(trajs) == len(params)
+    for p, traj in zip(params, trajs):
+        assert traj.params is p
+        assert_same_run(traj, run(model, p, q0, max_iter, grad_tol))
+
+
+def test_run_many_covers_every_stop():
+    _, model = gen_random_quadratic(5, 100.0, 8)
+    q0 = np.full(5, 3.0)
+    tol = 1e-6 * float(np.linalg.norm(model.gradient(q0)))
+    params = [AlgoParams.from_h(h / model.lipschitz, 0.0, 0.9, Variant.POL)
+              for h in (0.5, 1e-3, 30.0)]
+    trajs = run_many(model, params, q0, 400, tol)
+    assert [t.status for t in trajs] == [STATUS_CONVERGED, STATUS_MAX_ITER,
+                                         STATUS_DIVERGED]
+    assert len({len(t) for t in trajs}) == 3
+    for p, traj in zip(params, trajs):
+        assert_same_run(traj, run(model, p, q0, 400, tol))
+    assert run_many(model, [], q0, 10) == []
+    with pytest.raises(ValueError):
+        run_many(model, params, q0, -1)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_run_many_raises_on_nan_gradient_in_one_live_row(variant):
+    # as run does: the row with h = 0.5 crosses q = 0.5 first, while the
+    # other row is still live
+    base = scalar_model(2.0)
+
+    def value_grad(q):
+        phi, g = base.value_grad(q)
+        return phi, np.where(q[..., :1] > 0.5, g, np.nan)
+
+    model = dataclasses.replace(base, value_grad=value_grad, minimizer=None,
+                                min_value=None)
+    params = [AlgoParams.from_h(h, 0.3, 0.3, variant) for h in (0.5, 1e-4)]
+    with pytest.raises(FloatingPointError):
+        run_many(model, params, np.array([1.0]), max_iter=50)
+
+
+def test_trajectory_csv_matches_per_value_formatting(tmp_path):
+    # the block writer formats plain Python numbers with one format string;
+    # it must give the bytes of formatting each record on its own
+    _, model = gen_random_quadratic(4, 50.0, 5)
+    p = AlgoParams.from_h(0.5 / 50.0, 0.0, 0.95, Variant.NES)
+    traj = run(model, p, np.full(4, 20.0), max_iter=2500)
+    assert len(traj) > 2048 and traj.resets.any() and (traj.inner_signs < 0).any()
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    lines = ["k,phi_gap,inner_sign,beta,reset,grad_norm"]
+    for k in range(len(traj)):
+        lines.append("%d,%.17g,%d,%.17g,%d,%.17g" % (
+            k, float(traj.phi_gaps[k]), int(traj.inner_signs[k]),
+            float(traj.betas[k]), int(traj.resets[k]), float(traj.grad_norms[k])))
+    assert path.read_text() == "\n".join(lines) + "\n"

@@ -18,6 +18,21 @@ def scalar_quad(c: float, q_star: float = 0.0):
                                          b=np.array([-c * q_star])))
 
 
+def replayed_pairs(model, params, q0, traj):
+    """(q_{k-1}, q_k) at every iterate of traj, rebuilt with `step` from q0.
+
+    The run keeps no iterates; the rebuilt ones must reproduce its
+    recorded gaps and gradient norms bit for bit.
+    """
+    states = [initial_state(q0, params.eps)]
+    for _ in range(traj.iterations):
+        states.append(step(states[-1], params, model))
+    assert [model.gap(s.q) for s in states] == traj.phi_gaps.tolist()
+    assert ([float(np.linalg.norm(model.gradient(s.q))) for s in states]
+            == traj.grad_norms.tolist())
+    return [(s.q_prev, s.q) for s in states]
+
+
 def switched_step(sys_mats, model, x):
     """One step of the switched matrix recursion at n=1.
 
@@ -338,11 +353,12 @@ def test_certificate_decrease_along_plain_runs():
         rng = np.random.default_rng([19, seed])
         q0 = model.minimizer + rng.uniform(-3.0, 3.0, 3)
         traj = run(model, params, q0, 300)
+        pairs = replayed_pairs(model, params, q0, traj)
         v_prev = None
-        v0 = cert.lyapunov(*traj.state_pair(0), model)
-        c_env = cert.guarantee_constant(*traj.state_pair(0), model)
+        v0 = cert.lyapunov(*pairs[0], model)
+        c_env = cert.guarantee_constant(*pairs[0], model)
         for k in range(len(traj)):
-            qp, q = traj.state_pair(k)
+            qp, q = pairs[k]
             v = cert.lyapunov(qp, q, model)
             if k % 50 == 0:
                 # reference: a (phi(q) - phi*) + e' (P kron I) e
@@ -397,11 +413,12 @@ def test_time_invariant_lookahead_envelope():
     _, model = gen_random_quadratic(2, L, 29)
     q0 = model.minimizer + np.array([4.0, -3.0])
     traj = run(model, params, q0, 200)
-    c_env = cert.guarantee_constant(*traj.state_pair(0), model)
+    pairs = replayed_pairs(model, params, q0, traj)
+    c_env = cert.guarantee_constant(*pairs[0], model)
     for k in range(len(traj)):
         bound = c_env * rho ** (2 * k)
         if bound > 1e-12 * (1.0 + c_env):
-            _, q = traj.state_pair(k)
+            _, q = pairs[k]
             assert model.gap(q) <= bound * (1.0 + 1e-6) + 1e-12
 
 

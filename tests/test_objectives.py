@@ -35,6 +35,29 @@ def test_quad_eval_grad_matches_direct_algebra():
         np.testing.assert_allclose(grad, Q @ q + b, rtol=1e-12)
 
 
+def test_quad_eval_grad_stack_rows_match_single_points_bitwise():
+    # discrete.run_many relies on this to reproduce run bit for bit
+    rng = np.random.default_rng(4)
+    for n, stack in ((1, 50), (7, 300), (50, 2000)):
+        A = rng.standard_normal((n, n))
+        spec = QuadraticSpec(Q=A @ A.T + np.eye(n), b=rng.uniform(-100, 100, n))
+        X = rng.uniform(-100.0, 100.0, (stack, n))
+        vals, grads = quad_eval_grad(spec, X)
+        assert vals.shape == (stack,) and grads.shape == (stack, n)
+        for x, val, grad in zip(X, vals, grads):
+            one_val, one_grad = quad_eval_grad(spec, x)
+            assert type(one_val) is float and one_val == val
+            assert one_grad.tobytes() == grad.tobytes()
+        # a strided stack (every third row) gives the same bits
+        sub_vals, sub_grads = quad_eval_grad(spec, X[::3])
+        assert sub_vals.tobytes() == vals[::3].tobytes()
+        assert sub_grads.tobytes() == grads[::3].tobytes()
+    with pytest.raises(ValueError):
+        quad_eval_grad(spec, np.zeros((2, 3, n)))
+    with pytest.raises(ValueError):
+        quad_eval_grad(spec, np.zeros((2, n + 1)))
+
+
 def test_quadratic_model_minimizer_and_gap():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((5, 5))
