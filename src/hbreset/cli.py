@@ -352,12 +352,14 @@ def cmd_quad(cfg: ExperimentConfig) -> int:
     with open(os.path.join(out, "problem.json"), "w") as fh:
         fh.write(quad_to_json(spec))
     # every K x method run starts at q0, so they step together
-    trajs = iter(run_many(model, [quad_params(method, K, eps) for K in cfg.k_values
-                                  for method in cfg.methods], q0, cfg.iters))
+    runs = [(K, method) for K in cfg.k_values for method in cfg.methods]
+    trajs = run_many(model, [quad_params(method, K, eps) for K, method in runs],
+                     q0, cfg.iters)
+    width = len(cfg.methods)
     summary = []
-    for K in cfg.k_values:
+    for i, K in enumerate(cfg.k_values):
         series = []
-        for method, traj in zip(cfg.methods, trajs):
+        for method, traj in zip(cfg.methods, trajs[i * width:(i + 1) * width]):
             traj.to_csv(os.path.join(out, f"traj_{method}_K{K:g}.csv"))
             try:
                 nonmono = count_nonmonotone(traj)

@@ -311,9 +311,7 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
     map a (B, n) stack to (B,) values and (B, n) gradients. A run leaves
     the stack at the iterate where it stops. With an oracle that gives
     each row the bits it gives that point alone (`quad_eval_grad` does),
-    every record, status, final q and phi equals `run`'s bit for bit. A
-    variant with a single run goes through `run`, whose scalar loop is
-    cheaper than a stack of one.
+    every record, status, final q and phi equals `run`'s bit for bit.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
@@ -321,9 +319,7 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
     out: list = [None] * len(params_seq)
     for variant in Variant:
         idx = [i for i, p in enumerate(params_seq) if p.variant is variant]
-        if len(idx) == 1:
-            out[idx[0]] = run(model, params_seq[idx[0]], q0, max_iter, grad_tol)
-        elif idx:
+        if idx:
             trajs = _run_stack(model, [params_seq[i] for i in idx], q0,
                                max_iter, grad_tol)
             for i, traj in zip(idx, trajs):

@@ -117,7 +117,6 @@ def test_validation_rejects_bad_configs():
 def test_validation_names_the_flag_of_an_edge_input(argv, flag, tmp_path):
     with pytest.raises(ValueError, match=flag):
         main(argv + ["--out", str(tmp_path / "out")])
-    assert not (tmp_path / "out" / "config.json").exists()
     assert not (tmp_path / "out").exists()
 
 
