@@ -13,7 +13,8 @@ Run from the repository root:
 
 import math
 
-from hbreset.lmi import NES, POL, CertRequest, NoCertificate, certify_discrete
+from hbreset.lmi import (NES, POL, CertRequest, NoCertificate, bisect_rates,
+                         certify_discrete, dt_rates_probe)
 
 
 def underdamped(L: float, mu: float = 1.0) -> CertRequest:
@@ -39,16 +40,14 @@ def with_reset(req: CertRequest) -> CertRequest:
 def main() -> None:
     print("certified contraction factors at a conservative tuning, mu=1")
     print(f"{'L':>6} {'plain':>10} {'with reset':>11}")
-    for L in (10.0, 50.0, 100.0):
-        row = []
-        for req in (underdamped(L), with_reset(underdamped(L))):
-            try:
-                rate, _ = certify_discrete(req, lo=0.05, hi=1.0, iters=16,
-                                           scan=False)
-                row.append(f"{rate:.6f}")
-            except NoCertificate:
-                row.append("none")
-        print(f"{L:6.0f} {row[0]:>10} {row[1]:>11}")
+    grid = (10.0, 50.0, 100.0)
+    requests = [req for L in grid for req in (underdamped(L), with_reset(underdamped(L)))]
+    # the six rows bisect in lockstep: each round is one stacked solve
+    found = bisect_rates(dt_rates_probe(requests), len(requests), lo=0.05, hi=1.0,
+                         iters=16, scan=False)
+    cells = ["none" if f is None else f"{f[0]:.6f}" for f in found]
+    for i, L in enumerate(grid):
+        print(f"{L:6.0f} {cells[2 * i]:>10} {cells[2 * i + 1]:>11}")
 
     # the classical heavy-ball discretization loses certifiability once
     # the conditioning gets bad enough; the search reports that honestly

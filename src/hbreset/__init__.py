@@ -7,9 +7,9 @@ Layers, bottom up: `objectives` (quadratic / logistic test functions),
 certificates built on it), `cli` (benchmark front end).
 
 The names below are the entry points of each layer. Building blocks such
-as `lmi.DtLmiData`, `lmi.build_sector`, `discrete.initial_state`,
-`discrete.run_many` or `objectives.quad_to_json` are imported from their
-own module.
+as `lmi.DtLmiData`, `lmi.build_sector`, `lmi.bisect_rates`,
+`sdp.solve_many`, `discrete.initial_state`, `discrete.run_many` or
+`objectives.quad_to_json` are imported from their own module.
 """
 
 from .discrete import (AlgoParams, Trajectory, Variant, count_nonmonotone,

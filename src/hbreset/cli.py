@@ -27,8 +27,9 @@ from .discrete import (AlgoParams, Trajectory, Variant, count_nonmonotone, run,
                        run_many)
 from .hybrid import (HybridParams, HybridState, default_dwell, integrate_hb,
                      integrate_hhb, integrate_hihb)
-from .lmi import (NES, POL, NoCertificate, bisect_rate, build_theorem2,
-                  dt_problem, dt_rate_builder, dt_system)
+# bisect_rate is not called here; bench/tracing.py patches it by this name
+from .lmi import (NES, POL, CertRequest, bisect_rate, bisect_rates,  # noqa: F401
+                  build_theorem2, dt_problem, dt_rates_probe, dt_system)
 from .objectives import (ObjectiveModel, QuadraticSpec, gen_logistic_dataset,
                          gen_random_quadratic, logistic_lipschitz,
                          logistic_model, quad_from_json, quad_to_json,
@@ -135,8 +136,10 @@ class ExperimentConfig:
                 raise ValueError("grid of L values must be non-empty")
             if not all(math.isfinite(L) for L in self.grid_L):
                 raise ValueError(f"--grid-L entries must be finite, got {self.grid_L}")
-            if not math.isfinite(self.mu):
-                raise ValueError(f"--mu must be finite, got {self.mu}")
+            _require_positive("--mu", self.mu)
+            if not all(L >= self.mu for L in self.grid_L):
+                raise ValueError(f"--grid-L entries must be at least --mu = {self.mu}, "
+                                 f"got {self.grid_L}")
             if self.max_oracle_calls < 1:
                 raise ValueError(f"--max-oracle-calls must be at least 1, "
                                  f"got {self.max_oracle_calls}")
@@ -149,8 +152,23 @@ class ExperimentConfig:
         uses_cond = (self.subcommand == "quad"
                      or (self.subcommand == "tune" and self.objective == "quad")
                      or (self.subcommand == "simulate" and self.model == "gen"))
-        if uses_cond and not math.isfinite(self.cond):
-            raise ValueError(f"--cond must be finite, got {self.cond}")
+        if uses_cond:
+            if not (math.isfinite(self.cond) and self.cond >= 1.0):
+                raise ValueError(f"--cond must be finite and at least 1, got {self.cond}")
+            # the random quadratic pins its two extreme eigenvalues
+            if self.n is not None and self.n < 2:
+                raise ValueError(f"--n must be at least 2, got {self.n}")
+        uses_logistic = (self.subcommand == "logreg"
+                         or (self.subcommand == "tune" and self.objective == "logreg"))
+        if uses_logistic:
+            if self.n is not None and self.n < 1:
+                raise ValueError(f"--n must be at least 1, got {self.n}")
+            if self.m < 1:
+                raise ValueError(f"--m must be at least 1, got {self.m}")
+        if (self.subcommand in ("logreg", "tune") and self.budget is not None
+                and self.budget < 1):
+            # with no iterations every tuner candidate scores phi(q0)
+            raise ValueError(f"--budget must be at least 1, got {self.budget}")
         if (self.subcommand in ("quad", "logreg") and self.iters is not None
                 and self.iters < 0):
             raise ValueError(f"--iters must be nonnegative, got {self.iters}")
@@ -284,26 +302,25 @@ def replot_sweep(csv_path, svg_path) -> None:
 
 def cmd_certify(cfg: ExperimentConfig) -> int:
     out = _prepare(cfg)
+    grid = [(L, method, *certify_tuning(method, L, cfg.mu, cfg.rule))
+            for L in cfg.grid_L for method in cfg.methods]
+    # every (L, method) row bisects in lockstep: one stacked solve a round
+    probe = dt_rates_probe([CertRequest(cfg.mu, L, h, bhi, blo, disc)
+                            for L, _, disc, h, bhi, blo in grid], cfg.max_oracle_calls)
+    found = bisect_rates(probe, len(grid), 0.05, 1.0, iters=cfg.bisect_iters,
+                         scan=cfg.scan)
     rows = []
-    for L in cfg.grid_L:
-        for method in cfg.methods:
-            disc, h, bhi, blo = certify_tuning(method, L, cfg.mu, cfg.rule)
-            builder = dt_rate_builder(cfg.mu, L, h, bhi, blo, disc,
-                                      max_oracle_calls=cfg.max_oracle_calls)
-            try:
-                rho, cert = bisect_rate(builder, 0.05, 1.0,
-                                        iters=cfg.bisect_iters, scan=cfg.scan)
-                status = "certified"
-            except NoCertificate:
-                rho, cert, status = float("nan"), None, "uncertified"
-            rows.append((float(L), cfg.mu, h, bhi, blo, method, rho, status))
-            if cert is not None:
-                with open(os.path.join(out, f"cert_{method}_L{L:g}.json"), "w") as fh:
-                    fh.write(cert.to_json())
-            if cfg.dump_sdp and cert is not None:
-                data = build_theorem2(dt_system(h, bhi, blo, disc), cfg.mu, L, rho)
-                with open(os.path.join(out, f"sdp_{method}_L{L:g}.json"), "w") as fh:
-                    fh.write(problem_to_json(dt_problem(data)))
+    for (L, method, disc, h, bhi, blo), result in zip(grid, found):
+        rho, cert = result if result is not None else (float("nan"), None)
+        status = "certified" if cert is not None else "uncertified"
+        rows.append((float(L), cfg.mu, h, bhi, blo, method, rho, status))
+        if cert is not None:
+            with open(os.path.join(out, f"cert_{method}_L{L:g}.json"), "w") as fh:
+                fh.write(cert.to_json())
+        if cfg.dump_sdp and cert is not None:
+            data = build_theorem2(dt_system(h, bhi, blo, disc), cfg.mu, L, rho)
+            with open(os.path.join(out, f"sdp_{method}_L{L:g}.json"), "w") as fh:
+                fh.write(problem_to_json(dt_problem(data)))
     csv_path = os.path.join(out, "sweep.csv")
     write_csv(csv_path, SWEEP_HEADER, rows)
     replot_sweep(csv_path, os.path.join(out, "sweep.svg"))

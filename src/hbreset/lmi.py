@@ -11,19 +11,22 @@ a certificate lifts to any dimension blockwise (P kron I), so a
 the lifted form on states of any dimension.
 
 Feasibility itself is delegated to the phase-I barrier engine in `sdp`.
+`bisect_rates` bisects many independent rows in lockstep, and
+`dt_rates_probe` solves each round's problems as one `sdp.solve_many`
+stack; every row gets the result it gets bisected alone.
 """
 from __future__ import annotations
 
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .objectives import ObjectiveModel
 from .sdp import (AffineMatrixMap, FeasProblem, FeasResult, FEASIBLE, INFEASIBLE,
-                  INDETERMINATE, solve_feasibility)
+                  INDETERMINATE, solve_feasibility, solve_many)
 
 Array = np.ndarray
 
@@ -299,6 +302,24 @@ def dt_problem(data: DtLmiData) -> FeasProblem:
                        margin=MARGIN)
 
 
+def _dt_certificate(data: DtLmiData, res: FeasResult) -> Optional["Certificate"]:
+    """The certificate of a FEASIBLE dt solve, or None."""
+    if res.status != FEASIBLE:
+        return None
+    v = res.v
+    return Certificate(
+        rate=data.rho, rate_kind="rho",
+        P=np.array([[v[0], v[1]], [v[1], v[2]]]),
+        multipliers={"a": float(v[3]), "lambda": float(v[4]),
+                     "lambda_r": float(v[5]), "sigma": float(v[6]),
+                     "sigma_r": float(v[7])},
+        margin=res.worst_eig,
+        tuning={"h": data.sys.h, "beta_hi": data.sys.beta_hi,
+                "beta_lo": data.sys.beta_lo, "disc": data.sys.disc,
+                "mu": data.mu, "L": data.lipschitz},
+        raw_v=v.copy())
+
+
 def dt_feasible(data: DtLmiData, max_oracle_calls: int = 200,
                 v_init: Optional[Array] = None, detail: bool = False):
     """Certificate at contraction factor rho, or None.
@@ -307,20 +328,7 @@ def dt_feasible(data: DtLmiData, max_oracle_calls: int = 200,
     "infeasible" from "indeterminate" (budget ran out)."""
     res = solve_feasibility(dt_problem(data), max_oracle_calls=max_oracle_calls,
                             v_init=v_init)
-    cert = None
-    if res.status == FEASIBLE:
-        v = res.v
-        cert = Certificate(
-            rate=data.rho, rate_kind="rho",
-            P=np.array([[v[0], v[1]], [v[1], v[2]]]),
-            multipliers={"a": float(v[3]), "lambda": float(v[4]),
-                         "lambda_r": float(v[5]), "sigma": float(v[6]),
-                         "sigma_r": float(v[7])},
-            margin=res.worst_eig,
-            tuning={"h": data.sys.h, "beta_hi": data.sys.beta_hi,
-                    "beta_lo": data.sys.beta_lo, "disc": data.sys.disc,
-                    "mu": data.mu, "L": data.lipschitz},
-            raw_v=v.copy())
+    cert = _dt_certificate(data, res)
     if detail:
         return res.status, cert
     return cert
@@ -407,68 +415,115 @@ class CertRequest:
 
 SCAN_POINTS = 32
 
+# A probe for bisect_rates: given the rows to probe this round and one
+# rate for each, it returns a certificate or None for each of them.
+RatesProbe = Callable[[list, list], list]
 
-def bisect_rate(builder: Callable[[float], Optional["Certificate"]], lo: float,
-                hi: float, iters: int = 40, scan: bool = True,
-                sense: str = "min"):
-    """Smallest rate in [lo, hi] the builder can certify, by bisection.
 
-    The builder maps a rate to a certificate or None; None covers both
-    infeasible and indeterminate outcomes (conservative). Feasibility is
-    assumed monotone in the rate; a coarse scan warns when the assumption
-    visibly fails but does not alter the bracket. sense="max" searches
-    for the largest certifiable rate instead (used for decay exponents,
-    where faster decay is harder).
+def bisect_rates(probe: RatesProbe, rows: int, lo: float, hi: float,
+                 iters: int = 40, scan: bool = True, sense: str = "min") -> list:
+    """bisect_rate on `rows` independent rows in lockstep.
+
+    Each round probes one rate for every row still bisecting, in one call
+    of `probe`, so a probe can solve the round's problems as one stack.
+    Every row sees the rates it would see bisected alone, in the same
+    order. Returns one entry per row: (rate, certificate), or None when
+    the easy end of [lo, hi] is not certified.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
     flip = sense == "max"
+    every = list(range(rows))
     if scan:
-        flags = [builder(r) is not None for r in np.linspace(lo, hi, SCAN_POINTS)]
-        ordered = flags[::-1] if flip else flags
-        first = next((i for i, f in enumerate(ordered) if f), None)
-        if first is not None and not all(ordered[first:]):
-            warnings.warn("certificate feasibility is not monotone on the coarse scan",
-                          RuntimeWarning)
+        flags = [probe(every, [r] * rows) for r in np.linspace(lo, hi, SCAN_POINTS)]
+        for row in zip(*flags):
+            ordered = [c is not None for c in (row[::-1] if flip else row)]
+            first = next((i for i, f in enumerate(ordered) if f), None)
+            if first is not None and not all(ordered[first:]):
+                warnings.warn("certificate feasibility is not monotone on the "
+                              "coarse scan", RuntimeWarning)
     easy, hard = (lo, hi) if flip else (hi, lo)
-    cert_easy = builder(easy)
-    if cert_easy is None:
-        side = ">=" if flip else "<="
+    found: list = [None] * rows
+    # per bisecting row: [uncertified end, certified end, its certificate]
+    at_easy = probe(every, [easy] * rows)
+    brackets = {i: [hard, easy, cert] for i, cert in zip(every, at_easy)
+                if cert is not None}
+    live = list(brackets)
+    for i, cert in zip(live, probe(live, [hard] * len(live)) if live else ()):
+        if cert is not None:
+            found[i] = (hard, cert)
+            del brackets[i]
+    for _ in range(iters if brackets else 0):
+        live = list(brackets)
+        mids = [0.5 * (brackets[i][0] + brackets[i][1]) for i in live]
+        for i, mid, cert in zip(live, mids, probe(live, mids)):
+            if cert is None:
+                brackets[i][0] = mid
+            else:
+                brackets[i][1:] = [mid, cert]
+    for i, (_, rate, cert) in brackets.items():
+        found[i] = (rate, cert)
+    return found
+
+
+def bisect_rate(builder: Callable[[float], Optional["Certificate"]], lo: float,
+                hi: float, iters: int = 40, scan: bool = True,
+                sense: str = "min"):
+    """Smallest rate in [lo, hi] the builder can certify, by bisection: a
+    batch of one in bisect_rates.
+
+    The builder maps a rate to a certificate or None. None merges the
+    INFEASIBLE verdict (no certificate of this form exists) with the
+    INDETERMINATE one (budget or numerics ran out), so the rate found is
+    conservative by an unknown amount near the threshold. Feasibility is
+    assumed monotone in the rate, and that is empirical only: the phase-I
+    value of the dt LMIs is not monotone in rho in general (for hhb-nes at
+    L = 10 it rises from 0.0303 to 0.0329 as rho goes from 0.3 to 0.55).
+    A coarse scan warns when the assumption visibly fails but does not
+    alter the bracket. sense="max" searches for the largest certifiable
+    rate instead (used for decay exponents, where faster decay is harder).
+    Raises NoCertificate when the easy end of [lo, hi] is not certified.
+    """
+    (found,) = bisect_rates(lambda _, rates: [builder(r) for r in rates], 1, lo, hi,
+                            iters=iters, scan=scan, sense=sense)
+    if found is None:
+        side, easy = (">=", lo) if sense == "max" else ("<=", hi)
         raise NoCertificate(f"no certificate with rate {side} {easy:g}")
-    cert_hard = builder(hard)
-    if cert_hard is not None:
-        return hard, cert_hard
-    best_rate, best_cert = easy, cert_easy
-    a, b = hard, easy
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        cert = builder(mid)
-        if cert is None:
-            a = mid
-        else:
-            b, best_rate, best_cert = mid, mid, cert
-    return best_rate, best_cert
+    return found
+
+
+def dt_rates_probe(requests: Sequence[CertRequest],
+                   max_oracle_calls: int = 200) -> RatesProbe:
+    """Probe for bisect_rates over discrete-time rows: each round's
+    problems are solved as one stack, and each row warm-starts from the
+    last feasible point it has seen."""
+    systems = [dt_system(r.h, r.beta_hi, r.beta_lo, r.disc) for r in requests]
+    last: list = [None] * len(requests)
+
+    def probe(rows: list, rates: list) -> list:
+        datas = [DtLmiData(sys=systems[i], mu=requests[i].mu,
+                           lipschitz=requests[i].lipschitz, rho=rho)
+                 for i, rho in zip(rows, rates)]
+        solved = solve_many([dt_problem(x) for x in datas], max_oracle_calls,
+                            [last[i] for i in rows])
+        certs = [_dt_certificate(x, res) for x, res in zip(datas, solved)]
+        for i, cert in zip(rows, certs):
+            if cert is not None:
+                last[i] = cert.raw_v
+        return certs
+
+    return probe
 
 
 def dt_rate_builder(mu: float, L: float, h: float, beta_hi: float, beta_lo: float,
                     disc: str, max_oracle_calls: int = 200
                     ) -> Callable[[float], Optional[Certificate]]:
-    """Probe closure for bisect_rate; warm-starts each solve from the
-    last feasible point seen."""
-    sys = dt_system(h, beta_hi, beta_lo, disc)
-    state = {"v": None}
-
-    def probe(rho: float) -> Optional[Certificate]:
-        data = build_theorem2(sys, mu, L, rho)
-        cert = dt_feasible(data, max_oracle_calls=max_oracle_calls,
-                           v_init=state["v"])
-        if cert is not None:
-            state["v"] = cert.raw_v
-        return cert
-
-    return probe
+    """Probe closure for bisect_rate: dt_rates_probe on one row."""
+    probe = dt_rates_probe([CertRequest(mu, L, h, beta_hi, beta_lo, disc)],
+                           max_oracle_calls)
+    return lambda rho: probe([0], [rho])[0]
 
 
 def certify_discrete(request: CertRequest, lo: float = 0.05, hi: float = 1.0,

@@ -15,9 +15,9 @@ import numpy as np
 from hbreset.cli import main as cli_main, quad_params
 from hbreset.discrete import count_nonmonotone, run_many
 from hbreset.hybrid import HybridParams, HybridState, integrate_hhb, integrate_hihb
-from hbreset.lmi import (NES, POL, Certificate, CertRequest, NoCertificate,
-                         bisect_rate, build_ct, build_theorem2, certify_discrete,
-                         ct_feasible, dt_feasible, dt_rate_builder, dt_system)
+from hbreset.lmi import (NES, POL, Certificate, CertRequest, bisect_rates, build_ct,
+                         build_theorem2, certify_discrete, ct_feasible, dt_feasible,
+                         dt_rates_probe, dt_system)
 from hbreset.objectives import QuadraticSpec, gen_random_quadratic, quadratic_model
 from hbreset.sdp import AffineMatrixMap, FeasProblem, FEASIBLE, solve_feasibility
 
@@ -126,30 +126,32 @@ def baseline_bisect(h, beta, disc, mu, L, lo=0.05, hi=1.0, iters=14):
 
 def test_criterion_01_single_branch_equivalence():
     t0 = time.time()
-    mu, failures, n_cfg = 1.0, [], 0
-    for L in (2.0, 5.0, 10.0, 50.0, 100.0):
-        for rule in ("optimal", "mistuned"):
-            for disc in (POL, NES):
-                n_cfg += 1
-                h, beta = tuning_rule(rule, disc, L)
-                label = f"L={L:g} {rule} {disc}"
-                base_rho = baseline_bisect(h, beta, disc, mu, L)
-                builder = dt_rate_builder(mu, L, h, beta, beta, disc)
-                try:
-                    pkg_rho, cert = bisect_rate(builder, 0.05, 1.0, iters=14,
-                                                scan=False)
-                    CERTS.append((label, cert))
-                except NoCertificate:
-                    pkg_rho = None
-                base_09 = baseline_feasible(h, beta, disc, mu, L, 0.9)
-                pkg_09 = dt_feasible(build_theorem2(
-                    dt_system(h, beta, beta, disc), mu, L, 0.9)) is not None
-                if base_09 != pkg_09:
-                    failures.append(f"{label}: verdicts differ at rho=0.9")
-                if (base_rho is None) != (pkg_rho is None):
-                    failures.append(f"{label}: {base_rho} vs {pkg_rho}")
-                elif base_rho is not None and abs(base_rho - pkg_rho) > 1e-3:
-                    failures.append(f"{label}: |{base_rho} - {pkg_rho}| > 1e-3")
+    mu, failures = 1.0, []
+    configs = [(L, rule, disc, *tuning_rule(rule, disc, L))
+               for L in (2.0, 5.0, 10.0, 50.0, 100.0)
+               for rule in ("optimal", "mistuned") for disc in (POL, NES)]
+    n_cfg = len(configs)
+    # the package side bisects the 20 configs in lockstep, each round
+    # solved as one stack
+    found = bisect_rates(dt_rates_probe([CertRequest(mu, L, h, beta, beta, disc)
+                                         for L, _, disc, h, beta in configs]),
+                         n_cfg, 0.05, 1.0, iters=14, scan=False)
+    for (L, rule, disc, h, beta), result in zip(configs, found):
+        label = f"L={L:g} {rule} {disc}"
+        base_rho = baseline_bisect(h, beta, disc, mu, L)
+        pkg_rho = None
+        if result is not None:
+            pkg_rho, cert = result
+            CERTS.append((label, cert))
+        base_09 = baseline_feasible(h, beta, disc, mu, L, 0.9)
+        pkg_09 = dt_feasible(build_theorem2(
+            dt_system(h, beta, beta, disc), mu, L, 0.9)) is not None
+        if base_09 != pkg_09:
+            failures.append(f"{label}: verdicts differ at rho=0.9")
+        if (base_rho is None) != (pkg_rho is None):
+            failures.append(f"{label}: {base_rho} vs {pkg_rho}")
+        elif base_rho is not None and abs(base_rho - pkg_rho) > 1e-3:
+            failures.append(f"{label}: |{base_rho} - {pkg_rho}| > 1e-3")
     detail = (f"{n_cfg - len(failures)}/{n_cfg} configs agree "
               f"(bisection and matched rho=0.9 verdicts), {time.time()-t0:.0f}s")
     if failures:
@@ -190,21 +192,25 @@ FIG1_FROZEN = {
 def test_criterion_03_rate_sweep_orderings():
     t0 = time.time()
     failures = []
-    rates = {}
-    for L, frozen in FIG1_FROZEN.items():
+    rows = []
+    for L in FIG1_FROZEN:
         h = 1.0 / (2.0 * L)
         beta_hi = 1.0 - 0.1 * math.sqrt(h)
         beta_mid = 1.0 - math.sqrt(h)
         for name, beta_lo in (("nes", beta_hi), ("hhb", 0.0),
                               ("hihb", beta_mid)):
-            builder = dt_rate_builder(1.0, L, h, beta_hi, beta_lo, NES)
-            try:
-                rho, cert = bisect_rate(builder, 0.05, 1.0, iters=20,
-                                        scan=False)
-                CERTS.append((f"sweep {name} L={L:g}", cert))
-            except NoCertificate:
-                rho = None
-            rates[(name, L)] = rho
+            rows.append((name, L, CertRequest(1.0, L, h, beta_hi, beta_lo, NES)))
+    # the 18 rows bisect in lockstep, each round solved as one stack
+    found = bisect_rates(dt_rates_probe([req for _, _, req in rows]), len(rows),
+                         0.05, 1.0, iters=20, scan=False)
+    rates = {}
+    for (name, L, _), result in zip(rows, found):
+        rho = None
+        if result is not None:
+            rho, cert = result
+            CERTS.append((f"sweep {name} L={L:g}", cert))
+        rates[(name, L)] = rho
+    for L, frozen in FIG1_FROZEN.items():
         got = tuple(rates[(n, L)] for n in ("nes", "hhb", "hihb"))
         if any(r is None for r in got):
             failures.append(f"L={L:g}: uncertified {got}")
@@ -233,19 +239,24 @@ def test_criterion_03_rate_sweep_orderings():
 def test_criterion_04_heavy_ball_rate_preserved():
     t0 = time.time()
     failures = []
-    profile = {}
+    grid = []
     for L in (2.0, 4.0, 8.0, 16.0):
         h, beta = tuning_rule("optimal", POL, L)
-        rows = {}
         for name, beta_lo in (("plain", beta), ("reset", 0.0)):
-            builder = dt_rate_builder(1.0, L, h, beta, beta_lo, POL)
-            try:
-                rho, cert = bisect_rate(builder, 0.05, 1.0, iters=14,
-                                        scan=False)
-                CERTS.append((f"optimal heavy-ball {name} L={L:g}", cert))
-            except NoCertificate:
-                rho = None
-            rows[name] = rho
+            grid.append((name, L, CertRequest(1.0, L, h, beta, beta_lo, POL)))
+    # the 8 rows bisect in lockstep, each round solved as one stack
+    found = bisect_rates(dt_rates_probe([req for _, _, req in grid]), len(grid),
+                         0.05, 1.0, iters=14, scan=False)
+    rates = {}
+    for (name, L, _), result in zip(grid, found):
+        rho = None
+        if result is not None:
+            rho, cert = result
+            CERTS.append((f"optimal heavy-ball {name} L={L:g}", cert))
+        rates[(name, L)] = rho
+    profile = {}
+    for L in (2.0, 4.0, 8.0, 16.0):
+        rows = {name: rates[(name, L)] for name in ("plain", "reset")}
         profile[L] = (rows["plain"], rows["reset"])
         if (rows["plain"] is None) != (rows["reset"] is None):
             failures.append(f"L={L:g}: only one side certifiable {rows}")

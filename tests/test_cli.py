@@ -113,6 +113,22 @@ def test_validation_rejects_bad_configs():
     (["quad", "--seed", "1", "--K", "inf"], "--K"),
     (["quad", "--seed", "1", "--iters=-1"], "--iters"),
     (["logreg", "--seed", "1", "--iters=-1"], "--iters"),
+    (["certify", "--mu=-1"], "--mu"),
+    (["certify", "--mu", "0"], "--mu"),
+    (["certify", "--grid-L", "1,0.5"], "--grid-L"),
+    (["certify", "--mu", "2", "--grid-L", "1,10"], "--grid-L"),
+    (["quad", "--seed", "1", "--cond", "0.5"], "--cond"),
+    (["tune", "--seed", "1", "--method", "gd", "--cond", "0.5"], "--cond"),
+    (["simulate", "--model", "gen", "--seed", "1", "--cond", "0.5"], "--cond"),
+    (["quad", "--seed", "1", "--n", "1"], "--n"),
+    (["tune", "--seed", "1", "--method", "gd", "--n", "1"], "--n"),
+    (["simulate", "--model", "gen", "--seed", "1", "--n", "1"], "--n"),
+    (["logreg", "--seed", "1", "--m", "0"], "--m must"),
+    (["logreg", "--seed", "1", "--n", "0"], "--n"),
+    (["tune", "--seed", "1", "--method", "gd", "--objective", "logreg", "--m", "0"],
+     "--m must"),
+    (["logreg", "--seed", "1", "--budget", "0"], "--budget"),
+    (["tune", "--seed", "1", "--method", "gd", "--budget=-3"], "--budget"),
 ])
 def test_validation_names_the_flag_of_an_edge_input(argv, flag, tmp_path):
     with pytest.raises(ValueError, match=flag):
@@ -122,8 +138,9 @@ def test_validation_names_the_flag_of_an_edge_input(argv, flag, tmp_path):
 
 def test_edge_checks_apply_only_where_the_value_is_used():
     # configs that carry an unused non-finite cond or mu, a zero curv, an
-    # empty methods tuple, or an unused bad h, K, dt, t_min or iters were
-    # accepted before these checks and still are
+    # empty methods tuple, or an unused bad h, K, dt, t_min, iters, cond,
+    # n, m, budget, mu or grid_L were accepted before these checks and
+    # still are
     nan = float("nan")
     for cfg in (ExperimentConfig(subcommand="logreg", seed=1, cond=nan, mu=nan),
                 ExperimentConfig(subcommand="tune", seed=1, method="gd",
@@ -134,7 +151,14 @@ def test_edge_checks_apply_only_where_the_value_is_used():
                 ExperimentConfig(subcommand="quad", seed=1, curv=0.0, mu=nan),
                 ExperimentConfig(subcommand="logreg", seed=1, h=nan,
                                  k_values=(nan,), dt=nan, t_min=-1.0),
-                ExperimentConfig(subcommand="certify", iters=-1, h=-1.0, dt=0.0)):
+                ExperimentConfig(subcommand="certify", iters=-1, h=-1.0, dt=0.0),
+                ExperimentConfig(subcommand="certify", cond=0.5, n=1, m=0, budget=0),
+                ExperimentConfig(subcommand="quad", seed=1, mu=-1.0, grid_L=(0.5,),
+                                 m=0, budget=0),
+                ExperimentConfig(subcommand="simulate", n=1, cond=0.5, m=0),
+                ExperimentConfig(subcommand="tune", seed=1, method="gd",
+                                 objective="logreg", cond=0.5),
+                ExperimentConfig(subcommand="tune", seed=1, method="gd", m=0)):
         cfg.with_defaults().validate()
 
 
@@ -534,11 +558,15 @@ def test_simulate_model_file_and_dimension_check(tmp_path):
 
 
 def test_simulate_gen_dimension(tmp_path):
-    # n defaults to 2 only when it is not given: n = 0 must reach the
-    # generator's check, not run a 2-d arc
-    with pytest.raises(ValueError, match="n >= 2"):
+    # n defaults to 2 only when it is not given: n = 0 must be rejected,
+    # naming the flag, before anything is written, not run a 2-d arc
+    with pytest.raises(ValueError, match="--n must be at least 2"):
         main(["simulate", "--model", "gen", "--seed", "1", "--n", "0",
               "--t-end", "0.1", "--out", str(tmp_path / "zero")])
+    assert not (tmp_path / "zero").exists()
+    # and the generator keeps its own check for callers that skip validate
+    with pytest.raises(ValueError, match="n >= 2"):
+        gen_random_quadratic(0, 10.0, 1)
     assert main(["simulate", "--model", "gen", "--seed", "1", "--t-end", "0.1",
                  "--out", str(tmp_path / "default")]) == 0
     header, _ = parse_csv(tmp_path / "default" / "arc.csv")

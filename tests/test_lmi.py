@@ -1,14 +1,16 @@
 """Certificate construction: matrix stacks, feasibility calls, bisection."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from hbreset.discrete import AlgoParams, IterState, Variant, initial_state, run, step
 from hbreset.lmi import (NES, POL, Certificate, CertRequest, NoCertificate,
-                         bisect_rate, build_ct, build_dt, build_sector,
+                         bisect_rate, bisect_rates, build_ct, build_dt, build_sector,
                          build_theorem2, certify_discrete, ct_alpha_builder,
                          ct_feasible, ct_problem, dt_feasible, dt_problem,
-                         dt_rate_builder, dt_system)
+                         dt_rate_builder, dt_rates_probe, dt_system)
 from hbreset.objectives import QuadraticSpec, gen_random_quadratic, quadratic_model
 from hbreset.sdp import FEASIBLE, problem_to_json
 
@@ -471,6 +473,73 @@ def test_bisect_validation():
         bisect_rate(lambda r: None, 1.0, 1.0, iters=5)
     with pytest.raises(ValueError):
         bisect_rate(lambda r: None, 0.1, 1.0, iters=5, sense="middle")
+
+
+def test_bisect_rates_gives_each_row_its_single_row_result():
+    # rows with different feasible sets, bisected in lockstep: each row
+    # sees the rates it sees alone, in the same order, and gets the same
+    # result; a row without a certificate at the easy end gets None
+    token = Certificate(rate=0.0, rate_kind="rho", P=np.eye(2), multipliers={},
+                        margin=-1.0, tuning={})
+    tests = [lambda r: r >= 0.6, lambda r: r >= 0.05, lambda r: False,
+             lambda r: r >= 0.3 or 0.1 <= r <= 0.15, lambda r: r <= 0.4]
+    for sense in ("min", "max"):
+        for scan in (False, True):
+            calls = []
+
+            def probe(rows, rates):
+                calls.append(list(zip(rows, rates)))
+                return [token if tests[i](r) else None for i, r in zip(rows, rates)]
+
+            with warnings.catch_warnings(record=True):
+                warnings.simplefilter("always")
+                found = bisect_rates(probe, len(tests), 0.05, 1.0, iters=9, scan=scan,
+                                     sense=sense)
+            for i, test in enumerate(tests):
+                alone = []
+
+                def builder(r):
+                    alone.append(r)
+                    return token if test(r) else None
+
+                try:
+                    with warnings.catch_warnings(record=True):
+                        warnings.simplefilter("always")
+                        want = bisect_rate(builder, 0.05, 1.0, iters=9, scan=scan,
+                                           sense=sense)
+                except NoCertificate:
+                    want = None
+                assert found[i] == want
+                assert [r for call in calls for j, r in call if j == i] == alone
+            # one probe call per round, and no call probes a row twice
+            assert all(len({j for j, _ in call}) == len(call) for call in calls)
+            assert len(calls) == (32 if scan else 0) + 2 + 9
+    with pytest.warns(RuntimeWarning, match="not monotone"):
+        bisect_rates(lambda rows, rates: [token if tests[3](r) else None for r in rates],
+                     1, 0.05, 1.0, iters=3, scan=True)
+
+
+def test_dt_rows_in_lockstep_match_each_row_bisected_alone():
+    # one stacked solve a round gives every row the rate and the
+    # certificate bytes that it gets from its own dt_rate_builder
+    requests = [CertRequest(1.0, L, 1.0 / (2.0 * L), beta, blo, disc)
+                for L in (1.0, 10.0)
+                for beta in [1.0 - 0.1 * np.sqrt(1.0 / (2.0 * L))]
+                for blo, disc in ((beta, NES), (0.0, NES), (beta, POL), (0.0, POL))]
+    found = bisect_rates(dt_rates_probe(requests, 150), len(requests), 0.05, 1.0,
+                         iters=5, scan=False)
+    for req, got in zip(requests, found):
+        builder = dt_rate_builder(req.mu, req.lipschitz, req.h, req.beta_hi,
+                                  req.beta_lo, req.disc, max_oracle_calls=150)
+        try:
+            rate, cert = bisect_rate(builder, 0.05, 1.0, iters=5, scan=False)
+        except NoCertificate:
+            assert got is None
+            continue
+        assert got[0] == rate
+        assert got[1].to_json() == cert.to_json()
+        assert got[1].raw_v.tobytes() == cert.raw_v.tobytes()
+    assert sum(f is None for f in found) >= 1 and sum(f is not None for f in found) >= 4
 
 
 def test_rate_builder_warm_start_consistency():

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hbreset import sdp
+from hbreset import lmi, sdp
+from hbreset.cli import certify_tuning, main as cli_main
+from hbreset.lmi import NES, POL, DtLmiData, dt_problem, dt_system
 from hbreset.sdp import (AffineMatrixMap, FEASIBLE, FeasProblem, INDETERMINATE,
                          INFEASIBLE, problem_from_json, problem_to_json,
-                         result_to_json, solve_feasibility, symmetric_eig)
+                         result_to_json, solve_feasibility, solve_many,
+                         symmetric_eig)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +338,7 @@ def test_half_margin_recheck_is_independent_of_the_search(monkeypatch):
         out = []
         for lam, vecs in real_eigh(groups, w):
             lam = lam.copy()
-            lam[:, -1] -= 1.0
+            lam[..., -1] -= 1.0
             out.append((lam, vecs))
         return out
 
@@ -491,3 +494,113 @@ def test_worst_block_matches_loop_reference():
             np.testing.assert_array_equal(g2, grad)
     # every kind of block is the worst one somewhere
     assert names == {"lmi3", "lmi1", "pd3", "floor_v1", "floor_v3"}
+
+
+# ---------------------------------------------------------------------------
+# stacked solves
+
+
+def _bits(res):
+    # everything a result carries, compared bit for bit
+    return (res.status, None if res.v is None else res.v.tobytes(),
+            repr(res.worst_eig), res.oracle_calls, res.message)
+
+
+def test_certify_pass_solves_match_alone_in_the_full_and_a_shuffled_stack(
+        monkeypatch, tmp_path):
+    # record every solve of one certify pass at the benchmark's config,
+    # with the result the pass got in its round's stack
+    seen = []
+    real = lmi.solve_many
+
+    def recording(problems, max_oracle_calls=200, v_inits=None):
+        found = real(problems, max_oracle_calls, v_inits)
+        seen.extend(zip(problems, v_inits, found))
+        return found
+
+    monkeypatch.setattr(lmi, "solve_many", recording)
+    assert cli_main(["certify", "--grid-L", "1,10,100", "--bisect-iters", "3",
+                     "--out", str(tmp_path)]) == 0
+    monkeypatch.undo()
+    problems, v_inits, in_pass = zip(*seen)
+    alone = [_bits(solve_feasibility(p, 200, v)) for p, v in zip(problems, v_inits)]
+    assert [_bits(r) for r in in_pass] == alone
+    assert [_bits(r) for r in solve_many(problems, 200, v_inits)] == alone
+    order = np.random.default_rng(5).permutation(len(problems))
+    shuffled = solve_many([problems[i] for i in order], 200, [v_inits[i] for i in order])
+    assert [_bits(r) for r in shuffled] == [alone[i] for i in order]
+    assert {key[0] for key in alone} == {FEASIBLE, INFEASIBLE, INDETERMINATE}
+    assert any(v is not None for v in v_inits)
+
+
+def _mistuned_dt(L, method, rho):
+    disc, h, bhi, blo = certify_tuning(method, L, 1.0, "mistuned")
+    return dt_problem(DtLmiData(sys=dt_system(h, bhi, blo, disc), mu=1.0,
+                                lipschitz=L, rho=rho))
+
+
+def test_cholesky_failure_and_exhausted_budget_stay_in_their_rows():
+    # at a budget of 78 calls: L = 1 nesterov at rho 0.05 ends when its
+    # Newton system stops being positive definite, and L = 1 hhb-pol at
+    # rho 0.525 runs out of budget, while the others decide before that
+    problems = [_mistuned_dt(2.0, "nesterov", 0.9),
+                _mistuned_dt(1.0, "nesterov", 0.05),
+                _mistuned_dt(2.0, "polyak", 0.5),
+                _mistuned_dt(1.0, "hhb-pol", 0.525),
+                _mistuned_dt(1.0, "hhb-nes", 0.5),
+                _mistuned_dt(2.0, "hihb-nes", 0.7875)]
+    stacked = solve_many(problems, 78)
+    assert [_bits(r) for r in stacked] == [_bits(solve_feasibility(p, 78))
+                                           for p in problems]
+    assert [r.status for r in stacked] == [FEASIBLE, INDETERMINATE, INFEASIBLE,
+                                           INDETERMINATE, FEASIBLE, INFEASIBLE]
+    assert stacked[1].message.startswith("Newton system not positive definite")
+    assert stacked[1].oracle_calls < 78
+    assert stacked[3].message.startswith("oracle budget exhausted")
+    assert stacked[3].oracle_calls == 78
+    for i in (1, 3):
+        # an undecided result reports its best point and that point's worst
+        # eigenvalue
+        top = max(np.linalg.eigvalsh(blk.value(stacked[i].v))[-1]
+                  for blk in problems[i].compiled_blocks())
+        assert abs(top - stacked[i].worst_eig) <= 1e-9
+
+
+def test_solve_many_groups_shapes_and_keeps_input_order():
+    # a dt problem, a bounds conflict decided before any evaluation, a
+    # problem without free variables and a small bounded one, interleaved
+    amap = AffineMatrixMap(constant=-np.eye(2), basis=[(0, np.eye(2))])
+    problems = [_mistuned_dt(10.0, "nesterov", 0.99),
+                FeasProblem(nvar=1, nsd_blocks=[amap], normalization=np.array([1.0]),
+                            bounds=[(2.0, 3.0)]),
+                FeasProblem(nvar=0, nsd_blocks=[AffineMatrixMap(-np.eye(2), [])]),
+                _scalar_problem(),
+                _mistuned_dt(10.0, "polyak", 0.05)]
+    stacked = solve_many(problems, 120, [None, None, None, np.array([0.3]), None])
+    alone = [solve_feasibility(p, 120, v) for p, v in
+             zip(problems, [None, None, None, np.array([0.3]), None])]
+    assert [_bits(r) for r in stacked] == [_bits(r) for r in alone]
+    assert [r.status for r in stacked] == [FEASIBLE, INFEASIBLE, FEASIBLE, FEASIBLE,
+                                           INFEASIBLE]
+    assert solve_many([]) == []
+    with pytest.raises(ValueError, match="one v_init per problem"):
+        solve_many(problems, 10, [None])
+
+
+@st.composite
+def _dt_problems(draw):
+    mu = draw(st.floats(0.1, 2.0))
+    L = mu * draw(st.floats(1.0, 200.0))
+    beta_hi = draw(st.floats(0.0, 1.0))
+    return dt_problem(DtLmiData(
+        sys=dt_system(draw(st.floats(0.01, 2.0)) / L, beta_hi,
+                      draw(st.floats(0.0, beta_hi)), draw(st.sampled_from((POL, NES)))),
+        mu=mu, lipschitz=L, rho=draw(st.floats(0.05, 1.0))))
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(st.lists(_dt_problems(), min_size=2, max_size=5), st.integers(1, 60))
+def test_stacked_dt_solves_equal_single_solves(problems, budget):
+    stacked = solve_many(problems, budget)
+    assert [_bits(r) for r in stacked] == [_bits(solve_feasibility(p, budget))
+                                           for p in problems]
