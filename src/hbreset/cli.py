@@ -201,6 +201,25 @@ class ExperimentConfig:
             _require_positive("--dt", self.dt)
             if self.t_min is not None:
                 _require_positive("--t-min", self.t_min)
+            if not (math.isfinite(self.K) and self.K >= 0.0):
+                raise ValueError(f"--K must be finite and nonnegative, got {self.K}")
+            for flag, value in (("--K-lo", self.K_lo), ("--K-hi", self.K_hi)):
+                if value is not None:
+                    _require_positive(flag, value)
+            K_lo, K_hi = self.damping_pair()
+            if K_lo > K_hi:
+                raise ValueError(f"--K-lo must not exceed --K-hi, got {K_lo} > {K_hi}")
+            for flag, point in (("--q0", self.q0), ("--p0", self.p0)):
+                if point is not None and not all(math.isfinite(v) for v in point):
+                    raise ValueError(f"{flag} entries must be finite, got {point}")
+
+    def damping_pair(self) -> tuple[float, float]:
+        """The simulate damping pair (K_lo, K_hi); an unset one is K. The
+        pair only drives hihb arcs, so an undamped hb/hhb run (K = 0) falls
+        back to 1 rather than trip the pair's positivity contract."""
+        fallback = self.K if self.K > 0.0 else 1.0
+        return (self.K_lo if self.K_lo is not None else fallback,
+                self.K_hi if self.K_hi is not None else fallback)
 
     def resolved_json(self) -> str:
         # the output path is excluded so bytes do not depend on where the
@@ -594,13 +613,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     p0 = np.zeros(model.dim) if cfg.p0 is None else np.array(cfg.p0, dtype=float)
     if q0.shape != (model.dim,) or p0.shape != (model.dim,):
         raise ValueError(f"q0/p0 must have the model dimension {model.dim}")
-    # the damping pair only drives hihb arcs; an undamped hb/hhb run
-    # (K=0) must not trip its positivity contract
-    pair_fallback = cfg.K if cfg.K > 0.0 else 1.0
+    K_lo, K_hi = cfg.damping_pair()
     params = HybridParams(
-        K=cfg.K,
-        K_lo=cfg.K_lo if cfg.K_lo is not None else pair_fallback,
-        K_hi=cfg.K_hi if cfg.K_hi is not None else pair_fallback,
+        K=cfg.K, K_lo=K_lo, K_hi=K_hi,
         T_min=cfg.t_min if cfg.t_min is not None else default_dwell(model.lipschitz),
         step=cfg.dt)
     z0 = HybridState(q=q0, p=p0, tau=0.0)

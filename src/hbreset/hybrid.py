@@ -5,6 +5,15 @@ hybrid variant that jumps (q, p, tau) -> (q, 0, 0) once the timer tau
 exceeds the dwell time T_min and <grad phi(q), p> >= 0, and the switched
 variant that swaps the damping between K_lo and K_hi on the same sign
 condition. Fixed-step classical RK4 with bisection event localization.
+
+On a quadratic model (one with `ObjectiveModel.hessian`) the flow is
+linear, so one full RK4 step is an affine map of the state whose matrix
+is the step's stability polynomial R(hA). Such arcs skip ahead through
+steps with no event a block at a time: each step is one matvec, and the
+block's values and gradients come from one stacked oracle call. Event
+steps (a jump, a change of damping at any stage, the gradient stop), the
+short last step and every step of a non-quadratic model take the stage
+path, `_rk4`, which evaluates the oracle at each stage.
 """
 from __future__ import annotations
 
@@ -21,6 +30,8 @@ Array = np.ndarray
 
 GRAD_STOP = 1e-10
 MAX_EVENT_BISECTIONS = 100
+# full steps a skip-ahead block advances before its stacked oracle call
+BLOCK = 64
 
 
 @dataclass
@@ -32,8 +43,13 @@ class HybridState:
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
         self.p = np.asarray(self.p, dtype=float)
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        if not (math.isfinite(self.tau) and self.tau >= 0):
+            raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
+        if self.q.ndim != 1 or self.q.shape != self.p.shape:
+            raise ValueError(f"q and p must be 1-D of one shape, got {self.q.shape} "
+                             f"and {self.p.shape}")
+        if not (np.isfinite(self.q).all() and np.isfinite(self.p).all()):
+            raise ValueError("q and p must be finite")
 
 
 @dataclass
@@ -116,15 +132,22 @@ def _inner(model: ObjectiveModel, q: Array, p: Array) -> float:
     return float(np.dot(model.gradient(q), p))
 
 
-def _jumps(inner: float, tau: float, params: HybridParams) -> bool:
-    """The jump set: timer elapsed and momentum not opposing descent."""
-    return tau >= params.T_min and inner >= 0.0
+def _jumps(inner, tau, params: HybridParams):
+    """The jump set: timer elapsed and momentum not opposing descent.
+    Elementwise over arrays of inner products and timers."""
+    return (tau >= params.T_min) & (inner >= 0.0)
 
 
-def _damping(inner: float, params: HybridParams) -> float:
+def _damping(inner, params: HybridParams):
     """The damping switch: K_lo while momentum opposes descent by more than
-    event_tol, K_hi otherwise (near the boundary included)."""
-    return params.K_lo if inner < -params.event_tol else params.K_hi
+    event_tol, K_hi otherwise (near the boundary included). Elementwise
+    over an array of inner products."""
+    return np.where(inner < -params.event_tol, params.K_lo, params.K_hi)
+
+
+def _stopped(g) -> Array:
+    """The stop test: the gradient has vanished. Row-wise over a stack."""
+    return np.linalg.norm(g, axis=-1) <= GRAD_STOP
 
 
 def in_flow_set(state: HybridState, params: HybridParams, model: ObjectiveModel) -> bool:
@@ -134,7 +157,7 @@ def in_flow_set(state: HybridState, params: HybridParams, model: ObjectiveModel)
 
 
 def in_jump_set(state: HybridState, params: HybridParams, model: ObjectiveModel) -> bool:
-    return _jumps(_inner(model, state.q, state.p), state.tau, params)
+    return bool(_jumps(_inner(model, state.q, state.p), state.tau, params))
 
 
 def jump_map(state: HybridState) -> HybridState:
@@ -164,26 +187,61 @@ def _rk4(q: Array, p: Array, g: Array, dt: float, model: ObjectiveModel,
     return qn, pn
 
 
+def _propagator(H: Array, K: float, h: float) -> tuple[Array, Array]:
+    """(T, M) of one RK4 step of size h of the linear flow z' = A z + c,
+    z = [q; p], A = [[0, I], [-H, -K I]].
+
+    On an affine field the four stages are polynomials in hA applied to
+    f(z) = A z + c, and the step is z + M f(z) with M = h S(hA),
+    S(X) = I + X/2 + X^2/6 + X^3/24. A point z0 + d with f(z0) = f0
+    then steps to z0 + T d + M f0, where T = I + A M = R(hA) is the
+    step's stability polynomial I + X + X^2/2 + X^3/6 + X^4/24.
+    """
+    n = H.shape[0]
+    eye = np.eye(2 * n)
+    A = np.block([[np.zeros((n, n)), np.eye(n)], [-H, -K * np.eye(n)]])
+    X = h * A
+    S = eye + X / 4.0
+    S = eye + X @ S / 3.0
+    S = eye + X @ S / 2.0
+    M = h * S
+    return eye + A @ M, M
+
+
+def _stage_points(q: Array, p: Array, g: Array, h: float, K: float,
+                  H: Array) -> tuple[Array, Array]:
+    """The interior RK4 stage points of steps of size h from the rows of
+    (q, p), whose gradients are g, on the quadratic with Hessian H under
+    damping K: (3, B, n) positions and momenta for stages 2, 3 and 4."""
+    qs, ps = [], []
+    kq, kp = p, -K * p - g
+    for c in (0.5, 0.5, 1.0):
+        qs.append(q + c * h * kq)
+        ps.append(p + c * h * kp)
+        kq, kp = ps[-1], -K * ps[-1] - (g + (qs[-1] - q) @ H)
+    return np.array(qs), np.array(ps)
+
+
 class _ArcBuilder:
     def __init__(self):
-        self.t, self.j, self.q, self.p, self.tau, self.e = [], [], [], [], [], []
+        self.parts = []
         self.jumps = []
+
+    def rows(self, t: Array, j: int, q: Array, p: Array, tau: Array,
+             phi: Array) -> None:
+        """Record samples of flow interval j; phi = phi(q) row by row comes
+        from the caller's evaluation."""
+        self.parts.append((t, np.full(len(t), j), q, p, tau, phi))
 
     def sample(self, t: float, j: int, q: Array, p: Array, tau: float,
                phi: float) -> None:
-        """Record a sample; phi = phi(q) comes from the caller's evaluation."""
-        self.t.append(t)
-        self.j.append(j)
-        self.q.append(q.copy())
-        self.p.append(p.copy())
-        self.tau.append(tau)
-        self.e.append(float(phi) + 0.5 * float(np.dot(p, p)))
+        self.rows(np.array([t]), j, q[None], p[None], np.array([tau]),
+                  np.array([phi]))
 
     def build(self) -> HybridArc:
-        return HybridArc(
-            t=np.array(self.t), j=np.array(self.j, dtype=int),
-            q=np.array(self.q), p=np.array(self.p), tau=np.array(self.tau),
-            energy=np.array(self.e), jumps=self.jumps)
+        t, j, q, p, tau, phi = (np.concatenate(c) for c in zip(*self.parts))
+        return HybridArc(t=t, j=j, q=q, p=p, tau=tau,
+                         energy=phi + 0.5 * np.vecdot(p, p), jumps=self.jumps)
 
 
 def _check_t_end(t_end: float) -> None:
@@ -191,26 +249,100 @@ def _check_t_end(t_end: float) -> None:
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
 
 
-def integrate_hhb(model: ObjectiveModel, params: HybridParams, z0: HybridState,
-                  t_end: float) -> HybridArc:
-    """Simulate the hybrid system: flow under damping K, jump to (q, 0, 0).
+class _SkipAhead:
+    """Steps of a quadratic flow through its propagator, a block at a time.
 
-    RK4 fixed step; a jump triggers when tau >= T_min and the switching
-    function g = <grad phi(q), p> reaches 0 from below, localized by
-    bisection on the step to within event_tol in time.
+    Rows are the candidate states after 1, 2, ..., BLOCK full steps from
+    the block start: each row is one matvec from the one before, and all
+    rows get their values and gradients from one stacked oracle call. A
+    block ends before the first row that meets the stop test, enters the
+    jump set (resetting flows) or, on switched flows, would step under
+    another damping than the block's at any of its four stages; the caller
+    takes that step on the stage path.
+    """
+
+    def __init__(self, model: ObjectiveModel, params: HybridParams,
+                 t_end: float, resets: bool, switched: bool):
+        self.model, self.params, self.t_end = model, params, t_end
+        self.resets, self.switched = resets, switched
+        self.props = {}
+
+    def block(self, q: Array, p: Array, g: Array, t: float, tau: float):
+        """(t, tau, q, p, phi, g) of the accepted rows, or None when the
+        next step takes the stage path."""
+        params, model, H, h = self.params, self.model, self.model.hessian, self.params.step
+        # the loop's own sequential additions, so t reaches t_end exactly
+        # where the stage path would and the short last step is left to it
+        ts = np.cumsum(np.concatenate(([t], np.full(BLOCK, h))))
+        starts = ts[:-1]
+        rows = int(np.count_nonzero((starts < self.t_end - 1e-15)
+                                    & (self.t_end - starts >= h)))
+        if rows == 0:
+            return None
+        K = float(_damping(float(np.dot(g, p)), params)) if self.switched else params.K
+        if K not in self.props:
+            self.props[K] = _propagator(H, K, h)
+        T, M = self.props[K]
+        n = q.shape[0]
+        w = M @ np.concatenate((p, -K * p - g))
+        D = np.empty((rows, 2 * n))
+        D[0] = w
+        for i in range(1, rows):
+            D[i] = T @ D[i - 1] + w
+        Q, P = q + D[:, :n], p + D[:, n:]
+        phi, G = model.value_grad(Q)
+        inner = np.vecdot(G, P)
+        stop = _stopped(G)
+        if self.resets:
+            taus = np.cumsum(np.concatenate(([tau], np.full(rows, h))))[1:]
+            stop |= _jumps(inner, taus, params)
+        else:
+            taus = np.full(rows, tau)
+        if self.switched:
+            # stage 1 of a row's step is its predecessor; stages 2-4 are
+            # placed by H and evaluated by the oracle
+            stop[1:] |= _damping(inner[:-1], params) != K
+            Qs, Ps = _stage_points(np.vstack((q, Q[:-1])), np.vstack((p, P[:-1])),
+                                   np.vstack((g, G[:-1])), h, K, H)
+            _, Gs = model.value_grad(Qs.reshape(-1, n))
+            Ks = _damping(np.vecdot(Gs, Ps.reshape(-1, n)), params).reshape(3, rows)
+            stop |= (Ks != K).any(axis=0)
+        r = int(np.argmax(stop)) if stop.any() else rows
+        if r == 0:
+            return None
+        return ts[1:r + 1], taus[:r], Q[:r], P[:r], phi[:r], G[:r]
+
+
+def _integrate(model: ObjectiveModel, params: HybridParams, z0: HybridState,
+               t_end: float, resets: bool, switched: bool) -> HybridArc:
+    """An RK4 arc of (qdot, pdot) = (p, -K p - grad phi(q)).
+
+    K is params.K, or the damping switch re-evaluated at each RK4 stage
+    when switched. A resetting arc jumps (q, p, tau) -> (q, 0, 0) when
+    tau >= T_min and the switching function <grad phi(q), p> reaches 0
+    from below, localized by bisection on the step to within event_tol
+    in time; other arcs keep j = 0 and tau = 0. A quadratic model skips
+    ahead through its event-free full steps (`_SkipAhead`); every other
+    step takes the stage path, `_rk4`.
     """
     _check_t_end(t_end)
+    if switched:
+        def accel(g, p):
+            return -_damping(float(np.dot(g, p)), params) * p - g
+    else:
+        def accel(g, p):
+            return -params.K * p - g
 
-    def accel(g, p):
-        return -params.K * p - g
-
+    skip = (_SkipAhead(model, params, t_end, resets, switched)
+            if model.hessian is not None else None)
     arc = _ArcBuilder()
-    q, p, tau = z0.q.astype(float).copy(), z0.p.astype(float).copy(), float(z0.tau)
+    q, p = z0.q.astype(float).copy(), z0.p.astype(float).copy()
+    tau = float(z0.tau) if resets else 0.0
     t, j = 0.0, 0
     phi, g = model.value_grad(q)
 
     # a start inside the jump set jumps immediately
-    if _jumps(float(np.dot(g, p)), tau, params):
+    if resets and _jumps(float(np.dot(g, p)), tau, params):
         arc.sample(t, j, q, p, tau, phi)
         j += 1
         p = np.zeros_like(p)
@@ -219,12 +351,19 @@ def integrate_hhb(model: ObjectiveModel, params: HybridParams, z0: HybridState,
     arc.sample(t, j, q, p, tau, phi)
 
     while t < t_end - 1e-15:
-        if float(np.linalg.norm(g)) <= GRAD_STOP:
+        if _stopped(g):
             break
+        block = skip.block(q, p, g, t, tau) if skip is not None else None
+        if block is not None:
+            ts, taus, Q, P, phis, G = block
+            arc.rows(ts, j, Q, P, taus, phis)
+            t, tau = float(ts[-1]), float(taus[-1])
+            q, p, phi, g = Q[-1], P[-1], phis[-1], G[-1]
+            continue
         dt = min(params.step, t_end - t)
         q1, p1 = _rk4(q, p, g, dt, model, accel)
         phi1, g1 = model.value_grad(q1)
-        if _jumps(float(np.dot(g1, p1)), tau + dt, params):
+        if resets and _jumps(float(np.dot(g1, p1)), tau + dt, params):
             # earliest entry time into the jump set within (0, dt]
             lo, hi = 0.0, dt
             for _ in range(MAX_EVENT_BISECTIONS):
@@ -248,42 +387,33 @@ def integrate_hhb(model: ObjectiveModel, params: HybridParams, z0: HybridState,
             arc.jumps.append((t, j, q.copy()))
             arc.sample(t, j, q, p, tau, phi)
         else:
-            q, p, tau, t, phi, g = q1, p1, tau + dt, t + dt, phi1, g1
+            q, p, t, phi, g = q1, p1, t + dt, phi1, g1
+            if resets:
+                tau += dt
             arc.sample(t, j, q, p, tau, phi)
     return arc.build()
 
 
-def _flow(model: ObjectiveModel, params: HybridParams, x0: HybridState,
-          t_end: float, accel) -> HybridArc:
-    """An RK4 arc of (qdot, pdot) = (p, accel(grad phi(q), p)) with no
-    jumps: j stays 0 and tau is unused."""
-    _check_t_end(t_end)
-    arc = _ArcBuilder()
-    q, p = x0.q.astype(float).copy(), x0.p.astype(float).copy()
-    t = 0.0
-    phi, g = model.value_grad(q)
-    arc.sample(t, 0, q, p, 0.0, phi)
-    while t < t_end - 1e-15:
-        if float(np.linalg.norm(g)) <= GRAD_STOP:
-            break
-        dt = min(params.step, t_end - t)
-        q, p = _rk4(q, p, g, dt, model, accel)
-        t += dt
-        phi, g = model.value_grad(q)
-        arc.sample(t, 0, q, p, 0.0, phi)
-    return arc.build()
+def integrate_hhb(model: ObjectiveModel, params: HybridParams, z0: HybridState,
+                  t_end: float) -> HybridArc:
+    """Simulate the hybrid system: flow under damping K, jump to (q, 0, 0).
+
+    RK4 fixed step; a jump triggers when tau >= T_min and the switching
+    function g = <grad phi(q), p> reaches 0 from below, localized by
+    bisection on the step to within event_tol in time.
+    """
+    return _integrate(model, params, z0, t_end, resets=True, switched=False)
 
 
 def integrate_hihb(model: ObjectiveModel, params: HybridParams, x0: HybridState,
                    t_end: float) -> HybridArc:
     """Simulate the switched-damping flow; the damping switch is re-evaluated
-    at each RK4 stage."""
-    return _flow(model, params, x0, t_end,
-                 lambda g, p: -_damping(float(np.dot(g, p)), params) * p - g)
+    at each RK4 stage. No jumps: j and tau stay 0."""
+    return _integrate(model, params, x0, t_end, resets=False, switched=True)
 
 
 def integrate_hb(model: ObjectiveModel, params: HybridParams, x0: HybridState,
                  t_end: float) -> HybridArc:
     """Plain heavy-ball flow with damping K (no switching, no jumps); K = 0
     is the undamped flow."""
-    return _flow(model, params, x0, t_end, lambda g, p: -params.K * p - g)
+    return _integrate(model, params, x0, t_end, resets=False, switched=False)

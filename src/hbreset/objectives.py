@@ -26,7 +26,11 @@ class ObjectiveModel:
     value() and gradient() are the two halves of it, for callers that
     need only one. mu = 0 means the strong-convexity modulus is unknown
     or absent. minimizer/min_value are optional; when minimizer is given its
-    gradient must vanish to within 1e-8 * max(1, ||q*||).
+    gradient must vanish to within 1e-8 * max(1, ||q*||). hessian is the
+    constant Hessian of a quadratic phi, or None; value_grad stays the
+    source of every value and gradient, and a caller that has the
+    Hessian may use it only to move points (the hybrid integrators step
+    quadratic flows with it).
     """
 
     dim: int
@@ -35,6 +39,7 @@ class ObjectiveModel:
     value_grad: Callable[[Array], tuple[float, Array]]
     minimizer: Optional[Array] = None
     min_value: Optional[float] = None
+    hessian: Optional[Array] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -146,6 +151,7 @@ def quadratic_model(spec: QuadraticSpec) -> ObjectiveModel:
         value_grad=lambda q: quad_eval_grad(spec, q),
         minimizer=qstar,
         min_value=quad_eval_grad(spec, qstar)[0],
+        hessian=spec.Q,
     )
 
 

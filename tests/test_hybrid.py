@@ -30,8 +30,13 @@ def test_params_validation():
     with pytest.raises(ValueError):
         HybridParams(K_hi=math.inf)
     HybridParams(K=0.0)  # undamped hb/hhb runs stay legal
-    with pytest.raises(ValueError):
-        HybridState(q=np.zeros(1), p=np.zeros(1), tau=-1.0)
+    for tau in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau"):
+            HybridState(q=np.zeros(1), p=np.zeros(1), tau=tau)
+    for q, p in ((np.zeros(2), np.zeros(3)), (np.zeros((2, 2)), np.zeros((2, 2))),
+                 (np.array([math.nan]), np.zeros(1)), (np.zeros(1), np.array([math.inf]))):
+        with pytest.raises(ValueError, match="q and p"):
+            HybridState(q=q, p=p)
     z0 = HybridState(q=np.ones(1), p=np.zeros(1))
     for integrate in (integrate_hb, integrate_hhb, integrate_hihb):
         for t_end in (math.nan, math.inf, 0.0, -1.0):
@@ -47,7 +52,8 @@ def test_hihb_four_oracle_calls_per_step():
         calls.append(1)
         return base.value_grad(q)
 
-    model = dataclasses.replace(base, value_grad=value_grad)
+    # hessian=None: the stage path, which the skip-ahead of quadratics bypasses
+    model = dataclasses.replace(base, value_grad=value_grad, hessian=None)
     calls.clear()
     par = HybridParams(K_lo=0.5, K_hi=2.0, step=1e-2)
     arc = integrate_hihb(model, par, HybridState(q=np.ones(3), p=np.zeros(3)), 1.0)
@@ -56,6 +62,54 @@ def test_hihb_four_oracle_calls_per_step():
     # three new RK4 stages per step plus the end point, which the next
     # step's first stage and the energy sample share
     assert len(calls) == 4 * steps + 1
+
+
+def _two_path_cases():
+    """(integrator, model, params, start, t_end): the criterion 10 arcs and
+    the benchmark's n = 10 arcs, with hihb both switching and not. Built
+    at collection; each model is a few small matrices."""
+    osc = scalar_model(1.0)
+    _, m2 = gen_random_quadratic(2, 30.0, 5)
+    _, m3 = gen_random_quadratic(3, 50.0, 8)
+    z2 = HybridState(q=np.random.default_rng(5).uniform(-3.0, 3.0, 2), p=np.zeros(2))
+    z3 = HybridState(q=np.random.default_rng(8).uniform(-2.0, 2.0, 3), p=np.zeros(3))
+    cases = [
+        (integrate_hhb, osc, HybridParams(K=0.0, T_min=1e-3, step=1e-3),
+         HybridState(q=np.array([1.0]), p=np.array([0.0])), 3.0),
+        (integrate_hhb, m2, HybridParams(K=0.2, T_min=0.05, step=1e-3), z2, 20.0),
+        (integrate_hhb, m3, HybridParams(K=0.5, T_min=0.02, step=1e-3), z3, 10.0),
+        (integrate_hihb, m3, HybridParams(K=1.0, K_lo=0.5, K_hi=4.0, T_min=0.02,
+                                          step=1e-3), z3, 10.0),
+        (integrate_hb, m3, HybridParams(K=0.5, step=1e-3), z3, 10.0),
+    ]
+    for seed in (3, 7):
+        _, m10 = gen_random_quadratic(10, 1e3, seed)
+        z10 = HybridState(q=np.ones(10), p=np.zeros(10))
+        T_min = default_dwell(m10.lipschitz)
+        for integrate, par in ((integrate_hb, HybridParams(K=1.0, T_min=T_min)),
+                               (integrate_hhb, HybridParams(K=1.0, T_min=T_min)),
+                               (integrate_hihb, HybridParams(K_lo=1.0, K_hi=1.0, T_min=T_min)),
+                               (integrate_hihb, HybridParams(K_lo=0.5, K_hi=2.0, T_min=T_min))):
+            cases.append((integrate, m10, par, z10, 4.0))
+    return cases
+
+
+@pytest.mark.parametrize("integrate, model, par, z0, t_end", _two_path_cases())
+def test_propagator_path_matches_stage_path(integrate, model, par, z0, t_end):
+    # a model with a Hessian skips ahead through its event-free full steps;
+    # without one every step takes the RK4 stages. Both step the same RK4
+    # map, so they agree to round-off. Energy crosses zero on these arcs,
+    # so differences are relative to each column's largest magnitude.
+    assert model.hessian is not None
+    fast = integrate(model, par, z0, t_end)
+    ref = integrate(dataclasses.replace(model, hessian=None), par, z0, t_end)
+    assert len(fast) == len(ref) and len(fast.jumps) == len(ref.jumps)
+    np.testing.assert_array_equal(fast.j, ref.j)
+    np.testing.assert_allclose([tj for tj, _, _ in fast.jumps],
+                               [tj for tj, _, _ in ref.jumps], rtol=0, atol=1e-6)
+    for got, want in ((fast.q, ref.q), (fast.p, ref.p), (fast.energy, ref.energy)):
+        scale = max(1.0, float(np.max(np.abs(want))))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * scale)
 
 
 def test_default_dwell_scales_with_stiffness():
