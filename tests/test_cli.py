@@ -105,18 +105,6 @@ def test_validation_rejects_bad_configs():
     (["simulate", "--t-min", "nan"], "--t-min"),
     (["simulate", "--t-min", "0"], "--t-min"),
     (["simulate", "--model", "gen", "--seed", "1", "--t-min=-1"], "--t-min"),
-    (["simulate", "--K", "nan"], "--K must"),
-    (["simulate", "--K", "inf"], "--K must"),
-    (["simulate", "--mode", "hb", "--K=-1"], "--K must"),
-    (["simulate", "--mode", "hihb", "--K-lo", "0"], "--K-lo"),
-    (["simulate", "--mode", "hihb", "--K-lo", "nan"], "--K-lo"),
-    (["simulate", "--mode", "hihb", "--K-hi", "inf"], "--K-hi"),
-    (["simulate", "--mode", "hihb", "--K-hi=-2"], "--K-hi"),
-    (["simulate", "--mode", "hihb", "--K-lo", "2", "--K-hi", "1"], "--K-lo"),
-    (["simulate", "--mode", "hihb", "--K-lo", "2"], "--K-lo"),
-    (["simulate", "--q0", "nan"], "--q0"),
-    (["simulate", "--model", "gen", "--seed", "1", "--q0", "1,inf"], "--q0"),
-    (["simulate", "--p0", "nan"], "--p0"),
     (["quad", "--seed", "1", "--h", "nan"], "--h"),
     (["quad", "--seed", "1", "--h=-1"], "--h"),
     (["quad", "--seed", "1", "--h", "0"], "--h"),
@@ -141,6 +129,18 @@ def test_validation_rejects_bad_configs():
      "--m must"),
     (["logreg", "--seed", "1", "--budget", "0"], "--budget"),
     (["tune", "--seed", "1", "--method", "gd", "--budget=-3"], "--budget"),
+    (["simulate", "--K", "nan"], "--K must"),
+    (["simulate", "--K", "inf"], "--K must"),
+    (["simulate", "--mode", "hb", "--K=-1"], "--K must"),
+    (["simulate", "--mode", "hihb", "--K-lo", "0"], "--K-lo"),
+    (["simulate", "--mode", "hihb", "--K-lo", "nan"], "--K-lo"),
+    (["simulate", "--mode", "hihb", "--K-hi", "inf"], "--K-hi"),
+    (["simulate", "--mode", "hihb", "--K-hi=-2"], "--K-hi"),
+    (["simulate", "--mode", "hihb", "--K-lo", "2", "--K-hi", "1"], "--K-lo"),
+    (["simulate", "--mode", "hihb", "--K-lo", "2"], "--K-lo"),
+    (["simulate", "--q0", "nan"], "--q0"),
+    (["simulate", "--model", "gen", "--seed", "1", "--q0", "1,inf"], "--q0"),
+    (["simulate", "--p0", "nan"], "--p0"),
 ])
 def test_validation_names_the_flag_of_an_edge_input(argv, flag, tmp_path):
     with pytest.raises(ValueError, match=flag):
