@@ -23,8 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .discrete import (AlgoParams, Trajectory, Variant, count_nonmonotone, run,
-                       run_many)
+# run is not called here; bench/tracing.py patches it by this name
+from .discrete import (AlgoParams, Trajectory, Variant, count_nonmonotone,  # noqa: F401
+                       run, run_many)
 from .hybrid import (HybridParams, HybridState, default_dwell, integrate_hb,
                      integrate_hhb, integrate_hihb)
 # bisect_rate is not called here; bench/tracing.py patches it by this name
@@ -165,10 +166,17 @@ class ExperimentConfig:
                 raise ValueError(f"--n must be at least 1, got {self.n}")
             if self.m < 1:
                 raise ValueError(f"--m must be at least 1, got {self.m}")
-        if (self.subcommand in ("logreg", "tune") and self.budget is not None
-                and self.budget < 1):
-            # with no iterations every tuner candidate scores phi(q0)
-            raise ValueError(f"--budget must be at least 1, got {self.budget}")
+        if self.subcommand in ("logreg", "tune"):
+            if self.budget is not None and self.budget < 1:
+                # with no iterations every tuner candidate scores phi(q0)
+                raise ValueError(f"--budget must be at least 1, got {self.budget}")
+            # the stepsize search runs over [log10 h_lo, log10 h_hi]
+            for flag, value in (("--h-lo", self.h_lo), ("--h-hi", self.h_hi)):
+                if value is not None:
+                    _require_positive(flag, value)
+            if self.h_lo is not None and self.h_hi is not None and self.h_lo > self.h_hi:
+                raise ValueError(f"--h-lo must not exceed --h-hi, "
+                                 f"got {self.h_lo} > {self.h_hi}")
         if (self.subcommand in ("quad", "logreg") and self.iters is not None
                 and self.iters < 0):
             raise ValueError(f"--iters must be nonnegative, got {self.iters}")
@@ -186,6 +194,10 @@ class ExperimentConfig:
             bad = set(self.methods or ()) - set(LOGREG_METHODS)
             if bad:
                 raise ValueError(f"unknown logreg methods: {sorted(bad)}")
+            _require_positive("--ref-tol", self.ref_tol)
+            if self.ref_max_iter < 1:
+                raise ValueError(f"--ref-max-iter must be at least 1, "
+                                 f"got {self.ref_max_iter}")
         if self.subcommand == "tune" and self.method not in LOGREG_METHODS:
             raise ValueError(f"--method must be one of {LOGREG_METHODS}")
         if self.subcommand == "simulate":
@@ -418,22 +430,35 @@ def cmd_quad(cfg: ExperimentConfig) -> int:
 # tuning
 
 
-def golden_min(f, lo: float, hi: float, iters: int):
-    """Golden-section search; deterministic, returns (x, f(x))."""
+def _golden(lo: float, hi: float, iters: int):
+    """Golden-section search as a generator: yields each probe x, is sent
+    f(x), and returns (x, f(x)) of the better final point."""
     a, b = float(lo), float(hi)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    fc = yield c
+    fd = yield d
     for _ in range(iters):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = f(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = f(d)
+            fd = yield d
     return (c, fc) if fc <= fd else (d, fd)
+
+
+def golden_min(f, lo: float, hi: float, iters: int):
+    """Golden-section search; deterministic, returns (x, f(x))."""
+    search = _golden(lo, hi, iters)
+    x = next(search)
+    while True:
+        try:
+            x = search.send(f(x))
+        except StopIteration as done:
+            return done.value
 
 
 def tune_params(method: str, h: float, beta: float) -> AlgoParams:
@@ -452,41 +477,92 @@ def tune_params(method: str, h: float, beta: float) -> AlgoParams:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _phi_at_budget(method: str, h: float, beta: float, model: ObjectiveModel,
-                   q0, budget: int) -> float:
-    try:
-        traj = run(model, tune_params(method, h, beta), q0, budget)
-    except FloatingPointError:
-        return float("inf")
-    return traj.phi if np.isfinite(traj.phi) else float("inf")
+def _drive(search, f):
+    """Drive a `_golden` search whose f(x) is itself a generator of probes:
+    yields what each f(x) yields and returns the search's (x, f(x))."""
+    x = next(search)
+    while True:
+        fx = yield from f(x)
+        try:
+            x = search.send(fx)
+        except StopIteration as done:
+            return done.value
 
 
-def tune_method(method: str, model: ObjectiveModel, q0, budget: int,
-                h_lo: float, h_hi: float, outer_iters: int = 16,
-                inner_iters: int = 12) -> dict:
-    """Nested interval search: stepsize outer (log scale), momentum inner.
+def _probe(h: float, beta: float):
+    """Yield one (h, beta) probe; return the score sent back for it."""
+    return (yield h, beta)
 
-    Minimizes phi after `budget` iterations; phi and the phi-gap have the
-    same argmin, so no reference optimum is needed to tune.
-    """
+
+def _tune_search(method: str, h_lo: float, h_hi: float, outer_iters: int,
+                 inner_iters: int):
+    """One method's nested interval search as a generator: stepsize outer
+    (log scale), momentum inner. Yields (h, beta) probes, is sent each
+    probe's score, and returns the best (h, beta, score) it probed."""
     has_beta = method in ("polyak", "hhb", "hihb")
-    best = {"phi": float("inf"), "h": h_lo, "beta": None}
+    best = (h_lo, None, float("inf"))
 
-    def eval_h(lh: float) -> float:
+    def score_h(lh: float):
+        nonlocal best
         h = 10.0 ** lh
         if has_beta:
-            beta, val = golden_min(
-                lambda b: _phi_at_budget(method, h, b, model, q0, budget),
-                0.0, 0.995, inner_iters)
+            beta, val = yield from _drive(_golden(0.0, 0.995, inner_iters),
+                                          lambda b: _probe(h, b))
         else:
-            beta, val = None, _phi_at_budget(method, h, 0.0, model, q0, budget)
-        if val < best["phi"]:
-            best.update(phi=val, h=h, beta=beta)
+            beta, val = None, (yield from _probe(h, 0.0))
+        if val < best[2]:
+            best = (h, beta, val)
         return val
 
-    golden_min(eval_h, math.log10(h_lo), math.log10(h_hi), outer_iters)
-    return {"method": method, "h": best["h"], "beta": best["beta"],
-            "phi_at_budget": best["phi"], "budget": int(budget)}
+    yield from _drive(_golden(math.log10(h_lo), math.log10(h_hi), outer_iters),
+                      score_h)
+    return best
+
+
+def _scores(model: ObjectiveModel, params: list[AlgoParams], q0,
+            budget: int) -> list[float]:
+    """phi after `budget` iterations of each run, inf for a run that
+    diverges or meets a non-finite gradient. The runs step as one
+    run_many; if that raises, each run is scored alone, so only the run
+    that raised scores inf."""
+    try:
+        trajs = run_many(model, params, q0, budget)
+    except FloatingPointError:
+        if len(params) == 1:
+            return [float("inf")]
+        return [score for p in params for score in _scores(model, [p], q0, budget)]
+    return [t.phi if np.isfinite(t.phi) else float("inf") for t in trajs]
+
+
+def tune_method(methods: Sequence[str], model: ObjectiveModel, q0, budget: int,
+                h_lo: float, h_hi: float, outer_iters: int = 16,
+                inner_iters: int = 12) -> list[dict]:
+    """Tune each of methods by its own nested interval search, in lockstep.
+
+    Each search minimizes phi after `budget` iterations; phi and the
+    phi-gap have the same argmin, so no reference optimum is needed to
+    tune. The searches are independent, so every round advances each
+    live search by one probe and scores the round's probes with one
+    run_many call (`_scores`). A search sees the scores it would see
+    alone, so it makes the same picks. Returns one dict per method, in
+    order.
+    """
+    searches = [_tune_search(m, h_lo, h_hi, outer_iters, inner_iters)
+                for m in methods]
+    probes = [next(search) for search in searches]
+    found: list = [None] * len(searches)
+    live = list(range(len(searches)))
+    while live:
+        scores = _scores(model, [tune_params(methods[i], *probes[i]) for i in live],
+                         q0, budget)
+        for i, score in zip(live, scores):
+            try:
+                probes[i] = searches[i].send(score)
+            except StopIteration as done:
+                found[i] = done.value
+        live = [i for i in live if found[i] is None]
+    return [{"method": m, "h": h, "beta": beta, "phi_at_budget": phi,
+             "budget": int(budget)} for m, (h, beta, phi) in zip(methods, found)]
 
 
 def cmd_tune(cfg: ExperimentConfig) -> int:
@@ -506,7 +582,7 @@ def cmd_tune(cfg: ExperimentConfig) -> int:
     lhat = model.lipschitz
     h_lo = cfg.h_lo if cfg.h_lo is not None else 1e-3 / lhat
     h_hi = cfg.h_hi if cfg.h_hi is not None else 10.0 / lhat
-    result = tune_method(cfg.method, model, q0, cfg.budget, h_lo, h_hi)
+    result, = tune_method([cfg.method], model, q0, cfg.budget, h_lo, h_hi)
     result.update(obj)
     result["seed"] = int(cfg.seed)
     path = os.path.join(out, "tuned.json")
@@ -565,17 +641,19 @@ def cmd_logreg(cfg: ExperimentConfig) -> int:
     q0 = logreg_start(cfg.seed, cfg.n)
     h_lo = cfg.h_lo if cfg.h_lo is not None else 1e-3 / lhat
     h_hi = cfg.h_hi if cfg.h_hi is not None else 10.0 / lhat
+    tuned = tune_method(cfg.methods, model, q0, cfg.budget, h_lo, h_hi)
+    # the final runs share q0 as well, so they step together
+    trajs = run_many(model, [tune_params(t["method"], t["h"], t["beta"] or 0.0)
+                             for t in tuned], q0, cfg.iters)
     tuned_all = {}
     series = []
     rows = []
-    for method in cfg.methods:
-        tuned = tune_method(method, model, q0, cfg.budget, h_lo, h_hi)
-        tuned_all[method] = tuned
-        beta = tuned["beta"] if tuned["beta"] is not None else 0.0
-        traj = run(model, tune_params(method, tuned["h"], beta), q0, cfg.iters)
+    for t, traj in zip(tuned, trajs):
+        method = t["method"]
+        tuned_all[method] = t
         traj.to_csv(os.path.join(out, f"traj_{method}.csv"))
         reach = traj.iterations_to_gap(GAP_TARGET)
-        rows.append((method, tuned["h"], tuned["beta"], traj.phi_gaps[-1],
+        rows.append((method, t["h"], t["beta"], traj.phi_gaps[-1],
                      -1 if reach is None else reach, traj.status))
         series.append((method, list(range(len(traj))), traj.phi_gaps))
     with open(os.path.join(out, "tuned.json"), "w") as fh:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,7 +30,11 @@ class ObjectiveModel:
     constant Hessian of a quadratic phi, or None; value_grad stays the
     source of every value and gradient, and a caller that has the
     Hessian may use it only to move points (the hybrid integrators step
-    quadratic flows with it).
+    quadratic flows with it). discrete.run_many (and so the logreg
+    tuner) and the hybrid skip-ahead also pass value_grad a (B, n) stack
+    of points, for (B,) values and (B, n) gradients; quad_eval_grad and
+    logistic_eval_grad take one, and give each row the bits of its point
+    alone.
     """
 
     dim: int
@@ -91,10 +95,15 @@ class QuadraticSpec:
 
 @dataclass
 class LogisticSpec:
-    """Full-batch logistic regression data: features theta (n x m), labels in {-1,+1}."""
+    """Full-batch logistic regression data: features theta (n x m), labels in {-1,+1}.
+
+    signed is theta with column i scaled by -b_i, built once: margins and
+    gradients are then one matrix product each.
+    """
 
     features: Array
     labels: Array
+    signed: Array = field(init=False, repr=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -107,6 +116,7 @@ class LogisticSpec:
             raise ValueError("need at least one observation")
         if not np.all(np.abs(self.labels) == 1.0):
             raise ValueError("labels must be exactly +1 or -1")
+        self.signed = self.features * -self.labels
 
     @property
     def dim(self) -> int:
@@ -200,15 +210,24 @@ def logistic_eval_grad(spec: LogisticSpec, q: Array) -> tuple[float, Array]:
     """Value sum_i log(1 + exp(-b_i theta_i'q)) and its gradient.
 
     Stable for |theta_i'q| up to 1e3 and beyond: log(1+exp(z)) is
-    computed as max(z,0) + log1p(exp(-|z|)) via logaddexp.
+    computed as max(z,0) + log1p(exp(-|z|)) via logaddexp. The margins
+    z = -b_i theta_i'q and the gradient sum_i -b_i theta_i expit(z_i) are
+    products with spec.signed; as the labels are exactly +-1, every sign
+    flip is exact and the bits are those of scaling by the labels after
+    the products. q is one point (n,) or a (B, n) stack, which gives (B,)
+    values and (B, n) gradients, each row with the bits that its point
+    gets alone (one gemv each way per row, as quad_eval_grad does).
     """
     q = np.asarray(q, dtype=float)
-    if q.shape != (spec.dim,):
+    A = spec.signed
+    if q.shape == (spec.dim,):
+        z = A.T @ q
+        return float(np.logaddexp(0.0, z).sum()), A @ _expit()(z)
+    if q.ndim != 2 or q.shape[1] != spec.dim:
         raise ValueError(f"point of dim {q.shape} does not match spec dim {spec.dim}")
-    z = -spec.labels * (spec.features.T @ q)
-    value = float(np.logaddexp(0.0, z).sum())
-    grad = -(spec.features @ (spec.labels * _expit()(z)))
-    return value, grad
+    z = np.matmul(A.T, q[..., None])[..., 0]
+    grad = np.matmul(A, _expit()(z)[..., None])[..., 0]
+    return np.logaddexp(0.0, z).sum(axis=-1), grad
 
 
 def logistic_lipschitz(spec: LogisticSpec) -> float:

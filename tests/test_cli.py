@@ -17,8 +17,11 @@ from hbreset.cli import (ExperimentConfig, LOGREG_METHODS, SWEEP_HEADER,
                          golden_min, logreg_start, main, quad_params,
                          read_sweep, replot_sweep, tail_slope, tune_method,
                          tune_params)
+from hbreset.discrete import run
 from hbreset.lmi import build_dt
-from hbreset.objectives import gen_random_quadratic, quad_from_json, quad_to_json
+from hbreset.objectives import (QuadraticSpec, gen_logistic_dataset,
+                                gen_random_quadratic, logistic_model,
+                                quad_from_json, quad_to_json, quadratic_model)
 from hbreset.sdp import problem_from_json
 
 
@@ -141,6 +144,23 @@ def test_validation_rejects_bad_configs():
     (["simulate", "--q0", "nan"], "--q0"),
     (["simulate", "--model", "gen", "--seed", "1", "--q0", "1,inf"], "--q0"),
     (["simulate", "--p0", "nan"], "--p0"),
+    (["logreg", "--seed", "1", "--iters", "5", "--h-lo", "0"], "--h-lo"),
+    (["logreg", "--seed", "1", "--iters", "5", "--h-lo=-1"], "--h-lo"),
+    (["tune", "--seed", "1", "--method", "gd", "--h-lo", "0"], "--h-lo"),
+    (["tune", "--seed", "1", "--method", "gd", "--h-lo=-1"], "--h-lo"),
+    (["logreg", "--seed", "1", "--iters", "5", "--h-hi", "nan"], "--h-hi"),
+    (["logreg", "--seed", "1", "--iters", "5", "--h-hi", "inf"], "--h-hi"),
+    (["tune", "--seed", "1", "--method", "gd", "--h-hi", "nan"], "--h-hi"),
+    (["tune", "--seed", "1", "--method", "gd", "--h-hi", "inf"], "--h-hi"),
+    (["logreg", "--seed", "1", "--iters", "5", "--h-lo", "1", "--h-hi", "0.001"],
+     "--h-lo"),
+    (["tune", "--seed", "1", "--method", "gd", "--h-lo", "1", "--h-hi", "0.001"],
+     "--h-lo"),
+    (["logreg", "--seed", "1", "--iters", "5", "--ref-tol=-1"], "--ref-tol"),
+    (["logreg", "--seed", "1", "--iters", "5", "--ref-tol", "nan"], "--ref-tol"),
+    (["logreg", "--seed", "1", "--iters", "5", "--ref-tol", "0"], "--ref-tol"),
+    (["logreg", "--seed", "1", "--iters", "5", "--ref-max-iter=-5"], "--ref-max-iter"),
+    (["logreg", "--seed", "1", "--iters", "5", "--ref-max-iter", "0"], "--ref-max-iter"),
 ])
 def test_validation_names_the_flag_of_an_edge_input(argv, flag, tmp_path):
     with pytest.raises(ValueError, match=flag):
@@ -151,8 +171,8 @@ def test_validation_names_the_flag_of_an_edge_input(argv, flag, tmp_path):
 def test_edge_checks_apply_only_where_the_value_is_used():
     # configs that carry an unused non-finite cond or mu, a zero curv, an
     # empty methods tuple, or an unused bad h, K, dt, t_min, iters, cond,
-    # n, m, budget, mu or grid_L were accepted before these checks and
-    # still are
+    # n, m, budget, mu, grid_L, h_lo, h_hi, ref_tol or ref_max_iter were
+    # accepted before these checks and still are
     nan = float("nan")
     for cfg in (ExperimentConfig(subcommand="logreg", seed=1, cond=nan, mu=nan),
                 ExperimentConfig(subcommand="tune", seed=1, method="gd",
@@ -170,7 +190,17 @@ def test_edge_checks_apply_only_where_the_value_is_used():
                 ExperimentConfig(subcommand="simulate", n=1, cond=0.5, m=0),
                 ExperimentConfig(subcommand="tune", seed=1, method="gd",
                                  objective="logreg", cond=0.5),
-                ExperimentConfig(subcommand="tune", seed=1, method="gd", m=0)):
+                ExperimentConfig(subcommand="tune", seed=1, method="gd", m=0),
+                ExperimentConfig(subcommand="quad", seed=1, h_lo=0.0, h_hi=nan,
+                                 ref_tol=-1.0, ref_max_iter=-5),
+                ExperimentConfig(subcommand="certify", h_lo=1.0, h_hi=1e-3,
+                                 ref_tol=nan, ref_max_iter=0),
+                ExperimentConfig(subcommand="simulate", h_lo=-1.0, h_hi=math.inf,
+                                 ref_tol=0.0),
+                ExperimentConfig(subcommand="tune", seed=1, method="gd",
+                                 objective="logreg", ref_tol=nan, ref_max_iter=-5),
+                ExperimentConfig(subcommand="tune", seed=1, method="gd",
+                                 ref_tol=-1.0, ref_max_iter=0)):
         cfg.with_defaults().validate()
 
 
@@ -479,20 +509,109 @@ def test_tune_scores_a_setting_with_the_runs_own_evaluations(method, monkeypatch
         return base.value_grad(q)
 
     model = dataclasses.replace(base, value_grad=value_grad)
-    trajs, lone_run = [], hbreset.cli.run
+    trajs, lone_run_many = [], hbreset.cli.run_many
 
-    def recording_run(*args, **kwargs):
-        trajs.append(lone_run(*args, **kwargs))
-        return trajs[-1]
+    def recording_run_many(*args, **kwargs):
+        trajs.extend(lone_run_many(*args, **kwargs))
+        return trajs[-len(args[1]):]
 
-    monkeypatch.setattr(hbreset.cli, "run", recording_run)
+    monkeypatch.setattr(hbreset.cli, "run_many", recording_run_many)
     calls.clear()
-    result = tune_method(method, model, np.full(4, 5.0), 15, 1e-3 / 50.0,
-                         10.0 / 50.0, outer_iters=3, inner_iters=2)
+    result, = tune_method([method], model, np.full(4, 5.0), 15, 1e-3 / 50.0,
+                          10.0 / 50.0, outer_iters=3, inner_iters=2)
     inner = 4 if method == "polyak" else 1
     assert len(trajs) == 5 * inner
     assert len(calls) == sum(len(t) for t in trajs)
     assert result["phi_at_budget"] == min(t.phi for t in trajs)
+
+
+def sequential_tune(method, model, q0, budget, h_lo, h_hi, outer_iters=16,
+                    inner_iters=12):
+    """The nested search one method at a time, one `run` per setting."""
+    def phi_at_budget(h, beta):
+        try:
+            traj = run(model, tune_params(method, h, beta), q0, budget)
+        except FloatingPointError:
+            return float("inf")
+        return traj.phi if np.isfinite(traj.phi) else float("inf")
+
+    has_beta = method in ("polyak", "hhb", "hihb")
+    best = {"phi": float("inf"), "h": h_lo, "beta": None}
+
+    def eval_h(lh):
+        h = 10.0 ** lh
+        if has_beta:
+            beta, val = golden_min(lambda b: phi_at_budget(h, b), 0.0, 0.995,
+                                   inner_iters)
+        else:
+            beta, val = None, phi_at_budget(h, 0.0)
+        if val < best["phi"]:
+            best.update(phi=val, h=h, beta=beta)
+        return val
+
+    golden_min(eval_h, math.log10(h_lo), math.log10(h_hi), outer_iters)
+    return {"method": method, "h": best["h"], "beta": best["beta"],
+            "phi_at_budget": best["phi"], "budget": int(budget)}
+
+
+def test_lockstep_tune_matches_the_sequential_search():
+    spec = gen_logistic_dataset(6, 120, 2)
+    logistic = logistic_model(spec)
+    _, quad = gen_random_quadratic(10, 1e3, 4)
+    cases = [(logistic, logreg_start(2, 6), 15, {}),
+             (quad, np.random.default_rng(4).uniform(-100.0, 100.0, 10), 60,
+              {"outer_iters": 8, "inner_iters": 6})]
+    for model, q0, budget, iters in cases:
+        lhat = model.lipschitz
+        args = (model, q0, budget, 1e-3 / lhat, 10.0 / lhat)
+        got = tune_method(LOGREG_METHODS, *args, **iters)
+        assert got == [sequential_tune(m, *args, **iters) for m in LOGREG_METHODS]
+        assert all(math.isfinite(t["phi_at_budget"]) for t in got)
+
+
+def test_tune_scores_a_nan_gradient_inf_on_that_row_only(monkeypatch):
+    # phi = q^2 on the line, with a NaN gradient once |q| > 1: a run from
+    # q0 = 1 meets it when its stepsize (h > 1 for gd) or momentum
+    # overshoots the start
+    base = quadratic_model(QuadraticSpec(Q=np.array([[2.0]]), b=np.zeros(1)))
+
+    def value_grad(q):
+        phi, g = base.value_grad(q)
+        return phi, np.where(np.abs(q[..., :1]) > 1.0, np.nan, g)
+
+    model = dataclasses.replace(base, value_grad=value_grad, minimizer=None,
+                                min_value=None)
+    calls, lone_run_many = [], hbreset.cli.run_many
+
+    def recording_run_many(model, params, q0, budget):
+        try:
+            trajs = lone_run_many(model, params, q0, budget)
+        except FloatingPointError:
+            calls.append((params, None))
+            raise
+        calls.append((params, trajs))
+        return trajs
+
+    monkeypatch.setattr(hbreset.cli, "run_many", recording_run_many)
+    args = (model, np.ones(1), 15, 5e-4, 5.0)
+    got = tune_method(LOGREG_METHODS, *args, outer_iters=6, inner_iters=4)
+    monkeypatch.undo()
+    assert got == [sequential_tune(m, *args, outer_iters=6, inner_iters=4)
+                   for m in LOGREG_METHODS]
+    # a round that raised is scored again one run at a time, in order; the
+    # runs that raise alone score inf and the others their own phi
+    raised = [i for i, (params, trajs) in enumerate(calls)
+              if trajs is None and len(params) > 1]
+    assert raised
+    mixed = 0
+    for i in raised:
+        params = calls[i][0]
+        alone = calls[i + 1:i + 1 + len(params)]
+        assert [p for p, _ in alone] == [[p] for p in params]
+        failed = [trajs is None for _, trajs in alone]
+        assert any(failed)
+        mixed += not all(failed)
+    assert mixed
 
 
 def test_tune_params_rejects_unknown_method():

@@ -113,6 +113,52 @@ def test_logistic_stable_at_large_margins():
     assert np.all(np.isfinite(grad))
 
 
+def test_logistic_eval_grad_stack_rows_match_single_points_bitwise():
+    # discrete.run_many relies on this to reproduce run bit for bit; the
+    # JSON round trip gives column-major features
+    rng = np.random.default_rng(6)
+    for n, m, stack in ((1, 5, 40), (6, 120, 200), (20, 1000, 300)):
+        spec = gen_logistic_dataset(n, m, 30 + n)
+        for spec in (spec, logistic_from_json(logistic_to_json(spec))):
+            X = rng.uniform(-5.0, 5.0, (stack, n)) * rng.choice(
+                [1e-3, 1.0, 50.0, 400.0], size=(stack, 1))
+            vals, grads = logistic_eval_grad(spec, X)
+            assert vals.shape == (stack,) and grads.shape == (stack, n)
+            for x, val, grad in zip(X, vals, grads):
+                one_val, one_grad = logistic_eval_grad(spec, x)
+                assert type(one_val) is float and one_val == val
+                assert one_grad.tobytes() == grad.tobytes()
+            # a strided stack (every third row) gives the same bits
+            sub_vals, sub_grads = logistic_eval_grad(spec, X[::3])
+            assert sub_vals.tobytes() == vals[::3].tobytes()
+            assert sub_grads.tobytes() == grads[::3].tobytes()
+    with pytest.raises(ValueError):
+        logistic_eval_grad(spec, np.zeros((2, 3, n)))
+    with pytest.raises(ValueError):
+        logistic_eval_grad(spec, np.zeros((2, n + 1)))
+
+
+def test_logistic_signed_form_matches_label_scaling_bitwise():
+    # the oracle takes margins and gradient as products with the signed
+    # matrix -b_i theta_i; with labels exactly +-1 that is the label
+    # scaling after the products, bit for bit, out to margins of ~1e4
+    from scipy.special import expit
+    rng = np.random.default_rng(8)
+    for n, m in ((1, 7), (6, 120), (20, 1000)):
+        spec = gen_logistic_dataset(n, m, 40 + n)
+        for spec in (spec, logistic_from_json(logistic_to_json(spec))):
+            for scale in (1e-3, 1.0, 30.0, 1e3):
+                for _ in range(25):
+                    q = scale * rng.standard_normal(n)
+                    z = -spec.labels * (spec.features.T @ q)
+                    value = float(np.logaddexp(0.0, z).sum())
+                    grad = -(spec.features @ (spec.labels * expit(z)))
+                    got_value, got_grad = logistic_eval_grad(spec, q)
+                    assert got_value == value
+                    assert got_grad.tobytes() == grad.tobytes()
+    assert np.max(np.abs(z)) > 1e3
+
+
 def test_logistic_gradient_is_scipy_expit_bitwise():
     # where numpy's exp is vectorised (AVX-512), 1/(1+np.exp(-z)) differs
     # from scipy's expit in the last bit on some margins, which changes this
