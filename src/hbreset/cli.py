@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 # run is not called here; bench/tracing.py patches it by this name
-from .discrete import (AlgoParams, Trajectory, Variant, count_nonmonotone,  # noqa: F401
-                       run, run_many)
+from .discrete import (STATUS_DIVERGED, AlgoParams, Trajectory, Variant,  # noqa: F401
+                       count_nonmonotone, run, run_many)
 from .hybrid import (HybridParams, HybridState, default_dwell, integrate_hb,
                      integrate_hhb, integrate_hihb)
 # bisect_rate is not called here; bench/tracing.py patches it by this name
@@ -244,6 +244,21 @@ class ExperimentConfig:
 def _require_positive(flag: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{flag} must be finite and positive, got {value}")
+
+
+def _stepsize_range(cfg: ExperimentConfig, lipschitz: float) -> tuple[float, float]:
+    """The tuner's stepsize interval: --h-lo and --h-hi, where an unset end
+    defaults to 1e-3 / L or 10 / L for the objective's smoothness L."""
+    h_lo = cfg.h_lo if cfg.h_lo is not None else 1e-3 / lipschitz
+    h_hi = cfg.h_hi if cfg.h_hi is not None else 10.0 / lipschitz
+    # validate() rejects a reversed pair of set ends, so here one is a default
+    if h_lo > h_hi and cfg.h_lo is not None:
+        raise ValueError(f"--h-lo must not exceed the default --h-hi = 10/L = "
+                         f"{h_hi:g}, got {h_lo:g}")
+    if h_lo > h_hi:
+        raise ValueError(f"--h-hi must not be below the default --h-lo = 1e-3/L = "
+                         f"{h_lo:g}, got {h_hi:g}")
+    return h_lo, h_hi
 
 
 def _prepare(cfg: ExperimentConfig) -> str:
@@ -520,18 +535,19 @@ def _tune_search(method: str, h_lo: float, h_hi: float, outer_iters: int,
 
 
 def _scores(model: ObjectiveModel, params: list[AlgoParams], q0,
-            budget: int) -> list[float]:
-    """phi after `budget` iterations of each run, inf for a run that
-    diverges or meets a non-finite gradient. The runs step as one
-    run_many; if that raises, each run is scored alone, so only the run
-    that raised scores inf."""
+            budget: int) -> list[tuple[float, bool]]:
+    """(phi after `budget` iterations, whether the run diverged) for each
+    run; phi is inf for a run that diverges to a non-finite value or meets
+    a non-finite gradient. The runs step as one run_many; if that raises,
+    each run is scored alone, so only the run that raised scores inf."""
     try:
         trajs = run_many(model, params, q0, budget)
     except FloatingPointError:
         if len(params) == 1:
-            return [float("inf")]
+            return [(float("inf"), True)]
         return [score for p in params for score in _scores(model, [p], q0, budget)]
-    return [t.phi if np.isfinite(t.phi) else float("inf") for t in trajs]
+    return [(t.phi if np.isfinite(t.phi) else float("inf"), t.status == STATUS_DIVERGED)
+            for t in trajs]
 
 
 def tune_method(methods: Sequence[str], model: ObjectiveModel, q0, budget: int,
@@ -545,28 +561,35 @@ def tune_method(methods: Sequence[str], model: ObjectiveModel, q0, budget: int,
     live search by one probe and scores the round's probes with one
     run_many call (`_scores`). A search sees the scores it would see
     alone, so it makes the same picks. Returns one dict per method, in
-    order.
+    order; raises ValueError when a method's pick diverged.
     """
     searches = [_tune_search(m, h_lo, h_hi, outer_iters, inner_iters)
                 for m in methods]
     probes = [next(search) for search in searches]
     found: list = [None] * len(searches)
+    stable = [False] * len(searches)
     live = list(range(len(searches)))
     while live:
-        scores = _scores(model, [tune_params(methods[i], *probes[i]) for i in live],
+        scored = _scores(model, [tune_params(methods[i], *probes[i]) for i in live],
                          q0, budget)
-        for i, score in zip(live, scores):
+        for i, (score, diverged) in zip(live, scored):
+            stable[i] = stable[i] or not diverged
             try:
                 probes[i] = searches[i].send(score)
             except StopIteration as done:
                 found[i] = done.value
         live = [i for i in live if found[i] is None]
+    # a diverged run scores above every run that did not diverge, so a
+    # search picks a diverged run exactly when all of its runs diverged
+    for m, ok in zip(methods, stable):
+        if not ok:
+            raise ValueError(f"every {m} run diverged within {budget} iterations on "
+                             f"[{h_lo:g}, {h_hi:g}]; lower --h-lo and --h-hi")
     return [{"method": m, "h": h, "beta": beta, "phi_at_budget": phi,
              "budget": int(budget)} for m, (h, beta, phi) in zip(methods, found)]
 
 
 def cmd_tune(cfg: ExperimentConfig) -> int:
-    out = _prepare(cfg)
     rng = np.random.default_rng(cfg.seed)
     if cfg.objective == "quad":
         spec, model = gen_random_quadratic(cfg.n, cfg.cond, rng)
@@ -579,9 +602,8 @@ def cmd_tune(cfg: ExperimentConfig) -> int:
         obj = {"objective": "logreg", "n": int(cfg.n), "m": int(cfg.m)}
     else:
         raise ValueError("--objective must be quad or logreg")
-    lhat = model.lipschitz
-    h_lo = cfg.h_lo if cfg.h_lo is not None else 1e-3 / lhat
-    h_hi = cfg.h_hi if cfg.h_hi is not None else 10.0 / lhat
+    h_lo, h_hi = _stepsize_range(cfg, model.lipschitz)
+    out = _prepare(cfg)
     result, = tune_method([cfg.method], model, q0, cfg.budget, h_lo, h_hi)
     result.update(obj)
     result["seed"] = int(cfg.seed)
@@ -623,9 +645,10 @@ def logreg_reference(model: ObjectiveModel, h: float, max_iter: int,
 
 
 def cmd_logreg(cfg: ExperimentConfig) -> int:
-    out = _prepare(cfg)
     spec = gen_logistic_dataset(cfg.n, cfg.m, cfg.seed)
     lhat = logistic_lipschitz(spec)
+    h_lo, h_hi = _stepsize_range(cfg, lhat)
+    out = _prepare(cfg)
     base = logistic_model(spec)
     qref, phi_star, ref_iters, ref_gn = logreg_reference(
         base, 1.0 / lhat, cfg.ref_max_iter, cfg.ref_tol)
@@ -639,8 +662,6 @@ def cmd_logreg(cfg: ExperimentConfig) -> int:
                              "grad_norm": ref_gn, "lipschitz": float(lhat)},
                             sort_keys=True, indent=2) + "\n")
     q0 = logreg_start(cfg.seed, cfg.n)
-    h_lo = cfg.h_lo if cfg.h_lo is not None else 1e-3 / lhat
-    h_hi = cfg.h_hi if cfg.h_hi is not None else 10.0 / lhat
     tuned = tune_method(cfg.methods, model, q0, cfg.budget, h_lo, h_hi)
     # the final runs share q0 as well, so they step together
     trajs = run_many(model, [tune_params(t["method"], t["h"], t["beta"] or 0.0)

@@ -10,16 +10,19 @@ a certificate lifts to any dimension blockwise (P kron I), so a
 `CertRequest` carries no dimension and `Certificate.lyapunov` evaluates
 the lifted form on states of any dimension.
 
-Feasibility itself is delegated to the phase-I barrier engine in `sdp`.
-`bisect_rates` bisects many independent rows in lockstep, and
-`dt_rates_probe` solves each round's problems as one `sdp.solve_many`
-stack; every row gets the result it gets bisected alone.
+The dt inequalities are affine in rho²: `build_theorem2` compiles a row
+(system, mu, L) once into everything but the rate, and `dt_problem`
+applies rho. Feasibility itself is delegated to the phase-I barrier
+engine in `sdp`. `bisect_rates` bisects many independent rows in
+lockstep, and `dt_rates_probe` moves each compiled row to the round's
+rate and solves the round's problems as one `sdp.solve_many` stack;
+every row gets the result it gets bisected alone.
 """
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -222,81 +225,80 @@ def dt_system(h: float, beta_hi: float, beta_lo: float, disc: str) -> DtSystemMa
                             disc=disc, h=h, beta_hi=beta_hi, beta_lo=beta_lo)
 
 
-@dataclass
-class _Stack:
+@dataclass(frozen=True)
+class DtBranchLmi:
+    """One branch's LMI pieces that do not depend on rho: the function
+    bounds M1, M2, the sector form M3, and per E in _P_BASIS the block
+    [[A'EA, A'EB], [B'EA, B'EB]], whose corner lacks its -rho^2 E."""
+
     M1: Array
     M2: Array
     M3: Array
-    A: Array
-    B: Array
-
-    def mp(self, E: Array, rho: float) -> Array:
-        tl = self.A.T @ E @ self.A - rho * rho * E
-        tr = self.A.T @ E @ self.B
-        return np.block([[tl, tr], [tr.T, self.B.T @ E @ self.B]])
+    P: tuple
 
 
-def _branch_stack(br: DtBranch, mu: float, L: float) -> _Stack:
-    w_upper = np.array([[L / 2.0, 0.5], [0.5, 0.0]])
-    w_lower = np.array([[-mu / 2.0, 0.5], [0.5, 0.0]])
-    sigma1 = np.block([[br.E @ br.A - br.C, br.E @ br.B],
-                       [np.zeros((1, 2)), np.ones((1, 1))]])
-    sigma2 = np.block([[br.C - br.E, np.zeros((1, 1))],
-                       [np.zeros((1, 2)), np.ones((1, 1))]])
-    c0 = np.block([[br.C, np.zeros((1, 1))],
-                   [np.zeros((1, 2)), np.ones((1, 1))]])
-    n1 = sigma1.T @ w_upper @ sigma1
-    n2 = sigma2.T @ w_lower @ sigma2
-    n3 = c0.T @ w_lower @ c0
-    m3 = c0.T @ build_sector(mu, L) @ c0
-    return _Stack(M1=n1 + n2, M2=n1 + n3, M3=m3, A=br.A, B=br.B)
+# e' ALIGNMENT_FORM e = -<u, q - q_prev> at e = (q_prev, q, u): the sign
+# the switch reads, >= 0 on the main branch and <= 0 on the reset one
+ALIGNMENT_FORM = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.5, -0.5, 0.0]])
+_P_CORNERS = tuple(np.pad(E, (0, 1)) for E in _P_BASIS)  # E as a 3 x 3 corner
 
 
 @dataclass
 class DtLmiData:
-    """Constraint matrices of the switched-rate certificate at factor rho."""
+    """A discrete-time rate row as compiled by build_theorem2, evaluated at
+    factor rho. Moving a row to another rate, dataclasses.replace(data,
+    rho=r), reuses its compiled branches."""
 
     sys: DtSystemMatrices
     mu: float
     lipschitz: float
     rho: float
-    main: _Stack = field(init=False)
-    reset: _Stack = field(init=False)
-    M: Array = field(init=False)
+    main: DtBranchLmi
+    reset: DtBranchLmi
 
     def __post_init__(self):
         if not (0.0 < self.rho <= 1.0):
             raise ValueError("rho must lie in (0, 1]")
-        if not (0.0 < self.mu <= self.lipschitz):
-            raise ValueError("need 0 < mu <= L")
-        self.main = _branch_stack(self.sys.main, self.mu, self.lipschitz)
-        self.reset = _branch_stack(self.sys.reset, self.mu, self.lipschitz)
-        m = np.zeros((3, 3))
-        m[0, 2] = m[2, 0] = 0.5
-        m[1, 2] = m[2, 1] = -0.5
-        self.M = m
 
 
 def build_theorem2(sys: DtSystemMatrices, mu: float, L: float, rho: float) -> DtLmiData:
-    return DtLmiData(sys=sys, mu=mu, lipschitz=L, rho=rho)
+    """Compile the switched-rate certificate of one row, once: everything
+    in its two LMIs but the rate, which dt_problem applies."""
+    w_upper = np.array([[L / 2.0, 0.5], [0.5, 0.0]])
+    w_lower = np.array([[-mu / 2.0, 0.5], [0.5, 0.0]])
+    branches = []
+    for br in (sys.main, sys.reset):
+        sigma1 = np.block([[br.E @ br.A - br.C, br.E @ br.B],
+                           [np.zeros((1, 2)), np.ones((1, 1))]])
+        sigma2 = np.block([[br.C - br.E, np.zeros((1, 1))],
+                           [np.zeros((1, 2)), np.ones((1, 1))]])
+        c0 = np.block([[br.C, np.zeros((1, 1))],
+                       [np.zeros((1, 2)), np.ones((1, 1))]])
+        n1 = sigma1.T @ w_upper @ sigma1
+        P = []
+        for E in _P_BASIS:
+            tr = br.A.T @ E @ br.B
+            P.append(np.block([[br.A.T @ E @ br.A, tr], [tr.T, br.B.T @ E @ br.B]]))
+        branches.append(DtBranchLmi(M1=n1 + sigma2.T @ w_lower @ sigma2,
+                                    M2=n1 + c0.T @ w_lower @ c0,
+                                    M3=c0.T @ build_sector(mu, L) @ c0, P=tuple(P)))
+    return DtLmiData(sys, mu, L, rho, *branches)
 
 
 def dt_problem(data: DtLmiData) -> FeasProblem:
     """The feasibility problem behind dt_feasible, for export or inspection."""
     # v = [p11, p12, p22, a, lam, lam_r, sigma, sigma_r]
     rho2 = data.rho * data.rho
-    main, reset = data.main, data.reset
-    basis_a = [(i, main.mp(E, data.rho)) for i, E in enumerate(_P_BASIS)]
-    basis_a += [(3, rho2 * main.M1 + (1.0 - rho2) * main.M2),
-                (4, main.M3), (6, data.M)]
-    lmi_a = AffineMatrixMap(constant=np.zeros((3, 3)), basis=basis_a, name="flow_lmi")
-    basis_b = [(i, reset.mp(E, data.rho)) for i, E in enumerate(_P_BASIS)]
-    basis_b += [(3, rho2 * reset.M1 + (1.0 - rho2) * reset.M2),
-                (5, reset.M3), (7, -data.M)]
-    lmi_b = AffineMatrixMap(constant=np.zeros((3, 3)), basis=basis_b, name="reset_lmi")
+    lmis = []
+    for br, lam, sigma, sign, name in ((data.main, 4, 6, 1.0, "flow_lmi"),
+                                       (data.reset, 5, 7, -1.0, "reset_lmi")):
+        basis = [(i, blk - rho2 * E) for i, (blk, E) in enumerate(zip(br.P, _P_CORNERS))]
+        basis += [(3, rho2 * br.M1 + (1.0 - rho2) * br.M2), (lam, br.M3),
+                  (sigma, sign * ALIGNMENT_FORM)]
+        lmis.append(AffineMatrixMap(constant=np.zeros((3, 3)), basis=basis, name=name))
     pmap = AffineMatrixMap(constant=np.zeros((2, 2)),
                            basis=[(i, E) for i, E in enumerate(_P_BASIS)], name="P")
-    return FeasProblem(nvar=8, nsd_blocks=[lmi_a, lmi_b], pd_blocks=[pmap],
+    return FeasProblem(nvar=8, nsd_blocks=lmis, pd_blocks=[pmap],
                        nonneg={i: MULTIPLIER_FLOOR for i in range(3, 8)},
                        normalization=np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
                        margin=MARGIN)
@@ -496,16 +498,16 @@ def bisect_rate(builder: Callable[[float], Optional["Certificate"]], lo: float,
 
 def dt_rates_probe(requests: Sequence[CertRequest],
                    max_oracle_calls: int = 200) -> RatesProbe:
-    """Probe for bisect_rates over discrete-time rows: each round's
+    """Probe for bisect_rates over discrete-time rows: each row is
+    compiled once and moved to each rate it is probed at, each round's
     problems are solved as one stack, and each row warm-starts from the
     last feasible point it has seen."""
-    systems = [dt_system(r.h, r.beta_hi, r.beta_lo, r.disc) for r in requests]
+    compiled = [build_theorem2(dt_system(r.h, r.beta_hi, r.beta_lo, r.disc),
+                               r.mu, r.lipschitz, 1.0) for r in requests]
     last: list = [None] * len(requests)
 
     def probe(rows: list, rates: list) -> list:
-        datas = [DtLmiData(sys=systems[i], mu=requests[i].mu,
-                           lipschitz=requests[i].lipschitz, rho=rho)
-                 for i, rho in zip(rows, rates)]
+        datas = [replace(compiled[i], rho=rho) for i, rho in zip(rows, rates)]
         solved = solve_many([dt_problem(x) for x in datas], max_oracle_calls,
                             [last[i] for i in rows])
         certs = [_dt_certificate(x, res) for x, res in zip(datas, solved)]
@@ -517,12 +519,10 @@ def dt_rates_probe(requests: Sequence[CertRequest],
     return probe
 
 
-def dt_rate_builder(mu: float, L: float, h: float, beta_hi: float, beta_lo: float,
-                    disc: str, max_oracle_calls: int = 200
+def dt_rate_builder(request: CertRequest, max_oracle_calls: int = 200
                     ) -> Callable[[float], Optional[Certificate]]:
     """Probe closure for bisect_rate: dt_rates_probe on one row."""
-    probe = dt_rates_probe([CertRequest(mu, L, h, beta_hi, beta_lo, disc)],
-                           max_oracle_calls)
+    probe = dt_rates_probe([request], max_oracle_calls)
     return lambda rho: probe([0], [rho])[0]
 
 
@@ -530,10 +530,8 @@ def certify_discrete(request: CertRequest, lo: float = 0.05, hi: float = 1.0,
                      iters: int = 40, scan: bool = True,
                      max_oracle_calls: int = 200):
     """Bisected contraction factor and certificate for a tuning request."""
-    builder = dt_rate_builder(request.mu, request.lipschitz, request.h,
-                              request.beta_hi, request.beta_lo, request.disc,
-                              max_oracle_calls=max_oracle_calls)
-    return bisect_rate(builder, lo, hi, iters=iters, scan=scan)
+    return bisect_rate(dt_rate_builder(request, max_oracle_calls), lo, hi,
+                       iters=iters, scan=scan)
 
 
 def ct_alpha_builder(K: float, mu: float, L: float, eps_infl: float,

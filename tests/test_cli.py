@@ -161,6 +161,11 @@ def test_validation_rejects_bad_configs():
     (["logreg", "--seed", "1", "--iters", "5", "--ref-tol", "0"], "--ref-tol"),
     (["logreg", "--seed", "1", "--iters", "5", "--ref-max-iter=-5"], "--ref-max-iter"),
     (["logreg", "--seed", "1", "--iters", "5", "--ref-max-iter", "0"], "--ref-max-iter"),
+    # one set end past the other end's default 1e-3/L .. 10/L
+    (["tune", "--seed", "1", "--method", "gd", "--h-lo", "100"], "--h-lo"),
+    (["tune", "--seed", "1", "--method", "gd", "--h-hi", "1e-9"], "--h-hi"),
+    (["logreg", "--seed", "1", "--iters", "5", "--h-lo", "100"], "--h-lo"),
+    (["logreg", "--seed", "1", "--iters", "5", "--h-hi", "1e-9"], "--h-hi"),
 ])
 def test_validation_names_the_flag_of_an_edge_input(argv, flag, tmp_path):
     with pytest.raises(ValueError, match=flag):
@@ -612,6 +617,16 @@ def test_tune_scores_a_nan_gradient_inf_on_that_row_only(monkeypatch):
         assert any(failed)
         mixed += not all(failed)
     assert mixed
+
+
+def test_tune_rejects_a_pick_whose_run_diverged(tmp_path):
+    # every gd stepsize in [1, 10] diverges on this quadratic (L = 1e3), so
+    # the best-scoring probe is a diverged run
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="--h-lo and --h-hi"):
+        main(["tune", "--seed", "1", "--method", "gd", "--h-lo", "1", "--h-hi", "10",
+              "--out", str(out)])
+    assert not (out / "tuned.json").exists()
 
 
 def test_tune_params_rejects_unknown_method():

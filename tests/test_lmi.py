@@ -1,16 +1,19 @@
 """Certificate construction: matrix stacks, feasibility calls, bisection."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
+import hbreset.lmi
+from hbreset.cli import main as cli_main
 from hbreset.discrete import AlgoParams, IterState, Variant, initial_state, run, step
-from hbreset.lmi import (NES, POL, Certificate, CertRequest, NoCertificate,
-                         bisect_rate, bisect_rates, build_ct, build_dt, build_sector,
-                         build_theorem2, certify_discrete, ct_alpha_builder,
-                         ct_feasible, ct_problem, dt_feasible, dt_problem,
-                         dt_rate_builder, dt_rates_probe, dt_system)
+from hbreset.lmi import (ALIGNMENT_FORM, NES, POL, Certificate, CertRequest,
+                         NoCertificate, bisect_rate, bisect_rates, build_ct, build_dt,
+                         build_sector, build_theorem2, certify_discrete,
+                         ct_alpha_builder, ct_feasible, ct_problem, dt_feasible,
+                         dt_problem, dt_rate_builder, dt_rates_probe, dt_system)
 from hbreset.objectives import QuadraticSpec, gen_random_quadratic, quadratic_model
 from hbreset.sdp import FEASIBLE, problem_to_json
 
@@ -237,11 +240,12 @@ def test_constraint_stacks_shapes_and_symmetry():
             mat = getattr(stack, name)
             assert mat.shape == (3, 3)
             np.testing.assert_allclose(mat, mat.T, atol=1e-14)
-        mp = stack.mp(np.array([[2.0, 0.3], [0.3, 1.0]]), 0.9)
-        assert mp.shape == (3, 3)
-        np.testing.assert_allclose(mp, mp.T, atol=1e-14)
+    for blk in dt_problem(data).nsd_blocks:
+        for _, mp in blk.basis[:3]:
+            assert mp.shape == (3, 3)
+            np.testing.assert_allclose(mp, mp.T, atol=1e-14)
     np.testing.assert_allclose(
-        data.M, [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.5, -0.5, 0.0]], atol=0)
+        ALIGNMENT_FORM, [[0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.5, -0.5, 0.0]], atol=0)
 
 
 def test_sigma_one_top_row():
@@ -255,7 +259,6 @@ def test_sigma_one_top_row():
 
 def test_alignment_form_identity():
     # e' M e = -<grad at the branch point, q - q_prev>
-    data = build_theorem2(dt_system(0.05, 0.7, 0.0, NES), 1.0, 10.0, 0.9)
     rng = np.random.default_rng(8)
     for _ in range(1000):
         c = rng.uniform(1.0, 10.0)
@@ -263,7 +266,7 @@ def test_alignment_form_identity():
         u = c * (x[1] + 0.7 * (x[1] - x[0]))  # gradient at the lookahead
         e = np.array([x[0], x[1], u])
         want = -u * (x[1] - x[0])
-        assert abs(e @ data.M @ e - want) <= 1e-12 * (1.0 + abs(want) + e @ e)
+        assert abs(e @ ALIGNMENT_FORM @ e - want) <= 1e-12 * (1.0 + abs(want) + e @ e)
 
 
 def test_decrease_bounds_along_switched_runs():
@@ -290,7 +293,7 @@ def test_decrease_bounds_along_switched_runs():
                 assert phi_next - phi_now <= e @ stack.M1 @ e + slack
                 assert phi_next <= e @ stack.M2 @ e + slack
                 assert e @ stack.M3 @ e >= -slack
-                sign = e @ data.M @ e
+                sign = e @ ALIGNMENT_FORM @ e
                 if br is sys_mats.main:
                     assert sign >= -slack
                 elif u * (x[1] - x[0]) >= 0.0:
@@ -298,6 +301,83 @@ def test_decrease_bounds_along_switched_runs():
                     # branch's own gradient agrees with the split
                     assert sign <= slack
                 x = x_next
+
+
+def reference_dt_lmis(sys_mats, mu, L, rho):
+    """Both 3 x 3 blocks of the dt problem, rebuilt from the DtBranch
+    matrices at rate rho: (variable index, basis matrix) pairs per block."""
+    w_upper = np.array([[L / 2.0, 0.5], [0.5, 0.0]])
+    w_lower = np.array([[-mu / 2.0, 0.5], [0.5, 0.0]])
+    m = np.zeros((3, 3))
+    m[0, 2] = m[2, 0] = 0.5
+    m[1, 2] = m[2, 1] = -0.5
+    blocks = []
+    for br, lam, sigma, sign in ((sys_mats.main, 4, 6, m), (sys_mats.reset, 5, 7, -m)):
+        sigma1 = np.block([[br.E @ br.A - br.C, br.E @ br.B],
+                           [np.zeros((1, 2)), np.ones((1, 1))]])
+        sigma2 = np.block([[br.C - br.E, np.zeros((1, 1))],
+                           [np.zeros((1, 2)), np.ones((1, 1))]])
+        c0 = np.block([[br.C, np.zeros((1, 1))], [np.zeros((1, 2)), np.ones((1, 1))]])
+        n1 = sigma1.T @ w_upper @ sigma1
+        n2 = sigma2.T @ w_lower @ sigma2
+        n3 = c0.T @ w_lower @ c0
+        basis = []
+        for i, E in enumerate((np.array([[1.0, 0.0], [0.0, 0.0]]),
+                               np.array([[0.0, 1.0], [1.0, 0.0]]),
+                               np.array([[0.0, 0.0], [0.0, 1.0]]))):
+            tl = br.A.T @ E @ br.A - rho * rho * E
+            tr = br.A.T @ E @ br.B
+            basis.append((i, np.block([[tl, tr], [tr.T, br.B.T @ E @ br.B]])))
+        rho2 = rho * rho
+        basis += [(3, rho2 * (n1 + n2) + (1.0 - rho2) * (n1 + n3)),
+                  (lam, c0.T @ build_sector(mu, L) @ c0), (sigma, sign)]
+        blocks.append(basis)
+    return blocks
+
+
+def basis_bytes(blocks):
+    return [[(i, mat.tobytes()) for i, mat in basis] for basis in blocks]
+
+
+def test_compiled_row_matches_the_reference_blocks_bit_for_bit():
+    for sys_mats, mu, L in ((dt_system(0.05, 0.7, 0.2, POL), 1.0, 10.0),
+                            (dt_system(0.08, 0.6, 0.0, NES), 1.0, 10.0),
+                            (dt_system(1.0 / 300.0, 0.93, 0.93, NES), 3.0, 300.0)):
+        for rho in (0.05, 0.3, 0.8125, 0.9, 1.0):
+            problem = dt_problem(build_theorem2(sys_mats, mu, L, rho))
+            assert [blk.name for blk in problem.nsd_blocks] == ["flow_lmi", "reset_lmi"]
+            assert (basis_bytes(blk.basis for blk in problem.nsd_blocks)
+                    == basis_bytes(reference_dt_lmis(sys_mats, mu, L, rho)))
+
+
+def test_a_row_compiled_once_gives_the_same_bits_at_every_rate_in_any_order():
+    # a probe must not update the compiled pieces in place: rates visited
+    # rising, falling and repeated give the bits of a fresh compile
+    sys_mats = dt_system(0.05, 0.7, 0.2, NES)
+    data = build_theorem2(sys_mats, 1.0, 10.0, 1.0)
+    for rho in (0.3, 0.6, 0.9, 0.9, 0.6, 0.3, 0.3, 1.0, 0.05, 0.6):
+        moved = dt_problem(dataclasses.replace(data, rho=rho))
+        fresh = dt_problem(build_theorem2(sys_mats, 1.0, 10.0, rho))
+        assert problem_to_json(moved) == problem_to_json(fresh)
+        assert (basis_bytes(blk.basis for blk in moved.nsd_blocks)
+                == basis_bytes(blk.basis for blk in fresh.nsd_blocks))
+    with pytest.raises(ValueError, match="rho"):
+        dataclasses.replace(data, rho=0.0)
+
+
+def test_bench_config_sweep_compiles_each_row_once(monkeypatch, tmp_path):
+    compiled = []
+    lone = hbreset.lmi.build_theorem2
+
+    def counting(sys_mats, mu, L, rho):
+        compiled.append((sys_mats.h, sys_mats.beta_hi, sys_mats.beta_lo,
+                         sys_mats.disc, mu, L))
+        return lone(sys_mats, mu, L, rho)
+
+    monkeypatch.setattr(hbreset.lmi, "build_theorem2", counting)
+    assert cli_main(["certify", "--grid-L", "1,10,100", "--bisect-iters", "3",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert len(compiled) == len(set(compiled)) == 18
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +609,7 @@ def test_dt_rows_in_lockstep_match_each_row_bisected_alone():
     found = bisect_rates(dt_rates_probe(requests, 150), len(requests), 0.05, 1.0,
                          iters=5, scan=False)
     for req, got in zip(requests, found):
-        builder = dt_rate_builder(req.mu, req.lipschitz, req.h, req.beta_hi,
-                                  req.beta_lo, req.disc, max_oracle_calls=150)
+        builder = dt_rate_builder(req, max_oracle_calls=150)
         try:
             rate, cert = bisect_rate(builder, 0.05, 1.0, iters=5, scan=False)
         except NoCertificate:
@@ -543,7 +622,7 @@ def test_dt_rows_in_lockstep_match_each_row_bisected_alone():
 
 
 def test_rate_builder_warm_start_consistency():
-    builder = dt_rate_builder(1.0, 10.0, 0.1, 0.0, 0.0, POL)
+    builder = dt_rate_builder(CertRequest(1.0, 10.0, 0.1, 0.0, 0.0, POL))
     cert_a = builder(0.95)
     cert_b = builder(0.95)
     assert cert_a is not None and cert_b is not None

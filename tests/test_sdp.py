@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from hbreset import lmi, sdp
 from hbreset.cli import certify_tuning, main as cli_main
-from hbreset.lmi import NES, POL, DtLmiData, dt_problem, dt_system
+from hbreset.lmi import NES, POL, build_theorem2, dt_problem, dt_system
 from hbreset.sdp import (AffineMatrixMap, FEASIBLE, FeasProblem, INDETERMINATE,
                          INFEASIBLE, problem_from_json, problem_to_json,
                          result_to_json, solve_feasibility, solve_many,
@@ -535,8 +535,7 @@ def test_certify_pass_solves_match_alone_in_the_full_and_a_shuffled_stack(
 
 def _mistuned_dt(L, method, rho):
     disc, h, bhi, blo = certify_tuning(method, L, 1.0, "mistuned")
-    return dt_problem(DtLmiData(sys=dt_system(h, bhi, blo, disc), mu=1.0,
-                                lipschitz=L, rho=rho))
+    return dt_problem(build_theorem2(dt_system(h, bhi, blo, disc), 1.0, L, rho))
 
 
 def test_cholesky_failure_and_exhausted_budget_stay_in_their_rows():
@@ -592,10 +591,10 @@ def _dt_problems(draw):
     mu = draw(st.floats(0.1, 2.0))
     L = mu * draw(st.floats(1.0, 200.0))
     beta_hi = draw(st.floats(0.0, 1.0))
-    return dt_problem(DtLmiData(
-        sys=dt_system(draw(st.floats(0.01, 2.0)) / L, beta_hi,
-                      draw(st.floats(0.0, beta_hi)), draw(st.sampled_from((POL, NES)))),
-        mu=mu, lipschitz=L, rho=draw(st.floats(0.05, 1.0))))
+    return dt_problem(build_theorem2(
+        dt_system(draw(st.floats(0.01, 2.0)) / L, beta_hi,
+                  draw(st.floats(0.0, beta_hi)), draw(st.sampled_from((POL, NES)))),
+        mu, L, draw(st.floats(0.05, 1.0))))
 
 
 @settings(max_examples=12, deadline=None, database=None)
