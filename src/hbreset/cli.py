@@ -30,7 +30,7 @@ from .hybrid import (HybridParams, HybridState, default_dwell, integrate_hb,
                      integrate_hhb, integrate_hihb)
 # bisect_rate is not called here; bench/tracing.py patches it by this name
 from .lmi import (NES, POL, CertRequest, bisect_rate, bisect_rates,  # noqa: F401
-                  build_theorem2, dt_problem, dt_rates_probe, dt_system)
+                  dt_problem, dt_rates_probe)
 from .objectives import (ObjectiveModel, QuadraticSpec, gen_logistic_dataset,
                          gen_random_quadratic, logistic_lipschitz,
                          logistic_model, quad_from_json, quad_to_json,
@@ -356,7 +356,7 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
     found = bisect_rates(probe, len(grid), 0.05, 1.0, iters=cfg.bisect_iters,
                          scan=cfg.scan)
     rows = []
-    for (L, method, disc, h, bhi, blo), result in zip(grid, found):
+    for (L, method, disc, h, bhi, blo), compiled, result in zip(grid, probe.rows, found):
         rho, cert = result if result is not None else (float("nan"), None)
         status = "certified" if cert is not None else "uncertified"
         rows.append((float(L), cfg.mu, h, bhi, blo, method, rho, status))
@@ -364,9 +364,8 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
             with open(os.path.join(out, f"cert_{method}_L{L:g}.json"), "w") as fh:
                 fh.write(cert.to_json())
         if cfg.dump_sdp and cert is not None:
-            data = build_theorem2(dt_system(h, bhi, blo, disc), cfg.mu, L, rho)
             with open(os.path.join(out, f"sdp_{method}_L{L:g}.json"), "w") as fh:
-                fh.write(problem_to_json(dt_problem(data)))
+                fh.write(problem_to_json(dt_problem(dataclasses.replace(compiled, rho=rho))))
     csv_path = os.path.join(out, "sweep.csv")
     write_csv(csv_path, SWEEP_HEADER, rows)
     replot_sweep(csv_path, os.path.join(out, "sweep.svg"))
@@ -395,14 +394,15 @@ def quad_params(method: str, K: float, eps: float) -> AlgoParams:
 
 def tail_slope(traj: Trajectory, frac: float = 0.2) -> float:
     """Least-squares slope of log10(phi gap) per iteration over the tail."""
-    gaps = traj.phi_gaps
-    k0 = int((1.0 - frac) * (len(gaps) - 1))
-    pts = [(k, math.log10(g)) for k, g in enumerate(gaps)
-           if k >= k0 and np.isfinite(g) and g > 0.0]
-    if len(pts) < 2:
+    gaps = np.asarray(traj.phi_gaps, dtype=float)
+    k0 = max(int((1.0 - frac) * (len(gaps) - 1)), 0)
+    tail = gaps[k0:]
+    keep = np.isfinite(tail) & (tail > 0.0)
+    if np.count_nonzero(keep) < 2:
         return float("nan")
-    ks = np.array([p[0] for p in pts], dtype=float)
-    ys = np.array([p[1] for p in pts])
+    ks = (k0 + np.flatnonzero(keep)).astype(float)
+    # math.log10, not np.log10, which can differ from libm in the last bit
+    ys = np.fromiter(map(math.log10, tail[keep].tolist()), float, len(ks))
     return float(np.polyfit(ks, ys, 1)[0])
 
 
@@ -430,7 +430,7 @@ def cmd_quad(cfg: ExperimentConfig) -> int:
                 nonmono = -1
             summary.append((method, float(K), cfg.h, traj.phi_gaps[-1],
                             nonmono, tail_slope(traj), traj.status))
-            series.append((method, list(range(len(traj))), traj.phi_gaps))
+            series.append((method, np.arange(len(traj)), traj.phi_gaps))
         write_chart(os.path.join(out, f"gaps_K{K:g}.svg"), series, log_y=True,
                     title=f"phi gap, K={K:g}", x_label="iteration",
                     y_label="phi gap")
@@ -603,8 +603,9 @@ def cmd_tune(cfg: ExperimentConfig) -> int:
     else:
         raise ValueError("--objective must be quad or logreg")
     h_lo, h_hi = _stepsize_range(cfg, model.lipschitz)
-    out = _prepare(cfg)
     result, = tune_method([cfg.method], model, q0, cfg.budget, h_lo, h_hi)
+    # only a run that tuned writes anything
+    out = _prepare(cfg)
     result.update(obj)
     result["seed"] = int(cfg.seed)
     path = os.path.join(out, "tuned.json")
@@ -648,7 +649,6 @@ def cmd_logreg(cfg: ExperimentConfig) -> int:
     spec = gen_logistic_dataset(cfg.n, cfg.m, cfg.seed)
     lhat = logistic_lipschitz(spec)
     h_lo, h_hi = _stepsize_range(cfg, lhat)
-    out = _prepare(cfg)
     base = logistic_model(spec)
     qref, phi_star, ref_iters, ref_gn = logreg_reference(
         base, 1.0 / lhat, cfg.ref_max_iter, cfg.ref_tol)
@@ -657,12 +657,14 @@ def cmd_logreg(cfg: ExperimentConfig) -> int:
             f"reference run did not converge: |grad| = {ref_gn:.3e} "
             f"after {ref_iters} iterations")
     model = dataclasses.replace(base, minimizer=qref, min_value=phi_star)
+    q0 = logreg_start(cfg.seed, cfg.n)
+    tuned = tune_method(cfg.methods, model, q0, cfg.budget, h_lo, h_hi)
+    # only a run whose reference converged and whose picks held writes anything
+    out = _prepare(cfg)
     with open(os.path.join(out, "reference.json"), "w") as fh:
         fh.write(json.dumps({"phi_star": phi_star, "iterations": int(ref_iters),
                              "grad_norm": ref_gn, "lipschitz": float(lhat)},
                             sort_keys=True, indent=2) + "\n")
-    q0 = logreg_start(cfg.seed, cfg.n)
-    tuned = tune_method(cfg.methods, model, q0, cfg.budget, h_lo, h_hi)
     # the final runs share q0 as well, so they step together
     trajs = run_many(model, [tune_params(t["method"], t["h"], t["beta"] or 0.0)
                              for t in tuned], q0, cfg.iters)
@@ -676,7 +678,7 @@ def cmd_logreg(cfg: ExperimentConfig) -> int:
         reach = traj.iterations_to_gap(GAP_TARGET)
         rows.append((method, t["h"], t["beta"], traj.phi_gaps[-1],
                      -1 if reach is None else reach, traj.status))
-        series.append((method, list(range(len(traj))), traj.phi_gaps))
+        series.append((method, np.arange(len(traj)), traj.phi_gaps))
     with open(os.path.join(out, "tuned.json"), "w") as fh:
         fh.write(json.dumps(tuned_all, sort_keys=True, indent=2) + "\n")
     write_csv(os.path.join(out, "summary.csv"),
@@ -725,7 +727,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     with open(os.path.join(out, "jumps.json"), "w") as fh:
         fh.write(arc.jumps_json() + "\n")
     write_chart(os.path.join(out, "energy.svg"),
-                [(cfg.mode, list(arc.t), list(arc.energy))], log_y=True,
+                [(cfg.mode, arc.t, arc.energy)], log_y=True,
                 title="energy along the arc", x_label="t", y_label="energy")
     print(f"simulate: {len(arc)} samples, {len(arc.jumps)} jumps -> "
           f"{os.path.join(out, 'arc.csv')}")

@@ -501,7 +501,8 @@ def dt_rates_probe(requests: Sequence[CertRequest],
     """Probe for bisect_rates over discrete-time rows: each row is
     compiled once and moved to each rate it is probed at, each round's
     problems are solved as one stack, and each row warm-starts from the
-    last feasible point it has seen."""
+    last feasible point it has seen. The probe's `rows` attribute holds
+    the compiled rows, one per request, at rho = 1."""
     compiled = [build_theorem2(dt_system(r.h, r.beta_hi, r.beta_lo, r.disc),
                                r.mu, r.lipschitz, 1.0) for r in requests]
     last: list = [None] * len(requests)
@@ -516,6 +517,7 @@ def dt_rates_probe(requests: Sequence[CertRequest],
                 last[i] = cert.raw_v
         return certs
 
+    probe.rows = compiled
     return probe
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
+import numpy as np
+
 Series = tuple[str, Sequence[float], Sequence[float]]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
@@ -40,6 +42,9 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     t = first
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:
+            # a range a few ulps wide: the step rounds away and t would stall
+            break
         t += step
     return ticks
 
@@ -62,60 +67,74 @@ def render_line_chart(series: Sequence[Series], title: str = "",
                       y_floor: Optional[float] = None) -> str:
     """Render labelled (x, y) series to an SVG string.
 
-    log_y plots y on a log10 axis; nonpositive values are clamped to
-    y_floor (default: smallest positive value present, or 1e-16).
+    Points where x or y is not finite are dropped. log_y plots y on a
+    log10 axis. There, a nonpositive y is first moved to the lowest
+    decade tick shown (1e-16 when no tick is shown), and every y is then
+    raised to at least y_floor (default: the smallest positive y present,
+    or 1e-16; never below 1e-300).
     """
-    pts = []
+    arrays = []
     for _, xs, ys in series:
         if len(xs) != len(ys):
             raise ValueError("series x and y lengths differ")
-        for x, y in zip(xs, ys):
-            if math.isfinite(x) and math.isfinite(y):
-                pts.append((float(x), float(y)))
-    if not pts:
-        pts = [(0.0, 1.0)]
+        x = np.asarray(xs, dtype=float)
+        y = np.asarray(ys, dtype=float)
+        keep = np.isfinite(x) & np.isfinite(y)
+        arrays.append((x[keep], y[keep]))
+    all_x = np.concatenate([x for x, _ in arrays] + [np.empty(0)])
+    all_y = np.concatenate([y for _, y in arrays] + [np.empty(0)])
+    if not all_x.size:
+        all_x, all_y = np.array([0.0]), np.array([1.0])
 
-    x_lo = min(p[0] for p in pts)
-    x_hi = max(p[0] for p in pts)
+    x_lo = float(all_x.min())
+    x_hi = float(all_x.max())
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
 
+    # Pixel maps take arrays. They keep the operations, and their order,
+    # of the scalar expressions they replaced, so every coordinate keeps
+    # its bits. On the log axis math.log10 stays: np.log10 can differ from
+    # libm in the last bit, which can flip a %.3f rounding.
     if log_y:
-        positive = [p[1] for p in pts if p[1] > 0.0]
-        floor = y_floor if y_floor is not None else (min(positive) if positive else 1e-16)
+        positive = all_y[all_y > 0.0]
+        floor = y_floor if y_floor is not None else (
+            float(positive.min()) if positive.size else 1e-16)
         floor = max(floor, 1e-300)
-        y_vals = [max(p[1], floor) for p in pts]
-        y_lo = min(y_vals)
-        y_hi = max(y_vals)
+        # max(., floor) is monotone, so it commutes with min and max
+        y_lo = max(float(all_y.min()), floor)
+        y_hi = max(float(all_y.max()), floor)
         if y_hi <= y_lo:
             y_hi = y_lo * 10.0
         ly_lo, ly_hi = math.log10(y_lo), math.log10(y_hi)
         if ly_hi - ly_lo < 1e-9:
             ly_hi = ly_lo + 1.0
 
-        def y_pix(y: float) -> float:
-            ly = math.log10(max(y, floor))
-            frac = (ly - ly_lo) / (ly_hi - ly_lo)
-            return HEIGHT - MARGIN_B - frac * (HEIGHT - MARGIN_T - MARGIN_B)
+        def y_pix(y: np.ndarray) -> np.ndarray:
+            clamped = np.maximum(y, floor).tolist()
+            ly = np.fromiter(map(math.log10, clamped), float, len(clamped))
+            return HEIGHT - MARGIN_B - (ly - ly_lo) / (ly_hi - ly_lo) * (
+                HEIGHT - MARGIN_T - MARGIN_B)
 
         y_ticks = [t for t in _decade_ticks(y_lo, y_hi) if y_lo / 1.001 <= t <= y_hi * 1.001]
     else:
-        y_lo = min(p[1] for p in pts)
-        y_hi = max(p[1] for p in pts)
+        y_lo = float(all_y.min())
+        y_hi = float(all_y.max())
         if y_hi <= y_lo:
             y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
         pad = 0.05 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
 
-        def y_pix(y: float) -> float:
-            frac = (y - y_lo) / (y_hi - y_lo)
-            return HEIGHT - MARGIN_B - frac * (HEIGHT - MARGIN_T - MARGIN_B)
+        def y_pix(y: np.ndarray) -> np.ndarray:
+            return HEIGHT - MARGIN_B - (y - y_lo) / (y_hi - y_lo) * (
+                HEIGHT - MARGIN_T - MARGIN_B)
 
         y_ticks = _nice_ticks(y_lo, y_hi)
 
-    def x_pix(x: float) -> float:
-        frac = (x - x_lo) / (x_hi - x_lo)
-        return MARGIN_L + frac * (WIDTH - MARGIN_L - MARGIN_R)
+    def x_pix(x: np.ndarray) -> np.ndarray:
+        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
+
+    x_ticks = [t for t in _nice_ticks(x_lo, x_hi)
+               if x_lo - 1e-12 <= t <= x_hi + 1e-12]
 
     out = []
     out.append('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
@@ -132,17 +151,13 @@ def render_line_chart(series: Sequence[Series], title: str = "",
                    _fmt(WIDTH - MARGIN_L - MARGIN_R),
                    _fmt(HEIGHT - MARGIN_T - MARGIN_B)))
 
-    for t in _nice_ticks(x_lo, x_hi):
-        if t < x_lo - 1e-12 or t > x_hi + 1e-12:
-            continue
-        px = x_pix(t)
+    for t, px in zip(x_ticks, x_pix(np.array(x_ticks)).tolist()):
         out.append('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black"/>' % (
             _fmt(px), _fmt(HEIGHT - MARGIN_B), _fmt(px), _fmt(HEIGHT - MARGIN_B + 5)))
         out.append('<text x="%s" y="%s" font-family="sans-serif" font-size="11" '
                    'text-anchor="middle">%s</text>' % (
                        _fmt(px), _fmt(HEIGHT - MARGIN_B + 18), "%g" % t))
-    for t in y_ticks:
-        py = y_pix(t)
+    for t, py in zip(y_ticks, y_pix(np.array(y_ticks)).tolist()):
         out.append('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black"/>' % (
             _fmt(MARGIN_L - 5), _fmt(py), _fmt(MARGIN_L), _fmt(py)))
         out.append('<text x="%s" y="%s" font-family="sans-serif" font-size="11" '
@@ -160,18 +175,15 @@ def render_line_chart(series: Sequence[Series], title: str = "",
                    'text-anchor="middle" transform="rotate(-90 14 %s)">%s</text>' % (
                        _fmt(cy), _fmt(cy), _escape(y_label)))
 
-    for i, (label, xs, ys) in enumerate(series):
+    for i, ((label, _, _), (x, y)) in enumerate(zip(series, arrays)):
         color = PALETTE[i % len(PALETTE)]
-        coords = []
-        for x, y in zip(xs, ys):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                continue
-            if log_y and y <= 0.0:
-                y = y_ticks[0] if y_ticks else 1e-16
-            coords.append("%s,%s" % (_fmt(x_pix(x)), _fmt(y_pix(y))))
-        if coords:
+        if x.size:
+            if log_y:
+                y = np.where(y <= 0.0, y_ticks[0] if y_ticks else 1e-16, y)
+            xy = np.column_stack((x_pix(x), y_pix(y)))
+            points = " ".join(["%.3f,%.3f"] * len(xy)) % tuple(xy.ravel().tolist())
             out.append('<polyline points="%s" fill="none" stroke="%s" '
-                       'stroke-width="1.5"/>' % (" ".join(coords), color))
+                       'stroke-width="1.5"/>' % (points, color))
         lx = WIDTH - MARGIN_R - 150
         ly = MARGIN_T + 16 + 16 * i
         out.append('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" '

@@ -627,6 +627,21 @@ def test_tune_rejects_a_pick_whose_run_diverged(tmp_path):
         main(["tune", "--seed", "1", "--method", "gd", "--h-lo", "1", "--h-hi", "10",
               "--out", str(out)])
     assert not (out / "tuned.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, error, match", [
+    # the tuner's pick diverged
+    (["--methods", "gd", "--h-lo", "1e14", "--h-hi", "1e15"], ValueError,
+     "--h-lo and --h-hi"),
+    (["--ref-max-iter", "1"], RuntimeError, "reference run did not converge"),
+])
+def test_rejected_logreg_writes_nothing(tmp_path, argv, error, match):
+    out = tmp_path / "out"
+    with pytest.raises(error, match=match):
+        main(["logreg", "--seed", "1", "--n", "3", "--m", "20", "--iters", "5",
+              *argv, "--out", str(out)])
+    assert not out.exists()
 
 
 def test_tune_params_rejects_unknown_method():

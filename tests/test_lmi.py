@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import hbreset.cli
 import hbreset.lmi
 from hbreset.cli import main as cli_main
 from hbreset.discrete import AlgoParams, IterState, Variant, initial_state, run, step
@@ -375,9 +376,15 @@ def test_bench_config_sweep_compiles_each_row_once(monkeypatch, tmp_path):
         return lone(sys_mats, mu, L, rho)
 
     monkeypatch.setattr(hbreset.lmi, "build_theorem2", counting)
-    assert cli_main(["certify", "--grid-L", "1,10,100", "--bisect-iters", "3",
-                     "--out", str(tmp_path / "out")]) == 0
-    assert len(compiled) == len(set(compiled)) == 18
+    # the front end compiles nothing itself, not even the dumped problems
+    monkeypatch.setattr(hbreset.cli, "build_theorem2", counting, raising=False)
+    for extra in ([], ["--dump-sdp"]):
+        compiled.clear()
+        out = tmp_path / f"out{len(extra)}"
+        assert cli_main(["certify", "--grid-L", "1,10,100", "--bisect-iters", "3",
+                         *extra, "--out", str(out)]) == 0
+        assert len(compiled) == len(set(compiled)) == 18
+        assert bool(list(out.glob("sdp_*.json"))) == bool(extra)
 
 
 # ---------------------------------------------------------------------------
