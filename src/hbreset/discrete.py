@@ -11,8 +11,9 @@ NES at the extrapolated point q_k + eps*beta*p_k. GD and a time-varying
 Nesterov schedule are included as baselines. `step` is the one step map:
 it dispatches on params.variant, so each variant's update is written
 once, and `run` drives it with one oracle call per visited iterate.
-`run_many` drives the same `step` and switching law for several runs
-from one start point at once, as rows of a (B, n) stack.
+`run_many` steps several runs from one start point at once, of any mix of
+variants, as the rows of one (B, n) stack, each row by its variant's
+`step` formula and the same switching law.
 """
 from __future__ import annotations
 
@@ -87,10 +88,7 @@ class AlgoParams:
 
 @dataclass
 class IterState:
-    """Two-point state (q_{k-1}, q_k) with momentum p_k = (q_k - q_{k-1})/eps.
-
-    On a (B, n) stack each row is the state of one run.
-    """
+    """Two-point state (q_{k-1}, q_k) with momentum p_k = (q_k - q_{k-1})/eps."""
 
     q_prev: Array
     q: Array
@@ -108,29 +106,17 @@ def switching_beta(grad: Array, p: Array, params: AlgoParams):
     """beta_hi while momentum aligns with descent, beta_lo otherwise.
 
     Returns (beta, reset). The boundary <grad, p> = 0, and a NaN, take the
-    reset branch. Row by row on a (B, n) stack, whose params hold (B,)
-    vectors of betas (`_Stack`).
+    reset branch.
     """
     if params.variant not in (Variant.POL, Variant.NES):
         raise ValueError("switching law applies to POL and NES only")
-    keep = np.vecdot(grad, p) < 0.0
-    return np.where(keep, params.beta_hi, params.beta_lo), ~keep
+    return _switch(np.vecdot(grad, p), params.beta_lo, params.beta_hi)
 
 
-def _momentum(params: AlgoParams, g: Array, p: Array, alpha: float):
-    """(beta, reset, next alpha) at one iterate with gradient g and momentum p.
-
-    POL and NES follow the switching law; NES_SCHEDULE takes the next
-    beta of the alpha recursion, the same for every row of a stack; GD
-    has no momentum.
-    """
-    if params.variant is Variant.NES_SCHEDULE:
-        beta, alpha = nesterov_beta_schedule(alpha)
-        return beta, False, alpha
-    if params.variant is Variant.GD:
-        return 0.0, False, alpha
-    beta, reset = switching_beta(g, p, params)
-    return beta, reset, alpha
+def _switch(inner: Array, beta_lo, beta_hi):
+    """The switching law on <grad, p> = inner, row by row on a stack."""
+    keep = inner < 0.0
+    return np.where(keep, beta_hi, beta_lo), ~keep
 
 
 def _finite(g: Array) -> Array:
@@ -147,9 +133,9 @@ def step(state: IterState, params: AlgoParams, model: ObjectiveModel,
     the switching law on <grad phi(q_k), p_k>; NES_SCHEDULE needs it from
     the caller, who owns the alpha recursion. POL uses the gradient at
     q_k, NES and NES_SCHEDULE the gradient at q_k + eps*beta*p_k, and GD
-    is q_k - h*grad phi(q_k) (p is kept for uniform records). The update
-    is elementwise, so on a (B, n) stack it steps each row with its own
-    eps, h and beta, given as (B, 1) columns.
+    is q_k - h*grad phi(q_k) (p is kept for uniform records). `run_many`
+    applies the same formulas, elementwise, to each variant's slice of a
+    (B, n) stack.
     """
     variant = params.variant
     if variant is not Variant.NES_SCHEDULE:
@@ -215,15 +201,20 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         # one format string per row over plain Python numbers, 1024 rows
-        # at a time, as HybridArc.to_csv does
-        row = "%d,%.17g,%d,%.17g,%d,%.17g\n"
+        # at a time, as HybridArc.to_csv does. A run has few distinct
+        # betas, so each is formatted once, keyed by its bits (-0.0 and
+        # 0.0 print differently).
+        row = "%d,%.17g,%d,%s,%d,%.17g\n"
+        keys, which = np.unique(self.betas.view(np.uint64), return_inverse=True)
+        text = ["%.17g" % b for b in keys.view(float).tolist()]
+        betas = [text[i] for i in which.tolist()]
         with open(path, "w") as fh:
             fh.write("k,phi_gap,inner_sign,beta,reset,grad_norm\n")
             for lo in range(0, len(self), 1024):
                 part = slice(lo, lo + 1024)
                 fh.writelines(row % rec for rec in zip(
                     range(lo, lo + 1024), self.phi_gaps[part].tolist(),
-                    self.inner_signs[part].tolist(), self.betas[part].tolist(),
+                    self.inner_signs[part].tolist(), betas[part],
                     self.resets[part].tolist(), self.grad_norms[part].tolist()))
 
     def iterations_to_gap(self, target: float) -> Optional[int]:
@@ -254,7 +245,13 @@ def run(model: ObjectiveModel, params: AlgoParams, q0: Array, max_iter: int,
     gaps, signs, betas, resets, gnorms = [], [], [], [], []
     status = STATUS_MAX_ITER
     while True:
-        beta, reset, alpha = _momentum(params, g, state.p, alpha)
+        if params.variant is Variant.NES_SCHEDULE:
+            beta, alpha = nesterov_beta_schedule(alpha)
+            reset = False
+        elif params.variant is Variant.GD:
+            beta, reset = 0.0, False
+        else:
+            beta, reset = switching_beta(g, state.p, params)
         gnorm = float(np.linalg.norm(g))
         inner = float(np.dot(g, state.p))
         gaps.append(float(phi - phi_star))
@@ -277,109 +274,104 @@ def run(model: ObjectiveModel, params: AlgoParams, q0: Array, max_iter: int,
                       q=state.q, phi=float(phi), status=status)
 
 
-@dataclass
-class _Stack:
-    """The AlgoParams of B runs of one variant, as `step` and
-    `switching_beta` read them on a (B, n) state: eps and h as (B, 1)
-    columns, beta_lo and beta_hi as (B,) vectors."""
-
-    variant: Variant
-    eps: Array
-    h: Array
-    beta_lo: Array
-    beta_hi: Array
-
-    @classmethod
-    def of(cls, group: Sequence[AlgoParams]) -> "_Stack":
-        def col(name):
-            return np.array([getattr(p, name) for p in group])
-        return cls(group[0].variant, col("eps")[:, None], col("h")[:, None],
-                   col("beta_lo"), col("beta_hi"))
-
-    def rows(self, keep: Array) -> "_Stack":
-        return _Stack(self.variant, self.eps[keep], self.h[keep],
-                      self.beta_lo[keep], self.beta_hi[keep])
+# run_many sorts its rows by variant in this order, so that the rows of
+# each formula are one slice: GD's, the switching law's (POL and NES) and
+# the extrapolated point's (NES and NES_SCHEDULE)
+_ORDER = (Variant.GD, Variant.POL, Variant.NES, Variant.NES_SCHEDULE)
 
 
 def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
              max_iter: int, grad_tol: float = 0.0) -> list[Trajectory]:
     """`run` for each of params_seq from one start point q0 (p0 = 0).
 
-    Runs of one variant step together as the rows of a (B, n) stack, so
-    each iterate makes one stacked value_grad call for all of them (NES
-    variants one more at the extrapolated points); model.value_grad must
-    map a (B, n) stack to (B,) values and (B, n) gradients. A run leaves
-    the stack at the iterate where it stops. With an oracle that gives
-    each row the bits it gives that point alone (`quad_eval_grad` does),
-    every record, status, final q and phi equals `run`'s bit for bit.
+    All the runs, of every variant, step together as the rows of one
+    (B, n) stack, sorted by variant in `_ORDER`. Each iterate makes one
+    stacked value_grad call for every live row and, while NES or
+    NES_SCHEDULE rows are live, one more at their extrapolated points;
+    model.value_grad must map a (B, n) stack to (B,) values and (B, n)
+    gradients. Each variant's slice steps by its `step` formula, and a run
+    leaves the stack at the iterate where it stops. With an oracle that
+    gives each row the bits it gives that point alone (`quad_eval_grad`
+    does), every record, status, final q and phi equals `run`'s bit for
+    bit.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     params_seq = list(params_seq)
-    out: list = [None] * len(params_seq)
-    for variant in Variant:
-        idx = [i for i, p in enumerate(params_seq) if p.variant is variant]
-        if idx:
-            trajs = _run_stack(model, [params_seq[i] for i in idx], q0,
-                               max_iter, grad_tol)
-            for i, traj in zip(idx, trajs):
-                out[i] = traj
-    return out
-
-
-def _run_stack(model: ObjectiveModel, group: list[AlgoParams], q0: Array,
-               max_iter: int, grad_tol: float) -> list[Trajectory]:
-    """`run`'s loop on a (B, n) stack of runs of one variant."""
+    if not params_seq:
+        return []
+    rank = np.array([_ORDER.index(p.variant) for p in params_seq])
+    order = np.argsort(rank, kind="stable")
+    group, rank = [params_seq[i] for i in order], rank[order]
+    # eps and h as (B, 1) columns; GD rows take beta 0, as `run` records
+    eps, h, lo, hi = (np.array([getattr(p, name) for p in group])
+                      for name in ("eps", "h", "beta_lo", "beta_hi"))
+    eps, h = eps[:, None], h[:, None]
+    lo, hi = np.where(rank > 0, lo, 0.0), np.where(rank > 0, hi, 0.0)
     size = len(group)
-    params = _Stack.of(group)
     q0 = np.asarray(q0, dtype=float)
     phi0, g0 = model.value_grad(q0)
     guard = DIVERGENCE_FACTOR * max(1.0, abs(phi0))
     phi_star = math.nan if model.min_value is None else model.min_value
     alpha = 1.0  # NES_SCHEDULE state
 
-    q = np.tile(q0, (size, 1))
-    state = IterState(q_prev=q, q=q, p=np.zeros_like(q))
+    q, p = np.tile(q0, (size, 1)), np.zeros((size, q0.size))
     phi, g = np.full(size, phi0), np.tile(g0, (size, 1))
     diverged = np.zeros(size, dtype=bool)
-    live = np.arange(size)  # the run of each stacked row
-    # records, run by run; a run's iterates fill a prefix of its row
+    live = np.arange(size)  # the record row of each stacked row
+    at = slice(None)  # live, as a slice while every row is live
+    a, b, c = np.searchsorted(rank, (1, 2, 3)).tolist()  # POL, NES, NES_SCHEDULE
+    # records, in stack order; a run's iterates fill a prefix of its row
     gaps, betas, gnorms = (np.empty((size, max_iter + 1)) for _ in range(3))
     signs = np.empty((size, max_iter + 1), dtype=np.int8)
     resets = np.empty((size, max_iter + 1), dtype=bool)
     ends: list = [None] * size  # (length, status, q, phi)
     for k in range(max_iter + 1):
-        beta, reset, alpha = _momentum(params, g, state.p, alpha)
-        inner = np.vecdot(g, state.p)
+        inner = np.vecdot(g, p)
+        beta, reset = _switch(inner, lo, hi)
+        reset[:a] = reset[c:] = False
+        if c < len(beta):
+            beta[c:], alpha = nesterov_beta_schedule(alpha)
         gnorm = np.sqrt(np.vecdot(g, g))
-        gaps[live, k] = phi - phi_star
-        signs[live, k] = np.sign(np.where(np.isfinite(inner), inner, 0.0))
-        betas[live, k] = beta
-        resets[live, k] = reset
-        gnorms[live, k] = gnorm
+        gaps[at, k] = phi - phi_star
+        signs[at, k] = np.sign(np.where(np.isfinite(inner), inner, 0.0))
+        betas[at, k] = beta
+        resets[at, k] = reset
+        gnorms[at, k] = gnorm
         stop = diverged | (gnorm <= grad_tol) | (k == max_iter)
         if stop.any():
             for i in np.flatnonzero(stop):
                 status = (STATUS_DIVERGED if diverged[i] else
                           STATUS_MAX_ITER if k == max_iter else STATUS_CONVERGED)
-                ends[live[i]] = (k + 1, status, state.q[i].copy(), float(phi[i]))
+                ends[live[i]] = (k + 1, status, q[i].copy(), float(phi[i]))
             keep = ~stop
             if not keep.any():
                 break
-            live, params, g = live[keep], params.rows(keep), g[keep]
-            state = IterState(q_prev=state.q_prev[keep], q=state.q[keep],
-                              p=state.p[keep], k=state.k)
-            if np.ndim(beta):
-                beta = beta[keep]
-        state = step(state, params, model, grad=g, beta=np.reshape(beta, (-1, 1)))
-        phi, g = model.value_grad(state.q)
+            live, rank, eps, h, lo, hi, q, p, g, beta = (
+                v[keep] for v in (live, rank, eps, h, lo, hi, q, p, g, beta))
+            at, (a, b, c) = live, np.searchsorted(rank, (1, 2, 3)).tolist()
+        # `step`'s formulas, slice by slice. As there, NES_SCHEDULE reads
+        # only the gradient at its extrapolated point, and GD's momentum
+        # formula (beta 0) is replaced by q - h*g, whose bits differ.
+        _finite(g[:c])
+        beta = beta[:, None]
+        if b < len(g):
+            g = np.concatenate((g[:b], _finite(
+                model.gradient(q[b:] + eps[b:] * beta[b:] * p[b:]))))
+        q_next = q + eps * (beta * p - eps * g)
+        if a:
+            q_next[:a] = q[:a] - h[:a] * g[:a]
+        p, q = (q_next - q) / eps, q_next
+        phi, g = model.value_grad(q)
         diverged = ~np.isfinite(phi) | (phi > guard)
 
-    return [Trajectory(params=p, phi_gaps=gaps[i, :n], inner_signs=signs[i, :n],
-                       betas=betas[i, :n], resets=resets[i, :n],
-                       grad_norms=gnorms[i, :n], q=q_end, phi=phi_end,
-                       status=status)
-            for i, (p, (n, status, q_end, phi_end)) in enumerate(zip(group, ends))]
+    out: list = [None] * size
+    for row, (i, (n, status, q_end, phi_end)) in enumerate(zip(order, ends)):
+        out[i] = Trajectory(params=params_seq[i], phi_gaps=gaps[row, :n],
+                            inner_signs=signs[row, :n], betas=betas[row, :n],
+                            resets=resets[row, :n], grad_norms=gnorms[row, :n],
+                            q=q_end, phi=phi_end, status=status)
+    return out
 
 
 def count_nonmonotone(traj: Trajectory) -> int:

@@ -32,9 +32,11 @@ class ObjectiveModel:
     Hessian may use it only to move points (the hybrid integrators step
     quadratic flows with it). discrete.run_many (and so the logreg
     tuner) and the hybrid skip-ahead also pass value_grad a (B, n) stack
-    of points, for (B,) values and (B, n) gradients; quad_eval_grad and
-    logistic_eval_grad take one, and give each row the bits of its point
-    alone.
+    of points, for (B,) values and (B, n) gradients: run_many passes all
+    its live runs, of every variant, as one stack, and the extrapolated
+    points of its NES and NES_SCHEDULE rows as a second. quad_eval_grad
+    and logistic_eval_grad take a stack, and give each row the bits of
+    its point alone.
     """
 
     dim: int

@@ -54,7 +54,31 @@ def _decade_ticks(lo: float, hi: float) -> list[float]:
     hi_e = math.ceil(math.log10(hi))
     # cap label clutter on very tall ranges
     stride = max(1, (hi_e - lo_e) // 8)
-    return [10.0 ** e for e in range(lo_e, hi_e + 1, stride)]
+    # 1e309 is past the float range
+    return [10.0 ** e for e in range(lo_e, min(hi_e, 308) + 1, stride)]
+
+
+def _linear_axis(lo: float, hi: float, below: float, above: float,
+                 pad: float) -> tuple[float, float, float]:
+    """(s, lo, hi): the ends of a linear axis over data in [lo, hi], in
+    units of the data times s. A range of zero width first grows by below
+    and above, then each end moves out by pad times the width. s is 1
+    whenever that arithmetic leaves a width whose fifth, the tick step's
+    scale, is positive and finite. Otherwise the data are huge (a zero
+    width at |lo| >= 2**53, or a width past the float range) and s = 1/16,
+    where a width that is still zero grows by |lo| each side; or the width
+    is a few subnormals, and s = 2**64."""
+    for s in (1.0, 2.0 ** -4 if max(abs(lo), abs(hi)) > 1.0 else 2.0 ** 64):
+        a, b = lo * s, hi * s
+        if b <= a:
+            a, b = a - below, b + above
+        if b <= a:
+            a, b = a - abs(a), b + abs(b)
+        w = pad * (b - a)
+        a, b = a - w, b + w
+        if 0.0 < (b - a) / 5 < math.inf:
+            break
+    return s, a, b
 
 
 def _escape(text: str) -> str:
@@ -86,15 +110,15 @@ def render_line_chart(series: Sequence[Series], title: str = "",
     if not all_x.size:
         all_x, all_y = np.array([0.0]), np.array([1.0])
 
-    x_lo = float(all_x.min())
-    x_hi = float(all_x.max())
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
+    x_s, x_lo, x_hi = _linear_axis(float(all_x.min()), float(all_x.max()),
+                                   0.0, 1.0, 0.0)
 
     # Pixel maps take arrays. They keep the operations, and their order,
     # of the scalar expressions they replaced, so every coordinate keeps
-    # its bits. On the log axis math.log10 stays: np.log10 can differ from
-    # libm in the last bit, which can flip a %.3f rounding.
+    # its bits (a linear axis's scale s is 1 but on huge or subnormal
+    # ranges, and x * 1.0 == x). On the log axis math.log10 stays:
+    # np.log10 can differ from libm in the last bit, which can flip a %.3f
+    # rounding.
     if log_y:
         positive = all_y[all_y > 0.0]
         floor = y_floor if y_floor is not None else (
@@ -105,6 +129,8 @@ def render_line_chart(series: Sequence[Series], title: str = "",
         y_hi = max(float(all_y.max()), floor)
         if y_hi <= y_lo:
             y_hi = y_lo * 10.0
+            if y_hi == math.inf:
+                y_lo, y_hi = y_lo / 10.0, y_lo
         ly_lo, ly_hi = math.log10(y_lo), math.log10(y_hi)
         if ly_hi - ly_lo < 1e-9:
             ly_hi = ly_lo + 1.0
@@ -117,24 +143,21 @@ def render_line_chart(series: Sequence[Series], title: str = "",
 
         y_ticks = [t for t in _decade_ticks(y_lo, y_hi) if y_lo / 1.001 <= t <= y_hi * 1.001]
     else:
-        y_lo = float(all_y.min())
-        y_hi = float(all_y.max())
-        if y_hi <= y_lo:
-            y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-        pad = 0.05 * (y_hi - y_lo)
-        y_lo, y_hi = y_lo - pad, y_hi + pad
+        y_s, y_lo, y_hi = _linear_axis(float(all_y.min()), float(all_y.max()),
+                                       0.5, 0.5, 0.05)
 
         def y_pix(y: np.ndarray) -> np.ndarray:
-            return HEIGHT - MARGIN_B - (y - y_lo) / (y_hi - y_lo) * (
+            return HEIGHT - MARGIN_B - (y * y_s - y_lo) / (y_hi - y_lo) * (
                 HEIGHT - MARGIN_T - MARGIN_B)
 
-        y_ticks = _nice_ticks(y_lo, y_hi)
+        # a tick whose value, unscaled, is past the float range is dropped
+        y_ticks = [t / y_s for t in _nice_ticks(y_lo, y_hi) if abs(t / y_s) < math.inf]
 
     def x_pix(x: np.ndarray) -> np.ndarray:
-        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
+        return MARGIN_L + (x * x_s - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
 
-    x_ticks = [t for t in _nice_ticks(x_lo, x_hi)
-               if x_lo - 1e-12 <= t <= x_hi + 1e-12]
+    x_ticks = [t / x_s for t in _nice_ticks(x_lo, x_hi)
+               if x_lo - 1e-12 <= t <= x_hi + 1e-12 and abs(t / x_s) < math.inf]
 
     out = []
     out.append('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '

@@ -1,5 +1,6 @@
 """Front-end behavior: config resolution, outputs, determinism, orderings."""
 
+import collections
 import dataclasses
 import filecmp
 import json
@@ -12,12 +13,13 @@ import numpy as np
 import pytest
 
 import hbreset.cli
+import hbreset.objectives
 from hbreset.cli import (ExperimentConfig, LOGREG_METHODS, SWEEP_HEADER,
                          certify_tuning, config_from_args, build_parser,
                          golden_min, logreg_start, main, quad_params,
                          read_sweep, replot_sweep, tail_slope, tune_method,
                          tune_params)
-from hbreset.discrete import run
+from hbreset.discrete import Variant, run
 from hbreset.lmi import build_dt
 from hbreset.objectives import (QuadraticSpec, gen_logistic_dataset,
                                 gen_random_quadratic, logistic_model,
@@ -373,6 +375,55 @@ def test_quad_deterministic(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert_dirs_byte_identical(a, b)
+
+
+def counting_oracle(monkeypatch, name):
+    """Count the calls of objectives.<name> by the shape of the points:
+    () for one point, (B,) for a stack of B."""
+    shapes, lone = collections.Counter(), getattr(hbreset.objectives, name)
+
+    def counted(spec, q):
+        shapes[np.shape(q)[:-1]] += 1
+        return lone(spec, q)
+
+    monkeypatch.setattr(hbreset.objectives, name, counted)
+    return shapes
+
+
+def test_quad_pass_steps_every_run_in_one_stack(monkeypatch, tmp_path):
+    # the 24 runs (6 methods x 4 K) of a quad pass are the rows of one
+    # stack: each iterate makes one call for all 24 and one at the
+    # extrapolated points of the 12 NES rows. The single points are phi*
+    # and the gradient check at q* (quadratic_model) and the start q0.
+    shapes = counting_oracle(monkeypatch, "quad_eval_grad")
+    assert main(["quad", "--seed", "3", "--iters", "20", "--out",
+                 str(tmp_path)]) == 0
+    assert shapes == {(24,): 20, (12,): 20, (): 3}
+
+
+def test_tune_round_of_five_methods_is_one_stack(monkeypatch):
+    # every round scores its probes with one run_many, whose runs step as
+    # one stack: one single-point call (the start q0) per round, and in the
+    # first round, where no run stops early, one call for all five rows and
+    # one at the extrapolated point of the nesterov row per iterate
+    spec = gen_logistic_dataset(6, 120, 2)
+    model = logistic_model(spec)
+    shapes = counting_oracle(monkeypatch, "logistic_eval_grad")
+    rounds, lone_run_many = [], hbreset.cli.run_many
+
+    def recording_run_many(model, params, q0, budget):
+        shapes.clear()
+        trajs = lone_run_many(model, params, q0, budget)
+        rounds.append(([p.variant for p in params], dict(shapes)))
+        return trajs
+
+    monkeypatch.setattr(hbreset.cli, "run_many", recording_run_many)
+    lhat = model.lipschitz
+    tune_method(LOGREG_METHODS, model, logreg_start(2, 6), 15, 1e-3 / lhat,
+                10.0 / lhat, outer_iters=3, inner_iters=2)
+    assert rounds[0] == ([Variant.GD, Variant.POL, Variant.NES_SCHEDULE,
+                          Variant.POL, Variant.POL], {(): 1, (5,): 15, (1,): 15})
+    assert all(calls[()] == 1 for _, calls in rounds)
 
 
 def test_quad_params_mapping():

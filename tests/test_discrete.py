@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hbreset.discrete import (AlgoParams, STATUS_CONVERGED, STATUS_DIVERGED,
@@ -285,16 +285,34 @@ def assert_same_run(a, b):
     assert a.q.tobytes() == b.q.tobytes()
 
 
+V = Variant
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(n=st.integers(2, 8), cond=st.floats(1.0, 1e3), seed=st.integers(0, 2 ** 16),
        runs=st.lists(st.tuples(st.sampled_from(list(Variant)),
                                st.floats(-2.0, 1.0),  # log10(h * L)
                                st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-                     min_size=1, max_size=7),
+                     min_size=1, max_size=12),
        max_iter=st.integers(0, 300), tol_frac=st.sampled_from([0.0, 1e-3, 0.5]))
+# all four variants: the first POL row meets grad_tol at k = 111, the NES
+# row diverges at k = 6, and the rest run to max_iter
+@example(n=4, cond=100.0, seed=1, max_iter=200, tol_frac=1e-3,
+         runs=[(V.POL, 0.0, 0.0, 0.9), (V.NES, 1.0, 0.5, 0.5), (V.GD, -1.0, 0.0, 0.0),
+               (V.NES_SCHEDULE, -1.0, 0.0, 0.0), (V.POL, -1.5, 0.2, 0.2)])
+# every NES and NES_SCHEDULE row diverges first, so the extrapolated
+# sub-stack empties while the POL and GD rows go on
+@example(n=4, cond=100.0, seed=1, max_iter=100, tol_frac=0.0,
+         runs=[(V.POL, -1.0, 0.0, 0.9), (V.NES, 1.0, 0.5, 0.5),
+               (V.NES_SCHEDULE, 1.0, 0.0, 0.0), (V.GD, -1.0, 0.0, 0.0),
+               (V.POL, -0.5, 0.3, 0.8)])
+# every POL row diverges first (at k = 6 and 9)
+@example(n=4, cond=100.0, seed=1, max_iter=100, tol_frac=0.0,
+         runs=[(V.POL, 1.0, 0.0, 0.9), (V.POL, 0.8, 0.5, 0.5), (V.NES, -1.0, 0.2, 0.9),
+               (V.NES_SCHEDULE, -1.0, 0.0, 0.0), (V.GD, -1.0, 0.0, 0.0)])
 def test_run_many_matches_run_bitwise(n, cond, seed, runs, max_iter, tol_frac):
     # rows that diverge (h*L up to 10), meet grad_tol early or run to
-    # max_iter, in stacks of mixed variants, leave the stack at their
+    # max_iter, in one stack of mixed variants, leave the stack at their
     # own iterate and must record what a lone run records
     _, model = gen_random_quadratic(n, cond, seed)
     q0 = np.random.default_rng(seed).uniform(-10.0, 10.0, n)
@@ -325,6 +343,27 @@ def test_run_many_covers_every_stop():
         run_many(model, params, q0, -1)
 
 
+def test_nes_schedule_steps_past_a_nan_gradient_at_its_iterate():
+    # NES_SCHEDULE steps by the gradient at its extrapolated point alone,
+    # so a NaN gradient at q_1 = 0.8 (h = 0.1 on phi = q^2) is recorded,
+    # not raised, by run and run_many alike; the GD row (h = 1e-6) never
+    # comes near q = 0.8
+    base = scalar_model(2.0)
+
+    def value_grad(q):
+        phi, g = base.value_grad(q)
+        return phi, np.where(np.abs(q[..., :1] - 0.8) < 1e-9, np.nan, g)
+
+    model = dataclasses.replace(base, value_grad=value_grad, minimizer=None,
+                                min_value=None)
+    params = [AlgoParams.from_h(0.1, variant=Variant.NES_SCHEDULE),
+              AlgoParams.from_h(1e-6, variant=Variant.GD)]
+    trajs = run_many(model, params, np.array([1.0]), max_iter=20)
+    assert np.isnan(trajs[0].grad_norms[1]) and trajs[0].status == STATUS_MAX_ITER
+    for p, traj in zip(params, trajs):
+        assert_same_run(traj, run(model, p, np.array([1.0]), max_iter=20))
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 def test_run_many_raises_on_nan_gradient_in_one_live_row(variant):
     # as run does: the row with h = 0.5 crosses q = 0.5 first, while the
@@ -342,18 +381,52 @@ def test_run_many_raises_on_nan_gradient_in_one_live_row(variant):
         run_many(model, params, np.array([1.0]), max_iter=50)
 
 
+def test_run_many_raises_on_nan_gradient_in_a_nes_row_of_a_mixed_stack():
+    # as above, with the row that crosses q = 0.5 (h = 0.5) a NES row of a
+    # stack that holds every variant
+    base = scalar_model(2.0)
+
+    def value_grad(q):
+        phi, g = base.value_grad(q)
+        return phi, np.where(q[..., :1] > 0.5, g, np.nan)
+
+    model = dataclasses.replace(base, value_grad=value_grad, minimizer=None,
+                                min_value=None)
+    params = [AlgoParams.from_h(h, 0.3, 0.3, variant) for h, variant in (
+        (1e-4, Variant.POL), (1e-4, Variant.GD), (0.5, Variant.NES),
+        (1e-4, Variant.NES_SCHEDULE))]
+    for p in params[:2] + params[3:]:
+        assert run(model, p, np.array([1.0]), max_iter=50).status == STATUS_MAX_ITER
+    with pytest.raises(FloatingPointError):
+        run(model, params[2], np.array([1.0]), max_iter=50)
+    with pytest.raises(FloatingPointError):
+        run_many(model, params, np.array([1.0]), max_iter=50)
+
+
 def test_trajectory_csv_matches_per_value_formatting(tmp_path):
-    # the block writer formats plain Python numbers with one format string;
-    # it must give the bytes of formatting each record on its own
+    # the block writer formats plain Python numbers with one format string,
+    # and each distinct beta once; it must give the bytes of formatting each
+    # record on its own
     _, model = gen_random_quadratic(4, 50.0, 5)
-    p = AlgoParams.from_h(0.5 / 50.0, 0.0, 0.95, Variant.NES)
-    traj = run(model, p, np.full(4, 20.0), max_iter=2500)
-    assert len(traj) > 2048 and traj.resets.any() and (traj.inner_signs < 0).any()
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    lines = ["k,phi_gap,inner_sign,beta,reset,grad_norm"]
-    for k in range(len(traj)):
-        lines.append("%d,%.17g,%d,%.17g,%d,%.17g" % (
-            k, float(traj.phi_gaps[k]), int(traj.inner_signs[k]),
-            float(traj.betas[k]), int(traj.resets[k]), float(traj.grad_norms[k])))
-    assert path.read_text() == "\n".join(lines) + "\n"
+    cases = [(Variant.NES, 0.0, 0.95),
+             (Variant.POL, -0.0, 0.0),  # betas -0.0 (reset) and 0.0 in one run
+             (Variant.NES_SCHEDULE, 0.0, 0.0)]  # a new beta at every iterate
+    for variant, beta_lo, beta_hi in cases:
+        p = AlgoParams.from_h(0.5 / 50.0, beta_lo, beta_hi, variant)
+        traj = run(model, p, np.full(4, 20.0), max_iter=2500)
+        assert len(traj) > 2048
+        if variant is Variant.NES:
+            assert traj.resets.any() and (traj.inner_signs < 0).any()
+        if variant is Variant.POL:
+            assert np.signbit(traj.betas).any() and not np.signbit(traj.betas).all()
+        if variant is Variant.NES_SCHEDULE:
+            assert len(np.unique(traj.betas)) > 2048
+        path = tmp_path / f"traj_{variant.value}.csv"
+        traj.to_csv(path)
+        lines = ["k,phi_gap,inner_sign,beta,reset,grad_norm"]
+        for k in range(len(traj)):
+            lines.append("%d,%.17g,%d,%.17g,%d,%.17g" % (
+                k, float(traj.phi_gaps[k]), int(traj.inner_signs[k]),
+                float(traj.betas[k]), int(traj.resets[k]),
+                float(traj.grad_norms[k])))
+        assert path.read_text() == "\n".join(lines) + "\n", variant

@@ -1,6 +1,7 @@
 """SVG line charts: the array renderer against the scalar one it replaced."""
 
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -135,15 +136,39 @@ def outcome(render, series, **kwargs):
         return type(exc), str(exc)
 
 
+def assert_well_formed(text):
+    """The chart parses as XML, and every coordinate and tick label is a
+    finite number, with each polyline point inside the canvas."""
+    for el in ET.fromstring(text).iter():
+        for name, value in el.attrib.items():
+            if name in ("x", "y", "x1", "y1", "x2", "y2", "width", "height"):
+                assert math.isfinite(float(value)), (name, value)
+            elif name == "points":
+                for point in value.split():
+                    x, y = map(float, point.split(","))
+                    assert 0.0 <= x <= WIDTH and 0.0 <= y <= HEIGHT, point
+        if el.get("font-size") == "11":
+            assert math.isfinite(float(el.text)), el.text
+
+
 def assert_same_bytes(series, **kwargs):
-    got = outcome(render_line_chart, series, **kwargs)
-    assert got == outcome(reference_line_chart, series, **kwargs)
+    """The array renderer gives the scalar reference's text wherever the
+    reference renders. Where the reference raises on finite data (some
+    huge or subnormal ranges), the array renderer draws a well-formed
+    chart instead."""
+    want = outcome(reference_line_chart, series, **kwargs)
+    got = render_line_chart(series, **kwargs)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_well_formed(got)
     return got
 
 
 NONFINITE = (math.nan, math.inf, -math.inf)
 _values = st.one_of(
     st.floats(-1e300, 1e300),
+    st.floats(allow_nan=False, allow_infinity=False),
     st.floats(1e-12, 1e3),
     st.sampled_from((0.0, -0.0, -1.0, 1.0) + NONFINITE))
 
@@ -202,7 +227,18 @@ EDGE_SERIES = {
     "huge": [("a", [-1e300, 1e300], [1e300, -1e300]),
              ("b", [0.0, 5e299], [1e-300, 1e300])],
     "huge_single_x": [("a", [1e300], [1.0])],
+    "single_x_2_53": [("a", [2.0 ** 53], [1.0])],
+    "x_past_float_range": [("a", [-1.7e308, 1.7e308], [1.0, 2.0])],
+    "y_past_float_range": [("a", [0.0, 1.0], [-1.7e308, 1.7e308])],
+    "y_pad_past_float_range": [("a", [0.0, 1.0], [0.0, 1.7e308])],
+    "huge_single_y": [("a", [0.0], [1.7e308])],
+    "subnormal_width": [("a", [0.0, 5e-324], [0.0, 5e-324])],
 }
+# the scalar renderer raised on these finite inputs
+REFERENCE_RAISES = {"huge_single_x": False, "single_x_2_53": False,
+                    "x_past_float_range": False, "y_past_float_range": False,
+                    "y_pad_past_float_range": False, "huge_single_y": True,
+                    "subnormal_width": False}
 
 
 @pytest.mark.parametrize("log_y", [False, True])
@@ -210,6 +246,13 @@ EDGE_SERIES = {
 @pytest.mark.parametrize("name", sorted(EDGE_SERIES))
 def test_edge_series_match_scalar_reference_bytes(name, log_y, y_floor):
     assert_same_bytes(EDGE_SERIES[name], log_y=log_y, y_floor=y_floor)
+
+
+@pytest.mark.parametrize("name, log_y", sorted(REFERENCE_RAISES.items()))
+def test_finite_inputs_the_scalar_renderer_rejects_draw_a_chart(name, log_y):
+    series = EDGE_SERIES[name]
+    assert not isinstance(outcome(reference_line_chart, series, log_y=log_y), str)
+    assert_well_formed(render_line_chart(series, log_y=log_y))
 
 
 def test_log_axis_midpoints_match_scalar_reference_bytes():
