@@ -129,14 +129,20 @@ class ExperimentConfig:
             raise ValueError("--seed is required for randomized experiments")
         if self.seed is not None and not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must fit in 64 bits")
-        if (self.subcommand in ("certify", "quad", "logreg")
-                and self.methods is not None and not self.methods):
-            raise ValueError("--methods must name at least one method")
+        if self.subcommand in ("certify", "quad", "logreg") and self.methods is not None:
+            if not self.methods:
+                raise ValueError("--methods must name at least one method")
+            # each method names its own rows and files
+            if _repeats(self.methods):
+                raise ValueError(f"--methods must not repeat a method, got {self.methods}")
         if self.subcommand == "certify":
             if not self.grid_L:
                 raise ValueError("grid of L values must be non-empty")
             if not all(math.isfinite(L) for L in self.grid_L):
                 raise ValueError(f"--grid-L entries must be finite, got {self.grid_L}")
+            if _repeats([f"{L:g}" for L in self.grid_L]):
+                raise ValueError(f"--grid-L entries must differ in their %g labels, "
+                                 f"which name the files, got {self.grid_L}")
             _require_positive("--mu", self.mu)
             if not all(L >= self.mu for L in self.grid_L):
                 raise ValueError(f"--grid-L entries must be at least --mu = {self.mu}, "
@@ -185,8 +191,17 @@ class ExperimentConfig:
                 raise ValueError("K grid must be non-empty")
             if not all(math.isfinite(K) for K in self.k_values):
                 raise ValueError(f"--K entries must be finite, got {self.k_values}")
+            if _repeats([f"{K:g}" for K in self.k_values]):
+                raise ValueError(f"--K entries must differ in their %g labels, "
+                                 f"which name the files, got {self.k_values}")
             if self.h is not None:
                 _require_positive("--h", self.h)
+                # quad_params' damping beta = 1 - eps*K must lie in [0, 1]
+                eps = math.sqrt(self.h)
+                bad = [K for K in self.k_values if not 0.0 <= 1.0 - eps * K <= 1.0]
+                if bad:
+                    raise ValueError(f"--K entries must keep 1 - sqrt(h)*K in [0, 1] "
+                                     f"at --h {self.h:g}, got {bad}")
             bad = set(self.methods or ()) - set(QUAD_METHODS)
             if bad:
                 raise ValueError(f"unknown quad methods: {sorted(bad)}")
@@ -239,6 +254,10 @@ class ExperimentConfig:
         d = dataclasses.asdict(self)
         d.pop("out")
         return json.dumps(d, sort_keys=True, indent=2) + "\n"
+
+
+def _repeats(labels: Sequence) -> bool:
+    return len(set(labels)) < len(labels)
 
 
 def _require_positive(flag: str, value: float) -> None:
@@ -697,8 +716,12 @@ def cmd_logreg(cfg: ExperimentConfig) -> int:
 
 def _simulate_model(cfg: ExperimentConfig):
     if cfg.model == "file":
-        with open(cfg.model_file) as fh:
-            return quadratic_model(quad_from_json(fh.read()))
+        try:
+            with open(cfg.model_file) as fh:
+                return quadratic_model(quad_from_json(fh.read()))
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"--model-file {cfg.model_file!r} is not a readable "
+                             f"quadratic model: {exc}") from exc
     if cfg.model == "gen":
         _, model = gen_random_quadratic(cfg.n if cfg.n is not None else 2,
                                         cfg.cond, cfg.seed)
@@ -708,12 +731,15 @@ def _simulate_model(cfg: ExperimentConfig):
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    out = _prepare(cfg)
+    # the model and the start point are checked before anything is written
     model = _simulate_model(cfg)
     q0 = np.ones(model.dim) if cfg.q0 is None else np.array(cfg.q0, dtype=float)
     p0 = np.zeros(model.dim) if cfg.p0 is None else np.array(cfg.p0, dtype=float)
-    if q0.shape != (model.dim,) or p0.shape != (model.dim,):
-        raise ValueError(f"q0/p0 must have the model dimension {model.dim}")
+    for flag, point in (("--q0", q0), ("--p0", p0)):
+        if point.shape != (model.dim,):
+            raise ValueError(f"{flag} must have the model dimension {model.dim}, "
+                             f"got {point.size} entries")
+    out = _prepare(cfg)
     K_lo, K_hi = cfg.damping_pair()
     params = HybridParams(
         K=cfg.K, K_lo=K_lo, K_hi=K_hi,

@@ -8,12 +8,9 @@ The two-step family
 switches beta between beta_hi (momentum kept) and beta_lo (reset branch)
 on the sign of <grad phi(q_k), p_k>. POL evaluates the gradient at q_k,
 NES at the extrapolated point q_k + eps*beta*p_k. GD and a time-varying
-Nesterov schedule are included as baselines. `step` is the one step map:
-it dispatches on params.variant, so each variant's update is written
-once, and `run` drives it with one oracle call per visited iterate.
-`run_many` steps several runs from one start point at once, of any mix of
-variants, as the rows of one (B, n) stack, each row by its variant's
-`step` formula and the same switching law.
+Nesterov schedule are included as baselines. `run_many` is the one
+stepping loop: the runs of any mix of variants from one start point step
+as the rows of one (B, n) stack, and `run` is its stack of one.
 """
 from __future__ import annotations
 
@@ -86,36 +83,15 @@ class AlgoParams:
                    variant=Variant(d["variant"]))
 
 
-@dataclass
-class IterState:
-    """Two-point state (q_{k-1}, q_k) with momentum p_k = (q_k - q_{k-1})/eps."""
+def switching_beta(inner, beta_lo, beta_hi):
+    """The switching law on inner = <grad phi(q_k), p_k>: beta_hi while
+    momentum aligns with descent (inner < 0), beta_lo otherwise.
 
-    q_prev: Array
-    q: Array
-    p: Array
-    k: int = 0
-
-
-def initial_state(q0: Array, eps: float, p0: Optional[Array] = None) -> IterState:
-    q0 = np.asarray(q0, dtype=float)
-    p0 = np.zeros_like(q0) if p0 is None else np.asarray(p0, dtype=float)
-    return IterState(q_prev=q0 - eps * p0, q=q0.copy(), p=p0.copy(), k=0)
-
-
-def switching_beta(grad: Array, p: Array, params: AlgoParams):
-    """beta_hi while momentum aligns with descent, beta_lo otherwise.
-
-    Returns (beta, reset). The boundary <grad, p> = 0, and a NaN, take the
-    reset branch.
+    Returns (beta, reset). The boundary inner = 0 (-0.0 too), and a NaN,
+    take the reset branch. Elementwise over a (B,) array of inner
+    products and (B,) or scalar betas; a float gives 0-d results.
     """
-    if params.variant not in (Variant.POL, Variant.NES):
-        raise ValueError("switching law applies to POL and NES only")
-    return _switch(np.vecdot(grad, p), params.beta_lo, params.beta_hi)
-
-
-def _switch(inner: Array, beta_lo, beta_hi):
-    """The switching law on <grad, p> = inner, row by row on a stack."""
-    keep = inner < 0.0
+    keep = np.less(inner, 0.0)  # a numpy bool even for a float, so ~ negates
     return np.where(keep, beta_hi, beta_lo), ~keep
 
 
@@ -123,35 +99,6 @@ def _finite(g: Array) -> Array:
     if not np.isfinite(g).all():
         raise FloatingPointError("non-finite gradient")
     return g
-
-
-def step(state: IterState, params: AlgoParams, model: ObjectiveModel,
-         grad: Optional[Array] = None, beta: Optional[float] = None) -> IterState:
-    """One iteration of params.variant from (q_{k-1}, q_k).
-
-    grad is grad phi(q_k) when the caller has it already. beta defaults to
-    the switching law on <grad phi(q_k), p_k>; NES_SCHEDULE needs it from
-    the caller, who owns the alpha recursion. POL uses the gradient at
-    q_k, NES and NES_SCHEDULE the gradient at q_k + eps*beta*p_k, and GD
-    is q_k - h*grad phi(q_k) (p is kept for uniform records). `run_many`
-    applies the same formulas, elementwise, to each variant's slice of a
-    (B, n) stack.
-    """
-    variant = params.variant
-    if variant is not Variant.NES_SCHEDULE:
-        g = _finite(model.gradient(state.q) if grad is None else grad)
-    if variant is Variant.GD:
-        q_next = state.q - params.h * g
-    else:
-        if beta is None:
-            if variant is Variant.NES_SCHEDULE:
-                raise ValueError("NES_SCHEDULE needs the schedule's beta")
-            beta, _ = switching_beta(g, state.p, params)
-        if variant is not Variant.POL:
-            g = _finite(model.gradient(state.q + params.eps * beta * state.p))
-        q_next = state.q + params.eps * (beta * state.p - params.eps * g)
-    return IterState(q_prev=state.q, q=q_next, p=(q_next - state.q) / params.eps,
-                     k=state.k + 1)
 
 
 def nesterov_beta_schedule(alpha_prev: float) -> tuple[float, float]:
@@ -225,53 +172,17 @@ class Trajectory:
 
 
 def run(model: ObjectiveModel, params: AlgoParams, q0: Array, max_iter: int,
-        grad_tol: float = 0.0, p0: Optional[Array] = None) -> Trajectory:
-    """Iterate the configured step, recording reset diagnostics per iterate.
+        grad_tol: float = 0.0) -> Trajectory:
+    """`run_many` on a stack of one: params.variant from q0 (p0 = 0), with
+    its reset diagnostics per iterate. model.value_grad must take the
+    point q0 and a (1, n) stack.
 
     Stops at max_iter, at ||grad|| <= grad_tol, or when phi exceeds the
     divergence guard 1e12 * max(1, |phi(q0)|) (status "diverged"). Each
-    visited iterate costs one value_grad call, whose value feeds the guard
-    and the gap record and whose gradient feeds the record and the step;
-    NES variants add one gradient at the extrapolated point per step.
+    visited iterate costs one value_grad call; NES variants add one
+    gradient at the extrapolated point per step.
     """
-    if max_iter < 0:
-        raise ValueError("max_iter must be >= 0")
-    state = initial_state(q0, params.eps, p0)
-    phi, g = model.value_grad(state.q)
-    guard = DIVERGENCE_FACTOR * max(1.0, abs(phi))
-    phi_star = math.nan if model.min_value is None else model.min_value
-    alpha = 1.0  # NES_SCHEDULE state
-
-    gaps, signs, betas, resets, gnorms = [], [], [], [], []
-    status = STATUS_MAX_ITER
-    while True:
-        if params.variant is Variant.NES_SCHEDULE:
-            beta, alpha = nesterov_beta_schedule(alpha)
-            reset = False
-        elif params.variant is Variant.GD:
-            beta, reset = 0.0, False
-        else:
-            beta, reset = switching_beta(g, state.p, params)
-        gnorm = float(np.linalg.norm(g))
-        inner = float(np.dot(g, state.p))
-        gaps.append(float(phi - phi_star))
-        signs.append(int(np.sign(inner)) if np.isfinite(inner) else 0)
-        betas.append(beta)
-        resets.append(reset)
-        gnorms.append(gnorm)
-        if status == STATUS_DIVERGED or state.k == max_iter:
-            break
-        if gnorm <= grad_tol:
-            status = STATUS_CONVERGED
-            break
-        state = step(state, params, model, grad=g, beta=beta)
-        phi, g = model.value_grad(state.q)
-        if not np.isfinite(phi) or phi > guard:
-            status = STATUS_DIVERGED
-
-    return Trajectory(params=params, phi_gaps=gaps, inner_signs=signs,
-                      betas=betas, resets=resets, grad_norms=gnorms,
-                      q=state.q, phi=float(phi), status=status)
+    return run_many(model, [params], q0, max_iter, grad_tol)[0]
 
 
 # run_many sorts its rows by variant in this order, so that the rows of
@@ -282,18 +193,23 @@ _ORDER = (Variant.GD, Variant.POL, Variant.NES, Variant.NES_SCHEDULE)
 
 def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
              max_iter: int, grad_tol: float = 0.0) -> list[Trajectory]:
-    """`run` for each of params_seq from one start point q0 (p0 = 0).
+    """Runs of each of params_seq from one start point q0 (p0 = 0), as
+    the rows of one (B, n) stack sorted by variant in `_ORDER`.
 
-    All the runs, of every variant, step together as the rows of one
-    (B, n) stack, sorted by variant in `_ORDER`. Each iterate makes one
-    stacked value_grad call for every live row and, while NES or
-    NES_SCHEDULE rows are live, one more at their extrapolated points;
-    model.value_grad must map a (B, n) stack to (B,) values and (B, n)
-    gradients. Each variant's slice steps by its `step` formula, and a run
-    leaves the stack at the iterate where it stops. With an oracle that
-    gives each row the bits it gives that point alone (`quad_eval_grad`
-    does), every record, status, final q and phi equals `run`'s bit for
-    bit.
+    A row steps q_{k+1} = q_k + eps * (beta p_k - eps g). beta comes from
+    `switching_beta` on <grad phi(q_k), p_k> (POL, NES) or from the alpha
+    recursion (NES_SCHEDULE). POL takes g at q_k, NES and NES_SCHEDULE at
+    q_k + eps*beta*p_k (NES_SCHEDULE reads no gradient at q_k). GD steps
+    q_k - h*grad phi(q_k) and records beta 0. A non-finite gradient that
+    a step reads raises FloatingPointError.
+
+    Each iterate makes one stacked value_grad call for every live row
+    and, while NES or NES_SCHEDULE rows are live, one more at their
+    extrapolated points; model.value_grad must map a (B, n) stack to (B,)
+    values and (B, n) gradients. A run leaves the stack at the iterate
+    where it stops. With an oracle that gives each row the bits it gives
+    that point alone (`quad_eval_grad` does), each run's records, status,
+    final q and phi are those of its stack of one, `run`.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
@@ -303,7 +219,7 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
     rank = np.array([_ORDER.index(p.variant) for p in params_seq])
     order = np.argsort(rank, kind="stable")
     group, rank = [params_seq[i] for i in order], rank[order]
-    # eps and h as (B, 1) columns; GD rows take beta 0, as `run` records
+    # eps and h as (B, 1) columns; GD rows take beta 0
     eps, h, lo, hi = (np.array([getattr(p, name) for p in group])
                       for name in ("eps", "h", "beta_lo", "beta_hi"))
     eps, h = eps[:, None], h[:, None]
@@ -328,7 +244,7 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
     ends: list = [None] * size  # (length, status, q, phi)
     for k in range(max_iter + 1):
         inner = np.vecdot(g, p)
-        beta, reset = _switch(inner, lo, hi)
+        beta, reset = switching_beta(inner, lo, hi)
         reset[:a] = reset[c:] = False
         if c < len(beta):
             beta[c:], alpha = nesterov_beta_schedule(alpha)
@@ -350,8 +266,8 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
             live, rank, eps, h, lo, hi, q, p, g, beta = (
                 v[keep] for v in (live, rank, eps, h, lo, hi, q, p, g, beta))
             at, (a, b, c) = live, np.searchsorted(rank, (1, 2, 3)).tolist()
-        # `step`'s formulas, slice by slice. As there, NES_SCHEDULE reads
-        # only the gradient at its extrapolated point, and GD's momentum
+        # each variant's formula, slice by slice: NES_SCHEDULE reads only
+        # the gradient at its extrapolated point, and GD's momentum
         # formula (beta 0) is replaced by q - h*g, whose bits differ.
         _finite(g[:c])
         beta = beta[:, None]

@@ -238,6 +238,16 @@ class _ArcBuilder:
         self.rows(np.array([t]), j, q[None], p[None], np.array([tau]),
                   np.array([phi]))
 
+    def jump(self, t: float, j: int, z: HybridState, phi: float) -> HybridState:
+        """Record a jump out of flow interval j at time t: the sample of z,
+        the log entry and the sample of jump_map(z), which starts interval
+        j + 1. Returns jump_map(z); phi = phi(z.q) holds across the jump."""
+        self.sample(t, j, z.q, z.p, z.tau, phi)
+        z = jump_map(z)
+        self.jumps.append((t, j + 1, z.q))
+        self.sample(t, j + 1, z.q, z.p, z.tau, phi)
+        return z
+
     def build(self) -> HybridArc:
         t, j, q, p, tau, phi = (np.concatenate(c) for c in zip(*self.parts))
         return HybridArc(t=t, j=j, q=q, p=p, tau=tau,
@@ -343,12 +353,10 @@ def _integrate(model: ObjectiveModel, params: HybridParams, z0: HybridState,
 
     # a start inside the jump set jumps immediately
     if resets and _jumps(float(np.dot(g, p)), tau, params):
+        z = arc.jump(t, j, HybridState(q, p, tau), phi)
+        q, p, tau, j = z.q, z.p, z.tau, j + 1
+    else:
         arc.sample(t, j, q, p, tau, phi)
-        j += 1
-        p = np.zeros_like(p)
-        tau = 0.0
-        arc.jumps.append((t, j, q.copy()))
-    arc.sample(t, j, q, p, tau, phi)
 
     while t < t_end - 1e-15:
         if _stopped(g):
@@ -380,12 +388,8 @@ def _integrate(model: ObjectiveModel, params: HybridParams, z0: HybridState,
                 raise RuntimeError(
                     f"event localization did not converge in {MAX_EVENT_BISECTIONS} bisections")
             t += hi
-            tau += hi
-            arc.sample(t, j, q1, p1, tau, phi1)
-            j += 1
-            q, p, tau, phi, g = q1.copy(), np.zeros_like(p1), 0.0, phi1, g1
-            arc.jumps.append((t, j, q.copy()))
-            arc.sample(t, j, q, p, tau, phi)
+            z = arc.jump(t, j, HybridState(q1, p1, tau + hi), phi1)
+            q, p, tau, j, phi, g = z.q, z.p, z.tau, j + 1, phi1, g1
         else:
             q, p, t, phi, g = q1, p1, t + dt, phi1, g1
             if resets:

@@ -30,13 +30,14 @@ class ObjectiveModel:
     constant Hessian of a quadratic phi, or None; value_grad stays the
     source of every value and gradient, and a caller that has the
     Hessian may use it only to move points (the hybrid integrators step
-    quadratic flows with it). discrete.run_many (and so the logreg
-    tuner) and the hybrid skip-ahead also pass value_grad a (B, n) stack
-    of points, for (B,) values and (B, n) gradients: run_many passes all
-    its live runs, of every variant, as one stack, and the extrapolated
-    points of its NES and NES_SCHEDULE rows as a second. quad_eval_grad
-    and logistic_eval_grad take a stack, and give each row the bits of
-    its point alone.
+    quadratic flows with it). discrete.run_many (and so discrete.run,
+    its stack of one, and the logreg tuner) and the hybrid skip-ahead
+    also pass value_grad a (B, n) stack of points, for (B,) values and
+    (B, n) gradients: run_many passes all its live runs, of every
+    variant, as one stack, and the extrapolated points of its NES and
+    NES_SCHEDULE rows as a second. So a model given to discrete.run
+    needs a stack-capable oracle. quad_eval_grad and logistic_eval_grad
+    take a stack, and give each row the bits of its point alone.
     """
 
     dim: int
@@ -137,8 +138,8 @@ def quad_eval_grad(spec: QuadraticSpec, q: Array) -> tuple[float, Array]:
     products, as a single point does, so a row of a stack gets the bits
     that the point gets alone. One point keeps the `@` form: the stack
     form's gufunc calls cost about a microsecond more per call, which
-    the scalar loops (`discrete.run`, the hybrid integrators) would pay
-    at every evaluation.
+    the hybrid stage path and the certificate replay along simulated
+    runs (acceptance criterion 05) would pay at every evaluation.
     """
     q = np.asarray(q, dtype=float)
     if q.shape == (spec.dim,):

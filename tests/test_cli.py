@@ -168,6 +168,24 @@ def test_validation_rejects_bad_configs():
     (["tune", "--seed", "1", "--method", "gd", "--h-hi", "1e-9"], "--h-hi"),
     (["logreg", "--seed", "1", "--iters", "5", "--h-lo", "100"], "--h-lo"),
     (["logreg", "--seed", "1", "--iters", "5", "--h-hi", "1e-9"], "--h-hi"),
+    # quad_params' damping 1 - sqrt(h)*K outside [0, 1]
+    (["quad", "--seed", "1", "--K", "300"], "--K"),
+    (["quad", "--seed", "1", "--K=-1"], "--K"),
+    (["quad", "--seed", "1", "--h", "1", "--K", "0.5,1.5"], "--K"),
+    # a start point or a model file that does not fit the model
+    (["simulate", "--q0", "1,2"], "--q0"),
+    (["simulate", "--p0", "1,2"], "--p0"),
+    (["simulate", "--model", "gen", "--seed", "1", "--n", "3", "--q0", "1,2"], "--q0"),
+    (["simulate", "--model", "file", "--model-file", "no-such-model.json"],
+     "--model-file"),
+    # repeated list entries, or entries whose %g file labels collide
+    (["quad", "--seed", "1", "--methods", "polyak,polyak"], "--methods"),
+    (["certify", "--methods", "nesterov,nesterov"], "--methods"),
+    (["logreg", "--seed", "1", "--methods", "gd,polyak,gd"], "--methods"),
+    (["quad", "--seed", "1", "--K", "1,1"], "--K"),
+    (["quad", "--seed", "1", "--K", "1,1.0000001"], "--K"),
+    (["certify", "--grid-L", "10,10"], "--grid-L"),
+    (["certify", "--grid-L", "10,10.0000001"], "--grid-L"),
 ])
 def test_validation_names_the_flag_of_an_edge_input(argv, flag, tmp_path):
     with pytest.raises(ValueError, match=flag):
@@ -767,6 +785,13 @@ def test_simulate_model_file_and_dimension_check(tmp_path):
         main(["simulate", "--mode", "hb", "--model", "file",
               "--model-file", str(path), "--q0", "1",
               "--out", str(tmp_path / "bad")])
+    # a file that does not read as a quadratic spec names the flag too
+    for text in ("{}", "[1]", "not json"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="--model-file"):
+            main(["simulate", "--model", "file", "--model-file", str(path),
+                  "--out", str(tmp_path / "bad")])
+    assert not (tmp_path / "bad").exists()
 
 
 def test_simulate_gen_dimension(tmp_path):

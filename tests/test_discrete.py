@@ -1,4 +1,8 @@
-"""Two-step iteration family: step maps, switching law, trajectory records."""
+"""Two-step iteration family: step maps, switching law, trajectory records.
+
+The scalar step and loop of `_reference` are the bitwise reference for
+`run_many`'s stacked loop, and so for `run`, its stack of one.
+"""
 
 import dataclasses
 import math
@@ -8,11 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _reference as ref
 from hbreset.discrete import (AlgoParams, STATUS_CONVERGED, STATUS_DIVERGED,
                               STATUS_MAX_ITER, Trajectory, Variant,
-                              count_nonmonotone, initial_state,
-                              nesterov_beta_schedule, run, run_many, step,
-                              switching_beta)
+                              count_nonmonotone, nesterov_beta_schedule, run,
+                              run_many, switching_beta)
 from hbreset.objectives import QuadraticSpec, gen_random_quadratic, quadratic_model
 
 
@@ -54,31 +58,41 @@ def test_params_json_round_trip():
 def test_initial_state_embedding():
     q0 = np.array([1.0, -2.0])
     p0 = np.array([0.5, 0.25])
-    st = initial_state(q0, eps=0.1, p0=p0)
+    st = ref.initial_state(q0, eps=0.1, p0=p0)
     np.testing.assert_allclose(st.q_prev, q0 - 0.1 * p0)
     np.testing.assert_allclose(st.p, p0)
-    st0 = initial_state(q0, eps=0.1)
+    st0 = ref.initial_state(q0, eps=0.1)
     np.testing.assert_allclose(st0.q_prev, q0)
     np.testing.assert_allclose(st.p * 0.1, st.q - st.q_prev, rtol=0, atol=1e-12)
 
 
 def test_switching_law_boundary_resets():
-    p = AlgoParams(eps=0.1, beta_lo=0.2, beta_hi=0.9, variant=Variant.POL)
-    beta, reset = switching_beta(np.array([1.0]), np.array([-1.0]), p)
-    assert beta == 0.9 and not reset
-    beta, reset = switching_beta(np.array([1.0]), np.array([1.0]), p)
-    assert beta == 0.2 and reset
-    # the boundary <g, p> = 0 takes the reset branch
-    beta, reset = switching_beta(np.array([1.0]), np.array([0.0]), p)
-    assert beta == 0.2 and reset
+    for inner in (np.float64(-1.0), -1.0, -1e-300):
+        beta, reset = switching_beta(inner, 0.2, 0.9)
+        assert beta == 0.9 and reset is np.False_
+    # the boundary <g, p> = 0, of either sign, and a NaN take the reset
+    # branch, whether inner is a numpy scalar or a Python float
+    for inner in (np.float64(1.0), 1.0, 0.0, -0.0, math.nan, np.float64(-0.0)):
+        beta, reset = switching_beta(inner, 0.2, 0.9)
+        assert beta == 0.2 and reset is np.True_
+    # a (B,) array of inner products, with scalar or (B,) betas
+    inner = np.array([-1.0, 1.0, 0.0, -0.0, math.nan, -math.inf, math.inf])
+    kept = np.array([True, False, False, False, False, True, False])
+    beta, reset = switching_beta(inner, 0.2, 0.9)
+    assert reset.dtype == bool and reset.tolist() == (~kept).tolist()
+    assert beta.tolist() == np.where(kept, 0.9, 0.2).tolist()
+    lo, hi = np.linspace(0.0, 0.3, 7), np.linspace(0.5, 0.8, 7)
+    beta, reset = switching_beta(inner, lo, hi)
+    assert beta.tolist() == np.where(kept, hi, lo).tolist()
+    assert reset.tolist() == (~kept).tolist()
 
 
 def test_step_pol_matches_classic_recursion():
     model = scalar_model(3.0)
     p = AlgoParams(eps=0.2, beta_lo=0.5, beta_hi=0.5, variant=Variant.POL)
-    st = initial_state(np.array([1.0]), p.eps, np.array([0.7]))
+    st = ref.initial_state(np.array([1.0]), p.eps, np.array([0.7]))
     beta = 0.5
-    nxt = step(st, p, model)
+    nxt = ref.step(st, p, model)
     expected = st.q + beta * (st.q - st.q_prev) - p.h * model.gradient(st.q)
     np.testing.assert_allclose(nxt.q, expected, rtol=1e-14)
     np.testing.assert_allclose(nxt.p, (nxt.q - st.q) / p.eps, rtol=1e-14)
@@ -88,8 +102,8 @@ def test_step_pol_matches_classic_recursion():
 def test_step_nes_gradient_at_extrapolated_point():
     model = scalar_model(3.0)
     p = AlgoParams(eps=0.2, beta_lo=0.6, beta_hi=0.6, variant=Variant.NES)
-    st = initial_state(np.array([1.0]), p.eps, np.array([0.7]))
-    nxt = step(st, p, model)
+    st = ref.initial_state(np.array([1.0]), p.eps, np.array([0.7]))
+    nxt = ref.step(st, p, model)
     y = st.q + 0.6 * (st.q - st.q_prev)
     expected = st.q + 0.6 * (st.q - st.q_prev) - p.h * model.gradient(y)
     np.testing.assert_allclose(nxt.q, expected, rtol=1e-14)
@@ -98,8 +112,8 @@ def test_step_nes_gradient_at_extrapolated_point():
 def test_step_gd_is_plain_descent():
     model = scalar_model(5.0)
     p = AlgoParams(eps=0.1, variant=Variant.GD)
-    st = initial_state(np.array([2.0]), p.eps)
-    nxt = step(st, p, model)
+    st = ref.initial_state(np.array([2.0]), p.eps)
+    nxt = ref.step(st, p, model)
     np.testing.assert_allclose(nxt.q, st.q - p.h * model.gradient(st.q))
 
 
@@ -108,11 +122,11 @@ def test_reset_branch_equals_momentum_zeroing():
     model = scalar_model(2.0)
     p = AlgoParams(eps=0.1, beta_lo=0.0, beta_hi=0.8, variant=Variant.POL)
     # ascending state: grad and momentum aligned, so <g, p> > 0
-    st = initial_state(np.array([1.0]), p.eps, np.array([0.5]))
+    st = ref.initial_state(np.array([1.0]), p.eps, np.array([0.5]))
     assert float(model.gradient(st.q) @ st.p) > 0
-    nxt = step(st, p, model)
-    zeroed = initial_state(st.q, p.eps)  # same point, no momentum
-    nxt0 = step(zeroed, p, model)
+    nxt = ref.step(st, p, model)
+    zeroed = ref.initial_state(st.q, p.eps)  # same point, no momentum
+    nxt0 = ref.step(zeroed, p, model)
     np.testing.assert_allclose(nxt.q, nxt0.q, rtol=1e-15)
 
 
@@ -132,20 +146,25 @@ def test_beta_schedule_recursion_invariant():
         nesterov_beta_schedule(0.0)
 
 
-def test_run_record_counts_and_state_pairs():
+@pytest.mark.parametrize("variant", list(Variant))
+def test_run_record_counts_and_state_pairs(variant):
     _, model = gen_random_quadratic(4, 10.0, 3)
-    p = AlgoParams.from_h(1.0 / 10.0, 0.3, 0.3, Variant.POL)
+    p = AlgoParams.from_h(1.0 / 10.0, 0.3, 0.3, variant)
     q0 = np.ones(4)
     traj = run(model, p, q0, max_iter=25)
     assert len(traj) == 26
     assert traj.iterations == 25
     assert traj.status == STATUS_MAX_ITER
     assert len(traj.phi_gaps) == len(traj) == len(traj.betas) == len(traj.resets)
-    # the run keeps no iterates; stepping from q0 again rebuilds them, and
-    # they reproduce the recorded gaps and gradient norms bit for bit
-    states = [initial_state(q0, p.eps)]
+    # the run keeps no iterates; stepping from q0 again with the reference
+    # step rebuilds them, and they reproduce the recorded gaps and gradient
+    # norms bit for bit. NES_SCHEDULE takes the schedule's beta.
+    states, alpha = [ref.initial_state(q0, p.eps)], 1.0
     for _ in range(traj.iterations):
-        states.append(step(states[-1], p, model))
+        beta = None
+        if variant is Variant.NES_SCHEDULE:
+            beta, alpha = nesterov_beta_schedule(alpha)
+        states.append(ref.step(states[-1], p, model, beta=beta))
     assert [model.gap(s.q) for s in states] == traj.phi_gaps.tolist()
     assert ([float(np.linalg.norm(model.gradient(s.q))) for s in states]
             == traj.grad_norms.tolist())
@@ -157,6 +176,7 @@ def test_run_record_counts_and_state_pairs():
     prev, cur = states[5].q_prev, states[5].q
     np.testing.assert_array_equal(prev, states[4].q)
     np.testing.assert_array_equal(cur, states[5].q)
+    assert_same_run(traj, ref.run(model, p, q0, 25))
 
 
 def test_run_grad_tol_stops_early():
@@ -196,18 +216,20 @@ def test_run_one_oracle_call_per_iterate(variant, calls_per_step):
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_run_raises_on_nan_gradient_with_finite_value(variant):
-    # the tuner scores a FloatingPointError as a failed setting
+    # the tuner scores a FloatingPointError as a failed setting; the
+    # oracle takes one point or a stack
     base = scalar_model(2.0)
 
     def value_grad(q):
         phi, g = base.value_grad(q)
-        return phi, g if q[0] > 0.5 else np.full_like(g, np.nan)
+        return phi, np.where(q[..., :1] > 0.5, g, np.nan)
 
     model = dataclasses.replace(base, value_grad=value_grad, minimizer=None,
                                 min_value=None)
     p = AlgoParams.from_h(0.1, 0.3, 0.3, variant)
-    with pytest.raises(FloatingPointError):
-        run(model, p, np.array([1.0]), max_iter=50)
+    for runner in (run, ref.run):
+        with pytest.raises(FloatingPointError):
+            runner(model, p, np.array([1.0]), max_iter=50)
 
 
 def test_run_nes_schedule_uses_recursion_betas():
@@ -313,7 +335,7 @@ V = Variant
 def test_run_many_matches_run_bitwise(n, cond, seed, runs, max_iter, tol_frac):
     # rows that diverge (h*L up to 10), meet grad_tol early or run to
     # max_iter, in one stack of mixed variants, leave the stack at their
-    # own iterate and must record what a lone run records
+    # own iterate and must record what the reference loop records alone
     _, model = gen_random_quadratic(n, cond, seed)
     q0 = np.random.default_rng(seed).uniform(-10.0, 10.0, n)
     grad_tol = tol_frac * float(np.linalg.norm(model.gradient(q0)))
@@ -323,7 +345,7 @@ def test_run_many_matches_run_bitwise(n, cond, seed, runs, max_iter, tol_frac):
     assert len(trajs) == len(params)
     for p, traj in zip(params, trajs):
         assert traj.params is p
-        assert_same_run(traj, run(model, p, q0, max_iter, grad_tol))
+        assert_same_run(traj, ref.run(model, p, q0, max_iter, grad_tol))
 
 
 def test_run_many_covers_every_stop():
@@ -337,7 +359,7 @@ def test_run_many_covers_every_stop():
                                          STATUS_DIVERGED]
     assert len({len(t) for t in trajs}) == 3
     for p, traj in zip(params, trajs):
-        assert_same_run(traj, run(model, p, q0, 400, tol))
+        assert_same_run(traj, ref.run(model, p, q0, 400, tol))
     assert run_many(model, [], q0, 10) == []
     with pytest.raises(ValueError):
         run_many(model, params, q0, -1)
@@ -346,7 +368,7 @@ def test_run_many_covers_every_stop():
 def test_nes_schedule_steps_past_a_nan_gradient_at_its_iterate():
     # NES_SCHEDULE steps by the gradient at its extrapolated point alone,
     # so a NaN gradient at q_1 = 0.8 (h = 0.1 on phi = q^2) is recorded,
-    # not raised, by run and run_many alike; the GD row (h = 1e-6) never
+    # not raised, by run_many and the reference alike; the GD row (h = 1e-6) never
     # comes near q = 0.8
     base = scalar_model(2.0)
 
@@ -361,13 +383,13 @@ def test_nes_schedule_steps_past_a_nan_gradient_at_its_iterate():
     trajs = run_many(model, params, np.array([1.0]), max_iter=20)
     assert np.isnan(trajs[0].grad_norms[1]) and trajs[0].status == STATUS_MAX_ITER
     for p, traj in zip(params, trajs):
-        assert_same_run(traj, run(model, p, np.array([1.0]), max_iter=20))
+        assert_same_run(traj, ref.run(model, p, np.array([1.0]), max_iter=20))
 
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_run_many_raises_on_nan_gradient_in_one_live_row(variant):
-    # as run does: the row with h = 0.5 crosses q = 0.5 first, while the
-    # other row is still live
+    # as the reference does: the row with h = 0.5 crosses q = 0.5 first,
+    # while the other row is still live
     base = scalar_model(2.0)
 
     def value_grad(q):
@@ -377,6 +399,10 @@ def test_run_many_raises_on_nan_gradient_in_one_live_row(variant):
     model = dataclasses.replace(base, value_grad=value_grad, minimizer=None,
                                 min_value=None)
     params = [AlgoParams.from_h(h, 0.3, 0.3, variant) for h in (0.5, 1e-4)]
+    with pytest.raises(FloatingPointError):
+        ref.run(model, params[0], np.array([1.0]), max_iter=50)
+    alone = ref.run(model, params[1], np.array([1.0]), max_iter=50)
+    assert alone.status == STATUS_MAX_ITER
     with pytest.raises(FloatingPointError):
         run_many(model, params, np.array([1.0]), max_iter=50)
 
@@ -396,9 +422,9 @@ def test_run_many_raises_on_nan_gradient_in_a_nes_row_of_a_mixed_stack():
         (1e-4, Variant.POL), (1e-4, Variant.GD), (0.5, Variant.NES),
         (1e-4, Variant.NES_SCHEDULE))]
     for p in params[:2] + params[3:]:
-        assert run(model, p, np.array([1.0]), max_iter=50).status == STATUS_MAX_ITER
+        assert ref.run(model, p, np.array([1.0]), max_iter=50).status == STATUS_MAX_ITER
     with pytest.raises(FloatingPointError):
-        run(model, params[2], np.array([1.0]), max_iter=50)
+        ref.run(model, params[2], np.array([1.0]), max_iter=50)
     with pytest.raises(FloatingPointError):
         run_many(model, params, np.array([1.0]), max_iter=50)
 

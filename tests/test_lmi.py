@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+import _reference as ref
 import hbreset.cli
 import hbreset.lmi
 from hbreset.cli import main as cli_main
-from hbreset.discrete import AlgoParams, IterState, Variant, initial_state, run, step
+from hbreset.discrete import AlgoParams, Variant, run
 from hbreset.lmi import (ALIGNMENT_FORM, NES, POL, Certificate, CertRequest,
                          NoCertificate, bisect_rate, bisect_rates, build_ct, build_dt,
                          build_sector, build_theorem2, certify_discrete,
@@ -25,14 +26,15 @@ def scalar_quad(c: float, q_star: float = 0.0):
 
 
 def replayed_pairs(model, params, q0, traj):
-    """(q_{k-1}, q_k) at every iterate of traj, rebuilt with `step` from q0.
+    """(q_{k-1}, q_k) at every iterate of traj, rebuilt from q0 with the
+    reference step.
 
     The run keeps no iterates; the rebuilt ones must reproduce its
     recorded gaps and gradient norms bit for bit.
     """
-    states = [initial_state(q0, params.eps)]
+    states = [ref.initial_state(q0, params.eps)]
     for _ in range(traj.iterations):
-        states.append(step(states[-1], params, model))
+        states.append(ref.step(states[-1], params, model))
     assert [model.gap(s.q) for s in states] == traj.phi_gaps.tolist()
     assert ([float(np.linalg.norm(model.gradient(s.q))) for s in states]
             == traj.grad_norms.tolist())
@@ -227,8 +229,8 @@ def test_matrix_recursion_matches_step_functions():
             q_prev, q = rng.uniform(-5.0, 5.0, (2, 2))
             x = np.concatenate([q_prev, q])
             x_next = lift["A"] @ x + lift["B"] @ model.gradient(lift["C"] @ x)
-            state = IterState(q_prev=q_prev, q=q, p=(q - q_prev) / eps)
-            out = step(state, params, model)
+            state = ref.IterState(q_prev=q_prev, q=q, p=(q - q_prev) / eps)
+            out = ref.step(state, params, model)
             np.testing.assert_allclose(out.q, x_next[2:], atol=1e-12)
             np.testing.assert_allclose(out.q_prev, q, atol=0)
 
