@@ -11,25 +11,27 @@ a certificate lifts to any dimension blockwise (P kron I), so a
 the lifted form on states of any dimension.
 
 The dt inequalities are affine in rho²: `build_theorem2` compiles a row
-(system, mu, L) once into everything but the rate, and `dt_problem`
+(system, mu, L) once into everything but the rate, and `_at_rates`
 applies rho. Feasibility itself is delegated to the phase-I barrier
 engine in `sdp`. `bisect_rates` bisects many independent rows in
 lockstep, and `dt_rates_probe` moves each compiled row to the round's
-rate and solves the round's problems as one `sdp.solve_many` stack;
-every row gets the result it gets bisected alone.
+rate and solves the round's problems as one `sdp.solve_many` stack of
+rows lifted without a `FeasProblem`; every row gets the result it gets
+bisected alone.
 """
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .objectives import ObjectiveModel
 from .sdp import (AffineMatrixMap, FeasProblem, FeasResult, FEASIBLE, INFEASIBLE,
-                  INDETERMINATE, solve_feasibility, solve_many)
+                  INDETERMINATE, check_symmetric_stack, lift, solve_feasibility,
+                  solve_many)
 
 Array = np.ndarray
 
@@ -241,6 +243,8 @@ class DtBranchLmi:
 # the switch reads, >= 0 on the main branch and <= 0 on the reset one
 ALIGNMENT_FORM = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.5, -0.5, 0.0]])
 _P_CORNERS = tuple(np.pad(E, (0, 1)) for E in _P_BASIS)  # E as a 3 x 3 corner
+# per branch LMI: name, indices in v of its basis matrices, sign of the form
+_DT_LMIS = (("flow_lmi", [0, 1, 2, 3, 4, 6], 1.0), ("reset_lmi", [0, 1, 2, 3, 5, 7], -1.0))
 
 
 @dataclass
@@ -263,39 +267,30 @@ class DtLmiData:
 
 def build_theorem2(sys: DtSystemMatrices, mu: float, L: float, rho: float) -> DtLmiData:
     """Compile the switched-rate certificate of one row, once: everything
-    in its two LMIs but the rate, which dt_problem applies."""
+    in its two LMIs but the rate, which _at_rates applies."""
     w_upper = np.array([[L / 2.0, 0.5], [0.5, 0.0]])
     w_lower = np.array([[-mu / 2.0, 0.5], [0.5, 0.0]])
     branches = []
     for br in (sys.main, sys.reset):
-        sigma1 = np.block([[br.E @ br.A - br.C, br.E @ br.B],
-                           [np.zeros((1, 2)), np.ones((1, 1))]])
-        sigma2 = np.block([[br.C - br.E, np.zeros((1, 1))],
-                           [np.zeros((1, 2)), np.ones((1, 1))]])
-        c0 = np.block([[br.C, np.zeros((1, 1))],
-                       [np.zeros((1, 2)), np.ones((1, 1))]])
+        # each is a 1 x 3 row stacked on [0 0 1]
+        sigma1, sigma2, c0 = (np.vstack([top, [[0.0, 0.0, 1.0]]]) for top in (
+            np.hstack([br.E @ br.A - br.C, br.E @ br.B]), np.hstack([br.C - br.E, [[0.0]]]),
+            np.hstack([br.C, [[0.0]]])))
         n1 = sigma1.T @ w_upper @ sigma1
         P = []
         for E in _P_BASIS:
             tr = br.A.T @ E @ br.B
-            P.append(np.block([[br.A.T @ E @ br.A, tr], [tr.T, br.B.T @ E @ br.B]]))
+            P.append(np.vstack([np.hstack([br.A.T @ E @ br.A, tr]),
+                                np.hstack([tr.T, br.B.T @ E @ br.B])]))
         branches.append(DtBranchLmi(M1=n1 + sigma2.T @ w_lower @ sigma2,
                                     M2=n1 + c0.T @ w_lower @ c0,
                                     M3=c0.T @ build_sector(mu, L) @ c0, P=tuple(P)))
     return DtLmiData(sys, mu, L, rho, *branches)
 
 
-def dt_problem(data: DtLmiData) -> FeasProblem:
-    """The feasibility problem behind dt_feasible, for export or inspection."""
+def _dt_feas(lmis: list) -> FeasProblem:
+    """The dt problem with these branch LMIs; the rest is the same in every row."""
     # v = [p11, p12, p22, a, lam, lam_r, sigma, sigma_r]
-    rho2 = data.rho * data.rho
-    lmis = []
-    for br, lam, sigma, sign, name in ((data.main, 4, 6, 1.0, "flow_lmi"),
-                                       (data.reset, 5, 7, -1.0, "reset_lmi")):
-        basis = [(i, blk - rho2 * E) for i, (blk, E) in enumerate(zip(br.P, _P_CORNERS))]
-        basis += [(3, rho2 * br.M1 + (1.0 - rho2) * br.M2), (lam, br.M3),
-                  (sigma, sign * ALIGNMENT_FORM)]
-        lmis.append(AffineMatrixMap(constant=np.zeros((3, 3)), basis=basis, name=name))
     pmap = AffineMatrixMap(constant=np.zeros((2, 2)),
                            basis=[(i, E) for i, E in enumerate(_P_BASIS)], name="P")
     return FeasProblem(nvar=8, nsd_blocks=lmis, pd_blocks=[pmap],
@@ -304,13 +299,37 @@ def dt_problem(data: DtLmiData) -> FeasProblem:
                        margin=MARGIN)
 
 
-def _dt_certificate(data: DtLmiData, res: FeasResult) -> Optional["Certificate"]:
-    """The certificate of a FEASIBLE dt solve, or None."""
+def _rate_free(datas: Sequence[DtLmiData]) -> Array:
+    """Per row and branch LMI, its basis matrices without rho, then M2."""
+    return np.array([[[*br.P, br.M1, br.M3, sign * ALIGNMENT_FORM, br.M2]
+                      for br, (*_, sign) in zip((x.main, x.reset), _DT_LMIS)]
+                     for x in datas]).reshape(-1, 2, 7, 3, 3)
+
+
+def _at_rates(base: Array, rho: Array) -> Array:
+    """The branch LMIs' basis matrices of rows `base` at rates rho: each
+    P-basis block less rho^2 E, and rho^2 M1 + (1 - rho^2) M2 for a."""
+    rho2 = (rho * rho)[:, None, None, None]
+    mats = base[:, :, :6].copy()
+    mats[:, :, :3] -= rho2[..., None] * _P_CORNERS
+    mats[:, :, 3] = rho2 * base[:, :, 3] + (1.0 - rho2) * base[:, :, 6]
+    return mats
+
+
+def dt_problem(data: DtLmiData) -> FeasProblem:
+    """The feasibility problem behind dt_feasible, for export or inspection."""
+    mats = _at_rates(_rate_free([data]), np.array([data.rho]))[0]
+    return _dt_feas([AffineMatrixMap(constant=np.zeros((3, 3)), basis=list(zip(idx, m)),
+                                     name=name) for (name, idx, _), m in zip(_DT_LMIS, mats)])
+
+
+def _dt_certificate(data: DtLmiData, rho: float, res: FeasResult) -> Optional["Certificate"]:
+    """The certificate of a FEASIBLE dt solve at rate rho, or None."""
     if res.status != FEASIBLE:
         return None
     v = res.v
     return Certificate(
-        rate=data.rho, rate_kind="rho",
+        rate=rho, rate_kind="rho",
         P=np.array([[v[0], v[1]], [v[1], v[2]]]),
         multipliers={"a": float(v[3]), "lambda": float(v[4]),
                      "lambda_r": float(v[5]), "sigma": float(v[6]),
@@ -330,7 +349,7 @@ def dt_feasible(data: DtLmiData, max_oracle_calls: int = 200,
     "infeasible" from "indeterminate" (budget ran out)."""
     res = solve_feasibility(dt_problem(data), max_oracle_calls=max_oracle_calls,
                             v_init=v_init)
-    cert = _dt_certificate(data, res)
+    cert = _dt_certificate(data, data.rho, res)
     if detail:
         return res.status, cert
     return cert
@@ -505,13 +524,25 @@ def dt_rates_probe(requests: Sequence[CertRequest],
     the compiled rows, one per request, at rho = 1."""
     compiled = [build_theorem2(dt_system(r.h, r.beta_hi, r.beta_lo, r.disc),
                                r.mu, r.lipschitz, 1.0) for r in requests]
+    base = _rate_free(compiled)
+    check_symmetric_stack(base[:, :, 4:6].reshape(-1, 3, 3),
+                          lambda i: f"map {_DT_LMIS[i // 2 % 2][0]}: basis[{4 + i % 2}]")
+    shared = lift(_dt_feas([]))
+    zero = np.zeros((3, 3))
     last: list = [None] * len(requests)
 
     def probe(rows: list, rates: list) -> list:
-        datas = [replace(compiled[i], rho=rho) for i, rho in zip(rows, rates)]
-        solved = solve_many([dt_problem(x) for x in datas], max_oracle_calls,
-                            [last[i] for i in rows])
-        certs = [_dt_certificate(x, res) for x, res in zip(datas, solved)]
+        rho = np.array(rates, dtype=float)
+        if not np.all((0.0 < rho) & (rho <= 1.0)):
+            raise ValueError("rho must lie in (0, 1]")
+        mats = _at_rates(base[rows], rho)
+        check_symmetric_stack(mats[:, :, :4].reshape(-1, 3, 3),
+                              lambda i: f"map {_DT_LMIS[i // 4 % 2][0]}: basis[{i % 4}]")
+        lifts = [shared.with_blocks([(zero, idx, m) for (_, idx, _), m in zip(_DT_LMIS, pair)])
+                 for pair in mats]
+        solved = solve_many(lifts, max_oracle_calls, [last[i] for i in rows])
+        certs = [_dt_certificate(compiled[i], r, res)
+                 for i, r, res in zip(rows, rates, solved)]
         for i, cert in zip(rows, certs):
             if cert is not None:
                 last[i] = cert.raw_v

@@ -14,10 +14,11 @@ one linear normalization c.v = 1 that removes the scaling ray of a
 homogeneous LMI system, and optional per-variable bounds.
 
 `FeasProblem` compiles every constraint once into NSD maps
-(`compiled_blocks()`). The search stacks those maps by size in its own
-coordinates; the half-margin re-check evaluates them one by one with
-`eigvalsh`. `solve_many` steps problems of one block shape together, one
-row each, so that a pass costs one batched LAPACK call per block size
+(`compiled_blocks()`). `lift` moves them into the search's coordinates;
+a caller can lift shared blocks once and add the rest per problem with
+`Lifted.with_blocks`. The half-margin re-check evaluates every block in
+v with `eigvalsh`. `solve_many` steps problems of one block shape
+together, one row each, so that a pass costs one LAPACK call per size
 whatever the number of problems; every operation acts on each row as on
 that problem alone, so a result does not depend on the stack.
 `solve_feasibility` is a stack of one. `symmetric_eig` and
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -51,12 +52,21 @@ def _check_symmetric(a: Array, what: str) -> Array:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what}: expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{what}: matrix has a non-finite entry")
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > _ASYM_TOL * scale:
-        raise ValueError(f"{what}: matrix is not symmetric")
+    check_symmetric_stack(a[None], lambda _: what)
     return a
+
+
+def check_symmetric_stack(mats: Array, name: Callable[[int], str]) -> None:
+    """Reject the first matrix i of a stack (k, m, m) that has a non-finite
+    entry or an asymmetry above _ASYM_TOL * max(1, its largest entry)."""
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    clean = np.where(finite[:, None, None], mats, 0.0)
+    scale = np.maximum(1.0, np.abs(clean).max(axis=(1, 2)))
+    bad = ~finite | (np.abs(clean - clean.swapaxes(1, 2)).max(axis=(1, 2)) > _ASYM_TOL * scale)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"{name(i)}: matrix "
+                         + ("is not symmetric" if finite[i] else "has a non-finite entry"))
 
 
 def symmetric_eig(a: Array) -> tuple[Array, Array]:
@@ -96,10 +106,7 @@ class AffineMatrixMap:
         return self.constant.shape[0]
 
     def value(self, v: Array) -> Array:
-        out = self.constant.copy()
-        for idx, mat in self.basis:
-            out += v[idx] * mat
-        return out
+        return sum((v[idx] * mat for idx, mat in self.basis), self.constant.copy())
 
     def negated(self) -> "AffineMatrixMap":
         return AffineMatrixMap(constant=-self.constant,
@@ -276,41 +283,59 @@ def _newton_step(chol: Array, scale: Array, grad: Array, tau: Array):
     return step, np.sqrt(np.vecdot(half, half))
 
 
-def _verified(problem: FeasProblem, v: Array) -> bool:
+def _verified(lifted: "Lifted", v: Array) -> bool:
     """The half-margin re-check, independent of the search's evaluation:
-    every block, and every bound (which the search enforces exactly)
+    every block in v, and every bound (which the search enforces exactly)
     relaxed by half the margin."""
-    half = 0.5 * problem.margin
-    for i, bd in enumerate(problem.bounds or ()):
+    half = 0.5 * lifted.margin
+    for i, bd in enumerate(lifted.bounds or ()):
         lo, hi = bd or (None, None)
         if (lo is not None and not v[i] >= lo - half) or \
                 (hi is not None and not v[i] <= hi + half):
             return False
-    return all(np.linalg.eigvalsh(blk.value(v))[-1] <= -half
-               for blk in problem.compiled_blocks())
+    # each block summed in basis order, as AffineMatrixMap.value sums it
+    return all(np.linalg.eigvalsh(sum((v[i] * mat for i, mat in zip(idx, mats)), const))[-1]
+               <= -half for const, idx, mats in lifted.blocks)
 
 
 @dataclass
-class _Lifted:
-    """A problem in the search's coordinates v = v_base + basis w with
-    |w_i| <= radius, and its blocks F(w) = C + sum w_i G_i stacked by
-    size as (C, G)."""
+class Lifted:
+    """A problem in the search's coordinates v = v_base + basis w, |w_i| <=
+    radius: its blocks F(w) = C + sum w_i G_i as `parts` (C, G), bound rows
+    last, and for the re-check its NSD blocks in v (constant, idx, mats)."""
 
-    problem: FeasProblem
     v_base: Array
     basis: Array
     radius: float
-    groups: list
-    w0: Array
+    margin: float
+    bounds: Optional[list]
+    parts: list
+    blocks: list
 
     def lift(self, w: Array) -> Array:
         return self.v_base + self.basis @ w
 
+    def with_blocks(self, blocks: list) -> "Lifted":
+        """This problem with more NSD blocks, given in v, ahead of its own."""
+        parts = [(const + np.tensordot(self.v_base[idx], mats, 1),
+                  np.tensordot(self.basis[idx].T, mats, 1)) for const, idx, mats in blocks]
+        return Lifted(self.v_base, self.basis, self.radius, self.margin, self.bounds,
+                      parts + self.parts, list(blocks) + self.blocks)
 
-def _lifted(problem: FeasProblem, v_init: Optional[Array]):
+    def start(self, v_init: Optional[Array]) -> Array:
+        """0, or v_init projected onto the normalization and into the box."""
+        if v_init is None:
+            return np.zeros(self.basis.shape[1])
+        v_init = np.asarray(v_init, dtype=float)
+        if v_init.shape != self.v_base.shape:
+            raise ValueError("v_init has wrong length")
+        return np.clip(self.basis.T @ (v_init - self.v_base),
+                       -0.99 * self.radius, 0.99 * self.radius)
+
+
+def lift(problem: FeasProblem):
     """The problem in search coordinates, or the FeasResult its bounds
     decide before any evaluation."""
-    margin = problem.margin
     if problem.normalization is not None:
         c = problem.normalization
         v_base = c / float(c @ c)
@@ -322,14 +347,7 @@ def _lifted(problem: FeasProblem, v_init: Optional[Array]):
         basis = np.eye(problem.nvar)
         radius = 10.0
     dim = basis.shape[1]
-    by_size: dict = {}
-    for blk in problem.compiled_blocks():
-        m = blk.dim
-        idx = np.array([i for i, _ in blk.basis], dtype=np.intp)
-        mats = np.array([mat for _, mat in blk.basis], dtype=float).reshape(-1, m, m)
-        by_size.setdefault(m, []).append(
-            (blk.constant + np.tensordot(v_base[idx], mats, 1),
-             np.tensordot(basis[idx].T, mats, 1)))
+    rows = []
     for i, bd in enumerate(problem.bounds or ()):
         for sign, limit in zip((-1.0, 1.0), bd or ()):
             if limit is None:
@@ -341,19 +359,12 @@ def _lifted(problem: FeasProblem, v_init: Optional[Array]):
                 if b < 0.0:
                     return FeasResult(INFEASIBLE, None, np.inf, 0, "bounds conflict")
                 continue
-            by_size.setdefault(1, []).append((np.array([[-b / nrm - margin]]),
-                                              (a / nrm).reshape(dim, 1, 1)))
-    groups = [(np.array([c for c, _ in blocks]), np.array([g for _, g in blocks]))
-              for _, blocks in sorted(by_size.items())]
-    w0 = np.zeros(dim)
-    if v_init is not None:
-        # warm start: the first point is v_init, projected onto the
-        # normalization and moved strictly inside the box if need be
-        v_init = np.asarray(v_init, dtype=float)
-        if v_init.shape != (problem.nvar,):
-            raise ValueError("v_init has wrong length")
-        w0 = np.clip(basis.T @ (v_init - v_base), -0.99 * radius, 0.99 * radius)
-    return _Lifted(problem, v_base, basis, radius, groups, w0)
+            rows.append((np.array([[-b / nrm - problem.margin]]), (a / nrm).reshape(dim, 1, 1)))
+    blocks = [(blk.constant, np.array([i for i, _ in blk.basis], dtype=np.intp),
+               np.array([m for _, m in blk.basis], dtype=float).reshape(-1, blk.dim, blk.dim))
+              for blk in problem.compiled_blocks()]
+    return Lifted(v_base, basis, radius, problem.margin, problem.bounds,
+                  rows, []).with_blocks(blocks)
 
 
 class _Rows:
@@ -361,20 +372,20 @@ class _Rows:
     together and every pass evaluates each live row once, so they share
     one count of oracle calls. `keep` drops the rows whose verdict is in."""
 
-    def __init__(self, lifts: list):
-        n, d = len(lifts), lifts[0].w0.size
+    def __init__(self, lifts: list, starts: list):
+        n, d = len(lifts), lifts[0].basis.shape[1]
         self.ids = np.arange(n)
         self.groups = []
-        for j in range(len(lifts[0].groups)):
-            const = np.array([lf.groups[j][0] for lf in lifts])
-            coef = np.array([lf.groups[j][1] for lf in lifts])
+        for m in sorted({c.shape[0] for c, _ in lifts[0].parts}):
+            const = np.array([[c for c, _ in lf.parts if c.shape[0] == m] for lf in lifts])
+            coef = np.array([[g for c, g in lf.parts if c.shape[0] == m] for lf in lifts])
             # coordinates first, as tensordot(w, coef, (0, 1)) lays them out
             flat = coef.swapaxes(1, 2).reshape(n, d, const[0].size)
             self.groups.append((const, coef, flat))
         # a point clears the margin when its worst eigenvalue is <= limit
-        self.limit = -np.array([lf.problem.margin for lf in lifts])
+        self.limit = -np.array([lf.margin for lf in lifts])
         self.radius = np.array([lf.radius for lf in lifts])
-        self.w_try = np.array([lf.w0 for lf in lifts]).reshape(n, d)
+        self.w_try = np.array(starts).reshape(n, d)
         self.s_try = np.zeros(n)
         self.w, self.s = self.w_try, self.s_try
         self.step, self.alpha = np.zeros((n, d + 1)), np.zeros(n)
@@ -390,13 +401,13 @@ class _Rows:
                 setattr(self, name, val[mask])
 
 
-def _phase_one(lifts: list, max_oracle_calls: int) -> list:
+def _phase_one(lifts: list, starts: list, max_oracle_calls: int) -> list:
     """Phase I on problems of one block shape, stepped together: each pass
     evaluates one point per live problem, and a problem leaves the stack
     at its verdict. Every row keeps its own tau, step length and bound,
     so its result does not depend on the rows beside it."""
-    rows = _Rows(lifts)
-    d = lifts[0].w0.size
+    rows = _Rows(lifts, starts)
+    d = lifts[0].basis.shape[1]
     results = [None] * len(lifts)
     calls = 0
 
@@ -445,7 +456,7 @@ def _phase_one(lifts: list, max_oracle_calls: int) -> list:
             # the re-check is one more oracle call
             results[rows.ids[i]] = (
                 FeasResult(FEASIBLE, v, float(worst[i]), calls + 1)
-                if _verified(lf.problem, v) else
+                if _verified(lf, v) else
                 FeasResult(INDETERMINATE, v, float(worst[i]), calls + 1,
                            "verification at half margin failed"))
         newton = (~finished if calls == 1 else accept & ~finished).nonzero()[0]
@@ -458,19 +469,26 @@ def _phase_one(lifts: list, max_oracle_calls: int) -> list:
             break
         if newton.size:
             sel = slice(None) if newton.size == rows.ids.size else newton
-            grad, hess, trz, bound = _barrier_terms(
-                [coef[sel] for _, coef, _ in rows.groups],
-                [(lam[sel], vecs[sel]) for lam, vecs in eigs],
-                rows.w[sel], rows.s[sel], rows.radius[sel])
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                grad, hess, trz, bound = _barrier_terms(
+                    [coef[sel] for _, coef, _ in rows.groups],
+                    [(lam[sel], vecs[sel]) for lam, vecs in eigs],
+                    rows.w[sel], rows.s[sel], rows.radius[sel])
+            # an overflowed row fails alone; eye stands in for its Hessian
+            finite = np.isfinite(np.column_stack([grad, hess.reshape(len(hess), -1), bound]))
+            finite = finite.all(axis=1)
+            hess[~finite] = np.eye(d + 1)
             rows.bound[sel] = bound
             # tau starts where the s-gradient is zero
             tau = trz if calls == 1 else rows.tau[sel]
             scale = 1.0 / np.sqrt(hess.diagonal(axis1=1, axis2=2))
             chol, factored = _cholesky(hess * scale[:, :, None] * scale[:, None, :])
-            go = factored & ~(bound > rows.limit[sel])
+            go = finite & factored & ~(bound > rows.limit[sel])
             if not go.all():
-                for i, b in zip(newton[~go], bound[~go]):
-                    if b > rows.limit[i]:
+                for i, b, ok in zip(newton[~go], bound[~go], finite[~go]):
+                    if not ok:
+                        undecided(i, "barrier terms not finite")
+                    elif b > rows.limit[i]:
                         done(i, INFEASIBLE, None, rows.best[i],
                              f"phase-I lower bound {float(b)!r} > -margin")
                     else:
@@ -498,11 +516,11 @@ def _phase_one(lifts: list, max_oracle_calls: int) -> list:
     return results
 
 
-def solve_many(problems: Sequence[FeasProblem], max_oracle_calls: int = 200,
+def solve_many(problems: Sequence, max_oracle_calls: int = 200,
                v_inits: Optional[Sequence[Optional[Array]]] = None) -> list:
-    """solve_feasibility on each problem, in one stacked phase I per
-    block shape; results come back in input order, each the one that
-    problem gets when solved alone."""
+    """solve_feasibility on each problem, a FeasProblem or one already
+    `Lifted`, in one stacked phase I per block shape; results come back in
+    input order, each the one that problem gets when solved alone."""
     problems = list(problems)
     v_inits = [None] * len(problems) if v_inits is None else list(v_inits)
     if len(v_inits) != len(problems):
@@ -510,15 +528,15 @@ def solve_many(problems: Sequence[FeasProblem], max_oracle_calls: int = 200,
     results: list = [None] * len(problems)
     shapes: dict = {}
     for i, (problem, v_init) in enumerate(zip(problems, v_inits)):
-        lifted = _lifted(problem, v_init)
+        lifted = problem if isinstance(problem, Lifted) else lift(problem)
         if isinstance(lifted, FeasResult):
             results[i] = lifted
             continue
-        key = (lifted.w0.size, tuple(c.shape for c, _ in lifted.groups))
-        shapes.setdefault(key, []).append((i, lifted))
+        key = (lifted.basis.shape[1], tuple(sorted(c.shape[0] for c, _ in lifted.parts)))
+        shapes.setdefault(key, []).append((i, lifted, lifted.start(v_init)))
     for members in shapes.values():
-        found = _phase_one([lf for _, lf in members], max_oracle_calls)
-        for (i, _), res in zip(members, found):
+        ids, lifts, starts = zip(*members)
+        for i, res in zip(ids, _phase_one(lifts, starts, max_oracle_calls)):
             results[i] = res
     return results
 

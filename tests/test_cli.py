@@ -186,6 +186,13 @@ def test_validation_rejects_bad_configs():
     (["quad", "--seed", "1", "--K", "1,1.0000001"], "--K"),
     (["certify", "--grid-L", "10,10"], "--grid-L"),
     (["certify", "--grid-L", "10,10.0000001"], "--grid-L"),
+    # a step past RK4's stability limit for a mode of the flow
+    (["simulate", "--mode", "hhb", "--model", "scalar", "--dt", "20", "--t-end", "100"],
+     "--dt"),
+    (["simulate", "--mode", "hb", "--K", "0", "--dt", "2.9"], "--dt"),
+    (["simulate", "--mode", "hihb", "--K-hi", "1000", "--dt", "0.01"], "--dt"),
+    (["simulate", "--model", "gen", "--seed", "1", "--cond", "1e4", "--dt", "0.05"],
+     "--dt"),
 ])
 def test_validation_names_the_flag_of_an_edge_input(argv, flag, tmp_path):
     with pytest.raises(ValueError, match=flag):
@@ -319,6 +326,14 @@ def test_certify_uncertified_row(tmp_path):
     header, rows = parse_csv(tmp_path / "sweep.csv")
     assert column(header, rows, "status") == ["uncertified"]
     assert column(header, rows, "rho") == ["nan"]
+    # at L = 1e20 the polyak rows' barrier terms overflow and the others
+    # stall: every row ends uncertified, without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["certify", "--grid-L", "1e20", "--bisect-iters", "1",
+                     "--out", str(tmp_path / "huge")]) == 0
+    header, rows = parse_csv(tmp_path / "huge" / "sweep.csv")
+    assert column(header, rows, "status") == ["uncertified"] * 6
 
 
 def test_certify_dump_sdp(tmp_path):

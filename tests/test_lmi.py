@@ -2,9 +2,12 @@
 
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _reference as ref
 import hbreset.cli
@@ -17,7 +20,8 @@ from hbreset.lmi import (ALIGNMENT_FORM, NES, POL, Certificate, CertRequest,
                          ct_alpha_builder, ct_feasible, ct_problem, dt_feasible,
                          dt_problem, dt_rate_builder, dt_rates_probe, dt_system)
 from hbreset.objectives import QuadraticSpec, gen_random_quadratic, quadratic_model
-from hbreset.sdp import FEASIBLE, problem_to_json
+from hbreset import sdp
+from hbreset.sdp import FEASIBLE, INDETERMINATE, INFEASIBLE, problem_to_json
 
 
 def scalar_quad(c: float, q_star: float = 0.0):
@@ -387,6 +391,112 @@ def test_bench_config_sweep_compiles_each_row_once(monkeypatch, tmp_path):
                          *extra, "--out", str(out)]) == 0
         assert len(compiled) == len(set(compiled)) == 18
         assert bool(list(out.glob("sdp_*.json"))) == bool(extra)
+
+
+def _lifted_bytes(lifted):
+    return (lifted.v_base.tobytes(), lifted.basis.tobytes(), lifted.radius, lifted.margin,
+            lifted.bounds, [(c.tobytes(), g.tobytes()) for c, g in lifted.parts],
+            [(c.tobytes(), np.asarray(idx).tobytes(), m.tobytes())
+             for c, idx, m in lifted.blocks])
+
+
+def _result_bits(res):
+    return (res.status, res.oracle_calls, None if res.v is None else res.v.tobytes(),
+            repr(res.worst_eig), res.message)
+
+
+def test_compiled_probes_replay_as_solves_of_their_dt_problems(monkeypatch, tmp_path):
+    # every probe of two certify passes: the lifted rows that the compiled
+    # path solves, and their results, are those of lifting and solving the
+    # probed row's dt_problem
+    probes, solves = [], []
+    real_probe, real_solve = hbreset.lmi.dt_rates_probe, hbreset.lmi.solve_many
+
+    def recording_probe(requests, max_oracle_calls=200):
+        probe = real_probe(requests, max_oracle_calls)
+
+        def recorded(rows, rates):
+            probes.append([(probe.rows[i], rho) for i, rho in zip(rows, rates)])
+            return probe(rows, rates)
+
+        recorded.rows = probe.rows
+        return recorded
+
+    def recording_solve(lifts, max_oracle_calls, v_inits):
+        found = real_solve(lifts, max_oracle_calls, v_inits)
+        solves.append([(lf, max_oracle_calls, v, res)
+                       for lf, v, res in zip(lifts, v_inits, found)])
+        return found
+
+    monkeypatch.setattr(hbreset.cli, "dt_rates_probe", recording_probe)
+    monkeypatch.setattr(hbreset.lmi, "solve_many", recording_solve)
+    for i, args in enumerate((["--grid-L", "1,10,100", "--bisect-iters", "3"],
+                              ["--grid-L", "10", "--rule", "optimal", "--scan",
+                               "--bisect-iters", "5"])):
+        assert cli_main(["certify", *args, "--out", str(tmp_path / str(i))]) == 0
+    monkeypatch.undo()
+    assert len(probes) == len(solves) >= 5 + 32
+    recorded = [(data, rho, *solved) for probe, solve in zip(probes, solves)
+                for (data, rho), solved in zip(probe, solve)]
+    assert len(recorded) >= 66 + 32 * 6
+    assert {budget for *_, budget, _, _ in recorded} == {200}
+    problems = [dt_problem(dataclasses.replace(data, rho=rho)) for data, rho, *_ in recorded]
+    again = sdp.solve_many(problems, 200, [v_init for *_, v_init, _ in recorded])
+    for problem, (*_, lifted, _, _, res), res_again in zip(problems, recorded, again):
+        assert _lifted_bytes(lifted) == _lifted_bytes(sdp.lift(problem))
+        assert _result_bits(res) == _result_bits(res_again)
+    assert {res.status for *_, res in recorded} == {FEASIBLE, INFEASIBLE, INDETERMINATE}
+    assert any(v_init is not None for *_, v_init, _ in recorded)
+
+
+def test_a_compiled_row_is_validated_as_its_dt_problem_is(monkeypatch):
+    # a compiled matrix made asymmetric by 1e-6 or non-finite is rejected
+    # by the probe with the message that building its dt_problem gives:
+    # the rate-dependent ones at the probe, M3 when the row is compiled
+    request = CertRequest(1.0, 10.0, 0.1, 0.5, 0.0, NES)
+    sys_mats = dt_system(0.1, 0.5, 0.0, NES)
+    lone = hbreset.lmi.build_theorem2
+    for matrix, entry, bad in ((lambda x: x.main.M1, (0, 1), 1e-6),
+                               (lambda x: x.reset.P[2], (0, 1), 1e-6),
+                               (lambda x: x.main.P[0], (1, 2), 1e-6),
+                               (lambda x: x.reset.M1, (1, 1), np.nan),
+                               (lambda x: x.main.P[1], (2, 2), np.inf),
+                               (lambda x: x.reset.M2, (2, 0), 1e-6),
+                               (lambda x: x.main.M3, (0, 2), 1e-6),
+                               (lambda x: x.reset.M3, (1, 1), -np.inf)):
+        def tampered(*args):
+            data = lone(*args)
+            matrix(data)[entry] += bad
+            return data
+
+        with pytest.raises(ValueError) as want:
+            dt_problem(tampered(sys_mats, 1.0, 10.0, 0.9))
+        monkeypatch.setattr(hbreset.lmi, "build_theorem2", tampered)
+        with pytest.raises(ValueError) as got:
+            dt_rates_probe([request])([0], [0.9])
+        monkeypatch.undo()
+        assert str(got.value) == str(want.value)
+        assert ("non-finite" if np.isinf(bad) or np.isnan(bad) else "not symmetric") in str(got.value)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.floats(0.1, 2.0), st.floats(1.0, 1e4), st.floats(0.01, 2.0), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0), st.sampled_from((POL, NES)), st.floats(0.05, 1.0))
+def test_every_probe_matrix_passes_the_symmetry_check(mu, cond, h, beta_hi, lo, disc, rho):
+    seen = []
+    real = hbreset.lmi.solve_many
+
+    def recording(lifts, *args):
+        seen.extend(lifts)
+        return real(lifts, *args)
+
+    request = CertRequest(mu, mu * cond, h / (mu * cond), beta_hi, lo * beta_hi, disc)
+    with mock.patch.object(hbreset.lmi, "solve_many", recording):
+        dt_rates_probe([request], max_oracle_calls=1)([0], [rho])
+    (lifted,) = seen
+    for const, _, mats in lifted.blocks:
+        for mat in (const, *mats):
+            sdp._check_symmetric(mat, "probe matrix")
 
 
 # ---------------------------------------------------------------------------

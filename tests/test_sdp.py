@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -563,6 +564,24 @@ def test_cholesky_failure_and_exhausted_budget_stay_in_their_rows():
         top = max(np.linalg.eigvalsh(blk.value(stacked[i].v))[-1]
                   for blk in problems[i].compiled_blocks())
         assert abs(top - stacked[i].worst_eig) <= 1e-9
+
+
+def test_overflowing_barrier_terms_end_their_row_alone():
+    # the polyak-family rows at L = 1e20 and 1e300 overflow their barrier
+    # terms at the first point (1/(s - lam) is 1/0 once s = worst + 1
+    # rounds to worst): each ends INDETERMINATE, with no RuntimeWarning,
+    # and the rows beside it keep their bits
+    problems = [_mistuned_dt(10.0, "nesterov", 0.9), _mistuned_dt(1e20, "polyak", 1.0),
+                _mistuned_dt(1.0, "hhb-nes", 0.5), _mistuned_dt(1e300, "hhb-pol", 0.5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = solve_many(problems, 200)
+        alone = [solve_feasibility(p, 200) for p in problems]
+    assert [_bits(r) for r in stacked] == [_bits(r) for r in alone]
+    assert [r.status for r in stacked] == [INFEASIBLE, INDETERMINATE, FEASIBLE, INDETERMINATE]
+    for res in stacked[1::2]:
+        assert res.message.startswith("barrier terms not finite")
+        assert res.oracle_calls == 1
 
 
 def test_solve_many_groups_shapes_and_keeps_input_order():
