@@ -156,6 +156,14 @@ class ExperimentConfig:
             bad = set(self.methods or ()) - set(CERTIFY_METHODS)
             if bad:
                 raise ValueError(f"unknown certify methods: {sorted(bad)}")
+            for L in self.grid_L:  # the rule's 2L or (sqrt L + sqrt mu)^2 may overflow
+                try:
+                    h = min(certify_tuning(m, L, self.mu, self.rule)[1]
+                            for m in self.methods or CERTIFY_METHODS)
+                except OverflowError:
+                    h = 0.0
+                if h == 0.0:
+                    raise ValueError(f"--grid-L entry {L:g} overflows h to 0 at --mu {self.mu:g}")
         uses_cond = (self.subcommand == "quad"
                      or (self.subcommand == "tune" and self.objective == "quad")
                      or (self.subcommand == "simulate" and self.model == "gen"))
@@ -558,9 +566,11 @@ def _scores(model: ObjectiveModel, params: list[AlgoParams], q0,
     """(phi after `budget` iterations, whether the run diverged) for each
     run; phi is inf for a run that diverges to a non-finite value or meets
     a non-finite gradient. The runs step as one run_many; if that raises,
-    each run is scored alone, so only the run that raised scores inf."""
+    each run is scored alone, so only the run that raised scores inf.
+    Only those are read, so run_many evaluates phi only where a run
+    stops or may have diverged (values="last"), with the same scores."""
     try:
-        trajs = run_many(model, params, q0, budget)
+        trajs = run_many(model, params, q0, budget, values="last")
     except FloatingPointError:
         if len(params) == 1:
             return [(float("inf"), True)]
@@ -578,9 +588,10 @@ def tune_method(methods: Sequence[str], model: ObjectiveModel, q0, budget: int,
     phi-gap have the same argmin, so no reference optimum is needed to
     tune. The searches are independent, so every round advances each
     live search by one probe and scores the round's probes with one
-    run_many call (`_scores`). A search sees the scores it would see
-    alone, so it makes the same picks. Returns one dict per method, in
-    order; raises ValueError when a method's pick diverged.
+    run_many call (`_scores`), which evaluates phi only where it reads
+    it. A search sees the scores it would see alone, so it makes the
+    same picks. Returns one dict per method, in order; raises
+    ValueError when a method's pick diverged.
     """
     searches = [_tune_search(m, h_lo, h_hi, outer_iters, inner_iters)
                 for m in methods]

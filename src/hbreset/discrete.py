@@ -192,7 +192,8 @@ _ORDER = (Variant.GD, Variant.POL, Variant.NES, Variant.NES_SCHEDULE)
 
 
 def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
-             max_iter: int, grad_tol: float = 0.0) -> list[Trajectory]:
+             max_iter: int, grad_tol: float = 0.0, *,
+             values: str = "all") -> list[Trajectory]:
     """Runs of each of params_seq from one start point q0 (p0 = 0), as
     the rows of one (B, n) stack sorted by variant in `_ORDER`.
 
@@ -204,15 +205,24 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
     a step reads raises FloatingPointError.
 
     Each iterate makes one stacked value_grad call for every live row
-    and, while NES or NES_SCHEDULE rows are live, one more at their
-    extrapolated points; model.value_grad must map a (B, n) stack to (B,)
-    values and (B, n) gradients. A run leaves the stack at the iterate
+    and, while NES or NES_SCHEDULE rows are live, one model.gradient call
+    at their extrapolated points; the oracles must map a (B, n) stack to
+    (B,) values and (B, n) gradients. A run leaves the stack at the iterate
     where it stops. With an oracle that gives each row the bits it gives
     that point alone (`quad_eval_grad` does), each run's records, status,
     final q and phi are those of its stack of one, `run`.
+
+    values="last" (for callers that read only phi and status) calls
+    model.bound_grad, when there is one, at intermediate iterates: a row
+    whose bound is at most the guard has not diverged and records a NaN
+    gap. Every other row, and every iterate where a run stops, gets
+    value_grad's phi, so status, final q and phi are unchanged.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
+    if values not in ("all", "last"):
+        raise ValueError(f"values must be 'all' or 'last', got {values!r}")
+    bound = model.bound_grad if values == "last" else None
     params_seq = list(params_seq)
     if not params_seq:
         return []
@@ -278,8 +288,18 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
         if a:
             q_next[:a] = q[:a] - h[:a] * g[:a]
         p, q = (q_next - q) / eps, q_next
-        phi, g = model.value_grad(q)
-        diverged = ~np.isfinite(phi) | (phi > guard)
+        exact = True
+        if bound is None or k + 1 == max_iter:
+            phi, g = model.value_grad(q)
+        else:
+            # phi is read where a row may have diverged (its bound, or a
+            # NaN, is above the guard) or stops at grad_tol
+            phi, g = bound(q)
+            exact = ~(phi <= guard) | (np.sqrt(np.vecdot(g, g)) <= grad_tol)
+            phi[~exact] = math.nan
+            if exact.any():
+                phi[exact] = model.value(q[exact])
+        diverged = exact & (~np.isfinite(phi) | (phi > guard))
 
     out: list = [None] * size
     for row, (i, (n, status, q_end, phi_end)) in enumerate(zip(order, ends)):

@@ -193,6 +193,11 @@ def test_validation_rejects_bad_configs():
     (["simulate", "--mode", "hihb", "--K-hi", "1000", "--dt", "0.01"], "--dt"),
     (["simulate", "--model", "gen", "--seed", "1", "--cond", "1e4", "--dt", "0.05"],
      "--dt"),
+    # an L whose tuning-rule stepsize overflows to h = 0 (2L, or
+    # (sqrt L + sqrt mu)^2 under the optimal rule, is past the float range)
+    (["certify", "--grid-L", "1e308"], "--grid-L"),
+    (["certify", "--rule", "optimal", "--mu", "1e308", "--grid-L", "1e308"],
+     "--grid-L"),
 ])
 def test_validation_names_the_flag_of_an_edge_input(argv, flag, tmp_path):
     with pytest.raises(ValueError, match=flag):
@@ -436,18 +441,22 @@ def test_quad_pass_steps_every_run_in_one_stack(monkeypatch, tmp_path):
 
 def test_tune_round_of_five_methods_is_one_stack(monkeypatch):
     # every round scores its probes with one run_many, whose runs step as
-    # one stack: one single-point call (the start q0) per round, and in the
-    # first round, where no run stops early, one call for all five rows and
-    # one at the extrapolated point of the nesterov row per iterate
+    # one stack: one single-point value (the start q0) per round, and in
+    # the first round, where no run stops early, one call for all five
+    # rows per iterate and one at the extrapolated point of the nesterov
+    # row. Only the last iterate's call is a value; the others and every
+    # extrapolated point take the bound, as no run diverges there
     spec = gen_logistic_dataset(6, 120, 2)
     model = logistic_model(spec)
     shapes = counting_oracle(monkeypatch, "logistic_eval_grad")
+    bounds = counting_oracle(monkeypatch, "logistic_bound_grad")
     rounds, lone_run_many = [], hbreset.cli.run_many
 
-    def recording_run_many(model, params, q0, budget):
+    def recording_run_many(model, params, q0, budget, **kwargs):
         shapes.clear()
-        trajs = lone_run_many(model, params, q0, budget)
-        rounds.append(([p.variant for p in params], dict(shapes)))
+        bounds.clear()
+        trajs = lone_run_many(model, params, q0, budget, **kwargs)
+        rounds.append(([p.variant for p in params], dict(shapes), dict(bounds)))
         return trajs
 
     monkeypatch.setattr(hbreset.cli, "run_many", recording_run_many)
@@ -455,8 +464,9 @@ def test_tune_round_of_five_methods_is_one_stack(monkeypatch):
     tune_method(LOGREG_METHODS, model, logreg_start(2, 6), 15, 1e-3 / lhat,
                 10.0 / lhat, outer_iters=3, inner_iters=2)
     assert rounds[0] == ([Variant.GD, Variant.POL, Variant.NES_SCHEDULE,
-                          Variant.POL, Variant.POL], {(): 1, (5,): 15, (1,): 15})
-    assert all(calls[()] == 1 for _, calls in rounds)
+                          Variant.POL, Variant.POL], {(): 1, (5,): 1},
+                         {(5,): 14, (1,): 15})
+    assert all(calls[()] == 1 for _, calls, _ in rounds)
 
 
 def test_quad_params_mapping():
@@ -672,9 +682,9 @@ def test_tune_scores_a_nan_gradient_inf_on_that_row_only(monkeypatch):
                                 min_value=None)
     calls, lone_run_many = [], hbreset.cli.run_many
 
-    def recording_run_many(model, params, q0, budget):
+    def recording_run_many(model, params, q0, budget, **kwargs):
         try:
-            trajs = lone_run_many(model, params, q0, budget)
+            trajs = lone_run_many(model, params, q0, budget, **kwargs)
         except FloatingPointError:
             calls.append((params, None))
             raise
@@ -711,6 +721,17 @@ def test_tune_rejects_a_pick_whose_run_diverged(tmp_path):
         main(["tune", "--seed", "1", "--method", "gd", "--h-lo", "1", "--h-hi", "10",
               "--out", str(out)])
     assert not (out / "tuned.json").exists()
+    assert not out.exists()
+
+
+def test_tune_logreg_rejects_a_pick_when_every_run_diverges(tmp_path):
+    # every gd run at h in [1e14, 1e15] passes the guard at its first
+    # step; the tuner skips phi only below the guard, so each run still
+    # scores as diverged and the search has no pick
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="every gd run diverged"):
+        main(["tune", "--objective", "logreg", "--seed", "1", "--n", "3", "--m", "20",
+              "--method", "gd", "--h-lo", "1e14", "--h-hi", "1e15", "--out", str(out)])
     assert not out.exists()
 
 

@@ -17,7 +17,8 @@ from hbreset.discrete import (AlgoParams, STATUS_CONVERGED, STATUS_DIVERGED,
                               STATUS_MAX_ITER, Trajectory, Variant,
                               count_nonmonotone, nesterov_beta_schedule, run,
                               run_many, switching_beta)
-from hbreset.objectives import QuadraticSpec, gen_random_quadratic, quadratic_model
+from hbreset.objectives import (LogisticSpec, QuadraticSpec, gen_random_quadratic,
+                                logistic_model, quadratic_model)
 
 
 def scalar_model(curv=2.0):
@@ -363,6 +364,45 @@ def test_run_many_covers_every_stop():
     assert run_many(model, [], q0, 10) == []
     with pytest.raises(ValueError):
         run_many(model, params, q0, -1)
+
+
+def test_values_last_reads_phi_where_a_run_stops_or_may_diverge():
+    # phi = log(1 + e^-q) + log(1 + e^q) from q0 = 1, so phi0 = 1.63 and the
+    # guard is 1.63e12. gd at h = 2.64e12 swings between q = -1.22e12 and
+    # 1.42e12, where phi <= guard < the bound 2 (|q| + 2): every iterate
+    # takes the exact fallback and the run reaches max_iter. h = 1e13
+    # diverges at k = 1, the runs at h in [0.5, 1] meet grad_tol, and
+    # gd at h = 1e-3 reaches max_iter with its value skipped until then.
+    spec = LogisticSpec(features=np.ones((1, 2)), labels=np.array([1.0, -1.0]))
+    model = dataclasses.replace(logistic_model(spec), min_value=0.0)  # gap = phi
+    q0 = np.ones(1)
+    params = [AlgoParams.from_h(h, 0.3, 0.3, variant) for h, variant in (
+        (2.64e12, V.GD), (1e13, V.GD), (1e13, V.POL), (1e13, V.NES),
+        (1.0, V.GD), (1.0, V.POL), (1.0, V.NES_SCHEDULE), (0.5, V.NES),
+        (1e-3, V.GD))]
+    trajs = run_many(model, params, q0, 60, 1e-9, values="last")
+    assert [t.status for t in trajs] == ([STATUS_MAX_ITER] + [STATUS_DIVERGED] * 3
+                                         + [STATUS_CONVERGED] * 4 + [STATUS_MAX_ITER])
+    for p, traj in zip(params, trajs):
+        alone = run(model, p, q0, 60, 1e-9)
+        # phi, status, final q and every other record are run's; a gap is
+        # NaN only where the value was skipped, never where the run stops
+        assert_same_run(dataclasses.replace(traj, phi_gaps=alone.phi_gaps), alone)
+        read = ~np.isnan(traj.phi_gaps)
+        assert read[0] and read[-1]
+        assert traj.phi_gaps[read].tobytes() == alone.phi_gaps[read].tobytes()
+    assert not np.isnan(trajs[0].phi_gaps).any()
+    assert all(np.isnan(t.phi_gaps[1:-1]).all() for t in trajs[4:])
+    # a model without bound_grad evaluates every iterate as before
+    _, quad = gen_random_quadratic(4, 100.0, 1)
+    q0 = np.full(4, 3.0)
+    params = [AlgoParams.from_h(h / quad.lipschitz, 0.2, 0.9, variant)
+              for h, variant in ((0.5, V.POL), (1.0, V.NES), (30.0, V.GD),
+                                 (0.1, V.NES_SCHEDULE))]
+    for p, traj in zip(params, run_many(quad, params, q0, 80, 1e-6, values="last")):
+        assert_same_run(traj, run(quad, p, q0, 80, 1e-6))
+    with pytest.raises(ValueError, match="values"):
+        run_many(quad, params, q0, 10, values="first")
 
 
 def test_nes_schedule_steps_past_a_nan_gradient_at_its_iterate():

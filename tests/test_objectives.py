@@ -6,15 +6,20 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import hbreset
 
 from hbreset.objectives import (LogisticSpec, QuadraticSpec, finite_diff_check,
                                 gen_logistic_dataset, gen_random_quadratic,
-                                logistic_eval_grad, logistic_from_json,
+                                logistic_bound_grad, logistic_eval_grad,
+                                logistic_from_json,
                                 logistic_lipschitz, logistic_model,
                                 quad_eval_grad, quad_from_json, quad_to_json,
                                 quadratic_model, logistic_to_json)
@@ -136,6 +141,56 @@ def test_logistic_eval_grad_stack_rows_match_single_points_bitwise():
         logistic_eval_grad(spec, np.zeros((2, 3, n)))
     with pytest.raises(ValueError):
         logistic_eval_grad(spec, np.zeros((2, n + 1)))
+
+
+@st.composite
+def margin_rows(draw):
+    """m in [1, 4096] margins: mixed with +-inf and NaN, all <= 0, or all >= 0,
+    with |z| up to 1e308."""
+    m = draw(st.integers(1, 4096))
+    elements = draw(st.sampled_from([
+        st.floats(-1e308, 1e308) | st.sampled_from([np.inf, -np.inf, np.nan]),
+        st.floats(-1e308, 0.0), st.floats(0.0, 1e308)]))
+    return draw(arrays(np.float64, m, elements=elements, fill=elements))
+
+
+def _warned(oracle, spec, q):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        value, grad = oracle(spec, q)
+    return value, grad, {(w.category, str(w.message)) for w in seen}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(z=margin_rows(), scales=st.lists(
+    st.sampled_from([1.0, -1.0, 0.5, 2.0, 1e-300, 0.0]), min_size=1, max_size=4))
+@example(z=np.array([1e308]), scales=[1.0])  # the bound alone overflows
+@example(z=np.full(4096, 1e305), scales=[1.0, -1.0])  # both sums overflow
+def test_logistic_bound_is_above_the_value_with_its_gradient_bitwise(z, scales):
+    # with one feature, labels +1 and features -z, the margins at q = [s]
+    # are s * z: at s = 1 exactly the drawn ones. A point and a stack of
+    # points give the bound at least the value as computed (or both
+    # non-finite) and the value's gradient bit for bit, with no warning
+    # that the value does not raise
+    spec = LogisticSpec(features=-z[None, :], labels=np.ones(z.size))
+    for q in (np.ones(1), np.array(scales)[:, None]):
+        value, grad, value_warns = _warned(logistic_eval_grad, spec, q)
+        upper, bound_grad, bound_warns = _warned(logistic_bound_grad, spec, q)
+        assert np.shape(upper) == np.shape(value)
+        assert np.all((upper >= value) | ~(np.isfinite(upper) | np.isfinite(value)))
+        assert bound_grad.tobytes() == grad.tobytes()
+        assert bound_warns <= value_warns
+
+
+def test_logistic_model_bound_is_its_gradient():
+    # ObjectiveModel.gradient takes the bound oracle's gradient, which
+    # run_many uses at the extrapolated points
+    spec = gen_logistic_dataset(5, 60, 4)
+    model = logistic_model(spec)
+    q = np.random.default_rng(4).uniform(-3.0, 3.0, (3, 5))
+    assert model.bound_grad(q)[0].shape == (3,)
+    assert model.gradient(q).tobytes() == logistic_eval_grad(spec, q)[1].tobytes()
+    assert quadratic_model(QuadraticSpec(Q=np.eye(2), b=np.ones(2))).bound_grad is None
 
 
 def test_logistic_signed_form_matches_label_scaling_bitwise():
