@@ -377,7 +377,8 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
     out = _prepare(cfg)
     grid = [(L, method, *certify_tuning(method, L, cfg.mu, cfg.rule))
             for L in cfg.grid_L for method in cfg.methods]
-    # every (L, method) row bisects in lockstep: one stacked solve a round
+    # every (L, method) row bisects in one stacked solve, which each row's
+    # next probe joins as soon as its last is decided
     probe = dt_rates_probe([CertRequest(cfg.mu, L, h, bhi, blo, disc)
                             for L, _, disc, h, bhi, blo in grid], cfg.max_oracle_calls)
     found = bisect_rates(probe, len(grid), 0.05, 1.0, iters=cfg.bisect_iters,

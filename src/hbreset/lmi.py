@@ -13,11 +13,13 @@ the lifted form on states of any dimension.
 The dt inequalities are affine in rho²: `build_theorem2` compiles a row
 (system, mu, L) once into everything but the rate, and `_at_rates`
 applies rho. Feasibility itself is delegated to the phase-I barrier
-engine in `sdp`. `bisect_rates` bisects many independent rows in
-lockstep, and `dt_rates_probe` moves each compiled row to the round's
-rate and solves the round's problems as one `sdp.solve_many` stack of
-rows lifted without a `FeasProblem`; every row gets the result it gets
-bisected alone.
+engine in `sdp`. `bisect_rates` bisects many independent rows; after
+the easy end, a row probes the hard end together with its first
+midpoint. `dt_rates_probe` moves each compiled row to each rate it is
+probed at and solves every probe of a `bisect_rates` call in one
+`sdp.solve_stream` stack of rows lifted without a `FeasProblem`, which
+a row's next probes join as soon as its last are decided; every row
+gets the result it gets bisected alone.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import numpy as np
 from .objectives import ObjectiveModel
 from .sdp import (AffineMatrixMap, FeasProblem, FeasResult, FEASIBLE, INFEASIBLE,
                   INDETERMINATE, check_symmetric_stack, lift, solve_feasibility,
-                  solve_many)
+                  solve_many, solve_stream)
 
 Array = np.ndarray
 
@@ -436,56 +438,89 @@ class CertRequest:
 
 SCAN_POINTS = 32
 
-# A probe for bisect_rates: given the rows to probe this round and one
-# rate for each, it returns a certificate or None for each of them.
+# A probe for bisect_rates: given rows and one rate for each, it returns
+# a certificate or None for each of them. A probe may also offer
+# `stream(pending, step)`: it probes each row's `pending` rates, hands
+# their certificates to `step(row, certs)`, and probes the rates that
+# returns (None once the row is done) as soon as they are known.
 RatesProbe = Callable[[list, list], list]
+
+
+def _bisection(lo: float, hi: float, iters: int, scan: bool, flip: bool):
+    """One row of bisect_rates: yields the rates to probe next, is sent
+    their certificates in order, and returns (rate, certificate), or None
+    when the easy end is not certified."""
+    if scan:
+        flags = []
+        for r in np.linspace(lo, hi, SCAN_POINTS):
+            (cert,) = yield [r]
+            flags.append(cert is not None)
+        ordered = flags[::-1] if flip else flags
+        first = next((i for i, f in enumerate(ordered) if f), None)
+        if first is not None and not all(ordered[first:]):
+            warnings.warn("certificate feasibility is not monotone on the "
+                          "coarse scan", RuntimeWarning)
+    easy, hard = (lo, hi) if flip else (hi, lo)
+    (cert,) = yield [easy]
+    if cert is None:
+        return None
+    # the uncertified end, the certified end and its certificate
+    bracket = [hard, easy, cert]
+    # the hard end is probed with the first midpoint, both after the easy end
+    at_hard, *at_mid = yield [hard, 0.5 * (hard + easy)] if iters else [hard]
+    if at_hard is not None:
+        return hard, at_hard
+    for k in range(iters):
+        mid = 0.5 * (bracket[0] + bracket[1])
+        (cert,) = at_mid if k == 0 else (yield [mid])
+        if cert is None:
+            bracket[0] = mid
+        else:
+            bracket[1:] = [mid, cert]
+    return bracket[1], bracket[2]
+
+
+def _rounds(probe: RatesProbe, pending: dict, step: Callable) -> None:
+    """stream for a plain probe: each call probes every live row's
+    pending rates."""
+    while pending:
+        rows = [i for i, rates in pending.items() for _ in rates]
+        certs = iter(probe(rows, [r for rates in pending.values() for r in rates]))
+        pending = {i: more for i, rates in pending.items()
+                   if (more := step(i, [next(certs) for _ in rates]))}
 
 
 def bisect_rates(probe: RatesProbe, rows: int, lo: float, hi: float,
                  iters: int = 40, scan: bool = True, sense: str = "min") -> list:
-    """bisect_rate on `rows` independent rows in lockstep.
+    """bisect_rate on `rows` independent rows, each probed by `probe`.
 
-    Each round probes one rate for every row still bisecting, in one call
-    of `probe`, so a probe can solve the round's problems as one stack.
     Every row sees the rates it would see bisected alone, in the same
-    order. Returns one entry per row: (rate, certificate), or None when
-    the easy end of [lo, hi] is not certified.
+    order: with `scan`, SCAN_POINTS rates one at a time, then the easy
+    end, then the hard end together with the first midpoint (the hard
+    end alone when iters is 0), then one midpoint at a time. A row waits
+    only for its own probes when the probe has a `stream`; a plain probe
+    is called once per round for every row still bisecting. Returns one
+    entry per row: (rate, certificate), or None when the easy end of
+    [lo, hi] is not certified.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
-    flip = sense == "max"
-    every = list(range(rows))
-    if scan:
-        flags = [probe(every, [r] * rows) for r in np.linspace(lo, hi, SCAN_POINTS)]
-        for row in zip(*flags):
-            ordered = [c is not None for c in (row[::-1] if flip else row)]
-            first = next((i for i, f in enumerate(ordered) if f), None)
-            if first is not None and not all(ordered[first:]):
-                warnings.warn("certificate feasibility is not monotone on the "
-                              "coarse scan", RuntimeWarning)
-    easy, hard = (lo, hi) if flip else (hi, lo)
+    if iters < 0:
+        raise ValueError("need iters >= 0")
+    searches = [_bisection(lo, hi, iters, scan, sense == "max") for _ in range(rows)]
     found: list = [None] * rows
-    # per bisecting row: [uncertified end, certified end, its certificate]
-    at_easy = probe(every, [easy] * rows)
-    brackets = {i: [hard, easy, cert] for i, cert in zip(every, at_easy)
-                if cert is not None}
-    live = list(brackets)
-    for i, cert in zip(live, probe(live, [hard] * len(live)) if live else ()):
-        if cert is not None:
-            found[i] = (hard, cert)
-            del brackets[i]
-    for _ in range(iters if brackets else 0):
-        live = list(brackets)
-        mids = [0.5 * (brackets[i][0] + brackets[i][1]) for i in live]
-        for i, mid, cert in zip(live, mids, probe(live, mids)):
-            if cert is None:
-                brackets[i][0] = mid
-            else:
-                brackets[i][1:] = [mid, cert]
-    for i, (_, rate, cert) in brackets.items():
-        found[i] = (rate, cert)
+
+    def step(i: int, certs: list) -> Optional[list]:
+        try:
+            return searches[i].send(certs)
+        except StopIteration as stop:
+            found[i] = stop.value
+            return None
+
+    stream = getattr(probe, "stream", None) or (lambda *args: _rounds(probe, *args))
+    stream({i: next(search) for i, search in enumerate(searches)}, step)
     return found
 
 
@@ -493,7 +528,9 @@ def bisect_rate(builder: Callable[[float], Optional["Certificate"]], lo: float,
                 hi: float, iters: int = 40, scan: bool = True,
                 sense: str = "min"):
     """Smallest rate in [lo, hi] the builder can certify, by bisection: a
-    batch of one in bisect_rates.
+    batch of one in bisect_rates. After the easy end, the builder is
+    called at the hard end and then at the first midpoint (at the hard
+    end alone when iters is 0); a certified hard end is the result.
 
     The builder maps a rate to a certificate or None. None merges the
     INFEASIBLE verdict (no certificate of this form exists) with the
@@ -518,10 +555,12 @@ def bisect_rate(builder: Callable[[float], Optional["Certificate"]], lo: float,
 def dt_rates_probe(requests: Sequence[CertRequest],
                    max_oracle_calls: int = 200) -> RatesProbe:
     """Probe for bisect_rates over discrete-time rows: each row is
-    compiled once and moved to each rate it is probed at, each round's
-    problems are solved as one stack, and each row warm-starts from the
-    last feasible point it has seen. The probe's `rows` attribute holds
-    the compiled rows, one per request, at rho = 1."""
+    compiled once and moved to each rate it is probed at, and each row
+    warm-starts from the last feasible point it has seen. A call solves
+    its problems as one stack; `stream` keeps one `solve_stream` stack
+    for a whole bisect_rates call, which a row's next rates join as soon
+    as its last are decided. The probe's `rows` attribute holds the
+    compiled rows, one per request, at rho = 1."""
     compiled = [build_theorem2(dt_system(r.h, r.beta_hi, r.beta_lo, r.disc),
                                r.mu, r.lipschitz, 1.0) for r in requests]
     base = _rate_free(compiled)
@@ -531,16 +570,18 @@ def dt_rates_probe(requests: Sequence[CertRequest],
     zero = np.zeros((3, 3))
     last: list = [None] * len(requests)
 
-    def probe(rows: list, rates: list) -> list:
+    def lifted(rows: list, rates: list) -> tuple:
+        """Each (row, rate) problem lifted, and its warm start."""
         rho = np.array(rates, dtype=float)
         if not np.all((0.0 < rho) & (rho <= 1.0)):
             raise ValueError("rho must lie in (0, 1]")
         mats = _at_rates(base[rows], rho)
         check_symmetric_stack(mats[:, :, :4].reshape(-1, 3, 3),
                               lambda i: f"map {_DT_LMIS[i // 4 % 2][0]}: basis[{i % 4}]")
-        lifts = [shared.with_blocks([(zero, idx, m) for (_, idx, _), m in zip(_DT_LMIS, pair)])
-                 for pair in mats]
-        solved = solve_many(lifts, max_oracle_calls, [last[i] for i in rows])
+        return ([shared.with_blocks([(zero, idx, m) for (_, idx, _), m in zip(_DT_LMIS, pair)])
+                 for pair in mats], [last[i] for i in rows])
+
+    def certified(rows: list, rates: list, solved: list) -> list:
         certs = [_dt_certificate(compiled[i], r, res)
                  for i, r, res in zip(rows, rates, solved)]
         for i, cert in zip(rows, certs):
@@ -548,7 +589,35 @@ def dt_rates_probe(requests: Sequence[CertRequest],
                 last[i] = cert.raw_v
         return certs
 
+    def probe(rows: list, rates: list) -> list:
+        lifts, v_inits = lifted(rows, rates)
+        return certified(rows, rates, solve_many(lifts, max_oracle_calls, v_inits))
+
+    def stream(pending: dict, step: Callable) -> None:
+        waiting: dict = {}  # row -> its rates in the stack and their results so far
+
+        def feed(decided: list) -> list:
+            for (i, k), res in decided:
+                waiting[i][1][k] = res
+            for i in dict.fromkeys(i for (i, _), _ in decided):
+                rates, solved = waiting[i]
+                if None not in solved:
+                    del waiting[i]
+                    more = step(i, certified([i] * len(rates), rates, solved))
+                    if more:
+                        pending[i] = more
+            if not pending:
+                return []
+            keys = [(i, k) for i, rates in pending.items() for k in range(len(rates))]
+            lifts, v_inits = lifted([i for i, _ in keys], [pending[i][k] for i, k in keys])
+            waiting.update((i, (rates, [None] * len(rates))) for i, rates in pending.items())
+            pending.clear()
+            return list(zip(keys, lifts, v_inits))
+
+        solve_stream(feed, max_oracle_calls)
+
     probe.rows = compiled
+    probe.stream = stream
     return probe
 
 

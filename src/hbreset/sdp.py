@@ -17,10 +17,13 @@ homogeneous LMI system, and optional per-variable bounds.
 (`compiled_blocks()`). `lift` moves them into the search's coordinates;
 a caller can lift shared blocks once and add the rest per problem with
 `Lifted.with_blocks`. The half-margin re-check evaluates every block in
-v with `eigvalsh`. `solve_many` steps problems of one block shape
+v with `eigvalsh`. `solve_stream` steps problems of one block shape
 together, one row each, so that a pass costs one LAPACK call per size
-whatever the number of problems; every operation acts on each row as on
-that problem alone, so a result does not depend on the stack.
+whatever the number of problems; problems join the stack between passes
+and leave it at their verdict, and each counts its own oracle calls.
+Every operation acts on each row as on that problem alone, so a result
+does not depend on the stack or on when the problem joined. `solve_many`
+feeds a stream its problems once per block shape, and
 `solve_feasibility` is a stack of one. `symmetric_eig` and
 `FeasProblem.worst_block` are not called by the engine: they are the
 hooks that the benchmark's tracer patches.
@@ -28,6 +31,7 @@ hooks that the benchmark's tracer patches.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -367,24 +371,35 @@ def lift(problem: FeasProblem):
                   rows, []).with_blocks(blocks)
 
 
-class _Rows:
-    """The live problems of one phase-I stack, one row each. They start
-    together and every pass evaluates each live row once, so they share
-    one count of oracle calls. `keep` drops the rows whose verdict is in."""
+def _group(const: Array, coef: Array) -> tuple:
+    """A block group of a stack: constants (B, k, m, m), coefficients
+    (B, k, d, m, m) and `flat`, the coefficients with the coordinates
+    first, as tensordot(w, coef, (0, 1)) lays them out. The memory layout
+    of `flat` picks the BLAS kernel of `_block_eigh`'s product, and so its
+    bits; made here alone, it is that of a fresh stack after any drop or
+    join."""
+    b, _, d = coef.shape[:3]
+    return const, coef, coef.swapaxes(1, 2).reshape(b, d, math.prod(const.shape[1:]))
 
-    def __init__(self, lifts: list, starts: list):
+
+class _Rows:
+    """The live problems of one phase-I stack, one row each, numbered by
+    `ids` in the order they joined. Every pass evaluates each live row
+    once, and each row counts its own oracle calls from when it joined.
+    `keep` drops the rows whose verdict is in; `join` appends new rows."""
+
+    def __init__(self, lifts: list, starts: list, ids: Array):
         n, d = len(lifts), lifts[0].basis.shape[1]
-        self.ids = np.arange(n)
+        self.ids = ids
         self.groups = []
         for m in sorted({c.shape[0] for c, _ in lifts[0].parts}):
-            const = np.array([[c for c, _ in lf.parts if c.shape[0] == m] for lf in lifts])
-            coef = np.array([[g for c, g in lf.parts if c.shape[0] == m] for lf in lifts])
-            # coordinates first, as tensordot(w, coef, (0, 1)) lays them out
-            flat = coef.swapaxes(1, 2).reshape(n, d, const[0].size)
-            self.groups.append((const, coef, flat))
+            self.groups.append(_group(
+                np.array([[c for c, _ in lf.parts if c.shape[0] == m] for lf in lifts]),
+                np.array([[g for c, g in lf.parts if c.shape[0] == m] for lf in lifts])))
         # a point clears the margin when its worst eigenvalue is <= limit
         self.limit = -np.array([lf.margin for lf in lifts])
         self.radius = np.array([lf.radius for lf in lifts])
+        self.calls = np.zeros(n, dtype=int)
         self.w_try = np.array(starts).reshape(n, d)
         self.s_try = np.zeros(n)
         self.w, self.s = self.w_try, self.s_try
@@ -396,78 +411,103 @@ class _Rows:
     def keep(self, mask: Array) -> None:
         for name, val in list(vars(self).items()):
             if name == "groups":
-                self.groups = [tuple(a[mask] for a in grp) for grp in val]
+                self.groups = [_group(const[mask], coef[mask]) for const, coef, _ in val]
             else:
                 setattr(self, name, val[mask])
 
+    def join(self, other: "_Rows") -> "_Rows":
+        for name, val in list(vars(self).items()):
+            if name == "groups":
+                self.groups = [_group(*map(np.concatenate, zip(grp[:2], more[:2])))
+                               for grp, more in zip(val, other.groups)]
+            else:
+                setattr(self, name, np.concatenate([val, getattr(other, name)]))
+        return self
 
-def _phase_one(lifts: list, starts: list, max_oracle_calls: int) -> list:
-    """Phase I on problems of one block shape, stepped together: each pass
+
+def solve_stream(feed: Callable[[list], list], max_oracle_calls: int = 200) -> None:
+    """Phase I on a stream of problems of one block shape, stepped
+    together. Before each pass, `feed` is given the (key, FeasResult)
+    pairs decided since it was last called (none at first) and returns
+    the (key, Lifted, v_init) triples that join the stack; the stream
+    ends when the stack is empty and `feed` returns none. Each pass
     evaluates one point per live problem, and a problem leaves the stack
-    at its verdict. Every row keeps its own tau, step length and bound,
-    so its result does not depend on the rows beside it."""
-    rows = _Rows(lifts, starts)
-    d = lifts[0].basis.shape[1]
-    results = [None] * len(lifts)
-    calls = 0
+    at its verdict. Every row keeps its own oracle count, tau, step
+    length and bound, so its result is the one it gets solved alone."""
+    live: dict = {}  # id -> (key, Lifted) of each problem in the stack
+    joined = 0
+    rows = None
+    decided: list = []
 
     def done(i: int, status: str, v, worst, message: str = "") -> None:
-        results[rows.ids[i]] = FeasResult(status, v, float(worst), calls, message)
+        key, _ = live.pop(rows.ids[i])
+        decided.append((key, FeasResult(status, v, float(worst), int(rows.calls[i]), message)))
 
     def undecided(i: int, reason: str) -> None:
-        lf, best = lifts[rows.ids[i]], float(rows.best[i])
+        lf, best = live[rows.ids[i]][1], float(rows.best[i])
         done(i, INDETERMINATE, lf.lift(rows.best_w[i]) if best < np.inf else None,
              best, f"{reason}; best worst eigenvalue {best:.3e}, "
                    f"last lower bound {float(rows.bound[i]):.3e}")
 
-    while rows.ids.size:
-        if calls >= max_oracle_calls:
-            for i in range(rows.ids.size):
+    while True:
+        joining = feed(decided)
+        decided = []
+        if joining:
+            ids = np.arange(joined, joined + len(joining))
+            joined += len(joining)
+            live.update(zip(ids.tolist(), [(key, lf) for key, lf, _ in joining]))
+            new = _Rows([lf for _, lf, _ in joining], [lf.start(v) for _, lf, v in joining], ids)
+            rows = new if rows is None else rows.join(new)
+        if rows is None or not rows.ids.size:
+            return
+        spent = rows.calls >= max_oracle_calls
+        if spent.any():
+            # decided before the pass, so their successors join it
+            for i in spent.nonzero()[0]:
                 undecided(i, "oracle budget exhausted")
-            break
+            rows.keep(~spent)
+            continue
+        d = rows.w.shape[1]
         # one oracle call per row: every block at its trial point
         eigs = _block_eigh(rows.groups, rows.w_try)
-        calls += 1
+        rows.calls += 1
+        first = rows.calls == 1
         worst = np.concatenate([lam[:, :, -1] for lam, _ in eigs], axis=1).max(axis=1)
         better = worst < rows.best
         rows.best = np.where(better, worst, rows.best)
         np.copyto(rows.best_w, rows.w_try, where=better[:, None])
         clear = worst <= rows.limit
         finished = clear.copy()
-        if calls == 1:
-            # the first point is taken as it is
-            rows.w, rows.s = rows.w_try, worst + 1.0
-        else:
-            accept = clear | ((rows.s_try > worst) & (
-                np.abs(rows.w_try).max(axis=1) < rows.radius))
-            rows.w = np.where(accept[:, None], rows.w_try, rows.w)
-            rows.s = np.where(accept, rows.s_try, rows.s)
-            # a rejected trial halves its step; halving only guards
-            # against rounding, so a step that keeps failing has stalled
-            for i in (~accept).nonzero()[0]:
-                rows.alpha[i] *= 0.5
-                if rows.alpha[i] < 1e-10:
-                    undecided(i, "line search stalled")
-                    finished[i] = True
-            clear &= accept
+        # a row's first point is taken as it is
+        accept = first | clear | ((rows.s_try > worst) & (
+            np.abs(rows.w_try).max(axis=1, initial=0.0) < rows.radius))
+        rows.w = np.where(accept[:, None], rows.w_try, rows.w)
+        rows.s = np.where(first, worst + 1.0, np.where(accept, rows.s_try, rows.s))
+        # a rejected trial halves its step; halving only guards against
+        # rounding, so a step that keeps failing has stalled
+        for i in (~accept).nonzero()[0]:
+            rows.alpha[i] *= 0.5
+            if rows.alpha[i] < 1e-10:
+                undecided(i, "line search stalled")
+                finished[i] = True
+        clear &= accept
         for i in clear.nonzero()[0]:
-            lf = lifts[rows.ids[i]]
+            lf = live[rows.ids[i]][1]
             v = lf.lift(rows.w[i])
             # the re-check is one more oracle call
-            results[rows.ids[i]] = (
-                FeasResult(FEASIBLE, v, float(worst[i]), calls + 1)
-                if _verified(lf, v) else
-                FeasResult(INDETERMINATE, v, float(worst[i]), calls + 1,
-                           "verification at half margin failed"))
-        newton = (~finished if calls == 1 else accept & ~finished).nonzero()[0]
+            rows.calls[i] += 1
+            ok = _verified(lf, v)
+            done(i, FEASIBLE if ok else INDETERMINATE, v, worst[i],
+                 "" if ok else "verification at half margin failed")
+        newton = (accept & ~finished).nonzero()[0]
         if d == 0:
             # no free variable (none at all, or all pinned by the
             # normalization): the one point there is decides
             for i in newton:
                 done(i, INFEASIBLE, None, worst[i],
                      f"no free variables: worst eigenvalue {float(worst[i])!r} > -margin")
-            break
-        if newton.size:
+            finished[newton] = True
+        elif newton.size:
             sel = slice(None) if newton.size == rows.ids.size else newton
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 grad, hess, trz, bound = _barrier_terms(
@@ -480,7 +520,7 @@ def _phase_one(lifts: list, starts: list, max_oracle_calls: int) -> list:
             hess[~finite] = np.eye(d + 1)
             rows.bound[sel] = bound
             # tau starts where the s-gradient is zero
-            tau = trz if calls == 1 else rows.tau[sel]
+            tau = np.where(first[sel], trz, rows.tau[sel])
             scale = 1.0 / np.sqrt(hess.diagonal(axis1=1, axis2=2))
             chol, factored = _cholesky(hess * scale[:, :, None] * scale[:, None, :])
             go = finite & factored & ~(bound > rows.limit[sel])
@@ -513,14 +553,14 @@ def _phase_one(lifts: list, starts: list, max_oracle_calls: int) -> list:
         rows.s_try = rows.s + rows.alpha * rows.step[:, -1]
         if finished.any():
             rows.keep(~finished)
-    return results
 
 
 def solve_many(problems: Sequence, max_oracle_calls: int = 200,
                v_inits: Optional[Sequence[Optional[Array]]] = None) -> list:
     """solve_feasibility on each problem, a FeasProblem or one already
-    `Lifted`, in one stacked phase I per block shape; results come back in
-    input order, each the one that problem gets when solved alone."""
+    `Lifted`, in one stacked phase I per block shape, each fed to
+    `solve_stream` at once; results come back in input order, each the
+    one that problem gets when solved alone."""
     problems = list(problems)
     v_inits = [None] * len(problems) if v_inits is None else list(v_inits)
     if len(v_inits) != len(problems):
@@ -533,11 +573,16 @@ def solve_many(problems: Sequence, max_oracle_calls: int = 200,
             results[i] = lifted
             continue
         key = (lifted.basis.shape[1], tuple(sorted(c.shape[0] for c, _ in lifted.parts)))
-        shapes.setdefault(key, []).append((i, lifted, lifted.start(v_init)))
+        shapes.setdefault(key, []).append((i, lifted, v_init))
     for members in shapes.values():
-        ids, lifts, starts = zip(*members)
-        for i, res in zip(ids, _phase_one(lifts, starts, max_oracle_calls)):
-            results[i] = res
+        batch = iter([members])
+
+        def feed(decided: list) -> list:
+            for i, res in decided:
+                results[i] = res
+            return next(batch, [])
+
+        solve_stream(feed, max_oracle_calls)
     return results
 
 

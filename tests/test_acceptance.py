@@ -131,8 +131,8 @@ def test_criterion_01_single_branch_equivalence():
                for L in (2.0, 5.0, 10.0, 50.0, 100.0)
                for rule in ("optimal", "mistuned") for disc in (POL, NES)]
     n_cfg = len(configs)
-    # the package side bisects the 20 configs in lockstep, each round
-    # solved as one stack
+    # the package side bisects the 20 configs together, in one stacked
+    # solve that each row's next probe joins as soon as its last is decided
     found = bisect_rates(dt_rates_probe([CertRequest(mu, L, h, beta, beta, disc)
                                          for L, _, disc, h, beta in configs]),
                          n_cfg, 0.05, 1.0, iters=14, scan=False)
@@ -200,7 +200,7 @@ def test_criterion_03_rate_sweep_orderings():
         for name, beta_lo in (("nes", beta_hi), ("hhb", 0.0),
                               ("hihb", beta_mid)):
             rows.append((name, L, CertRequest(1.0, L, h, beta_hi, beta_lo, NES)))
-    # the 18 rows bisect in lockstep, each round solved as one stack
+    # the 18 rows bisect together, in one stacked solve
     found = bisect_rates(dt_rates_probe([req for _, _, req in rows]), len(rows),
                          0.05, 1.0, iters=20, scan=False)
     rates = {}
@@ -244,7 +244,7 @@ def test_criterion_04_heavy_ball_rate_preserved():
         h, beta = tuning_rule("optimal", POL, L)
         for name, beta_lo in (("plain", beta), ("reset", 0.0)):
             grid.append((name, L, CertRequest(1.0, L, h, beta, beta_lo, POL)))
-    # the 8 rows bisect in lockstep, each round solved as one stack
+    # the 8 rows bisect together, in one stacked solve
     found = bisect_rates(dt_rates_probe([req for _, _, req in grid]), len(grid),
                          0.05, 1.0, iters=14, scan=False)
     rates = {}

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import _reference as ref
 import hbreset.cli
 import hbreset.lmi
-from hbreset.cli import main as cli_main
+from hbreset.cli import certify_tuning, main as cli_main
 from hbreset.discrete import AlgoParams, Variant, run
 from hbreset.lmi import (ALIGNMENT_FORM, NES, POL, Certificate, CertRequest,
                          NoCertificate, bisect_rate, bisect_rates, build_ct, build_dt,
@@ -410,34 +410,34 @@ def test_compiled_probes_replay_as_solves_of_their_dt_problems(monkeypatch, tmp_
     # path solves, and their results, are those of lifting and solving the
     # probed row's dt_problem
     probes, solves = [], []
-    real_probe, real_solve = hbreset.lmi.dt_rates_probe, hbreset.lmi.solve_many
+    real_cert, real_stream = hbreset.lmi._dt_certificate, hbreset.lmi.solve_stream
 
-    def recording_probe(requests, max_oracle_calls=200):
-        probe = real_probe(requests, max_oracle_calls)
+    def recording_cert(data, rho, res):
+        probes.append((data, rho, res))
+        return real_cert(data, rho, res)
 
-        def recorded(rows, rates):
-            probes.append([(probe.rows[i], rho) for i, rho in zip(rows, rates)])
-            return probe(rows, rates)
+    def recording_stream(feed, max_oracle_calls):
+        live = {}
 
-        recorded.rows = probe.rows
-        return recorded
+        def fed(decided):
+            solves.extend((*live.pop(key), res) for key, res in decided)
+            joining = feed(decided)
+            live.update((key, (lifted, max_oracle_calls, v_init))
+                        for key, lifted, v_init in joining)
+            return joining
 
-    def recording_solve(lifts, max_oracle_calls, v_inits):
-        found = real_solve(lifts, max_oracle_calls, v_inits)
-        solves.append([(lf, max_oracle_calls, v, res)
-                       for lf, v, res in zip(lifts, v_inits, found)])
-        return found
+        real_stream(fed, max_oracle_calls)
 
-    monkeypatch.setattr(hbreset.cli, "dt_rates_probe", recording_probe)
-    monkeypatch.setattr(hbreset.lmi, "solve_many", recording_solve)
+    monkeypatch.setattr(hbreset.lmi, "_dt_certificate", recording_cert)
+    monkeypatch.setattr(hbreset.lmi, "solve_stream", recording_stream)
     for i, args in enumerate((["--grid-L", "1,10,100", "--bisect-iters", "3"],
                               ["--grid-L", "10", "--rule", "optimal", "--scan",
                                "--bisect-iters", "5"])):
         assert cli_main(["certify", *args, "--out", str(tmp_path / str(i))]) == 0
     monkeypatch.undo()
-    assert len(probes) == len(solves) >= 5 + 32
-    recorded = [(data, rho, *solved) for probe, solve in zip(probes, solves)
-                for (data, rho), solved in zip(probe, solve)]
+    assert len(probes) == len(solves)
+    probed = {id(res): (data, rho) for data, rho, res in probes}
+    recorded = [(*probed[id(res)], *solved, res) for *solved, res in solves]
     assert len(recorded) >= 66 + 32 * 6
     assert {budget for *_, budget, _, _ in recorded} == {200}
     problems = [dt_problem(dataclasses.replace(data, rho=rho)) for data, rho, *_ in recorded]
@@ -630,11 +630,12 @@ def test_time_invariant_lookahead_envelope():
 def test_bisect_returns_hard_end_when_everywhere_feasible():
     token = Certificate(rate=0.0, rate_kind="rho", P=np.eye(2), multipliers={},
                         margin=-1.0, tuning={})
-    rate, cert = bisect_rate(lambda r: token, 0.1, 1.0, iters=5, scan=False)
-    assert rate == 0.1 and cert is token
-    rate, cert = bisect_rate(lambda r: token, 0.1, 1.0, iters=5, scan=False,
-                             sense="max")
-    assert rate == 1.0
+    for iters in (5, 0):
+        rate, cert = bisect_rate(lambda r: token, 0.1, 1.0, iters=iters, scan=False)
+        assert rate == 0.1 and cert is token
+        rate, cert = bisect_rate(lambda r: token, 0.1, 1.0, iters=iters, scan=False,
+                                 sense="max")
+        assert rate == 1.0
 
 
 def test_bisect_reports_missing_certificate():
@@ -653,6 +654,15 @@ def test_bisect_converges_to_feasibility_edge():
     rate, _ = bisect_rate(lambda r: token if r <= 0.4 else None, 0.05, 1.0,
                           iters=24, scan=False, sense="max")
     assert abs(rate - 0.4) <= 1e-5
+    # with no midpoint the hard end is probed alone, after the easy end
+    probed = []
+
+    def edge(r):
+        probed.append(r)
+        return token if r >= 0.6 else None
+
+    assert bisect_rate(edge, 0.05, 1.0, iters=0, scan=False) == (1.0, token)
+    assert probed == [1.0, 0.05]
 
 
 def test_bisect_warns_on_nonmonotone_scan():
@@ -672,6 +682,12 @@ def test_bisect_validation():
         bisect_rate(lambda r: None, 1.0, 1.0, iters=5)
     with pytest.raises(ValueError):
         bisect_rate(lambda r: None, 0.1, 1.0, iters=5, sense="middle")
+    token = Certificate(rate=0.0, rate_kind="rho", P=np.eye(2), multipliers={},
+                        margin=-1.0, tuning={})
+    with pytest.raises(ValueError, match="iters"):
+        bisect_rate(lambda r: token if r >= 0.6 else None, 0.05, 1.0, iters=-1)
+    with pytest.raises(ValueError, match="iters"):
+        bisect_rates(lambda rows, rates: [token] * len(rows), 3, 0.05, 1.0, iters=-1)
 
 
 def test_bisect_rates_gives_each_row_its_single_row_result():
@@ -710,9 +726,16 @@ def test_bisect_rates_gives_each_row_its_single_row_result():
                     want = None
                 assert found[i] == want
                 assert [r for call in calls for j, r in call if j == i] == alone
-            # one probe call per round, and no call probes a row twice
-            assert all(len({j for j, _ in call}) == len(call) for call in calls)
-            assert len(calls) == (32 if scan else 0) + 2 + 9
+            # one probe call per round: the round after the easy end carries
+            # each row's hard end and then its first midpoint, and no other
+            # call probes a row twice
+            easy, hard = (1.0, 0.05) if sense == "min" else (0.05, 1.0)
+            joint = (32 if scan else 0) + 1
+            assert calls[joint] == [(j, r) for j in dict.fromkeys(j for j, _ in calls[joint])
+                                    for r in (hard, 0.5 * (hard + easy))]
+            assert all(len({j for j, _ in call}) == len(call)
+                       for k, call in enumerate(calls) if k != joint)
+            assert len(calls) == joint + 9
     with pytest.warns(RuntimeWarning, match="not monotone"):
         bisect_rates(lambda rows, rates: [token if tests[3](r) else None for r in rates],
                      1, 0.05, 1.0, iters=3, scan=True)
@@ -738,6 +761,55 @@ def test_dt_rows_in_lockstep_match_each_row_bisected_alone():
         assert got[1].to_json() == cert.to_json()
         assert got[1].raw_v.tobytes() == cert.raw_v.tobytes()
     assert sum(f is None for f in found) >= 1 and sum(f is not None for f in found) >= 4
+
+
+def test_rows_that_certify_at_the_hard_end_match_each_row_bisected_alone():
+    # at the optimal tuning every L = 1 row certifies at the hard end,
+    # probed with its first midpoint, while L = 10 rows keep bisecting or
+    # fail at the easy end: each row gets the rate and certificate bytes of
+    # its own dt_rate_builder
+    requests = [CertRequest(1.0, L, h, bhi, blo, disc)
+                for L, methods in ((1.0, ("nesterov", "hhb-nes", "hihb-pol")),
+                                   (10.0, ("nesterov", "hhb-nes", "polyak")))
+                for method in methods
+                for disc, h, bhi, blo in [certify_tuning(method, L, 1.0, "optimal")]]
+    found = bisect_rates(dt_rates_probe(requests), len(requests), 0.05, 1.0, iters=3,
+                         scan=False)
+    for req, got in zip(requests, found):
+        try:
+            rate, cert = bisect_rate(dt_rate_builder(req), 0.05, 1.0, iters=3, scan=False)
+        except NoCertificate:
+            assert got is None
+            continue
+        assert got[0] == rate
+        assert got[1].to_json() == cert.to_json()
+        assert got[1].raw_v.tobytes() == cert.raw_v.tobytes()
+    assert [None if f is None else f[0] for f in found] == [0.05] * 3 + [0.88125, 1.0, None]
+
+
+def test_bench_config_rows_wait_only_for_their_own_probes(monkeypatch, tmp_path):
+    # one phase-I pass evaluates every live probe once; a row's next probe
+    # joins at the pass after its last is decided, so the bench config
+    # makes the probes and evaluations of 18 rows bisected alone in 256
+    # passes, where 5 lockstep rounds took 398
+    evals, probes = [], []
+    real_eigh, real_cert = sdp._block_eigh, hbreset.lmi._dt_certificate
+
+    def counting_eigh(groups, w):
+        evals.append(len(w))
+        return real_eigh(groups, w)
+
+    def counting_cert(data, rho, res):
+        probes.append(rho)
+        return real_cert(data, rho, res)
+
+    monkeypatch.setattr(sdp, "_block_eigh", counting_eigh)
+    monkeypatch.setattr(hbreset.lmi, "_dt_certificate", counting_cert)
+    assert cli_main(["certify", "--grid-L", "1,10,100", "--bisect-iters", "3",
+                     "--out", str(tmp_path)]) == 0
+    assert len(probes) == 66
+    assert sum(evals) == 2983
+    assert len(evals) <= 256
 
 
 def test_rate_builder_warm_start_consistency():

@@ -510,16 +510,23 @@ def _bits(res):
 def test_certify_pass_solves_match_alone_in_the_full_and_a_shuffled_stack(
         monkeypatch, tmp_path):
     # record every solve of one certify pass at the benchmark's config,
-    # with the result the pass got in its round's stack
+    # with the result the pass got in its stack, which probes join and
+    # leave as the rows' bisections go
     seen = []
-    real = lmi.solve_many
+    real = lmi.solve_stream
 
-    def recording(problems, max_oracle_calls=200, v_inits=None):
-        found = real(problems, max_oracle_calls, v_inits)
-        seen.extend(zip(problems, v_inits, found))
-        return found
+    def recording(feed, max_oracle_calls=200):
+        live = {}
 
-    monkeypatch.setattr(lmi, "solve_many", recording)
+        def fed(decided):
+            seen.extend((*live.pop(key), res) for key, res in decided)
+            joining = feed(decided)
+            live.update((key, (lifted, v_init)) for key, lifted, v_init in joining)
+            return joining
+
+        real(fed, max_oracle_calls)
+
+    monkeypatch.setattr(lmi, "solve_stream", recording)
     assert cli_main(["certify", "--grid-L", "1,10,100", "--bisect-iters", "3",
                      "--out", str(tmp_path)]) == 0
     monkeypatch.undo()
@@ -564,6 +571,43 @@ def test_cholesky_failure_and_exhausted_budget_stay_in_their_rows():
         top = max(np.linalg.eigvalsh(blk.value(stacked[i].v))[-1]
                   for blk in problems[i].compiled_blocks())
         assert abs(top - stacked[i].worst_eig) <= 1e-9
+
+
+def test_stream_problems_join_the_pass_after_their_predecessor_is_decided(monkeypatch):
+    # two chains at a budget of 78: each problem joins the stream when the
+    # one before it in its chain is decided, also after an exhausted budget
+    # while the other chain still runs; every result is the one it gets
+    # alone, and the stream takes as many passes as its longer chain
+    problems = [_mistuned_dt(2.0, "nesterov", 0.9),
+                _mistuned_dt(1.0, "nesterov", 0.05),
+                _mistuned_dt(2.0, "polyak", 0.5),
+                _mistuned_dt(1.0, "hhb-pol", 0.525),
+                _mistuned_dt(1.0, "hhb-nes", 0.5),
+                _mistuned_dt(2.0, "hihb-nes", 0.7875)]
+    alone = [solve_feasibility(p, 78) for p in problems]
+    chains = ([3, 1], [0, 2, 4, 5])
+    after = {a: b for chain in chains for a, b in zip(chain, chain[1:])}
+    got, passes = {}, []
+    real_eigh = sdp._block_eigh
+
+    def counting_eigh(groups, w):
+        passes.append(len(w))
+        return real_eigh(groups, w)
+
+    def feed(decided):
+        got.update(decided)
+        joining = [chain[0] for chain in chains] if not passes else \
+            [after[i] for i, _ in decided if i in after]
+        return [(i, sdp.lift(problems[i]), None) for i in joining]
+
+    monkeypatch.setattr(sdp, "_block_eigh", counting_eigh)
+    sdp.solve_stream(feed, 78)
+    assert [_bits(got[i]) for i in range(6)] == [_bits(r) for r in alone]
+    # a FEASIBLE result counts its re-check, which is no pass
+    evals = [r.oracle_calls - (r.status == FEASIBLE) for r in alone]
+    assert len(passes) == max(sum(evals[i] for i in chain) for chain in chains)
+    assert {r.message.split(";")[0] for r in alone if r.status == INDETERMINATE} == {
+        "Newton system not positive definite", "oracle budget exhausted"}
 
 
 def test_overflowing_barrier_terms_end_their_row_alone():
@@ -619,6 +663,17 @@ def _dt_problems(draw):
 @settings(max_examples=12, deadline=None, database=None)
 @given(st.lists(_dt_problems(), min_size=2, max_size=5), st.integers(1, 60))
 def test_stacked_dt_solves_equal_single_solves(problems, budget):
-    stacked = solve_many(problems, budget)
-    assert [_bits(r) for r in stacked] == [_bits(solve_feasibility(p, budget))
-                                           for p in problems]
+    alone = [_bits(solve_feasibility(p, budget)) for p in problems]
+    assert [_bits(r) for r in solve_many(problems, budget)] == alone
+    # and streamed as two chains, problem i + 2 joining when problem i is
+    # decided, so the stack may empty before a problem joins
+    streamed = {}
+    first = iter([[0, 1]])
+
+    def feed(decided):
+        streamed.update(decided)
+        joining = next(first, []) + [i + 2 for i, _ in decided if i + 2 < len(problems)]
+        return [(i, sdp.lift(problems[i]), None) for i in joining]
+
+    sdp.solve_stream(feed, budget)
+    assert [_bits(streamed[i]) for i in range(len(problems))] == alone

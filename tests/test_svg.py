@@ -132,7 +132,7 @@ def outcome(render, series, **kwargs):
     """The rendered text, or the type and message of what was raised."""
     try:
         return render(series, **kwargs)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
         return type(exc), str(exc)
 
 
@@ -232,13 +232,15 @@ EDGE_SERIES = {
     "y_past_float_range": [("a", [0.0, 1.0], [-1.7e308, 1.7e308])],
     "y_pad_past_float_range": [("a", [0.0, 1.0], [0.0, 1.7e308])],
     "huge_single_y": [("a", [0.0], [1.7e308])],
+    # y +- 0.5 rounds back to y, so the reference divides by a zero height
+    "single_y_2_52": [("a", [0.0], [2.0 ** 52 + 2.0])],
     "subnormal_width": [("a", [0.0, 5e-324], [0.0, 5e-324])],
 }
 # the scalar renderer raised on these finite inputs
 REFERENCE_RAISES = {"huge_single_x": False, "single_x_2_53": False,
                     "x_past_float_range": False, "y_past_float_range": False,
                     "y_pad_past_float_range": False, "huge_single_y": True,
-                    "subnormal_width": False}
+                    "single_y_2_52": False, "subnormal_width": False}
 
 
 @pytest.mark.parametrize("log_y", [False, True])
