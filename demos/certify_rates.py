@@ -42,8 +42,8 @@ def main() -> None:
     print(f"{'L':>6} {'plain':>10} {'with reset':>11}")
     grid = (10.0, 50.0, 100.0)
     requests = [req for L in grid for req in (underdamped(L), with_reset(underdamped(L)))]
-    # the six rows bisect in one stacked solve; each row waits only for
-    # its own probes
+    # the six rows bisect in one stacked solve, each probing ahead on
+    # its own path
     found = bisect_rates(dt_rates_probe(requests), len(requests), lo=0.05, hi=1.0,
                          iters=16, scan=False)
     cells = ["none" if f is None else f"{f[0]:.6f}" for f in found]

@@ -13,19 +13,22 @@ the lifted form on states of any dimension.
 The dt inequalities are affine in rho²: `build_theorem2` compiles a row
 (system, mu, L) once into everything but the rate, and `_at_rates`
 applies rho. Feasibility itself is delegated to the phase-I barrier
-engine in `sdp`. `bisect_rates` bisects many independent rows; after
-the easy end, a row probes the hard end together with its first
-midpoint. `dt_rates_probe` moves each compiled row to each rate it is
-probed at and solves every probe of a `bisect_rates` call in one
-`sdp.solve_stream` stack of rows lifted without a `FeasProblem`, which
-a row's next probes join as soon as its last are decided; every row
-gets the result it gets bisected alone.
+engine in `sdp`. `bisect_rates` bisects many independent rows by one
+rule, `_bisection`: a row's path given its outcomes so far.
+`dt_rates_probe` moves each compiled row to each rate it is probed at
+and solves every probe of a `bisect_rates` call in one
+`sdp.solve_stream` stack of rows lifted without a `FeasProblem`, where
+each row probes up to LOOKAHEAD rates ahead on the path where its
+pending probes fail, and a certified probe cancels the probes after it;
+every row gets the result it gets bisected alone.
 """
 from __future__ import annotations
 
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import count
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -437,69 +440,63 @@ class CertRequest:
 
 
 SCAN_POINTS = 32
+# probes of its bisection path that a row keeps in a stream's stack at once
+LOOKAHEAD = 4
 
 # A probe for bisect_rates: given rows and one rate for each, it returns
 # a certificate or None for each of them. A probe may also offer
-# `stream(pending, step)`: it probes each row's `pending` rates, hands
-# their certificates to `step(row, certs)`, and probes the rates that
-# returns (None once the row is done) as soon as they are known.
+# `stream(rule, rows)`: it runs the bisection `rule` on every row and
+# returns each row's path, its probes as (rate, certificate) pairs.
 RatesProbe = Callable[[list, list], list]
 
 
-def _bisection(lo: float, hi: float, iters: int, scan: bool, flip: bool):
-    """One row of bisect_rates: yields the rates to probe next, is sent
-    their certificates in order, and returns (rate, certificate), or None
-    when the easy end is not certified."""
-    if scan:
-        flags = []
-        for r in np.linspace(lo, hi, SCAN_POINTS):
-            (cert,) = yield [r]
-            flags.append(cert is not None)
-        ordered = flags[::-1] if flip else flags
-        first = next((i for i, f in enumerate(ordered) if f), None)
-        if first is not None and not all(ordered[first:]):
-            warnings.warn("certificate feasibility is not monotone on the "
-                          "coarse scan", RuntimeWarning)
+def _bisection(lo: float, hi: float, iters: int, scan: bool, flip: bool,
+               won: list) -> tuple:
+    """The rule of one row of bisect_rates, given whether each probe of
+    its path so far was certified: (rate, None) for the next probe, or
+    (None, k) once the search is over, the certificate of path probe k
+    being the result (k is None when the easy end is not certified)."""
+    scanned = SCAN_POINTS if scan else 0
+    if len(won) < scanned:
+        return np.linspace(lo, hi, SCAN_POINTS)[len(won)], None
     easy, hard = (lo, hi) if flip else (hi, lo)
-    (cert,) = yield [easy]
-    if cert is None:
-        return None
-    # the uncertified end, the certified end and its certificate
-    bracket = [hard, easy, cert]
-    # the hard end is probed with the first midpoint, both after the easy end
-    at_hard, *at_mid = yield [hard, 0.5 * (hard + easy)] if iters else [hard]
-    if at_hard is not None:
-        return hard, at_hard
-    for k in range(iters):
-        mid = 0.5 * (bracket[0] + bracket[1])
-        (cert,) = at_mid if k == 0 else (yield [mid])
-        if cert is None:
-            bracket[0] = mid
-        else:
-            bracket[1:] = [mid, cert]
-    return bracket[1], bracket[2]
+    tail = won[scanned:]
+    if not tail:
+        return easy, None
+    if not tail[0] or len(tail) == 1:
+        return (hard, None) if tail[0] else (None, None)
+    if tail[1]:
+        return None, scanned + 1
+    # the uncertified end, the certified end and the path probe that certified it
+    bad, good, k = hard, easy, scanned
+    for j, certified in enumerate(tail[2:], scanned + 2):
+        mid = 0.5 * (bad + good)
+        bad, good, k = (bad, mid, j) if certified else (mid, good, k)
+    return (0.5 * (bad + good), None) if len(tail) - 2 < iters else (None, k)
 
 
-def _rounds(probe: RatesProbe, pending: dict, step: Callable) -> None:
-    """stream for a plain probe: each call probes every live row's
-    pending rates."""
-    while pending:
-        rows = [i for i, rates in pending.items() for _ in rates]
-        certs = iter(probe(rows, [r for rates in pending.values() for r in rates]))
-        pending = {i: more for i, rates in pending.items()
-                   if (more := step(i, [next(certs) for _ in rates]))}
+def _rounds(probe: RatesProbe, rule: Callable, rows: int) -> list:
+    """stream for a plain probe, with a window of one: each call probes
+    the next rate of every row still searching, so a probe sees only the
+    rates of its rows' paths, in order."""
+    paths: list = [[] for _ in range(rows)]
+    while live := [(i, rate) for i, path in enumerate(paths)
+                   if (rate := rule([c is not None for _, c in path])[0]) is not None]:
+        for (i, rate), cert in zip(live, probe(*map(list, zip(*live)))):
+            paths[i].append((rate, cert))
+    return paths
 
 
 def bisect_rates(probe: RatesProbe, rows: int, lo: float, hi: float,
                  iters: int = 40, scan: bool = True, sense: str = "min") -> list:
     """bisect_rate on `rows` independent rows, each probed by `probe`.
 
-    Every row sees the rates it would see bisected alone, in the same
-    order: with `scan`, SCAN_POINTS rates one at a time, then the easy
-    end, then the hard end together with the first midpoint (the hard
-    end alone when iters is 0), then one midpoint at a time. A row waits
-    only for its own probes when the probe has a `stream`; a plain probe
-    is called once per round for every row still bisecting. Returns one
+    Every row's path is the one it has bisected alone: with `scan`,
+    SCAN_POINTS rates, then the easy end, then the hard end (which is
+    the result when certified), then `iters` midpoints. A plain probe is
+    called once per round with the next rate of every row still
+    bisecting; a probe's `stream` may probe ahead (see dt_rates_probe),
+    as long as each row's certificates follow its path. Returns one
     entry per row: (rate, certificate), or None when the easy end of
     [lo, hi] is not certified.
     """
@@ -509,18 +506,26 @@ def bisect_rates(probe: RatesProbe, rows: int, lo: float, hi: float,
         raise ValueError("sense must be 'min' or 'max'")
     if iters < 0:
         raise ValueError("need iters >= 0")
-    searches = [_bisection(lo, hi, iters, scan, sense == "max") for _ in range(rows)]
-    found: list = [None] * rows
+    rule = partial(_bisection, lo, hi, iters, scan, sense == "max")
+    found = []
+    for path in (getattr(probe, "stream", None) or partial(_rounds, probe))(rule, rows):
+        won = [cert is not None for _, cert in path]
+        flags = won[:SCAN_POINTS if scan else 0][::-1 if sense == "max" else 1]
+        if True in flags and not all(flags[flags.index(True):]):
+            warnings.warn("certificate feasibility is not monotone on the "
+                          "coarse scan", RuntimeWarning)
+        k = rule(won)[1]
+        found.append(None if k is None else path[k])
+    return found
 
-    def step(i: int, certs: list) -> Optional[list]:
-        try:
-            return searches[i].send(certs)
-        except StopIteration as stop:
-            found[i] = stop.value
-            return None
 
-    stream = getattr(probe, "stream", None) or (lambda *args: _rounds(probe, *args))
-    stream({i: next(search) for i, search in enumerate(searches)}, step)
+def _bisect_one(probe: RatesProbe, lo: float, hi: float, iters: int, scan: bool,
+                sense: str):
+    """bisect_rates on one row; raises NoCertificate for None."""
+    (found,) = bisect_rates(probe, 1, lo, hi, iters=iters, scan=scan, sense=sense)
+    if found is None:
+        side, easy = (">=", lo) if sense == "max" else ("<=", hi)
+        raise NoCertificate(f"no certificate with rate {side} {easy:g}")
     return found
 
 
@@ -528,9 +533,10 @@ def bisect_rate(builder: Callable[[float], Optional["Certificate"]], lo: float,
                 hi: float, iters: int = 40, scan: bool = True,
                 sense: str = "min"):
     """Smallest rate in [lo, hi] the builder can certify, by bisection: a
-    batch of one in bisect_rates. After the easy end, the builder is
-    called at the hard end and then at the first midpoint (at the hard
-    end alone when iters is 0); a certified hard end is the result.
+    batch of one in bisect_rates, so the builder is called at each rate
+    of the row's path in turn. A certified hard end is the result, so a
+    builder that certifies everywhere is called twice, at the easy end
+    and at the hard end.
 
     The builder maps a rate to a certificate or None. None merges the
     INFEASIBLE verdict (no certificate of this form exists) with the
@@ -544,23 +550,26 @@ def bisect_rate(builder: Callable[[float], Optional["Certificate"]], lo: float,
     rate instead (used for decay exponents, where faster decay is harder).
     Raises NoCertificate when the easy end of [lo, hi] is not certified.
     """
-    (found,) = bisect_rates(lambda _, rates: [builder(r) for r in rates], 1, lo, hi,
-                            iters=iters, scan=scan, sense=sense)
-    if found is None:
-        side, easy = (">=", lo) if sense == "max" else ("<=", hi)
-        raise NoCertificate(f"no certificate with rate {side} {easy:g}")
-    return found
+    return _bisect_one(lambda _, rates: [builder(r) for r in rates], lo, hi, iters,
+                       scan, sense)
 
 
 def dt_rates_probe(requests: Sequence[CertRequest],
                    max_oracle_calls: int = 200) -> RatesProbe:
     """Probe for bisect_rates over discrete-time rows: each row is
-    compiled once and moved to each rate it is probed at, and each row
-    warm-starts from the last feasible point it has seen. A call solves
-    its problems as one stack; `stream` keeps one `solve_stream` stack
-    for a whole bisect_rates call, which a row's next rates join as soon
-    as its last are decided. The probe's `rows` attribute holds the
-    compiled rows, one per request, at rho = 1."""
+    compiled once and moved to each rate it is probed at, and warm-starts
+    from the last certificate of its path. A call solves its problems as
+    one stack. `stream` solves a whole bisect_rates call in one
+    `solve_stream` stack, in which each row keeps up to LOOKAHEAD probes
+    of its path: the next rates if every pending probe fails. Only
+    failure can be assumed, since a failed probe leaves the warm start as
+    it is, so each probe ahead has the rate and warm start of the path it
+    lies on. A certified probe drops every later probe of its row at
+    once, even while earlier ones are pending, and the row refills from
+    there. Certificates are made, and warm starts move, only along the
+    decided path and in its order, so every row gets the result it gets
+    bisected alone. The probe's `rows` attribute holds the compiled rows,
+    one per request, at rho = 1."""
     compiled = [build_theorem2(dt_system(r.h, r.beta_hi, r.beta_lo, r.disc),
                                r.mu, r.lipschitz, 1.0) for r in requests]
     base = _rate_free(compiled)
@@ -570,51 +579,69 @@ def dt_rates_probe(requests: Sequence[CertRequest],
     zero = np.zeros((3, 3))
     last: list = [None] * len(requests)
 
-    def lifted(rows: list, rates: list) -> tuple:
-        """Each (row, rate) problem lifted, and its warm start."""
+    def lifted(rows: list, rates: list) -> list:
         rho = np.array(rates, dtype=float)
         if not np.all((0.0 < rho) & (rho <= 1.0)):
             raise ValueError("rho must lie in (0, 1]")
         mats = _at_rates(base[rows], rho)
         check_symmetric_stack(mats[:, :, :4].reshape(-1, 3, 3),
                               lambda i: f"map {_DT_LMIS[i // 4 % 2][0]}: basis[{i % 4}]")
-        return ([shared.with_blocks([(zero, idx, m) for (_, idx, _), m in zip(_DT_LMIS, pair)])
-                 for pair in mats], [last[i] for i in rows])
+        return [shared.with_blocks([(zero, idx, m) for (_, idx, _), m in zip(_DT_LMIS, pair)])
+                for pair in mats]
 
-    def certified(rows: list, rates: list, solved: list) -> list:
-        certs = [_dt_certificate(compiled[i], r, res)
-                 for i, r, res in zip(rows, rates, solved)]
-        for i, cert in zip(rows, certs):
-            if cert is not None:
-                last[i] = cert.raw_v
-        return certs
+    def certified(i: int, rate: float, res: FeasResult) -> Optional[Certificate]:
+        cert = _dt_certificate(compiled[i], rate, res)
+        if cert is not None:
+            last[i] = cert.raw_v
+        return cert
 
     def probe(rows: list, rates: list) -> list:
-        lifts, v_inits = lifted(rows, rates)
-        return certified(rows, rates, solve_many(lifts, max_oracle_calls, v_inits))
+        solved = solve_many(lifted(rows, rates), max_oracle_calls, [last[i] for i in rows])
+        return [certified(i, r, res) for i, r, res in zip(rows, rates, solved)]
 
-    def stream(pending: dict, step: Callable) -> None:
-        waiting: dict = {}  # row -> its rates in the stack and their results so far
+    def stream(rule: Callable, rows: int) -> list:
+        paths: list = [[] for _ in range(rows)]
+        # each row's probes past its path: [rate, key, result or None]
+        ahead: list = [[] for _ in range(rows)]
+        keys = count()
+        todo = set(range(rows))  # the rows with news since the last call
 
-        def feed(decided: list) -> list:
-            for (i, k), res in decided:
-                waiting[i][1][k] = res
-            for i in dict.fromkeys(i for (i, _), _ in decided):
-                rates, solved = waiting[i]
-                if None not in solved:
-                    del waiting[i]
-                    more = step(i, certified([i] * len(rates), rates, solved))
-                    if more:
-                        pending[i] = more
-            if not pending:
-                return []
-            keys = [(i, k) for i, rates in pending.items() for k in range(len(rates))]
-            lifts, v_inits = lifted([i for i, _ in keys], [pending[i][k] for i, k in keys])
-            waiting.update((i, (rates, [None] * len(rates))) for i, rates in pending.items())
-            pending.clear()
-            return list(zip(keys, lifts, v_inits))
+        def won(res: Optional[FeasResult]) -> bool:
+            return res is not None and res.feasible
+
+        def feed(decided: list) -> tuple:
+            for key, res in decided:
+                next(e for e in ahead[key[0]] if e[1] == key)[2] = res
+            todo.update(i for (i, _), _ in decided)
+            fresh = {key for key, res in decided if res.feasible}
+            new, dropping = [], []
+            for i in sorted(todo):
+                line = ahead[i]
+                # a new certificate cancels every probe after it
+                cut = next((j + 1 for j, e in enumerate(line) if e[1] in fresh), len(line))
+                dropping += [key for _, key, res in line[cut:] if res is None]
+                del line[cut:]
+                while line and line[0][2] is not None:
+                    rate, _, res = line.pop(0)
+                    paths[i].append((rate, certified(i, rate, res)))
+                # refill along the path where every pending probe fails
+                outcomes = [c is not None for _, c in paths[i]] + [won(e[2]) for e in line]
+                start = next((e[2].v for e in reversed(line) if won(e[2])), last[i])
+                for _ in range(LOOKAHEAD - sum(e[2] is None for e in line)):
+                    rate = rule(outcomes)[0]
+                    if rate is None:
+                        break
+                    line.append([rate, (i, next(keys)), None])
+                    outcomes.append(False)
+                    new.append((line[-1][1], rate, start))
+            todo.clear()
+            if not new:
+                return [], dropping
+            lifts = lifted([i for (i, _), _, _ in new], [rate for _, rate, _ in new])
+            return [(key, lf, v) for (key, _, v), lf in zip(new, lifts)], dropping
 
         solve_stream(feed, max_oracle_calls)
+        return paths
 
     probe.rows = compiled
     probe.stream = stream
@@ -631,9 +658,11 @@ def dt_rate_builder(request: CertRequest, max_oracle_calls: int = 200
 def certify_discrete(request: CertRequest, lo: float = 0.05, hi: float = 1.0,
                      iters: int = 40, scan: bool = True,
                      max_oracle_calls: int = 200):
-    """Bisected contraction factor and certificate for a tuning request."""
-    return bisect_rate(dt_rate_builder(request, max_oracle_calls), lo, hi,
-                       iters=iters, scan=scan)
+    """Bisected contraction factor and certificate for a tuning request,
+    through dt_rates_probe's stream (dt_rate_builder is the sequential
+    reference)."""
+    return _bisect_one(dt_rates_probe([request], max_oracle_calls), lo, hi, iters, scan,
+                       "min")
 
 
 def ct_alpha_builder(K: float, mu: float, L: float, eps_infl: float,

@@ -20,7 +20,8 @@ a caller can lift shared blocks once and add the rest per problem with
 v with `eigvalsh`. `solve_stream` steps problems of one block shape
 together, one row each, so that a pass costs one LAPACK call per size
 whatever the number of problems; problems join the stack between passes
-and leave it at their verdict, and each counts its own oracle calls.
+and leave it at their verdict or when dropped, and each counts its own
+oracle calls.
 Every operation acts on each row as on that problem alone, so a result
 does not depend on the stack or on when the problem joined. `solve_many`
 feeds a stream its problems once per block shape, and
@@ -237,12 +238,14 @@ def _barrier_terms(coefs: list, eigs: list, w: Array, s: Array, radius: Array):
         np.multiply(lam, inv, out=z[:, 2])
         # U' G_i U for every block k and coordinate i: shape (B, k, d, m, m)
         rot = vecs.swapaxes(2, 3)[:, :, None] @ coef @ vecs[:, :, None]
-        root = np.sqrt(inv)
-        scaled = rot * root[:, :, None, :, None] * root[:, :, None, None, :]
-        scaled = scaled.swapaxes(1, 2).reshape(b, d, -1)
-        hess[:, :d, :d] += scaled @ scaled.swapaxes(1, 2)
         # tr(Z G_i) and tr(Z G_i Z) for every coordinate: shape (B, 2, d)
         terms = _block_sum(rot.diagonal(axis1=3, axis2=4)[:, None] * z[:, :2, :, None])
+        # then Z^1/2 G_i Z^1/2 in place of rot
+        root = np.sqrt(inv)
+        rot *= root[:, :, None, :, None]
+        rot *= root[:, :, None, None, :]
+        scaled = rot.swapaxes(1, 2).reshape(b, d, -1)
+        hess[:, :d, :d] += scaled @ scaled.swapaxes(1, 2)
         grad[:, :d] += terms[:, 0]
         hess[:, :d, d] -= terms[:, 1]
         sums = z.reshape(b, 3, -1).sum(axis=2)
@@ -425,15 +428,17 @@ class _Rows:
         return self
 
 
-def solve_stream(feed: Callable[[list], list], max_oracle_calls: int = 200) -> None:
+def solve_stream(feed: Callable[[list], tuple], max_oracle_calls: int = 200) -> None:
     """Phase I on a stream of problems of one block shape, stepped
     together. Before each pass, `feed` is given the (key, FeasResult)
     pairs decided since it was last called (none at first) and returns
-    the (key, Lifted, v_init) triples that join the stack; the stream
+    the (key, Lifted, v_init) triples that join the stack and the keys
+    of live problems to drop from it, which get no result; the stream
     ends when the stack is empty and `feed` returns none. Each pass
     evaluates one point per live problem, and a problem leaves the stack
-    at its verdict. Every row keeps its own oracle count, tau, step
-    length and bound, so its result is the one it gets solved alone."""
+    at its verdict or its drop. Every row keeps its own oracle count,
+    tau, step length and bound, so its result is the one it gets solved
+    alone."""
     live: dict = {}  # id -> (key, Lifted) of each problem in the stack
     joined = 0
     rows = None
@@ -450,8 +455,13 @@ def solve_stream(feed: Callable[[list], list], max_oracle_calls: int = 200) -> N
                    f"last lower bound {float(rows.bound[i]):.3e}")
 
     while True:
-        joining = feed(decided)
+        joining, dropping = feed(decided)
         decided = []
+        if dropping:
+            stay = np.array([live[i][0] not in dropping for i in rows.ids.tolist()], dtype=bool)
+            for i in rows.ids[~stay].tolist():
+                del live[i]
+            rows.keep(stay)
         if joining:
             ids = np.arange(joined, joined + len(joining))
             joined += len(joining)
@@ -580,7 +590,7 @@ def solve_many(problems: Sequence, max_oracle_calls: int = 200,
         def feed(decided: list) -> list:
             for i, res in decided:
                 results[i] = res
-            return next(batch, [])
+            return next(batch, []), []
 
         solve_stream(feed, max_oracle_calls)
     return results

@@ -132,7 +132,7 @@ def test_criterion_01_single_branch_equivalence():
                for rule in ("optimal", "mistuned") for disc in (POL, NES)]
     n_cfg = len(configs)
     # the package side bisects the 20 configs together, in one stacked
-    # solve that each row's next probe joins as soon as its last is decided
+    # solve in which each row probes ahead on its own path
     found = bisect_rates(dt_rates_probe([CertRequest(mu, L, h, beta, beta, disc)
                                          for L, _, disc, h, beta in configs]),
                          n_cfg, 0.05, 1.0, iters=14, scan=False)

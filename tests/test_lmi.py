@@ -421,10 +421,10 @@ def test_compiled_probes_replay_as_solves_of_their_dt_problems(monkeypatch, tmp_
 
         def fed(decided):
             solves.extend((*live.pop(key), res) for key, res in decided)
-            joining = feed(decided)
+            joining, dropping = feed(decided)
             live.update((key, (lifted, max_oracle_calls, v_init))
                         for key, lifted, v_init in joining)
-            return joining
+            return joining, dropping
 
         real_stream(fed, max_oracle_calls)
 
@@ -435,9 +435,11 @@ def test_compiled_probes_replay_as_solves_of_their_dt_problems(monkeypatch, tmp_
                                "--bisect-iters", "5"])):
         assert cli_main(["certify", *args, "--out", str(tmp_path / str(i))]) == 0
     monkeypatch.undo()
-    assert len(probes) == len(solves)
+    # a solve that a certified probe before it cancels has no probe
     probed = {id(res): (data, rho) for data, rho, res in probes}
-    recorded = [(*probed[id(res)], *solved, res) for *solved, res in solves]
+    recorded = [(*probed[id(res)], *solved, res) for *solved, res in solves
+                if id(res) in probed]
+    assert len(recorded) == len(probes) < len(solves)
     assert len(recorded) >= 66 + 32 * 6
     assert {budget for *_, budget, _, _ in recorded} == {200}
     problems = [dt_problem(dataclasses.replace(data, rho=rho)) for data, rho, *_ in recorded]
@@ -638,6 +640,24 @@ def test_bisect_returns_hard_end_when_everywhere_feasible():
         assert rate == 1.0
 
 
+def test_bisect_calls_a_builder_that_certifies_everywhere_twice():
+    # the easy end, then the hard end alone, which decides the row: no
+    # midpoint is probed, whatever the depth
+    token = Certificate(rate=0.0, rate_kind="rho", P=np.eye(2), multipliers={},
+                        margin=-1.0, tuning={})
+    for sense, easy, hard in (("min", 1.0, 0.1), ("max", 0.1, 1.0)):
+        for iters in (0, 1, 5):
+            probed = []
+
+            def builder(r):
+                probed.append(r)
+                return token
+
+            assert bisect_rate(builder, 0.1, 1.0, iters=iters, scan=False,
+                               sense=sense) == (hard, token)
+            assert probed == [easy, hard]
+
+
 def test_bisect_reports_missing_certificate():
     with pytest.raises(NoCertificate, match="<= 1"):
         bisect_rate(lambda r: None, 0.05, 1.0, iters=5, scan=False)
@@ -726,23 +746,21 @@ def test_bisect_rates_gives_each_row_its_single_row_result():
                     want = None
                 assert found[i] == want
                 assert [r for call in calls for j, r in call if j == i] == alone
-            # one probe call per round: the round after the easy end carries
-            # each row's hard end and then its first midpoint, and no other
-            # call probes a row twice
-            easy, hard = (1.0, 0.05) if sense == "min" else (0.05, 1.0)
+            # one probe call per round, with the next rate of each row still
+            # bisecting: the round after the easy end probes the hard ends
+            # alone, and no call probes a row twice
+            hard = 0.05 if sense == "min" else 1.0
             joint = (32 if scan else 0) + 1
-            assert calls[joint] == [(j, r) for j in dict.fromkeys(j for j, _ in calls[joint])
-                                    for r in (hard, 0.5 * (hard + easy))]
-            assert all(len({j for j, _ in call}) == len(call)
-                       for k, call in enumerate(calls) if k != joint)
-            assert len(calls) == joint + 9
+            assert {r for _, r in calls[joint]} == {hard}
+            assert all(len({j for j, _ in call}) == len(call) for call in calls)
+            assert len(calls) == joint + 1 + 9
     with pytest.warns(RuntimeWarning, match="not monotone"):
         bisect_rates(lambda rows, rates: [token if tests[3](r) else None for r in rates],
                      1, 0.05, 1.0, iters=3, scan=True)
 
 
 def test_dt_rows_in_lockstep_match_each_row_bisected_alone():
-    # one stacked solve a round gives every row the rate and the
+    # one stacked solve gives every row the rate and the
     # certificate bytes that it gets from its own dt_rate_builder
     requests = [CertRequest(1.0, L, 1.0 / (2.0 * L), beta, blo, disc)
                 for L in (1.0, 10.0)
@@ -765,7 +783,7 @@ def test_dt_rows_in_lockstep_match_each_row_bisected_alone():
 
 def test_rows_that_certify_at_the_hard_end_match_each_row_bisected_alone():
     # at the optimal tuning every L = 1 row certifies at the hard end,
-    # probed with its first midpoint, while L = 10 rows keep bisecting or
+    # probed with the midpoints after it, while L = 10 rows keep bisecting or
     # fail at the easy end: each row gets the rate and certificate bytes of
     # its own dt_rate_builder
     requests = [CertRequest(1.0, L, h, bhi, blo, disc)
@@ -787,11 +805,96 @@ def test_rows_that_certify_at_the_hard_end_match_each_row_bisected_alone():
     assert [None if f is None else f[0] for f in found] == [0.05] * 3 + [0.88125, 1.0, None]
 
 
+def _seeded_rows(seed: int) -> list:
+    # three mistuned and three optimal rows of random methods and L
+    rng = np.random.default_rng(seed)
+    methods = ("nesterov", "polyak", "hhb-pol", "hhb-nes", "hihb-pol", "hihb-nes")
+    return [CertRequest(1.0, L, h, bhi, blo, disc)
+            for rule in ("mistuned", "mistuned", "mistuned", "optimal", "optimal", "optimal")
+            for L in [float(rng.choice([1.0, 2.0, 10.0, 100.0]))]
+            for disc, h, bhi, blo in [certify_tuning(str(rng.choice(methods)), L, 1.0, rule)]]
+
+
+@pytest.mark.parametrize("scan", [False, True])
+def test_rows_probing_ahead_keep_each_rows_path_and_bits(monkeypatch, scan):
+    # seeded rows bisected together through the stream, which keeps up to
+    # LOOKAHEAD probes of each row's path in the stack: each row gets the
+    # rate and certificate bytes of its own dt_rate_builder, and its path
+    # probes reach _dt_certificate in path order, with the results that
+    # the builder's solves get alone
+    # with the scan, every other row: 32 scan probes a row cost more time
+    requests = _seeded_rows(18)[::2 if scan else 1]
+    seen, joined, dropped = [], [], []
+    real_cert, real_stream = hbreset.lmi._dt_certificate, hbreset.lmi.solve_stream
+
+    def recording_cert(data, rho, res):
+        seen.append((data, rho, _result_bits(res)))
+        return real_cert(data, rho, res)
+
+    def recording_stream(feed, max_oracle_calls):
+        def fed(decided):
+            joining, dropping = feed(decided)
+            joined.extend(joining)
+            dropped.extend(dropping)
+            return joining, dropping
+
+        real_stream(fed, max_oracle_calls)
+
+    memo, real_many = {}, hbreset.lmi.solve_many
+
+    def remembered(lifts, budget, v_inits):
+        # the single solves of the builders: a row's path at one depth
+        # begins with its path at any smaller depth, and a solve repeats
+        # bit for bit, so the deepest bisection's solves serve the rest
+        (lifted,), (v_init,) = lifts, v_inits
+        key = repr((_lifted_bytes(lifted), budget, v_init if v_init is None else v_init.tobytes()))
+        if key not in memo:
+            memo[key] = real_many(lifts, budget, v_inits)
+        return memo[key]
+
+    monkeypatch.setattr(hbreset.lmi, "_dt_certificate", recording_cert)
+    monkeypatch.setattr(hbreset.lmi, "solve_stream", recording_stream)
+    monkeypatch.setattr(hbreset.lmi, "solve_many", remembered)
+    for iters in (9, 3, 1, 0):
+        seen.clear()
+        probe = dt_rates_probe(requests)
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            found = bisect_rates(probe, len(requests), 0.05, 1.0, iters=iters, scan=scan)
+        paths = [[(rho, bits) for data, rho, bits in seen if data is row]
+                 for row in probe.rows]
+        assert sum(map(len, paths)) == len(seen)
+        for i, (req, got, path) in enumerate(zip(requests, found, paths)):
+            seen.clear()
+            builder = dt_rate_builder(req)
+            try:
+                with warnings.catch_warnings(record=True):
+                    warnings.simplefilter("always")
+                    rate, cert = bisect_rate(builder, 0.05, 1.0, iters=iters, scan=scan)
+            except NoCertificate:
+                rate = cert = None
+            assert [(rho, bits) for _, rho, bits in seen] == path
+            assert (got is None) == (cert is None)
+            if cert is not None:
+                assert got[0] == rate
+                assert got[1].to_json() == cert.to_json()
+                assert got[1].raw_v.tobytes() == cert.raw_v.tobytes()
+            # the row's warm start after the bisection is its path's last
+            # certificate, the one its builder holds
+            after, want = probe([i], [0.99])[0], builder(0.99)
+            assert (after is None) == (want is None)
+            assert after is None or after.raw_v.tobytes() == want.raw_v.tobytes()
+    # the stack held probes off the decided paths, and certificates
+    # cancelled some of them
+    assert dropped and len(joined) > len(dropped) + len(seen)
+
+
 def test_bench_config_rows_wait_only_for_their_own_probes(monkeypatch, tmp_path):
-    # one phase-I pass evaluates every live probe once; a row's next probe
-    # joins at the pass after its last is decided, so the bench config
-    # makes the probes and evaluations of 18 rows bisected alone in 256
-    # passes, where 5 lockstep rounds took 398
+    # one phase-I pass evaluates every live probe once, and each row keeps
+    # up to LOOKAHEAD probes of its path in the stack: the bench config
+    # makes the 66 path probes of 18 rows bisected alone in 113 passes
+    # (256 one probe at a time, 398 in lockstep rounds), for 3,055 row
+    # evaluations (2,983 one probe at a time)
     evals, probes = [], []
     real_eigh, real_cert = sdp._block_eigh, hbreset.lmi._dt_certificate
 
@@ -808,8 +911,8 @@ def test_bench_config_rows_wait_only_for_their_own_probes(monkeypatch, tmp_path)
     assert cli_main(["certify", "--grid-L", "1,10,100", "--bisect-iters", "3",
                      "--out", str(tmp_path)]) == 0
     assert len(probes) == 66
-    assert sum(evals) == 2983
-    assert len(evals) <= 256
+    assert sum(evals) == 3055
+    assert len(evals) <= 113
 
 
 def test_rate_builder_warm_start_consistency():

@@ -520,9 +520,9 @@ def test_certify_pass_solves_match_alone_in_the_full_and_a_shuffled_stack(
 
         def fed(decided):
             seen.extend((*live.pop(key), res) for key, res in decided)
-            joining = feed(decided)
+            joining, dropping = feed(decided)
             live.update((key, (lifted, v_init)) for key, lifted, v_init in joining)
-            return joining
+            return joining, dropping
 
         real(fed, max_oracle_calls)
 
@@ -598,7 +598,7 @@ def test_stream_problems_join_the_pass_after_their_predecessor_is_decided(monkey
         got.update(decided)
         joining = [chain[0] for chain in chains] if not passes else \
             [after[i] for i, _ in decided if i in after]
-        return [(i, sdp.lift(problems[i]), None) for i in joining]
+        return [(i, sdp.lift(problems[i]), None) for i in joining], []
 
     monkeypatch.setattr(sdp, "_block_eigh", counting_eigh)
     sdp.solve_stream(feed, 78)
@@ -608,6 +608,33 @@ def test_stream_problems_join_the_pass_after_their_predecessor_is_decided(monkey
     assert len(passes) == max(sum(evals[i] for i in chain) for chain in chains)
     assert {r.message.split(";")[0] for r in alone if r.status == INDETERMINATE} == {
         "Newton system not positive definite", "oracle budget exhausted"}
+
+
+def test_stream_drops_named_problems_before_the_next_pass(monkeypatch):
+    # three problems join at once, and after the fifth pass the feed drops
+    # two of them: they get no result, every later pass evaluates one row,
+    # and the kept problem gets the result it gets alone
+    problems = [_mistuned_dt(1.0, "nesterov", 0.05), _mistuned_dt(2.0, "polyak", 0.5),
+                _mistuned_dt(1.0, "hhb-pol", 0.525)]
+    alone = solve_feasibility(problems[1], 200)
+    got, passes = {}, []
+    real_eigh = sdp._block_eigh
+
+    def counting_eigh(groups, w):
+        passes.append(len(w))
+        return real_eigh(groups, w)
+
+    def feed(decided):
+        got.update(decided)
+        if not passes:
+            return [(i, sdp.lift(p), None) for i, p in enumerate(problems)], []
+        return [], [0, 2] if len(passes) == 5 else []
+
+    monkeypatch.setattr(sdp, "_block_eigh", counting_eigh)
+    sdp.solve_stream(feed, 200)
+    assert list(got) == [1]
+    assert _bits(got[1]) == _bits(alone)
+    assert passes == [3] * 5 + [1] * (alone.oracle_calls - (alone.status == FEASIBLE) - 5)
 
 
 def test_overflowing_barrier_terms_end_their_row_alone():
@@ -673,7 +700,7 @@ def test_stacked_dt_solves_equal_single_solves(problems, budget):
     def feed(decided):
         streamed.update(decided)
         joining = next(first, []) + [i + 2 for i, _ in decided if i + 2 < len(problems)]
-        return [(i, sdp.lift(problems[i]), None) for i in joining]
+        return [(i, sdp.lift(problems[i]), None) for i in joining], []
 
     sdp.solve_stream(feed, budget)
     assert [_bits(streamed[i]) for i in range(len(problems))] == alone
