@@ -378,7 +378,7 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
     grid = [(L, method, *certify_tuning(method, L, cfg.mu, cfg.rule))
             for L in cfg.grid_L for method in cfg.methods]
     # every (L, method) row bisects in one stacked solve, holding up to
-    # LOOKAHEAD probes of its path at once
+    # LOOKAHEAD probes of its path at once (fewer on wide grids)
     probe = dt_rates_probe([CertRequest(cfg.mu, L, h, bhi, blo, disc)
                             for L, _, disc, h, bhi, blo in grid], cfg.max_oracle_calls)
     found = bisect_rates(probe, len(grid), 0.05, 1.0, iters=cfg.bisect_iters,

@@ -440,8 +440,10 @@ class CertRequest:
 
 
 SCAN_POINTS = 32
-# probes of its bisection path that a row keeps in a stream's stack at once
+# probes of its path a row keeps in a stream's stack at once, and the
+# stack they share when more than STACK_ROWS / LOOKAHEAD rows search
 LOOKAHEAD = 4
+STACK_ROWS = 72
 
 # A probe for bisect_rates: given rows and one rate for each, it returns
 # a certificate or None for each of them. A probe may also offer
@@ -561,15 +563,15 @@ def dt_rates_probe(requests: Sequence[CertRequest],
     from the last certificate of its path. A call solves its problems as
     one stack. `stream` solves a whole bisect_rates call in one
     `solve_stream` stack, in which each row keeps up to LOOKAHEAD probes
-    of its path: the next rates if every pending probe fails. Only
-    failure can be assumed, since a failed probe leaves the warm start as
-    it is, so each probe ahead has the rate and warm start of the path it
-    lies on. A certified probe drops every later probe of its row at
-    once, even while earlier ones are pending, and the row refills from
-    there. Certificates are made, and warm starts move, only along the
-    decided path and in its order, so every row gets the result it gets
-    bisected alone. The probe's `rows` attribute holds the compiled rows,
-    one per request, at rho = 1."""
+    of its path (fewer on wide grids, see STACK_ROWS): the next rates if
+    every pending probe fails. Only failure can be assumed, since a
+    failed probe leaves the warm start as it is, so each probe ahead has
+    the rate and warm start of the path it lies on. A certified probe
+    drops every later probe of its row at once, even while earlier ones
+    are pending, and the row refills from there. Certificates are made,
+    and warm starts move, only along the decided path and in its order,
+    so every row gets the result it gets bisected alone. The probe's
+    `rows` attribute holds the compiled rows, one per request, at rho = 1."""
     compiled = [build_theorem2(dt_system(r.h, r.beta_hi, r.beta_lo, r.disc),
                                r.mu, r.lipschitz, 1.0) for r in requests]
     base = _rate_free(compiled)
@@ -606,15 +608,14 @@ def dt_rates_probe(requests: Sequence[CertRequest],
         keys = count()
         todo = set(range(rows))  # the rows with news since the last call
 
-        def won(res: Optional[FeasResult]) -> bool:
-            return res is not None and res.feasible
-
         def feed(decided: list) -> tuple:
             for key, res in decided:
                 next(e for e in ahead[key[0]] if e[1] == key)[2] = res
             todo.update(i for (i, _), _ in decided)
             fresh = {key for key, res in decided if res.feasible}
             new, dropping = [], []
+            live = sum(bool(line) or i in todo for i, line in enumerate(ahead))
+            window = max(1, min(LOOKAHEAD, STACK_ROWS // max(live, 1)))
             for i in sorted(todo):
                 line = ahead[i]
                 # a new certificate cancels every probe after it
@@ -625,9 +626,11 @@ def dt_rates_probe(requests: Sequence[CertRequest],
                     rate, _, res = line.pop(0)
                     paths[i].append((rate, certified(i, rate, res)))
                 # refill along the path where every pending probe fails
-                outcomes = [c is not None for _, c in paths[i]] + [won(e[2]) for e in line]
-                start = next((e[2].v for e in reversed(line) if won(e[2])), last[i])
-                for _ in range(LOOKAHEAD - sum(e[2] is None for e in line)):
+                outcomes = [c is not None for _, c in paths[i]]
+                outcomes += [res is not None and res.feasible for _, _, res in line]
+                start = next((res.v for _, _, res in reversed(line)
+                              if res is not None and res.feasible), last[i])
+                for _ in range(window - sum(e[2] is None for e in line)):
                     rate = rule(outcomes)[0]
                     if rate is None:
                         break

@@ -21,10 +21,9 @@ v with `eigvalsh`. `solve_stream` steps problems of one block shape
 together, one row each, so that a pass costs one LAPACK call per size
 whatever the number of problems; problems join the stack between passes
 and leave it at their verdict or when dropped, and each counts its own
-oracle calls.
-Every operation acts on each row as on that problem alone, so a result
-does not depend on the stack or on when the problem joined. `solve_many`
-feeds a stream its problems once per block shape, and
+oracle calls. Every operation acts on each row as on that problem alone,
+so a result does not depend on the stack or on when the problem joined.
+`solve_many` feeds a stream its problems once per block shape, and
 `solve_feasibility` is a stack of one. `symmetric_eig` and
 `FeasProblem.worst_block` are not called by the engine: they are the
 hooks that the benchmark's tracer patches.
@@ -436,9 +435,8 @@ def solve_stream(feed: Callable[[list], tuple], max_oracle_calls: int = 200) -> 
     of live problems to drop from it, which get no result; the stream
     ends when the stack is empty and `feed` returns none. Each pass
     evaluates one point per live problem, and a problem leaves the stack
-    at its verdict or its drop. Every row keeps its own oracle count,
-    tau, step length and bound, so its result is the one it gets solved
-    alone."""
+    at its verdict or its drop. Each row keeps its own oracle count, tau,
+    step length and bound, so it gets the result it gets solved alone."""
     live: dict = {}  # id -> (key, Lifted) of each problem in the stack
     joined = 0
     rows = None

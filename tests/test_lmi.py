@@ -889,6 +889,45 @@ def test_rows_probing_ahead_keep_each_rows_path_and_bits(monkeypatch, scan):
     assert dropped and len(joined) > len(dropped) + len(seen)
 
 
+def test_rows_of_a_wide_grid_share_the_stack(monkeypatch):
+    # past STACK_ROWS / LOOKAHEAD rows still searching, each row keeps
+    # STACK_ROWS // rows probes of its path in the stack: six rows in a
+    # stack of 12 keep at most two each while all of them search and more
+    # as rows finish, never more than LOOKAHEAD, and every row keeps its
+    # rate and certificate
+    requests = _seeded_rows(18)
+    want = bisect_rates(dt_rates_probe(requests), len(requests), 0.05, 1.0, iters=3,
+                        scan=False)
+    stacked, shares = set(), []
+    real_stream = hbreset.lmi.solve_stream
+
+    def recording_stream(feed, max_oracle_calls):
+        def fed(decided):
+            stacked.difference_update(key for key, _ in decided)
+            joining, dropping = feed(decided)
+            stacked.difference_update(dropping)
+            stacked.update(key for key, _, _ in joining)
+            rows = [i for i, _ in stacked]
+            # (probes of the fullest row, rows in the stack)
+            shares.append((max(map(rows.count, rows), default=0), len(set(rows))))
+            return joining, dropping
+
+        real_stream(fed, max_oracle_calls)
+
+    monkeypatch.setattr(hbreset.lmi, "solve_stream", recording_stream)
+    monkeypatch.setattr(hbreset.lmi, "STACK_ROWS", 12)
+    found = bisect_rates(dt_rates_probe(requests), len(requests), 0.05, 1.0, iters=3,
+                         scan=False)
+    assert all(most <= 12 // max(rows, 1) for most, rows in shares)
+    assert (2, 6) in shares and 2 < max(shares)[0] <= hbreset.lmi.LOOKAHEAD
+    for got, ref in zip(found, want):
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert got[0] == ref[0]
+            assert got[1].to_json() == ref[1].to_json()
+            assert got[1].raw_v.tobytes() == ref[1].raw_v.tobytes()
+
+
 def test_bench_config_rows_wait_only_for_their_own_probes(monkeypatch, tmp_path):
     # one phase-I pass evaluates every live probe once, and each row keeps
     # up to LOOKAHEAD probes of its path in the stack: the bench config
