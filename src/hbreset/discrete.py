@@ -147,22 +147,13 @@ class Trajectory:
         return len(self.phi_gaps) - 1
 
     def to_csv(self, path) -> None:
-        # one format string per row over plain Python numbers, 1024 rows
-        # at a time, as HybridArc.to_csv does. A run has few distinct
-        # betas, so each is formatted once, keyed by its bits (-0.0 and
-        # 0.0 print differently).
-        row = "%d,%.17g,%d,%s,%d,%.17g\n"
-        keys, which = np.unique(self.betas.view(np.uint64), return_inverse=True)
-        text = ["%.17g" % b for b in keys.view(float).tolist()]
-        betas = [text[i] for i in which.tolist()]
-        with open(path, "w") as fh:
-            fh.write("k,phi_gap,inner_sign,beta,reset,grad_norm\n")
-            for lo in range(0, len(self), 1024):
-                part = slice(lo, lo + 1024)
-                fh.writelines(row % rec for rec in zip(
-                    range(lo, lo + 1024), self.phi_gaps[part].tolist(),
-                    self.inner_signs[part].tolist(), betas[part],
-                    self.resets[part].tolist(), self.grad_norms[part].tolist()))
+        # k, inner_sign and reset go as floats: below 2**53, "%.17g" prints
+        # an integer-valued float as "%d" prints the integer
+        from .csv17 import write_rows  # compiled at the first write, not at import
+        with open(path, "wb") as fh:
+            fh.write(b"k,phi_gap,inner_sign,beta,reset,grad_norm\n")
+            write_rows(fh, (np.arange(len(self)), self.phi_gaps, self.inner_signs,
+                            self.betas, self.resets, self.grad_norms))
 
     def iterations_to_gap(self, target: float) -> Optional[int]:
         """First k with phi gap <= target, or None."""

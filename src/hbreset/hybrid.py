@@ -107,20 +107,12 @@ class HybridArc:
         n = self.q.shape[1]
         cols = ["t", "j"] + [f"q{i}" for i in range(n)] + [f"p{i}" for i in range(n)] \
             + ["tau", "energy"]
-        # one format string per row over plain Python numbers gives the
-        # bytes of formatting each numpy scalar on its own, at about half
-        # the cost; converting 1024 rows at a time keeps the Python copies
-        # of a long arc from raising the peak memory
-        row = "%.17g,%d," + ",".join(["%.17g"] * (2 * n + 2)) + "\n"
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for lo in range(0, len(self.t), 1024):
-                part = slice(lo, lo + 1024)
-                for t, j, q, p, tau, e in zip(
-                        self.t[part].tolist(), self.j[part].tolist(),
-                        self.q[part].tolist(), self.p[part].tolist(),
-                        self.tau[part].tolist(), self.energy[part].tolist()):
-                    fh.write(row % (t, j, *q, *p, tau, e))
+        # j goes as a float: below 2**53, "%.17g" prints an integer-valued
+        # float as "%d" prints the integer
+        from .csv17 import write_rows  # compiled at the first write, not at import
+        with open(path, "wb") as fh:
+            fh.write((",".join(cols) + "\n").encode())
+            write_rows(fh, (self.t, self.j, self.q, self.p, self.tau, self.energy))
 
     def jumps_json(self) -> str:
         return json.dumps(
