@@ -9,11 +9,14 @@ condition. Fixed-step classical RK4 with bisection event localization.
 On a quadratic model (one with `ObjectiveModel.hessian`) the flow is
 linear, so one full RK4 step is an affine map of the state whose matrix
 is the step's stability polynomial R(hA). Such arcs skip ahead through
-steps with no event a block at a time: each step is one matvec, and the
-block's values and gradients come from one stacked oracle call. Event
-steps (a jump, a change of damping at any stage, the gradient stop), the
-short last step and every step of a non-quadratic model take the stage
-path, `_rk4`, which evaluates the oracle at each stage.
+steps with no event a block at a time, in the Hessian's eigenbasis: each
+mode steps by its own 2x2 matrices, so a block of up to BLOCK steps is
+two elementwise products over (steps, modes) and one matrix product back
+to (q, p), and the block's values and gradients come from one stacked
+oracle call. Event steps (a jump, a change of damping at any stage, the
+gradient stop), the short last step and every step of a non-quadratic
+model take the stage path, `_rk4`, which evaluates the oracle at each
+stage.
 """
 from __future__ import annotations
 
@@ -30,8 +33,9 @@ Array = np.ndarray
 
 GRAD_STOP = 1e-10
 MAX_EVENT_BISECTIONS = 100
-# full steps a skip-ahead block advances before its stacked oracle call
-BLOCK = 64
+# full steps a skip-ahead block advances before its stacked oracle call;
+# 128 ran the benchmark's n = 10 arcs about 9% faster than 64
+BLOCK = 128
 
 
 @dataclass
@@ -179,27 +183,6 @@ def _rk4(q: Array, p: Array, g: Array, dt: float, model: ObjectiveModel,
     return qn, pn
 
 
-def _propagator(H: Array, K: float, h: float) -> tuple[Array, Array]:
-    """(T, M) of one RK4 step of size h of the linear flow z' = A z + c,
-    z = [q; p], A = [[0, I], [-H, -K I]].
-
-    On an affine field the four stages are polynomials in hA applied to
-    f(z) = A z + c, and the step is z + M f(z) with M = h S(hA),
-    S(X) = I + X/2 + X^2/6 + X^3/24. A point z0 + d with f(z0) = f0
-    then steps to z0 + T d + M f0, where T = I + A M = R(hA) is the
-    step's stability polynomial I + X + X^2/2 + X^3/6 + X^4/24.
-    """
-    n = H.shape[0]
-    eye = np.eye(2 * n)
-    A = np.block([[np.zeros((n, n)), np.eye(n)], [-H, -K * np.eye(n)]])
-    X = h * A
-    S = eye + X / 4.0
-    S = eye + X @ S / 3.0
-    S = eye + X @ S / 2.0
-    M = h * S
-    return eye + A @ M, M
-
-
 def _stage_points(q: Array, p: Array, g: Array, h: float, K: float,
                   H: Array) -> tuple[Array, Array]:
     """The interior RK4 stage points of steps of size h from the rows of
@@ -252,22 +235,64 @@ def _check_t_end(t_end: float) -> None:
 
 
 class _SkipAhead:
-    """Steps of a quadratic flow through its propagator, a block at a time.
+    """Steps of a quadratic flow in its Hessian's eigenbasis, a block at a time.
+
+    On the affine field f(z) = A z + c, z = [q; p], A = [[0, I], [-H, -K I]],
+    an RK4 step is z + M f(z) with M = h S(hA), S(X) = I + X/2 + X^2/6 +
+    X^3/24, so i + 1 steps move z0 by C[i] M f(z0), C[i] = sum_{k<=i} T^k,
+    where T = I + A M = R(hA). With H = V diag(lam) V', each mode
+    (V'q, V'p)_j has its own 2x2 A_j = [[0, 1], [-lam_j, -K]], M_j, T_j and
+    C_j[i], built once per damping.
 
     Rows are the candidate states after 1, 2, ..., BLOCK full steps from
-    the block start: each row is one matvec from the one before, and all
-    rows get their values and gradients from one stacked oracle call. A
-    block ends before the first row that meets the stop test, enters the
-    jump set (resetting flows) or, on switched flows, would step under
-    another damping than the block's at any of its four stages; the caller
-    takes that step on the stage path.
+    the block start, and all rows get their values and gradients from one
+    stacked oracle call. A block ends before the first row that meets the
+    stop test, enters the jump set (resetting flows) or, on switched
+    flows, would step under another damping than the block's at any of
+    its four stages; the caller takes that step on the stage path.
     """
 
     def __init__(self, model: ObjectiveModel, params: HybridParams,
                  t_end: float, resets: bool, switched: bool):
         self.model, self.params, self.t_end = model, params, t_end
         self.resets, self.switched = resets, switched
-        self.props = {}
+        H = model.hessian
+        self.lam, self.V = np.linalg.eigh(0.5 * (H + H.T))
+        self.tables = {}
+
+    def _table(self, K: float) -> tuple[Array, Array]:
+        """(M, C) under damping K, indexed [a, b, j] and [a, b, i, j] for
+        entry (a, b) of mode j's 2x2 M_j and power sum C_j[i]."""
+        if K not in self.tables:
+            h, eye = self.params.step, np.eye(2)
+            A = np.zeros((self.lam.size, 2, 2))
+            A[:, 0, 1], A[:, 1, 0], A[:, 1, 1] = 1.0, -self.lam, -K
+            X = h * A
+            S = eye + X / 4.0
+            S = eye + X @ S / 3.0
+            S = eye + X @ S / 2.0
+            M = h * S
+            T = eye + A @ M
+            C = np.empty((BLOCK,) + T.shape)
+            C[0] = Tk = np.broadcast_to(eye, T.shape)
+            for i in range(1, BLOCK):
+                Tk = T @ Tk
+                C[i] = C[i - 1] + Tk
+            # mode last, so a block's products are elementwise over (rows, n)
+            self.tables[K] = (np.ascontiguousarray(M.transpose(1, 2, 0)),
+                              np.ascontiguousarray(C.transpose(2, 3, 0, 1)))
+        return self.tables[K]
+
+    def steps(self, p: Array, g: Array, K: float, rows: int) -> tuple[Array, Array]:
+        """(dQ, dP), (rows, n) each: the displacements of q and p after 1, 2,
+        ..., rows full steps under damping K from a point with momentum p
+        and gradient g."""
+        M, C = self._table(K)
+        f0 = np.stack((p, -K * p - g)) @ self.V
+        w = M[:, 0] * f0[0] + M[:, 1] * f0[1]
+        D = C[:, 0, :rows] * w[0] + C[:, 1, :rows] * w[1]
+        dz = D.reshape(2 * rows, -1) @ self.V.T
+        return dz[:rows], dz[rows:]
 
     def block(self, q: Array, p: Array, g: Array, t: float, tau: float):
         """(t, tau, q, p, phi, g) of the accepted rows, or None when the
@@ -282,16 +307,9 @@ class _SkipAhead:
         if rows == 0:
             return None
         K = float(_damping(float(np.dot(g, p)), params)) if self.switched else params.K
-        if K not in self.props:
-            self.props[K] = _propagator(H, K, h)
-        T, M = self.props[K]
         n = q.shape[0]
-        w = M @ np.concatenate((p, -K * p - g))
-        D = np.empty((rows, 2 * n))
-        D[0] = w
-        for i in range(1, rows):
-            D[i] = T @ D[i - 1] + w
-        Q, P = q + D[:, :n], p + D[:, n:]
+        dQ, dP = self.steps(p, g, K, rows)
+        Q, P = q + dQ, p + dP
         phi, G = model.value_grad(Q)
         inner = np.vecdot(G, P)
         stop = _stopped(G)

@@ -7,6 +7,9 @@ the equivalence, stop and NaN tests compare the stacked loop with it
 record for record, and the step hand cases and the matrix-recursion
 tests read the states it keeps. It uses only the library's switching
 law, beta schedule and records, never `run_many`.
+
+`propagator` is the dense form of one RK4 step of a linear flow, which
+the hybrid skip-ahead takes mode by mode in the Hessian's eigenbasis.
 """
 from __future__ import annotations
 
@@ -124,3 +127,24 @@ def run(model: ObjectiveModel, params: AlgoParams, q0: Array, max_iter: int,
     return Trajectory(params=params, phi_gaps=gaps, inner_signs=signs,
                       betas=betas, resets=resets, grad_norms=gnorms,
                       q=state.q, phi=float(phi), status=status)
+
+
+def propagator(H: Array, K: float, h: float) -> tuple[Array, Array]:
+    """(T, M) of one RK4 step of size h of the linear flow z' = A z + c,
+    z = [q; p], A = [[0, I], [-H, -K I]].
+
+    On an affine field the four stages are polynomials in hA applied to
+    f(z) = A z + c, and the step is z + M f(z) with M = h S(hA),
+    S(X) = I + X/2 + X^2/6 + X^3/24. A point z0 + d with f(z0) = f0
+    then steps to z0 + T d + M f0, where T = I + A M = R(hA) is the
+    step's stability polynomial I + X + X^2/2 + X^3/6 + X^4/24.
+    """
+    n = H.shape[0]
+    eye = np.eye(2 * n)
+    A = np.block([[np.zeros((n, n)), np.eye(n)], [-H, -K * np.eye(n)]])
+    X = h * A
+    S = eye + X / 4.0
+    S = eye + X @ S / 3.0
+    S = eye + X @ S / 2.0
+    M = h * S
+    return eye + A @ M, M

@@ -470,9 +470,9 @@ def test_run_many_raises_on_nan_gradient_in_a_nes_row_of_a_mixed_stack():
 
 
 def test_trajectory_csv_matches_per_value_formatting(tmp_path):
-    # the block writer formats plain Python numbers with one format string,
-    # and each distinct beta once; it must give the bytes of formatting each
-    # record on its own
+    # csv17 formats whole chunks of values in numpy, with the integer columns
+    # and the betas (-0.0 among them) as floats; it must give the bytes of
+    # formatting each record on its own
     _, model = gen_random_quadratic(4, 50.0, 5)
     cases = [(Variant.NES, 0.0, 0.95),
              (Variant.POL, -0.0, 0.0),  # betas -0.0 (reset) and 0.0 in one run

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from hbreset.hybrid import (HybridParams, HybridState, default_dwell, energy,
-                            in_flow_set, in_jump_set, integrate_hb,
+import _reference as ref
+from hbreset.hybrid import (BLOCK, HybridParams, HybridState, _SkipAhead, default_dwell,
+                            energy, in_flow_set, in_jump_set, integrate_hb,
                             integrate_hhb, integrate_hihb, jump_map)
 from hbreset.objectives import QuadraticSpec, gen_random_quadratic, quadratic_model
 
@@ -65,9 +66,10 @@ def test_hihb_four_oracle_calls_per_step():
 
 
 def _two_path_cases():
-    """(integrator, model, params, start, t_end): the criterion 10 arcs and
-    the benchmark's n = 10 arcs, with hihb both switching and not. Built
-    at collection; each model is a few small matrices."""
+    """(integrator, model, params, start, t_end): the criterion 10 arcs,
+    the benchmark's n = 10 arcs, with hihb both switching and not, and
+    n = 200 arcs. Built at collection; the largest model is one 200 x 200
+    matrix."""
     osc = scalar_model(1.0)
     _, m2 = gen_random_quadratic(2, 30.0, 5)
     _, m3 = gen_random_quadratic(3, 50.0, 8)
@@ -91,6 +93,11 @@ def _two_path_cases():
                                (integrate_hihb, HybridParams(K_lo=1.0, K_hi=1.0, T_min=T_min)),
                                (integrate_hihb, HybridParams(K_lo=0.5, K_hi=2.0, T_min=T_min))):
             cases.append((integrate, m10, par, z10, 4.0))
+    _, m200 = gen_random_quadratic(200, 1e3, 11)
+    z200 = HybridState(q=np.ones(200), p=np.zeros(200))
+    T_min = default_dwell(m200.lipschitz)
+    cases += [(integrate_hhb, m200, HybridParams(K=1.0, T_min=T_min), z200, 0.5),
+              (integrate_hihb, m200, HybridParams(K_lo=0.5, K_hi=2.0, T_min=T_min), z200, 0.5)]
     return cases
 
 
@@ -110,6 +117,120 @@ def test_propagator_path_matches_stage_path(integrate, model, par, z0, t_end):
     for got, want in ((fast.q, ref.q), (fast.p, ref.p), (fast.energy, ref.energy)):
         scale = max(1.0, float(np.max(np.abs(want))))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * scale)
+
+
+@pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "mu=L"])
+@pytest.mark.parametrize("K", [0.0, 0.5, 4.0])
+@pytest.mark.parametrize("n", [1, 2, 10, 50])
+def test_modal_block_matches_dense_recursion(n, K, repeated):
+    # a skip-ahead block steps each mode of H's eigenbasis on its own; the
+    # dense RK4 propagator of the whole state gives the same rows. With
+    # mu = L every vector is an eigenvector, and eigh may return any basis.
+    rng = np.random.default_rng(n)
+    if repeated:
+        model = quadratic_model(QuadraticSpec(Q=30.0 * np.eye(n), b=rng.uniform(-1, 1, n)))
+    elif n == 1:
+        model = scalar_model(30.0)
+    else:
+        _, model = gen_random_quadratic(n, 100.0, n)
+    h = 1e-2
+    p, g = rng.standard_normal(n), rng.standard_normal(n)
+    skip = _SkipAhead(model, HybridParams(K=K, step=h), 1.0, resets=False, switched=False)
+    dQ, dP = skip.steps(p, g, K, BLOCK)
+    T, M = ref.propagator(model.hessian, K, h)
+    w = M @ np.concatenate((p, -K * p - g))
+    D = [w]
+    for _ in range(BLOCK - 1):
+        D.append(T @ D[-1] + w)
+    D = np.array(D)
+    np.testing.assert_allclose(np.hstack((dQ, dP)), D, rtol=0, atol=1e-12 * np.abs(D).max())
+
+
+def exact_arc(spec: QuadraticSpec, K: float, q0, p0, t):
+    """(q, p) at times t of the flow q'' = -grad phi(q) - K q' on the
+    quadratic spec, from each mode's closed-form 2x2 exponential.
+
+    With H = V diag(lam) V', the mode (e, v) = (V'(q - q*), V'p) solves
+    z' = A z, A = [[0, 1], [-lam, -K]], so z(t) = exp(tA) z(0) and, with
+    m = -K/2 and d = sqrt(m^2 - lam) (complex when underdamped),
+    exp(tA) = e^{mt} (cosh(dt) I + sinh(dt)/d (A - m I)).
+    """
+    lam, V = np.linalg.eigh(spec.Q)
+    qstar = np.linalg.solve(spec.Q, -spec.b)
+    e0, v0 = V.T @ (q0 - qstar), V.T @ p0
+    m = -0.5 * K
+    d = np.sqrt((m * m - lam).astype(complex))
+    t = np.asarray(t)[:, None]
+    ch = np.cosh(d * t).real
+    sh = np.where(d == 0, t, np.sinh(d * t) / np.where(d == 0, 1.0, d)).real
+    et = np.exp(m * t)
+    e = et * (ch * e0 + sh * (v0 - m * e0))
+    v = et * (ch * v0 + sh * (-lam * e0 - (K + m) * v0))
+    return qstar + e @ V.T, v @ V.T
+
+
+@pytest.mark.parametrize("n, L, K, dts, t_end, bound", [
+    (3, 50.0, 0.5, (0.02, 0.01, 0.005), 5.0, 5e-8),
+    (3, 50.0, 0.0, (0.02, 0.01, 0.005), 5.0, 1e-7),
+    (10, 1e3, 1.0, (4e-3, 2e-3, 1e-3), 2.0, 2e-7),
+])
+def test_hb_arc_converges_to_exact_arc_at_fourth_order(n, L, K, dts, t_end, bound):
+    # RK4's global error is O(dt^4): halving dt divides the arc's largest
+    # error by about 16 (measured 16.002-16.022 on these cases). The band
+    # 14-18 allows for the dt^5 term. The bound is on the error at the
+    # finest dt relative to the arc's largest |q| or |p|, about 3x the
+    # measured 1.4e-8, 3.2e-8 and 6.6e-8.
+    spec, model = gen_random_quadratic(n, L, 4)
+    rng = np.random.default_rng(n)
+    q0, p0 = rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 1.0, n)
+    errs = []
+    for dt in dts:
+        arc = integrate_hb(model, HybridParams(K=K, step=dt), HybridState(q=q0, p=p0), t_end)
+        assert arc.t[-1] == pytest.approx(t_end)
+        q, p = exact_arc(spec, K, q0, p0, arc.t)
+        scale = max(np.abs(q).max(), np.abs(p).max())
+        errs.append(max(np.abs(arc.q - q).max(), np.abs(arc.p - p).max()) / scale)
+    ratios = np.array(errs[:-1]) / np.array(errs[1:])
+    assert np.all((14.0 < ratios) & (ratios < 18.0)), (errs, ratios)
+    assert errs[-1] < bound, errs
+
+
+# (samples, jumps) of the hhb and hihb arcs of the benchmark's hybrid
+# workload, `simulate --model gen --n 10 --dt 1e-3` at CLI seeds 0-15,
+# as bench/reference.json records them. The benchmark checks one seed
+# per run; this table checks all of them, so a round-off change that
+# flips an event on any seed shows here.
+BENCH_ARC_COUNTS = {
+    0: ((10020, 12), (10002, 0)),
+    1: ((10025, 15), (10002, 0)),
+    2: ((10021, 12), (10002, 0)),
+    3: ((10014, 8), (10002, 0)),
+    4: ((10023, 15), (10002, 0)),
+    5: ((10023, 14), (10002, 0)),
+    6: ((10024, 14), (10002, 0)),
+    7: ((10025, 14), (10002, 0)),
+    8: ((10015, 9), (10002, 0)),
+    9: ((10013, 8), (10002, 0)),
+    10: ((10016, 10), (10002, 0)),
+    11: ((10021, 12), (10002, 0)),
+    12: ((10012, 7), (10002, 0)),
+    13: ((10025, 14), (10002, 0)),
+    14: ((10018, 12), (10002, 0)),
+    15: ((10020, 12), (10002, 0)),
+}
+
+
+def test_bench_arc_counts_are_pinned():
+    # the simulate defaults: cond 1e3, K = K_lo = K_hi = 1, the default
+    # dwell, t_end 10, q0 all ones and p0 zero
+    got = {}
+    for seed in BENCH_ARC_COUNTS:
+        _, model = gen_random_quadratic(10, 1e3, seed)
+        par = HybridParams(K=1.0, T_min=default_dwell(model.lipschitz), step=1e-3)
+        z0 = HybridState(q=np.ones(10), p=np.zeros(10))
+        got[seed] = tuple((len(arc), len(arc.jumps)) for arc in
+                          (integrate_hhb(model, par, z0, 10.0), integrate_hihb(model, par, z0, 10.0)))
+    assert got == BENCH_ARC_COUNTS
 
 
 def test_default_dwell_scales_with_stiffness():
@@ -277,13 +398,13 @@ def test_arc_csv_and_jump_log(tmp_path):
 
 
 def test_arc_csv_matches_per_value_formatting(tmp_path):
-    # the row writer formats plain Python numbers with one format string;
-    # it must give the bytes of formatting each numpy scalar on its own
+    # csv17 formats whole chunks of values in numpy, and j as a float; it
+    # must give the bytes of formatting each numpy scalar on its own
     _, model = gen_random_quadratic(2, 20.0, 12)
     par = HybridParams(K=0.3, T_min=0.05, step=1e-3)
     z0 = HybridState(q=np.array([1.0, -0.5]), p=np.zeros(2))
     arc = integrate_hhb(model, par, z0, 5.0)
-    assert len(arc.jumps) >= 2 and len(arc) > 2048  # spans the 1024-row blocks
+    assert len(arc.jumps) >= 2 and len(arc) > 2048  # spans many csv17 chunks
     path = tmp_path / "arc.csv"
     arc.to_csv(path)
     lines = ["t,j,q0,q1,p0,p1,tau,energy"]
