@@ -19,7 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -52,201 +52,161 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # configuration
 
 
+def _floats(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(",") if v)
+
+
+def _names(text: str) -> tuple:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+def _quadratic(cfg: "ExperimentConfig") -> bool:
+    """Whether the run draws a random quadratic."""
+    return (cfg.subcommand == "quad" or (cfg.subcommand == "tune" and cfg.objective == "quad")
+            or (cfg.subcommand == "simulate" and cfg.model == "gen"))
+
+
+def _logistic(cfg: "ExperimentConfig") -> bool:
+    """Whether the run draws a logistic regression dataset."""
+    return cfg.subcommand == "logreg" or (cfg.subcommand == "tune" and cfg.objective == "logreg")
+
+
+def _per(spec, cfg: "ExperimentConfig"):
+    """A fill or choices for cfg: a dict has one per subcommand, a callable takes cfg."""
+    spec = spec.get(cfg.subcommand) if isinstance(spec, dict) else spec
+    return spec(cfg) if callable(spec) else spec
+
+
+# bounds: (test, what the value or each entry must be)
+_FINITE = (math.isfinite, "be finite")
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0.0, "be finite and positive")
+_NONNEGATIVE = (lambda v: v >= 0, "be nonnegative")
+_AT_LEAST_1 = (lambda v: v >= 1, "be at least 1")
+
+
+@dataclass(frozen=True)
+class Knob:
+    """A config field's flag, parser (int, float, bool, str, _floats or
+    _names) and subcommands. `fill` (per subcommand, see `_per`) replaces
+    an unset (None) value; `choices` (likewise) and `bounds` limit a set
+    value, or each entry of a list, where `used(cfg)` holds too. `labels`
+    entries name files: there must be some, with distinct labels."""
+
+    flag: str
+    parse: Callable
+    subcommands: tuple
+    fill: object = None
+    choices: object = None
+    bounds: Optional[tuple] = None
+    used: Callable = lambda cfg: True
+    labels: bool = False
+    required: bool = False
+    help: Optional[str] = None
+
+    def check(self, value, cfg: "ExperimentConfig") -> None:
+        """Raise ValueError, naming the flag, unless value is set and allowed."""
+        if value is None:
+            raise ValueError(f"{self.flag} is required")
+        listed = self.parse in (_floats, _names)
+        entries = value if listed else (value,)
+        what = f"{self.flag} entries" if listed else self.flag
+        choices = _per(self.choices, cfg)
+        bad = [v for v in entries if choices is not None and v not in choices]
+        if bad:
+            raise ValueError(f"{what} must be one of {', '.join(choices)}, got {bad[0]!r}")
+        if self.bounds is not None and not all(map(self.bounds[0], entries)):
+            raise ValueError(f"{what} must {self.bounds[1]}, got {value}")
+        if self.labels:
+            labels = [f"{v:g}" if isinstance(v, float) else v for v in value]
+            if not labels or len(set(labels)) < len(labels):
+                raise ValueError(f"{self.flag} must give one or more entries with distinct "
+                                 f"file labels, got {value}")
+
+
+def _knob(default, flag: str, parse: Callable, subcommands: str, **spec):
+    """A dataclass field with its Knob; subcommands is space-separated."""
+    knob = Knob(flag, parse, tuple(subcommands.split()), **spec)
+    return dataclasses.field(default=default, metadata={"knob": knob})
+
+
+_ALL = "certify quad logreg tune simulate"
+_METHODS = {"certify": CERTIFY_METHODS, "quad": QUAD_METHODS, "logreg": LOGREG_METHODS}
+
+
 @dataclass
 class ExperimentConfig:
-    """Flat bag of every knob; per-subcommand defaults fill the None fields."""
+    """Flat bag of every knob; per-subcommand defaults fill the None fields.
+    Each field but subcommand declares its flag and checks (see Knob)."""
 
     subcommand: str
-    seed: Optional[int] = None
-    out: str = "run-out"
-    methods: Optional[tuple] = None
-    # certify
-    grid_L: tuple = (1.0, 10.0, 25.0, 50.0, 75.0, 100.0)
-    rule: str = "mistuned"
-    mu: float = 1.0
-    bisect_iters: int = 20
-    scan: bool = False
-    max_oracle_calls: int = 200
-    dump_sdp: bool = False
-    # quad / logreg / tune problem sizes
-    n: Optional[int] = None
-    m: int = 1000
-    cond: float = 1e3
-    h: Optional[float] = None
-    k_values: tuple = (1.97, 0.5, 1.0, 1.5)
-    iters: Optional[int] = None
-    # tuning
-    method: Optional[str] = None
-    objective: str = "quad"
+    seed: Optional[int] = _knob(None, "--seed", int, _ALL, help="64-bit experiment seed",
+                                bounds=(lambda v: 0 <= v < 2 ** 64, "fit in 64 bits"))
+    out: str = _knob("run-out", "--out", str, _ALL, help="output directory (default run-out)")
+    methods: Optional[tuple] = _knob(None, "--methods", _names, "certify quad logreg",
+                                     fill=_METHODS, choices=_METHODS, labels=True)
+    grid_L: tuple = _knob((1.0, 10.0, 25.0, 50.0, 75.0, 100.0), "--grid-L", _floats, "certify",
+                          bounds=_FINITE, labels=True)
+    rule: str = _knob("mistuned", "--rule", str, "certify", choices=("mistuned", "optimal"))
+    mu: float = _knob(1.0, "--mu", float, "certify", bounds=_POSITIVE)
+    bisect_iters: int = _knob(20, "--bisect-iters", int, "certify", bounds=_NONNEGATIVE)
+    scan: bool = _knob(False, "--scan", bool, "certify")
+    max_oracle_calls: int = _knob(200, "--max-oracle-calls", int, "certify", bounds=_AT_LEAST_1)
+    dump_sdp: bool = _knob(False, "--dump-sdp", bool, "certify")
+    n: Optional[int] = _knob(None, "--n", int, "quad logreg tune simulate", fill={
+        "quad": 50, "logreg": 20, "tune": lambda cfg: 20 if _logistic(cfg) else 10})
+    m: int = _knob(1000, "--m", int, "logreg tune", bounds=_AT_LEAST_1, used=_logistic)
+    cond: float = _knob(1e3, "--cond", float, "quad tune simulate", used=_quadratic, bounds=(
+        lambda v: math.isfinite(v) and v >= 1.0, "be finite and at least 1"))
+    h: Optional[float] = _knob(None, "--h", float, "quad", fill=1e-4, bounds=_POSITIVE)
+    k_values: tuple = _knob((1.97, 0.5, 1.0, 1.5), "--K", _floats, "quad", bounds=_FINITE,
+                            labels=True)
+    iters: Optional[int] = _knob(None, "--iters", int, "quad logreg", bounds=_NONNEGATIVE,
+                                 fill={"quad": 5000, "logreg": 3000})
+    method: Optional[str] = _knob(None, "--method", str, "tune", choices=LOGREG_METHODS,
+                                  required=True)
+    objective: str = _knob("quad", "--objective", str, "tune", choices=("quad", "logreg"))
     # resolved per objective: short enough that near-optimal settings
     # have not all converged by the budget, which keeps the tuning
     # objective discriminating
-    budget: Optional[int] = None
-    h_lo: Optional[float] = None
-    h_hi: Optional[float] = None
-    # logreg reference
-    ref_max_iter: int = 1000000
-    ref_tol: float = 1e-10
-    # simulate
-    mode: str = "hhb"
-    model: str = "scalar"
-    model_file: Optional[str] = None
-    curv: float = 1.0
-    K: float = 1.0
-    K_lo: Optional[float] = None
-    K_hi: Optional[float] = None
-    t_min: Optional[float] = None
-    dt: float = 1e-3
-    t_end: float = 10.0
-    q0: Optional[tuple] = None
-    p0: Optional[tuple] = None
+    budget: Optional[int] = _knob(None, "--budget", int, "logreg tune", bounds=_AT_LEAST_1,
+                                  fill=lambda cfg: 15 if _logistic(cfg) else 60)
+    # the stepsize search runs over [log10 h_lo, log10 h_hi]
+    h_lo: Optional[float] = _knob(None, "--h-lo", float, "logreg tune", bounds=_POSITIVE)
+    h_hi: Optional[float] = _knob(None, "--h-hi", float, "logreg tune", bounds=_POSITIVE)
+    ref_max_iter: int = _knob(1000000, "--ref-max-iter", int, "logreg", bounds=_AT_LEAST_1)
+    ref_tol: float = _knob(1e-10, "--ref-tol", float, "logreg", bounds=_POSITIVE)
+    mode: str = _knob("hhb", "--mode", str, "simulate", choices=("hb", "hhb", "hihb"))
+    model: str = _knob("scalar", "--model", str, "simulate", choices=("scalar", "file", "gen"))
+    model_file: Optional[str] = _knob(None, "--model-file", str, "simulate")
+    curv: float = _knob(1.0, "--curv", float, "simulate", bounds=_POSITIVE,
+                        used=lambda cfg: cfg.model == "scalar")
+    K: float = _knob(1.0, "--K", float, "simulate", bounds=(
+        lambda v: math.isfinite(v) and v >= 0.0, "be finite and nonnegative"))
+    K_lo: Optional[float] = _knob(None, "--K-lo", float, "simulate", bounds=_POSITIVE)
+    K_hi: Optional[float] = _knob(None, "--K-hi", float, "simulate", bounds=_POSITIVE)
+    t_min: Optional[float] = _knob(None, "--t-min", float, "simulate", bounds=_POSITIVE)
+    dt: float = _knob(1e-3, "--dt", float, "simulate", bounds=_POSITIVE)
+    t_end: float = _knob(10.0, "--t-end", float, "simulate", bounds=_POSITIVE)
+    q0: Optional[tuple] = _knob(None, "--q0", _floats, "simulate", bounds=_FINITE)
+    p0: Optional[tuple] = _knob(None, "--p0", _floats, "simulate", bounds=_FINITE)
 
     def with_defaults(self) -> "ExperimentConfig":
         """Fill per-subcommand defaults so the dumped config is complete."""
         cfg = dataclasses.replace(self)
-        if cfg.subcommand == "certify":
-            cfg.methods = cfg.methods if cfg.methods is not None else CERTIFY_METHODS
-        elif cfg.subcommand == "quad":
-            cfg.methods = cfg.methods if cfg.methods is not None else QUAD_METHODS
-            cfg.n = cfg.n if cfg.n is not None else 50
-            cfg.iters = cfg.iters if cfg.iters is not None else 5000
-            cfg.h = cfg.h if cfg.h is not None else 1e-4
-        elif cfg.subcommand == "logreg":
-            cfg.methods = cfg.methods if cfg.methods is not None else LOGREG_METHODS
-            cfg.n = cfg.n if cfg.n is not None else 20
-            cfg.iters = cfg.iters if cfg.iters is not None else 3000
-        elif cfg.subcommand == "tune":
-            cfg.n = cfg.n if cfg.n is not None else (20 if cfg.objective == "logreg" else 10)
-        if cfg.subcommand in ("logreg", "tune") and cfg.budget is None:
-            objective = "logreg" if cfg.subcommand == "logreg" else cfg.objective
-            cfg.budget = 15 if objective == "logreg" else 60
+        for name, knob in KNOBS.items():
+            if getattr(cfg, name) is None and cfg.subcommand in knob.subcommands:
+                setattr(cfg, name, _per(knob.fill, cfg))
         return cfg
 
     def validate(self) -> None:
-        randomized = (self.subcommand in ("quad", "logreg", "tune")
-                      or (self.subcommand == "simulate" and self.model == "gen"))
-        if randomized and self.seed is None:
-            raise ValueError("--seed is required for randomized experiments")
-        if self.seed is not None and not (0 <= self.seed < 2 ** 64):
-            raise ValueError("seed must fit in 64 bits")
-        if self.subcommand in ("certify", "quad", "logreg") and self.methods is not None:
-            if not self.methods:
-                raise ValueError("--methods must name at least one method")
-            # each method names its own rows and files
-            if _repeats(self.methods):
-                raise ValueError(f"--methods must not repeat a method, got {self.methods}")
-        if self.subcommand == "certify":
-            if not self.grid_L:
-                raise ValueError("grid of L values must be non-empty")
-            if not all(math.isfinite(L) for L in self.grid_L):
-                raise ValueError(f"--grid-L entries must be finite, got {self.grid_L}")
-            if _repeats([f"{L:g}" for L in self.grid_L]):
-                raise ValueError(f"--grid-L entries must differ in their %g labels, "
-                                 f"which name the files, got {self.grid_L}")
-            _require_positive("--mu", self.mu)
-            if not all(L >= self.mu for L in self.grid_L):
-                raise ValueError(f"--grid-L entries must be at least --mu = {self.mu}, "
-                                 f"got {self.grid_L}")
-            if self.max_oracle_calls < 1:
-                raise ValueError(f"--max-oracle-calls must be at least 1, "
-                                 f"got {self.max_oracle_calls}")
-            if self.bisect_iters < 0:
-                raise ValueError(f"--bisect-iters must be nonnegative, "
-                                 f"got {self.bisect_iters}")
-            bad = set(self.methods or ()) - set(CERTIFY_METHODS)
-            if bad:
-                raise ValueError(f"unknown certify methods: {sorted(bad)}")
-            for L in self.grid_L:  # the rule's 2L or (sqrt L + sqrt mu)^2 may overflow
-                try:
-                    h = min(certify_tuning(m, L, self.mu, self.rule)[1]
-                            for m in self.methods or CERTIFY_METHODS)
-                except OverflowError:
-                    h = 0.0
-                if h == 0.0:
-                    raise ValueError(f"--grid-L entry {L:g} overflows h to 0 at --mu {self.mu:g}")
-        uses_cond = (self.subcommand == "quad"
-                     or (self.subcommand == "tune" and self.objective == "quad")
-                     or (self.subcommand == "simulate" and self.model == "gen"))
-        if uses_cond:
-            if not (math.isfinite(self.cond) and self.cond >= 1.0):
-                raise ValueError(f"--cond must be finite and at least 1, got {self.cond}")
-            # the random quadratic pins its two extreme eigenvalues
-            if self.n is not None and self.n < 2:
-                raise ValueError(f"--n must be at least 2, got {self.n}")
-        uses_logistic = (self.subcommand == "logreg"
-                         or (self.subcommand == "tune" and self.objective == "logreg"))
-        if uses_logistic:
-            if self.n is not None and self.n < 1:
-                raise ValueError(f"--n must be at least 1, got {self.n}")
-            if self.m < 1:
-                raise ValueError(f"--m must be at least 1, got {self.m}")
-        if self.subcommand in ("logreg", "tune"):
-            if self.budget is not None and self.budget < 1:
-                # with no iterations every tuner candidate scores phi(q0)
-                raise ValueError(f"--budget must be at least 1, got {self.budget}")
-            # the stepsize search runs over [log10 h_lo, log10 h_hi]
-            for flag, value in (("--h-lo", self.h_lo), ("--h-hi", self.h_hi)):
-                if value is not None:
-                    _require_positive(flag, value)
-            if self.h_lo is not None and self.h_hi is not None and self.h_lo > self.h_hi:
-                raise ValueError(f"--h-lo must not exceed --h-hi, "
-                                 f"got {self.h_lo} > {self.h_hi}")
-        if (self.subcommand in ("quad", "logreg") and self.iters is not None
-                and self.iters < 0):
-            raise ValueError(f"--iters must be nonnegative, got {self.iters}")
-        if self.subcommand == "quad":
-            if not self.k_values:
-                raise ValueError("K grid must be non-empty")
-            if not all(math.isfinite(K) for K in self.k_values):
-                raise ValueError(f"--K entries must be finite, got {self.k_values}")
-            if _repeats([f"{K:g}" for K in self.k_values]):
-                raise ValueError(f"--K entries must differ in their %g labels, "
-                                 f"which name the files, got {self.k_values}")
-            if self.h is not None:
-                _require_positive("--h", self.h)
-                # quad_params' damping beta = 1 - eps*K must lie in [0, 1]
-                eps = math.sqrt(self.h)
-                bad = [K for K in self.k_values if not 0.0 <= 1.0 - eps * K <= 1.0]
-                if bad:
-                    raise ValueError(f"--K entries must keep 1 - sqrt(h)*K in [0, 1] "
-                                     f"at --h {self.h:g}, got {bad}")
-            bad = set(self.methods or ()) - set(QUAD_METHODS)
-            if bad:
-                raise ValueError(f"unknown quad methods: {sorted(bad)}")
-        if self.subcommand == "logreg":
-            bad = set(self.methods or ()) - set(LOGREG_METHODS)
-            if bad:
-                raise ValueError(f"unknown logreg methods: {sorted(bad)}")
-            _require_positive("--ref-tol", self.ref_tol)
-            if self.ref_max_iter < 1:
-                raise ValueError(f"--ref-max-iter must be at least 1, "
-                                 f"got {self.ref_max_iter}")
-        if self.subcommand == "tune" and self.method not in LOGREG_METHODS:
-            raise ValueError(f"--method must be one of {LOGREG_METHODS}")
-        if self.subcommand == "simulate":
-            if self.mode not in ("hb", "hhb", "hihb"):
-                raise ValueError("--mode must be hb, hhb or hihb")
-            if self.model not in ("scalar", "file", "gen"):
-                raise ValueError("--model must be scalar, file or gen")
-            if self.model == "file" and not self.model_file:
-                raise ValueError("--model-file required with --model file")
-            if self.model == "scalar":
-                _require_positive("--curv", self.curv)
-            _require_positive("--t-end", self.t_end)
-            _require_positive("--dt", self.dt)
-            if self.t_min is not None:
-                _require_positive("--t-min", self.t_min)
-            if not (math.isfinite(self.K) and self.K >= 0.0):
-                raise ValueError(f"--K must be finite and nonnegative, got {self.K}")
-            for flag, value in (("--K-lo", self.K_lo), ("--K-hi", self.K_hi)):
-                if value is not None:
-                    _require_positive(flag, value)
-            K_lo, K_hi = self.damping_pair()
-            if K_lo > K_hi:
-                raise ValueError(f"--K-lo must not exceed --K-hi, got {K_lo} > {K_hi}")
-            for flag, point in (("--q0", self.q0), ("--p0", self.p0)):
-                if point is not None and not all(math.isfinite(v) for v in point):
-                    raise ValueError(f"{flag} entries must be finite, got {point}")
+        """Each field's checks where it is used, then the cross-field rules."""
+        for name, knob in KNOBS.items():
+            value = getattr(self, name)
+            used = self.subcommand in knob.subcommands and knob.used(self)
+            if used and (value is not None or knob.required):
+                knob.check(value, self)
+        for rule in CROSS_FIELD_RULES:
+            rule(self)
 
     def damping_pair(self) -> tuple[float, float]:
         """The simulate damping pair (K_lo, K_hi); an unset one is K. The
@@ -264,13 +224,62 @@ class ExperimentConfig:
         return json.dumps(d, sort_keys=True, indent=2) + "\n"
 
 
-def _repeats(labels: Sequence) -> bool:
-    return len(set(labels)) < len(labels)
+KNOBS = {f.name: f.metadata["knob"] for f in dataclasses.fields(ExperimentConfig) if f.metadata}
 
 
-def _require_positive(flag: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{flag} must be finite and positive, got {value}")
+def _grid_fits_mu(cfg: ExperimentConfig) -> None:
+    """certify: each L is at least mu and gives the rule a nonzero stepsize."""
+    for L in cfg.grid_L if cfg.subcommand == "certify" else ():
+        if L < cfg.mu:
+            raise ValueError(f"--grid-L entries must be at least --mu {cfg.mu}, got {cfg.grid_L}")
+        try:  # the rule's 2L or (sqrt L + sqrt mu)^2 may overflow
+            h = min(certify_tuning(m, L, cfg.mu, cfg.rule)[1]
+                    for m in cfg.methods or CERTIFY_METHODS)
+        except OverflowError:
+            h = 0.0
+        if h == 0.0:
+            raise ValueError(f"--grid-L entry {L:g} overflows h to 0 at --mu {cfg.mu:g}")
+
+
+def _random_problem_fits(cfg: ExperimentConfig) -> None:
+    """A randomized run needs --seed; a random quadratic pins its two
+    extreme eigenvalues, so n >= 2, and a logistic dataset needs n >= 1."""
+    if not (_quadratic(cfg) or _logistic(cfg)):
+        return
+    if cfg.seed is None:
+        raise ValueError("--seed is required for randomized experiments")
+    least = 2 if _quadratic(cfg) else 1
+    if cfg.n is not None and cfg.n < least:
+        raise ValueError(f"--n must be at least {least}, got {cfg.n}")
+
+
+def _h_range_ordered(cfg: ExperimentConfig) -> None:
+    if (cfg.subcommand in ("logreg", "tune") and None not in (cfg.h_lo, cfg.h_hi)
+            and cfg.h_lo > cfg.h_hi):
+        raise ValueError(f"--h-lo must not exceed --h-hi, got {cfg.h_lo} > {cfg.h_hi}")
+
+
+def _quad_damping_in_unit(cfg: ExperimentConfig) -> None:
+    # quad_params' damping beta = 1 - sqrt(h)*K must lie in [0, 1]
+    if cfg.subcommand != "quad" or cfg.h is None:
+        return
+    bad = [K for K in cfg.k_values if not 0.0 <= 1.0 - math.sqrt(cfg.h) * K <= 1.0]
+    if bad:
+        raise ValueError(f"--K entries need 1 - sqrt(h)*K in [0, 1] at --h {cfg.h:g}, got {bad}")
+
+
+def _simulate_inputs_given(cfg: ExperimentConfig) -> None:
+    if cfg.subcommand != "simulate":
+        return
+    if cfg.model == "file" and not cfg.model_file:
+        raise ValueError("--model-file required with --model file")
+    K_lo, K_hi = cfg.damping_pair()
+    if K_lo > K_hi:
+        raise ValueError(f"--K-lo must not exceed --K-hi, got {K_lo} > {K_hi}")
+
+
+CROSS_FIELD_RULES = (_random_problem_fits, _grid_fits_mu, _h_range_ordered,
+                     _quad_damping_in_unit, _simulate_inputs_given)
 
 
 def _stepsize_range(cfg: ExperimentConfig, lipschitz: float) -> tuple[float, float]:
@@ -279,12 +288,9 @@ def _stepsize_range(cfg: ExperimentConfig, lipschitz: float) -> tuple[float, flo
     h_lo = cfg.h_lo if cfg.h_lo is not None else 1e-3 / lipschitz
     h_hi = cfg.h_hi if cfg.h_hi is not None else 10.0 / lipschitz
     # validate() rejects a reversed pair of set ends, so here one is a default
-    if h_lo > h_hi and cfg.h_lo is not None:
-        raise ValueError(f"--h-lo must not exceed the default --h-hi = 10/L = "
-                         f"{h_hi:g}, got {h_lo:g}")
     if h_lo > h_hi:
-        raise ValueError(f"--h-hi must not be below the default --h-lo = 1e-3/L = "
-                         f"{h_lo:g}, got {h_hi:g}")
+        raise ValueError(f"--h-lo must not exceed --h-hi, got {h_lo:g} > {h_hi:g} "
+                         f"(an unset --h-lo is 1e-3/L, an unset --h-hi 10/L)")
     return h_lo, h_hi
 
 
@@ -358,17 +364,13 @@ def read_sweep(path) -> list[dict]:
 def replot_sweep(csv_path, svg_path) -> None:
     """Re-plot from the CSV itself so re-reading reproduces identical bytes."""
     rows = read_sweep(csv_path)
-    order = []
-    by_method: dict = {}
+    by_method: dict = {}  # in order of first appearance
     for row in rows:
-        name = row["method"]
-        if name not in by_method:
-            by_method[name] = ([], [])
-            order.append(name)
+        xs, ys = by_method.setdefault(row["method"], ([], []))
         if math.isfinite(row["rho"]):
-            by_method[name][0].append(row["L"])
-            by_method[name][1].append(row["rho"])
-    series = [(name, by_method[name][0], by_method[name][1]) for name in order]
+            xs.append(row["L"])
+            ys.append(row["rho"])
+    series = [(name, xs, ys) for name, (xs, ys) in by_method.items()]
     write_chart(svg_path, series, title="certified contraction rate",
                 x_label="L / mu", y_label="rho")
 
@@ -623,16 +625,13 @@ def tune_method(methods: Sequence[str], model: ObjectiveModel, q0, budget: int,
 def cmd_tune(cfg: ExperimentConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     if cfg.objective == "quad":
-        spec, model = gen_random_quadratic(cfg.n, cfg.cond, rng)
+        _, model = gen_random_quadratic(cfg.n, cfg.cond, rng)
         q0 = rng.uniform(-100.0, 100.0, size=cfg.n)
         obj = {"objective": "quad", "n": int(cfg.n), "cond": cfg.cond}
-    elif cfg.objective == "logreg":
-        spec = gen_logistic_dataset(cfg.n, cfg.m, cfg.seed)
-        model = logistic_model(spec)
+    else:
+        model = logistic_model(gen_logistic_dataset(cfg.n, cfg.m, cfg.seed))
         q0 = logreg_start(cfg.seed, cfg.n)
         obj = {"objective": "logreg", "n": int(cfg.n), "m": int(cfg.m)}
-    else:
-        raise ValueError("--objective must be quad or logreg")
     h_lo, h_hi = _stepsize_range(cfg, model.lipschitz)
     result, = tune_method([cfg.method], model, q0, cfg.budget, h_lo, h_hi)
     # only a run that tuned writes anything
@@ -791,122 +790,83 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 # argument handling
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(",") if v)
+# the JSON types a --config value may have, by the field's parser
+_JSON = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+         bool: ((bool,), "true or false"), str: ((str,), "a string"),
+         _floats: ((list,), "a list of numbers"), _names: ((list,), "a list of strings")}
 
 
-def _names(text: str) -> tuple:
-    return tuple(v.strip() for v in text.split(",") if v.strip())
+def _from_json(parse: Callable, value):
+    """A --config value as the flag's parser gives it; TypeError unless JSON of its type."""
+    if type(value) not in _JSON[parse][0]:
+        raise TypeError
+    if parse in (_floats, _names):
+        return tuple(_from_json(float if parse is _floats else str, v) for v in value)
+    return float(value) if parse is float else value
+
+
+def _read_config(path: str) -> dict:
+    """The fields a --config file sets, each coerced by its field's parser;
+    subcommand and out are ignored."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"--config {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"--config {path!r} must hold a JSON object, got {type(doc).__name__}")
+    fields = {name: value for name, value in doc.items() if name not in ("subcommand", "out")}
+    for name, value in fields.items():
+        knob = KNOBS.get(name)
+        if knob is None:
+            raise ValueError(f"unknown config field {name!r} in --config {path!r}")
+        if value is None and getattr(ExperimentConfig, name) is None:
+            continue  # null leaves a field with no default unset
+        try:
+            fields[name] = _from_json(knob.parse, value)
+        except (TypeError, OverflowError):
+            raise ValueError(f"--config {path!r}: {name} ({knob.flag}) must be "
+                             f"{_JSON[knob.parse][1]}, got {json.dumps(value)}") from None
+    return fields
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
-        prog="hbreset",
-        description="reset heavy-ball benchmarks, certificates and simulation")
+        prog="hbreset", description="reset heavy-ball benchmarks, certificates and simulation")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, help="64-bit experiment seed")
-        p.add_argument("--out", help="output directory (default run-out)")
-        p.add_argument("--config", dest="config_file",
-                       help="JSON file of config fields; flags override")
-
-    p = sub.add_parser("certify", help="certified rate sweep")
-    common(p)
-    p.add_argument("--methods", type=_names)
-    p.add_argument("--grid-L", dest="grid_L", type=_floats)
-    p.add_argument("--rule", choices=("mistuned", "optimal"))
-    p.add_argument("--mu", type=float)
-    p.add_argument("--bisect-iters", dest="bisect_iters", type=int)
-    p.add_argument("--scan", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--max-oracle-calls", dest="max_oracle_calls", type=int)
-    p.add_argument("--dump-sdp", dest="dump_sdp",
-                   action=argparse.BooleanOptionalAction, default=None)
-
-    p = sub.add_parser("quad", help="random ill-conditioned quadratic benchmark")
-    common(p)
-    p.add_argument("--methods", type=_names)
-    p.add_argument("--n", type=int)
-    p.add_argument("--cond", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--K", dest="k_values", type=_floats)
-    p.add_argument("--iters", type=int)
-
-    p = sub.add_parser("logreg", help="logistic regression benchmark")
-    common(p)
-    p.add_argument("--methods", type=_names)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--h-lo", dest="h_lo", type=float)
-    p.add_argument("--h-hi", dest="h_hi", type=float)
-    p.add_argument("--ref-max-iter", dest="ref_max_iter", type=int)
-    p.add_argument("--ref-tol", dest="ref_tol", type=float)
-
-    p = sub.add_parser("tune", help="tune one method on one objective")
-    common(p)
-    p.add_argument("--method", required=True, choices=LOGREG_METHODS)
-    p.add_argument("--objective", choices=("quad", "logreg"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--cond", type=float)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--h-lo", dest="h_lo", type=float)
-    p.add_argument("--h-hi", dest="h_hi", type=float)
-
-    p = sub.add_parser("simulate", help="continuous-time hybrid arc")
-    common(p)
-    p.add_argument("--mode", choices=("hb", "hhb", "hihb"))
-    p.add_argument("--model", choices=("scalar", "file", "gen"))
-    p.add_argument("--model-file", dest="model_file")
-    p.add_argument("--curv", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--cond", type=float)
-    p.add_argument("--K", dest="K", type=float)
-    p.add_argument("--K-lo", dest="K_lo", type=float)
-    p.add_argument("--K-hi", dest="K_hi", type=float)
-    p.add_argument("--t-min", dest="t_min", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--q0", type=_floats)
-    p.add_argument("--p0", type=_floats)
+    for subcommand, (_, text) in COMMANDS.items():
+        p = sub.add_parser(subcommand, help=text)
+        for name, knob in KNOBS.items():
+            if subcommand not in knob.subcommands:
+                continue
+            kind = ({"action": argparse.BooleanOptionalAction} if knob.parse is bool else
+                    {"type": knob.parse, "required": knob.required,
+                     "choices": knob.choices if knob.parse is str else None})
+            p.add_argument(knob.flag, dest=name, help=knob.help, **kind)
+        p.add_argument("--config", help="JSON file of config fields; flags override")
     return ap
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(subcommand=args.subcommand)
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    file_path = getattr(args, "config_file", None)
-    if file_path:
-        with open(file_path) as fh:
-            overrides = json.load(fh)
-        for key, value in overrides.items():
-            if key in ("subcommand", "out"):
-                continue
-            if key not in fields:
-                raise ValueError(f"unknown config field {key!r}")
-            if isinstance(value, list):
-                value = tuple(value)
-            setattr(cfg, key, value)
-    for key, value in vars(args).items():
-        if key in ("subcommand", "config_file") or value is None:
-            continue
-        if key in fields:
-            setattr(cfg, key, value)
-    cfg = cfg.with_defaults()
+    """The validated config: --config fields, then the flags, then defaults."""
+    fields = _read_config(args.config) if args.config else {}
+    fields.update((name, value) for name, value in vars(args).items()
+                  if name in KNOBS and value is not None)
+    cfg = ExperimentConfig(subcommand=args.subcommand, **fields).with_defaults()
     cfg.validate()
     return cfg
 
 
-COMMANDS = {"certify": cmd_certify, "quad": cmd_quad, "logreg": cmd_logreg,
-            "tune": cmd_tune, "simulate": cmd_simulate}
+COMMANDS = {"certify": (cmd_certify, "certified rate sweep"),
+            "quad": (cmd_quad, "random ill-conditioned quadratic benchmark"),
+            "logreg": (cmd_logreg, "logistic regression benchmark"),
+            "tune": (cmd_tune, "tune one method on one objective"),
+            "simulate": (cmd_simulate, "continuous-time hybrid arc")}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
-    return COMMANDS[cfg.subcommand](cfg)
+    cfg = config_from_args(build_parser().parse_args(argv))
+    return COMMANDS[cfg.subcommand][0](cfg)
 
 
 if __name__ == "__main__":

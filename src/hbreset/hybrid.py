@@ -129,15 +129,16 @@ def _inner(model: ObjectiveModel, q: Array, p: Array) -> float:
 
 
 def _jumps(inner, tau, params: HybridParams):
-    """The jump set: timer elapsed and momentum not opposing descent.
-    Elementwise over arrays of inner products and timers."""
+    """The jump set: timer elapsed and momentum not aligned with descent
+    (<grad phi, p> >= 0). Elementwise over arrays of inner products and
+    timers."""
     return (tau >= params.T_min) & (inner >= 0.0)
 
 
 def _damping(inner, params: HybridParams):
-    """The damping switch: K_lo while momentum opposes descent by more than
-    event_tol, K_hi otherwise (near the boundary included). Elementwise
-    over an array of inner products."""
+    """The damping switch: K_lo while momentum aligns with descent by more
+    than event_tol (<grad phi, p> < -event_tol), K_hi otherwise (near the
+    boundary included). Elementwise over an array of inner products."""
     return np.where(inner < -params.event_tol, params.K_lo, params.K_hi)
 
 

@@ -851,3 +851,66 @@ def test_simulate_gen_requires_seed(tmp_path):
     with pytest.raises(ValueError, match="--seed"):
         main(["simulate", "--mode", "hhb", "--model", "gen",
               "--out", str(tmp_path)])
+
+
+# ---------------------------------------------------------------------------
+# config files
+
+
+@pytest.mark.parametrize("argv, doc, flag", [
+    (["certify"], {"scan": "no"}, "--scan"),
+    (["certify"], {"bisect_iters": 1.5}, "--bisect-iters"),
+    (["certify"], {"max_oracle_calls": 2.5}, "--max-oracle-calls"),
+    (["quad", "--n", "4", "--iters", "5"], {"seed": True}, "--seed"),
+    (["certify"], {"grid_L": 10}, "--grid-L"),
+    (["certify"], {"mu": "1"}, "--mu"),
+    (["certify"], {"mu": None}, "--mu"),
+    (["quad", "--seed", "1", "--n", "4"], {"iters": 3.0}, "--iters"),
+    (["quad", "--seed", "1", "--n", "4", "--iters", "5"], {"methods": "polyak"},
+     "--methods"),
+    (["certify"], [1], "--config"),
+    (["certify"], "not json", "--config"),
+])
+def test_config_file_values_are_typed_by_their_field(argv, doc, flag, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    with pytest.raises(ValueError, match=flag) as got:
+        main(argv + ["--config", str(path), "--out", str(tmp_path / "out")])
+    assert str(path) in str(got.value)
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_coerces_numbers_and_takes_null_for_an_unset_default(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mu": 2, "grid_L": [2, 20]}))
+    cfg = config_from_args(build_parser().parse_args(["certify", "--config", str(path)]))
+    assert type(cfg.mu) is float and cfg.mu == 2.0
+    assert cfg.grid_L == (2.0, 20.0) and all(type(L) is float for L in cfg.grid_L)
+    assert '"mu": 2.0' in cfg.resolved_json()
+    path.write_text(json.dumps({"h": None}))
+    cfg = config_from_args(build_parser().parse_args(
+        ["quad", "--seed", "1", "--config", str(path)]))
+    assert cfg.h == 1e-4
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--grid-L", "1,4", "--bisect-iters", "2", "--methods", "polyak,hhb-pol",
+     "--dump-sdp"],
+    ["quad", "--seed", "2", "--n", "4", "--iters", "20", "--K", "1,1.5",
+     "--methods", "polyak,hihb-nes"],
+    ["logreg", "--seed", "2", "--n", "3", "--m", "20", "--iters", "10", "--budget", "3",
+     "--methods", "gd,hhb"],
+    ["tune", "--seed", "2", "--method", "hihb", "--objective", "logreg", "--n", "3",
+     "--m", "20", "--budget", "4"],
+    ["simulate", "--mode", "hihb", "--K-lo", "0.5", "--K-hi", "2", "--t-end", "2",
+     "--q0", "2", "--p0=-1"],
+], ids=lambda argv: argv[0])
+def test_config_json_round_trips_through_config_flag(argv, tmp_path):
+    # a run's config.json, fed back with only --out (and tune's required
+    # --method) on the command line, repeats the run byte for byte
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(argv + ["--out", str(first)]) == 0
+    method = ["--method", argv[argv.index("--method") + 1]] if argv[0] == "tune" else []
+    assert main([argv[0], *method, "--config", str(first / "config.json"),
+                 "--out", str(again)]) == 0
+    assert_dirs_byte_identical(first, again)
