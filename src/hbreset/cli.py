@@ -811,6 +811,8 @@ def _read_config(path: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"--config {path!r} cannot be read: {exc.strerror}") from None
     except ValueError as exc:
         raise ValueError(f"--config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -824,9 +826,10 @@ def _read_config(path: str) -> dict:
             continue  # null leaves a field with no default unset
         try:
             fields[name] = _from_json(knob.parse, value)
-        except (TypeError, OverflowError):
-            raise ValueError(f"--config {path!r}: {name} ({knob.flag}) must be "
-                             f"{_JSON[knob.parse][1]}, got {json.dumps(value)}") from None
+        except (TypeError, OverflowError) as exc:
+            what = ("is out of the float range" if isinstance(exc, OverflowError) else
+                    f"must be {_JSON[knob.parse][1]}, got {json.dumps(value)}")
+            raise ValueError(f"--config {path!r}: {name} ({knob.flag}) {what}") from None
     return fields
 
 

@@ -14,7 +14,6 @@ as the rows of one (B, n) stack, and `run` is its stack of one.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -68,19 +67,6 @@ class AlgoParams:
         if h <= 0:
             raise ValueError("h must be positive")
         return cls(eps=math.sqrt(h), beta_lo=beta_lo, beta_hi=beta_hi, variant=variant)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"eps": self.eps, "beta_lo": self.beta_lo, "beta_hi": self.beta_hi,
-             "variant": self.variant.value},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "AlgoParams":
-        d = json.loads(text)
-        return cls(eps=d["eps"], beta_lo=d["beta_lo"], beta_hi=d["beta_hi"],
-                   variant=Variant(d["variant"]))
 
 
 def switching_beta(inner, beta_lo, beta_hi):

@@ -346,14 +346,12 @@ def _dt_certificate(data: DtLmiData, rho: float, res: FeasResult) -> Optional["C
         raw_v=v.copy())
 
 
-def dt_feasible(data: DtLmiData, max_oracle_calls: int = 200,
-                v_init: Optional[Array] = None, detail: bool = False):
+def dt_feasible(data: DtLmiData, max_oracle_calls: int = 200, detail: bool = False):
     """Certificate at contraction factor rho, or None.
 
     With detail=True returns (status, certificate-or-None), separating
     "infeasible" from "indeterminate" (budget ran out)."""
-    res = solve_feasibility(dt_problem(data), max_oracle_calls=max_oracle_calls,
-                            v_init=v_init)
+    res = solve_feasibility(dt_problem(data), max_oracle_calls=max_oracle_calls)
     cert = _dt_certificate(data, data.rho, res)
     if detail:
         return res.status, cert

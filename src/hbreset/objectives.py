@@ -321,24 +321,3 @@ def quad_to_json(spec: QuadraticSpec) -> str:
 def quad_from_json(text: str) -> QuadraticSpec:
     data = json.loads(text)
     return QuadraticSpec(Q=np.array(data["Q"], dtype=float), b=np.array(data["b"], dtype=float))
-
-
-def logistic_to_json(spec: LogisticSpec) -> str:
-    # theta stored column-major: a list of the m feature columns
-    return json.dumps(
-        {
-            "theta": spec.features.T.tolist(),
-            "labels": spec.labels.tolist(),
-            "m": spec.m,
-            "n": spec.dim,
-        },
-        sort_keys=True,
-    )
-
-
-def logistic_from_json(text: str) -> LogisticSpec:
-    data = json.loads(text)
-    theta = np.array(data["theta"], dtype=float).T
-    if theta.shape != (data["n"], data["m"]):
-        raise ValueError("theta shape does not match stored (n, m)")
-    return LogisticSpec(features=theta, labels=np.array(data["labels"], dtype=float))

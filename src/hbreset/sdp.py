@@ -11,7 +11,7 @@ A problem is a set of affine symmetric matrix maps v -> F0 + sum v_i F_i,
 split into blocks required NSD by a margin and blocks required PD by the
 same margin, plus scalar floors on selected variables and (optionally)
 one linear normalization c.v = 1 that removes the scaling ray of a
-homogeneous LMI system, and optional per-variable bounds.
+homogeneous LMI system. Any other scalar constraint is a 1x1 block.
 
 `FeasProblem` compiles every constraint once into NSD maps
 (`compiled_blocks()`). `lift` moves them into the search's coordinates;
@@ -121,15 +121,13 @@ class AffineMatrixMap:
 @dataclass
 class FeasProblem:
     """Feasibility data: nsd blocks <= -margin I, pd blocks >= +margin I,
-    scalar floors v_i >= floor, optional normalization c.v = 1 and
-    per-variable (lo, hi) bounds."""
+    scalar floors v_i >= floor and an optional normalization c.v = 1."""
 
     nvar: int
     nsd_blocks: list = field(default_factory=list)
     pd_blocks: list = field(default_factory=list)
     nonneg: dict = field(default_factory=dict)  # index -> floor
     normalization: Optional[Array] = None
-    bounds: Optional[list] = None
     margin: float = 1e-9
 
     def __post_init__(self):
@@ -150,10 +148,10 @@ class FeasProblem:
             self.normalization = np.asarray(self.normalization, dtype=float)
             if self.normalization.shape != (self.nvar,):
                 raise ValueError("normalization vector has wrong length")
+            if not np.isfinite(self.normalization).all():
+                raise ValueError("normalization vector has a non-finite entry")
             if float(np.linalg.norm(self.normalization)) == 0.0:
                 raise ValueError("normalization vector is zero")
-        if self.bounds is not None and len(self.bounds) != self.nvar:
-            raise ValueError("bounds list has wrong length")
         # everything as NSD maps, once: pd blocks negated, floors as 1x1
         # maps (floor - v_i <= -margin, i.e. v_i >= floor + margin);
         # building a floor's map also rejects a non-finite floor
@@ -291,14 +289,8 @@ def _newton_step(chol: Array, scale: Array, grad: Array, tau: Array):
 
 def _verified(lifted: "Lifted", v: Array) -> bool:
     """The half-margin re-check, independent of the search's evaluation:
-    every block in v, and every bound (which the search enforces exactly)
-    relaxed by half the margin."""
+    every block in v by half the margin."""
     half = 0.5 * lifted.margin
-    for i, bd in enumerate(lifted.bounds or ()):
-        lo, hi = bd or (None, None)
-        if (lo is not None and not v[i] >= lo - half) or \
-                (hi is not None and not v[i] <= hi + half):
-            return False
     # each block summed in basis order, as AffineMatrixMap.value sums it
     return all(np.linalg.eigvalsh(sum((v[i] * mat for i, mat in zip(idx, mats)), const))[-1]
                <= -half for const, idx, mats in lifted.blocks)
@@ -307,14 +299,13 @@ def _verified(lifted: "Lifted", v: Array) -> bool:
 @dataclass
 class Lifted:
     """A problem in the search's coordinates v = v_base + basis w, |w_i| <=
-    radius: its blocks F(w) = C + sum w_i G_i as `parts` (C, G), bound rows
-    last, and for the re-check its NSD blocks in v (constant, idx, mats)."""
+    radius: its blocks F(w) = C + sum w_i G_i as `parts` (C, G), and for
+    the re-check the same blocks in v (constant, idx, mats)."""
 
     v_base: Array
     basis: Array
     radius: float
     margin: float
-    bounds: Optional[list]
     parts: list
     blocks: list
 
@@ -325,7 +316,7 @@ class Lifted:
         """This problem with more NSD blocks, given in v, ahead of its own."""
         parts = [(const + np.tensordot(self.v_base[idx], mats, 1),
                   np.tensordot(self.basis[idx].T, mats, 1)) for const, idx, mats in blocks]
-        return Lifted(self.v_base, self.basis, self.radius, self.margin, self.bounds,
+        return Lifted(self.v_base, self.basis, self.radius, self.margin,
                       parts + self.parts, list(blocks) + self.blocks)
 
     def start(self, v_init: Optional[Array]) -> Array:
@@ -339,9 +330,8 @@ class Lifted:
                        -0.99 * self.radius, 0.99 * self.radius)
 
 
-def lift(problem: FeasProblem):
-    """The problem in search coordinates, or the FeasResult its bounds
-    decide before any evaluation."""
+def lift(problem: FeasProblem) -> Lifted:
+    """The problem in search coordinates."""
     if problem.normalization is not None:
         c = problem.normalization
         v_base = c / float(c @ c)
@@ -352,25 +342,10 @@ def lift(problem: FeasProblem):
         v_base = np.zeros(problem.nvar)
         basis = np.eye(problem.nvar)
         radius = 10.0
-    dim = basis.shape[1]
-    rows = []
-    for i, bd in enumerate(problem.bounds or ()):
-        for sign, limit in zip((-1.0, 1.0), bd or ()):
-            if limit is None:
-                continue
-            # row a.w <= b, unit-normalized; a zero row decides outright
-            a, b = sign * basis[i], sign * (limit - v_base[i])
-            nrm = float(np.linalg.norm(a))
-            if nrm <= 1e-14:
-                if b < 0.0:
-                    return FeasResult(INFEASIBLE, None, np.inf, 0, "bounds conflict")
-                continue
-            rows.append((np.array([[-b / nrm - problem.margin]]), (a / nrm).reshape(dim, 1, 1)))
     blocks = [(blk.constant, np.array([i for i, _ in blk.basis], dtype=np.intp),
                np.array([m for _, m in blk.basis], dtype=float).reshape(-1, blk.dim, blk.dim))
               for blk in problem.compiled_blocks()]
-    return Lifted(v_base, basis, radius, problem.margin, problem.bounds,
-                  rows, []).with_blocks(blocks)
+    return Lifted(v_base, basis, radius, problem.margin, [], []).with_blocks(blocks)
 
 
 def _group(const: Array, coef: Array) -> tuple:
@@ -577,9 +552,6 @@ def solve_many(problems: Sequence, max_oracle_calls: int = 200,
     shapes: dict = {}
     for i, (problem, v_init) in enumerate(zip(problems, v_inits)):
         lifted = problem if isinstance(problem, Lifted) else lift(problem)
-        if isinstance(lifted, FeasResult):
-            results[i] = lifted
-            continue
         key = (lifted.basis.shape[1], tuple(sorted(c.shape[0] for c, _ in lifted.parts)))
         shapes.setdefault(key, []).append((i, lifted, v_init))
     for members in shapes.values():
@@ -601,11 +573,9 @@ def solve_feasibility(problem: FeasProblem, max_oracle_calls: int = 200,
     Phase I with a log-det barrier: over x = (w, s), v = v_base + basis w
     inside the box |w_i| <= R, damped Newton minimizes
     tau s - sum_j log det(sI - F_j(w)) - sum log(box slacks), and tau
-    grows after each centering. Bounds enter as 1x1 blocks shifted by
-    -margin, so "<= -margin" on them means the bound holds. FEASIBLE is
-    returned at the first evaluated point whose worst eigenvalue clears
-    the margin and that an independent re-check passes at half margin
-    (every block by eigvalsh, every bound relaxed by half the margin).
+    grows after each centering. FEASIBLE is returned at the first
+    evaluated point whose worst eigenvalue clears the margin and that an
+    independent re-check, every block by eigvalsh, passes at half margin.
     INFEASIBLE is returned only when the weak-duality bound from
     Z_j = (sI - F_j)^-1 proves that no point of the box clears the
     margin; the bound is in the message. With no free variable the one
@@ -637,17 +607,20 @@ def problem_to_json(problem: FeasProblem) -> str:
         "nonneg": {str(k): v for k, v in problem.nonneg.items()},
         "normalization": (None if problem.normalization is None
                           else problem.normalization.tolist()),
-        "bounds": (None if problem.bounds is None else
-                   [None if bd is None else [bd[0], bd[1]] for bd in problem.bounds]),
     }
     return json.dumps(doc, sort_keys=True)
 
 
 def problem_from_json(text: str) -> FeasProblem:
+    """The problem problem_to_json wrote. A key it does not write is an
+    error, but for "bounds": null, which earlier dumps hold."""
     doc = json.loads(text)
-    bounds = doc.get("bounds")
-    if bounds is not None:
-        bounds = [None if bd is None else (bd[0], bd[1]) for bd in bounds]
+    if doc.pop("bounds", None) is not None:
+        raise ValueError('problem JSON: "bounds" is not supported; state them as 1x1 blocks')
+    unknown = sorted(set(doc) - {"nvar", "margin", "nsd_blocks", "pd_blocks", "nonneg",
+                                 "normalization"})
+    if unknown:
+        raise ValueError(f"problem JSON: unknown key {unknown[0]!r}")
     norm = doc.get("normalization")
     return FeasProblem(
         nvar=int(doc["nvar"]),
@@ -655,15 +628,4 @@ def problem_from_json(text: str) -> FeasProblem:
         pd_blocks=[_map_from_doc(b) for b in doc["pd_blocks"]],
         nonneg={int(k): float(v) for k, v in doc.get("nonneg", {}).items()},
         normalization=None if norm is None else np.array(norm, dtype=float),
-        bounds=bounds,
         margin=float(doc["margin"]))
-
-
-def result_to_json(result: FeasResult) -> str:
-    return json.dumps({
-        "status": result.status,
-        "v": None if result.v is None else result.v.tolist(),
-        "worst_eig": result.worst_eig,
-        "oracle_calls": result.oracle_calls,
-        "message": result.message,
-    }, sort_keys=True)

@@ -11,6 +11,11 @@ from hbreset.lmi import POL, build_theorem2, dt_problem, dt_system
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "bench")
+ROOT = os.path.dirname(BENCH)
+
+# the top-level public defs of src/hbreset that only the tests call
+TEST_ONLY = {"ct_alpha_builder", "dt_rate_builder", "energy", "finite_diff_check",
+             "format_rows", "golden_min", "in_flow_set", "in_jump_set", "problem_from_json"}
 
 
 def _bench_tree(name):
@@ -61,3 +66,43 @@ def test_bench_checks_names_exist():
     assert {attr for owner, attr in read if owner == "problem"} >= {"margin", "nonneg"}
     for owner, attr in read:
         assert hasattr(owners[owner], attr), f"{owner}.{attr}"
+
+
+def _trees(directory):
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name)) as fh:
+                yield ast.parse(fh.read())
+
+
+def _names_read(tree, skip=None, strings=False):
+    # names loaded or imported, outside the node `skip`; with strings,
+    # also every string constant (the tracer names its targets in strings)
+    read, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return read
+
+
+def test_test_only_public_names_are_the_pinned_set():
+    # a public top-level def that src/ reads nowhere but in its own body,
+    # that bench/ and demos/ do not name and that is not in __all__ has
+    # only the tests as callers; adding one is a decision, made here
+    src = list(_trees(os.path.join(ROOT, "src", "hbreset")))
+    outside = set().union(*(_names_read(tree, strings=True) for directory in ("bench", "demos")
+                            for tree in _trees(os.path.join(ROOT, directory))))
+    found = {node.name for tree in src for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and not node.name.startswith("_")
+             and not any(node.name in _names_read(other, skip=node) for other in src)
+             and node.name not in outside and node.name not in hbreset.__all__}
+    assert found == TEST_ONLY

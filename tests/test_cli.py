@@ -342,11 +342,32 @@ def test_certify_uncertified_row(tmp_path):
 
 
 def test_certify_dump_sdp(tmp_path):
-    assert main(["certify", "--grid-L", "1", "--methods", "nesterov",
+    assert main(["certify", "--grid-L", "1,10", "--methods", "nesterov,hhb-pol",
                  "--bisect-iters", "4", "--dump-sdp", "--out", str(tmp_path)]) == 0
     prob = problem_from_json((tmp_path / "sdp_nesterov_L1.json").read_text())
     assert prob.nvar == 8
     assert len(prob.nsd_blocks) == 2
+    # each certificate's problem is dumped, holds the certificate at half
+    # the margin, and has no "bounds" key
+    dumps = sorted(tmp_path.glob("sdp_*.json"))
+    assert [p.name for p in dumps] == ["sdp_hhb-pol_L1.json", "sdp_nesterov_L1.json",
+                                       "sdp_nesterov_L10.json"]
+    assert len(list(tmp_path.glob("cert_*.json"))) == len(dumps)
+    for path in dumps:
+        assert "bounds" not in json.loads(path.read_text())
+        prob = problem_from_json(path.read_text())
+        cert = json.loads((tmp_path / path.name.replace("sdp_", "cert_")).read_text())
+        P, mult = cert["P"], cert["multipliers"]
+        v = np.array([P[0][0], P[0][1], P[1][1], mult["a"], mult["lambda"],
+                      mult["lambda_r"], mult["sigma"], mult["sigma_r"]])
+        half = 0.5 * prob.margin
+        for blk in prob.nsd_blocks:
+            assert np.linalg.eigvalsh(blk.value(v))[-1] <= -half, blk.name
+        (pmap,) = prob.pd_blocks
+        assert pmap.name == "P" and np.linalg.eigvalsh(pmap.value(v))[0] >= half
+        assert sorted(prob.nonneg) == [3, 4, 5, 6, 7]
+        for i, floor in prob.nonneg.items():
+            assert v[i] >= floor + half
 
 
 def test_certify_deterministic(tmp_path):
@@ -870,10 +891,15 @@ def test_simulate_gen_requires_seed(tmp_path):
      "--methods"),
     (["certify"], [1], "--config"),
     (["certify"], "not json", "--config"),
+    # no file at all (doc None), and a float field past the float range,
+    # which is said without echoing its 401 digits
+    (["certify"], None, "--config .* cannot be read"),
+    (["certify"], '{"mu": 1' + "0" * 400 + "}", r"\(--mu\) is out of the float range$"),
 ])
 def test_config_file_values_are_typed_by_their_field(argv, doc, flag, tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    if doc is not None:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     with pytest.raises(ValueError, match=flag) as got:
         main(argv + ["--config", str(path), "--out", str(tmp_path / "out")])
     assert str(path) in str(got.value)

@@ -50,12 +50,6 @@ def test_params_validation():
         AlgoParams.from_h(math.nan)
 
 
-def test_params_json_round_trip():
-    p = AlgoParams(eps=0.05, beta_lo=0.2, beta_hi=0.8, variant=Variant.NES)
-    q = AlgoParams.from_json(p.to_json())
-    assert q == p
-
-
 def test_initial_state_embedding():
     q0 = np.array([1.0, -2.0])
     p0 = np.array([0.5, 0.25])

@@ -395,7 +395,7 @@ def test_bench_config_sweep_compiles_each_row_once(monkeypatch, tmp_path):
 
 def _lifted_bytes(lifted):
     return (lifted.v_base.tobytes(), lifted.basis.tobytes(), lifted.radius, lifted.margin,
-            lifted.bounds, [(c.tobytes(), g.tobytes()) for c, g in lifted.parts],
+            [(c.tobytes(), g.tobytes()) for c, g in lifted.parts],
             [(c.tobytes(), np.asarray(idx).tobytes(), m.tobytes())
              for c, idx, m in lifted.blocks])
 

@@ -19,10 +19,9 @@ import hbreset
 from hbreset.objectives import (LogisticSpec, QuadraticSpec, finite_diff_check,
                                 gen_logistic_dataset, gen_random_quadratic,
                                 logistic_bound_grad, logistic_eval_grad,
-                                logistic_from_json,
                                 logistic_lipschitz, logistic_model,
                                 quad_eval_grad, quad_from_json, quad_to_json,
-                                quadratic_model, logistic_to_json)
+                                quadratic_model)
 from hbreset.lmi import build_sector
 
 
@@ -119,12 +118,12 @@ def test_logistic_stable_at_large_margins():
 
 
 def test_logistic_eval_grad_stack_rows_match_single_points_bitwise():
-    # discrete.run_many relies on this to reproduce run bit for bit; the
-    # JSON round trip gives column-major features
+    # discrete.run_many relies on this to reproduce run bit for bit, also
+    # for column-major features
     rng = np.random.default_rng(6)
     for n, m, stack in ((1, 5, 40), (6, 120, 200), (20, 1000, 300)):
         spec = gen_logistic_dataset(n, m, 30 + n)
-        for spec in (spec, logistic_from_json(logistic_to_json(spec))):
+        for spec in (spec, LogisticSpec(np.asfortranarray(spec.features), spec.labels)):
             X = rng.uniform(-5.0, 5.0, (stack, n)) * rng.choice(
                 [1e-3, 1.0, 50.0, 400.0], size=(stack, 1))
             vals, grads = logistic_eval_grad(spec, X)
@@ -201,7 +200,7 @@ def test_logistic_signed_form_matches_label_scaling_bitwise():
     rng = np.random.default_rng(8)
     for n, m in ((1, 7), (6, 120), (20, 1000)):
         spec = gen_logistic_dataset(n, m, 40 + n)
-        for spec in (spec, logistic_from_json(logistic_to_json(spec))):
+        for spec in (spec, LogisticSpec(np.asfortranarray(spec.features), spec.labels)):
             for scale in (1e-3, 1.0, 30.0, 1e3):
                 for _ in range(25):
                     q = scale * rng.standard_normal(n)
@@ -331,18 +330,6 @@ def test_quad_json_round_trip():
     assert text == again
     data = json.loads(text)
     assert len(data["Q"]) == 4 and len(data["Q"][0]) == 4
-
-
-def test_logistic_json_round_trip_column_major():
-    spec = gen_logistic_dataset(3, 5, 8)
-    text = logistic_to_json(spec)
-    data = json.loads(text)
-    assert data["n"] == 3 and data["m"] == 5
-    assert len(data["theta"]) == 5 and len(data["theta"][0]) == 3
-    back = logistic_from_json(text)
-    np.testing.assert_array_equal(back.features, spec.features)
-    np.testing.assert_array_equal(back.labels, spec.labels)
-    assert logistic_to_json(back) == text
 
 
 def test_generator_rejects_bad_sizes():

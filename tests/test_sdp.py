@@ -15,8 +15,7 @@ from hbreset.cli import certify_tuning, main as cli_main
 from hbreset.lmi import NES, POL, build_theorem2, dt_problem, dt_system
 from hbreset.sdp import (AffineMatrixMap, FEASIBLE, FeasProblem, INDETERMINATE,
                          INFEASIBLE, problem_from_json, problem_to_json,
-                         result_to_json, solve_feasibility, solve_many,
-                         symmetric_eig)
+                         solve_feasibility, solve_many, symmetric_eig)
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +110,16 @@ def _stated_bound(res):
     return float(found.group(1))
 
 
+def _at_most(i, hi):
+    # the 1x1 block v_i - hi, so v_i <= hi - margin
+    return AffineMatrixMap(constant=np.array([[-hi]]), basis=[(i, np.eye(1))],
+                           name=f"v{i}_max")
+
+
 def _scalar_problem():
-    # one block (v1 - 1) * I, v1 in [0, 2]
+    # one block (v1 - 1) * I, v1 in [0, 2] by a floor and a 1x1 block
     amap = AffineMatrixMap(constant=-np.eye(2), basis=[(0, np.eye(2))])
-    return FeasProblem(nvar=1, nsd_blocks=[amap], bounds=[(0.0, 2.0)])
+    return FeasProblem(nvar=1, nsd_blocks=[amap, _at_most(0, 2.0)], nonneg={0: 0.0})
 
 
 def test_scalar_block_feasible():
@@ -148,7 +153,7 @@ def test_flat_violated_block_is_infeasible_with_variables():
     # block ignores v entirely and sits at +1/2: any dual weight on it
     # gives a lower bound above the margin
     amap = AffineMatrixMap(constant=0.5 * np.eye(1), basis=[])
-    prob = FeasProblem(nvar=1, nsd_blocks=[amap], bounds=[(0.0, 1.0)])
+    prob = FeasProblem(nvar=1, nsd_blocks=[amap, _at_most(0, 1.0)], nonneg={0: 0.0})
     res = solve_feasibility(prob, max_oracle_calls=20)
     assert res.status == INFEASIBLE
     assert -prob.margin < _stated_bound(res) <= 0.5
@@ -189,7 +194,7 @@ def test_lyapunov_block_feasible_iff_stable():
 def test_budget_exhaustion_is_indeterminate_not_infeasible():
     # feasible problem, but the 1-call budget runs out at the first point
     amap = AffineMatrixMap(constant=-np.eye(2) * 1e-12, basis=[(0, np.eye(2))])
-    prob = FeasProblem(nvar=1, nsd_blocks=[amap], bounds=[(-1.0, 1.0)])
+    prob = FeasProblem(nvar=1, nsd_blocks=[amap, _at_most(0, 1.0)], nonneg={0: -1.0})
     res = solve_feasibility(prob, max_oracle_calls=1)
     assert res.status == INDETERMINATE
     assert "budget" in res.message
@@ -198,8 +203,7 @@ def test_budget_exhaustion_is_indeterminate_not_infeasible():
 def test_nonneg_floor_enforced():
     # v0 must stay >= 0.3 while the block wants it small
     amap = AffineMatrixMap(constant=-np.eye(1), basis=[(0, np.eye(1))])
-    prob = FeasProblem(nvar=1, nsd_blocks=[amap], nonneg={0: 0.3},
-                       bounds=[(-2.0, 2.0)])
+    prob = FeasProblem(nvar=1, nsd_blocks=[amap, _at_most(0, 2.0)], nonneg={0: 0.3})
     res = solve_feasibility(prob, max_oracle_calls=60)
     assert res.status == FEASIBLE
     assert res.v[0] >= 0.3 - 1e-9
@@ -223,7 +227,7 @@ def test_determinism():
     r2 = solve_feasibility(prob, max_oracle_calls=50)
     np.testing.assert_array_equal(r1.v, r2.v)
     assert r1.oracle_calls == r2.oracle_calls
-    assert result_to_json(r1) == result_to_json(r2)
+    assert _bits(r1) == _bits(r2)
 
 
 def test_midpoint_convexity_of_objective():
@@ -250,41 +254,25 @@ def test_problem_validation():
                                                         basis=[(0, np.eye(1))])])
     with pytest.raises(ValueError):
         FeasProblem(nvar=1, nsd_blocks=[amap], normalization=np.zeros(1))
-    with pytest.raises(ValueError):
-        FeasProblem(nvar=2, nsd_blocks=[amap], bounds=[(0.0, 1.0)])
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
             FeasProblem(nvar=1, nsd_blocks=[amap], margin=bad)
         with pytest.raises(ValueError, match="floor_v0.*non-finite"):
             FeasProblem(nvar=1, nsd_blocks=[amap], nonneg={0: bad})
+        with pytest.raises(ValueError, match="normalization.*non-finite"):
+            FeasProblem(nvar=2, nsd_blocks=[amap], normalization=np.array([bad, 1.0]))
         with pytest.raises(ValueError, match="non-finite"):
             AffineMatrixMap(constant=np.full((1, 1), bad), basis=[])
         with pytest.raises(ValueError, match="non-finite"):
             AffineMatrixMap(constant=np.eye(1), basis=[(0, np.full((1, 1), bad))])
 
 
-def test_conflicting_bounds_infeasible():
-    amap = AffineMatrixMap(constant=-np.eye(1), basis=[(0, np.eye(1))])
-    prob = FeasProblem(nvar=1, nsd_blocks=[amap], bounds=[(1.0, -1.0)])
-    res = solve_feasibility(prob, max_oracle_calls=10)
-    assert res.status == INFEASIBLE
-    assert _stated_bound(res) > -prob.margin
-    # a variable pinned by the normalization outside its bounds
-    pinned = FeasProblem(nvar=2, nsd_blocks=[amap], normalization=np.array([1.0, 0.0]),
-                         bounds=[(2.0, 3.0), None])
-    # the same with every variable pinned, which leaves nothing to search
-    all_pinned = FeasProblem(nvar=1, nsd_blocks=[AffineMatrixMap(-np.eye(1), [])],
-                             normalization=np.array([1.0]), bounds=[(2.0, 3.0)])
-    for prob in (pinned, all_pinned):
-        res = solve_feasibility(prob, max_oracle_calls=10)
-        assert (res.status, res.message) == (INFEASIBLE, "bounds conflict")
-
-
-def test_warm_start_cannot_bypass_bounds_or_normalization():
-    # v0 <= -margin holds only outside the bounds [0, 1]; a warm start
-    # there must not be returned, so the verdict cannot depend on it
+def test_warm_start_cannot_bypass_floors_or_normalization():
+    # v0 <= -margin holds only outside [0, 1], set by a floor and a 1x1
+    # block; a warm start there must not be returned, so the verdict
+    # cannot depend on it
     amap = AffineMatrixMap(constant=np.zeros((1, 1)), basis=[(0, np.eye(1))])
-    prob = FeasProblem(nvar=1, nsd_blocks=[amap], bounds=[(0.0, 1.0)])
+    prob = FeasProblem(nvar=1, nsd_blocks=[amap, _at_most(0, 1.0)], nonneg={0: 0.0})
     for v_init in (None, np.array([-5.0])):
         res = solve_feasibility(prob, max_oracle_calls=100, v_init=v_init)
         assert res.status == INFEASIBLE
@@ -303,7 +291,17 @@ def test_problem_json_round_trip():
     again = problem_to_json(problem_from_json(text))
     assert text == again
     parsed = json.loads(text)
-    assert parsed["nvar"] == 1
+    assert parsed["nvar"] == 1 and "bounds" not in parsed
+    # dumps written while problems had bounds hold "bounds": null
+    assert problem_to_json(problem_from_json(json.dumps({**parsed, "bounds": None}))) == text
+    # a key the reader does not read is refused, not dropped with its
+    # constraints: a misspelled "nonneg", and bounds that are set
+    misspelled = {("nonnegs" if key == "nonneg" else key): value
+                  for key, value in parsed.items()}
+    for doc, key in ((misspelled, "'nonnegs'"), ({**parsed, "bounds": [[0.0, 2.0]]}, "bounds"),
+                     ({**parsed, "bounds": []}, "bounds")):
+        with pytest.raises(ValueError, match=key):
+            problem_from_json(json.dumps(doc))
 
 
 def test_feasible_result_verified_at_half_margin():
@@ -331,7 +329,7 @@ def test_feasible_result_verified_at_half_margin():
 
 def test_half_margin_recheck_is_independent_of_the_search(monkeypatch):
     # every block evaluation of the search under-reports the top eigenvalue
-    # by 1.0, so a violated block or bound looks satisfied; the re-check at
+    # by 1.0, so a violated block or floor looks satisfied; the re-check at
     # half margin must still refuse to certify it
     real_eigh, real_worst = sdp._block_eigh, FeasProblem.worst_block
 
@@ -350,12 +348,12 @@ def test_half_margin_recheck_is_independent_of_the_search(monkeypatch):
     monkeypatch.setattr(sdp, "_block_eigh", lying_eigh)
     monkeypatch.setattr(FeasProblem, "worst_block", lying_worst)
     amap = AffineMatrixMap(constant=0.5 * np.eye(2), basis=[(0, np.eye(2))])
-    free = FeasProblem(nvar=1, nsd_blocks=[amap], bounds=[(-1.0, 1.0)])
+    free = FeasProblem(nvar=1, nsd_blocks=[amap, _at_most(0, 1.0)], nonneg={0: -1.0})
     pinned = FeasProblem(nvar=1, nsd_blocks=[amap], normalization=np.array([1.0]))
     constant = FeasProblem(nvar=0, nsd_blocks=[AffineMatrixMap(0.5 * np.eye(2), [])])
-    # the block holds everywhere; the start v = 0 violates the bound 0.5
-    bounded = FeasProblem(nvar=1, nsd_blocks=[AffineMatrixMap(-np.eye(1), [])],
-                          bounds=[(0.5, 3.0)])
+    # the block holds everywhere; the start v = 0 violates the floor 0.5
+    bounded = FeasProblem(nvar=1, nsd_blocks=[AffineMatrixMap(-np.eye(1), []),
+                                              _at_most(0, 3.0)], nonneg={0: 0.5})
     for prob, v_init in ((free, None), (free, np.array([0.2])), (pinned, None),
                          (constant, None), (bounded, None)):
         res = solve_feasibility(prob, max_oracle_calls=50, v_init=v_init)
@@ -656,12 +654,13 @@ def test_overflowing_barrier_terms_end_their_row_alone():
 
 
 def test_solve_many_groups_shapes_and_keeps_input_order():
-    # a dt problem, a bounds conflict decided before any evaluation, a
-    # problem without free variables and a small bounded one, interleaved
+    # a dt problem, one whose normalization pins its variable below its
+    # floor, a problem without variables and a small bounded one,
+    # interleaved
     amap = AffineMatrixMap(constant=-np.eye(2), basis=[(0, np.eye(2))])
     problems = [_mistuned_dt(10.0, "nesterov", 0.99),
                 FeasProblem(nvar=1, nsd_blocks=[amap], normalization=np.array([1.0]),
-                            bounds=[(2.0, 3.0)]),
+                            nonneg={0: 2.0}),
                 FeasProblem(nvar=0, nsd_blocks=[AffineMatrixMap(-np.eye(2), [])]),
                 _scalar_problem(),
                 _mistuned_dt(10.0, "polyak", 0.05)]
