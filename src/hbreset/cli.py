@@ -81,6 +81,7 @@ def _per(spec, cfg: "ExperimentConfig"):
 _FINITE = (math.isfinite, "be finite")
 _POSITIVE = (lambda v: math.isfinite(v) and v > 0.0, "be finite and positive")
 _NONNEGATIVE = (lambda v: v >= 0, "be nonnegative")
+_DAMPING = (lambda v: math.isfinite(v) and v >= 0.0, "be finite and nonnegative")
 _AT_LEAST_1 = (lambda v: v >= 1, "be at least 1")
 
 
@@ -180,10 +181,9 @@ class ExperimentConfig:
     model_file: Optional[str] = _knob(None, "--model-file", str, "simulate")
     curv: float = _knob(1.0, "--curv", float, "simulate", bounds=_POSITIVE,
                         used=lambda cfg: cfg.model == "scalar")
-    K: float = _knob(1.0, "--K", float, "simulate", bounds=(
-        lambda v: math.isfinite(v) and v >= 0.0, "be finite and nonnegative"))
-    K_lo: Optional[float] = _knob(None, "--K-lo", float, "simulate", bounds=_POSITIVE)
-    K_hi: Optional[float] = _knob(None, "--K-hi", float, "simulate", bounds=_POSITIVE)
+    K: float = _knob(1.0, "--K", float, "simulate", bounds=_DAMPING)
+    K_lo: Optional[float] = _knob(None, "--K-lo", float, "simulate", bounds=_DAMPING)
+    K_hi: Optional[float] = _knob(None, "--K-hi", float, "simulate", bounds=_DAMPING)
     t_min: Optional[float] = _knob(None, "--t-min", float, "simulate", bounds=_POSITIVE)
     dt: float = _knob(1e-3, "--dt", float, "simulate", bounds=_POSITIVE)
     t_end: float = _knob(10.0, "--t-end", float, "simulate", bounds=_POSITIVE)
@@ -209,12 +209,9 @@ class ExperimentConfig:
             rule(self)
 
     def damping_pair(self) -> tuple[float, float]:
-        """The simulate damping pair (K_lo, K_hi); an unset one is K. The
-        pair only drives hihb arcs, so an undamped hb/hhb run (K = 0) falls
-        back to 1 rather than trip the pair's positivity contract."""
-        fallback = self.K if self.K > 0.0 else 1.0
-        return (self.K_lo if self.K_lo is not None else fallback,
-                self.K_hi if self.K_hi is not None else fallback)
+        """The simulate damping pair (K_lo, K_hi); an unset one is K."""
+        return (self.K if self.K_lo is None else self.K_lo,
+                self.K if self.K_hi is None else self.K_hi)
 
     def resolved_json(self) -> str:
         # the output path is excluded so bytes do not depend on where the

@@ -6,11 +6,11 @@ The two-step family
     p_{k+1} = (q_{k+1} - q_k) / eps,
 
 switches beta between beta_hi (momentum kept) and beta_lo (reset branch)
-on the sign of <grad phi(q_k), p_k>. POL evaluates the gradient at q_k,
-NES at the extrapolated point q_k + eps*beta*p_k. GD and a time-varying
-Nesterov schedule are included as baselines. `run_many` is the one
-stepping loop: the runs of any mix of variants from one start point step
-as the rows of one (B, n) stack, and `run` is its stack of one.
+by whether <grad phi(q_k), p_k> is `aligned`. POL evaluates the gradient
+at q_k, NES at the extrapolated point q_k + eps*beta*p_k. GD and a
+time-varying Nesterov schedule are included as baselines. `run_many` is
+the one stepping loop: the runs of any mix of variants from one start
+point step as the rows of one (B, n) stack, and `run` is its stack of one.
 """
 from __future__ import annotations
 
@@ -69,15 +69,20 @@ class AlgoParams:
         return cls(eps=math.sqrt(h), beta_lo=beta_lo, beta_hi=beta_hi, variant=variant)
 
 
-def switching_beta(inner, beta_lo, beta_hi):
-    """The switching law on inner = <grad phi(q_k), p_k>: beta_hi while
-    momentum aligns with descent (inner < 0), beta_lo otherwise.
-
-    Returns (beta, reset). The boundary inner = 0 (-0.0 too), and a NaN,
-    take the reset branch. Elementwise over a (B,) array of inner
-    products and (B,) or scalar betas; a float gives 0-d results.
+def aligned(inner, band=0.0):
+    """The switching law: momentum aligns with descent when inner =
+    <grad phi(q), p> < -band, band >= 0. The boundary inner = -band (and
+    so inner = 0 of either sign at band 0) is not aligned, nor is a NaN.
+    Elementwise over an array; a float gives a numpy bool, so ~ negates.
     """
-    keep = np.less(inner, 0.0)  # a numpy bool even for a float, so ~ negates
+    return np.less(inner, -band)
+
+
+def switching_beta(inner, beta_lo, beta_hi):
+    """(beta, reset): beta_hi while inner = <grad phi(q_k), p_k> is
+    `aligned`, else beta_lo and the reset branch. Elementwise over (B,)
+    inner products and (B,) or scalar betas; a float gives 0-d results."""
+    keep = aligned(inner)
     return np.where(keep, beta_hi, beta_lo), ~keep
 
 
@@ -175,10 +180,10 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
     the rows of one (B, n) stack sorted by variant in `_ORDER`.
 
     A row steps q_{k+1} = q_k + eps * (beta p_k - eps g). beta comes from
-    `switching_beta` on <grad phi(q_k), p_k> (POL, NES) or from the alpha
-    recursion (NES_SCHEDULE). POL takes g at q_k, NES and NES_SCHEDULE at
-    q_k + eps*beta*p_k (NES_SCHEDULE reads no gradient at q_k). GD steps
-    q_k - h*grad phi(q_k) and records beta 0. A non-finite gradient that
+    `switching_beta`, whether <grad phi(q_k), p_k> is `aligned` (POL,
+    NES), or from the alpha recursion (NES_SCHEDULE). POL takes g at q_k,
+    NES and NES_SCHEDULE at q_k + eps*beta*p_k (NES_SCHEDULE reads no
+    gradient at q_k). GD steps q_k - h*grad phi(q_k) and records beta 0. A non-finite gradient that
     a step reads raises FloatingPointError.
 
     Each iterate makes one stacked value_grad call for every live row

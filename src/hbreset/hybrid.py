@@ -2,9 +2,10 @@
 
 Simulates the plain flow (qdot, pdot) = (p, -K p - grad phi(q)), the
 hybrid variant that jumps (q, p, tau) -> (q, 0, 0) once the timer tau
-exceeds the dwell time T_min and <grad phi(q), p> >= 0, and the switched
-variant that swaps the damping between K_lo and K_hi on the same sign
-condition. Fixed-step classical RK4 with bisection event localization.
+exceeds the dwell time T_min and the momentum is not `discrete.aligned`,
+and the switched variant; all take K from a pair (K while aligned, K
+otherwise), (K_lo, K_hi) on the switched flow and (K, K) on the others.
+Fixed-step classical RK4 with bisection event localization.
 
 On a quadratic model (one with `ObjectiveModel.hessian`) the flow is
 linear, so one full RK4 step is an affine map of the state whose matrix
@@ -16,7 +17,7 @@ to (q, p), and the block's values and gradients come from one stacked
 oracle call. Event steps (a jump, a change of damping at any stage, the
 gradient stop), the short last step and every step of a non-quadratic
 model take the stage path, `_rk4`, which evaluates the oracle at each
-stage.
+stage. A non-finite gradient raises FloatingPointError.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from .discrete import _finite, aligned
 from .objectives import ObjectiveModel
 
 Array = np.ndarray
@@ -68,8 +70,8 @@ class HybridParams:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in astuple(self)):
             raise ValueError("HybridParams fields must be finite")
-        if not (0.0 < self.K_lo <= self.K_hi):
-            raise ValueError("need 0 < K_lo <= K_hi")
+        if not (self.K >= 0.0 and 0.0 <= self.K_lo <= self.K_hi):
+            raise ValueError("need K >= 0 and 0 <= K_lo <= K_hi")
         if self.T_min <= 0 or self.step <= 0 or self.event_tol <= 0:
             raise ValueError("T_min, step, event_tol must be positive")
 
@@ -129,17 +131,23 @@ def _inner(model: ObjectiveModel, q: Array, p: Array) -> float:
 
 
 def _jumps(inner, tau, params: HybridParams):
-    """The jump set: timer elapsed and momentum not aligned with descent
-    (<grad phi, p> >= 0). Elementwise over arrays of inner products and
-    timers."""
-    return (tau >= params.T_min) & (inner >= 0.0)
+    """The jump set, elementwise: tau >= T_min and inner not `aligned`."""
+    return (tau >= params.T_min) & ~aligned(inner)
 
 
-def _damping(inner, params: HybridParams):
-    """The damping switch: K_lo while momentum aligns with descent by more
-    than event_tol (<grad phi, p> < -event_tol), K_hi otherwise (near the
-    boundary included). Elementwise over an array of inner products."""
-    return np.where(inner < -params.event_tol, params.K_lo, params.K_hi)
+def _damping(inner, pair: tuple, band: float):
+    """The damping switch, elementwise: pair[0] while `aligned` by band, else pair[1]."""
+    return np.where(aligned(inner, band), *pair)
+
+
+def _accel(pair: tuple, band: float, log: Optional[list] = None):
+    """accel(g, p) = -K p - g, K switched on <g, p>, row-wise; log collects each <g, p>."""
+    def accel(g, p):
+        inner = np.vecdot(g, p)
+        if log is not None:
+            log.append(inner)
+        return -_damping(inner, pair, band)[..., None] * p - g
+    return accel
 
 
 def _stopped(g) -> Array:
@@ -182,20 +190,6 @@ def _rk4(q: Array, p: Array, g: Array, dt: float, model: ObjectiveModel,
     qn = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
     pn = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
     return qn, pn
-
-
-def _stage_points(q: Array, p: Array, g: Array, h: float, K: float,
-                  H: Array) -> tuple[Array, Array]:
-    """The interior RK4 stage points of steps of size h from the rows of
-    (q, p), whose gradients are g, on the quadratic with Hessian H under
-    damping K: (3, B, n) positions and momenta for stages 2, 3 and 4."""
-    qs, ps = [], []
-    kq, kp = p, -K * p - g
-    for c in (0.5, 0.5, 1.0):
-        qs.append(q + c * h * kq)
-        ps.append(p + c * h * kp)
-        kq, kp = ps[-1], -K * ps[-1] - (g + (qs[-1] - q) @ H)
-    return np.array(qs), np.array(ps)
 
 
 class _ArcBuilder:
@@ -248,15 +242,15 @@ class _SkipAhead:
     Rows are the candidate states after 1, 2, ..., BLOCK full steps from
     the block start, and all rows get their values and gradients from one
     stacked oracle call. A block ends before the first row that meets the
-    stop test, enters the jump set (resetting flows) or, on switched
-    flows, would step under another damping than the block's at any of
-    its four stages; the caller takes that step on the stage path.
+    stop test, enters the jump set (resetting flows) or, when the pair's
+    ends differ, would step under another damping than the block's at
+    any of its four stages; the caller takes that step on the stage path.
     """
 
     def __init__(self, model: ObjectiveModel, params: HybridParams,
-                 t_end: float, resets: bool, switched: bool):
+                 t_end: float, resets: bool, pair: tuple):
         self.model, self.params, self.t_end = model, params, t_end
-        self.resets, self.switched = resets, switched
+        self.resets, self.pair = resets, pair
         H = model.hessian
         self.lam, self.V = np.linalg.eigh(0.5 * (H + H.T))
         self.tables = {}
@@ -298,7 +292,7 @@ class _SkipAhead:
     def block(self, q: Array, p: Array, g: Array, t: float, tau: float):
         """(t, tau, q, p, phi, g) of the accepted rows, or None when the
         next step takes the stage path."""
-        params, model, H, h = self.params, self.model, self.model.hessian, self.params.step
+        params, model, h = self.params, self.model, self.params.step
         # the loop's own sequential additions, so t reaches t_end exactly
         # where the stage path would and the short last step is left to it
         ts = np.cumsum(np.concatenate(([t], np.full(BLOCK, h))))
@@ -307,8 +301,7 @@ class _SkipAhead:
                                     & (self.t_end - starts >= h)))
         if rows == 0:
             return None
-        K = float(_damping(float(np.dot(g, p)), params)) if self.switched else params.K
-        n = q.shape[0]
+        K = float(_damping(np.vecdot(g, p), self.pair, params.event_tol))
         dQ, dP = self.steps(p, g, K, rows)
         Q, P = q + dQ, p + dP
         phi, G = model.value_grad(Q)
@@ -319,42 +312,33 @@ class _SkipAhead:
             stop |= _jumps(inner, taus, params)
         else:
             taus = np.full(rows, tau)
-        if self.switched:
-            # stage 1 of a row's step is its predecessor; stages 2-4 are
-            # placed by H and evaluated by the oracle
-            stop[1:] |= _damping(inner[:-1], params) != K
-            Qs, Ps = _stage_points(np.vstack((q, Q[:-1])), np.vstack((p, P[:-1])),
-                                   np.vstack((g, G[:-1])), h, K, H)
-            _, Gs = model.value_grad(Qs.reshape(-1, n))
-            Ks = _damping(np.vecdot(Gs, Ps.reshape(-1, n)), params).reshape(3, rows)
-            stop |= (Ks != K).any(axis=0)
+        if self.pair[0] != self.pair[1]:
+            # each row's step from its predecessor, on the stage path
+            inners = []
+            _rk4(np.vstack((q, Q[:-1])), np.vstack((p, P[:-1])), np.vstack((g, G[:-1])),
+                 h, model, _accel(self.pair, params.event_tol, inners))
+            stop |= (_damping(np.array(inners), self.pair, params.event_tol) != K).any(axis=0)
         r = int(np.argmax(stop)) if stop.any() else rows
         if r == 0:
             return None
-        return ts[1:r + 1], taus[:r], Q[:r], P[:r], phi[:r], G[:r]
+        return ts[1:r + 1], taus[:r], Q[:r], P[:r], phi[:r], _finite(G[:r])
 
 
 def _integrate(model: ObjectiveModel, params: HybridParams, z0: HybridState,
-               t_end: float, resets: bool, switched: bool) -> HybridArc:
+               t_end: float, resets: bool, pair: tuple) -> HybridArc:
     """An RK4 arc of (qdot, pdot) = (p, -K p - grad phi(q)).
 
-    K is params.K, or the damping switch re-evaluated at each RK4 stage
-    when switched. A resetting arc jumps (q, p, tau) -> (q, 0, 0) when
-    tau >= T_min and the switching function <grad phi(q), p> reaches 0
-    from below, localized by bisection on the step to within event_tol
-    in time; other arcs keep j = 0 and tau = 0. A quadratic model skips
+    K is the damping switch `_damping` on the pair (K while `aligned`, K
+    otherwise), re-evaluated at each RK4 stage. A resetting arc jumps
+    (q, p, tau) -> (q, 0, 0) when tau >= T_min and the momentum leaves
+    alignment, localized by bisection on the step to within event_tol in
+    time; other arcs keep j = 0 and tau = 0. A quadratic model skips
     ahead through its event-free full steps (`_SkipAhead`); every other
     step takes the stage path, `_rk4`.
     """
     _check_t_end(t_end)
-    if switched:
-        def accel(g, p):
-            return -_damping(float(np.dot(g, p)), params) * p - g
-    else:
-        def accel(g, p):
-            return -params.K * p - g
-
-    skip = (_SkipAhead(model, params, t_end, resets, switched)
+    accel = _accel(pair, params.event_tol)
+    skip = (_SkipAhead(model, params, t_end, resets, pair)
             if model.hessian is not None else None)
     arc = _ArcBuilder()
     q, p = z0.q.astype(float).copy(), z0.p.astype(float).copy()
@@ -382,6 +366,7 @@ def _integrate(model: ObjectiveModel, params: HybridParams, z0: HybridState,
         dt = min(params.step, t_end - t)
         q1, p1 = _rk4(q, p, g, dt, model, accel)
         phi1, g1 = model.value_grad(q1)
+        _finite(g1)
         if resets and _jumps(float(np.dot(g1, p1)), tau + dt, params):
             # earliest entry time into the jump set within (0, dt]
             lo, hi = 0.0, dt
@@ -391,7 +376,7 @@ def _integrate(model: ObjectiveModel, params: HybridParams, z0: HybridState,
                 mid = 0.5 * (lo + hi)
                 qm, pm = _rk4(q, p, g, mid, model, accel)
                 phim, gm = model.value_grad(qm)
-                if _jumps(float(np.dot(gm, pm)), tau + mid, params):
+                if _jumps(float(np.dot(_finite(gm), pm)), tau + mid, params):
                     hi, q1, p1, phi1, g1 = mid, qm, pm, phim, gm
                 else:
                     lo = mid
@@ -413,22 +398,22 @@ def integrate_hhb(model: ObjectiveModel, params: HybridParams, z0: HybridState,
                   t_end: float) -> HybridArc:
     """Simulate the hybrid system: flow under damping K, jump to (q, 0, 0).
 
-    RK4 fixed step; a jump triggers when tau >= T_min and the switching
-    function g = <grad phi(q), p> reaches 0 from below, localized by
-    bisection on the step to within event_tol in time.
+    RK4 fixed step; a jump triggers when tau >= T_min and the momentum is
+    not `aligned`, localized by bisection on the step to within event_tol
+    in time.
     """
-    return _integrate(model, params, z0, t_end, resets=True, switched=False)
+    return _integrate(model, params, z0, t_end, resets=True, pair=(params.K, params.K))
 
 
 def integrate_hihb(model: ObjectiveModel, params: HybridParams, x0: HybridState,
                    t_end: float) -> HybridArc:
-    """Simulate the switched-damping flow; the damping switch is re-evaluated
-    at each RK4 stage. No jumps: j and tau stay 0."""
-    return _integrate(model, params, x0, t_end, resets=False, switched=True)
+    """Simulate the switched-damping flow: K_lo while `aligned` (band
+    event_tol), else K_hi, at each RK4 stage. No jumps: j and tau stay 0."""
+    return _integrate(model, params, x0, t_end, resets=False, pair=(params.K_lo, params.K_hi))
 
 
 def integrate_hb(model: ObjectiveModel, params: HybridParams, x0: HybridState,
                  t_end: float) -> HybridArc:
     """Plain heavy-ball flow with damping K (no switching, no jumps); K = 0
     is the undamped flow."""
-    return _integrate(model, params, x0, t_end, resets=False, switched=False)
+    return _integrate(model, params, x0, t_end, resets=False, pair=(params.K, params.K))

@@ -244,8 +244,8 @@ class DtBranchLmi:
     P: tuple
 
 
-# e' ALIGNMENT_FORM e = -<u, q - q_prev> at e = (q_prev, q, u): the sign
-# the switch reads, >= 0 on the main branch and <= 0 on the reset one
+# e' ALIGNMENT_FORM e = -<u, q - q_prev> at e = (q_prev, q, u): minus the
+# inner product that `discrete.aligned` reads, signed per branch in _DT_LMIS
 ALIGNMENT_FORM = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.5, -0.5, 0.0]])
 _P_CORNERS = tuple(np.pad(E, (0, 1)) for E in _P_BASIS)  # E as a 3 x 3 corner
 # per branch LMI: name, indices in v of its basis matrices, sign of the form

@@ -591,10 +591,22 @@ def _map_to_doc(blk: AffineMatrixMap) -> dict:
             "basis": [[idx, mat.tolist()] for idx, mat in blk.basis]}
 
 
-def _map_from_doc(doc: dict) -> AffineMatrixMap:
+def _object(doc, where: str, keys: tuple, optional: tuple) -> dict:
+    """doc, a JSON object with each of keys and no other key but optional ones."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"problem JSON: {where} is not an object")
+    missing = [key for key in keys if key not in doc]
+    unknown = sorted(set(doc) - set(keys) - set(optional))
+    if missing or unknown:
+        what = f"lacks key {missing[0]!r}" if missing else f"has unknown key {unknown[0]!r}"
+        raise ValueError(f"problem JSON: {where} {what}")
+    return doc
+
+
+def _map_from_doc(doc, where: str) -> AffineMatrixMap:
+    doc = _object(doc, where, ("constant", "basis"), ("name",))
     return AffineMatrixMap(constant=np.array(doc["constant"], dtype=float),
-                           basis=[(int(i), np.array(m, dtype=float))
-                                  for i, m in doc["basis"]],
+                           basis=[(int(i), np.array(m, dtype=float)) for i, m in doc["basis"]],
                            name=doc.get("name", ""))
 
 
@@ -612,20 +624,21 @@ def problem_to_json(problem: FeasProblem) -> str:
 
 
 def problem_from_json(text: str) -> FeasProblem:
-    """The problem problem_to_json wrote. A key it does not write is an
-    error, but for "bounds": null, which earlier dumps hold."""
-    doc = json.loads(text)
+    """The problem problem_to_json wrote; a missing, unknown or bad key is a
+    ValueError naming it. "bounds": null, which earlier dumps hold, reads."""
+    keys = ("nvar", "margin", "nsd_blocks", "pd_blocks")
+    doc = _object(json.loads(text), "the top level", keys, ("nonneg", "normalization", "bounds"))
     if doc.pop("bounds", None) is not None:
         raise ValueError('problem JSON: "bounds" is not supported; state them as 1x1 blocks')
-    unknown = sorted(set(doc) - {"nvar", "margin", "nsd_blocks", "pd_blocks", "nonneg",
-                                 "normalization"})
-    if unknown:
-        raise ValueError(f"problem JSON: unknown key {unknown[0]!r}")
+    floors = doc.get("nonneg", {})
+    if not (isinstance(floors, dict) and all(map(str.isdecimal, floors))):
+        raise ValueError("problem JSON: nonneg must map variable indices to floors, "
+                         f"got {json.dumps(floors)}")
     norm = doc.get("normalization")
     return FeasProblem(
         nvar=int(doc["nvar"]),
-        nsd_blocks=[_map_from_doc(b) for b in doc["nsd_blocks"]],
-        pd_blocks=[_map_from_doc(b) for b in doc["pd_blocks"]],
-        nonneg={int(k): float(v) for k, v in doc.get("nonneg", {}).items()},
+        nsd_blocks=[_map_from_doc(b, f"nsd_blocks[{i}]") for i, b in enumerate(doc["nsd_blocks"])],
+        pd_blocks=[_map_from_doc(b, f"pd_blocks[{i}]") for i, b in enumerate(doc["pd_blocks"])],
+        nonneg={int(k): float(v) for k, v in floors.items()},
         normalization=None if norm is None else np.array(norm, dtype=float),
         margin=float(doc["margin"]))

@@ -137,7 +137,7 @@ def test_validation_rejects_bad_configs():
     (["simulate", "--K", "nan"], "--K must"),
     (["simulate", "--K", "inf"], "--K must"),
     (["simulate", "--mode", "hb", "--K=-1"], "--K must"),
-    (["simulate", "--mode", "hihb", "--K-lo", "0"], "--K-lo"),
+    (["simulate", "--mode", "hihb", "--K-lo=-1"], "--K-lo"),
     (["simulate", "--mode", "hihb", "--K-lo", "nan"], "--K-lo"),
     (["simulate", "--mode", "hihb", "--K-hi", "inf"], "--K-hi"),
     (["simulate", "--mode", "hihb", "--K-hi=-2"], "--K-hi"),
@@ -809,6 +809,16 @@ def test_simulate_hhb_jump_log_nonempty_undamped(tmp_path):
     jumps = json.loads((tmp_path / "jumps.json").read_text())
     assert len(jumps) >= 1
     assert jumps[0]["t"] == pytest.approx(math.pi / 2.0, abs=1e-3)
+
+
+def test_simulate_hihb_at_K_0_is_the_undamped_flow(tmp_path):
+    # an unset --K-lo or --K-hi is --K, zero included: hihb at --K 0 is
+    # hb's undamped arc, not an arc at damping 1
+    for mode in ("hb", "hihb"):
+        assert main(["simulate", "--mode", mode, "--K", "0", "--t-end", "2",
+                     "--out", str(tmp_path / mode)]) == 0
+    assert (tmp_path / "hihb" / "arc.csv").read_bytes() == \
+        (tmp_path / "hb" / "arc.csv").read_bytes()
 
 
 def test_simulate_dwell_respects_doubled_timer(tmp_path):

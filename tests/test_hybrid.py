@@ -3,13 +3,15 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import _reference as ref
-from hbreset.hybrid import (BLOCK, HybridParams, HybridState, _SkipAhead, default_dwell,
-                            energy, in_flow_set, in_jump_set, integrate_hb,
+from hbreset.discrete import switching_beta
+from hbreset.hybrid import (BLOCK, HybridParams, HybridState, _SkipAhead, _damping, _jumps,
+                            default_dwell, energy, in_flow_set, in_jump_set, integrate_hb,
                             integrate_hhb, integrate_hihb, jump_map)
 from hbreset.objectives import QuadraticSpec, gen_random_quadratic, quadratic_model
 
@@ -21,8 +23,9 @@ def scalar_model(curv=1.0):
 def test_params_validation():
     with pytest.raises(ValueError):
         HybridParams(K_lo=2.0, K_hi=1.0)
-    with pytest.raises(ValueError):
-        HybridParams(K_lo=0.0, K_hi=1.0)
+    for bad in ({"K_lo": -1e-3}, {"K": -1e-3}):
+        with pytest.raises(ValueError):
+            HybridParams(**bad)
     with pytest.raises(ValueError):
         HybridParams(T_min=0.0)
     for name in ("K", "K_lo", "K_hi", "T_min", "step", "event_tol"):
@@ -31,6 +34,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         HybridParams(K_hi=math.inf)
     HybridParams(K=0.0)  # undamped hb/hhb runs stay legal
+    HybridParams(K_lo=0.0)  # so does an undamped hihb aligned end
     for tau in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tau"):
             HybridState(q=np.zeros(1), p=np.zeros(1), tau=tau)
@@ -43,6 +47,69 @@ def test_params_validation():
         for t_end in (math.nan, math.inf, 0.0, -1.0):
             with pytest.raises(ValueError, match="t_end"):
                 integrate(scalar_model(), HybridParams(), z0, t_end)
+
+
+def test_one_switching_law_for_resets_jumps_and_damping():
+    # switching_beta's reset branch, the jump set (timer elapsed) and the
+    # damping switch all read `discrete.aligned`; the damping switch with
+    # band event_tol. Rows: inner, aligned, aligned by more than event_tol.
+    par = HybridParams(K_lo=0.5, K_hi=2.0)
+    tol = par.event_tol
+    table = [(-1.0, True, True), (-1e-300, True, False), (-0.0, False, False),
+             (0.0, False, False), (1.0, False, False), (math.nan, False, False),
+             (-math.inf, True, True), (math.inf, False, False), (-tol, True, False),
+             (np.nextafter(-tol, -math.inf), True, True), (np.nextafter(-tol, 0.0), True, False)]
+    inner = np.array([row[0] for row in table])
+    kept = np.array([row[1] for row in table])
+    low = np.where([row[2] for row in table], 0.5, 2.0)
+    for x, want_kept, want_low in zip(inner.tolist() + [inner], kept.tolist() + [kept],
+                                      low.tolist() + [low]):
+        # each entry as a float, as the stage path reads it, then the array
+        _, reset = switching_beta(x, 0.2, 0.9)
+        np.testing.assert_array_equal(reset, ~np.asarray(want_kept))
+        np.testing.assert_array_equal(_jumps(x, par.T_min, par), ~np.asarray(want_kept))
+        np.testing.assert_array_equal(_jumps(x, 0.5 * par.T_min, par), False)
+        np.testing.assert_array_equal(_damping(x, (par.K_lo, par.K_hi), tol), want_low)
+
+
+def test_hihb_with_an_equal_pair_is_hb():
+    # the pair (K, K) makes no per-stage damping check: hihb gives hb's
+    # arrays bit for bit with hb's oracle calls
+    _, base = gen_random_quadratic(10, 1e3, 3)
+    calls = []
+
+    def value_grad(q):
+        calls.append(np.shape(q))
+        return base.value_grad(q)
+
+    model = dataclasses.replace(base, value_grad=value_grad)
+    par = HybridParams(K=1.0, K_lo=1.0, K_hi=1.0, T_min=default_dwell(base.lipschitz))
+    z0 = HybridState(q=np.ones(10), p=np.zeros(10))
+    runs = []
+    for integrate in (integrate_hb, integrate_hihb):
+        calls.clear()
+        runs.append((integrate(model, par, z0, 4.0), list(calls)))
+    (hb, hb_calls), (hihb, hihb_calls) = runs
+    for name in ("t", "j", "q", "p", "tau", "energy"):
+        np.testing.assert_array_equal(getattr(hihb, name), getattr(hb, name))
+    assert hihb_calls == hb_calls
+
+
+def test_non_finite_arc_raises():
+    # curvature 1e6 at step 1e-2 is past RK4's stability limit, so the hb
+    # and hihb arcs overflow (hhb's resets land on the minimizer first); they
+    # raise rather than return NaN samples, on the skip-ahead (a model with
+    # a Hessian) and on the stage path. Warnings are ignored, as a process
+    # that does not turn them into errors ignores them.
+    z0 = HybridState(q=np.ones(1), p=np.zeros(1))
+    stiff = scalar_model(1e6)
+    for model in (stiff, dataclasses.replace(stiff, hessian=None)):
+        for par in (HybridParams(step=1e-2), HybridParams(K_lo=0.5, K_hi=2.0, step=1e-2)):
+            for integrate in (integrate_hb, integrate_hihb):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    with pytest.raises(FloatingPointError, match="non-finite gradient"):
+                        integrate(model, par, z0, 20.0)
 
 
 def test_hihb_four_oracle_calls_per_step():
@@ -135,7 +202,7 @@ def test_modal_block_matches_dense_recursion(n, K, repeated):
         _, model = gen_random_quadratic(n, 100.0, n)
     h = 1e-2
     p, g = rng.standard_normal(n), rng.standard_normal(n)
-    skip = _SkipAhead(model, HybridParams(K=K, step=h), 1.0, resets=False, switched=False)
+    skip = _SkipAhead(model, HybridParams(K=K, step=h), 1.0, resets=False, pair=(K, K))
     dQ, dP = skip.steps(p, g, K, BLOCK)
     T, M = ref.propagator(model.hessian, K, h)
     w = M @ np.concatenate((p, -K * p - g))

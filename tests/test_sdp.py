@@ -302,6 +302,20 @@ def test_problem_json_round_trip():
                      ({**parsed, "bounds": []}, "bounds")):
         with pytest.raises(ValueError, match=key):
             problem_from_json(json.dumps(doc))
+    # malformed documents name the key or the block that is wrong
+    block = parsed["nsd_blocks"][0]
+    renamed = {("nmae" if key == "name" else key): value for key, value in block.items()}
+    for doc, what in (([1], "top level is not an object"), ({}, "lacks key 'nvar'"),
+                      ({**parsed, "nsd_blocks": [renamed]},
+                       r"nsd_blocks\[0\] has unknown key 'nmae'"),
+                      ({**parsed, "nonneg": {"a": 0.0}}, "nonneg .*\"a\""),
+                      ({**parsed, "nonneg": [0]}, "nonneg")):
+        with pytest.raises(ValueError, match=what):
+            problem_from_json(json.dumps(doc))
+    for key in ("constant", "basis"):
+        doc = {**parsed, "pd_blocks": [block, {k: v for k, v in block.items() if k != key}]}
+        with pytest.raises(ValueError, match=rf"pd_blocks\[1\] lacks key '{key}'"):
+            problem_from_json(json.dumps(doc))
 
 
 def test_feasible_result_verified_at_half_margin():
