@@ -10,7 +10,7 @@ certificates built on it), `cli` (benchmark front end).
 The names below are the entry points of each layer. Building blocks such
 as `lmi.DtLmiData` (a discrete-time rate row, compiled once and moved
 between rates), `lmi.build_sector`, `lmi.bisect_rates`,
-`sdp.solve_many`, `discrete.switching_beta`, `discrete.run_many` or
+`sdp.solve_stream`, `discrete.switching_beta`, `discrete.run_many` or
 `objectives.quad_to_json` are imported from their own module.
 """
 

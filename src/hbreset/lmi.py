@@ -20,7 +20,8 @@ and solves every probe of a `bisect_rates` call in one
 `sdp.solve_stream` stack of rows lifted without a `FeasProblem`, where
 each row probes up to LOOKAHEAD rates ahead on the path where its
 pending probes fail, and a certified probe cancels the probes after it;
-every row gets the result it gets bisected alone.
+every row gets the result it gets bisected alone. `bisect_rate` drives
+one row through a builder, a rate at a time.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
+from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -36,7 +38,7 @@ import numpy as np
 from .objectives import ObjectiveModel
 from .sdp import (AffineMatrixMap, FeasProblem, FeasResult, FEASIBLE, INFEASIBLE,
                   INDETERMINATE, check_symmetric_stack, lift, solve_feasibility,
-                  solve_many, solve_stream)
+                  solve_stream)
 
 Array = np.ndarray
 
@@ -66,8 +68,8 @@ def build_sector(mu: float, L: float, n: int = 1) -> Array:
     """The 2n x 2n quadratic form that is nonnegative on pairs
     (v - w, grad(v) - grad(w)) for any mu-strongly-convex, L-smooth
     function."""
-    if not (0.0 < mu <= L):
-        raise ValueError("need 0 < mu <= L")
+    if not 0.0 < mu <= L < np.inf:
+        raise ValueError("need 0 < mu <= L < inf")
     eye = np.eye(n)
     top = np.hstack([-(mu * L / (mu + L)) * eye, 0.5 * eye])
     bot = np.hstack([0.5 * eye, -(1.0 / (mu + L)) * eye])
@@ -121,8 +123,8 @@ def build_ct(K: float, n: int, mu: float, L: float,
     """Flow matrices for damping K. The jump resets momentum (A_R keeps
     position only). b_coupled swaps in the experimental input matrix
     [-I; -I]; the default [0; -I] is the plain dynamics."""
-    if K <= 0:
-        raise ValueError("K must be positive")
+    if not 0.0 < K < np.inf:
+        raise ValueError("K must be positive and finite")
     if n != 1:
         raise ValueError("certificate work is done at n=1; lift P blockwise")
     A = np.array([[0.0, 1.0], [0.0, -K]])
@@ -135,6 +137,9 @@ def build_ct(K: float, n: int, mu: float, L: float,
 
 def ct_problem(data: CtLmiData, alpha: float, eps_infl: float) -> FeasProblem:
     """The feasibility problem behind ct_feasible, for export or inspection."""
+    for name, value in (("alpha", alpha), ("eps_infl", eps_infl)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite")
     # v = [p11, p12, p22, sigma_phi, sigma_1, sigma_2]
     flow_basis = [(i, data.M_F(E, alpha)) for i, E in enumerate(_P_BASIS)]
     flow_basis += [(3, data.M_phi), (4, data.M_eps(eps_infl))]
@@ -153,17 +158,14 @@ def ct_problem(data: CtLmiData, alpha: float, eps_infl: float) -> FeasProblem:
 
 
 def ct_feasible(data: CtLmiData, alpha: float, eps_infl: float,
-                max_oracle_calls: int = 200, v_init: Optional[Array] = None,
-                detail: bool = False):
+                max_oracle_calls: int = 200, detail: bool = False):
     """Certificate at decay exponent alpha, or None. The reported rate is
     alpha / cond(P), the exponent of the norm-ball guarantee.
 
     With detail=True returns (status, certificate-or-None), separating
     "infeasible" from "indeterminate" (budget ran out)."""
-    if alpha <= 0 or eps_infl <= 0:
-        raise ValueError("alpha and eps_infl must be positive")
     res = solve_feasibility(ct_problem(data, alpha, eps_infl),
-                            max_oracle_calls=max_oracle_calls, v_init=v_init)
+                            max_oracle_calls=max_oracle_calls)
     cert = None
     if res.status == FEASIBLE:
         v = res.v
@@ -201,8 +203,8 @@ class DtBranch:
 
 
 def build_dt(h: float, beta: float, disc: str) -> DtBranch:
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError("h must be positive and finite")
     if not (0.0 <= beta <= 1.0):
         raise ValueError("beta must lie in [0, 1]")
     if disc not in (POL, NES):
@@ -273,6 +275,7 @@ class DtLmiData:
 def build_theorem2(sys: DtSystemMatrices, mu: float, L: float, rho: float) -> DtLmiData:
     """Compile the switched-rate certificate of one row, once: everything
     in its two LMIs but the rate, which _at_rates applies."""
+    sector = build_sector(mu, L)
     w_upper = np.array([[L / 2.0, 0.5], [0.5, 0.0]])
     w_lower = np.array([[-mu / 2.0, 0.5], [0.5, 0.0]])
     branches = []
@@ -289,7 +292,7 @@ def build_theorem2(sys: DtSystemMatrices, mu: float, L: float, rho: float) -> Dt
                                 np.hstack([tr.T, br.B.T @ E @ br.B])]))
         branches.append(DtBranchLmi(M1=n1 + sigma2.T @ w_lower @ sigma2,
                                     M2=n1 + c0.T @ w_lower @ c0,
-                                    M3=c0.T @ build_sector(mu, L) @ c0, P=tuple(P)))
+                                    M3=c0.T @ sector @ c0, P=tuple(P)))
     return DtLmiData(sys, mu, L, rho, *branches)
 
 
@@ -415,14 +418,6 @@ class Certificate:
             "tuning": self.tuning,
         }, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Certificate":
-        doc = json.loads(text)
-        return cls(rate=float(doc["rate"]), rate_kind=doc["rate_kind"],
-                   P=np.array(doc["P"], dtype=float),
-                   multipliers=dict(doc["multipliers"]), margin=float(doc["margin"]),
-                   tuning=dict(doc["tuning"]))
-
 
 @dataclass
 class CertRequest:
@@ -443,11 +438,10 @@ SCAN_POINTS = 32
 LOOKAHEAD = 4
 STACK_ROWS = 72
 
-# A probe for bisect_rates: given rows and one rate for each, it returns
-# a certificate or None for each of them. A probe may also offer
-# `stream(rule, rows)`: it runs the bisection `rule` on every row and
-# returns each row's path, its probes as (rate, certificate) pairs.
-RatesProbe = Callable[[list, list], list]
+# A stream for bisect_rates: `stream(rule, rows)` runs the bisection
+# `rule` on each of its first `rows` rows and returns each row's path,
+# its probes as (rate, certificate-or-None) pairs.
+RatesStream = Callable[[Callable, int], list]
 
 
 def _bisection(lo: float, hi: float, iters: int, scan: bool, flip: bool,
@@ -475,40 +469,26 @@ def _bisection(lo: float, hi: float, iters: int, scan: bool, flip: bool,
     return (0.5 * (bad + good), None) if len(tail) - 2 < iters else (None, k)
 
 
-def _rounds(probe: RatesProbe, rule: Callable, rows: int) -> list:
-    """stream for a plain probe, with a window of one: each call probes
-    the next rate of every row still searching, so a probe sees only the
-    rates of its rows' paths, in order."""
-    paths: list = [[] for _ in range(rows)]
-    while live := [(i, rate) for i, path in enumerate(paths)
-                   if (rate := rule([c is not None for _, c in path])[0]) is not None]:
-        for (i, rate), cert in zip(live, probe(*map(list, zip(*live)))):
-            paths[i].append((rate, cert))
-    return paths
-
-
-def bisect_rates(probe: RatesProbe, rows: int, lo: float, hi: float,
+def bisect_rates(stream: RatesStream, rows: int, lo: float, hi: float,
                  iters: int = 40, scan: bool = True, sense: str = "min") -> list:
-    """bisect_rate on `rows` independent rows, each probed by `probe`.
+    """bisect_rate on `rows` independent rows, each run by `stream`.
 
     Every row's path is the one it has bisected alone: with `scan`,
     SCAN_POINTS rates, then the easy end, then the hard end (which is
-    the result when certified), then `iters` midpoints. A plain probe is
-    called once per round with the next rate of every row still
-    bisecting; a probe's `stream` may probe ahead (see dt_rates_probe),
-    as long as each row's certificates follow its path. Returns one
-    entry per row: (rate, certificate), or None when the easy end of
-    [lo, hi] is not certified.
+    the result when certified), then `iters` midpoints. A stream may
+    probe ahead (see dt_rates_probe), as long as each row's certificates
+    follow its path. Returns one entry per row: (rate, certificate), or
+    None when the easy end of [lo, hi] is not certified.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
-    if iters < 0:
-        raise ValueError("need iters >= 0")
+    if not isinstance(iters, Integral) or iters < 0:
+        raise ValueError(f"iters must be an integer >= 0, not {iters!r}")
     rule = partial(_bisection, lo, hi, iters, scan, sense == "max")
     found = []
-    for path in (getattr(probe, "stream", None) or partial(_rounds, probe))(rule, rows):
+    for path in stream(rule, rows):
         won = [cert is not None for _, cert in path]
         flags = won[:SCAN_POINTS if scan else 0][::-1 if sense == "max" else 1]
         if True in flags and not all(flags[flags.index(True):]):
@@ -519,10 +499,10 @@ def bisect_rates(probe: RatesProbe, rows: int, lo: float, hi: float,
     return found
 
 
-def _bisect_one(probe: RatesProbe, lo: float, hi: float, iters: int, scan: bool,
+def _bisect_one(stream: RatesStream, lo: float, hi: float, iters: int, scan: bool,
                 sense: str):
     """bisect_rates on one row; raises NoCertificate for None."""
-    (found,) = bisect_rates(probe, 1, lo, hi, iters=iters, scan=scan, sense=sense)
+    (found,) = bisect_rates(stream, 1, lo, hi, iters=iters, scan=scan, sense=sense)
     if found is None:
         side, easy = (">=", lo) if sense == "max" else ("<=", hi)
         raise NoCertificate(f"no certificate with rate {side} {easy:g}")
@@ -550,26 +530,31 @@ def bisect_rate(builder: Callable[[float], Optional["Certificate"]], lo: float,
     rate instead (used for decay exponents, where faster decay is harder).
     Raises NoCertificate when the easy end of [lo, hi] is not certified.
     """
-    return _bisect_one(lambda _, rates: [builder(r) for r in rates], lo, hi, iters,
-                       scan, sense)
+    def stream(rule: Callable, rows: int) -> list:
+        path: list = []
+        while (rate := rule([c is not None for _, c in path])[0]) is not None:
+            path.append((rate, builder(rate)))
+        return [path]
+
+    return _bisect_one(stream, lo, hi, iters, scan, sense)
 
 
 def dt_rates_probe(requests: Sequence[CertRequest],
-                   max_oracle_calls: int = 200) -> RatesProbe:
-    """Probe for bisect_rates over discrete-time rows: each row is
+                   max_oracle_calls: int = 200) -> RatesStream:
+    """Stream for bisect_rates over discrete-time rows: each row is
     compiled once and moved to each rate it is probed at, and warm-starts
-    from the last certificate of its path. A call solves its problems as
-    one stack. `stream` solves a whole bisect_rates call in one
-    `solve_stream` stack, in which each row keeps up to LOOKAHEAD probes
-    of its path (fewer on wide grids, see STACK_ROWS): the next rates if
-    every pending probe fails. Only failure can be assumed, since a
-    failed probe leaves the warm start as it is, so each probe ahead has
-    the rate and warm start of the path it lies on. A certified probe
-    drops every later probe of its row at once, even while earlier ones
-    are pending, and the row refills from there. Certificates are made,
-    and warm starts move, only along the decided path and in its order,
-    so every row gets the result it gets bisected alone. The probe's
-    `rows` attribute holds the compiled rows, one per request, at rho = 1."""
+    from the last certificate of its path, also across calls. A call
+    solves a whole bisect_rates call in one `solve_stream` stack, in
+    which each row keeps up to LOOKAHEAD probes of its path (fewer on
+    wide grids, see STACK_ROWS): the next rates if every pending probe
+    fails. Only failure can be assumed, since a failed probe leaves the
+    warm start as it is, so each probe ahead has the rate and warm start
+    of the path it lies on. A certified probe drops every later probe of
+    its row at once, even while earlier ones are pending, and the row
+    refills from there. Certificates are made, and warm starts move, only
+    along the decided path and in its order, so every row gets the result
+    it gets bisected alone. The stream's `rows` attribute holds the
+    compiled rows, one per request, at rho = 1."""
     compiled = [build_theorem2(dt_system(r.h, r.beta_hi, r.beta_lo, r.disc),
                                r.mu, r.lipschitz, 1.0) for r in requests]
     base = _rate_free(compiled)
@@ -594,10 +579,6 @@ def dt_rates_probe(requests: Sequence[CertRequest],
         if cert is not None:
             last[i] = cert.raw_v
         return cert
-
-    def probe(rows: list, rates: list) -> list:
-        solved = solve_many(lifted(rows, rates), max_oracle_calls, [last[i] for i in rows])
-        return [certified(i, r, res) for i, r, res in zip(rows, rates, solved)]
 
     def stream(rule: Callable, rows: int) -> list:
         paths: list = [[] for _ in range(rows)]
@@ -644,39 +625,15 @@ def dt_rates_probe(requests: Sequence[CertRequest],
         solve_stream(feed, max_oracle_calls)
         return paths
 
-    probe.rows = compiled
-    probe.stream = stream
-    return probe
-
-
-def dt_rate_builder(request: CertRequest, max_oracle_calls: int = 200
-                    ) -> Callable[[float], Optional[Certificate]]:
-    """Probe closure for bisect_rate: dt_rates_probe on one row."""
-    probe = dt_rates_probe([request], max_oracle_calls)
-    return lambda rho: probe([0], [rho])[0]
+    stream.rows = compiled
+    return stream
 
 
 def certify_discrete(request: CertRequest, lo: float = 0.05, hi: float = 1.0,
                      iters: int = 40, scan: bool = True,
                      max_oracle_calls: int = 200):
     """Bisected contraction factor and certificate for a tuning request,
-    through dt_rates_probe's stream (dt_rate_builder is the sequential
-    reference)."""
+    through dt_rates_probe's stream."""
     return _bisect_one(dt_rates_probe([request], max_oracle_calls), lo, hi, iters, scan,
                        "min")
 
-
-def ct_alpha_builder(K: float, mu: float, L: float, eps_infl: float,
-                     b_coupled: bool = False, max_oracle_calls: int = 200
-                     ) -> Callable[[float], Optional[Certificate]]:
-    data = build_ct(K, 1, mu, L, b_coupled=b_coupled)
-    state = {"v": None}
-
-    def probe(alpha: float) -> Optional[Certificate]:
-        cert = ct_feasible(data, alpha, eps_infl,
-                           max_oracle_calls=max_oracle_calls, v_init=state["v"])
-        if cert is not None:
-            state["v"] = cert.raw_v
-        return cert
-
-    return probe

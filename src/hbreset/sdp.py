@@ -23,8 +23,7 @@ whatever the number of problems; problems join the stack between passes
 and leave it at their verdict or when dropped, and each counts its own
 oracle calls. Every operation acts on each row as on that problem alone,
 so a result does not depend on the stack or on when the problem joined.
-`solve_many` feeds a stream its problems once per block shape, and
-`solve_feasibility` is a stack of one. `symmetric_eig` and
+`solve_feasibility` is a stream of one problem. `symmetric_eig` and
 `FeasProblem.worst_block` are not called by the engine: they are the
 hooks that the benchmark's tracer patches.
 """
@@ -33,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -538,34 +537,6 @@ def solve_stream(feed: Callable[[list], tuple], max_oracle_calls: int = 200) -> 
             rows.keep(~finished)
 
 
-def solve_many(problems: Sequence, max_oracle_calls: int = 200,
-               v_inits: Optional[Sequence[Optional[Array]]] = None) -> list:
-    """solve_feasibility on each problem, a FeasProblem or one already
-    `Lifted`, in one stacked phase I per block shape, each fed to
-    `solve_stream` at once; results come back in input order, each the
-    one that problem gets when solved alone."""
-    problems = list(problems)
-    v_inits = [None] * len(problems) if v_inits is None else list(v_inits)
-    if len(v_inits) != len(problems):
-        raise ValueError("need one v_init per problem")
-    results: list = [None] * len(problems)
-    shapes: dict = {}
-    for i, (problem, v_init) in enumerate(zip(problems, v_inits)):
-        lifted = problem if isinstance(problem, Lifted) else lift(problem)
-        key = (lifted.basis.shape[1], tuple(sorted(c.shape[0] for c, _ in lifted.parts)))
-        shapes.setdefault(key, []).append((i, lifted, v_init))
-    for members in shapes.values():
-        batch = iter([members])
-
-        def feed(decided: list) -> list:
-            for i, res in decided:
-                results[i] = res
-            return next(batch, []), []
-
-        solve_stream(feed, max_oracle_calls)
-    return results
-
-
 def solve_feasibility(problem: FeasProblem, max_oracle_calls: int = 200,
                       v_init: Optional[Array] = None) -> FeasResult:
     """Search for v meeting every block constraint by the problem margin.
@@ -581,9 +552,17 @@ def solve_feasibility(problem: FeasProblem, max_oracle_calls: int = 200,
     margin; the bound is in the message. With no free variable the one
     point decides, and its worst eigenvalue is the stated bound. An
     exhausted budget or a numerically stalled step yields INDETERMINATE,
-    never a guess. This is `solve_many` on a stack of one.
+    never a guess. This is `solve_stream` fed this one problem.
     """
-    return solve_many([problem], max_oracle_calls, [v_init])[0]
+    joining = iter([[(None, lift(problem), v_init)]])
+    found: list = []
+
+    def feed(decided: list) -> tuple:
+        found.extend(res for _, res in decided)
+        return next(joining, []), []
+
+    solve_stream(feed, max_oracle_calls)
+    return found[0]
 
 
 def _map_to_doc(blk: AffineMatrixMap) -> dict:

@@ -10,15 +10,21 @@ law, beta schedule and records, never `run_many`.
 
 `propagator` is the dense form of one RK4 step of a linear flow, which
 the hybrid skip-ahead takes mode by mode in the Hessian's eigenbasis.
+
+`dt_rate_builder` probes one discrete-time rate row a rate at a time,
+each probe a lone `solve_feasibility` of the row's `dt_problem`: the
+sequential reference of `lmi.dt_rates_probe`'s stream. `stacked` feeds
+problems of one block shape to `sdp.solve_stream` as one stack.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from hbreset import lmi, sdp
 from hbreset.discrete import (DIVERGENCE_FACTOR, STATUS_CONVERGED, STATUS_DIVERGED,
                               STATUS_MAX_ITER, AlgoParams, Trajectory, Variant,
                               nesterov_beta_schedule, switching_beta)
@@ -148,3 +154,42 @@ def propagator(H: Array, K: float, h: float) -> tuple[Array, Array]:
     S = eye + X @ S / 2.0
     M = h * S
     return eye + A @ M, M
+
+
+def dt_rate_builder(request: lmi.CertRequest, max_oracle_calls: int = 200):
+    """A builder for `lmi.bisect_rate` over one discrete-time row: at each
+    rho it solves the row's `dt_problem` alone, warm-started from the last
+    certificate it made. It calls `sdp.solve_feasibility` and
+    `lmi._dt_certificate` by name, so a test can record or memoize them."""
+    row = lmi.build_theorem2(lmi.dt_system(request.h, request.beta_hi, request.beta_lo,
+                                           request.disc), request.mu, request.lipschitz, 1.0)
+    last = None
+
+    def probe(rho: float) -> Optional[lmi.Certificate]:
+        nonlocal last
+        data = replace(row, rho=rho)
+        res = sdp.solve_feasibility(lmi.dt_problem(data), max_oracle_calls, v_init=last)
+        cert = lmi._dt_certificate(data, rho, res)
+        if cert is not None:
+            last = cert.raw_v
+        return cert
+
+    return probe
+
+
+def stacked(problems: list, max_oracle_calls: int = 200,
+            v_inits: Optional[list] = None) -> list:
+    """The results of problems of one block shape, each a FeasProblem or
+    already `sdp.Lifted`, solved as one `sdp.solve_stream` stack that
+    they all join at once; in input order."""
+    lifts = [p if isinstance(p, sdp.Lifted) else sdp.lift(p) for p in problems]
+    joining = iter([list(zip(range(len(lifts)), lifts, v_inits or [None] * len(lifts)))])
+    results: list = [None] * len(lifts)
+
+    def feed(decided: list) -> tuple:
+        for i, res in decided:
+            results[i] = res
+        return next(joining, []), []
+
+    sdp.solve_stream(feed, max_oracle_calls)
+    return results

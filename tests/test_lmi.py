@@ -1,6 +1,7 @@
 """Certificate construction: matrix stacks, feasibility calls, bisection."""
 
 import dataclasses
+import json
 import warnings
 from unittest import mock
 
@@ -16,9 +17,8 @@ from hbreset.cli import certify_tuning, main as cli_main
 from hbreset.discrete import AlgoParams, Variant, run
 from hbreset.lmi import (ALIGNMENT_FORM, NES, POL, Certificate, CertRequest,
                          NoCertificate, bisect_rate, bisect_rates, build_ct, build_dt,
-                         build_sector, build_theorem2, certify_discrete,
-                         ct_alpha_builder, ct_feasible, ct_problem, dt_feasible,
-                         dt_problem, dt_rate_builder, dt_rates_probe, dt_system)
+                         build_sector, build_theorem2, certify_discrete, ct_feasible,
+                         ct_problem, dt_feasible, dt_problem, dt_rates_probe, dt_system)
 from hbreset.objectives import QuadraticSpec, gen_random_quadratic, quadratic_model
 from hbreset import sdp
 from hbreset.sdp import FEASIBLE, INDETERMINATE, INFEASIBLE, problem_to_json
@@ -184,9 +184,9 @@ def test_ct_coupled_input_feasible_band():
 
 
 def test_ct_coupled_max_exponent():
-    builder = ct_alpha_builder(1.0, 1.0, 2.0, 1e-6, b_coupled=True)
-    alpha, cert = bisect_rate(builder, 0.7, 1.1, iters=12, scan=False,
-                              sense="max")
+    data = build_ct(1.0, 1, 1.0, 2.0, b_coupled=True)
+    alpha, cert = bisect_rate(lambda a: ct_feasible(data, a, 1e-6), 0.7, 1.1, iters=12,
+                              scan=False, sense="max")
     assert abs(alpha - 0.8938) <= 5e-4
     assert cert.tuning["b_coupled"] is True
     assert 0.0 < cert.rate <= alpha
@@ -216,6 +216,30 @@ def test_two_step_branch_validation():
         build_dt(0.1, 1.5, POL)
     with pytest.raises(ValueError):
         build_dt(0.1, 0.5, "euler")
+
+
+def _dt_stream_row(h=0.1, L=10.0):
+    return bisect_rates(dt_rates_probe([CertRequest(1.0, L, h, 0.5, 0.0, NES)]), 1, 0.05,
+                        1.0, iters=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name, make", [
+    ("h", lambda x: build_dt(x, 0.5, POL)),
+    ("h", lambda x: _dt_stream_row(h=x)),
+    ("K", lambda x: build_ct(x, 1, 1.0, 2.0)),
+    ("L", lambda x: build_sector(1.0, x)),
+    ("L", lambda x: _dt_stream_row(L=x)),
+    ("alpha", lambda x: ct_feasible(build_ct(1.0, 1, 1.0, 2.0, b_coupled=True), x, 1e-6)),
+    ("eps_infl", lambda x: ct_feasible(build_ct(1.0, 1, 1.0, 2.0, b_coupled=True), 0.3, x)),
+])
+def test_non_finite_lmi_inputs_are_refused_by_name(name, make, bad):
+    # a NaN or infinite parameter is refused where it enters, under its
+    # own name, before a matrix is built from it or a warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"(^|\W){name}\W"):
+            make(bad)
 
 
 def test_matrix_recursion_matches_step_functions():
@@ -400,6 +424,12 @@ def _lifted_bytes(lifted):
              for c, idx, m in lifted.blocks])
 
 
+def _probe_at(stream, rows, rho):
+    # each of the stream's first `rows` rows probed once, at rho: its
+    # certificate or None
+    return [cert for ((_, cert),) in stream(lambda won: (None if won else rho, None), rows)]
+
+
 def _result_bits(res):
     return (res.status, res.oracle_calls, None if res.v is None else res.v.tobytes(),
             repr(res.worst_eig), res.message)
@@ -443,7 +473,7 @@ def test_compiled_probes_replay_as_solves_of_their_dt_problems(monkeypatch, tmp_
     assert len(recorded) >= 66 + 32 * 6
     assert {budget for *_, budget, _, _ in recorded} == {200}
     problems = [dt_problem(dataclasses.replace(data, rho=rho)) for data, rho, *_ in recorded]
-    again = sdp.solve_many(problems, 200, [v_init for *_, v_init, _ in recorded])
+    again = ref.stacked(problems, 200, [v_init for *_, v_init, _ in recorded])
     for problem, (*_, lifted, _, _, res), res_again in zip(problems, recorded, again):
         assert _lifted_bytes(lifted) == _lifted_bytes(sdp.lift(problem))
         assert _result_bits(res) == _result_bits(res_again)
@@ -475,7 +505,7 @@ def test_a_compiled_row_is_validated_as_its_dt_problem_is(monkeypatch):
             dt_problem(tampered(sys_mats, 1.0, 10.0, 0.9))
         monkeypatch.setattr(hbreset.lmi, "build_theorem2", tampered)
         with pytest.raises(ValueError) as got:
-            dt_rates_probe([request])([0], [0.9])
+            _probe_at(dt_rates_probe([request]), 1, 0.9)
         monkeypatch.undo()
         assert str(got.value) == str(want.value)
         assert ("non-finite" if np.isinf(bad) or np.isnan(bad) else "not symmetric") in str(got.value)
@@ -486,15 +516,19 @@ def test_a_compiled_row_is_validated_as_its_dt_problem_is(monkeypatch):
        st.floats(0.0, 1.0), st.sampled_from((POL, NES)), st.floats(0.05, 1.0))
 def test_every_probe_matrix_passes_the_symmetry_check(mu, cond, h, beta_hi, lo, disc, rho):
     seen = []
-    real = hbreset.lmi.solve_many
+    real = hbreset.lmi.solve_stream
 
-    def recording(lifts, *args):
-        seen.extend(lifts)
-        return real(lifts, *args)
+    def recording(feed, max_oracle_calls):
+        def fed(decided):
+            joining, dropping = feed(decided)
+            seen.extend(lifted for _, lifted, _ in joining)
+            return joining, dropping
+
+        real(fed, max_oracle_calls)
 
     request = CertRequest(mu, mu * cond, h / (mu * cond), beta_hi, lo * beta_hi, disc)
-    with mock.patch.object(hbreset.lmi, "solve_many", recording):
-        dt_rates_probe([request], max_oracle_calls=1)([0], [rho])
+    with mock.patch.object(hbreset.lmi, "solve_stream", recording):
+        _probe_at(dt_rates_probe([request], max_oracle_calls=1), 1, rho)
     (lifted,) = seen
     for const, _, mats in lifted.blocks:
         for mat in (const, *mats):
@@ -707,13 +741,49 @@ def test_bisect_validation():
     with pytest.raises(ValueError, match="iters"):
         bisect_rate(lambda r: token if r >= 0.6 else None, 0.05, 1.0, iters=-1)
     with pytest.raises(ValueError, match="iters"):
-        bisect_rates(lambda rows, rates: [token] * len(rows), 3, 0.05, 1.0, iters=-1)
+        bisect_rates(lambda rule, rows: [[]] * rows, 3, 0.05, 1.0, iters=-1)
+
+
+@pytest.mark.parametrize("iters", [3.5, float("inf"), float("nan")])
+def test_bisection_refuses_iters_that_are_not_counts(iters):
+    # a fractional depth would bisect to the next whole one, nan to none
+    # and inf forever: each is refused before any probe, while a numpy
+    # integer is a count
+    calls = []
+
+    def builder(r):
+        calls.append(r)
+        return None
+
+    with pytest.raises(ValueError, match="iters must be an integer"):
+        bisect_rate(builder, 0.1, 1.0, iters=iters, scan=False)
+    with pytest.raises(ValueError, match="iters must be an integer"):
+        bisect_rates(lambda rule, rows: calls.append(rule), 2, 0.1, 1.0, iters=iters)
+    assert calls == []
+    token = Certificate(rate=0.0, rate_kind="rho", P=np.eye(2), multipliers={},
+                        margin=-1.0, tuning={})
+    rate, _ = bisect_rate(lambda r: token if r >= 0.6 else None, 0.05, 1.0,
+                          iters=np.int64(3), scan=False)
+    assert rate == bisect_rate(lambda r: token if r >= 0.6 else None, 0.05, 1.0, iters=3,
+                               scan=False)[0]
+
+
+def _builders_stream(builders):
+    # a stream whose row i calls builders[i] at each rate of its path
+    def stream(rule, rows):
+        paths = [[] for _ in range(rows)]
+        for builder, path in zip(builders, paths):
+            while (rate := rule([c is not None for _, c in path])[0]) is not None:
+                path.append((rate, builder(rate)))
+        return paths
+
+    return stream
 
 
 def test_bisect_rates_gives_each_row_its_single_row_result():
-    # rows with different feasible sets, bisected in lockstep: each row
-    # sees the rates it sees alone, in the same order, and gets the same
-    # result; a row without a certificate at the easy end gets None
+    # rows with different feasible sets, bisected through one stream: each
+    # row sees the rates it sees alone, in the same order, and gets the
+    # same result; a row without a certificate at the easy end gets None
     token = Certificate(rate=0.0, rate_kind="rho", P=np.eye(2), multipliers={},
                         margin=-1.0, tuning={})
     tests = [lambda r: r >= 0.6, lambda r: r >= 0.05, lambda r: False,
@@ -722,13 +792,14 @@ def test_bisect_rates_gives_each_row_its_single_row_result():
         for scan in (False, True):
             calls = []
 
-            def probe(rows, rates):
-                calls.append(list(zip(rows, rates)))
-                return [token if tests[i](r) else None for i, r in zip(rows, rates)]
+            def probe(i, r):
+                calls.append((i, r))
+                return token if tests[i](r) else None
 
+            stream = _builders_stream([lambda r, i=i: probe(i, r) for i in range(len(tests))])
             with warnings.catch_warnings(record=True):
                 warnings.simplefilter("always")
-                found = bisect_rates(probe, len(tests), 0.05, 1.0, iters=9, scan=scan,
+                found = bisect_rates(stream, len(tests), 0.05, 1.0, iters=9, scan=scan,
                                      sense=sense)
             for i, test in enumerate(tests):
                 alone = []
@@ -745,47 +816,43 @@ def test_bisect_rates_gives_each_row_its_single_row_result():
                 except NoCertificate:
                     want = None
                 assert found[i] == want
-                assert [r for call in calls for j, r in call if j == i] == alone
-            # one probe call per round, with the next rate of each row still
-            # bisecting: the round after the easy end probes the hard ends
-            # alone, and no call probes a row twice
-            hard = 0.05 if sense == "min" else 1.0
-            joint = (32 if scan else 0) + 1
-            assert {r for _, r in calls[joint]} == {hard}
-            assert all(len({j for j, _ in call}) == len(call) for call in calls)
-            assert len(calls) == joint + 1 + 9
+                assert [r for j, r in calls if j == i] == alone
     with pytest.warns(RuntimeWarning, match="not monotone"):
-        bisect_rates(lambda rows, rates: [token if tests[3](r) else None for r in rates],
+        bisect_rates(_builders_stream([lambda r: token if tests[3](r) else None]),
                      1, 0.05, 1.0, iters=3, scan=True)
 
 
 def test_dt_rows_in_lockstep_match_each_row_bisected_alone():
-    # one stacked solve gives every row the rate and the
-    # certificate bytes that it gets from its own dt_rate_builder
+    # one stacked solve gives every row the rate and the certificate
+    # bytes that it gets from its own sequential reference builder; a
+    # second bisection on the same stream warm-starts each row from its
+    # first one's last certificate, as a second bisection on the same
+    # builder does, and keeps matching it
     requests = [CertRequest(1.0, L, 1.0 / (2.0 * L), beta, blo, disc)
                 for L in (1.0, 10.0)
                 for beta in [1.0 - 0.1 * np.sqrt(1.0 / (2.0 * L))]
                 for blo, disc in ((beta, NES), (0.0, NES), (beta, POL), (0.0, POL))]
-    found = bisect_rates(dt_rates_probe(requests, 150), len(requests), 0.05, 1.0,
-                         iters=5, scan=False)
-    for req, got in zip(requests, found):
-        builder = dt_rate_builder(req, max_oracle_calls=150)
-        try:
-            rate, cert = bisect_rate(builder, 0.05, 1.0, iters=5, scan=False)
-        except NoCertificate:
-            assert got is None
-            continue
-        assert got[0] == rate
-        assert got[1].to_json() == cert.to_json()
-        assert got[1].raw_v.tobytes() == cert.raw_v.tobytes()
-    assert sum(f is None for f in found) >= 1 and sum(f is not None for f in found) >= 4
+    stream = dt_rates_probe(requests, 150)
+    builders = [ref.dt_rate_builder(req, max_oracle_calls=150) for req in requests]
+    for _ in range(2):
+        found = bisect_rates(stream, len(requests), 0.05, 1.0, iters=5, scan=False)
+        for builder, got in zip(builders, found):
+            try:
+                rate, cert = bisect_rate(builder, 0.05, 1.0, iters=5, scan=False)
+            except NoCertificate:
+                assert got is None
+                continue
+            assert got[0] == rate
+            assert got[1].to_json() == cert.to_json()
+            assert got[1].raw_v.tobytes() == cert.raw_v.tobytes()
+        assert sum(f is None for f in found) >= 1 and sum(f is not None for f in found) >= 4
 
 
 def test_rows_that_certify_at_the_hard_end_match_each_row_bisected_alone():
     # at the optimal tuning every L = 1 row certifies at the hard end,
     # probed with the midpoints after it, while L = 10 rows keep bisecting or
     # fail at the easy end: each row gets the rate and certificate bytes of
-    # its own dt_rate_builder
+    # its own sequential reference builder
     requests = [CertRequest(1.0, L, h, bhi, blo, disc)
                 for L, methods in ((1.0, ("nesterov", "hhb-nes", "hihb-pol")),
                                    (10.0, ("nesterov", "hhb-nes", "polyak")))
@@ -795,7 +862,8 @@ def test_rows_that_certify_at_the_hard_end_match_each_row_bisected_alone():
                          scan=False)
     for req, got in zip(requests, found):
         try:
-            rate, cert = bisect_rate(dt_rate_builder(req), 0.05, 1.0, iters=3, scan=False)
+            rate, cert = bisect_rate(ref.dt_rate_builder(req), 0.05, 1.0, iters=3,
+                                     scan=False)
         except NoCertificate:
             assert got is None
             continue
@@ -819,7 +887,7 @@ def _seeded_rows(seed: int) -> list:
 def test_rows_probing_ahead_keep_each_rows_path_and_bits(monkeypatch, scan):
     # seeded rows bisected together through the stream, which keeps up to
     # LOOKAHEAD probes of each row's path in the stack: each row gets the
-    # rate and certificate bytes of its own dt_rate_builder, and its path
+    # rate and certificate bytes of its own reference builder, and its path
     # probes reach _dt_certificate in path order, with the results that
     # the builder's solves get alone
     # with the scan, every other row: 32 scan probes a row cost more time
@@ -840,33 +908,33 @@ def test_rows_probing_ahead_keep_each_rows_path_and_bits(monkeypatch, scan):
 
         real_stream(fed, max_oracle_calls)
 
-    memo, real_many = {}, hbreset.lmi.solve_many
+    memo, real_solve = {}, sdp.solve_feasibility
 
-    def remembered(lifts, budget, v_inits):
+    def remembered(problem, budget, v_init=None):
         # the single solves of the builders: a row's path at one depth
         # begins with its path at any smaller depth, and a solve repeats
         # bit for bit, so the deepest bisection's solves serve the rest
-        (lifted,), (v_init,) = lifts, v_inits
-        key = repr((_lifted_bytes(lifted), budget, v_init if v_init is None else v_init.tobytes()))
+        key = repr((problem_to_json(problem), budget,
+                    v_init if v_init is None else v_init.tobytes()))
         if key not in memo:
-            memo[key] = real_many(lifts, budget, v_inits)
+            memo[key] = real_solve(problem, budget, v_init)
         return memo[key]
 
     monkeypatch.setattr(hbreset.lmi, "_dt_certificate", recording_cert)
     monkeypatch.setattr(hbreset.lmi, "solve_stream", recording_stream)
-    monkeypatch.setattr(hbreset.lmi, "solve_many", remembered)
+    monkeypatch.setattr(sdp, "solve_feasibility", remembered)
     for iters in (9, 3, 1, 0):
         seen.clear()
-        probe = dt_rates_probe(requests)
+        stream = dt_rates_probe(requests)
         with warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
-            found = bisect_rates(probe, len(requests), 0.05, 1.0, iters=iters, scan=scan)
+            found = bisect_rates(stream, len(requests), 0.05, 1.0, iters=iters, scan=scan)
         paths = [[(rho, bits) for data, rho, bits in seen if data is row]
-                 for row in probe.rows]
+                 for row in stream.rows]
         assert sum(map(len, paths)) == len(seen)
-        for i, (req, got, path) in enumerate(zip(requests, found, paths)):
+        builders = [ref.dt_rate_builder(req) for req in requests]
+        for req, got, path, builder in zip(requests, found, paths, builders):
             seen.clear()
-            builder = dt_rate_builder(req)
             try:
                 with warnings.catch_warnings(record=True):
                     warnings.simplefilter("always")
@@ -879,9 +947,10 @@ def test_rows_probing_ahead_keep_each_rows_path_and_bits(monkeypatch, scan):
                 assert got[0] == rate
                 assert got[1].to_json() == cert.to_json()
                 assert got[1].raw_v.tobytes() == cert.raw_v.tobytes()
-            # the row's warm start after the bisection is its path's last
-            # certificate, the one its builder holds
-            after, want = probe([i], [0.99])[0], builder(0.99)
+        # each row's warm start after the bisection is its path's last
+        # certificate, the one its builder holds
+        for after, builder in zip(_probe_at(stream, len(requests), 0.99), builders):
+            want = builder(0.99)
             assert (after is None) == (want is None)
             assert after is None or after.raw_v.tobytes() == want.raw_v.tobytes()
     # the stack held probes off the decided paths, and certificates
@@ -954,28 +1023,20 @@ def test_bench_config_rows_wait_only_for_their_own_probes(monkeypatch, tmp_path)
     assert len(evals) <= 113
 
 
-def test_rate_builder_warm_start_consistency():
-    builder = dt_rate_builder(CertRequest(1.0, 10.0, 0.1, 0.0, 0.0, POL))
-    cert_a = builder(0.95)
-    cert_b = builder(0.95)
-    assert cert_a is not None and cert_b is not None
-    assert cert_a.rate == cert_b.rate == 0.95
-    assert cert_a.tuning["beta_hi"] == 0.0
-
-
 def test_certificate_json_round_trip():
     cert = dt_feasible(build_theorem2(dt_system(0.1, 0.0, 0.0, POL),
                                       1.0, 10.0, 0.95))
     assert cert is not None
     text = cert.to_json()
-    back = Certificate.from_json(text)
-    assert back.rate == cert.rate
-    assert back.rate_kind == cert.rate_kind
-    np.testing.assert_array_equal(back.P, cert.P)
-    assert back.multipliers == cert.multipliers
-    assert back.tuning == cert.tuning
-    assert back.raw_v is None
-    assert back.to_json() == text
+    back = json.loads(text)
+    assert back["rate"] == cert.rate
+    assert back["rate_kind"] == cert.rate_kind
+    np.testing.assert_array_equal(np.array(back["P"]), cert.P)
+    assert back["multipliers"] == cert.multipliers
+    assert back["tuning"] == cert.tuning
+    assert set(back) == {"rate", "rate_kind", "P", "multipliers", "margin", "tuning"}
+    assert back["margin"] == cert.margin
+    assert json.dumps(back, sort_keys=True) == text
 
 
 def test_problem_export():

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import _reference as ref
 from hbreset import lmi, sdp
 from hbreset.cli import certify_tuning, main as cli_main
 from hbreset.lmi import NES, POL, build_theorem2, dt_problem, dt_system
 from hbreset.sdp import (AffineMatrixMap, FEASIBLE, FeasProblem, INDETERMINATE,
                          INFEASIBLE, problem_from_json, problem_to_json,
-                         solve_feasibility, solve_many, symmetric_eig)
+                         solve_feasibility, symmetric_eig)
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +544,11 @@ def test_certify_pass_solves_match_alone_in_the_full_and_a_shuffled_stack(
                      "--out", str(tmp_path)]) == 0
     monkeypatch.undo()
     problems, v_inits, in_pass = zip(*seen)
-    alone = [_bits(solve_feasibility(p, 200, v)) for p, v in zip(problems, v_inits)]
+    alone = [_bits(ref.stacked([p], 200, [v])[0]) for p, v in zip(problems, v_inits)]
     assert [_bits(r) for r in in_pass] == alone
-    assert [_bits(r) for r in solve_many(problems, 200, v_inits)] == alone
+    assert [_bits(r) for r in ref.stacked(problems, 200, v_inits)] == alone
     order = np.random.default_rng(5).permutation(len(problems))
-    shuffled = solve_many([problems[i] for i in order], 200, [v_inits[i] for i in order])
+    shuffled = ref.stacked([problems[i] for i in order], 200, [v_inits[i] for i in order])
     assert [_bits(r) for r in shuffled] == [alone[i] for i in order]
     assert {key[0] for key in alone} == {FEASIBLE, INFEASIBLE, INDETERMINATE}
     assert any(v is not None for v in v_inits)
@@ -568,7 +569,7 @@ def test_cholesky_failure_and_exhausted_budget_stay_in_their_rows():
                 _mistuned_dt(1.0, "hhb-pol", 0.525),
                 _mistuned_dt(1.0, "hhb-nes", 0.5),
                 _mistuned_dt(2.0, "hihb-nes", 0.7875)]
-    stacked = solve_many(problems, 78)
+    stacked = ref.stacked(problems, 78)
     assert [_bits(r) for r in stacked] == [_bits(solve_feasibility(p, 78))
                                            for p in problems]
     assert [r.status for r in stacked] == [FEASIBLE, INDETERMINATE, INFEASIBLE,
@@ -658,35 +659,13 @@ def test_overflowing_barrier_terms_end_their_row_alone():
                 _mistuned_dt(1.0, "hhb-nes", 0.5), _mistuned_dt(1e300, "hhb-pol", 0.5)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stacked = solve_many(problems, 200)
+        stacked = ref.stacked(problems, 200)
         alone = [solve_feasibility(p, 200) for p in problems]
     assert [_bits(r) for r in stacked] == [_bits(r) for r in alone]
     assert [r.status for r in stacked] == [INFEASIBLE, INDETERMINATE, FEASIBLE, INDETERMINATE]
     for res in stacked[1::2]:
         assert res.message.startswith("barrier terms not finite")
         assert res.oracle_calls == 1
-
-
-def test_solve_many_groups_shapes_and_keeps_input_order():
-    # a dt problem, one whose normalization pins its variable below its
-    # floor, a problem without variables and a small bounded one,
-    # interleaved
-    amap = AffineMatrixMap(constant=-np.eye(2), basis=[(0, np.eye(2))])
-    problems = [_mistuned_dt(10.0, "nesterov", 0.99),
-                FeasProblem(nvar=1, nsd_blocks=[amap], normalization=np.array([1.0]),
-                            nonneg={0: 2.0}),
-                FeasProblem(nvar=0, nsd_blocks=[AffineMatrixMap(-np.eye(2), [])]),
-                _scalar_problem(),
-                _mistuned_dt(10.0, "polyak", 0.05)]
-    stacked = solve_many(problems, 120, [None, None, None, np.array([0.3]), None])
-    alone = [solve_feasibility(p, 120, v) for p, v in
-             zip(problems, [None, None, None, np.array([0.3]), None])]
-    assert [_bits(r) for r in stacked] == [_bits(r) for r in alone]
-    assert [r.status for r in stacked] == [FEASIBLE, INFEASIBLE, FEASIBLE, FEASIBLE,
-                                           INFEASIBLE]
-    assert solve_many([]) == []
-    with pytest.raises(ValueError, match="one v_init per problem"):
-        solve_many(problems, 10, [None])
 
 
 @st.composite
@@ -704,7 +683,7 @@ def _dt_problems(draw):
 @given(st.lists(_dt_problems(), min_size=2, max_size=5), st.integers(1, 60))
 def test_stacked_dt_solves_equal_single_solves(problems, budget):
     alone = [_bits(solve_feasibility(p, budget)) for p in problems]
-    assert [_bits(r) for r in solve_many(problems, budget)] == alone
+    assert [_bits(r) for r in ref.stacked(problems, budget)] == alone
     # and streamed as two chains, problem i + 2 joining when problem i is
     # decided, so the stack may empty before a problem joins
     streamed = {}
