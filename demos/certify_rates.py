@@ -13,8 +13,7 @@ Run from the repository root:
 
 import math
 
-from hbreset.lmi import (NES, POL, CertRequest, NoCertificate, bisect_rates,
-                         certify_discrete, dt_rates_probe)
+from hbreset.lmi import NES, POL, CertRequest, bisect_rates, dt_rates_probe
 
 
 def underdamped(L: float, mu: float = 1.0) -> CertRequest:
@@ -44,8 +43,7 @@ def main() -> None:
     requests = [req for L in grid for req in (underdamped(L), with_reset(underdamped(L)))]
     # the six rows bisect in one stacked solve, each probing ahead on
     # its own path
-    found = bisect_rates(dt_rates_probe(requests), len(requests), lo=0.05, hi=1.0,
-                         iters=16, scan=False)
+    found = bisect_rates(dt_rates_probe(requests), lo=0.05, hi=1.0, iters=16, scan=False)
     cells = ["none" if f is None else f"{f[0]:.6f}" for f in found]
     for i, L in enumerate(grid):
         print(f"{L:6.0f} {cells[2 * i]:>10} {cells[2 * i + 1]:>11}")
@@ -54,15 +52,13 @@ def main() -> None:
     # the conditioning gets bad enough; the search reports that honestly
     L = 16.0
     beta = ((math.sqrt(L) - 1.0) / (math.sqrt(L) + 1.0)) ** 2
-    req = CertRequest(mu=1.0, lipschitz=L, h=4.0 / (math.sqrt(L) + 1.0) ** 2,
-                      beta_hi=beta, beta_lo=beta, disc=POL)
-    try:
-        certify_discrete(req, lo=0.05, hi=1.0, iters=16, scan=False)
-    except NoCertificate as exc:
-        print(f"\nheavy-ball tuning at L={L:g}: {exc}")
+    heavy_ball = CertRequest(mu=1.0, lipschitz=L, h=4.0 / (math.sqrt(L) + 1.0) ** 2,
+                             beta_hi=beta, beta_lo=beta, disc=POL)
+    hb, (rate, cert) = bisect_rates(dt_rates_probe([heavy_ball, optimal_nesterov(10.0)]),
+                                    lo=0.05, hi=1.0, iters=16, scan=False)
+    verdict = "no certificate with rate <= 1" if hb is None else f"rate {hb[0]:.6f}"
+    print(f"\nheavy-ball tuning at L={L:g}: {verdict}")
 
-    rate, cert = certify_discrete(optimal_nesterov(10.0), lo=0.05, hi=1.0,
-                                  iters=16, scan=False)
     print(f"\ncertificate at L=10 (rate {rate:.6f})")
     print("  P eigenvalue ratio:", cert.P[1, 1] / cert.P[0, 0])
     print("  multipliers:", {k: round(v, 6) for k, v in cert.multipliers.items()})

@@ -9,7 +9,7 @@ certificates built on it), `cli` (benchmark front end).
 
 The names below are the entry points of each layer. Building blocks such
 as `lmi.DtLmiData` (a discrete-time rate row, compiled once and moved
-between rates), `lmi.build_sector`, `lmi.bisect_rates`,
+between rates), `lmi.build_sector`, `lmi.bisect_rates`, `lmi.dt_rates_probe`,
 `sdp.solve_stream`, `discrete.switching_beta`, `discrete.run_many` or
 `objectives.quad_to_json` are imported from their own module.
 """
@@ -19,8 +19,7 @@ from .discrete import (AlgoParams, Trajectory, Variant, count_nonmonotone,
 from .hybrid import (HybridArc, HybridParams, HybridState, default_dwell,
                      integrate_hb, integrate_hhb, integrate_hihb)
 from .lmi import (Certificate, CertRequest, NoCertificate, bisect_rate,
-                  build_ct, certify_discrete, ct_feasible, dt_feasible,
-                  dt_system)
+                  build_ct, ct_rates_probe, dt_feasible, dt_system)
 from .objectives import (LogisticSpec, ObjectiveModel, QuadraticSpec,
                          gen_logistic_dataset, gen_random_quadratic,
                          logistic_model, quadratic_model)
@@ -34,8 +33,8 @@ __all__ = [
     "FeasProblem", "FeasResult", "HybridArc", "HybridParams", "HybridState",
     "INDETERMINATE", "INFEASIBLE", "LogisticSpec", "NoCertificate",
     "ObjectiveModel", "QuadraticSpec", "Trajectory", "Variant", "bisect_rate",
-    "build_ct", "certify_discrete", "count_nonmonotone", "ct_feasible",
-    "default_dwell", "dt_feasible", "dt_system", "gen_logistic_dataset",
+    "build_ct", "count_nonmonotone", "ct_rates_probe", "default_dwell",
+    "dt_feasible", "dt_system", "gen_logistic_dataset",
     "gen_random_quadratic", "integrate_hb", "integrate_hhb", "integrate_hihb",
     "logistic_model", "quadratic_model", "run", "solve_feasibility",
 ]

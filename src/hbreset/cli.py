@@ -380,8 +380,7 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
     # LOOKAHEAD probes of its path at once (fewer on wide grids)
     probe = dt_rates_probe([CertRequest(cfg.mu, L, h, bhi, blo, disc)
                             for L, _, disc, h, bhi, blo in grid], cfg.max_oracle_calls)
-    found = bisect_rates(probe, len(grid), 0.05, 1.0, iters=cfg.bisect_iters,
-                         scan=cfg.scan)
+    found = bisect_rates(probe, 0.05, 1.0, iters=cfg.bisect_iters, scan=cfg.scan)
     rows = []
     for (L, method, disc, h, bhi, blo), compiled, result in zip(grid, probe.rows, found):
         rho, cert = result if result is not None else (float("nan"), None)

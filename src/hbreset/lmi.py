@@ -2,26 +2,23 @@
 
 Continuous time: exponential decay of the hybrid flow/jump system is
 certified by two coupled matrix inequalities in (P, sigma_phi, sigma_1,
-sigma_2) at a given decay exponent alpha. Discrete time: geometric decay
-of the switched two-step iteration is certified by two inequalities in
-(P, a, lambda, lambda_R, sigma, sigma_R) at a given factor rho, and the
-best rho is located by bisection. All work is done at state dimension 1;
-a certificate lifts to any dimension blockwise (P kron I), so a
-`CertRequest` carries no dimension and `Certificate.lyapunov` evaluates
-the lifted form on states of any dimension.
+sigma_2) at a decay exponent alpha. Discrete time: geometric decay of
+the switched two-step iteration is certified by two inequalities in
+(P, a, lambda, lambda_R, sigma, sigma_R) at a factor rho. All work is
+done at state dimension 1; a certificate lifts to any dimension
+blockwise (P kron I), so a `CertRequest` carries no dimension.
 
-The dt inequalities are affine in rho²: `build_theorem2` compiles a row
-(system, mu, L) once into everything but the rate, and `_at_rates`
-applies rho. Feasibility itself is delegated to the phase-I barrier
-engine in `sdp`. `bisect_rates` bisects many independent rows by one
-rule, `_bisection`: a row's path given its outcomes so far.
-`dt_rates_probe` moves each compiled row to each rate it is probed at
-and solves every probe of a `bisect_rates` call in one
-`sdp.solve_stream` stack of rows lifted without a `FeasProblem`, where
-each row probes up to LOOKAHEAD rates ahead on the path where its
-pending probes fail, and a certified probe cancels the probes after it;
-every row gets the result it gets bisected alone. `bisect_rate` drives
-one row through a builder, a rate at a time.
+Both forms are affine in their rate: the ct flow LMI in alpha (2 alpha E
+in its P blocks; Boyd et al., LMIs in System and Control Theory, 5.1),
+the dt LMIs in rho² (`build_theorem2` compiles a row into everything but
+the rate, `_at_rates` applies rho), and `_feas` adds the same P > 0,
+floors and normalization to both. So one stream, `_rates_probe`, serves
+`ct_rates_probe` and `dt_rates_probe`: each row is compiled once, and
+every probe of a `bisect_rates` call joins one `sdp.solve_stream` stack,
+each row probing up to LOOKAHEAD rates ahead on its path; every row gets
+the result it gets bisected alone. `bisect_rates` bisects by one rule,
+`_bisection`: a row's path given its outcomes so far. `bisect_rate`
+drives one row through a builder, a rate at a time.
 """
 from __future__ import annotations
 
@@ -36,9 +33,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .objectives import ObjectiveModel
-from .sdp import (AffineMatrixMap, FeasProblem, FeasResult, FEASIBLE, INFEASIBLE,
-                  INDETERMINATE, check_symmetric_stack, lift, solve_feasibility,
-                  solve_stream)
+from .sdp import (AffineMatrixMap, FeasProblem, FeasResult, FEASIBLE, Lifted,
+                  check_symmetric_stack, lift, solve_feasibility, solve_stream)
 
 Array = np.ndarray
 
@@ -74,6 +70,17 @@ def build_sector(mu: float, L: float, n: int = 1) -> Array:
     top = np.hstack([-(mu * L / (mu + L)) * eye, 0.5 * eye])
     bot = np.hstack([0.5 * eye, -(1.0 / (mu + L)) * eye])
     return np.vstack([top, bot])
+
+
+def _feas(nvar: int, lmis: list) -> FeasProblem:
+    """The rate problem with these LMIs, in v = [p11, p12, p22, multipliers]:
+    P > 0, every multiplier floored, and p11 + p22 + multipliers = 1."""
+    pmap = AffineMatrixMap(constant=np.zeros((2, 2)),
+                           basis=[(i, E) for i, E in enumerate(_P_BASIS)], name="P")
+    return FeasProblem(nvar=nvar, nsd_blocks=lmis, pd_blocks=[pmap],
+                       nonneg={i: MULTIPLIER_FLOOR for i in range(3, nvar)},
+                       normalization=np.array([1.0, 0.0] + [1.0] * (nvar - 2)),
+                       margin=MARGIN)
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +125,12 @@ class CtLmiData:
         return out
 
 
-def build_ct(K: float, n: int, mu: float, L: float,
-             b_coupled: bool = False) -> CtLmiData:
+def build_ct(K: float, mu: float, L: float, b_coupled: bool = False) -> CtLmiData:
     """Flow matrices for damping K. The jump resets momentum (A_R keeps
     position only). b_coupled swaps in the experimental input matrix
     [-I; -I]; the default [0; -I] is the plain dynamics."""
     if not 0.0 < K < np.inf:
         raise ValueError("K must be positive and finite")
-    if n != 1:
-        raise ValueError("certificate work is done at n=1; lift P blockwise")
     A = np.array([[0.0, 1.0], [0.0, -K]])
     A_R = np.array([[1.0, 0.0], [0.0, 0.0]])
     B = np.array([[-1.0], [-1.0]]) if b_coupled else np.array([[0.0], [-1.0]])
@@ -135,54 +139,23 @@ def build_ct(K: float, n: int, mu: float, L: float,
                      b_coupled=b_coupled)
 
 
-def ct_problem(data: CtLmiData, alpha: float, eps_infl: float) -> FeasProblem:
-    """The feasibility problem behind ct_feasible, for export or inspection."""
-    for name, value in (("alpha", alpha), ("eps_infl", eps_infl)):
-        if not 0.0 < value < np.inf:
-            raise ValueError(f"{name} must be positive and finite")
-    # v = [p11, p12, p22, sigma_phi, sigma_1, sigma_2]
-    flow_basis = [(i, data.M_F(E, alpha)) for i, E in enumerate(_P_BASIS)]
-    flow_basis += [(3, data.M_phi), (4, data.M_eps(eps_infl))]
-    flow = AffineMatrixMap(constant=np.zeros((3, 3)), basis=flow_basis, name="flow")
-    jump_basis = [(i, data.M_J(E)) for i, E in enumerate(_P_BASIS)]
-    jump_basis += [(5, -data.M0)]
-    jump = AffineMatrixMap(constant=-(CT_RESET_SLACK + MARGIN) * np.eye(3),
-                           basis=jump_basis, name="jump")
-    pmap = AffineMatrixMap(constant=np.zeros((2, 2)),
-                           basis=[(i, E) for i, E in enumerate(_P_BASIS)], name="P")
-    return FeasProblem(nvar=6, nsd_blocks=[flow, jump], pd_blocks=[pmap],
-                       nonneg={3: MULTIPLIER_FLOOR, 4: MULTIPLIER_FLOOR,
-                               5: MULTIPLIER_FLOOR},
-                       normalization=np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0]),
-                       margin=MARGIN)
-
-
-def ct_feasible(data: CtLmiData, alpha: float, eps_infl: float,
-                max_oracle_calls: int = 200, detail: bool = False):
-    """Certificate at decay exponent alpha, or None. The reported rate is
-    alpha / cond(P), the exponent of the norm-ball guarantee.
-
-    With detail=True returns (status, certificate-or-None), separating
-    "infeasible" from "indeterminate" (budget ran out)."""
-    res = solve_feasibility(ct_problem(data, alpha, eps_infl),
-                            max_oracle_calls=max_oracle_calls)
-    cert = None
-    if res.status == FEASIBLE:
-        v = res.v
-        P = np.array([[v[0], v[1]], [v[1], v[2]]])
-        eigs = np.linalg.eigvalsh(P)
-        cond = float(eigs[-1] / eigs[0])
-        cert = Certificate(
-            rate=alpha / cond, rate_kind="alpha", P=P,
-            multipliers={"eps": eps_infl, "sigma_phi": float(v[3]),
-                         "sigma_1": float(v[4]), "sigma_2": float(v[5])},
-            margin=res.worst_eig,
-            tuning={"K": data.K, "alpha": alpha, "mu": data.mu,
-                    "L": data.lipschitz, "b_coupled": data.b_coupled},
-            raw_v=v.copy())
-    if detail:
-        return res.status, cert
-    return cert
+def _ct_certificate(data: CtLmiData, eps_infl: float, alpha: float,
+                    res: FeasResult) -> Optional["Certificate"]:
+    """The certificate of a FEASIBLE ct solve at exponent alpha, or None.
+    Its rate is alpha / cond(P), the exponent of the norm-ball guarantee."""
+    if res.status != FEASIBLE:
+        return None
+    v = res.v
+    P = np.array([[v[0], v[1]], [v[1], v[2]]])
+    eigs = np.linalg.eigvalsh(P)
+    return Certificate(
+        rate=alpha / float(eigs[-1] / eigs[0]), rate_kind="alpha", P=P,
+        multipliers={"eps": eps_infl, "sigma_phi": float(v[3]),
+                     "sigma_1": float(v[4]), "sigma_2": float(v[5])},
+        margin=res.worst_eig,
+        tuning={"K": data.K, "alpha": alpha, "mu": data.mu,
+                "L": data.lipschitz, "b_coupled": data.b_coupled},
+        raw_v=v.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +269,6 @@ def build_theorem2(sys: DtSystemMatrices, mu: float, L: float, rho: float) -> Dt
     return DtLmiData(sys, mu, L, rho, *branches)
 
 
-def _dt_feas(lmis: list) -> FeasProblem:
-    """The dt problem with these branch LMIs; the rest is the same in every row."""
-    # v = [p11, p12, p22, a, lam, lam_r, sigma, sigma_r]
-    pmap = AffineMatrixMap(constant=np.zeros((2, 2)),
-                           basis=[(i, E) for i, E in enumerate(_P_BASIS)], name="P")
-    return FeasProblem(nvar=8, nsd_blocks=lmis, pd_blocks=[pmap],
-                       nonneg={i: MULTIPLIER_FLOOR for i in range(3, 8)},
-                       normalization=np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
-                       margin=MARGIN)
-
-
 def _rate_free(datas: Sequence[DtLmiData]) -> Array:
     """Per row and branch LMI, its basis matrices without rho, then M2."""
     return np.array([[[*br.P, br.M1, br.M3, sign * ALIGNMENT_FORM, br.M2]
@@ -327,7 +289,8 @@ def _at_rates(base: Array, rho: Array) -> Array:
 def dt_problem(data: DtLmiData) -> FeasProblem:
     """The feasibility problem behind dt_feasible, for export or inspection."""
     mats = _at_rates(_rate_free([data]), np.array([data.rho]))[0]
-    return _dt_feas([AffineMatrixMap(constant=np.zeros((3, 3)), basis=list(zip(idx, m)),
+    # v = [p11, p12, p22, a, lam, lam_r, sigma, sigma_r]
+    return _feas(8, [AffineMatrixMap(constant=np.zeros((3, 3)), basis=list(zip(idx, m)),
                                      name=name) for (name, idx, _), m in zip(_DT_LMIS, mats)])
 
 
@@ -438,10 +401,9 @@ SCAN_POINTS = 32
 LOOKAHEAD = 4
 STACK_ROWS = 72
 
-# A stream for bisect_rates: `stream(rule, rows)` runs the bisection
-# `rule` on each of its first `rows` rows and returns each row's path,
-# its probes as (rate, certificate-or-None) pairs.
-RatesStream = Callable[[Callable, int], list]
+# A stream for bisect_rates: `stream(rule)` runs the bisection `rule` on each
+# of its rows and returns their paths, lists of (rate, certificate-or-None) pairs.
+RatesStream = Callable[[Callable], list]
 
 
 def _bisection(lo: float, hi: float, iters: int, scan: bool, flip: bool,
@@ -469,14 +431,14 @@ def _bisection(lo: float, hi: float, iters: int, scan: bool, flip: bool,
     return (0.5 * (bad + good), None) if len(tail) - 2 < iters else (None, k)
 
 
-def bisect_rates(stream: RatesStream, rows: int, lo: float, hi: float,
-                 iters: int = 40, scan: bool = True, sense: str = "min") -> list:
-    """bisect_rate on `rows` independent rows, each run by `stream`.
+def bisect_rates(stream: RatesStream, lo: float, hi: float, iters: int = 40,
+                 scan: bool = True, sense: str = "min") -> list:
+    """bisect_rate on each row of `stream`, independently.
 
     Every row's path is the one it has bisected alone: with `scan`,
     SCAN_POINTS rates, then the easy end, then the hard end (which is
     the result when certified), then `iters` midpoints. A stream may
-    probe ahead (see dt_rates_probe), as long as each row's certificates
+    probe ahead (see _rates_probe), as long as each row's certificates
     follow its path. Returns one entry per row: (rate, certificate), or
     None when the easy end of [lo, hi] is not certified.
     """
@@ -488,7 +450,7 @@ def bisect_rates(stream: RatesStream, rows: int, lo: float, hi: float,
         raise ValueError(f"iters must be an integer >= 0, not {iters!r}")
     rule = partial(_bisection, lo, hi, iters, scan, sense == "max")
     found = []
-    for path in stream(rule, rows):
+    for path in stream(rule):
         won = [cert is not None for _, cert in path]
         flags = won[:SCAN_POINTS if scan else 0][::-1 if sense == "max" else 1]
         if True in flags and not all(flags[flags.index(True):]):
@@ -499,24 +461,14 @@ def bisect_rates(stream: RatesStream, rows: int, lo: float, hi: float,
     return found
 
 
-def _bisect_one(stream: RatesStream, lo: float, hi: float, iters: int, scan: bool,
-                sense: str):
-    """bisect_rates on one row; raises NoCertificate for None."""
-    (found,) = bisect_rates(stream, 1, lo, hi, iters=iters, scan=scan, sense=sense)
-    if found is None:
-        side, easy = (">=", lo) if sense == "max" else ("<=", hi)
-        raise NoCertificate(f"no certificate with rate {side} {easy:g}")
-    return found
-
-
 def bisect_rate(builder: Callable[[float], Optional["Certificate"]], lo: float,
                 hi: float, iters: int = 40, scan: bool = True,
                 sense: str = "min"):
     """Smallest rate in [lo, hi] the builder can certify, by bisection: a
-    batch of one in bisect_rates, so the builder is called at each rate
-    of the row's path in turn. A certified hard end is the result, so a
-    builder that certifies everywhere is called twice, at the easy end
-    and at the hard end.
+    stream of one row in bisect_rates, so the builder is called at each
+    rate of the row's path in turn. A certified hard end is the result,
+    so a builder that certifies everywhere is called twice, at the easy
+    end and at the hard end.
 
     The builder maps a rate to a certificate or None. None merges the
     INFEASIBLE verdict (no certificate of this form exists) with the
@@ -530,62 +482,49 @@ def bisect_rate(builder: Callable[[float], Optional["Certificate"]], lo: float,
     rate instead (used for decay exponents, where faster decay is harder).
     Raises NoCertificate when the easy end of [lo, hi] is not certified.
     """
-    def stream(rule: Callable, rows: int) -> list:
+    def stream(rule: Callable) -> list:
         path: list = []
         while (rate := rule([c is not None for _, c in path])[0]) is not None:
             path.append((rate, builder(rate)))
         return [path]
 
-    return _bisect_one(stream, lo, hi, iters, scan, sense)
+    (found,) = bisect_rates(stream, lo, hi, iters=iters, scan=scan, sense=sense)
+    if found is None:
+        side, easy = (">=", lo) if sense == "max" else ("<=", hi)
+        raise NoCertificate(f"no certificate with rate {side} {easy:g}")
+    return found
 
 
-def dt_rates_probe(requests: Sequence[CertRequest],
-                   max_oracle_calls: int = 200) -> RatesStream:
-    """Stream for bisect_rates over discrete-time rows: each row is
-    compiled once and moved to each rate it is probed at, and warm-starts
-    from the last certificate of its path, also across calls. A call
-    solves a whole bisect_rates call in one `solve_stream` stack, in
-    which each row keeps up to LOOKAHEAD probes of its path (fewer on
+def _rates_probe(rows: list, blocks: Callable, skeleton: Lifted, certificate: Callable,
+                 max_oracle_calls: int) -> RatesStream:
+    """The stream for bisect_rates over compiled `rows` of one LMI form:
+    `blocks(rows, rates)` gives the LMIs of row rows[k] at rates[k] as NSD
+    blocks in v, (constant, indices, matrices), that join `skeleton`'s;
+    `certificate(i, rate, result)` reads row i's certificate, or None.
+
+    A call solves a whole bisect_rates call in one `solve_stream` stack,
+    in which each row keeps up to LOOKAHEAD probes of its path (fewer on
     wide grids, see STACK_ROWS): the next rates if every pending probe
     fails. Only failure can be assumed, since a failed probe leaves the
-    warm start as it is, so each probe ahead has the rate and warm start
-    of the path it lies on. A certified probe drops every later probe of
-    its row at once, even while earlier ones are pending, and the row
-    refills from there. Certificates are made, and warm starts move, only
-    along the decided path and in its order, so every row gets the result
-    it gets bisected alone. The stream's `rows` attribute holds the
-    compiled rows, one per request, at rho = 1."""
-    compiled = [build_theorem2(dt_system(r.h, r.beta_hi, r.beta_lo, r.disc),
-                               r.mu, r.lipschitz, 1.0) for r in requests]
-    base = _rate_free(compiled)
-    check_symmetric_stack(base[:, :, 4:6].reshape(-1, 3, 3),
-                          lambda i: f"map {_DT_LMIS[i // 2 % 2][0]}: basis[{4 + i % 2}]")
-    shared = lift(_dt_feas([]))
-    zero = np.zeros((3, 3))
-    last: list = [None] * len(requests)
-
-    def lifted(rows: list, rates: list) -> list:
-        rho = np.array(rates, dtype=float)
-        if not np.all((0.0 < rho) & (rho <= 1.0)):
-            raise ValueError("rho must lie in (0, 1]")
-        mats = _at_rates(base[rows], rho)
-        check_symmetric_stack(mats[:, :, :4].reshape(-1, 3, 3),
-                              lambda i: f"map {_DT_LMIS[i // 4 % 2][0]}: basis[{i % 4}]")
-        return [shared.with_blocks([(zero, idx, m) for (_, idx, _), m in zip(_DT_LMIS, pair)])
-                for pair in mats]
+    warm start, the last certificate of the row's path (also across
+    calls), as it is. A certified probe drops every later probe of its
+    row at once, and the row refills from there. Certificates are made,
+    and warm starts move, only along the decided path and in its order,
+    so every row gets the result it gets bisected alone."""
+    last: list = [None] * len(rows)
 
     def certified(i: int, rate: float, res: FeasResult) -> Optional[Certificate]:
-        cert = _dt_certificate(compiled[i], rate, res)
+        cert = certificate(i, rate, res)
         if cert is not None:
             last[i] = cert.raw_v
         return cert
 
-    def stream(rule: Callable, rows: int) -> list:
-        paths: list = [[] for _ in range(rows)]
+    def stream(rule: Callable) -> list:
+        paths: list = [[] for _ in rows]
         # each row's probes past its path: [rate, key, result or None]
-        ahead: list = [[] for _ in range(rows)]
+        ahead: list = [[] for _ in rows]
         keys = count()
-        todo = set(range(rows))  # the rows with news since the last call
+        todo = set(range(len(rows)))  # the rows with news since the last call
 
         def feed(decided: list) -> tuple:
             for key, res in decided:
@@ -619,21 +558,69 @@ def dt_rates_probe(requests: Sequence[CertRequest],
             todo.clear()
             if not new:
                 return [], dropping
-            lifts = lifted([i for (i, _), _, _ in new], [rate for _, rate, _ in new])
-            return [(key, lf, v) for (key, _, v), lf in zip(new, lifts)], dropping
+            lmis = blocks([i for (i, _), _, _ in new], [rate for _, rate, _ in new])
+            return ([(key, skeleton.with_blocks(lm), v) for (key, _, v), lm in zip(new, lmis)],
+                    dropping)
 
         solve_stream(feed, max_oracle_calls)
         return paths
 
-    stream.rows = compiled
+    stream.rows = rows
     return stream
 
 
-def certify_discrete(request: CertRequest, lo: float = 0.05, hi: float = 1.0,
-                     iters: int = 40, scan: bool = True,
-                     max_oracle_calls: int = 200):
-    """Bisected contraction factor and certificate for a tuning request,
-    through dt_rates_probe's stream."""
-    return _bisect_one(dt_rates_probe([request], max_oracle_calls), lo, hi, iters, scan,
-                       "min")
+def dt_rates_probe(requests: Sequence[CertRequest],
+                   max_oracle_calls: int = 200) -> RatesStream:
+    """Stream for bisect_rates over discrete-time rows at factors rho. Each
+    request is compiled once, at rho = 1, into its entry of the stream's
+    `rows`; a probe applies rho as dt_problem does, checks the joining
+    rate-dependent matrices as one stack and lifts only the branch LMIs."""
+    compiled = [build_theorem2(dt_system(r.h, r.beta_hi, r.beta_lo, r.disc),
+                               r.mu, r.lipschitz, 1.0) for r in requests]
+    base = _rate_free(compiled)
+    check_symmetric_stack(base[:, :, 4:6].reshape(-1, 3, 3),
+                          lambda i: f"map {_DT_LMIS[i // 2 % 2][0]}: basis[{4 + i % 2}]")
+    zero = np.zeros((3, 3))
 
+    def blocks(rows: list, rates: list) -> list:
+        rho = np.array(rates, dtype=float)
+        if not np.all((0.0 < rho) & (rho <= 1.0)):
+            raise ValueError("rho must lie in (0, 1]")
+        mats = _at_rates(base[rows], rho)
+        check_symmetric_stack(mats[:, :, :4].reshape(-1, 3, 3),
+                              lambda i: f"map {_DT_LMIS[i // 4 % 2][0]}: basis[{i % 4}]")
+        return [[(zero, idx, m) for (_, idx, _), m in zip(_DT_LMIS, pair)] for pair in mats]
+
+    return _rates_probe(compiled, blocks, lift(_feas(8, [])),
+                        lambda i, rho, res: _dt_certificate(compiled[i], rho, res),
+                        max_oracle_calls)
+
+
+def ct_rates_probe(rows: Sequence[CtLmiData], eps_infl: float,
+                   max_oracle_calls: int = 200) -> RatesStream:
+    """Stream for bisect_rates over continuous-time rows at decay exponents
+    alpha (bisected with sense="max"), each descent form inflated by
+    eps_infl (CtLmiData.M_eps). Each row's flow basis is built once at
+    alpha = 0, and a probe adds 2 alpha E to its three P blocks."""
+    if not 0.0 < eps_infl < np.inf:
+        raise ValueError("eps_infl must be positive and finite")
+    # v = [p11, p12, p22, sigma_phi, sigma_1, sigma_2]
+    flow = np.array([[*(x.M_F(E, 0.0) for E in _P_BASIS), x.M_phi, x.M_eps(eps_infl)]
+                     for x in rows]).reshape(-1, 5, 3, 3)
+    jump = np.array([[*(x.M_J(E) for E in _P_BASIS), -x.M0] for x in rows]).reshape(-1, 4, 3, 3)
+    check_symmetric_stack(jump.reshape(-1, 3, 3), lambda i: f"map jump: basis[{i % 4}]")
+    zero, slack = np.zeros((3, 3)), -(CT_RESET_SLACK + MARGIN) * np.eye(3)
+
+    def blocks(idx: list, rates: list) -> list:
+        alpha = np.array(rates, dtype=float)
+        if not np.all((0.0 < alpha) & (alpha < np.inf)):
+            raise ValueError("alpha must be positive and finite")
+        mats = flow[idx]
+        mats[:, :3, :2, :2] += (2.0 * alpha)[:, None, None, None] * np.array(_P_BASIS)
+        check_symmetric_stack(mats.reshape(-1, 3, 3), lambda i: f"map flow: basis[{i % 5}]")
+        return [[(zero, [0, 1, 2, 3, 4], f), (slack, [0, 1, 2, 5], j)]
+                for f, j in zip(mats, jump[idx])]
+
+    return _rates_probe(rows, blocks, lift(_feas(6, [])),
+                        lambda i, alpha, res: _ct_certificate(rows[i], eps_infl, alpha, res),
+                        max_oracle_calls)

@@ -13,8 +13,11 @@ the hybrid skip-ahead takes mode by mode in the Hessian's eigenbasis.
 
 `dt_rate_builder` probes one discrete-time rate row a rate at a time,
 each probe a lone `solve_feasibility` of the row's `dt_problem`: the
-sequential reference of `lmi.dt_rates_probe`'s stream. `stacked` feeds
-problems of one block shape to `sdp.solve_stream` as one stack.
+sequential reference of `lmi.dt_rates_probe`'s stream. `ct_problem` is
+the continuous-time problem built whole at one alpha, the reference of
+each probe of `lmi.ct_rates_probe`'s stream; `probe_at` probes every row
+of a stream once. `stacked` feeds problems of one block shape to
+`sdp.solve_stream` as one stack.
 """
 from __future__ import annotations
 
@@ -175,6 +178,34 @@ def dt_rate_builder(request: lmi.CertRequest, max_oracle_calls: int = 200):
         return cert
 
     return probe
+
+
+def ct_problem(data: lmi.CtLmiData, alpha: float, eps_infl: float) -> sdp.FeasProblem:
+    """The continuous-time feasibility problem of one row at exponent alpha."""
+    for name, value in (("alpha", alpha), ("eps_infl", eps_infl)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite")
+    # v = [p11, p12, p22, sigma_phi, sigma_1, sigma_2]
+    flow_basis = [(i, data.M_F(E, alpha)) for i, E in enumerate(lmi._P_BASIS)]
+    flow_basis += [(3, data.M_phi), (4, data.M_eps(eps_infl))]
+    flow = sdp.AffineMatrixMap(constant=np.zeros((3, 3)), basis=flow_basis, name="flow")
+    jump_basis = [(i, data.M_J(E)) for i, E in enumerate(lmi._P_BASIS)]
+    jump_basis += [(5, -data.M0)]
+    jump = sdp.AffineMatrixMap(constant=-(lmi.CT_RESET_SLACK + lmi.MARGIN) * np.eye(3),
+                               basis=jump_basis, name="jump")
+    pmap = sdp.AffineMatrixMap(constant=np.zeros((2, 2)),
+                               basis=[(i, E) for i, E in enumerate(lmi._P_BASIS)], name="P")
+    return sdp.FeasProblem(nvar=6, nsd_blocks=[flow, jump], pd_blocks=[pmap],
+                           nonneg={3: lmi.MULTIPLIER_FLOOR, 4: lmi.MULTIPLIER_FLOOR,
+                                   5: lmi.MULTIPLIER_FLOOR},
+                           normalization=np.array([1.0, 0.0, 1.0, 1.0, 1.0, 1.0]),
+                           margin=lmi.MARGIN)
+
+
+def probe_at(stream, rate: float) -> list:
+    """Every row of an `lmi` rates stream probed once, at rate: its
+    certificate or None."""
+    return [cert for ((_, cert),) in stream(lambda won: (None if won else rate, None))]
 
 
 def stacked(problems: list, max_oracle_calls: int = 200,

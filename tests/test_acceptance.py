@@ -12,12 +12,13 @@ import time
 
 import numpy as np
 
+import _reference as ref
 from hbreset.cli import main as cli_main, quad_params
 from hbreset.discrete import count_nonmonotone, run_many
 from hbreset.hybrid import HybridParams, HybridState, integrate_hhb, integrate_hihb
 from hbreset.lmi import (ALIGNMENT_FORM, NES, POL, Certificate, CertRequest,
-                         bisect_rates, build_ct, build_theorem2, certify_discrete,
-                         ct_feasible, dt_feasible, dt_rates_probe, dt_system)
+                         bisect_rates, build_ct, build_theorem2, ct_rates_probe,
+                         dt_feasible, dt_rates_probe, dt_system)
 from hbreset.objectives import QuadraticSpec, gen_random_quadratic, quadratic_model
 from hbreset.sdp import AffineMatrixMap, FeasProblem, FEASIBLE, solve_feasibility
 
@@ -135,8 +136,8 @@ def test_criterion_01_single_branch_equivalence():
     # solve in which each row probes ahead on its own path
     found = bisect_rates(dt_rates_probe([CertRequest(mu, L, h, beta, beta, disc)
                                          for L, _, disc, h, beta in configs]),
-                         n_cfg, 0.05, 1.0, iters=14, scan=False)
-    for (L, rule, disc, h, beta), result in zip(configs, found):
+                         0.05, 1.0, iters=14, scan=False)
+    for (L, rule, disc, h, beta), result in zip(configs, found, strict=True):
         label = f"L={L:g} {rule} {disc}"
         base_rho = baseline_bisect(h, beta, disc, mu, L)
         pkg_rho = None
@@ -168,7 +169,7 @@ def test_criterion_02_accelerated_rate_recovered():
     beta = (math.sqrt(L) - 1.0) / (math.sqrt(L) + 1.0)
     req = CertRequest(mu=1.0, lipschitz=L, h=1.0 / L, beta_hi=beta,
                       beta_lo=beta, disc=NES)
-    rate, cert = certify_discrete(req, lo=0.05, hi=1.0, iters=20, scan=False)
+    [(rate, cert)] = bisect_rates(dt_rates_probe([req]), 0.05, 1.0, iters=20, scan=False)
     CERTS.append(("accelerated tuning", cert))
     bound = 1.0 - math.sqrt(0.1) + 0.02
     ok = rate * rate <= bound
@@ -201,10 +202,10 @@ def test_criterion_03_rate_sweep_orderings():
                               ("hihb", beta_mid)):
             rows.append((name, L, CertRequest(1.0, L, h, beta_hi, beta_lo, NES)))
     # the 18 rows bisect together, in one stacked solve
-    found = bisect_rates(dt_rates_probe([req for _, _, req in rows]), len(rows),
-                         0.05, 1.0, iters=20, scan=False)
+    found = bisect_rates(dt_rates_probe([req for _, _, req in rows]), 0.05, 1.0, iters=20,
+                         scan=False)
     rates = {}
-    for (name, L, _), result in zip(rows, found):
+    for (name, L, _), result in zip(rows, found, strict=True):
         rho = None
         if result is not None:
             rho, cert = result
@@ -245,10 +246,10 @@ def test_criterion_04_heavy_ball_rate_preserved():
         for name, beta_lo in (("plain", beta), ("reset", 0.0)):
             grid.append((name, L, CertRequest(1.0, L, h, beta, beta_lo, POL)))
     # the 8 rows bisect together, in one stacked solve
-    found = bisect_rates(dt_rates_probe([req for _, _, req in grid]), len(grid),
-                         0.05, 1.0, iters=14, scan=False)
+    found = bisect_rates(dt_rates_probe([req for _, _, req in grid]), 0.05, 1.0, iters=14,
+                         scan=False)
     rates = {}
-    for (name, L, _), result in zip(grid, found):
+    for (name, L, _), result in zip(grid, found, strict=True):
         rho = None
         if result is not None:
             rho, cert = result
@@ -462,17 +463,15 @@ def test_criterion_07_logistic_benchmark_orderings(tmp_path):
 def test_criterion_08_continuous_time_input_matrices():
     t0 = time.time()
     failures = []
-    data = build_ct(1.0, 1, 1.0, 10.0)
+    data = build_ct(1.0, 1.0, 10.0)
     for alpha in (1e-6, 1e-4, 1e-2, 0.1, 1.0, 10.0, 100.0):
-        status, cert = ct_feasible(data, alpha, 1e-6, max_oracle_calls=120,
-                                   detail=True)
-        if status == FEASIBLE or cert is not None:
+        # a fresh stream, so that each probe starts cold
+        if ref.probe_at(ct_rates_probe([data], 1e-6, max_oracle_calls=120), alpha) != [None]:
             failures.append(f"standard input certified at alpha={alpha:g}")
-    coupled_hits = []
-    for L in (2.0, 4.0):
-        coupled = build_ct(1.0, 1, 1.0, L, b_coupled=True)
-        if ct_feasible(coupled, 0.5, 1e-6) is not None:
-            coupled_hits.append(L)
+    grid = (2.0, 4.0)
+    certs = ref.probe_at(ct_rates_probe([build_ct(1.0, 1.0, L, b_coupled=True) for L in grid],
+                                        1e-6), 0.5)
+    coupled_hits = [L for L, cert in zip(grid, certs, strict=True) if cert is not None]
     if not coupled_hits:
         failures.append("coupled input certified nowhere")
     detail = (f"standard input uncertified on the alpha grid, coupled input "
@@ -488,7 +487,7 @@ def test_criterion_08_continuous_time_input_matrices():
 
 def test_criterion_09_proof_identities():
     failures = []
-    ct = build_ct(2.0, 1, 1.0, 10.0)
+    ct = build_ct(2.0, 1.0, 10.0)
     rng = np.random.default_rng(3)
     eps = 1e-4
     for _ in range(1000):

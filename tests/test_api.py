@@ -24,7 +24,7 @@ def _bench_tree(name):
 
 
 def test_public_api_is_small_and_importable():
-    assert len(hbreset.__all__) <= 35
+    assert len(hbreset.__all__) <= 34
     assert len(set(hbreset.__all__)) == len(hbreset.__all__)
     namespace = {}
     exec("from hbreset import *", namespace)

@@ -17,8 +17,8 @@ from hbreset.cli import certify_tuning, main as cli_main
 from hbreset.discrete import AlgoParams, Variant, run
 from hbreset.lmi import (ALIGNMENT_FORM, NES, POL, Certificate, CertRequest,
                          NoCertificate, bisect_rate, bisect_rates, build_ct, build_dt,
-                         build_sector, build_theorem2, certify_discrete, ct_feasible,
-                         ct_problem, dt_feasible, dt_problem, dt_rates_probe, dt_system)
+                         build_sector, build_theorem2, ct_rates_probe, dt_feasible,
+                         dt_problem, dt_rates_probe, dt_system)
 from hbreset.objectives import QuadraticSpec, gen_random_quadratic, quadratic_model
 from hbreset import sdp
 from hbreset.sdp import FEASIBLE, INDETERMINATE, INFEASIBLE, problem_to_json
@@ -104,17 +104,15 @@ def test_sector_form_nonnegative_on_matching_quadratic():
 
 
 def test_ct_system_matrices():
-    data = build_ct(2.0, 1, 1.0, 10.0)
+    data = build_ct(2.0, 1.0, 10.0)
     np.testing.assert_allclose(data.A, [[0.0, 1.0], [0.0, -2.0]], atol=0)
     np.testing.assert_allclose(data.A_R, [[1.0, 0.0], [0.0, 0.0]], atol=0)
     np.testing.assert_allclose(data.B, [[0.0], [-1.0]], atol=0)
     np.testing.assert_allclose(data.C, [[1.0, 0.0]], atol=0)
-    coupled = build_ct(2.0, 1, 1.0, 10.0, b_coupled=True)
+    coupled = build_ct(2.0, 1.0, 10.0, b_coupled=True)
     np.testing.assert_allclose(coupled.B, [[-1.0], [-1.0]], atol=0)
     with pytest.raises(ValueError):
-        build_ct(0.0, 1, 1.0, 10.0)
-    with pytest.raises(ValueError):
-        build_ct(1.0, 2, 1.0, 10.0)
+        build_ct(0.0, 1.0, 10.0)
     for mat in (data.M_phi, data.M0, data.M_eps(1e-6)):
         assert mat.shape == (3, 3)
         np.testing.assert_allclose(mat, mat.T, atol=1e-14)
@@ -122,7 +120,7 @@ def test_ct_system_matrices():
 
 def test_ct_descent_identities():
     # e' M0 e = -p * grad, and the inflated form adds eps |x|^2
-    data = build_ct(2.0, 1, 1.0, 10.0)
+    data = build_ct(2.0, 1.0, 10.0)
     rng = np.random.default_rng(3)
     eps = 1e-4
     for _ in range(1000):
@@ -141,7 +139,7 @@ def test_ct_flow_jump_quadratic_forms():
     # xdot = A x + B u; jump form is the P-energy difference across a reset
     rng = np.random.default_rng(4)
     for coupled in (False, True):
-        data = build_ct(1.5, 1, 1.0, 10.0, b_coupled=coupled)
+        data = build_ct(1.5, 1.0, 10.0, b_coupled=coupled)
         for _ in range(200):
             raw = rng.standard_normal((2, 2))
             P = raw @ raw.T + 0.1 * np.eye(2)
@@ -161,17 +159,14 @@ def test_ct_flow_jump_quadratic_forms():
 def test_ct_standard_input_uncertifiable():
     # with the plain input matrix the flow/jump pair never certifies, from
     # tiny decay exponents through huge ones
-    data = build_ct(2.0, 1, 1.0, 10.0)
+    data = build_ct(2.0, 1.0, 10.0)
     for alpha in (1e-6, 1e-2, 1.0, 100.0):
-        status, cert = ct_feasible(data, alpha, 1e-6, max_oracle_calls=120,
-                                   detail=True)
-        assert status != FEASIBLE
-        assert cert is None
+        assert ref.probe_at(ct_rates_probe([data], 1e-6, max_oracle_calls=120), alpha) == [None]
 
 
 def test_ct_coupled_input_feasible_band():
-    data = build_ct(1.0, 1, 1.0, 2.0, b_coupled=True)
-    cert = ct_feasible(data, 0.5, 1e-6)
+    data = build_ct(1.0, 1.0, 2.0, b_coupled=True)
+    (cert,) = ref.probe_at(ct_rates_probe([data], 1e-6), 0.5)
     assert cert is not None
     assert cert.rate_kind == "alpha"
     eigs = np.linalg.eigvalsh(cert.P)
@@ -179,14 +174,13 @@ def test_ct_coupled_input_feasible_band():
     assert 0.0 < cert.rate <= 0.5
     assert cert.multipliers["sigma_phi"] >= 1e-9 * (1.0 - 1e-6)
     # beyond the band the same data is uncertifiable
-    status, none_cert = ct_feasible(data, 1.5, 1e-6, detail=True)
-    assert status != FEASIBLE and none_cert is None
+    assert ref.probe_at(ct_rates_probe([data], 1e-6), 1.5) == [None]
 
 
 def test_ct_coupled_max_exponent():
-    data = build_ct(1.0, 1, 1.0, 2.0, b_coupled=True)
-    alpha, cert = bisect_rate(lambda a: ct_feasible(data, a, 1e-6), 0.7, 1.1, iters=12,
-                              scan=False, sense="max")
+    data = build_ct(1.0, 1.0, 2.0, b_coupled=True)
+    [(alpha, cert)] = bisect_rates(ct_rates_probe([data], 1e-6), 0.7, 1.1, iters=12,
+                                   scan=False, sense="max")
     assert abs(alpha - 0.8938) <= 5e-4
     assert cert.tuning["b_coupled"] is True
     assert 0.0 < cert.rate <= alpha
@@ -219,19 +213,20 @@ def test_two_step_branch_validation():
 
 
 def _dt_stream_row(h=0.1, L=10.0):
-    return bisect_rates(dt_rates_probe([CertRequest(1.0, L, h, 0.5, 0.0, NES)]), 1, 0.05,
-                        1.0, iters=1)
+    return bisect_rates(dt_rates_probe([CertRequest(1.0, L, h, 0.5, 0.0, NES)]), 0.05, 1.0,
+                        iters=1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("name, make", [
     ("h", lambda x: build_dt(x, 0.5, POL)),
     ("h", lambda x: _dt_stream_row(h=x)),
-    ("K", lambda x: build_ct(x, 1, 1.0, 2.0)),
+    ("K", lambda x: build_ct(x, 1.0, 2.0)),
     ("L", lambda x: build_sector(1.0, x)),
     ("L", lambda x: _dt_stream_row(L=x)),
-    ("alpha", lambda x: ct_feasible(build_ct(1.0, 1, 1.0, 2.0, b_coupled=True), x, 1e-6)),
-    ("eps_infl", lambda x: ct_feasible(build_ct(1.0, 1, 1.0, 2.0, b_coupled=True), 0.3, x)),
+    ("alpha", lambda x: ref.probe_at(ct_rates_probe([build_ct(1.0, 1.0, 2.0, b_coupled=True)],
+                                                    1e-6), x)),
+    ("eps_infl", lambda x: ct_rates_probe([build_ct(1.0, 1.0, 2.0, b_coupled=True)], x)),
 ])
 def test_non_finite_lmi_inputs_are_refused_by_name(name, make, bad):
     # a NaN or infinite parameter is refused where it enters, under its
@@ -424,12 +419,6 @@ def _lifted_bytes(lifted):
              for c, idx, m in lifted.blocks])
 
 
-def _probe_at(stream, rows, rho):
-    # each of the stream's first `rows` rows probed once, at rho: its
-    # certificate or None
-    return [cert for ((_, cert),) in stream(lambda won: (None if won else rho, None), rows)]
-
-
 def _result_bits(res):
     return (res.status, res.oracle_calls, None if res.v is None else res.v.tobytes(),
             repr(res.worst_eig), res.message)
@@ -481,6 +470,68 @@ def test_compiled_probes_replay_as_solves_of_their_dt_problems(monkeypatch, tmp_
     assert any(v_init is not None for *_, v_init, _ in recorded)
 
 
+def test_ct_probes_replay_as_solves_of_their_reference_problems(monkeypatch):
+    # every probe of a ct bisection (plain rows at L = 10, coupled ones at
+    # L = 2, 4) and criterion 08's fixed-alpha probes: the lifted rows that
+    # the compiled path solves, and their results, are those of lifting
+    # and solving the probed row's reference problem alone
+    probes, solves = [], []
+    real_cert, real_stream = hbreset.lmi._ct_certificate, hbreset.lmi.solve_stream
+
+    def recording_cert(data, eps_infl, alpha, res):
+        probes.append((data, eps_infl, alpha, res))
+        return real_cert(data, eps_infl, alpha, res)
+
+    def recording_stream(feed, max_oracle_calls):
+        live = {}
+
+        def fed(decided):
+            solves.extend((*live.pop(key), res) for key, res in decided)
+            joining, dropping = feed(decided)
+            live.update((key, (lifted, max_oracle_calls, v_init))
+                        for key, lifted, v_init in joining)
+            return joining, dropping
+
+        real_stream(fed, max_oracle_calls)
+
+    monkeypatch.setattr(hbreset.lmi, "_ct_certificate", recording_cert)
+    monkeypatch.setattr(hbreset.lmi, "solve_stream", recording_stream)
+    rows = [build_ct(K, 1.0, L, b_coupled=L < 10.0) for L in (10.0, 2.0, 4.0)
+            for K in (0.5, 1.0, 2.0)]
+    found = bisect_rates(ct_rates_probe(rows, 1e-6), 0.05, 2.0, iters=8, scan=False,
+                         sense="max")
+    plain = build_ct(1.0, 1.0, 10.0)
+    for alpha in (1e-6, 1e-4, 1e-2, 0.1, 1.0, 10.0, 100.0):
+        assert ref.probe_at(ct_rates_probe([plain], 1e-6, max_oracle_calls=120), alpha) == [None]
+    coupled = [build_ct(1.0, 1.0, L, b_coupled=True) for L in (2.0, 4.0)]
+    assert None not in ref.probe_at(ct_rates_probe(coupled, 1e-6), 0.5)
+    monkeypatch.undo()
+    probed = {id(res): (data, eps_infl, alpha) for data, eps_infl, alpha, res in probes}
+    recorded = [(*probed[id(res)], *solved, res) for *solved, res in solves
+                if id(res) in probed]
+    assert len(recorded) == len(probes) < len(solves)
+    assert {budget for *_, budget, _, _ in recorded} == {120, 200}
+    for data, eps_infl, alpha, lifted, budget, v_init, res in recorded:
+        problem = ref.ct_problem(data, alpha, eps_infl)
+        assert _lifted_bytes(lifted) == _lifted_bytes(sdp.lift(problem))
+        assert _result_bits(res) == _result_bits(sdp.solve_feasibility(problem, budget, v_init))
+    assert {res.status for *_, res in recorded} == {FEASIBLE, INFEASIBLE, INDETERMINATE}
+    assert any(v_init is not None for *_, v_init, _ in recorded)
+    # the warm starts move certificates but no verdict of the path: each
+    # row bisects to the alpha of cold solves at every probe
+    for data, got in zip(rows, found, strict=True):
+        def cold(alpha, data=data):
+            res = sdp.solve_feasibility(ref.ct_problem(data, alpha, 1e-6))
+            return hbreset.lmi._ct_certificate(data, 1e-6, alpha, res)
+
+        try:
+            want = bisect_rate(cold, 0.05, 2.0, iters=8, scan=False, sense="max")[0]
+        except NoCertificate:
+            want = None
+        assert (got is None) == (want is None) == (not data.b_coupled)
+        assert got is None or got[0] == want
+
+
 def test_a_compiled_row_is_validated_as_its_dt_problem_is(monkeypatch):
     # a compiled matrix made asymmetric by 1e-6 or non-finite is rejected
     # by the probe with the message that building its dt_problem gives:
@@ -505,7 +556,7 @@ def test_a_compiled_row_is_validated_as_its_dt_problem_is(monkeypatch):
             dt_problem(tampered(sys_mats, 1.0, 10.0, 0.9))
         monkeypatch.setattr(hbreset.lmi, "build_theorem2", tampered)
         with pytest.raises(ValueError) as got:
-            _probe_at(dt_rates_probe([request]), 1, 0.9)
+            ref.probe_at(dt_rates_probe([request]), 0.9)
         monkeypatch.undo()
         assert str(got.value) == str(want.value)
         assert ("non-finite" if np.isinf(bad) or np.isnan(bad) else "not symmetric") in str(got.value)
@@ -528,7 +579,7 @@ def test_every_probe_matrix_passes_the_symmetry_check(mu, cond, h, beta_hi, lo, 
 
     request = CertRequest(mu, mu * cond, h / (mu * cond), beta_hi, lo * beta_hi, disc)
     with mock.patch.object(hbreset.lmi, "solve_stream", recording):
-        _probe_at(dt_rates_probe([request], max_oracle_calls=1), 1, rho)
+        ref.probe_at(dt_rates_probe([request], max_oracle_calls=1), rho)
     (lifted,) = seen
     for const, _, mats in lifted.blocks:
         for mat in (const, *mats):
@@ -544,7 +595,7 @@ def test_gradient_descent_embedding_rate():
     # contraction factor is exactly 0.9
     req = CertRequest(mu=1.0, lipschitz=19.0, h=0.1, beta_hi=0.0, beta_lo=0.0,
                       disc=POL)
-    rate, cert = certify_discrete(req, lo=0.88, hi=0.92, iters=14, scan=False)
+    [(rate, cert)] = bisect_rates(dt_rates_probe([req]), 0.88, 0.92, iters=14, scan=False)
     assert 0.89999 <= rate <= 0.9005
     assert cert.rate == rate
     assert cert.rate_kind == "rho"
@@ -741,7 +792,7 @@ def test_bisect_validation():
     with pytest.raises(ValueError, match="iters"):
         bisect_rate(lambda r: token if r >= 0.6 else None, 0.05, 1.0, iters=-1)
     with pytest.raises(ValueError, match="iters"):
-        bisect_rates(lambda rule, rows: [[]] * rows, 3, 0.05, 1.0, iters=-1)
+        bisect_rates(lambda rule: [[]] * 3, 0.05, 1.0, iters=-1)
 
 
 @pytest.mark.parametrize("iters", [3.5, float("inf"), float("nan")])
@@ -758,7 +809,7 @@ def test_bisection_refuses_iters_that_are_not_counts(iters):
     with pytest.raises(ValueError, match="iters must be an integer"):
         bisect_rate(builder, 0.1, 1.0, iters=iters, scan=False)
     with pytest.raises(ValueError, match="iters must be an integer"):
-        bisect_rates(lambda rule, rows: calls.append(rule), 2, 0.1, 1.0, iters=iters)
+        bisect_rates(lambda rule: calls.append(rule), 0.1, 1.0, iters=iters)
     assert calls == []
     token = Certificate(rate=0.0, rate_kind="rho", P=np.eye(2), multipliers={},
                         margin=-1.0, tuning={})
@@ -770,8 +821,8 @@ def test_bisection_refuses_iters_that_are_not_counts(iters):
 
 def _builders_stream(builders):
     # a stream whose row i calls builders[i] at each rate of its path
-    def stream(rule, rows):
-        paths = [[] for _ in range(rows)]
+    def stream(rule):
+        paths = [[] for _ in builders]
         for builder, path in zip(builders, paths):
             while (rate := rule([c is not None for _, c in path])[0]) is not None:
                 path.append((rate, builder(rate)))
@@ -799,8 +850,8 @@ def test_bisect_rates_gives_each_row_its_single_row_result():
             stream = _builders_stream([lambda r, i=i: probe(i, r) for i in range(len(tests))])
             with warnings.catch_warnings(record=True):
                 warnings.simplefilter("always")
-                found = bisect_rates(stream, len(tests), 0.05, 1.0, iters=9, scan=scan,
-                                     sense=sense)
+                found = bisect_rates(stream, 0.05, 1.0, iters=9, scan=scan, sense=sense)
+            assert len(found) == len(tests)
             for i, test in enumerate(tests):
                 alone = []
 
@@ -819,7 +870,7 @@ def test_bisect_rates_gives_each_row_its_single_row_result():
                 assert [r for j, r in calls if j == i] == alone
     with pytest.warns(RuntimeWarning, match="not monotone"):
         bisect_rates(_builders_stream([lambda r: token if tests[3](r) else None]),
-                     1, 0.05, 1.0, iters=3, scan=True)
+                     0.05, 1.0, iters=3, scan=True)
 
 
 def test_dt_rows_in_lockstep_match_each_row_bisected_alone():
@@ -835,8 +886,8 @@ def test_dt_rows_in_lockstep_match_each_row_bisected_alone():
     stream = dt_rates_probe(requests, 150)
     builders = [ref.dt_rate_builder(req, max_oracle_calls=150) for req in requests]
     for _ in range(2):
-        found = bisect_rates(stream, len(requests), 0.05, 1.0, iters=5, scan=False)
-        for builder, got in zip(builders, found):
+        found = bisect_rates(stream, 0.05, 1.0, iters=5, scan=False)
+        for builder, got in zip(builders, found, strict=True):
             try:
                 rate, cert = bisect_rate(builder, 0.05, 1.0, iters=5, scan=False)
             except NoCertificate:
@@ -858,9 +909,8 @@ def test_rows_that_certify_at_the_hard_end_match_each_row_bisected_alone():
                                    (10.0, ("nesterov", "hhb-nes", "polyak")))
                 for method in methods
                 for disc, h, bhi, blo in [certify_tuning(method, L, 1.0, "optimal")]]
-    found = bisect_rates(dt_rates_probe(requests), len(requests), 0.05, 1.0, iters=3,
-                         scan=False)
-    for req, got in zip(requests, found):
+    found = bisect_rates(dt_rates_probe(requests), 0.05, 1.0, iters=3, scan=False)
+    for req, got in zip(requests, found, strict=True):
         try:
             rate, cert = bisect_rate(ref.dt_rate_builder(req), 0.05, 1.0, iters=3,
                                      scan=False)
@@ -928,12 +978,12 @@ def test_rows_probing_ahead_keep_each_rows_path_and_bits(monkeypatch, scan):
         stream = dt_rates_probe(requests)
         with warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
-            found = bisect_rates(stream, len(requests), 0.05, 1.0, iters=iters, scan=scan)
+            found = bisect_rates(stream, 0.05, 1.0, iters=iters, scan=scan)
         paths = [[(rho, bits) for data, rho, bits in seen if data is row]
                  for row in stream.rows]
         assert sum(map(len, paths)) == len(seen)
         builders = [ref.dt_rate_builder(req) for req in requests]
-        for req, got, path, builder in zip(requests, found, paths, builders):
+        for req, got, path, builder in zip(requests, found, paths, builders, strict=True):
             seen.clear()
             try:
                 with warnings.catch_warnings(record=True):
@@ -949,7 +999,7 @@ def test_rows_probing_ahead_keep_each_rows_path_and_bits(monkeypatch, scan):
                 assert got[1].raw_v.tobytes() == cert.raw_v.tobytes()
         # each row's warm start after the bisection is its path's last
         # certificate, the one its builder holds
-        for after, builder in zip(_probe_at(stream, len(requests), 0.99), builders):
+        for after, builder in zip(ref.probe_at(stream, 0.99), builders, strict=True):
             want = builder(0.99)
             assert (after is None) == (want is None)
             assert after is None or after.raw_v.tobytes() == want.raw_v.tobytes()
@@ -965,8 +1015,7 @@ def test_rows_of_a_wide_grid_share_the_stack(monkeypatch):
     # as rows finish, never more than LOOKAHEAD, and every row keeps its
     # rate and certificate
     requests = _seeded_rows(18)
-    want = bisect_rates(dt_rates_probe(requests), len(requests), 0.05, 1.0, iters=3,
-                        scan=False)
+    want = bisect_rates(dt_rates_probe(requests), 0.05, 1.0, iters=3, scan=False)
     stacked, shares = set(), []
     real_stream = hbreset.lmi.solve_stream
 
@@ -985,11 +1034,10 @@ def test_rows_of_a_wide_grid_share_the_stack(monkeypatch):
 
     monkeypatch.setattr(hbreset.lmi, "solve_stream", recording_stream)
     monkeypatch.setattr(hbreset.lmi, "STACK_ROWS", 12)
-    found = bisect_rates(dt_rates_probe(requests), len(requests), 0.05, 1.0, iters=3,
-                         scan=False)
+    found = bisect_rates(dt_rates_probe(requests), 0.05, 1.0, iters=3, scan=False)
     assert all(most <= 12 // max(rows, 1) for most, rows in shares)
     assert (2, 6) in shares and 2 < max(shares)[0] <= hbreset.lmi.LOOKAHEAD
-    for got, ref in zip(found, want):
+    for got, ref in zip(found, want, strict=True):
         assert (got is None) == (ref is None)
         if ref is not None:
             assert got[0] == ref[0]
@@ -1040,7 +1088,7 @@ def test_certificate_json_round_trip():
 
 
 def test_problem_export():
-    ct = ct_problem(build_ct(2.0, 1, 1.0, 10.0), 0.5, 1e-6)
+    ct = ref.ct_problem(build_ct(2.0, 1.0, 10.0), 0.5, 1e-6)
     assert ct.nvar == 6
     dt = dt_problem(build_theorem2(dt_system(0.1, 0.5, 0.0, POL), 1.0, 10.0, 0.9))
     assert dt.nvar == 8
@@ -1050,8 +1098,8 @@ def test_problem_export():
 
 
 def test_lyapunov_requires_discrete_certificate_and_minimum():
-    data = build_ct(1.0, 1, 1.0, 2.0, b_coupled=True)
-    ct_cert = ct_feasible(data, 0.3, 1e-6)
+    data = build_ct(1.0, 1.0, 2.0, b_coupled=True)
+    (ct_cert,) = ref.probe_at(ct_rates_probe([data], 1e-6), 0.3)
     assert ct_cert is not None
     model = scalar_quad(2.0)
     with pytest.raises(ValueError):
