@@ -18,18 +18,19 @@ import dataclasses
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 # run is not called here; bench/tracing.py patches it by this name
-from .discrete import (STATUS_DIVERGED, AlgoParams, Trajectory, Variant,  # noqa: F401
+from .discrete import (STATUS_DIVERGED, AlgoParams, Trajectory,  # noqa: F401
                        count_nonmonotone, run, run_many)
 from .hybrid import (HybridParams, HybridState, default_dwell, integrate_hb,
                      integrate_hhb, integrate_hihb)
 # bisect_rate is not called here; bench/tracing.py patches it by this name
-from .lmi import (NES, POL, CertRequest, bisect_rate, bisect_rates,  # noqa: F401
+from .lmi import (NES, CertRequest, bisect_rate, bisect_rates,  # noqa: F401
                   dt_problem, dt_rates_probe)
 from .objectives import (ObjectiveModel, QuadraticSpec, gen_logistic_dataset,
                          gen_random_quadratic, logistic_lipschitz,
@@ -38,9 +39,42 @@ from .objectives import (ObjectiveModel, QuadraticSpec, gen_logistic_dataset,
 from .sdp import problem_to_json
 from .svg import write_chart
 
-CERTIFY_METHODS = ("nesterov", "hhb-nes", "hihb-nes", "polyak", "hhb-pol", "hihb-pol")
-QUAD_METHODS = ("polyak", "nesterov", "hhb-pol", "hhb-nes", "hihb-pol", "hihb-nes")
-LOGREG_METHODS = ("gd", "polyak", "nesterov", "hhb", "hihb")
+# Reset laws: tuned beta at eps = sqrt(h) -> (beta_lo, beta_hi); None tunes no beta.
+# Comments give simulate's damping pair (K_lo, K_hi) for beta = 1 - eps*K.
+LAWS = {"hb": lambda beta, eps: (beta, beta),  # (K, K)
+        "hhb": lambda beta, eps: (0.0, beta),  # a momentum jump: simulate's hhb at K
+        "hihb": lambda beta, eps: (beta, 1.0),  # (0, K)
+        "hihb-floor": lambda beta, eps: (min(max(1.0 - eps, 0.0), beta), beta),  # (K, max(1, K))
+        None: lambda beta, eps: (0.0, 0.0)}
+
+# METHODS[subcommand][name] = (variant, law), in default order. hihb names two
+# systems, and nesterov constant-beta NES in certify and quad but NES_SCHEDULE
+# in logreg and tune.
+_TUNED = {"gd": ("gd", None), "polyak": ("pol", "hb"), "nesterov": ("nes-schedule", None),
+          "hhb": ("pol", "hhb"), "hihb": ("pol", "hihb")}
+METHODS = {"certify": {"nesterov": ("nes", "hb"), "hhb-nes": ("nes", "hhb"),
+                       "hihb-nes": ("nes", "hihb-floor"), "polyak": ("pol", "hb"),
+                       "hhb-pol": ("pol", "hhb"), "hihb-pol": ("pol", "hihb-floor")},
+           "quad": {"polyak": ("pol", "hb"), "nesterov": ("nes", "hb"), "hhb-pol": ("pol", "hhb"),
+                    "hhb-nes": ("nes", "hhb"), "hihb-pol": ("pol", "hihb"),
+                    "hihb-nes": ("nes", "hihb")},
+           "logreg": _TUNED, "tune": _TUNED}
+
+
+def method_entry(subcommand: str, method: str) -> tuple:
+    """METHODS[subcommand][method]; a ValueError names an unknown name."""
+    table = METHODS.get(subcommand)
+    if table is None or method not in table:
+        what = f"method {method!r} for {subcommand}" if table else f"subcommand {subcommand!r}"
+        raise ValueError(f"unknown {what}; one of {', '.join(table or METHODS)}")
+    return table[method]
+
+
+def method_params(subcommand: str, method: str, eps: float, beta: Optional[float]) -> AlgoParams:
+    """A method's parameters at eps, by its law from the tuned beta."""
+    variant, law = method_entry(subcommand, method)
+    return AlgoParams(eps, *LAWS[law](beta, eps), variant)
+
 
 GAP_TARGET = 1e-6
 SWEEP_HEADER = ("L", "mu", "h", "beta_hi", "beta_lo", "method", "rho", "status")
@@ -131,7 +165,6 @@ def _knob(default, flag: str, parse: Callable, subcommands: str, **spec):
 
 
 _ALL = "certify quad logreg tune simulate"
-_METHODS = {"certify": CERTIFY_METHODS, "quad": QUAD_METHODS, "logreg": LOGREG_METHODS}
 
 
 @dataclass
@@ -144,7 +177,8 @@ class ExperimentConfig:
                                 bounds=(lambda v: 0 <= v < 2 ** 64, "fit in 64 bits"))
     out: str = _knob("run-out", "--out", str, _ALL, help="output directory (default run-out)")
     methods: Optional[tuple] = _knob(None, "--methods", _names, "certify quad logreg",
-                                     fill=_METHODS, choices=_METHODS, labels=True)
+                                     fill=lambda cfg: tuple(METHODS[cfg.subcommand]),
+                                     choices=lambda cfg: METHODS[cfg.subcommand], labels=True)
     grid_L: tuple = _knob((1.0, 10.0, 25.0, 50.0, 75.0, 100.0), "--grid-L", _floats, "certify",
                           bounds=_FINITE, labels=True)
     rule: str = _knob("mistuned", "--rule", str, "certify", choices=("mistuned", "optimal"))
@@ -163,7 +197,7 @@ class ExperimentConfig:
                             labels=True)
     iters: Optional[int] = _knob(None, "--iters", int, "quad logreg", bounds=_NONNEGATIVE,
                                  fill={"quad": 5000, "logreg": 3000})
-    method: Optional[str] = _knob(None, "--method", str, "tune", choices=LOGREG_METHODS,
+    method: Optional[str] = _knob(None, "--method", str, "tune", choices=tuple(METHODS["tune"]),
                                   required=True)
     objective: str = _knob("quad", "--objective", str, "tune", choices=("quad", "logreg"))
     # resolved per objective: short enough that near-optimal settings
@@ -230,8 +264,8 @@ def _grid_fits_mu(cfg: ExperimentConfig) -> None:
         if L < cfg.mu:
             raise ValueError(f"--grid-L entries must be at least --mu {cfg.mu}, got {cfg.grid_L}")
         try:  # the rule's 2L or (sqrt L + sqrt mu)^2 may overflow
-            h = min(certify_tuning(m, L, cfg.mu, cfg.rule)[1]
-                    for m in cfg.methods or CERTIFY_METHODS)
+            h = min(certify_tuning(cfg.rule, method_entry("certify", m)[0], L, cfg.mu)[0]
+                    for m in cfg.methods or METHODS["certify"])
         except OverflowError:
             h = 0.0
         if h == 0.0:
@@ -260,7 +294,7 @@ def _quad_damping_in_unit(cfg: ExperimentConfig) -> None:
     # quad_params' damping beta = 1 - sqrt(h)*K must lie in [0, 1]
     if cfg.subcommand != "quad" or cfg.h is None:
         return
-    bad = [K for K in cfg.k_values if not 0.0 <= 1.0 - math.sqrt(cfg.h) * K <= 1.0]
+    bad = [K for K in cfg.k_values if _damping_beta(K, math.sqrt(cfg.h)) is None]
     if bad:
         raise ValueError(f"--K entries need 1 - sqrt(h)*K in [0, 1] at --h {cfg.h:g}, got {bad}")
 
@@ -317,9 +351,8 @@ def write_csv(path, header: Sequence[str], rows) -> None:
 # certify
 
 
-def certify_tuning(method: str, L: float, mu: float, rule: str):
-    """(disc, h, beta_hi, beta_lo) for one sweep method under a tuning rule."""
-    disc = NES if "nes" in method else POL
+def certify_tuning(rule: str, disc: str, L: float, mu: float) -> tuple[float, float]:
+    """(h, beta) of a tuning rule for discretization disc at conditioning (L, mu)."""
     rl, rm = math.sqrt(L), math.sqrt(mu)
     if rule == "mistuned":
         h = 1.0 / (2.0 * L)
@@ -333,16 +366,15 @@ def certify_tuning(method: str, L: float, mu: float, rule: str):
             beta = ((rl - rm) / (rl + rm)) ** 2
     else:
         raise ValueError(f"unknown tuning rule {rule!r}")
-    if method in ("nesterov", "polyak"):
-        blo = beta
-    elif method.startswith("hhb-"):
-        blo = 0.0
-    elif method.startswith("hihb-"):
-        # switched damping floor; clamped into [0, beta_hi]
-        blo = min(max(1.0 - math.sqrt(h), 0.0), beta)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return disc, h, beta, blo
+    return h, beta
+
+
+def certify_request(method: str, L: float, mu: float, rule: str) -> CertRequest:
+    """One sweep row: the method's law applied to the rule's (h, beta)."""
+    disc, law = method_entry("certify", method)
+    h, beta = certify_tuning(rule, disc, L, mu)
+    beta_lo, beta_hi = LAWS[law](beta, math.sqrt(h))
+    return CertRequest(mu, L, h, beta_hi, beta_lo, disc)
 
 
 def read_sweep(path) -> list[dict]:
@@ -374,18 +406,17 @@ def replot_sweep(csv_path, svg_path) -> None:
 
 def cmd_certify(cfg: ExperimentConfig) -> int:
     out = _prepare(cfg)
-    grid = [(L, method, *certify_tuning(method, L, cfg.mu, cfg.rule))
+    grid = [(L, method, certify_request(method, L, cfg.mu, cfg.rule))
             for L in cfg.grid_L for method in cfg.methods]
     # every (L, method) row bisects in one stacked solve, holding up to
     # LOOKAHEAD probes of its path at once (fewer on wide grids)
-    probe = dt_rates_probe([CertRequest(cfg.mu, L, h, bhi, blo, disc)
-                            for L, _, disc, h, bhi, blo in grid], cfg.max_oracle_calls)
+    probe = dt_rates_probe([req for _, _, req in grid], cfg.max_oracle_calls)
     found = bisect_rates(probe, 0.05, 1.0, iters=cfg.bisect_iters, scan=cfg.scan)
     rows = []
-    for (L, method, disc, h, bhi, blo), compiled, result in zip(grid, probe.rows, found):
+    for (L, method, req), compiled, result in zip(grid, probe.rows, found):
         rho, cert = result if result is not None else (float("nan"), None)
         status = "certified" if cert is not None else "uncertified"
-        rows.append((float(L), cfg.mu, h, bhi, blo, method, rho, status))
+        rows.append((float(L), cfg.mu, req.h, req.beta_hi, req.beta_lo, method, rho, status))
         if cert is not None:
             with open(os.path.join(out, f"cert_{method}_L{L:g}.json"), "w") as fh:
                 fh.write(cert.to_json())
@@ -403,19 +434,18 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
 # quad
 
 
+def _damping_beta(K: float, eps: float) -> Optional[float]:
+    """quad's momentum beta = 1 - eps*K for damping K, or None outside [0, 1]."""
+    beta = 1.0 - eps * K
+    return beta if 0.0 <= beta <= 1.0 else None
+
+
 def quad_params(method: str, K: float, eps: float) -> AlgoParams:
     """Two-step parameters for continuous damping K at discretization eps."""
-    beta = 1.0 - eps * K
-    if not (0.0 <= beta <= 1.0):
+    beta = _damping_beta(K, eps)
+    if beta is None:
         raise ValueError(f"K={K} outside the stable damping range for eps={eps}")
-    variant = Variant.NES if "nes" in method else Variant.POL
-    if method in ("polyak", "nesterov"):
-        return AlgoParams(eps=eps, beta_lo=beta, beta_hi=beta, variant=variant)
-    if method.startswith("hhb-"):
-        return AlgoParams(eps=eps, beta_lo=0.0, beta_hi=beta, variant=variant)
-    if method.startswith("hihb-"):
-        return AlgoParams(eps=eps, beta_lo=beta, beta_hi=1.0, variant=variant)
-    raise ValueError(f"unknown method {method!r}")
+    return method_params("quad", method, eps, beta)
 
 
 def tail_slope(traj: Trajectory, frac: float = 0.2) -> float:
@@ -502,22 +532,6 @@ def golden_min(f, lo: float, hi: float, iters: int):
             return done.value
 
 
-def tune_params(method: str, h: float, beta: float) -> AlgoParams:
-    """Parameters for the tuned family; beta is ignored where not tuned."""
-    eps = math.sqrt(h)
-    if method == "gd":
-        return AlgoParams(eps=eps, variant=Variant.GD)
-    if method == "polyak":
-        return AlgoParams(eps=eps, beta_lo=beta, beta_hi=beta, variant=Variant.POL)
-    if method == "nesterov":
-        return AlgoParams(eps=eps, variant=Variant.NES_SCHEDULE)
-    if method == "hhb":
-        return AlgoParams(eps=eps, beta_lo=0.0, beta_hi=beta, variant=Variant.POL)
-    if method == "hihb":
-        return AlgoParams(eps=eps, beta_lo=beta, beta_hi=1.0, variant=Variant.POL)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _drive(search, f):
     """Drive a `_golden` search whose f(x) is itself a generator of probes:
     yields what each f(x) yields and returns the search's (x, f(x))."""
@@ -540,7 +554,7 @@ def _tune_search(method: str, h_lo: float, h_hi: float, outer_iters: int,
     """One method's nested interval search as a generator: stepsize outer
     (log scale), momentum inner. Yields (h, beta) probes, is sent each
     probe's score, and returns the best (h, beta, score) it probed."""
-    has_beta = method in ("polyak", "hhb", "hihb")
+    has_beta = method_entry("tune", method)[1] is not None
     best = (h_lo, None, float("inf"))
 
     def score_h(lh: float):
@@ -599,8 +613,8 @@ def tune_method(methods: Sequence[str], model: ObjectiveModel, q0, budget: int,
     stable = [False] * len(searches)
     live = list(range(len(searches)))
     while live:
-        scored = _scores(model, [tune_params(methods[i], *probes[i]) for i in live],
-                         q0, budget)
+        scored = _scores(model, [method_params("tune", methods[i], math.sqrt(h), beta)
+                                 for i in live for h, beta in [probes[i]]], q0, budget)
         for i, (score, diverged) in zip(live, scored):
             stable[i] = stable[i] or not diverged
             try:
@@ -692,7 +706,7 @@ def cmd_logreg(cfg: ExperimentConfig) -> int:
                              "grad_norm": ref_gn, "lipschitz": float(lhat)},
                             sort_keys=True, indent=2) + "\n")
     # the final runs share q0 as well, so they step together
-    trajs = run_many(model, [tune_params(t["method"], t["h"], t["beta"] or 0.0)
+    trajs = run_many(model, [method_params("logreg", t["method"], math.sqrt(t["h"]), t["beta"])
                              for t in tuned], q0, cfg.iters)
     tuned_all = {}
     series = []
@@ -868,5 +882,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return COMMANDS[cfg.subcommand][0](cfg)
 
 
+def console(argv: Optional[Sequence[str]] = None) -> int:
+    """The console script: main, but a ValueError prints in one line, as
+    argparse prints a usage error, and exits with status 2."""
+    try:
+        return main(argv)
+    except ValueError as exc:
+        subcommand = build_parser().parse_args(argv).subcommand
+        print(f"hbreset {subcommand}: error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console())

@@ -6,6 +6,9 @@ import filecmp
 import json
 import math
 import os
+import re
+import subprocess
+import sys
 import types
 import warnings
 
@@ -14,11 +17,11 @@ import pytest
 
 import hbreset.cli
 import hbreset.objectives
-from hbreset.cli import (ExperimentConfig, LOGREG_METHODS, SWEEP_HEADER,
+from hbreset.cli import (METHODS, ExperimentConfig, SWEEP_HEADER, certify_request,
                          certify_tuning, config_from_args, build_parser,
-                         golden_min, logreg_start, main, quad_params,
-                         read_sweep, replot_sweep, tail_slope, tune_method,
-                         tune_params)
+                         golden_min, logreg_start, main, method_entry,
+                         method_params, quad_params, read_sweep, replot_sweep,
+                         tail_slope, tune_method)
 from hbreset.discrete import Variant, run
 from hbreset.lmi import build_dt
 from hbreset.objectives import (QuadraticSpec, gen_logistic_dataset,
@@ -37,6 +40,9 @@ def parse_csv(path):
 def column(header, rows, name):
     i = header.index(name)
     return [row[i] for row in rows]
+
+
+LOGREG_METHODS = tuple(METHODS["logreg"])
 
 
 def assert_dirs_byte_identical(a, b):
@@ -273,6 +279,138 @@ def test_tune_requires_method_flag():
         build_parser().parse_args(["tune", "--seed", "1"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "--mu", "0"], "--mu must be finite and positive, got 0.0"),
+    (["quad", "--config", "bad.json"], "--config 'bad.json' is not valid JSON: "),
+    # every run diverges, so the search has no pick
+    (["tune", "--method", "polyak", "--seed", "1", "--h-lo", "1e3", "--h-hi", "1e4"],
+     "every polyak run diverged within 60 iterations on [1000, 10000]"),
+])
+def test_console_reports_a_rejected_input_in_one_line(argv, message, tmp_path, monkeypatch):
+    # `python -m hbreset.cli` runs the console script, which prints main's
+    # ValueError as argparse prints a usage error; main itself raises it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text("{not json")
+    src = os.path.dirname(os.path.dirname(hbreset.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-m", "hbreset.cli", *argv, "--out", "out"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"hbreset {argv[0]}: error: {message}")
+    assert done.stdout == "" and not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        main([*argv, "--out", "out"])
+
+
+# ---------------------------------------------------------------------------
+# method table
+
+
+# Every METHODS entry, pinned bit for bit to what the per-subcommand mappings
+# that the table replaced gave: certify's (disc, h, beta_lo, beta_hi) at each
+# (L, mu, rule) of CERTIFY_CASES, and quad's and tune's (variant, eps,
+# beta_lo, beta_hi) at each (K, eps) of QUAD_CASES and (h, beta) of
+# TUNE_CASES. The mistuned rule makes hihb-floor's clamp bind at
+# 1 - sqrt(h) < beta, and h > 1 at (0.5, 0.25, "optimal") makes it bind at 0.
+CERTIFY_CASES = ((4.0, 1.0, "mistuned"), (4.0, 1.0, "optimal"), (0.5, 0.25, "optimal"))
+QUAD_CASES = ((1.5, 0.01), (0.5, 0.1))
+TUNE_CASES = ((0.1, 0.5), (1e-3, 0.9))
+TABLE_PINS = {
+    ("certify", "nesterov"): [("nes", 0.125, 0.9646446609406726, 0.9646446609406726),
+                              ("nes", 0.25, 0.3333333333333333, 0.3333333333333333),
+                              ("nes", 2.0, 0.17157287525380996, 0.17157287525380996)],
+    ("certify", "hhb-nes"): [("nes", 0.125, 0.0, 0.9646446609406726),
+                             ("nes", 0.25, 0.0, 0.3333333333333333),
+                             ("nes", 2.0, 0.0, 0.17157287525380996)],
+    ("certify", "hihb-nes"): [("nes", 0.125, 0.6464466094067263, 0.9646446609406726),
+                              ("nes", 0.25, 0.3333333333333333, 0.3333333333333333),
+                              ("nes", 2.0, 0.0, 0.17157287525380996)],
+    ("certify", "polyak"): [("pol", 0.125, 0.9646446609406726, 0.9646446609406726),
+                            ("pol", 0.4444444444444444, 0.1111111111111111, 0.1111111111111111),
+                            ("pol", 2.7451660040609585, 0.029437251522859434,
+                             0.029437251522859434)],
+    ("certify", "hhb-pol"): [("pol", 0.125, 0.0, 0.9646446609406726),
+                             ("pol", 0.4444444444444444, 0.0, 0.1111111111111111),
+                             ("pol", 2.7451660040609585, 0.0, 0.029437251522859434)],
+    ("certify", "hihb-pol"): [("pol", 0.125, 0.6464466094067263, 0.9646446609406726),
+                              ("pol", 0.4444444444444444, 0.1111111111111111, 0.1111111111111111),
+                              ("pol", 2.7451660040609585, 0.0, 0.029437251522859434)],
+    ("quad", "polyak"): [("pol", 0.01, 0.985, 0.985),
+                         ("pol", 0.1, 0.95, 0.95)],
+    ("quad", "nesterov"): [("nes", 0.01, 0.985, 0.985),
+                           ("nes", 0.1, 0.95, 0.95)],
+    ("quad", "hhb-pol"): [("pol", 0.01, 0.0, 0.985),
+                          ("pol", 0.1, 0.0, 0.95)],
+    ("quad", "hhb-nes"): [("nes", 0.01, 0.0, 0.985),
+                          ("nes", 0.1, 0.0, 0.95)],
+    ("quad", "hihb-pol"): [("pol", 0.01, 0.985, 1.0),
+                           ("pol", 0.1, 0.95, 1.0)],
+    ("quad", "hihb-nes"): [("nes", 0.01, 0.985, 1.0),
+                           ("nes", 0.1, 0.95, 1.0)],
+    ("tune", "gd"): [("gd", 0.31622776601683794, 0.0, 0.0),
+                     ("gd", 0.03162277660168379, 0.0, 0.0)],
+    ("tune", "polyak"): [("pol", 0.31622776601683794, 0.5, 0.5),
+                         ("pol", 0.03162277660168379, 0.9, 0.9)],
+    ("tune", "nesterov"): [("nes-schedule", 0.31622776601683794, 0.0, 0.0),
+                           ("nes-schedule", 0.03162277660168379, 0.0, 0.0)],
+    ("tune", "hhb"): [("pol", 0.31622776601683794, 0.0, 0.5),
+                      ("pol", 0.03162277660168379, 0.0, 0.9)],
+    ("tune", "hihb"): [("pol", 0.31622776601683794, 0.5, 1.0),
+                       ("pol", 0.03162277660168379, 0.9, 1.0)],
+}
+# logreg runs the family that tune tunes
+TABLE_PINS.update({("logreg", m): rows for (s, m), rows in list(TABLE_PINS.items())
+                   if s == "tune"})
+
+
+def _bits(row):
+    return tuple(v.hex() if isinstance(v, float) else v for v in row)
+
+
+@pytest.mark.parametrize("subcommand, method",
+                         [(s, m) for s in METHODS for m in METHODS[s]])
+def test_method_table_entry_gives_its_pinned_parameters(subcommand, method):
+    if subcommand == "certify":
+        got = [(r.disc, r.h, r.beta_lo, r.beta_hi)
+               for L, mu, rule in CERTIFY_CASES
+               for r in [certify_request(method, L, mu, rule)]]
+    elif subcommand == "quad":
+        got = [(p.variant, p.eps, p.beta_lo, p.beta_hi)
+               for K, eps in QUAD_CASES for p in [quad_params(method, K, eps)]]
+    else:
+        got = [(p.variant, p.eps, p.beta_lo, p.beta_hi) for h, beta in TUNE_CASES
+               for p in [method_params(subcommand, method, math.sqrt(h), beta)]]
+    assert [_bits(row) for row in got] == [_bits(row) for row in TABLE_PINS[subcommand, method]]
+
+
+def test_method_table_keeps_every_pinned_name_in_default_order():
+    assert [(s, m) for s in METHODS for m in METHODS[s]] == [
+        key for s in METHODS for key in TABLE_PINS if key[0] == s]
+    assert tuple(METHODS["certify"]) == ("nesterov", "hhb-nes", "hihb-nes", "polyak",
+                                         "hhb-pol", "hihb-pol")
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: method_entry("tune", "adam"),
+     "unknown method 'adam' for tune; one of gd, polyak, nesterov, hhb, hihb$"),
+    (lambda: method_params("quad", "hhb", 0.1, 0.5), "unknown method 'hhb' for quad"),
+    (lambda: quad_params("adam", 1.0, 0.01), "unknown method 'adam' for quad"),
+    (lambda: certify_request("hihb", 4.0, 1.0, "mistuned"),
+     "unknown method 'hihb' for certify; one of nesterov, hhb-nes, "),
+    (lambda: tune_method(["adam"], quadratic_model(QuadraticSpec(np.eye(1), np.zeros(1))),
+                         np.ones(1), 5, 0.1, 1.0), "unknown method 'adam' for tune"),
+    (lambda: method_entry("simulate", "hb"),
+     "unknown subcommand 'simulate'; one of certify, quad, logreg, tune$"),
+    (lambda: certify_tuning("grid", "pol", 4.0, 1.0), "unknown tuning rule 'grid'"),
+    (lambda: quad_params("polyak", 1.97, 0.6), "outside the stable damping range"),
+])
+def test_an_unknown_name_or_damping_raises_a_value_error_naming_it(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # certify
 
@@ -297,8 +435,8 @@ def test_certify_all_methods_contract_at_unit_condition(certify_l1):
     # the time-invariant rows can be cross-checked against the spectral
     # radius of the closed-loop iteration matrix at the only curvature
     for method in ("nesterov", "polyak"):
-        disc, h, bhi, _ = certify_tuning(method, 1.0, 1.0, "mistuned")
-        br = build_dt(h, bhi, disc)
+        req = certify_request(method, 1.0, 1.0, "mistuned")
+        br = build_dt(req.h, req.beta_hi, req.disc)
         acl = br.A + br.B @ br.C
         spectral = float(max(abs(np.linalg.eigvals(acl))))
         assert rhos[method] >= spectral - 1e-6
@@ -377,24 +515,6 @@ def test_certify_deterministic(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert_dirs_byte_identical(a, b)
-
-
-def test_certify_tuning_rules():
-    disc, h, bhi, blo = certify_tuning("nesterov", 4.0, 1.0, "mistuned")
-    assert disc == "nes" and h == 0.125
-    assert bhi == pytest.approx(1.0 - 0.1 * math.sqrt(0.125))
-    assert blo == bhi
-    _, h, bhi, blo = certify_tuning("hhb-pol", 4.0, 1.0, "mistuned")
-    assert blo == 0.0
-    _, h, bhi, blo = certify_tuning("hihb-nes", 4.0, 1.0, "mistuned")
-    assert blo == pytest.approx(min(1.0 - math.sqrt(0.125), bhi))
-    disc, h, bhi, _ = certify_tuning("nesterov", 4.0, 1.0, "optimal")
-    assert h == 0.25 and bhi == pytest.approx(1.0 / 3.0)
-    disc, h, bhi, _ = certify_tuning("polyak", 4.0, 1.0, "optimal")
-    assert disc == "pol" and h == pytest.approx(4.0 / 9.0)
-    assert bhi == pytest.approx(1.0 / 9.0)
-    with pytest.raises(ValueError):
-        certify_tuning("polyak", 4.0, 1.0, "grid")
 
 
 # ---------------------------------------------------------------------------
@@ -488,18 +608,6 @@ def test_tune_round_of_five_methods_is_one_stack(monkeypatch):
                           Variant.POL, Variant.POL], {(): 1, (5,): 1},
                          {(5,): 14, (1,): 15})
     assert all(calls[()] == 1 for _, calls, _ in rounds)
-
-
-def test_quad_params_mapping():
-    eps = 0.01
-    par = quad_params("polyak", 1.5, eps)
-    assert par.beta_lo == par.beta_hi == pytest.approx(1.0 - 0.015)
-    par = quad_params("hhb-nes", 1.5, eps)
-    assert par.beta_lo == 0.0 and par.beta_hi == pytest.approx(1.0 - 0.015)
-    par = quad_params("hihb-pol", 1.5, eps)
-    assert par.beta_hi == 1.0 and par.beta_lo == pytest.approx(1.0 - 0.015)
-    with pytest.raises(ValueError, match="damping"):
-        quad_params("polyak", 1.97, 0.6)
 
 
 def test_tail_slope_on_geometric_decay():
@@ -650,7 +758,7 @@ def sequential_tune(method, model, q0, budget, h_lo, h_hi, outer_iters=16,
     """The nested search one method at a time, one `run` per setting."""
     def phi_at_budget(h, beta):
         try:
-            traj = run(model, tune_params(method, h, beta), q0, budget)
+            traj = run(model, method_params("tune", method, math.sqrt(h), beta), q0, budget)
         except FloatingPointError:
             return float("inf")
         return traj.phi if np.isfinite(traj.phi) else float("inf")
@@ -768,11 +876,6 @@ def test_rejected_logreg_writes_nothing(tmp_path, argv, error, match):
         main(["logreg", "--seed", "1", "--n", "3", "--m", "20", "--iters", "5",
               *argv, "--out", str(out)])
     assert not out.exists()
-
-
-def test_tune_params_rejects_unknown_method():
-    with pytest.raises(ValueError, match="unknown method"):
-        tune_params("adam", 0.1, 0.5)
 
 
 # ---------------------------------------------------------------------------

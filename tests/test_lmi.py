@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import _reference as ref
 import hbreset.cli
 import hbreset.lmi
-from hbreset.cli import certify_tuning, main as cli_main
+from hbreset.cli import certify_request, main as cli_main
 from hbreset.discrete import AlgoParams, Variant, run
 from hbreset.lmi import (ALIGNMENT_FORM, NES, POL, Certificate, CertRequest,
                          NoCertificate, bisect_rate, bisect_rates, build_ct, build_dt,
@@ -904,11 +904,10 @@ def test_rows_that_certify_at_the_hard_end_match_each_row_bisected_alone():
     # probed with the midpoints after it, while L = 10 rows keep bisecting or
     # fail at the easy end: each row gets the rate and certificate bytes of
     # its own sequential reference builder
-    requests = [CertRequest(1.0, L, h, bhi, blo, disc)
+    requests = [certify_request(method, L, 1.0, "optimal")
                 for L, methods in ((1.0, ("nesterov", "hhb-nes", "hihb-pol")),
                                    (10.0, ("nesterov", "hhb-nes", "polyak")))
-                for method in methods
-                for disc, h, bhi, blo in [certify_tuning(method, L, 1.0, "optimal")]]
+                for method in methods]
     found = bisect_rates(dt_rates_probe(requests), 0.05, 1.0, iters=3, scan=False)
     for req, got in zip(requests, found, strict=True):
         try:
@@ -927,10 +926,9 @@ def _seeded_rows(seed: int) -> list:
     # three mistuned and three optimal rows of random methods and L
     rng = np.random.default_rng(seed)
     methods = ("nesterov", "polyak", "hhb-pol", "hhb-nes", "hihb-pol", "hihb-nes")
-    return [CertRequest(1.0, L, h, bhi, blo, disc)
+    return [certify_request(str(rng.choice(methods)), L, 1.0, rule)
             for rule in ("mistuned", "mistuned", "mistuned", "optimal", "optimal", "optimal")
-            for L in [float(rng.choice([1.0, 2.0, 10.0, 100.0]))]
-            for disc, h, bhi, blo in [certify_tuning(str(rng.choice(methods)), L, 1.0, rule)]]
+            for L in [float(rng.choice([1.0, 2.0, 10.0, 100.0]))]]
 
 
 @pytest.mark.parametrize("scan", [False, True])

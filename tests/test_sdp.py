@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import _reference as ref
 from hbreset import lmi, sdp
-from hbreset.cli import certify_tuning, main as cli_main
+from hbreset.cli import certify_request, main as cli_main
 from hbreset.lmi import NES, POL, build_theorem2, dt_problem, dt_system
 from hbreset.sdp import (AffineMatrixMap, FEASIBLE, FeasProblem, INDETERMINATE,
                          INFEASIBLE, problem_from_json, problem_to_json,
@@ -555,8 +555,9 @@ def test_certify_pass_solves_match_alone_in_the_full_and_a_shuffled_stack(
 
 
 def _mistuned_dt(L, method, rho):
-    disc, h, bhi, blo = certify_tuning(method, L, 1.0, "mistuned")
-    return dt_problem(build_theorem2(dt_system(h, bhi, blo, disc), 1.0, L, rho))
+    req = certify_request(method, L, 1.0, "mistuned")
+    return dt_problem(build_theorem2(dt_system(req.h, req.beta_hi, req.beta_lo, req.disc),
+                                     1.0, L, rho))
 
 
 def test_cholesky_failure_and_exhausted_budget_stay_in_their_rows():
