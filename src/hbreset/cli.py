@@ -502,92 +502,128 @@ def cmd_quad(cfg: ExperimentConfig) -> int:
 
 
 def _golden(lo: float, hi: float, iters: int):
-    """Golden-section search as a generator: yields each probe x, is sent
-    f(x), and returns (x, f(x)) of the better final point."""
+    """Golden-section search as a generator of probe lists: yields the
+    opening pair [c, d] together, then one probe [x] per iteration, is
+    sent the list of f values of the probes it yielded, and returns
+    (x, f(x)) of the better final point. It probes the points, and picks
+    the point, of the search that yields one probe at a time."""
     a, b = float(lo), float(hi)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc = yield c
-    fd = yield d
+    fc, fd = yield [c, d]
     for _ in range(iters):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = yield c
+            fc, = yield [c]
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = yield d
+            fd, = yield [d]
     return (c, fc) if fc <= fd else (d, fd)
+
+
+def _finish(search, score):
+    """Run a search that yields lists of probes to its end, scoring each
+    list with one score(list) call; returns the search's result."""
+    probes = next(search)
+    while True:
+        try:
+            probes = search.send(score(probes))
+        except StopIteration as done:
+            return done.value
 
 
 def golden_min(f, lo: float, hi: float, iters: int):
     """Golden-section search; deterministic, returns (x, f(x))."""
-    search = _golden(lo, hi, iters)
-    x = next(search)
-    while True:
-        try:
-            x = search.send(f(x))
-        except StopIteration as done:
-            return done.value
+    return _finish(_golden(lo, hi, iters), lambda xs: [f(x) for x in xs])
+
+
+def _lockstep(searches):
+    """Drive searches side by side as one search. Each round yields the
+    probes of every live search, in order, and sends each search the
+    scores of its own probes, so a search sees what it would see alone.
+    Every search must yield at least once. Returns their results."""
+    searches = list(searches)
+    found: list = [None] * len(searches)
+    probes = {i: next(search) for i, search in enumerate(searches)}
+    while probes:
+        scores = yield [x for xs in probes.values() for x in xs]
+        at = 0
+        for i, xs in list(probes.items()):
+            part, at = scores[at:at + len(xs)], at + len(xs)
+            try:
+                probes[i] = searches[i].send(part)
+            except StopIteration as done:
+                found[i] = done.value
+                del probes[i]
+    return found
 
 
 def _drive(search, f):
-    """Drive a `_golden` search whose f(x) is itself a generator of probes:
-    yields what each f(x) yields and returns the search's (x, f(x))."""
-    x = next(search)
+    """Drive a `_golden` search whose f(x) is itself a search: the f(x)
+    of the points it yields together run in `_lockstep`. Yields their
+    probes and returns the search's (x, f(x))."""
+    xs = next(search)
     while True:
-        fx = yield from f(x)
+        fxs = yield from _lockstep(f(x) for x in xs)
         try:
-            x = search.send(fx)
+            xs = search.send(fxs)
         except StopIteration as done:
             return done.value
-
-
-def _probe(h: float, beta: float):
-    """Yield one (h, beta) probe; return the score sent back for it."""
-    return (yield h, beta)
 
 
 def _tune_search(method: str, h_lo: float, h_hi: float, outer_iters: int,
                  inner_iters: int):
     """One method's nested interval search as a generator: stepsize outer
-    (log scale), momentum inner. Yields (h, beta) probes, is sent each
-    probe's score, and returns the best (h, beta, score) it probed."""
+    (log scale), momentum inner. Yields lists of AlgoParams probes, is
+    sent each probe's (score, diverged), and returns the best (h, beta,
+    score) it probed and whether any of its runs did not diverge. Each
+    opening pair goes out together: the outer search's two inner
+    searches run in lockstep, and each inner search's two probes too."""
     has_beta = method_entry("tune", method)[1] is not None
     best = (h_lo, None, float("inf"))
+    stable = False
+
+    def probe(h: float, beta: float):
+        nonlocal stable
+        (score, diverged), = yield [method_params("tune", method, math.sqrt(h), beta)]
+        stable = stable or not diverged
+        return score
 
     def score_h(lh: float):
         nonlocal best
         h = 10.0 ** lh
         if has_beta:
             beta, val = yield from _drive(_golden(0.0, 0.995, inner_iters),
-                                          lambda b: _probe(h, b))
+                                          lambda b: probe(h, b))
         else:
-            beta, val = None, (yield from _probe(h, 0.0))
+            beta, val = None, (yield from probe(h, 0.0))
         if val < best[2]:
             best = (h, beta, val)
         return val
 
     yield from _drive(_golden(math.log10(h_lo), math.log10(h_hi), outer_iters),
                       score_h)
-    return best
+    return best, stable
 
 
-def _scores(model: ObjectiveModel, params: list[AlgoParams], q0,
-            budget: int) -> list[tuple[float, bool]]:
+def _scores(model: ObjectiveModel, params: list[AlgoParams], q0, budget: int,
+            start: tuple) -> list[tuple[float, bool]]:
     """(phi after `budget` iterations, whether the run diverged) for each
-    run; phi is inf for a run that diverges to a non-finite value or meets
-    a non-finite gradient. The runs step as one run_many; if that raises,
-    each run is scored alone, so only the run that raised scores inf.
-    Only those are read, so run_many evaluates phi only where a run
-    stops or may have diverged (values="last"), with the same scores."""
+    run from q0, whose value_grad is start; phi is inf for a run that
+    diverges to a non-finite value or meets a non-finite gradient. The
+    runs step as one run_many; if that raises, each run is scored alone,
+    so only the run that raised scores inf. Only those are read, so
+    run_many evaluates phi only where a run stops or may have diverged
+    (values="last"), with the same scores."""
     try:
-        trajs = run_many(model, params, q0, budget, values="last")
+        trajs = run_many(model, params, q0, budget, values="last", start=start)
     except FloatingPointError:
         if len(params) == 1:
             return [(float("inf"), True)]
-        return [score for p in params for score in _scores(model, [p], q0, budget)]
+        return [score for p in params
+                for score in _scores(model, [p], q0, budget, start)]
     return [(t.phi if np.isfinite(t.phi) else float("inf"), t.status == STATUS_DIVERGED)
             for t in trajs]
 
@@ -599,37 +635,30 @@ def tune_method(methods: Sequence[str], model: ObjectiveModel, q0, budget: int,
 
     Each search minimizes phi after `budget` iterations; phi and the
     phi-gap have the same argmin, so no reference optimum is needed to
-    tune. The searches are independent, so every round advances each
-    live search by one probe and scores the round's probes with one
-    run_many call (`_scores`), which evaluates phi only where it reads
-    it. A search sees the scores it would see alone, so it makes the
-    same picks. Returns one dict per method, in order; raises
-    ValueError when a method's pick diverged.
+    tune. The searches are independent, so they run in `_lockstep`, and
+    within a search so do the two inner searches of the outer opening
+    pair and the two probes of each inner opening pair: a round holds
+    every probe that no score is pending for, and one run_many call
+    (`_scores`) scores them, evaluating phi only where it reads it. q0 is
+    evaluated once, for every round. A search sees the scores it would
+    see alone, so it makes the same picks; a method with a beta takes
+    (outer_iters + 1)(inner_iters + 1) rounds, one without outer_iters +
+    1. Returns one dict per method, in order; raises ValueError when a
+    method's pick diverged.
     """
-    searches = [_tune_search(m, h_lo, h_hi, outer_iters, inner_iters)
-                for m in methods]
-    probes = [next(search) for search in searches]
-    found: list = [None] * len(searches)
-    stable = [False] * len(searches)
-    live = list(range(len(searches)))
-    while live:
-        scored = _scores(model, [method_params("tune", methods[i], math.sqrt(h), beta)
-                                 for i in live for h, beta in [probes[i]]], q0, budget)
-        for i, (score, diverged) in zip(live, scored):
-            stable[i] = stable[i] or not diverged
-            try:
-                probes[i] = searches[i].send(score)
-            except StopIteration as done:
-                found[i] = done.value
-        live = [i for i in live if found[i] is None]
+    q0 = np.asarray(q0, dtype=float)
+    start = model.value_grad(q0)
+    found = _finish(_lockstep(_tune_search(m, h_lo, h_hi, outer_iters, inner_iters)
+                              for m in methods),
+                    lambda params: _scores(model, params, q0, budget, start))
     # a diverged run scores above every run that did not diverge, so a
     # search picks a diverged run exactly when all of its runs diverged
-    for m, ok in zip(methods, stable):
-        if not ok:
+    for m, (_, stable) in zip(methods, found):
+        if not stable:
             raise ValueError(f"every {m} run diverged within {budget} iterations on "
                              f"[{h_lo:g}, {h_hi:g}]; lower --h-lo and --h-hi")
     return [{"method": m, "h": h, "beta": beta, "phi_at_budget": phi,
-             "budget": int(budget)} for m, (h, beta, phi) in zip(methods, found)]
+             "budget": int(budget)} for m, ((h, beta, phi), _) in zip(methods, found)]
 
 
 def cmd_tune(cfg: ExperimentConfig) -> int:
@@ -693,9 +722,9 @@ def cmd_logreg(cfg: ExperimentConfig) -> int:
     qref, phi_star, ref_iters, ref_gn = logreg_reference(
         base, 1.0 / lhat, cfg.ref_max_iter, cfg.ref_tol)
     if ref_gn > cfg.ref_tol:
-        raise RuntimeError(
+        raise ValueError(
             f"reference run did not converge: |grad| = {ref_gn:.3e} "
-            f"after {ref_iters} iterations")
+            f"after {ref_iters} iterations; raise --ref-max-iter or --ref-tol")
     model = dataclasses.replace(base, minimizer=qref, min_value=phi_star)
     q0 = logreg_start(cfg.seed, cfg.n)
     tuned = tune_method(cfg.methods, model, q0, cfg.budget, h_lo, h_hi)

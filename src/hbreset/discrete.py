@@ -171,11 +171,14 @@ def run(model: ObjectiveModel, params: AlgoParams, q0: Array, max_iter: int,
 # each formula are one slice: GD's, the switching law's (POL and NES) and
 # the extrapolated point's (NES and NES_SCHEDULE)
 _ORDER = (Variant.GD, Variant.POL, Variant.NES, Variant.NES_SCHEDULE)
+# run_many holds at most this many iterates' values in lists before it
+# writes them into the records
+_HELD = 64
 
 
 def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
-             max_iter: int, grad_tol: float = 0.0, *,
-             values: str = "all") -> list[Trajectory]:
+             max_iter: int, grad_tol: float = 0.0, *, values: str = "all",
+             start: Optional[tuple] = None) -> list[Trajectory]:
     """Runs of each of params_seq from one start point q0 (p0 = 0), as
     the rows of one (B, n) stack sorted by variant in `_ORDER`.
 
@@ -189,16 +192,27 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
     Each iterate makes one stacked value_grad call for every live row
     and, while NES or NES_SCHEDULE rows are live, one model.gradient call
     at their extrapolated points; the oracles must map a (B, n) stack to
-    (B,) values and (B, n) gradients. A run leaves the stack at the iterate
-    where it stops. With an oracle that gives each row the bits it gives
-    that point alone (`quad_eval_grad` does), each run's records, status,
-    final q and phi are those of its stack of one, `run`.
+    (B,) values and (B, n) gradients. start, when given, is
+    model.value_grad(q0), for a caller that runs many stacks from one q0.
+    A run leaves the stack at the iterate where it stops. With an oracle
+    that gives each row the bits it gives that point alone
+    (`quad_eval_grad` does), each run's records, status, final q and phi
+    are those of its stack of one, `run`.
+
+    The loop appends each iterate's values, inner products and gradient
+    norms (one norm per iterate) to lists, and writes them into the
+    records as one block at each stop and every `_HELD` iterates, while
+    the live rows stay the same. The block's signs, betas and resets are
+    derived there from its inner products, through `switching_beta` as
+    the loop derives its betas.
 
     values="last" (for callers that read only phi and status) calls
     model.bound_grad, when there is one, at intermediate iterates: a row
     whose bound is at most the guard has not diverged and records a NaN
     gap. Every other row, and every iterate where a run stops, gets
-    value_grad's phi, so status, final q and phi are unchanged.
+    value_grad's phi, so status, final q and phi are unchanged. An
+    iterate where no row took value_grad's phi skips the stop tests, as
+    no row can stop there.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
@@ -218,14 +232,15 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
     lo, hi = np.where(rank > 0, lo, 0.0), np.where(rank > 0, hi, 0.0)
     size = len(group)
     q0 = np.asarray(q0, dtype=float)
-    phi0, g0 = model.value_grad(q0)
+    phi0, g0 = model.value_grad(q0) if start is None else start
     guard = DIVERGENCE_FACTOR * max(1.0, abs(phi0))
     phi_star = math.nan if model.min_value is None else model.min_value
     alpha = 1.0  # NES_SCHEDULE state
 
     q, p = np.tile(q0, (size, 1)), np.zeros((size, q0.size))
     phi, g = np.full(size, phi0), np.tile(g0, (size, 1))
-    diverged = np.zeros(size, dtype=bool)
+    gnorm = np.sqrt(np.vecdot(g, g))
+    diverged, check = np.zeros(size, dtype=bool), True  # check: a row may stop
     live = np.arange(size)  # the record row of each stacked row
     at = slice(None)  # live, as a slice while every row is live
     a, b, c = np.searchsorted(rank, (1, 2, 3)).tolist()  # POL, NES, NES_SCHEDULE
@@ -233,21 +248,36 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
     gaps, betas, gnorms = (np.empty((size, max_iter + 1)) for _ in range(3))
     signs = np.empty((size, max_iter + 1), dtype=np.int8)
     resets = np.empty((size, max_iter + 1), dtype=bool)
+    held: tuple = ([], [], [])  # phi, inner and gnorm of iterates first..k
+    first = 0
+    schedule: list = []  # NES_SCHEDULE's beta at each iterate
     ends: list = [None] * size  # (length, status, q, phi)
     for k in range(max_iter + 1):
         inner = np.vecdot(g, p)
-        beta, reset = switching_beta(inner, lo, hi)
-        reset[:a] = reset[c:] = False
+        beta = switching_beta(inner, lo, hi)[0]
         if c < len(beta):
             beta[c:], alpha = nesterov_beta_schedule(alpha)
-        gnorm = np.sqrt(np.vecdot(g, g))
-        gaps[at, k] = phi - phi_star
-        signs[at, k] = np.sign(np.where(np.isfinite(inner), inner, 0.0))
-        betas[at, k] = beta
-        resets[at, k] = reset
-        gnorms[at, k] = gnorm
-        stop = diverged | (gnorm <= grad_tol) | (k == max_iter)
-        if stop.any():
+            schedule.append(beta[c])
+        for column, v in zip(held, (phi, inner, gnorm)):
+            column.append(v)
+        stopping = check and (
+            stop := diverged | (gnorm <= grad_tol) | (k == max_iter)).any()
+        if stopping or k + 1 - first == _HELD:
+            # the held iterates go into the records as one block, with
+            # their signs, betas and resets derived from the inner products
+            phis, inners, norms = (np.array(column).T for column in held)
+            for column in held:
+                column.clear()
+            beta_k, reset_k = switching_beta(inners, lo[:, None], hi[:, None])
+            reset_k[:a] = reset_k[c:] = False
+            if c < len(beta_k):
+                beta_k[c:] = schedule[first:k + 1]
+            block = (at, slice(first, k + 1))
+            gaps[block] = phis - phi_star
+            signs[block] = np.sign(np.where(np.isfinite(inners), inners, 0.0))
+            betas[block], resets[block], gnorms[block] = beta_k, reset_k, norms
+            first = k + 1
+        if stopping:
             for i in np.flatnonzero(stop):
                 status = (STATUS_DIVERGED if diverged[i] else
                           STATUS_MAX_ITER if k == max_iter else STATUS_CONVERGED)
@@ -270,18 +300,22 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
         if a:
             q_next[:a] = q[:a] - h[:a] * g[:a]
         p, q = (q_next - q) / eps, q_next
-        exact = True
         if bound is None or k + 1 == max_iter:
             phi, g = model.value_grad(q)
+            gnorm = np.sqrt(np.vecdot(g, g))
+            exact = check = True
         else:
             # phi is read where a row may have diverged (its bound, or a
             # NaN, is above the guard) or stops at grad_tol
             phi, g = bound(q)
-            exact = ~(phi <= guard) | (np.sqrt(np.vecdot(g, g)) <= grad_tol)
+            gnorm = np.sqrt(np.vecdot(g, g))
+            exact = ~(phi <= guard) | (gnorm <= grad_tol)
+            check = exact.any()
             phi[~exact] = math.nan
-            if exact.any():
+            if check:
                 phi[exact] = model.value(q[exact])
-        diverged = exact & (~np.isfinite(phi) | (phi > guard))
+        if check:
+            diverged = exact & (~np.isfinite(phi) | (phi > guard))
 
     out: list = [None] * size
     for row, (i, (n, status, q_end, phi_end)) in enumerate(zip(order, ends)):

@@ -285,6 +285,9 @@ def test_tune_requires_method_flag():
     # every run diverges, so the search has no pick
     (["tune", "--method", "polyak", "--seed", "1", "--h-lo", "1e3", "--h-hi", "1e4"],
      "every polyak run diverged within 60 iterations on [1000, 10000]"),
+    # the reference run stops short of --ref-tol
+    (["logreg", "--seed", "1", "--n", "3", "--m", "20", "--ref-max-iter", "1"],
+     "reference run did not converge: |grad| = "),
 ])
 def test_console_reports_a_rejected_input_in_one_line(argv, message, tmp_path, monkeypatch):
     # `python -m hbreset.cli` runs the console script, which prints main's
@@ -582,32 +585,87 @@ def test_quad_pass_steps_every_run_in_one_stack(monkeypatch, tmp_path):
 
 def test_tune_round_of_five_methods_is_one_stack(monkeypatch):
     # every round scores its probes with one run_many, whose runs step as
-    # one stack: one single-point value (the start q0) per round, and in
-    # the first round, where no run stops early, one call for all five
-    # rows per iterate and one at the extrapolated point of the nesterov
-    # row. Only the last iterate's call is a value; the others and every
-    # extrapolated point take the bound, as no run diverges there
+    # one stack. The first round holds every search's opening probes: the
+    # outer pair of gd and of nesterov, and the pairs of the two opening
+    # inner searches of each beta method. No run stops early there, so
+    # each iterate makes one call for all 16 rows and one at the
+    # extrapolated points of the two nesterov rows. Only the last
+    # iterate's call is a value; the others and every extrapolated point
+    # take the bound, as no run diverges there. The one single point is
+    # the start q0, evaluated once before the first round.
     spec = gen_logistic_dataset(6, 120, 2)
     model = logistic_model(spec)
     shapes = counting_oracle(monkeypatch, "logistic_eval_grad")
     bounds = counting_oracle(monkeypatch, "logistic_bound_grad")
-    rounds, lone_run_many = [], hbreset.cli.run_many
+    rounds, between, lone_run_many = [], [], hbreset.cli.run_many
 
     def recording_run_many(model, params, q0, budget, **kwargs):
+        between.append(dict(shapes))
         shapes.clear()
         bounds.clear()
         trajs = lone_run_many(model, params, q0, budget, **kwargs)
         rounds.append(([p.variant for p in params], dict(shapes), dict(bounds)))
+        shapes.clear()
         return trajs
 
     monkeypatch.setattr(hbreset.cli, "run_many", recording_run_many)
     lhat = model.lipschitz
     tune_method(LOGREG_METHODS, model, logreg_start(2, 6), 15, 1e-3 / lhat,
                 10.0 / lhat, outer_iters=3, inner_iters=2)
-    assert rounds[0] == ([Variant.GD, Variant.POL, Variant.NES_SCHEDULE,
-                          Variant.POL, Variant.POL], {(): 1, (5,): 1},
-                         {(5,): 14, (1,): 15})
-    assert all(calls[()] == 1 for _, calls, _ in rounds)
+    assert rounds[0] == ([Variant.GD] * 2 + [Variant.POL] * 4 + [Variant.NES_SCHEDULE] * 2
+                         + [Variant.POL] * 8, {(16,): 1}, {(16,): 14, (2,): 15})
+    assert len(rounds) == (3 + 1) * (2 + 1)
+    assert between == [{(): 1}] + [{}] * (len(rounds) - 1) and not shapes
+    assert all(() not in calls for _, calls, _ in rounds)
+
+
+def tune_rounds(method, outer_iters, inner_iters):
+    """The stack size of each tuner round of one method's search. Its
+    opening pairs go out together, so a method with a beta takes
+    (outer + 1)(inner + 1) rounds, and one without takes outer + 1."""
+    if method not in ("polyak", "hhb", "hihb"):
+        return [2] + [1] * outer_iters
+    return [(2 if t == 0 else 1) * (2 if j == 0 else 1)
+            for j in range(outer_iters + 1) for t in range(inner_iters + 1)]
+
+
+def test_tune_rounds_score_each_probe_of_the_sequential_search_once(monkeypatch):
+    # the rounds hold exactly the settings that the one-run-at-a-time
+    # search probes, each once, in the rounds of `tune_rounds`; methods
+    # tuned together share rounds, so a round's stack is the sum of theirs
+    spec = gen_logistic_dataset(6, 120, 2)
+    model = logistic_model(spec)
+    lhat = model.lipschitz
+    args = (model, logreg_start(2, 6), 15, 1e-3 / lhat, 10.0 / lhat)
+    rounds, probed, lone_run_many, lone_run = [], [], hbreset.cli.run_many, run
+
+    def setting(p):
+        return p.variant, p.eps, p.beta_lo, p.beta_hi
+
+    def recording_run_many(model, params, *rest, **kwargs):
+        rounds.append([setting(p) for p in params])
+        return lone_run_many(model, params, *rest, **kwargs)
+
+    def recording_run(model, p, *rest):
+        probed.append(setting(p))
+        return lone_run(model, p, *rest)
+
+    monkeypatch.setattr(hbreset.cli, "run_many", recording_run_many)
+    monkeypatch.setitem(globals(), "run", recording_run)
+    for method in LOGREG_METHODS:
+        rounds.clear()
+        probed.clear()
+        got = tune_method([method], *args, outer_iters=3, inner_iters=2)
+        assert got == [sequential_tune(method, *args, outer_iters=3, inner_iters=2)]
+        assert [len(r) for r in rounds] == tune_rounds(method, 3, 2)
+        scored = [row for r in rounds for row in r]
+        assert len(set(scored)) == len(scored)
+        assert collections.Counter(scored) == collections.Counter(probed)
+    rounds.clear()
+    tune_method(LOGREG_METHODS, *args, outer_iters=3, inner_iters=2)
+    each = [tune_rounds(m, 3, 2) for m in LOGREG_METHODS]
+    assert [len(r) for r in rounds] == [sum(s[i] for s in each if i < len(s))
+                                        for i in range(max(map(len, each)))]
 
 
 def test_tail_slope_on_geometric_decay():
@@ -727,8 +785,10 @@ def test_tune_hihb_polyak_stepsize_coincidence_soft(tmp_path):
 
 @pytest.mark.parametrize("method", ["polyak", "gd"])
 def test_tune_scores_a_setting_with_the_runs_own_evaluations(method, monkeypatch):
-    # one value_grad call per visited iterate of each tuner run and none
-    # after it: the score is the value the run computed at its last iterate
+    # one value_grad call for the start q0 per tune, then one stacked call
+    # per iterate after the first while a run of the round is live, and
+    # none after it: the score is the value the run computed at its last
+    # iterate
     _, base = gen_random_quadratic(4, 50.0, 3)
     calls = []
 
@@ -737,19 +797,20 @@ def test_tune_scores_a_setting_with_the_runs_own_evaluations(method, monkeypatch
         return base.value_grad(q)
 
     model = dataclasses.replace(base, value_grad=value_grad)
-    trajs, lone_run_many = [], hbreset.cli.run_many
+    rounds, lone_run_many = [], hbreset.cli.run_many
 
     def recording_run_many(*args, **kwargs):
-        trajs.extend(lone_run_many(*args, **kwargs))
-        return trajs[-len(args[1]):]
+        rounds.append(lone_run_many(*args, **kwargs))
+        return rounds[-1]
 
     monkeypatch.setattr(hbreset.cli, "run_many", recording_run_many)
     calls.clear()
     result, = tune_method([method], model, np.full(4, 5.0), 15, 1e-3 / 50.0,
                           10.0 / 50.0, outer_iters=3, inner_iters=2)
+    trajs = [t for r in rounds for t in r]
     inner = 4 if method == "polyak" else 1
     assert len(trajs) == 5 * inner
-    assert len(calls) == sum(len(t) for t in trajs)
+    assert len(calls) == 1 + sum(max(len(t) for t in r) - 1 for r in rounds)
     assert result["phi_at_budget"] == min(t.phi for t in trajs)
 
 
@@ -868,7 +929,7 @@ def test_tune_logreg_rejects_a_pick_when_every_run_diverges(tmp_path):
     # the tuner's pick diverged
     (["--methods", "gd", "--h-lo", "1e14", "--h-hi", "1e15"], ValueError,
      "--h-lo and --h-hi"),
-    (["--ref-max-iter", "1"], RuntimeError, "reference run did not converge"),
+    (["--ref-max-iter", "1"], ValueError, "reference run did not converge"),
 ])
 def test_rejected_logreg_writes_nothing(tmp_path, argv, error, match):
     out = tmp_path / "out"

@@ -17,8 +17,8 @@ from hbreset.discrete import (AlgoParams, STATUS_CONVERGED, STATUS_DIVERGED,
                               STATUS_MAX_ITER, Trajectory, Variant,
                               count_nonmonotone, nesterov_beta_schedule, run,
                               run_many, switching_beta)
-from hbreset.objectives import (LogisticSpec, QuadraticSpec, gen_random_quadratic,
-                                logistic_model, quadratic_model)
+from hbreset.objectives import (LogisticSpec, QuadraticSpec, gen_logistic_dataset,
+                                gen_random_quadratic, logistic_model, quadratic_model)
 
 
 def scalar_model(curv=2.0):
@@ -327,6 +327,14 @@ V = Variant
 @example(n=4, cond=100.0, seed=1, max_iter=100, tol_frac=0.0,
          runs=[(V.POL, 1.0, 0.0, 0.9), (V.POL, 0.8, 0.5, 0.5), (V.NES, -1.0, 0.2, 0.9),
                (V.NES_SCHEDULE, -1.0, 0.0, 0.0), (V.GD, -1.0, 0.0, 0.0)])
+# runs stop at seven iterates (k = 6, 7, 9, 61, 111, 120 and 200), by
+# divergence, grad_tol and max_iter, so the held iterates are written
+# into the records at each of those stops and in blocks between them
+@example(n=4, cond=100.0, seed=1, max_iter=200, tol_frac=1e-3,
+         runs=[(V.POL, 1.0, 0.0, 0.9), (V.POL, 0.8, 0.5, 0.5), (V.NES, 0.9, 0.2, 0.9),
+               (V.GD, 0.35, 0.0, 0.0), (V.POL, 0.0, 0.0, 0.9), (V.NES, -0.3, 0.0, 0.6),
+               (V.NES_SCHEDULE, -0.5, 0.0, 0.0), (V.GD, -0.2, 0.0, 0.0),
+               (V.POL, -1.5, 0.2, 0.2)])
 def test_run_many_matches_run_bitwise(n, cond, seed, runs, max_iter, tol_frac):
     # rows that diverge (h*L up to 10), meet grad_tol early or run to
     # max_iter, in one stack of mixed variants, leave the stack at their
@@ -397,6 +405,43 @@ def test_values_last_reads_phi_where_a_run_stops_or_may_diverge():
         assert_same_run(traj, run(quad, p, q0, 80, 1e-6))
     with pytest.raises(ValueError, match="values"):
         run_many(quad, params, q0, 10, values="first")
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(1, 4), m=st.integers(2, 30), seed=st.integers(0, 2 ** 16),
+       runs=st.lists(st.tuples(st.sampled_from(list(Variant)),
+                               st.floats(-2.0, 15.0),  # log10(h * L)
+                               st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                     min_size=1, max_size=10),
+       max_iter=st.integers(0, 60), tol_frac=st.sampled_from([0.0, 1e-2, 0.5]))
+# all four variants: two rows diverge at k = 1, four meet grad_tol at k =
+# 2, 3, 6 and 16, and one runs to max_iter with its value skipped at
+# every iterate but the first and the last
+@example(n=3, m=12, seed=0, max_iter=40, tol_frac=0.5,
+         runs=[(V.POL, 14.0, 0.0, 0.9), (V.NES, 0.3, 0.0, 0.9), (V.GD, 0.0, 0.0, 0.0),
+               (V.NES_SCHEDULE, -0.5, 0.0, 0.0), (V.POL, -1.0, 0.5, 0.5),
+               (V.NES, 13.0, 0.2, 0.2), (V.GD, -2.0, 0.0, 0.0)])
+def test_values_last_matches_run_on_logistic_models(n, m, seed, runs, max_iter, tol_frac):
+    # rows of mixed variants that diverge (h*L up to 1e15), meet grad_tol
+    # or run to max_iter, with phi skipped where the bound clears the
+    # guard: each keeps its lone run's status, final q, phi and records,
+    # bit for bit, but for a NaN gap at each skipped value; the lone run
+    # is the reference loop's too
+    spec = gen_logistic_dataset(n, m, seed)
+    model = dataclasses.replace(logistic_model(spec), min_value=0.0)  # gap = phi
+    q0 = np.random.default_rng(seed).uniform(-5.0, 5.0, n)
+    grad_tol = tol_frac * float(np.linalg.norm(model.gradient(q0)))
+    params = [AlgoParams.from_h(10.0 ** lh / model.lipschitz, min(a, b), max(a, b),
+                                variant) for variant, lh, a, b in runs]
+    trajs = run_many(model, params, q0, max_iter, grad_tol, values="last")
+    for p, traj in zip(params, trajs):
+        alone = run(model, p, q0, max_iter, grad_tol)
+        assert_same_run(alone, ref.run(model, p, q0, max_iter, grad_tol))
+        assert_same_run(dataclasses.replace(traj, phi_gaps=alone.phi_gaps), alone)
+        read = ~np.isnan(traj.phi_gaps)
+        assert read[0] and read[-1]
+        assert traj.phi_gaps[read].tobytes() == alone.phi_gaps[read].tobytes()
+        assert not np.isnan(alone.phi_gaps).any()
 
 
 def test_nes_schedule_steps_past_a_nan_gradient_at_its_iterate():
