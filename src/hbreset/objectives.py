@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 Array = np.ndarray
+
+_LARGEST = float(np.finfo(float).max)
 
 
 @dataclass
@@ -250,11 +253,36 @@ def logistic_bound_grad(spec: LogisticSpec, q: Array) -> tuple[float, Array]:
 
     Each computed term log(1+exp(z_i)) is at most max(z_i, 0) + 1 and
     the factor 2 covers the rounding of both sums. It skips logaddexp,
-    most of an evaluation's cost, and warns only where the value would.
+    most of an evaluation's cost, and never warns: a bound that
+    overflows is inf (NaN where a margin is NaN), with no warning raised.
     """
     z, grad = _margins_grad(spec, q)
-    with np.errstate(over="ignore"):
-        return 2.0 * (np.maximum(z, 0.0).sum(axis=-1) + spec.m), grad
+    pos = np.maximum(z, 0.0)
+    if pos.max() <= _LARGEST / (4 * spec.m):
+        # m terms this small sum to at most about a quarter of the
+        # largest double, so neither the sum nor its double overflows
+        return 2.0 * (pos.sum(axis=-1) + spec.m), grad
+    return _bound_near_overflow(pos, spec.m), grad
+
+
+def _bound_near_overflow(pos: Array, m: int) -> Array:
+    """2 (sum pos + m) along the last axis of pos, (..., m), with the bits
+    of the plain formula where it is finite, inf where it overflows and
+    NaN where pos holds a NaN, and no overflow on the way.
+
+    The sum of pos / 2^b, 2^b > m, cannot overflow, and it is within a
+    relative m 2^-52 of the plain sum scaled. Where it puts the plain sum
+    below 3/4 of the largest double, the plain sum is taken, and doubled
+    unless that overflows; elsewhere the plain bound overflows."""
+    rows = pos.reshape(-1, m)
+    scale = math.ldexp(1.0, -m.bit_length())
+    approx = (rows * scale).sum(axis=1)
+    safe = approx <= 0.75 * _LARGEST * scale
+    bound = np.where(np.isnan(approx), np.nan, np.inf)
+    total = rows[safe].sum(axis=1) + m
+    bound[safe] = np.multiply(total, 2.0, out=np.full(total.shape, np.inf),
+                              where=total <= 0.5 * _LARGEST)
+    return bound.reshape(pos.shape[:-1])[()]
 
 
 def logistic_lipschitz(spec: LogisticSpec) -> float:

@@ -1,11 +1,14 @@
 """LMI feasibility via a log-det barrier phase I.
 
-Problems are small (matrix blocks up to 16x16, at most a dozen scalar
-unknowns), so everything here is plain dense numpy: numpy's LAPACK `eigh`
-supplies eigenvalues, and one damped-Newton loop on the phase-I barrier
-(Boyd & Vandenberghe, Convex Optimization, 11.4 and 11.6) either finds a
-point or bounds the best achievable margin by weak duality. No external
-solver is used.
+Problems are small (matrix blocks of at most MAX_EIG_DIM = 16 rows,
+refused when a `FeasProblem` is built; at most a dozen scalar unknowns),
+so everything here is plain dense numpy: numpy's LAPACK `eigh` supplies
+eigenpairs, and one damped-Newton loop on the phase-I barrier (Boyd &
+Vandenberghe, Convex Optimization, 11.4 and 11.6) either finds a point
+or bounds the best achievable margin by weak duality. The barrier's
+derivatives are contractions of the coefficient matrices with
+Z = (sI - F)^-1 and Z kron Z, built per block from the eigenpairs; a
+block of m rows costs m^4 per coordinate. No external solver is used.
 
 A problem is a set of affine symmetric matrix maps v -> F0 + sum v_i F_i,
 split into blocks required NSD by a margin and blocks required PD by the
@@ -120,7 +123,8 @@ class AffineMatrixMap:
 @dataclass
 class FeasProblem:
     """Feasibility data: nsd blocks <= -margin I, pd blocks >= +margin I,
-    scalar floors v_i >= floor and an optional normalization c.v = 1."""
+    scalar floors v_i >= floor and an optional normalization c.v = 1.
+    A block has at most MAX_EIG_DIM rows."""
 
     nvar: int
     nsd_blocks: list = field(default_factory=list)
@@ -136,10 +140,14 @@ class FeasProblem:
             raise ValueError("margin must be positive and finite")
         if not self.nsd_blocks and not self.pd_blocks:
             raise ValueError("need at least one matrix block")
-        for blk in list(self.nsd_blocks) + list(self.pd_blocks):
-            for idx, _ in blk.basis:
-                if not (0 <= idx < self.nvar):
-                    raise ValueError(f"map {blk.name}: variable index {idx} out of range")
+        for kind in ("nsd_blocks", "pd_blocks"):
+            for i, blk in enumerate(getattr(self, kind)):
+                if blk.dim > MAX_EIG_DIM:
+                    raise ValueError(f"{kind}[{i}] (map {blk.name!r}): dimension {blk.dim} "
+                                     f"exceeds the supported maximum {MAX_EIG_DIM}")
+                for idx, _ in blk.basis:
+                    if not (0 <= idx < self.nvar):
+                        raise ValueError(f"map {blk.name}: variable index {idx} out of range")
         for idx in self.nonneg:
             if not (0 <= idx < self.nvar):
                 raise ValueError(f"nonneg index {idx} out of range")
@@ -200,58 +208,73 @@ def _block_eigh(groups: list, w: Array) -> list:
     row per problem: one stacked LAPACK call per block size. A 1x1 block
     is its own eigenvalue, with eigenvector 1, as LAPACK gives it."""
     out = []
-    for const, _, flat in groups:
+    for const, flat in groups:
         mats = const + (w[:, None, :] @ flat).reshape(const.shape)
         out.append((mats[..., 0], np.ones_like(mats)) if const.shape[-1] == 1
                    else np.linalg.eigh(mats))
     return out
 
 
-def _block_sum(t: Array) -> Array:
-    """Sum of t (..., k, d, m) over eigenvalues m, then over blocks k,
-    each as a running sum in index order. accumulate fixes that order
-    whatever the stack, so a row's bits do not depend on the rows beside
-    it; they are the bits of einsum("kim,km->i") on that row alone."""
-    inner = np.add.accumulate(t, axis=-1)[..., -1]
-    return np.add.accumulate(inner, axis=-2)[..., -1, :]
-
-
-def _barrier_terms(coefs: list, eigs: list, w: Array, s: Array, radius: Array):
+def _barrier_terms(flats: list, eigs: list, w: Array, s: Array, radius: Array):
     """Gradient and Hessian in x = (w, s) of the barrier
     -sum_j log det(sI - F_j(w)) - sum_i log(R^2 - w_i^2), together with
     sum_j tr Z_j and the weak-duality lower bound that Z_j = (sI - F_j)^-1
     gives on min over the box of max_j lambda_max(F_j); one row per
-    problem."""
+    problem.
+
+    The w-derivatives are contractions with Z (Boyd & Vandenberghe,
+    Convex Optimization, 11.6): tr(Z G_i), tr(Z G_i Z) and
+    tr(Z G_i Z G_j). Each block size builds vec Z, vec Z^2 and, through
+    the per-block Z kron Z, vec(Z G_i Z) from the eigenpairs, and one
+    stacked product with the group's `flat` coefficients adds all three
+    for each row. The traces of Z and Z^2 and sum lam/(s - lam) come from
+    the eigenvalues. The w-Hessian is symmetric up to rounding; its
+    Cholesky factor reads the lower triangle."""
     b, d = w.shape
-    grad = np.zeros((b, d + 1))
-    hess = np.zeros((b, d + 1, d + 1))
-    trz = lamz = 0.0
-    for coef, (lam, vecs) in zip(coefs, eigs):
-        # 1/(s - lam), its square and lam/(s - lam): shape (B, 3, k, m)
-        z = np.empty((b, 3) + lam.shape[1:])
-        inv = np.divide(1.0, s[:, None, None] - lam, out=z[:, 0])
-        np.multiply(inv, inv, out=z[:, 1])
-        np.multiply(lam, inv, out=z[:, 2])
-        # U' G_i U for every block k and coordinate i: shape (B, k, d, m, m)
-        rot = vecs.swapaxes(2, 3)[:, :, None] @ coef @ vecs[:, :, None]
-        # tr(Z G_i) and tr(Z G_i Z) for every coordinate: shape (B, 2, d)
-        terms = _block_sum(rot.diagonal(axis1=3, axis2=4)[:, None] * z[:, :2, :, None])
-        # then Z^1/2 G_i Z^1/2 in place of rot
-        root = np.sqrt(inv)
-        rot *= root[:, :, None, :, None]
-        rot *= root[:, :, None, None, :]
-        scaled = rot.swapaxes(1, 2).reshape(b, d, -1)
-        hess[:, :d, :d] += scaled @ scaled.swapaxes(1, 2)
-        grad[:, :d] += terms[:, 0]
-        hess[:, :d, d] -= terms[:, 1]
-        sums = z.reshape(b, 3, -1).sum(axis=2)
-        trz += sums[:, 0]
-        hess[:, d, d] += sums[:, 1]
-        lamz += sums[:, 2]
+    # 1/(s - lam), its square and lam/(s - lam) of every eigenvalue: (B, 3, M)
+    lams = np.concatenate([lam.reshape(b, -1) for lam, _ in eigs], axis=1)
+    z = np.empty((b, 3, lams.shape[1]))
+    inv = np.divide(1.0, s[:, None] - lams, out=z[:, 0])
+    np.multiply(inv, inv, out=z[:, 1])
+    np.multiply(lams, inv, out=z[:, 2])
+    trz, trz2, lamz = z.sum(axis=2).T
+    # per group: for each coordinate i, vec(Z G_i Z), then vec Z and vec Z^2
+    # (B, d + 2, k m^2); its product with the group's coefficients adds
+    # tr(Z G_i Z G_j), then tr(Z G_j) and tr(Z^2 G_j): (B, d + 2, d)
+    prod = np.zeros((b, d + 2, d))
+    at = 0
+    for flat, (lam, vecs) in zip(flats, eigs):
+        k, m = lam.shape[1:]
+        zk = z[:, :2, at:at + k * m]
+        at += k * m
+        lhs = np.empty((b, d + 2, k * m * m))
+        if m == 1:
+            # a 1x1 block is its own Z, and Z kron Z is its square
+            lhs[:, d:] = zk
+            np.multiply(flat, zk[:, 1:], out=lhs[:, :d])
+        else:
+            # V diag(1/(s - lam)) V' and V diag(1/(s - lam)^2) V': (B, 2, k, m, m)
+            zz = (vecs[:, None] * zk.reshape(b, 2, k, 1, m)) @ vecs.swapaxes(2, 3)[:, None]
+            lhs[:, d:] = zz.reshape(b, 2, -1)
+            coef, out = flat.reshape(b, d, k, m * m), lhs[:, :d].reshape(b, d, k, m * m)
+            # one block at a time: Z kron Z of all k at once would only
+            # hold more memory
+            for j in range(k):
+                zb = zz[:, 0, j]
+                kron = (zb[:, :, None, :, None] * zb[:, None, :, None, :]).reshape(
+                    b, m * m, m * m)
+                np.matmul(coef[:, :, j], kron, out=out[:, :, j])
+        prod += lhs @ flat.swapaxes(1, 2)
+    grad = np.empty((b, d + 1))
+    hess = np.empty((b, d + 1, d + 1))
+    hess[:, :d, :d] = prod[:, :d]
+    grad[:, :d] = prod[:, d]
+    np.negative(prod[:, d + 1], out=hess[:, :d, d])
+    hess[:, d, :d] = hess[:, :d, d]
+    hess[:, d, d] = trz2
     # tr(Z C) = sum lam/(s - lam) - w . tr(Z G); the box caps w . tr(Z G)
     g = grad[:, :d]
     bound = (lamz - np.vecdot(w, g) - radius * np.abs(g).sum(axis=1)) / trz
-    hess[:, d, :d] = hess[:, :d, d]
     grad[:, d] = -trz
     up, dn = 1.0 / (radius[:, None] - w), 1.0 / (radius[:, None] + w)
     grad[:, :d] += up - dn
@@ -347,31 +370,29 @@ def lift(problem: FeasProblem) -> Lifted:
     return Lifted(v_base, basis, radius, problem.margin, [], []).with_blocks(blocks)
 
 
-def _group(const: Array, coef: Array) -> tuple:
-    """A block group of a stack: constants (B, k, m, m), coefficients
-    (B, k, d, m, m) and `flat`, the coefficients with the coordinates
-    first, as tensordot(w, coef, (0, 1)) lays them out. The memory layout
-    of `flat` picks the BLAS kernel of `_block_eigh`'s product, and so its
-    bits; made here alone, it is that of a fresh stack after any drop or
-    join."""
-    b, _, d = coef.shape[:3]
-    return const, coef, coef.swapaxes(1, 2).reshape(b, d, math.prod(const.shape[1:]))
-
-
 class _Rows:
     """The live problems of one phase-I stack, one row each, numbered by
     `ids` in the order they joined. Every pass evaluates each live row
     once, and each row counts its own oracle calls from when it joined.
-    `keep` drops the rows whose verdict is in; `join` appends new rows."""
+    `keep` drops the rows whose verdict is in; `join` appends new rows.
+
+    Each block size is a group (const, flat): the constants (B, k, m, m)
+    and `flat`, the coefficients (B, d, k m^2) with the coordinates
+    first, as tensordot(w, coef, (0, 1)) lays them out. The memory layout
+    of `flat` picks the BLAS kernels of the products with it, and so
+    their bits; it is C order whether made here, kept or joined (for
+    m = 1 the reshape alone would be a strided view), so a row's bits do
+    not depend on the stack's history."""
 
     def __init__(self, lifts: list, starts: list, ids: Array):
         n, d = len(lifts), lifts[0].basis.shape[1]
         self.ids = ids
         self.groups = []
         for m in sorted({c.shape[0] for c, _ in lifts[0].parts}):
-            self.groups.append(_group(
-                np.array([[c for c, _ in lf.parts if c.shape[0] == m] for lf in lifts]),
-                np.array([[g for c, g in lf.parts if c.shape[0] == m] for lf in lifts])))
+            const = np.array([[c for c, _ in lf.parts if c.shape[0] == m] for lf in lifts])
+            coef = np.array([[g for c, g in lf.parts if c.shape[0] == m] for lf in lifts])
+            self.groups.append((const, np.ascontiguousarray(coef.swapaxes(1, 2).reshape(
+                n, d, math.prod(const.shape[1:])))))
         # a point clears the margin when its worst eigenvalue is <= limit
         self.limit = -np.array([lf.margin for lf in lifts])
         self.radius = np.array([lf.radius for lf in lifts])
@@ -387,14 +408,14 @@ class _Rows:
     def keep(self, mask: Array) -> None:
         for name, val in list(vars(self).items()):
             if name == "groups":
-                self.groups = [_group(const[mask], coef[mask]) for const, coef, _ in val]
+                self.groups = [(const[mask], flat[mask]) for const, flat in val]
             else:
                 setattr(self, name, val[mask])
 
     def join(self, other: "_Rows") -> "_Rows":
         for name, val in list(vars(self).items()):
             if name == "groups":
-                self.groups = [_group(*map(np.concatenate, zip(grp[:2], more[:2])))
+                self.groups = [tuple(map(np.concatenate, zip(grp, more)))
                                for grp, more in zip(val, other.groups)]
             else:
                 setattr(self, name, np.concatenate([val, getattr(other, name)]))
@@ -493,7 +514,7 @@ def solve_stream(feed: Callable[[list], tuple], max_oracle_calls: int = 200) -> 
             sel = slice(None) if newton.size == rows.ids.size else newton
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 grad, hess, trz, bound = _barrier_terms(
-                    [coef[sel] for _, coef, _ in rows.groups],
+                    [flat[sel] for _, flat in rows.groups],
                     [(lam[sel], vecs[sel]) for lam, vecs in eigs],
                     rows.w[sel], rows.s[sel], rows.radius[sel])
             # an overflowed row fails alone; eye stands in for its Hessian

@@ -17,7 +17,9 @@ sequential reference of `lmi.dt_rates_probe`'s stream. `ct_problem` is
 the continuous-time problem built whole at one alpha, the reference of
 each probe of `lmi.ct_rates_probe`'s stream; `probe_at` probes every row
 of a stream once. `stacked` feeds problems of one block shape to
-`sdp.solve_stream` as one stack.
+`sdp.solve_stream` as one stack. `barrier_terms` is the phase-I
+barrier's derivatives taken from dense inverses, the reference of
+`sdp._barrier_terms`.
 """
 from __future__ import annotations
 
@@ -224,3 +226,34 @@ def stacked(problems: list, max_oracle_calls: int = 200,
 
     sdp.solve_stream(feed, max_oracle_calls)
     return results
+
+
+def barrier_terms(lifts: list, w: Array, s: Array) -> tuple:
+    """What `sdp._barrier_terms` returns for problems in the search's
+    coordinates at the rows of (w, s): the gradient and Hessian in (w, s)
+    of -sum_j log det(sI - F_j(w)) - sum_i log(R^2 - w_i^2), sum_j tr Z_j
+    and the weak-duality bound (sum_j tr(Z_j C_j) - R ||g||_1) / sum_j tr Z_j
+    with g_i = sum_j tr(Z_j G_ji). Each row inverts each of its blocks,
+    Z_j = inv(sI - F_j(w)), and takes every trace directly."""
+    rows = []
+    for lf, wr, sr in zip(lifts, w, s):
+        d = len(wr)
+        grad, hess = np.zeros(d + 1), np.zeros((d + 1, d + 1))
+        trz = trzc = 0.0
+        for const, coef in lf.parts:
+            z = np.linalg.inv(sr * np.eye(len(const)) - const - np.tensordot(wr, coef, 1))
+            zg = z @ coef  # Z G_i for every coordinate i
+            grad[:d] += np.trace(zg, axis1=1, axis2=2)
+            hess[:d, :d] += np.einsum("iab,jba->ij", zg, zg)
+            hess[:d, d] -= np.einsum("iab,ba->i", zg, z)
+            hess[d, d] += np.trace(z @ z)
+            trz += np.trace(z)
+            trzc += np.trace(z @ const)
+        bound = (trzc - lf.radius * np.abs(grad[:d]).sum()) / trz
+        grad[d] = -trz
+        hess[d, :d] = hess[:d, d]
+        up, dn = 1.0 / (lf.radius - wr), 1.0 / (lf.radius + wr)
+        grad[:d] += up - dn
+        hess[range(d), range(d)] += up * up + dn * dn
+        rows.append((grad, hess, trz, bound))
+    return tuple(np.array(col) for col in zip(*rows))

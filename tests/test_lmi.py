@@ -1011,8 +1011,9 @@ def test_rows_of_a_wide_grid_share_the_stack(monkeypatch):
     # STACK_ROWS // rows probes of its path in the stack: six rows in a
     # stack of 12 keep at most two each while all of them search and more
     # as rows finish, never more than LOOKAHEAD, and every row keeps its
-    # rate and certificate
-    requests = _seeded_rows(18)
+    # rate and certificate (at these rows, a row keeps three probes while
+    # three rows search)
+    requests = _seeded_rows(19)
     want = bisect_rates(dt_rates_probe(requests), 0.05, 1.0, iters=3, scan=False)
     stacked, shares = set(), []
     real_stream = hbreset.lmi.solve_stream
@@ -1046,9 +1047,10 @@ def test_rows_of_a_wide_grid_share_the_stack(monkeypatch):
 def test_bench_config_rows_wait_only_for_their_own_probes(monkeypatch, tmp_path):
     # one phase-I pass evaluates every live probe once, and each row keeps
     # up to LOOKAHEAD probes of its path in the stack: the bench config
-    # makes the 66 path probes of 18 rows bisected alone in 113 passes
-    # (256 one probe at a time, 398 in lockstep rounds), for 3,055 row
-    # evaluations (2,983 one probe at a time)
+    # makes the 66 path probes of 18 rows bisected alone in 114 passes
+    # (392 in lockstep rounds), for 3,026 row evaluations (2,954 one probe
+    # at a time); 16 of the path probes end FEASIBLE, 30 INFEASIBLE and 20
+    # INDETERMINATE
     evals, probes = [], []
     real_eigh, real_cert = sdp._block_eigh, hbreset.lmi._dt_certificate
 
@@ -1057,7 +1059,7 @@ def test_bench_config_rows_wait_only_for_their_own_probes(monkeypatch, tmp_path)
         return real_eigh(groups, w)
 
     def counting_cert(data, rho, res):
-        probes.append(rho)
+        probes.append(res.status)
         return real_cert(data, rho, res)
 
     monkeypatch.setattr(sdp, "_block_eigh", counting_eigh)
@@ -1065,8 +1067,9 @@ def test_bench_config_rows_wait_only_for_their_own_probes(monkeypatch, tmp_path)
     assert cli_main(["certify", "--grid-L", "1,10,100", "--bisect-iters", "3",
                      "--out", str(tmp_path)]) == 0
     assert len(probes) == 66
-    assert sum(evals) == 3055
-    assert len(evals) <= 113
+    assert sum(evals) == 3026
+    assert len(evals) == 114
+    assert [probes.count(s) for s in (FEASIBLE, INFEASIBLE, INDETERMINATE)] == [16, 30, 20]
 
 
 def test_certificate_json_round_trip():

@@ -169,8 +169,8 @@ def test_logistic_bound_is_above_the_value_with_its_gradient_bitwise(z, scales):
     # with one feature, labels +1 and features -z, the margins at q = [s]
     # are s * z: at s = 1 exactly the drawn ones. A point and a stack of
     # points give the bound at least the value as computed (or both
-    # non-finite) and the value's gradient bit for bit, with no warning
-    # that the value does not raise
+    # non-finite), the value's gradient bit for bit and the bits of the
+    # plain formula, with no warning that the value does not raise
     spec = LogisticSpec(features=-z[None, :], labels=np.ones(z.size))
     for q in (np.ones(1), np.array(scales)[:, None]):
         value, grad, value_warns = _warned(logistic_eval_grad, spec, q)
@@ -179,6 +179,46 @@ def test_logistic_bound_is_above_the_value_with_its_gradient_bitwise(z, scales):
         assert np.all((upper >= value) | ~(np.isfinite(upper) | np.isfinite(value)))
         assert bound_grad.tobytes() == grad.tobytes()
         assert bound_warns <= value_warns
+        _assert_plain_bound(spec, q, upper)
+
+
+def _assert_plain_bound(spec, q, upper):
+    # the bound has the bits of 2 (sum max(z, 0) + m) where that is
+    # finite, and is inf or NaN where that is
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = spec.signed.T @ q if q.ndim == 1 else np.matmul(spec.signed.T, q[..., None])[..., 0]
+        plain = 2.0 * (np.maximum(z, 0.0).sum(axis=-1) + spec.m)
+    assert np.array_equal(upper, plain, equal_nan=True)
+    finite = np.isfinite(plain)
+    assert np.asarray(upper)[finite].tobytes() == np.asarray(plain)[finite].tobytes()
+
+
+def test_logistic_bound_near_overflow_keeps_its_bits_and_never_warns():
+    # a first feature of -1 and a second of about 1e-300 make the margins
+    # at q = (t, u) about t in every row: at m = 4, 2e307 gives the finite
+    # bound 1.6e308 and 4e307 overflows; at m = 4096 the sum itself
+    # overflows. Each point alone and in a stack beside modest points
+    # gets the plain formula's bound and the value's gradient, under
+    # warnings as errors
+    rng = np.random.default_rng(28)
+    points = ([1e308, 0.0], [4e307, 1.0], [2e307, 0.0], [1e306, 0.0], [1.0, 1.0],
+              [np.nan, 0.0], [-np.inf, 0.0], [1e-310, 1e-10])
+    for m in (1, 4, 4096):
+        spec = LogisticSpec(features=np.stack([-np.ones(m), 1e-300 * rng.standard_normal(m)]),
+                            labels=np.ones(m))
+        for point in map(np.array, points):
+            for q in (point, np.stack([point, np.full(2, 0.5), -point])):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    upper, grad = logistic_bound_grad(spec, q)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    assert grad.tobytes() == logistic_eval_grad(spec, q)[1].tobytes()
+                _assert_plain_bound(spec, q, upper)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tops = [logistic_bound_grad(spec, np.array([t, 0.0]))[0] for t in (2e307, 4e307)]
+        assert tops == ([4e307, 8e307] if m == 1 else [1.6e308, np.inf] if m == 4
+                        else [np.inf, np.inf])
 
 
 def test_logistic_model_bound_is_its_gradient():
