@@ -1,8 +1,9 @@
 """Reset-based heavy-ball methods: simulators, rate certificates, benchmarks.
 
 Layers, bottom up: `objectives` (quadratic / logistic test functions),
-`csv17` (exact `%.17g` CSV rows, formatted in numpy), `discrete` (the
-switched two-step iteration family), `hybrid`
+`csv17` (exact `%.17g` CSV rows and `%.3f` chart points, formatted in
+numpy), `svg` (line charts, whose polylines go through `csv17`),
+`discrete` (the switched two-step iteration family), `hybrid`
 (continuous-time flows with momentum resets or switched damping), `sdp`
 (a self-contained log-det barrier feasibility engine), `lmi` (rate
 certificates built on it), `cli` (benchmark front end).

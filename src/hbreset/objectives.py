@@ -3,8 +3,10 @@
 Two concrete families: strongly convex quadratics with a controlled
 spectrum, and full-batch logistic regression on synthetic data. Models
 carry (mu, L) curvature metadata consumed by the rate certifiers. Each
-model has one oracle, value_grad(q) -> (phi(q), grad phi(q)), so a
-caller that needs both at a point pays for one evaluation.
+model has the oracle value_grad(q) -> (phi(q), grad phi(q)), so a
+caller that needs both at a point pays for one evaluation; both
+families add grad(q), the same gradient alone, for callers that read no
+value there.
 """
 from __future__ import annotations
 
@@ -27,24 +29,27 @@ class ObjectiveModel:
 
     value_grad(q) returns (phi(q), grad phi(q)) from one evaluation;
     value() and gradient() are the two halves of it, for callers that
-    need only one. mu = 0 means the strong-convexity modulus is unknown
+    need only one. grad(q), optional, returns value_grad's gradient bit
+    for bit without computing the value; gradient() takes it when there
+    is one. mu = 0 means the strong-convexity modulus is unknown
     or absent. minimizer/min_value are optional; when minimizer is given its
     gradient must vanish to within 1e-8 * max(1, ||q*||). hessian is the
-    constant Hessian of a quadratic phi, or None; value_grad stays the
-    source of every value and gradient, and a caller that has the
+    constant Hessian of a quadratic phi, or None; value_grad (and grad)
+    stay the source of every value and gradient, and a caller that has the
     Hessian may use it only to move points (the hybrid integrators step
     quadratic flows with it). discrete.run_many (and so discrete.run,
     its stack of one, and the logreg tuner) and the hybrid skip-ahead
     also pass value_grad a (B, n) stack of points, for (B,) values and
     (B, n) gradients: run_many passes all its live runs, of every
     variant, as one stack, and the extrapolated points of its NES and
-    NES_SCHEDULE rows as a second. So a model given to discrete.run
-    needs a stack-capable oracle. quad_eval_grad and logistic_eval_grad
-    take a stack, and give each row the bits of its point alone.
+    NES_SCHEDULE rows as a second, through gradient(). So a model given
+    to discrete.run needs stack-capable oracles. The oracles of
+    quadratic_model and logistic_model take a stack, and give each row
+    the bits of its point alone.
 
     bound_grad(q), optional, returns (upper, grad phi(q)): grad has the
     bits of value_grad's and upper >= its phi as computed (NaN and inf
-    pass through). gradient() and run_many(values="last") use it.
+    pass through). run_many(values="last") uses it.
     """
 
     dim: int
@@ -55,6 +60,7 @@ class ObjectiveModel:
     min_value: Optional[float] = None
     hessian: Optional[Array] = None
     bound_grad: Optional[Callable[[Array], tuple[float, Array]]] = None
+    grad: Optional[Callable[[Array], Array]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -73,7 +79,7 @@ class ObjectiveModel:
         return self.value_grad(q)[0]
 
     def gradient(self, q: Array) -> Array:
-        return (self.bound_grad or self.value_grad)(q)[1]
+        return self.value_grad(q)[1] if self.grad is None else self.grad(q)
 
     def gap(self, q: Array) -> float:
         """phi(q) - phi*, or nan when the minimum is unknown."""
@@ -149,14 +155,25 @@ def quad_eval_grad(spec: QuadraticSpec, q: Array) -> tuple[float, Array]:
     the hybrid stage path and the certificate replay along simulated
     runs (acceptance criterion 05) would pay at every evaluation.
     """
+    q, Qq = _quad_product(spec, q)
+    if q.ndim == 1:
+        return 0.5 * float(q @ Qq) + float(spec.b @ q), Qq + spec.b
+    return 0.5 * np.vecdot(q, Qq) + np.vecdot(spec.b, q), Qq + spec.b
+
+
+def quad_grad(spec: QuadraticSpec, q: Array) -> Array:
+    """quad_eval_grad's gradient Qq + b, bit for bit, without the value."""
+    return _quad_product(spec, q)[1] + spec.b
+
+
+def _quad_product(spec: QuadraticSpec, q: Array) -> tuple[Array, Array]:
+    """(q, Qq) for one point (n,) or a (B, n) stack, as a float array."""
     q = np.asarray(q, dtype=float)
     if q.shape == (spec.dim,):
-        Qq = spec.Q @ q
-        return 0.5 * float(q @ Qq) + float(spec.b @ q), Qq + spec.b
+        return q, spec.Q @ q
     if q.ndim != 2 or q.shape[1] != spec.dim:
         raise ValueError(f"point of dim {q.shape} does not match spec dim {spec.dim}")
-    Qq = np.matmul(spec.Q, q[..., None])[..., 0]
-    return 0.5 * np.vecdot(q, Qq) + np.vecdot(spec.b, q), Qq + spec.b
+    return q, np.matmul(spec.Q, q[..., None])[..., 0]
 
 
 def quadratic_model(spec: QuadraticSpec) -> ObjectiveModel:
@@ -173,6 +190,7 @@ def quadratic_model(spec: QuadraticSpec) -> ObjectiveModel:
         minimizer=qstar,
         min_value=quad_eval_grad(spec, qstar)[0],
         hessian=spec.Q,
+        grad=lambda q: quad_grad(spec, q),
     )
 
 
@@ -247,6 +265,11 @@ def logistic_eval_grad(spec: LogisticSpec, q: Array) -> tuple[float, Array]:
     return (float(phi) if z.ndim == 1 else phi), grad
 
 
+def logistic_grad(spec: LogisticSpec, q: Array) -> Array:
+    """logistic_eval_grad's gradient, bit for bit, without the value."""
+    return _margins_grad(spec, q)[1]
+
+
 def logistic_bound_grad(spec: LogisticSpec, q: Array) -> tuple[float, Array]:
     """logistic_eval_grad's gradient, bit for bit, with the upper bound
     2 (sum_i max(z_i, 0) + m) in place of its value.
@@ -304,6 +327,7 @@ def logistic_model(spec: LogisticSpec, mu: float = 0.0) -> ObjectiveModel:
         lipschitz=logistic_lipschitz(spec),
         value_grad=lambda q: logistic_eval_grad(spec, q),
         bound_grad=lambda q: logistic_bound_grad(spec, q),
+        grad=lambda q: logistic_grad(spec, q),
     )
 
 

@@ -2,6 +2,8 @@
 
 Hand-rolled emission so figure bytes are a pure function of the data:
 no plotting dependency, fixed coordinate formatting, no timestamps.
+Polyline points go through `csv17.format_fixed`, the bytes of `'%.3f'`
+for a whole series formatted in numpy; ticks and labels use `%` itself.
 """
 
 from __future__ import annotations
@@ -203,8 +205,8 @@ def render_line_chart(series: Sequence[Series], title: str = "",
         if x.size:
             if log_y:
                 y = np.where(y <= 0.0, y_ticks[0] if y_ticks else 1e-16, y)
-            xy = np.column_stack((x_pix(x), y_pix(y)))
-            points = " ".join(["%.3f,%.3f"] * len(xy)) % tuple(xy.ravel().tolist())
+            from .csv17 import format_fixed  # compiled at the first polyline, not at import
+            points = format_fixed(np.column_stack((x_pix(x), y_pix(y)))).decode()
             out.append('<polyline points="%s" fill="none" stroke="%s" '
                        'stroke-width="1.5"/>' % (points, color))
         lx = WIDTH - MARGIN_R - 150

@@ -574,13 +574,16 @@ def counting_oracle(monkeypatch, name):
 
 def test_quad_pass_steps_every_run_in_one_stack(monkeypatch, tmp_path):
     # the 24 runs (6 methods x 4 K) of a quad pass are the rows of one
-    # stack: each iterate makes one call for all 24 and one at the
-    # extrapolated points of the 12 NES rows. The single points are phi*
-    # and the gradient check at q* (quadratic_model) and the start q0.
+    # stack: each iterate makes one call for all 24 and one gradient-only
+    # call at the extrapolated points of the 12 NES rows. The single
+    # points are phi* and the start q0, and the gradient check at q*
+    # (quadratic_model).
     shapes = counting_oracle(monkeypatch, "quad_eval_grad")
+    grads = counting_oracle(monkeypatch, "quad_grad")
     assert main(["quad", "--seed", "3", "--iters", "20", "--out",
                  str(tmp_path)]) == 0
-    assert shapes == {(24,): 20, (12,): 20, (): 3}
+    assert shapes == {(24,): 20, (): 2}
+    assert grads == {(12,): 20, (): 1}
 
 
 def test_tune_round_of_five_methods_is_one_stack(monkeypatch):
@@ -590,21 +593,25 @@ def test_tune_round_of_five_methods_is_one_stack(monkeypatch):
     # inner searches of each beta method. No run stops early there, so
     # each iterate makes one call for all 16 rows and one at the
     # extrapolated points of the two nesterov rows. Only the last
-    # iterate's call is a value; the others and every extrapolated point
-    # take the bound, as no run diverges there. The one single point is
-    # the start q0, evaluated once before the first round.
+    # iterate's call is a value; the others take the bound, as no run
+    # diverges there, and every extrapolated point the gradient alone.
+    # The one single point is the start q0, evaluated once before the
+    # first round.
     spec = gen_logistic_dataset(6, 120, 2)
     model = logistic_model(spec)
     shapes = counting_oracle(monkeypatch, "logistic_eval_grad")
     bounds = counting_oracle(monkeypatch, "logistic_bound_grad")
+    grads = counting_oracle(monkeypatch, "logistic_grad")
     rounds, between, lone_run_many = [], [], hbreset.cli.run_many
 
     def recording_run_many(model, params, q0, budget, **kwargs):
         between.append(dict(shapes))
         shapes.clear()
         bounds.clear()
+        grads.clear()
         trajs = lone_run_many(model, params, q0, budget, **kwargs)
-        rounds.append(([p.variant for p in params], dict(shapes), dict(bounds)))
+        rounds.append(([p.variant for p in params], dict(shapes), dict(bounds),
+                       dict(grads)))
         shapes.clear()
         return trajs
 
@@ -613,10 +620,10 @@ def test_tune_round_of_five_methods_is_one_stack(monkeypatch):
     tune_method(LOGREG_METHODS, model, logreg_start(2, 6), 15, 1e-3 / lhat,
                 10.0 / lhat, outer_iters=3, inner_iters=2)
     assert rounds[0] == ([Variant.GD] * 2 + [Variant.POL] * 4 + [Variant.NES_SCHEDULE] * 2
-                         + [Variant.POL] * 8, {(16,): 1}, {(16,): 14, (2,): 15})
+                         + [Variant.POL] * 8, {(16,): 1}, {(16,): 14}, {(2,): 15})
     assert len(rounds) == (3 + 1) * (2 + 1)
     assert between == [{(): 1}] + [{}] * (len(rounds) - 1) and not shapes
-    assert all(() not in calls for _, calls, _ in rounds)
+    assert all(() not in calls for _, calls, _, _ in rounds)
 
 
 def tune_rounds(method, outer_iters, inner_iters):
@@ -869,7 +876,7 @@ def test_tune_scores_a_nan_gradient_inf_on_that_row_only(monkeypatch):
         return phi, np.where(np.abs(q[..., :1]) > 1.0, np.nan, g)
 
     model = dataclasses.replace(base, value_grad=value_grad, minimizer=None,
-                                min_value=None)
+                                min_value=None, grad=lambda q: value_grad(q)[1])
     calls, lone_run_many = [], hbreset.cli.run_many
 
     def recording_run_many(model, params, q0, budget, **kwargs):

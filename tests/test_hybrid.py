@@ -82,7 +82,11 @@ def test_hihb_with_an_equal_pair_is_hb():
         calls.append(np.shape(q))
         return base.value_grad(q)
 
-    model = dataclasses.replace(base, value_grad=value_grad)
+    def grad(q):
+        calls.append(("grad", np.shape(q)))
+        return base.grad(q)
+
+    model = dataclasses.replace(base, value_grad=value_grad, grad=grad)
     par = HybridParams(K=1.0, K_lo=1.0, K_hi=1.0, T_min=default_dwell(base.lipschitz))
     z0 = HybridState(q=np.ones(10), p=np.zeros(10))
     runs = []
@@ -117,19 +121,24 @@ def test_hihb_four_oracle_calls_per_step():
     calls = []
 
     def value_grad(q):
-        calls.append(1)
+        calls.append("value_grad")
         return base.value_grad(q)
 
+    def grad(q):
+        calls.append("grad")
+        return base.grad(q)
+
     # hessian=None: the stage path, which the skip-ahead of quadratics bypasses
-    model = dataclasses.replace(base, value_grad=value_grad, hessian=None)
+    model = dataclasses.replace(base, value_grad=value_grad, grad=grad, hessian=None)
     calls.clear()
     par = HybridParams(K_lo=0.5, K_hi=2.0, step=1e-2)
     arc = integrate_hihb(model, par, HybridState(q=np.ones(3), p=np.zeros(3)), 1.0)
     steps = len(arc) - 1
     assert steps >= 99
-    # three new RK4 stages per step plus the end point, which the next
-    # step's first stage and the energy sample share
+    # three new RK4 stages per step, gradient-only, plus the end point,
+    # which the next step's first stage and the energy sample share
     assert len(calls) == 4 * steps + 1
+    assert calls.count("grad") == 3 * steps
 
 
 def _two_path_cases():

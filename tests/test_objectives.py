@@ -160,7 +160,7 @@ def _warned(oracle, spec, q):
     return value, grad, {(w.category, str(w.message)) for w in seen}
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(z=margin_rows(), scales=st.lists(
     st.sampled_from([1.0, -1.0, 0.5, 2.0, 1e-300, 0.0]), min_size=1, max_size=4))
 @example(z=np.array([1e308]), scales=[1.0])  # the bound alone overflows
@@ -222,14 +222,32 @@ def test_logistic_bound_near_overflow_keeps_its_bits_and_never_warns():
 
 
 def test_logistic_model_bound_is_its_gradient():
-    # ObjectiveModel.gradient takes the bound oracle's gradient, which
-    # run_many uses at the extrapolated points
+    # the bound oracle's gradient, and ObjectiveModel.gradient's (the
+    # gradient-only oracle, which run_many uses at the extrapolated
+    # points), are the value oracle's
     spec = gen_logistic_dataset(5, 60, 4)
     model = logistic_model(spec)
     q = np.random.default_rng(4).uniform(-3.0, 3.0, (3, 5))
     assert model.bound_grad(q)[0].shape == (3,)
+    assert model.bound_grad(q)[1].tobytes() == logistic_eval_grad(spec, q)[1].tobytes()
     assert model.gradient(q).tobytes() == logistic_eval_grad(spec, q)[1].tobytes()
     assert quadratic_model(QuadraticSpec(Q=np.eye(2), b=np.ones(2))).bound_grad is None
+
+
+def test_gradient_only_oracles_give_the_value_oracles_gradient_bits():
+    # at one point, in a stack and in a strided stack, with the same
+    # errors for a point of the wrong shape
+    rng = np.random.default_rng(29)
+    _, quad = gen_random_quadratic(7, 50.0, 29)
+    logistic = logistic_model(gen_logistic_dataset(7, 120, 29))
+    for model in (quad, logistic):
+        X = rng.uniform(-50.0, 50.0, (40, 7))
+        for q in (X[0], X, X[::3]):
+            assert model.grad(q).tobytes() == model.value_grad(q)[1].tobytes()
+            assert model.gradient(q).tobytes() == model.grad(q).tobytes()
+        for bad in (np.zeros((2, 3, 7)), np.zeros((2, 8))):
+            with pytest.raises(ValueError):
+                model.grad(bad)
 
 
 def test_logistic_signed_form_matches_label_scaling_bitwise():

@@ -54,7 +54,7 @@ def _symmetric_matrices(draw):
     return 0.5 * (a + a.T)
 
 
-@settings(max_examples=30, deadline=None, database=None)
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
 @given(_symmetric_matrices())
 def test_eig_property_reconstructs_and_orthonormal(a):
     vals, vecs = symmetric_eig(a)
@@ -722,6 +722,43 @@ def test_stream_drops_named_problems_before_the_next_pass(monkeypatch):
     assert passes == [3] * 5 + [1] * (alone.oracle_calls - (alone.status == FEASIBLE) - 5)
 
 
+def test_stream_problems_that_join_after_a_drop_get_their_lone_bits(monkeypatch):
+    # three problems join at once; before the fifth pass the feed drops
+    # the first and, in the same call, adds a fourth, and a fifth joins
+    # when the fourth is decided. The dropped row gets no result; the kept
+    # rows and the rows that joined after the drop each get the bits they
+    # get alone, and the passes hold the rows live at each
+    problems = [_mistuned_dt(1.0, "nesterov", 0.05), _mistuned_dt(2.0, "polyak", 0.5),
+                _mistuned_dt(1.0, "hhb-pol", 0.525), _mistuned_dt(2.0, "nesterov", 0.9),
+                _mistuned_dt(1.0, "hhb-nes", 0.5)]
+    alone = [solve_feasibility(p, 77) for p in problems]
+    got, passes = {}, []
+    real_eigh = sdp._block_eigh
+
+    def counting_eigh(groups, w):
+        passes.append(len(w))
+        return real_eigh(groups, w)
+
+    def feed(decided):
+        got.update(decided)
+        if not passes:
+            return [(i, sdp.lift(problems[i]), None) for i in range(3)], []
+        joining = [3] if len(passes) == 4 else [4] if 3 in dict(decided) else []
+        return ([(i, sdp.lift(problems[i]), None) for i in joining],
+                [0] if len(passes) == 4 else [])
+
+    monkeypatch.setattr(sdp, "_block_eigh", counting_eigh)
+    sdp.solve_stream(feed, 77)
+    assert sorted(got) == [1, 2, 3, 4]
+    assert [_bits(got[i]) for i in range(1, 5)] == [_bits(r) for r in alone[1:]]
+    evals = [r.oracle_calls - (r.status == FEASIBLE) for r in alone]
+    assert evals[0] > 4  # the first problem is still live when it is dropped
+    # (first pass, passes) of each problem
+    spans = [(0, 4), (0, evals[1]), (0, evals[2]), (4, evals[3]), (4 + evals[3], evals[4])]
+    end = max(a + n for a, n in spans)
+    assert passes == [sum(a <= k < a + n for a, n in spans) for k in range(end)]
+
+
 def test_overflowing_barrier_terms_end_their_row_alone():
     # the polyak-family rows at L = 1e20 and 1e300 overflow their barrier
     # terms at the first point (1/(s - lam) is 1/0 once s = worst + 1
@@ -751,7 +788,7 @@ def _dt_problems(draw):
         mu, L, draw(st.floats(0.05, 1.0))))
 
 
-@settings(max_examples=12, deadline=None, database=None)
+@settings(max_examples=12, deadline=None, database=None, derandomize=True)
 @given(st.lists(_dt_problems(), min_size=2, max_size=5), st.integers(1, 60))
 def test_stacked_dt_solves_equal_single_solves(problems, budget):
     alone = [_bits(solve_feasibility(p, budget)) for p in problems]

@@ -200,7 +200,7 @@ def _charts(draw):
     return series, draw(st.booleans()), y_floor
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(_charts())
 def test_array_renderer_matches_scalar_reference_bytes(chart):
     series, log_y, y_floor = chart
@@ -265,6 +265,25 @@ def test_log_axis_midpoints_match_scalar_reference_bytes():
     ys = np.concatenate(([1.0, 1e6],
                          (mid[:, None] * (1.0 + np.arange(-60, 61) * 2.0 ** -52)).ravel()))
     assert_same_bytes([("a", np.arange(len(ys)), ys)], log_y=True)
+
+
+def test_bench_scale_charts_match_scalar_reference_bytes():
+    # the sizes the benchmark draws, which span several csv17 chunks: a
+    # 10,014-sample energy arc on a log axis, and six 1,501-iterate gap
+    # series (each with a zero gap, moved to the lowest tick), on a log
+    # axis and a linear one
+    rng = np.random.default_rng(29)
+    t = np.linspace(0.0, 40.0, 10014)
+    energy = 1e3 * np.exp(-0.6 * t) * (1.5 + np.cos(3.0 * t)) + 1e-14
+    assert_same_bytes([("hhb", t, energy)], log_y=True)
+    k = np.arange(1501)
+    gaps = []
+    for i in range(6):
+        gap = 1e4 * (0.97 + 0.004 * i) ** k * (1.0 + 0.5 * np.sin(k / (3.0 + i)))
+        gap[rng.integers(1, 1501)] = 0.0
+        gaps.append((f"m{i}", k, gap * rng.uniform(0.9, 1.1, 1501)))
+    for log_y in (True, False):
+        assert_same_bytes(gaps, title="phi gap, K=1", log_y=log_y)
 
 
 def test_empty_series_list_draws_frame_without_polylines():
