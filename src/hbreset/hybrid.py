@@ -5,7 +5,10 @@ hybrid variant that jumps (q, p, tau) -> (q, 0, 0) once the timer tau
 exceeds the dwell time T_min and the momentum is not `discrete.aligned`,
 and the switched variant; all take K from a pair (K while aligned, K
 otherwise), (K_lo, K_hi) on the switched flow and (K, K) on the others.
-Fixed-step classical RK4 with bisection event localization.
+Fixed-step classical RK4. A jump inside a step is located, to within
+event_tol in time, at the point that bisecting the step would find, by
+`_locate`: Illinois regula falsi on <grad phi, p> inside the bisection
+bracket, about 8 RK4 steps a jump where bisection takes 25.
 
 On a quadratic model (one with `ObjectiveModel.hessian`) the flow is
 linear, so one full RK4 step is an affine map of the state whose matrix
@@ -35,6 +38,15 @@ Array = np.ndarray
 
 GRAD_STOP = 1e-10
 MAX_EVENT_BISECTIONS = 100
+# _locate evaluates Illinois points while its bracket is wider than
+# ILLINOIS_WIDTH event_tol, and while it has taken fewer than ILLINOIS_LEAD
+# RK4 steps more than the halvings so far. At a multiple root of
+# <grad phi, p>, where regula falsi is slow, a jump then costs at most
+# ILLINOIS_LEAD + 2 steps more than bisection; with no lead bound, a
+# triple root on the unit oscillator took more than 100. A lead of 4
+# leaves every jump of the benchmark's arcs where it is with no bound.
+ILLINOIS_WIDTH = 16
+ILLINOIS_LEAD = 4
 # full steps a skip-ahead block advances before its stacked oracle call;
 # 128 ran the benchmark's n = 10 arcs about 9% faster than 64
 BLOCK = 128
@@ -324,6 +336,72 @@ class _SkipAhead:
         return ts[1:r + 1], taus[:r], Q[:r], P[:r], phi[:r], _finite(G[:r])
 
 
+def _locate(model: ObjectiveModel, params: HybridParams, accel, q: Array, p: Array,
+            g: Array, tau: float, dt: float, end: tuple) -> tuple:
+    """The earliest entry into the jump set within the step (0, dt] from
+    (q, p), with gradient g and timer tau, whose end `end` = (q, p, phi, g)
+    at dt is in it: (lo, hi, the state (q, p, phi, g) at hi). lo and hi
+    are the bisection's: the halvings of (0, dt] down to event_tol, each
+    midpoint going to hi when it is in the jump set, else to lo.
+
+    A point's state is the RK4 step of that length from the step start.
+    The evaluated bracket (a, b), the latest point found outside the jump
+    set and the earliest found in it, decides every midpoint outside it,
+    and the timer every midpoint before T_min, with no new step. For a
+    midpoint inside, an Illinois point (regula falsi on the switching
+    value <grad phi, p> that halves the value kept at an end twice in a
+    row; Dowell & Jarratt, BIT 1971) is evaluated first, while b - a >
+    ILLINOIS_WIDTH event_tol, the ends straddle a sign change and the
+    steps so far lead the halvings by less than ILLINOIS_LEAD; else the
+    timer's crossing of T_min, when it lies in (a, b); else the midpoint.
+    Where the jump set is an interval of the step, as it is when
+    <grad phi, p> changes sign once, that gives bisection's lo and hi.
+    MAX_EVENT_BISECTIONS bounds both the halvings and the evaluations.
+    """
+    tol, ready, calls = params.event_tol, params.T_min - tau, 0
+    failed = f"event localization did not converge in {MAX_EVENT_BISECTIONS} bisections"
+
+    def at(s: float) -> tuple:
+        nonlocal calls
+        calls += 1
+        if calls > MAX_EVENT_BISECTIONS:
+            raise RuntimeError(failed)
+        qs, ps = _rk4(q, p, g, s, model, accel)
+        phis, gs = model.value_grad(qs)
+        return qs, ps, phis, _finite(gs)
+
+    a, fa = 0.0, float(np.dot(g, p))
+    b, fb, at_b = dt, float(np.dot(end[3], end[1])), end
+    kept = 0  # +1 after a point moved a, -1 after one moved b
+    lo, hi, at_hi = 0.0, dt, end
+    for halvings in range(MAX_EVENT_BISECTIONS):
+        if hi - lo <= tol:
+            return lo, hi, at_hi if at_hi is not None else at(hi)
+        mid = 0.5 * (lo + hi)
+        while a < mid < b and tau + mid >= params.T_min:
+            if (b - a > ILLINOIS_WIDTH * tol and fa < 0.0 < fb
+                    and calls < halvings + ILLINOIS_LEAD):
+                s = (a * fb - b * fa) / (fb - fa)
+            else:
+                s = ready
+            s = s if a < s < b else mid
+            z = at(s)
+            f = float(np.dot(z[3], z[1]))
+            if _jumps(f, tau + s, params):
+                b, fb, at_b = s, f, z
+                fa *= 0.5 if kept < 0 else 1.0
+                kept = -1
+            else:
+                a, fa = s, f
+                fb *= 0.5 if kept > 0 else 1.0
+                kept = 1
+        if mid >= b:
+            hi, at_hi = mid, at_b if mid == b else None
+        else:
+            lo = mid
+    raise RuntimeError(failed)
+
+
 def _integrate(model: ObjectiveModel, params: HybridParams, z0: HybridState,
                t_end: float, resets: bool, pair: tuple) -> HybridArc:
     """An RK4 arc of (qdot, pdot) = (p, -K p - grad phi(q)).
@@ -331,8 +409,8 @@ def _integrate(model: ObjectiveModel, params: HybridParams, z0: HybridState,
     K is the damping switch `_damping` on the pair (K while `aligned`, K
     otherwise), re-evaluated at each RK4 stage. A resetting arc jumps
     (q, p, tau) -> (q, 0, 0) when tau >= T_min and the momentum leaves
-    alignment, localized by bisection on the step to within event_tol in
-    time; other arcs keep j = 0 and tau = 0. A quadratic model skips
+    alignment, located inside the step to within event_tol in time by
+    `_locate`; other arcs keep j = 0 and tau = 0. A quadratic model skips
     ahead through its event-free full steps (`_SkipAhead`); every other
     step takes the stage path, `_rk4`.
     """
@@ -368,21 +446,8 @@ def _integrate(model: ObjectiveModel, params: HybridParams, z0: HybridState,
         phi1, g1 = model.value_grad(q1)
         _finite(g1)
         if resets and _jumps(float(np.dot(g1, p1)), tau + dt, params):
-            # earliest entry time into the jump set within (0, dt]
-            lo, hi = 0.0, dt
-            for _ in range(MAX_EVENT_BISECTIONS):
-                if hi - lo <= params.event_tol:
-                    break
-                mid = 0.5 * (lo + hi)
-                qm, pm = _rk4(q, p, g, mid, model, accel)
-                phim, gm = model.value_grad(qm)
-                if _jumps(float(np.dot(_finite(gm), pm)), tau + mid, params):
-                    hi, q1, p1, phi1, g1 = mid, qm, pm, phim, gm
-                else:
-                    lo = mid
-            else:
-                raise RuntimeError(
-                    f"event localization did not converge in {MAX_EVENT_BISECTIONS} bisections")
+            _, hi, (q1, p1, phi1, g1) = _locate(model, params, accel, q, p, g, tau, dt,
+                                                (q1, p1, phi1, g1))
             t += hi
             z = arc.jump(t, j, HybridState(q1, p1, tau + hi), phi1)
             q, p, tau, j, phi, g = z.q, z.p, z.tau, j + 1, phi1, g1
@@ -399,8 +464,9 @@ def integrate_hhb(model: ObjectiveModel, params: HybridParams, z0: HybridState,
     """Simulate the hybrid system: flow under damping K, jump to (q, 0, 0).
 
     RK4 fixed step; a jump triggers when tau >= T_min and the momentum is
-    not `aligned`, localized by bisection on the step to within event_tol
-    in time.
+    not `aligned`, located inside the step to within event_tol in time,
+    at the point that bisecting the step finds, by Illinois regula falsi
+    on <grad phi, p> inside the bisection bracket (`_locate`).
     """
     return _integrate(model, params, z0, t_end, resets=True, pair=(params.K, params.K))
 

@@ -10,9 +10,10 @@ blockwise (P kron I), so a `CertRequest` carries no dimension.
 
 Both forms are affine in their rate: the ct flow LMI in alpha (2 alpha E
 in its P blocks; Boyd et al., LMIs in System and Control Theory, 5.1),
-the dt LMIs in rho² (`build_theorem2` compiles a row into everything but
-the rate, `_at_rates` applies rho), and `_feas` adds the same P > 0,
-floors and normalization to both. So one stream, `_rates_probe`, serves
+the dt LMIs in rho² (`_theorem2_stack` compiles rows, as one stack of
+matrix products, into everything but the rate, `build_theorem2` compiles
+a stack of one, and `_at_rates` applies rho), and `_feas` adds the same
+P > 0, floors and normalization to both. So one stream, `_rates_probe`, serves
 `ct_rates_probe` and `dt_rates_probe`: each row is compiled once, and
 every probe of a `bisect_rates` call joins one `sdp.solve_stream` stack,
 each row probing up to LOOKAHEAD rates ahead on its path; every row gets
@@ -245,28 +246,64 @@ class DtLmiData:
             raise ValueError("rho must lie in (0, 1]")
 
 
+def _theorem2_stack(systems: Sequence[DtSystemMatrices], mu: Sequence[float],
+                    L: Sequence[float]) -> Array:
+    """Compile the switched-rate certificates of rows (systems[k], mu[k],
+    L[k]) as one stack: everything in their two LMIs but the rate, which
+    _at_rates applies, laid out as _rate_free lays out compiled rows,
+    (rows, branch, 7, 3, 3)."""
+    mu, L = (np.asarray(x, dtype=float) for x in (mu, L))
+    if not np.all((0.0 < mu) & (mu <= L) & (L < np.inf)):
+        raise ValueError("need 0 < mu <= L < inf")
+    rows = len(systems)
+
+    def branches(name: str, shape: tuple) -> Array:
+        return np.array([[getattr(br, name) for br in (s.main, s.reset)]
+                         for s in systems]).reshape(rows, 2, *shape)
+
+    def form(corner, last) -> Array:
+        """[[corner, 0.5], [0.5, last]] per row, for both branches."""
+        w = np.full((rows, 1, 2, 2), 0.5)
+        w[:, 0, 0, 0], w[:, 0, 1, 1] = corner, last
+        return w
+
+    def T(x: Array) -> Array:
+        return np.swapaxes(x, -1, -2)
+
+    A, B, C, E = (branches("A", (2, 2)), branches("B", (2, 1)), branches("C", (1, 2)),
+                  branches("E", (1, 2)))
+    # each is a 1 x 3 row stacked on [0 0 1]
+    zero, unit = np.zeros((rows, 2, 1, 1)), np.broadcast_to([[0.0, 0.0, 1.0]], (rows, 2, 1, 3))
+    sigma1, sigma2, c0 = (np.concatenate([np.concatenate(top, -1), unit], -2) for top in (
+        (E @ A - C, E @ B), (C - E, zero), (C, zero)))
+    w_lower = form(-mu / 2.0, 0.0)
+    n1 = T(sigma1) @ form(L / 2.0, 0.0) @ sigma1
+    # the sector form of build_sector, row by row
+    sector = form(-(mu * L / (mu + L)), -(1.0 / (mu + L)))
+    out = np.empty((rows, 2, 7, 3, 3))
+    for k, Ek in enumerate(_P_BASIS):
+        tr = T(A) @ Ek @ B
+        out[:, :, k] = np.concatenate([np.concatenate([T(A) @ Ek @ A, tr], -1),
+                                       np.concatenate([T(tr), T(B) @ Ek @ B], -1)], -2)
+    out[:, :, 3] = n1 + T(sigma2) @ w_lower @ sigma2
+    out[:, :, 4] = T(c0) @ sector @ c0
+    out[:, :, 5] = [sign * ALIGNMENT_FORM for *_, sign in _DT_LMIS]
+    out[:, :, 6] = n1 + T(c0) @ w_lower @ c0
+    return out
+
+
+def _compiled(sys: DtSystemMatrices, mu: float, L: float, rho: float,
+              mats: Array) -> DtLmiData:
+    """The row at rho whose branches are views of its _theorem2_stack entry."""
+    return DtLmiData(sys, mu, L, rho, *(DtBranchLmi(M1=m[3], M2=m[6], M3=m[4], P=tuple(m[:3]))
+                                        for m in mats))
+
+
 def build_theorem2(sys: DtSystemMatrices, mu: float, L: float, rho: float) -> DtLmiData:
     """Compile the switched-rate certificate of one row, once: everything
-    in its two LMIs but the rate, which _at_rates applies."""
-    sector = build_sector(mu, L)
-    w_upper = np.array([[L / 2.0, 0.5], [0.5, 0.0]])
-    w_lower = np.array([[-mu / 2.0, 0.5], [0.5, 0.0]])
-    branches = []
-    for br in (sys.main, sys.reset):
-        # each is a 1 x 3 row stacked on [0 0 1]
-        sigma1, sigma2, c0 = (np.vstack([top, [[0.0, 0.0, 1.0]]]) for top in (
-            np.hstack([br.E @ br.A - br.C, br.E @ br.B]), np.hstack([br.C - br.E, [[0.0]]]),
-            np.hstack([br.C, [[0.0]]])))
-        n1 = sigma1.T @ w_upper @ sigma1
-        P = []
-        for E in _P_BASIS:
-            tr = br.A.T @ E @ br.B
-            P.append(np.vstack([np.hstack([br.A.T @ E @ br.A, tr]),
-                                np.hstack([tr.T, br.B.T @ E @ br.B])]))
-        branches.append(DtBranchLmi(M1=n1 + sigma2.T @ w_lower @ sigma2,
-                                    M2=n1 + c0.T @ w_lower @ c0,
-                                    M3=c0.T @ sector @ c0, P=tuple(P)))
-    return DtLmiData(sys, mu, L, rho, *branches)
+    in its two LMIs but the rate, which _at_rates applies. A stack of one
+    of _theorem2_stack."""
+    return _compiled(sys, mu, L, rho, _theorem2_stack([sys], [mu], [L])[0])
 
 
 def _rate_free(datas: Sequence[DtLmiData]) -> Array:
@@ -575,9 +612,10 @@ def dt_rates_probe(requests: Sequence[CertRequest],
     request is compiled once, at rho = 1, into its entry of the stream's
     `rows`; a probe applies rho as dt_problem does, checks the joining
     rate-dependent matrices as one stack and lifts only the branch LMIs."""
-    compiled = [build_theorem2(dt_system(r.h, r.beta_hi, r.beta_lo, r.disc),
-                               r.mu, r.lipschitz, 1.0) for r in requests]
-    base = _rate_free(compiled)
+    systems = [dt_system(r.h, r.beta_hi, r.beta_lo, r.disc) for r in requests]
+    base = _theorem2_stack(systems, [r.mu for r in requests], [r.lipschitz for r in requests])
+    compiled = [_compiled(s, r.mu, r.lipschitz, 1.0, m)
+                for s, r, m in zip(systems, requests, base)]
     check_symmetric_stack(base[:, :, 4:6].reshape(-1, 3, 3),
                           lambda i: f"map {_DT_LMIS[i // 2 % 2][0]}: basis[{4 + i % 2}]")
     zero = np.zeros((3, 3))

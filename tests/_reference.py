@@ -10,6 +10,8 @@ law, beta schedule and records, never `run_many`.
 
 `propagator` is the dense form of one RK4 step of a linear flow, which
 the hybrid skip-ahead takes mode by mode in the Hessian's eigenbasis.
+`bisect_event` locates a hybrid jump inside a step by plain bisection,
+the reference of `hybrid._locate`.
 
 `dt_rate_builder` probes one discrete-time rate row a rate at a time,
 each probe a lone `solve_feasibility` of the row's `dt_problem`: the
@@ -29,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from hbreset import lmi, sdp
+from hbreset import hybrid, lmi, sdp
 from hbreset.discrete import (DIVERGENCE_FACTOR, STATUS_CONVERGED, STATUS_DIVERGED,
                               STATUS_MAX_ITER, AlgoParams, Trajectory, Variant,
                               nesterov_beta_schedule, switching_beta)
@@ -159,6 +161,29 @@ def propagator(H: Array, K: float, h: float) -> tuple[Array, Array]:
     S = eye + X @ S / 2.0
     M = h * S
     return eye + A @ M, M
+
+
+def bisect_event(model: ObjectiveModel, params, accel, q: Array, p: Array, g: Array,
+                 tau: float, dt: float, end: tuple) -> tuple:
+    """Plain bisection of an event step, the reference of
+    `hybrid._locate`, with its arguments and result: each halving of
+    (0, dt] down to event_tol evaluates its midpoint by the RK4 step of
+    that length and sends it to hi when it is in the jump set, else to
+    lo. Returns (lo, hi, the state (q, p, phi, g) at hi)."""
+    q1, p1, phi1, g1 = end
+    lo, hi = 0.0, dt
+    for _ in range(hybrid.MAX_EVENT_BISECTIONS):
+        if hi - lo <= params.event_tol:
+            return lo, hi, (q1, p1, phi1, g1)
+        mid = 0.5 * (lo + hi)
+        qm, pm = hybrid._rk4(q, p, g, mid, model, accel)
+        phim, gm = model.value_grad(qm)
+        if hybrid._jumps(float(np.dot(_finite(gm), pm)), tau + mid, params):
+            hi, q1, p1, phi1, g1 = mid, qm, pm, phim, gm
+        else:
+            lo = mid
+    raise RuntimeError(
+        f"event localization did not converge in {hybrid.MAX_EVENT_BISECTIONS} bisections")
 
 
 def dt_rate_builder(request: lmi.CertRequest, max_oracle_calls: int = 200):

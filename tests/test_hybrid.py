@@ -10,9 +10,11 @@ import pytest
 
 import _reference as ref
 from hbreset.discrete import switching_beta
-from hbreset.hybrid import (BLOCK, HybridParams, HybridState, _SkipAhead, _damping, _jumps,
-                            default_dwell, energy, in_flow_set, in_jump_set, integrate_hb,
-                            integrate_hhb, integrate_hihb, jump_map)
+import hbreset.hybrid
+from hbreset.hybrid import (BLOCK, ILLINOIS_LEAD, HybridParams, HybridState, _SkipAhead,
+                            _accel, _damping, _jumps, _locate, _rk4, default_dwell, energy,
+                            in_flow_set, in_jump_set, integrate_hb, integrate_hhb,
+                            integrate_hihb, jump_map)
 from hbreset.objectives import QuadraticSpec, gen_random_quadratic, quadratic_model
 
 
@@ -296,17 +298,68 @@ BENCH_ARC_COUNTS = {
 }
 
 
-def test_bench_arc_counts_are_pinned():
-    # the simulate defaults: cond 1e3, K = K_lo = K_hi = 1, the default
-    # dwell, t_end 10, q0 all ones and p0 zero
-    got = {}
+def _counting_rk4(run):
+    """(run(), _rk4 calls, _rk4 rows) with `hybrid._rk4` counted: a stacked
+    call steps len(q) rows."""
+    calls = rows = 0
+
+    def counting(q, *args):
+        nonlocal calls, rows
+        calls += 1
+        rows += len(q) if np.ndim(q) == 2 else 1
+        return _rk4(q, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hbreset.hybrid, "_rk4", counting)
+        out = run()
+    return out, calls, rows
+
+
+@pytest.fixture(scope="module")
+def bench_arcs():
+    """{seed: ((samples, jumps, _rk4 calls, _rk4 rows) of the hhb arc, the
+    same of the hihb arc)} at the simulate defaults: cond 1e3, K = K_lo =
+    K_hi = 1, the default dwell, t_end 10, q0 all ones and p0 zero."""
+    out = {}
     for seed in BENCH_ARC_COUNTS:
         _, model = gen_random_quadratic(10, 1e3, seed)
         par = HybridParams(K=1.0, T_min=default_dwell(model.lipschitz), step=1e-3)
         z0 = HybridState(q=np.ones(10), p=np.zeros(10))
-        got[seed] = tuple((len(arc), len(arc.jumps)) for arc in
-                          (integrate_hhb(model, par, z0, 10.0), integrate_hihb(model, par, z0, 10.0)))
+        arcs = []
+        for integrate in (integrate_hhb, integrate_hihb):
+            arc, calls, rows = _counting_rk4(lambda: integrate(model, par, z0, 10.0))
+            arcs.append((len(arc), len(arc.jumps), calls, rows))
+        out[seed] = tuple(arcs)
+    return out
+
+
+def test_bench_arc_counts_are_pinned(bench_arcs):
+    got = {seed: tuple(arc[:2] for arc in arcs) for seed, arcs in bench_arcs.items()}
     assert got == BENCH_ARC_COUNTS
+
+
+def test_bench_hhb_arcs_locate_their_jumps_in_few_rk4_steps(bench_arcs):
+    # every stage-path step of the 16 hhb arcs, one _rk4 call each: the
+    # step that meets a jump and its locator's steps (1,508 calls for
+    # 188 jumps, about 8 a jump; bisection alone took 4,716, 25 a jump)
+    hhb = [arcs[0] for arcs in bench_arcs.values()]
+    assert sum(jumps for _, jumps, _, _ in hhb) == 188
+    assert all(calls == rows for _, _, calls, rows in hhb)
+    assert sum(calls for _, _, calls, _ in hhb) <= 1700
+
+
+def test_hihb_damping_switch_rk4_rows_are_pinned(bench_arcs):
+    # at an equal pair hihb skips ahead with no damping check (one _rk4
+    # row, the short last step); at (0.5, 2) every skip-ahead block also
+    # steps its rows through the stage path, stacked, to find a damping
+    # change. The bench never runs the switch, so its cost is pinned here.
+    for seed, want in ((0, 42801), (11, 41516)):
+        assert bench_arcs[seed][1][3] == 1
+        _, model = gen_random_quadratic(10, 1e3, seed)
+        par = HybridParams(K_lo=0.5, K_hi=2.0, T_min=default_dwell(model.lipschitz), step=1e-3)
+        z0 = HybridState(q=np.ones(10), p=np.zeros(10))
+        arc, _, rows = _counting_rk4(lambda: integrate_hihb(model, par, z0, 10.0))
+        assert (len(arc), rows) == (10002, want)
 
 
 def test_default_dwell_scales_with_stiffness():
@@ -370,13 +423,101 @@ def test_hb_matches_closed_form_oscillator():
 
 
 def test_first_jump_at_quarter_period():
-    # undamped unit oscillator from (1, 0): minimum crossing at t = pi/2
+    # undamped unit oscillator from (1, 0): minimum crossing at t = pi/2,
+    # located within event_tol (the jump lies 2.1e-11 from it)
     model = scalar_model(1.0)
     par = HybridParams(K=0.0, T_min=1e-3, step=1e-3)
     arc = integrate_hhb(model, par, HybridState(q=np.array([1.0]), p=np.array([0.0])), 3.0)
     assert len(arc.jumps) >= 1
     t_first = arc.jumps[0][0]
-    assert t_first == pytest.approx(math.pi / 2.0, abs=1e-4)
+    assert abs(t_first - math.pi / 2.0) <= 2.0 * par.event_tol
+
+
+def _event_step(kind: str):
+    """(model, params, accel, q, p, g, tau, dt, end) of one hhb step of
+    the undamped unit oscillator whose end `end` = (q, p, phi, g) is in
+    the jump set. "crossing" starts 0.4 dt before the exact arc crosses
+    the minimizer at pi/2, its timer long elapsed, so <grad phi, p>
+    changes sign inside the step; "triple" is that step with the value
+    oracle's gradient cubed (times 1e9), so <grad phi, p> has a triple
+    root there; "timer" starts ascending, <grad phi, p> = 0.5, and its
+    timer reaches T_min 0.37 dt into the step."""
+    model, dt = scalar_model(1.0), 1e-3
+    if kind == "triple":
+        def value_grad(q):
+            phi, g = scalar_model(1.0).value_grad(q)
+            return phi, 1e9 * g ** 3
+
+        model = dataclasses.replace(model, value_grad=value_grad)
+    if kind != "timer":
+        t0 = math.pi / 2.0 - 0.4 * dt
+        par = HybridParams(K=0.0, T_min=1e-3, step=dt)
+        q, p, tau = np.array([math.cos(t0)]), np.array([-math.sin(t0)]), 1.0
+    else:
+        par = HybridParams(K=0.0, T_min=0.1, step=dt)
+        q, p, tau = np.array([1.0]), np.array([0.5]), 0.1 - 0.37 * dt
+    accel = _accel((par.K, par.K), par.event_tol)
+    g = model.gradient(q)
+    q1, p1 = _rk4(q, p, g, dt, model, accel)
+    phi1, g1 = model.value_grad(q1)
+    return model, par, accel, q, p, g, tau, dt, (q1, p1, phi1, g1)
+
+
+# the locator's RK4 steps, where bisection takes 24: at the triple root,
+# where regula falsi is slow, the lead bound holds it to 28
+@pytest.mark.parametrize("kind, most", [("crossing", 10), ("timer", 10),
+                                        ("triple", 24 + ILLINOIS_LEAD + 2)])
+def test_locator_finds_the_bisection_point_bit_for_bit(kind, most):
+    model, par, accel, q, p, g, tau, dt, end = step = _event_step(kind)
+    assert _jumps(float(np.dot(end[3], end[1])), tau + dt, par)
+    if kind == "timer":
+        assert float(np.dot(g, p)) > 0.0 and tau < par.T_min
+    want_lo, want_hi, want = ref.bisect_event(*step)
+    (lo, hi, got), calls, _ = _counting_rk4(lambda: _locate(*step))
+    assert (lo, hi) == (want_lo, want_hi)
+    for x, y in zip(got, want):
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+    # the jump set entered at hi, within event_tol, and not at lo
+    q_lo, p_lo = _rk4(q, p, g, lo, model, accel)
+    assert not _jumps(float(np.dot(model.gradient(q_lo), p_lo)), tau + lo, par)
+    assert _jumps(float(np.dot(got[3], got[1])), tau + hi, par)
+    assert 0.0 < hi - lo <= par.event_tol
+    assert calls <= most
+
+
+def test_event_localization_raises_when_out_of_bisections(monkeypatch):
+    # a 1e-3 step takes 24 halvings down to event_tol 1e-10, found narrow
+    # enough on a 25th pass, so a budget of 24 fails an hhb arc
+    monkeypatch.setattr(hbreset.hybrid, "MAX_EVENT_BISECTIONS", 24)
+    par = HybridParams(K=0.0, T_min=1e-3, step=1e-3)
+    with pytest.raises(RuntimeError, match="did not converge in 24 bisections"):
+        integrate_hhb(scalar_model(1.0), par, HybridState(q=np.ones(1), p=np.zeros(1)), 3.0)
+    # the budget bounds the locator's RK4 steps too: at the triple root
+    # they outrun 25 halvings, and with no lead bound they outrun 100
+    step = _event_step("triple")
+    monkeypatch.setattr(hbreset.hybrid, "MAX_EVENT_BISECTIONS", 25)
+    with pytest.raises(RuntimeError, match="did not converge in 25 bisections"):
+        _locate(*step)
+    monkeypatch.setattr(hbreset.hybrid, "MAX_EVENT_BISECTIONS", 100)
+    monkeypatch.setattr(hbreset.hybrid, "ILLINOIS_LEAD", 100)
+    with pytest.raises(RuntimeError, match="did not converge in 100 bisections"):
+        _locate(*step)
+
+
+def test_locator_raises_on_a_non_finite_gradient_inside_the_step():
+    # NaN gradients near the minimizer, which the crossing step's start
+    # (q = 4e-4) and end (q = -6e-4) stay clear of: the locator raises as
+    # the stage path does, and as bisection does
+    model, *rest = _event_step("crossing")
+
+    def value_grad(x):
+        phi, g = model.value_grad(x)
+        return phi, np.where(np.abs(x) < 2e-4, np.nan, g)
+
+    faulty = dataclasses.replace(model, value_grad=value_grad)
+    for locate in (_locate, ref.bisect_event):
+        with pytest.raises(FloatingPointError, match="non-finite gradient"):
+            locate(faulty, *rest)
 
 
 def test_immediate_jump_from_jump_set():

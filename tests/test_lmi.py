@@ -392,17 +392,18 @@ def test_a_row_compiled_once_gives_the_same_bits_at_every_rate_in_any_order():
 
 
 def test_bench_config_sweep_compiles_each_row_once(monkeypatch, tmp_path):
+    # every compiled row passes through the stacked builder, build_theorem2's
+    # rows too, so the count covers the front end: it compiles nothing
+    # itself, not even the dumped problems
     compiled = []
-    lone = hbreset.lmi.build_theorem2
+    stacked = hbreset.lmi._theorem2_stack
 
-    def counting(sys_mats, mu, L, rho):
-        compiled.append((sys_mats.h, sys_mats.beta_hi, sys_mats.beta_lo,
-                         sys_mats.disc, mu, L))
-        return lone(sys_mats, mu, L, rho)
+    def counting(systems, mu, L):
+        compiled.extend((s.h, s.beta_hi, s.beta_lo, s.disc, m, l)
+                        for s, m, l in zip(systems, mu, L))
+        return stacked(systems, mu, L)
 
-    monkeypatch.setattr(hbreset.lmi, "build_theorem2", counting)
-    # the front end compiles nothing itself, not even the dumped problems
-    monkeypatch.setattr(hbreset.cli, "build_theorem2", counting, raising=False)
+    monkeypatch.setattr(hbreset.lmi, "_theorem2_stack", counting)
     for extra in ([], ["--dump-sdp"]):
         compiled.clear()
         out = tmp_path / f"out{len(extra)}"
@@ -410,6 +411,26 @@ def test_bench_config_sweep_compiles_each_row_once(monkeypatch, tmp_path):
                          *extra, "--out", str(out)]) == 0
         assert len(compiled) == len(set(compiled)) == 18
         assert bool(list(out.glob("sdp_*.json"))) == bool(extra)
+
+
+def test_stacked_rows_are_build_theorem2_rows_bit_for_bit():
+    # the six certify methods at four conditionings under both tuning
+    # rules: one stack compiles each row to the bits of its stack of one
+    requests = [certify_request(method, L, 1.0, rule) for method in hbreset.cli.METHODS["certify"]
+                for L in (1.0, 10.0, 25.0, 100.0) for rule in ("mistuned", "optimal")]
+    assert len(requests) == 48
+    systems = [dt_system(r.h, r.beta_hi, r.beta_lo, r.disc) for r in requests]
+    stack = hbreset.lmi._theorem2_stack(systems, [r.mu for r in requests],
+                                        [r.lipschitz for r in requests])
+    rows = hbreset.lmi._rate_free([build_theorem2(s, r.mu, r.lipschitz, 1.0)
+                                   for s, r in zip(systems, requests)])
+    assert stack.shape == rows.shape == (48, 2, 7, 3, 3)
+    assert stack.tobytes() == rows.tobytes()
+    compiled = dt_rates_probe(requests).rows
+    assert hbreset.lmi._rate_free(compiled).tobytes() == rows.tobytes()
+    assert all(isinstance(x, hbreset.lmi.DtLmiData) and x.rho == 1.0 for x in compiled)
+    with pytest.raises(ValueError, match="mu <= L"):
+        hbreset.lmi._theorem2_stack(systems[:2], [1.0, 2.0], [10.0, 1.0])
 
 
 def _lifted_bytes(lifted):
@@ -535,10 +556,11 @@ def test_ct_probes_replay_as_solves_of_their_reference_problems(monkeypatch):
 def test_a_compiled_row_is_validated_as_its_dt_problem_is(monkeypatch):
     # a compiled matrix made asymmetric by 1e-6 or non-finite is rejected
     # by the probe with the message that building its dt_problem gives:
-    # the rate-dependent ones at the probe, M3 when the row is compiled
+    # the rate-dependent ones at the probe, M3 when the row is compiled.
+    # A compiled row's matrices are views of its stack entry.
     request = CertRequest(1.0, 10.0, 0.1, 0.5, 0.0, NES)
     sys_mats = dt_system(0.1, 0.5, 0.0, NES)
-    lone = hbreset.lmi.build_theorem2
+    stacked = hbreset.lmi._theorem2_stack
     for matrix, entry, bad in ((lambda x: x.main.M1, (0, 1), 1e-6),
                                (lambda x: x.reset.P[2], (0, 1), 1e-6),
                                (lambda x: x.main.P[0], (1, 2), 1e-6),
@@ -547,14 +569,14 @@ def test_a_compiled_row_is_validated_as_its_dt_problem_is(monkeypatch):
                                (lambda x: x.reset.M2, (2, 0), 1e-6),
                                (lambda x: x.main.M3, (0, 2), 1e-6),
                                (lambda x: x.reset.M3, (1, 1), -np.inf)):
-        def tampered(*args):
-            data = lone(*args)
-            matrix(data)[entry] += bad
-            return data
+        def tampered(systems, mu, L):
+            mats = stacked(systems, mu, L)
+            matrix(hbreset.lmi._compiled(systems[0], mu[0], L[0], 1.0, mats[0]))[entry] += bad
+            return mats
 
+        monkeypatch.setattr(hbreset.lmi, "_theorem2_stack", tampered)
         with pytest.raises(ValueError) as want:
-            dt_problem(tampered(sys_mats, 1.0, 10.0, 0.9))
-        monkeypatch.setattr(hbreset.lmi, "build_theorem2", tampered)
+            dt_problem(build_theorem2(sys_mats, 1.0, 10.0, 0.9))
         with pytest.raises(ValueError) as got:
             ref.probe_at(dt_rates_probe([request]), 0.9)
         monkeypatch.undo()
