@@ -20,12 +20,14 @@ each row probing up to LOOKAHEAD rates ahead on its path; every row gets
 the result it gets bisected alone. `bisect_rates` bisects by one rule,
 `_bisection`: a row's path given its outcomes so far. `bisect_rate`
 drives one row through a builder, a rate at a time.
+At L == mu a dt row's probes also solve its face (dt_rates_probe), whose
+INFEASIBLE proves the "no" that the full form alone leaves INDETERMINATE.
 """
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import count
 from numbers import Integral
@@ -34,8 +36,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .objectives import ObjectiveModel
-from .sdp import (AffineMatrixMap, FeasProblem, FeasResult, FEASIBLE, Lifted,
-                  check_symmetric_stack, lift, solve_feasibility, solve_stream)
+from .sdp import (AffineMatrixMap, FeasProblem, FeasResult, FEASIBLE, INDETERMINATE,
+                  INFEASIBLE, check_symmetric_stack, lift, solve_feasibility, solve_stream)
 
 Array = np.ndarray
 
@@ -73,14 +75,16 @@ def build_sector(mu: float, L: float, n: int = 1) -> Array:
     return np.vstack([top, bot])
 
 
-def _feas(nvar: int, lmis: list) -> FeasProblem:
+def _feas(nvar: int, lmis: list, free: tuple = ()) -> FeasProblem:
     """The rate problem with these LMIs, in v = [p11, p12, p22, multipliers]:
-    P > 0, every multiplier floored, and p11 + p22 + multipliers = 1."""
+    P > 0, every multiplier floored, and p11 + p22 + multipliers = 1, the
+    multipliers `free` left out of the sum."""
     pmap = AffineMatrixMap(constant=np.zeros((2, 2)),
                            basis=[(i, E) for i, E in enumerate(_P_BASIS)], name="P")
     return FeasProblem(nvar=nvar, nsd_blocks=lmis, pd_blocks=[pmap],
                        nonneg={i: MULTIPLIER_FLOOR for i in range(3, nvar)},
-                       normalization=np.array([1.0, 0.0] + [1.0] * (nvar - 2)),
+                       normalization=np.array([1.0, 0.0] + [float(i not in free)
+                                                            for i in range(2, nvar)]),
                        margin=MARGIN)
 
 
@@ -510,10 +514,12 @@ def bisect_rate(builder: Callable[[float], Optional["Certificate"]], lo: float,
     The builder maps a rate to a certificate or None. None merges the
     INFEASIBLE verdict (no certificate of this form exists) with the
     INDETERMINATE one (budget or numerics ran out), so the rate found is
-    conservative by an unknown amount near the threshold. Feasibility is
-    assumed monotone in the rate, and that is empirical only: the phase-I
-    value of the dt LMIs is not monotone in rho in general (for hhb-nes at
-    L = 10 it rises from 0.0303 to 0.0329 as rho goes from 0.3 to 0.55).
+    conservative by an unknown amount near the threshold. In a
+    dt_rates_probe stream, an L == mu row's "no" is a proof: INFEASIBLE
+    on the sector's face. Feasibility is assumed monotone in the rate,
+    and that is empirical only: the phase-I value of the dt LMIs is not
+    monotone in rho in general (for hhb-nes at L = 10 it rises from
+    0.0303 to 0.0329 as rho goes from 0.3 to 0.55).
     A coarse scan warns when the assumption visibly fails but does not
     alter the bracket. sense="max" searches for the largest certifiable
     rate instead (used for decay exponents, where faster decay is harder).
@@ -532,12 +538,27 @@ def bisect_rate(builder: Callable[[float], Optional["Certificate"]], lo: float,
     return found
 
 
-def _rates_probe(rows: list, blocks: Callable, skeleton: Lifted, certificate: Callable,
+def _verdict(results: list) -> Optional[FeasResult]:
+    """The result of a probe from its twins' results so far (None while
+    running): the full form's, unless a face twin proves INFEASIBLE. A
+    face INFEASIBLE decides at once, a full FEASIBLE or INFEASIBLE does
+    too, and a full INDETERMINATE waits for the face."""
+    full, *faces = results
+    for res in faces:
+        if res is not None and res.status == INFEASIBLE:
+            return replace(res, message=f"on the sector's face (L = mu): {res.message}")
+    if full is not None and (full.status != INDETERMINATE or None not in faces):
+        return full
+    return None
+
+
+def _rates_probe(rows: list, problems: Callable, certificate: Callable,
                  max_oracle_calls: int) -> RatesStream:
     """The stream for bisect_rates over compiled `rows` of one LMI form:
-    `blocks(rows, rates)` gives the LMIs of row rows[k] at rates[k] as NSD
-    blocks in v, (constant, indices, matrices), that join `skeleton`'s;
-    `certificate(i, rate, result)` reads row i's certificate, or None.
+    `problems(rows, rates)` gives the lifted problems of row rows[k] at
+    rates[k], its full form first and then any face twins (see
+    dt_rates_probe), all of one block shape; `certificate(i, rate,
+    result)` reads row i's certificate, or None.
 
     A call solves a whole bisect_rates call in one `solve_stream` stack,
     in which each row keeps up to LOOKAHEAD probes of its path (fewer on
@@ -545,9 +566,11 @@ def _rates_probe(rows: list, blocks: Callable, skeleton: Lifted, certificate: Ca
     fails. Only failure can be assumed, since a failed probe leaves the
     warm start, the last certificate of the row's path (also across
     calls), as it is. A certified probe drops every later probe of its
-    row at once, and the row refills from there. Certificates are made,
-    and warm starts move, only along the decided path and in its order,
-    so every row gets the result it gets bisected alone."""
+    row at once, and the row refills from there. A probe's twins join
+    together, with the same warm start, and its verdict (_verdict) drops
+    the twins still running. Certificates are made, and warm starts move,
+    only along the decided path and in its order, so every row gets the
+    result it gets bisected alone."""
     last: list = [None] * len(rows)
 
     def certified(i: int, rate: float, res: FeasResult) -> Optional[Certificate]:
@@ -558,46 +581,57 @@ def _rates_probe(rows: list, blocks: Callable, skeleton: Lifted, certificate: Ca
 
     def stream(rule: Callable) -> list:
         paths: list = [[] for _ in rows]
-        # each row's probes past its path: [rate, key, result or None]
+        # each row's probes past its path: [rate, key, result or None,
+        # its twins' results], twin t solving as (*key, t)
         ahead: list = [[] for _ in rows]
         keys = count()
         todo = set(range(len(rows)))  # the rows with news since the last call
 
         def feed(decided: list) -> tuple:
-            for key, res in decided:
-                next(e for e in ahead[key[0]] if e[1] == key)[2] = res
-            todo.update(i for (i, _), _ in decided)
-            fresh = {key for key, res in decided if res.feasible}
-            new, dropping = [], []
+            fresh, new, dropping = set(), [], []
+            for (i, n, twin), res in decided:
+                e = next(e for e in ahead[i] if e[1] == (i, n))
+                if e[2] is None:
+                    e[3][twin] = res
+                    e[2] = _verdict(e[3])
+                    if e[2] is not None:
+                        dropping += [(i, n, t) for t, r in enumerate(e[3]) if r is None]
+                        if e[2].feasible:
+                            fresh.add((i, n))
+                todo.add(i)
             live = sum(bool(line) or i in todo for i, line in enumerate(ahead))
             window = max(1, min(LOOKAHEAD, STACK_ROWS // max(live, 1)))
             for i in sorted(todo):
                 line = ahead[i]
                 # a new certificate cancels every probe after it
                 cut = next((j + 1 for j, e in enumerate(line) if e[1] in fresh), len(line))
-                dropping += [key for _, key, res in line[cut:] if res is None]
+                dropping += [(*key, t) for _, key, res, twins in line[cut:] if res is None
+                             for t, r in enumerate(twins) if r is None]
                 del line[cut:]
                 while line and line[0][2] is not None:
-                    rate, _, res = line.pop(0)
+                    rate, _, res, _ = line.pop(0)
                     paths[i].append((rate, certified(i, rate, res)))
                 # refill along the path where every pending probe fails
                 outcomes = [c is not None for _, c in paths[i]]
-                outcomes += [res is not None and res.feasible for _, _, res in line]
-                start = next((res.v for _, _, res in reversed(line)
+                outcomes += [res is not None and res.feasible for _, _, res, _ in line]
+                start = next((res.v for _, _, res, _ in reversed(line)
                               if res is not None and res.feasible), last[i])
                 for _ in range(window - sum(e[2] is None for e in line)):
                     rate = rule(outcomes)[0]
                     if rate is None:
                         break
-                    line.append([rate, (i, next(keys)), None])
+                    line.append([rate, (i, next(keys)), None, None])
                     outcomes.append(False)
-                    new.append((line[-1][1], rate, start))
+                    new.append((line[-1], rate, start))
             todo.clear()
             if not new:
                 return [], dropping
-            lmis = blocks([i for (i, _), _, _ in new], [rate for _, rate, _ in new])
-            return ([(key, skeleton.with_blocks(lm), v) for (key, _, v), lm in zip(new, lmis)],
-                    dropping)
+            joining = []
+            for (e, _, v), twins in zip(new, problems([e[1][0] for e, _, _ in new],
+                                                      [rate for _, rate, _ in new])):
+                e[3] = [None] * len(twins)
+                joining += [((*e[1], t), lifted, v) for t, lifted in enumerate(twins)]
+            return joining, dropping
 
         solve_stream(feed, max_oracle_calls)
         return paths
@@ -611,25 +645,59 @@ def dt_rates_probe(requests: Sequence[CertRequest],
     """Stream for bisect_rates over discrete-time rows at factors rho. Each
     request is compiled once, at rho = 1, into its entry of the stream's
     `rows`; a probe applies rho as dt_problem does, checks the joining
-    rate-dependent matrices as one stack and lifts only the branch LMIs."""
+    rate-dependent matrices as one stack and lifts only the branch LMIs.
+
+    At L == mu (exactly) the sector form is negative semidefinite, so
+    P = 0 with a sector multiplier carrying the normalization is a
+    recession point and the full form is never proved INFEASIBLE. There
+    u = mu C_b x, and each probe gets a face twin: each branch LMI F as
+    Q_b' F Q_b, Q_b orthonormal with span [I; mu C_b], padded by a -1
+    corner, without the sector multipliers v[4], v[5], which also leave
+    the normalization. A full point clearing the margin gives a face point
+    clearing it (Q_b' F Q_b <= lambda_max(F) I; rescaling by
+    1 / (1 - v[4] - v[5]) >= 1 keeps margin and floors), and one inside
+    the box (|w| < 1.5 with v[4], v[5] at their floors), so the face's
+    INFEASIBLE is a proof. Certificates and warm starts come from the
+    full form only."""
     systems = [dt_system(r.h, r.beta_hi, r.beta_lo, r.disc) for r in requests]
-    base = _theorem2_stack(systems, [r.mu for r in requests], [r.lipschitz for r in requests])
+    mu = np.array([r.mu for r in requests], dtype=float)
+    base = _theorem2_stack(systems, mu, [r.lipschitz for r in requests])
     compiled = [_compiled(s, r.mu, r.lipschitz, 1.0, m)
                 for s, r, m in zip(systems, requests, base)]
     check_symmetric_stack(base[:, :, 4:6].reshape(-1, 3, 3),
                           lambda i: f"map {_DT_LMIS[i // 2 % 2][0]}: basis[{4 + i % 2}]")
-    zero = np.zeros((3, 3))
+    zero, corner = np.zeros((3, 3)), np.diag([0.0, 0.0, -1.0])
+    skeleton, face_skeleton = lift(_feas(8, [])), lift(_feas(8, [], free=(4, 5)))
+    faces = np.array([r.lipschitz == r.mu for r in requests], dtype=bool)
+    # Q_b per row and branch: QR of [I; mu C_b]
+    span = np.zeros((len(requests), 2, 3, 2))
+    span[..., 0, 0] = span[..., 1, 1] = 1.0
+    span[..., 2, :] = mu[:, None, None] * np.array([[br.C[0] for br in (s.main, s.reset)]
+                                                     for s in systems])
+    face_basis = np.linalg.qr(span)[0][:, :, None]
+    # a face LMI's indices in v and its matrices' positions: no sector
+    face_idx = [idx[:4] + idx[5:] for _, idx, _ in _DT_LMIS]
 
-    def blocks(rows: list, rates: list) -> list:
+    def problems(rows: list, rates: list) -> list:
         rho = np.array(rates, dtype=float)
         if not np.all((0.0 < rho) & (rho <= 1.0)):
             raise ValueError("rho must lie in (0, 1]")
         mats = _at_rates(base[rows], rho)
         check_symmetric_stack(mats[:, :, :4].reshape(-1, 3, 3),
                               lambda i: f"map {_DT_LMIS[i // 4 % 2][0]}: basis[{i % 4}]")
-        return [[(zero, idx, m) for (_, idx, _), m in zip(_DT_LMIS, pair)] for pair in mats]
+        out = [[skeleton.with_blocks([(zero, idx, m) for (_, idx, _), m in zip(_DT_LMIS, pair)])]
+               for pair in mats]
+        on = faces[rows].nonzero()[0]
+        if on.size:
+            Q = face_basis[np.asarray(rows)[on]]
+            face = np.pad(np.swapaxes(Q, -1, -2) @ mats[on][:, :, [0, 1, 2, 3, 5]] @ Q,
+                          [(0, 0)] * 3 + [(0, 1)] * 2)
+            for k, pair in zip(on, face):
+                out[k].append(face_skeleton.with_blocks([(corner, idx, m)
+                                                         for idx, m in zip(face_idx, pair)]))
+        return out
 
-    return _rates_probe(compiled, blocks, lift(_feas(8, [])),
+    return _rates_probe(compiled, problems,
                         lambda i, rho, res: _dt_certificate(compiled[i], rho, res),
                         max_oracle_calls)
 
@@ -648,17 +716,18 @@ def ct_rates_probe(rows: Sequence[CtLmiData], eps_infl: float,
     jump = np.array([[*(x.M_J(E) for E in _P_BASIS), -x.M0] for x in rows]).reshape(-1, 4, 3, 3)
     check_symmetric_stack(jump.reshape(-1, 3, 3), lambda i: f"map jump: basis[{i % 4}]")
     zero, slack = np.zeros((3, 3)), -(CT_RESET_SLACK + MARGIN) * np.eye(3)
+    skeleton = lift(_feas(6, []))
 
-    def blocks(idx: list, rates: list) -> list:
+    def problems(idx: list, rates: list) -> list:
         alpha = np.array(rates, dtype=float)
         if not np.all((0.0 < alpha) & (alpha < np.inf)):
             raise ValueError("alpha must be positive and finite")
         mats = flow[idx]
         mats[:, :3, :2, :2] += (2.0 * alpha)[:, None, None, None] * np.array(_P_BASIS)
         check_symmetric_stack(mats.reshape(-1, 3, 3), lambda i: f"map flow: basis[{i % 5}]")
-        return [[(zero, [0, 1, 2, 3, 4], f), (slack, [0, 1, 2, 5], j)]
+        return [[skeleton.with_blocks([(zero, [0, 1, 2, 3, 4], f), (slack, [0, 1, 2, 5], j)])]
                 for f, j in zip(mats, jump[idx])]
 
-    return _rates_probe(rows, blocks, lift(_feas(6, [])),
+    return _rates_probe(rows, problems,
                         lambda i, alpha, res: _ct_certificate(rows[i], eps_infl, alpha, res),
                         max_oracle_calls)

@@ -335,9 +335,17 @@ class Lifted:
         return self.v_base + self.basis @ w
 
     def with_blocks(self, blocks: list) -> "Lifted":
-        """This problem with more NSD blocks, given in v, ahead of its own."""
-        parts = [(const + np.tensordot(self.v_base[idx], mats, 1),
-                  np.tensordot(self.basis[idx].T, mats, 1)) for const, idx, mats in blocks]
+        """This problem with more NSD blocks, given in v, ahead of its own.
+        A block's parts are np.tensordot(x, mats, 1) of x = v_base[idx]
+        and basis[idx]', made by the np.dot calls that tensordot makes (so
+        with its bits) without its argument handling, which took about
+        three quarters of the time at these sizes."""
+        parts = []
+        for const, idx, mats in blocks:
+            m = len(const)
+            flat = mats.reshape(len(idx), m * m)
+            parts.append((const + np.dot(self.v_base[idx].reshape(1, -1), flat).reshape(m, m),
+                          np.dot(self.basis[idx].T, flat).reshape(-1, m, m)))
         return Lifted(self.v_base, self.basis, self.radius, self.margin,
                       parts + self.parts, list(blocks) + self.blocks)
 
@@ -422,10 +430,17 @@ class _Rows:
         return self
 
 
+def _shape(lifted: Lifted) -> tuple:
+    """What every problem of a stack shares: its coordinates and block sizes."""
+    return lifted.basis.shape[1], sorted(c.shape[0] for c, _ in lifted.parts)
+
+
 def solve_stream(feed: Callable[[list], tuple], max_oracle_calls: int = 200) -> None:
     """Phase I on a stream of problems of one block shape, stepped
-    together. Before each pass, `feed` is given the (key, FeasResult)
-    pairs decided since it was last called (none at first) and returns
+    together; a problem of another shape (block sizes or number of
+    coordinates) is refused with a ValueError. Before each pass, `feed`
+    is given the (key, FeasResult) pairs decided since it was last called
+    (none at first) and returns
     the (key, Lifted, v_init) triples that join the stack and the keys
     of live problems to drop from it, which get no result; the stream
     ends when the stack is empty and `feed` returns none. Each pass
@@ -434,7 +449,7 @@ def solve_stream(feed: Callable[[list], tuple], max_oracle_calls: int = 200) -> 
     step length and bound, so it gets the result it gets solved alone."""
     live: dict = {}  # id -> (key, Lifted) of each problem in the stack
     joined = 0
-    rows = None
+    rows = shape = None
     decided: list = []
 
     def done(i: int, status: str, v, worst, message: str = "") -> None:
@@ -456,6 +471,12 @@ def solve_stream(feed: Callable[[list], tuple], max_oracle_calls: int = 200) -> 
                 del live[i]
             rows.keep(stay)
         if joining:
+            shape = shape or _shape(joining[0][1])
+            for key, lf, _ in joining:
+                if (got := _shape(lf)) != shape:
+                    raise ValueError(f"solve_stream: problem {key!r} has {got[0]} coordinates "
+                                     f"and blocks of sizes {got[1]}, the stack {shape[0]} and "
+                                     f"{shape[1]}")
             ids = np.arange(joined, joined + len(joining))
             joined += len(joining)
             live.update(zip(ids.tolist(), [(key, lf) for key, lf, _ in joining]))

@@ -15,7 +15,9 @@ the reference of `hybrid._locate`.
 
 `dt_rate_builder` probes one discrete-time rate row a rate at a time,
 each probe a lone `solve_feasibility` of the row's `dt_problem`: the
-sequential reference of `lmi.dt_rates_probe`'s stream. `ct_problem` is
+sequential reference of `lmi.dt_rates_probe`'s stream. At L == mu a
+probe is `twin_probe`: the row's `dt_problem` and `dt_face_problem`, the
+face twin that the stream adds, stacked alone. `ct_problem` is
 the continuous-time problem built whole at one alpha, the reference of
 each probe of `lmi.ct_rates_probe`'s stream; `probe_at` probes every row
 of a stream once. `stacked` feeds problems of one block shape to
@@ -188,9 +190,10 @@ def bisect_event(model: ObjectiveModel, params, accel, q: Array, p: Array, g: Ar
 
 def dt_rate_builder(request: lmi.CertRequest, max_oracle_calls: int = 200):
     """A builder for `lmi.bisect_rate` over one discrete-time row: at each
-    rho it solves the row's `dt_problem` alone, warm-started from the last
-    certificate it made. It calls `sdp.solve_feasibility` and
-    `lmi._dt_certificate` by name, so a test can record or memoize them."""
+    rho it solves the row's `dt_problem` alone (with its face twin when
+    L == mu, see `twin_probe`), warm-started from the last certificate it
+    made. It calls `sdp.solve_feasibility` and `lmi._dt_certificate` by
+    name, so a test can record or memoize them."""
     row = lmi.build_theorem2(lmi.dt_system(request.h, request.beta_hi, request.beta_lo,
                                            request.disc), request.mu, request.lipschitz, 1.0)
     last = None
@@ -198,13 +201,65 @@ def dt_rate_builder(request: lmi.CertRequest, max_oracle_calls: int = 200):
     def probe(rho: float) -> Optional[lmi.Certificate]:
         nonlocal last
         data = replace(row, rho=rho)
-        res = sdp.solve_feasibility(lmi.dt_problem(data), max_oracle_calls, v_init=last)
+        if request.lipschitz == request.mu:
+            res = twin_probe(lmi.dt_problem(data), dt_face_problem(data), max_oracle_calls, last)
+        else:
+            res = sdp.solve_feasibility(lmi.dt_problem(data), max_oracle_calls, v_init=last)
         cert = lmi._dt_certificate(data, rho, res)
         if cert is not None:
             last = cert.raw_v
         return cert
 
     return probe
+
+
+FACE_MESSAGE = "on the sector's face (L = mu): "
+
+
+def twin_probe(full: sdp.FeasProblem, face: sdp.FeasProblem, max_oracle_calls: int,
+               v_init: Optional[Array]) -> sdp.FeasResult:
+    """One probe of a row with L == mu: its full problem and its face twin
+    stacked alone from the same start. The first verdict that arrives
+    decides: the face's INFEASIBLE (its message prefixed by FACE_MESSAGE)
+    or the full form's FEASIBLE or INFEASIBLE; a full INDETERMINATE stands
+    once the face has ended otherwise. The other twin is then dropped."""
+    joining = iter([[(0, sdp.lift(full), v_init), (1, sdp.lift(face), v_init)]])
+    got: dict = {}
+    verdict: list = []
+
+    def feed(decided: list) -> tuple:
+        for twin, res in decided:
+            if verdict:
+                break
+            got[twin] = res
+            if twin == 1 and res.status == sdp.INFEASIBLE:
+                verdict.append(replace(res, message=FACE_MESSAGE + res.message))
+            elif 0 in got and (got[0].status != sdp.INDETERMINATE or 1 in got):
+                verdict.append(got[0])
+        return next(joining, []), [0, 1] if verdict else []
+
+    sdp.solve_stream(feed, max_oracle_calls)
+    return verdict[0]
+
+
+def dt_face_problem(data: lmi.DtLmiData) -> sdp.FeasProblem:
+    """The face twin of a row with L == mu at its rho, built from the row's
+    `dt_problem`: there u = mu C x on each branch, so each branch LMI F
+    becomes Q' F Q, Q the orthonormal basis that QR gives of the columns
+    of [I; mu C], less the branch's sector multiplier (v[4] or v[5]) and
+    padded to 3 x 3 by a constant -1 corner; lambda and lambda_r leave the
+    normalization, and P > 0, the floors and the margin stay."""
+    full = lmi.dt_problem(data)
+    faces = []
+    for blk, branch, sector in zip(full.nsd_blocks, (data.sys.main, data.sys.reset), (4, 5)):
+        Q = np.linalg.qr(np.vstack([np.eye(2), data.mu * branch.C]))[0]
+        faces.append(sdp.AffineMatrixMap(
+            constant=np.diag([0.0, 0.0, -1.0]), name=f"{blk.name} on the face",
+            basis=[(i, np.pad(Q.T @ mat @ Q, (0, 1))) for i, mat in blk.basis if i != sector]))
+    normalization = full.normalization.copy()
+    normalization[[4, 5]] = 0.0
+    return sdp.FeasProblem(nvar=full.nvar, nsd_blocks=faces, pd_blocks=full.pd_blocks,
+                           nonneg=full.nonneg, normalization=normalization, margin=full.margin)
 
 
 def ct_problem(data: lmi.CtLmiData, alpha: float, eps_infl: float) -> sdp.FeasProblem:

@@ -446,9 +446,14 @@ def _result_bits(res):
 
 
 def test_compiled_probes_replay_as_solves_of_their_dt_problems(monkeypatch, tmp_path):
-    # every probe of two certify passes: the lifted rows that the compiled
-    # path solves, and their results, are those of lifting and solving the
-    # probed row's dt_problem
+    # every probe of three certify passes: the lifted rows that the
+    # compiled path solves, and their results, are those of lifting and
+    # solving the probed row's dt_problem, and for a row with L == mu its
+    # face twin's are those of the row's reference face problem. A probe's
+    # result is its full form's, or its face twin's INFEASIBLE, named so.
+    # The first two passes no longer end a probe INDETERMINATE (every
+    # L = mu "no" is proved on the face); the third's budget of 20 ends
+    # some, one of them at L = mu beside a face twin that stays feasible
     probes, solves = [], []
     real_cert, real_stream = hbreset.lmi._dt_certificate, hbreset.lmi.solve_stream
 
@@ -457,10 +462,10 @@ def test_compiled_probes_replay_as_solves_of_their_dt_problems(monkeypatch, tmp_
         return real_cert(data, rho, res)
 
     def recording_stream(feed, max_oracle_calls):
-        live = {}
+        live, call = {}, len({key[0] for key, *_ in solves})
 
         def fed(decided):
-            solves.extend((*live.pop(key), res) for key, res in decided)
+            solves.extend(((call, *key), *live.pop(key), res) for key, res in decided)
             joining, dropping = feed(decided)
             live.update((key, (lifted, max_oracle_calls, v_init))
                         for key, lifted, v_init in joining)
@@ -470,24 +475,50 @@ def test_compiled_probes_replay_as_solves_of_their_dt_problems(monkeypatch, tmp_
 
     monkeypatch.setattr(hbreset.lmi, "_dt_certificate", recording_cert)
     monkeypatch.setattr(hbreset.lmi, "solve_stream", recording_stream)
+    ends = []  # the number of probes after each pass
     for i, args in enumerate((["--grid-L", "1,10,100", "--bisect-iters", "3"],
                               ["--grid-L", "10", "--rule", "optimal", "--scan",
-                               "--bisect-iters", "5"])):
+                               "--bisect-iters", "5"],
+                              ["--grid-L", "1,10", "--methods", "nesterov,hhb-pol",
+                               "--bisect-iters", "2", "--max-oracle-calls", "20"])):
         assert cli_main(["certify", *args, "--out", str(tmp_path / str(i))]) == 0
+        ends.append(len(probes))
     monkeypatch.undo()
-    # a solve that a certified probe before it cancels has no probe
-    probed = {id(res): (data, rho) for data, rho, res in probes}
-    recorded = [(*probed[id(res)], *solved, res) for *solved, res in solves
-                if id(res) in probed]
-    assert len(recorded) == len(probes) < len(solves)
-    assert len(recorded) >= 66 + 32 * 6
-    assert {budget for *_, budget, _, _ in recorded} == {200}
-    problems = [dt_problem(dataclasses.replace(data, rho=rho)) for data, rho, *_ in recorded]
-    again = ref.stacked(problems, 200, [v_init for *_, v_init, _ in recorded])
-    for problem, (*_, lifted, _, _, res), res_again in zip(problems, recorded, again):
-        assert _lifted_bytes(lifted) == _lifted_bytes(sdp.lift(problem))
-        assert _result_bits(res) == _result_bits(res_again)
-    assert {res.status for *_, res in recorded} == {FEASIBLE, INFEASIBLE, INDETERMINATE}
+    # each path probe's twins, found from its result: the full form's own
+    # result, or the face twin's with the face named
+    twins = {key: solve for key, *solve in solves}
+    by_result = {id(res): key for key, *_, res in solves if key[-1] == 0}
+    by_result.update(
+        (_result_bits(dataclasses.replace(res, message=ref.FACE_MESSAGE + res.message)), key)
+        for key, *_, res in solves if key[-1] == 1 and res.status == INFEASIBLE)
+    recorded = []
+    for data, rho, res in probes:
+        key = by_result.get(id(res)) or by_result[_result_bits(res)]
+        assert res is twins[key][-1] or res.message == ref.FACE_MESSAGE + twins[key][-1].message
+        assert (key[-1] == 1) == res.message.startswith(ref.FACE_MESSAGE)
+        for twin, build in enumerate((dt_problem, ref.dt_face_problem)):
+            if (*key[:-1], twin) in twins:
+                assert data.lipschitz == data.mu or twin == 0
+                recorded.append((build(dataclasses.replace(data, rho=rho)),
+                                 *twins[(*key[:-1], twin)]))
+    # a solve that a certified probe before it cancels has no probe, and
+    # a probe's verdict drops the twin still running
+    assert len(probes) < len(recorded) < len(solves)
+    assert ends[1] >= 66 + 32 * 6
+    assert {budget for *_, budget, _, _ in recorded} == {20, 200}
+    for budget in (20, 200):
+        replayed = [r for r in recorded if r[2] == budget]
+        again = ref.stacked([problem for problem, *_ in replayed], budget,
+                            [v_init for *_, v_init, _ in replayed])
+        for (problem, lifted, _, _, res), res_again in zip(replayed, again, strict=True):
+            assert _lifted_bytes(lifted) == _lifted_bytes(sdp.lift(problem))
+            assert _result_bits(res) == _result_bits(res_again)
+    statuses = [res.status for *_, res in probes]
+    assert set(statuses[:ends[1]]) == {FEASIBLE, INFEASIBLE}
+    assert set(statuses) == {FEASIBLE, INFEASIBLE, INDETERMINATE}
+    assert {res.message.startswith(ref.FACE_MESSAGE) for *_, res in probes} == {True, False}
+    assert any(data.lipschitz == data.mu and res.status == INDETERMINATE
+               for data, _, res in probes)
     assert any(v_init is not None for *_, v_init, _ in recorded)
 
 
@@ -602,10 +633,63 @@ def test_every_probe_matrix_passes_the_symmetry_check(mu, cond, h, beta_hi, lo, 
     request = CertRequest(mu, mu * cond, h / (mu * cond), beta_hi, lo * beta_hi, disc)
     with mock.patch.object(hbreset.lmi, "solve_stream", recording):
         ref.probe_at(dt_rates_probe([request], max_oracle_calls=1), rho)
-    (lifted,) = seen
-    for const, _, mats in lifted.blocks:
-        for mat in (const, *mats):
-            sdp._check_symmetric(mat, "probe matrix")
+    # the full form, and at L == mu its face twin
+    assert len(seen) == 1 + (request.lipschitz == request.mu)
+    for lifted in seen:
+        for const, _, mats in lifted.blocks:
+            for mat in (const, *mats):
+                sdp._check_symmetric(mat, "probe matrix")
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(st.floats(0.1, 2.0), st.floats(0.01, 2.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.sampled_from((POL, NES)), st.floats(0.05, 1.0))
+def test_a_full_certificate_at_L_equal_to_mu_clears_the_face(mu, h, beta_hi, lo, disc, rho):
+    # at L == mu, a point of the full form that clears the margin, on the
+    # face and renormalized to the face's normalization (lambda and
+    # lambda_r left out), clears the face's margin in every block under
+    # eigvalsh; so the two twins never give (full FEASIBLE, face INFEASIBLE)
+    data = build_theorem2(dt_system(h / mu, beta_hi, lo * beta_hi, disc), mu, mu, rho)
+    full = sdp.solve_feasibility(dt_problem(data))
+    face_problem = ref.dt_face_problem(data)
+    face = sdp.solve_feasibility(face_problem)
+    assert not (full.status == FEASIBLE and face.status == INFEASIBLE)
+    if full.status == FEASIBLE:
+        scale = face_problem.normalization @ full.v  # 1 - lambda - lambda_r
+        assert 0.0 < scale <= 1.0
+        v = full.v / scale
+        for blk in face_problem.compiled_blocks():
+            assert np.linalg.eigvalsh(blk.value(v))[-1] <= -hbreset.lmi.MARGIN
+
+
+def test_only_rows_with_L_exactly_mu_get_a_face_twin(monkeypatch):
+    # the face is taken at L == mu with no tolerance: at the next float
+    # above mu, at 1 + 1e-9 and at 1 + 1e-6 every probe is the full form
+    # alone, and there each "no" stays INDETERMINATE
+    joined = []
+    real_stream = hbreset.lmi.solve_stream
+
+    def recording_stream(feed, max_oracle_calls):
+        def fed(decided):
+            joining, dropping = feed(decided)
+            joined.extend(key for key, _, _ in joining)
+            return joining, dropping
+
+        real_stream(fed, max_oracle_calls)
+
+    monkeypatch.setattr(hbreset.lmi, "solve_stream", recording_stream)
+    grid = [(1.0, 1.0), (1.0, float(np.nextafter(1.0, 2.0))), (1.0, 1.0 + 1e-9),
+            (1.0, 1.0 + 1e-6), (0.5, 0.5), (1.0, 2.0)]
+    requests = [CertRequest(mu, L, 0.1, 0.5, 0.0, NES) for mu, L in grid]
+    found = ref.probe_at(dt_rates_probe(requests), 0.2)
+    assert found == [None] * len(grid)
+    assert [sum(key[0] == i for key in joined) for i in range(len(grid))] == [2, 1, 1, 1, 2, 1]
+    statuses = {}
+    monkeypatch.setattr(hbreset.lmi, "_dt_certificate", lambda data, rho, res: statuses.update(
+        {(data.mu, data.lipschitz): (res.status, res.message.startswith(ref.FACE_MESSAGE))}))
+    ref.probe_at(dt_rates_probe(requests), 0.2)
+    assert [statuses[row] for row in grid] == [(INFEASIBLE, True), *[(INDETERMINATE, False)] * 3,
+                                               (INFEASIBLE, True), (INFEASIBLE, False)]
 
 
 # ---------------------------------------------------------------------------
@@ -1046,7 +1130,8 @@ def test_rows_of_a_wide_grid_share_the_stack(monkeypatch):
             joining, dropping = feed(decided)
             stacked.difference_update(dropping)
             stacked.update(key for key, _, _ in joining)
-            rows = [i for i, _ in stacked]
+            # a probe's face twin (L == mu) is the same probe
+            rows = [i for i, _ in {key[:2] for key in stacked}]
             # (probes of the fullest row, rows in the stack)
             shares.append((max(map(rows.count, rows), default=0), len(set(rows))))
             return joining, dropping
@@ -1069,10 +1154,11 @@ def test_rows_of_a_wide_grid_share_the_stack(monkeypatch):
 def test_bench_config_rows_wait_only_for_their_own_probes(monkeypatch, tmp_path):
     # one phase-I pass evaluates every live probe once, and each row keeps
     # up to LOOKAHEAD probes of its path in the stack: the bench config
-    # makes the 66 path probes of 18 rows bisected alone in 114 passes
-    # (392 in lockstep rounds), for 3,026 row evaluations (2,954 one probe
-    # at a time); 16 of the path probes end FEASIBLE, 30 INFEASIBLE and 20
-    # INDETERMINATE
+    # makes the 66 path probes of 18 rows bisected alone in 92 passes, for
+    # 2,529 row evaluations, the face twins of the six L = mu rows' probes
+    # included; 16 of the path probes end
+    # FEASIBLE and 50 INFEASIBLE, 20 of them on the face, where the full
+    # form alone ends INDETERMINATE ("Newton system not positive definite")
     evals, probes = [], []
     real_eigh, real_cert = sdp._block_eigh, hbreset.lmi._dt_certificate
 
@@ -1081,7 +1167,7 @@ def test_bench_config_rows_wait_only_for_their_own_probes(monkeypatch, tmp_path)
         return real_eigh(groups, w)
 
     def counting_cert(data, rho, res):
-        probes.append(res.status)
+        probes.append((res.status, res.message.startswith(ref.FACE_MESSAGE)))
         return real_cert(data, rho, res)
 
     monkeypatch.setattr(sdp, "_block_eigh", counting_eigh)
@@ -1089,9 +1175,11 @@ def test_bench_config_rows_wait_only_for_their_own_probes(monkeypatch, tmp_path)
     assert cli_main(["certify", "--grid-L", "1,10,100", "--bisect-iters", "3",
                      "--out", str(tmp_path)]) == 0
     assert len(probes) == 66
-    assert sum(evals) == 3026
-    assert len(evals) == 114
-    assert [probes.count(s) for s in (FEASIBLE, INFEASIBLE, INDETERMINATE)] == [16, 30, 20]
+    assert sum(evals) == 2529
+    assert len(evals) == 92
+    statuses = [status for status, _ in probes]
+    assert [statuses.count(s) for s in (FEASIBLE, INFEASIBLE, INDETERMINATE)] == [16, 50, 0]
+    assert probes.count((INFEASIBLE, True)) == 20
 
 
 def test_certificate_json_round_trip():

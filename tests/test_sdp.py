@@ -549,7 +549,9 @@ def test_certify_pass_solves_match_alone_in_the_full_and_a_shuffled_stack(
         monkeypatch, tmp_path):
     # record every solve of one certify pass at the benchmark's config,
     # with the result the pass got in its stack, which probes join and
-    # leave as the rows' bisections go
+    # leave as the rows' bisections go, and of one deep bisection at
+    # L = 100, where probes end INDETERMINATE (the benchmark's pass has
+    # none since its L = mu probes are decided on the face)
     seen = []
     real = lmi.solve_stream
 
@@ -565,8 +567,9 @@ def test_certify_pass_solves_match_alone_in_the_full_and_a_shuffled_stack(
         real(fed, max_oracle_calls)
 
     monkeypatch.setattr(lmi, "solve_stream", recording)
-    assert cli_main(["certify", "--grid-L", "1,10,100", "--bisect-iters", "3",
-                     "--out", str(tmp_path)]) == 0
+    for args in (["--grid-L", "1,10,100", "--bisect-iters", "3"],
+                 ["--grid-L", "100", "--methods", "hhb-nes", "--bisect-iters", "20"]):
+        assert cli_main(["certify", *args, "--out", str(tmp_path)]) == 0
     monkeypatch.undo()
     problems, v_inits, in_pass = zip(*seen)
     alone = [_bits(ref.stacked([p], 200, [v])[0]) for p, v in zip(problems, v_inits)]
@@ -590,6 +593,28 @@ def _mixed_problem(rng):
                               name=f"b{j}") for j, m in enumerate((3, 1, 2, 3))]
     return FeasProblem(nvar=5, nsd_blocks=blocks[:3], pd_blocks=blocks[3:],
                        nonneg={1: float(rng.uniform(-1, 1))}, normalization=np.ones(5))
+
+
+def test_lifted_parts_carry_tensordot_bits():
+    # with_blocks makes each block's parts (C, G) by the np.dot calls that
+    # np.tensordot(x, mats, 1) makes, so they carry tensordot's bits: for
+    # dt and ct rows, mixed problems, a block with no basis matrix and a
+    # problem without normalization
+    rng = np.random.default_rng(4)
+    constant_only = FeasProblem(nvar=2, nsd_blocks=[
+        AffineMatrixMap(constant=-np.eye(2), basis=[]), _at_most(1, 3.0)],
+        nonneg={0: 0.0}, normalization=np.array([1.0, 1.0]))
+    problems = [_mistuned_dt(1.0, "hhb-nes", 0.5), _mistuned_dt(100.0, "polyak", 0.99),
+                ref.ct_problem(lmi.build_ct(1.0, 1.0, 2.0, b_coupled=True), 0.5, 1e-6),
+                _mixed_problem(rng), _mixed_problem(rng), constant_only, _scalar_problem()]
+    for problem in problems:
+        lifted = sdp.lift(problem)
+        assert len(lifted.parts) == len(lifted.blocks) == len(problem.compiled_blocks())
+        for (C, G), (const, idx, mats) in zip(lifted.parts, lifted.blocks):
+            want_C = const + np.tensordot(lifted.v_base[idx], mats, 1)
+            want_G = np.tensordot(lifted.basis[idx].T, mats, 1)
+            assert (C.shape, C.tobytes()) == (want_C.shape, want_C.tobytes())
+            assert (G.shape, G.tobytes()) == (want_G.shape, want_G.tobytes())
 
 
 def _stack_terms(lifts, w, s):
@@ -757,6 +782,29 @@ def test_stream_problems_that_join_after_a_drop_get_their_lone_bits(monkeypatch)
     spans = [(0, 4), (0, evals[1]), (0, evals[2]), (4, evals[3]), (4 + evals[3], evals[4])]
     end = max(a + n for a, n in spans)
     assert passes == [sum(a <= k < a + n for a, n in spans) for k in range(end)]
+
+
+@pytest.mark.parametrize("late", [False, True])
+def test_stream_refuses_a_problem_of_another_shape_by_name(late):
+    # a problem whose block sizes or number of coordinates differ from the
+    # stack's is refused with a ValueError that names it and both shapes,
+    # whether it joins with the first problem or in a later pass
+    dt = _mistuned_dt(2.0, "polyak", 0.5)
+    one_floor_less = FeasProblem(nvar=8, nsd_blocks=dt.nsd_blocks, pd_blocks=dt.pd_blocks,
+                                 nonneg={i: 1e-9 for i in range(3, 7)},
+                                 normalization=dt.normalization)
+    one_more_variable = FeasProblem(nvar=9, nsd_blocks=dt.nsd_blocks, pd_blocks=dt.pd_blocks,
+                                    nonneg=dt.nonneg,
+                                    normalization=np.append(dt.normalization, 1.0))
+    stack = r"the stack 7 and \[1, 1, 1, 1, 1, 2, 3, 3\]"
+    for odd, shape in ((one_floor_less, r"7 coordinates and blocks of sizes "
+                                        r"\[1, 1, 1, 1, 2, 3, 3\]"),
+                       (one_more_variable, r"8 coordinates and blocks of sizes "
+                                           r"\[1, 1, 1, 1, 1, 2, 3, 3\]")):
+        first, odd = (0, sdp.lift(dt), None), ("odd", sdp.lift(odd), None)
+        joins = iter([[first], [odd]] if late else [[first, odd]])
+        with pytest.raises(ValueError, match=f"solve_stream: problem 'odd' has {shape}, {stack}"):
+            sdp.solve_stream(lambda decided: (next(joins, []), []), 200)
 
 
 def test_overflowing_barrier_terms_end_their_row_alone():
