@@ -6,11 +6,12 @@ numpy), `svg` (line charts, whose polylines go through `csv17`),
 `discrete` (the switched two-step iteration family), `hybrid`
 (continuous-time flows with momentum resets or switched damping), `sdp`
 (a self-contained log-det barrier feasibility engine), `lmi` (rate
-certificates built on it), `cli` (benchmark front end).
+certificates built on it, each row kind's layout written once in a
+private table), `cli` (benchmark front end).
 
 The names below are the entry points of each layer. Building blocks such
-as `lmi.DtLmiData` (a discrete-time rate row, compiled once and moved
-between rates), `lmi.build_sector`, `lmi.bisect_rates`, `lmi.dt_rates_probe`,
+as `lmi.DtLmiData` (a discrete-time rate row: its compiled stack entry,
+moved between rates), `lmi.build_sector`, `lmi.bisect_rates`, `lmi.dt_rates_probe`,
 `sdp.solve_stream`, `discrete.switching_beta`, `discrete.run_many` or
 `objectives.quad_to_json` are imported from their own module.
 """

@@ -10,16 +10,16 @@ blockwise (P kron I), so a `CertRequest` carries no dimension.
 
 Both forms are affine in their rate: the ct flow LMI in alpha (2 alpha E
 in its P blocks; Boyd et al., LMIs in System and Control Theory, 5.1),
-the dt LMIs in rho² (`_theorem2_stack` compiles rows, as one stack of
-matrix products, into everything but the rate, `build_theorem2` compiles
-a stack of one, and `_at_rates` applies rho), and `_feas` adds the same
-P > 0, floors and normalization to both. So one stream, `_rates_probe`, serves
-`ct_rates_probe` and `dt_rates_probe`: each row is compiled once, and
-every probe of a `bisect_rates` call joins one `sdp.solve_stream` stack,
-each row probing up to LOOKAHEAD rates ahead on its path; every row gets
-the result it gets bisected alone. `bisect_rates` bisects by one rule,
-`_bisection`: a row's path given its outcomes so far. `bisect_rate`
-drives one row through a builder, a rate at a time.
+the dt LMIs in rho². Each kind's layout is written once, in its table
+(`_CT`, `_DT`), which the problems, checks and certificates read. A row
+is compiled once into its stack entry, its LMIs' slots without the rate,
+and `_at_rates` moves rows to their rates. So one stream, `_rates_probe`,
+serves `ct_rates_probe` and `dt_rates_probe`: every probe of a
+`bisect_rates` call joins one `sdp.solve_stream` stack, each row probing
+up to LOOKAHEAD rates ahead on its path; every row gets the result it
+gets bisected alone. `bisect_rates` bisects by one rule, `_bisection`: a
+row's path given its outcomes so far. `bisect_rate` drives one row
+through a builder, a rate at a time.
 At L == mu a dt row's probes also solve its face (dt_rates_probe), whose
 INFEASIBLE proves the "no" that the full form alone leaves INDETERMINATE.
 """
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import count
@@ -53,10 +54,9 @@ MULTIPLIER_FLOOR = 1e-9
 # "<= CT_RESET_SLACK * I" while every other block keeps the strict margin.
 CT_RESET_SLACK = 1e-8
 
-_E11 = np.array([[1.0, 0.0], [0.0, 0.0]])
-_E12 = np.array([[0.0, 1.0], [1.0, 0.0]])
-_E22 = np.array([[0.0, 0.0], [0.0, 1.0]])
-_P_BASIS = (_E11, _E12, _E22)
+# E11, E12, E22: P = p11 E11 + p12 E12 + p22 E22
+_P_BASIS = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
+_ZERO = np.zeros((3, 3))
 
 
 class NoCertificate(RuntimeError):
@@ -75,17 +75,57 @@ def build_sector(mu: float, L: float, n: int = 1) -> Array:
     return np.vstack([top, bot])
 
 
-def _feas(nvar: int, lmis: list, free: tuple = ()) -> FeasProblem:
-    """The rate problem with these LMIs, in v = [p11, p12, p22, multipliers]:
-    P > 0, every multiplier floored, and p11 + p22 + multipliers = 1, the
-    multipliers `free` left out of the sum."""
+# a rate-row kind's table, built by _layout
+_Layout = namedtuple("_Layout", "rate_kind rates v lmis moves moved sector tuning")
+
+
+def _layout(rate_kind: str, rates: tuple, v: str, lmis: list, moves: tuple,
+            tuning: Callable, sector: str = "") -> _Layout:
+    """A kind's table, from names: v's entries (P's, then the multipliers
+    of Certificate.multipliers), per LMI its name, constant and slots'
+    variables (P's first), the largest rate and the message for one out
+    of range, `moves` = (k, n): the rate moves the first n slots of the
+    first k LMIs (`moved` masks them), `tuning(row, rate)`, a
+    certificate's tuning, and `sector`, the multipliers inert on the face."""
+    names = v.split()
+    slots = [[names.index(x) for x in row.split()] for _, _, row in lmis]
+    (k, n), width = moves, max(map(len, slots))
+    moved = (np.arange(len(lmis)) < k)[:, None] & (np.arange(width) < n)
+    return _Layout(rate_kind, rates, tuple(names),
+                   tuple((name, const, idx) for (name, const, _), idx in zip(lmis, slots)),
+                   moves, moved, tuple(sector.split()), tuning)
+
+
+def _feas(kind: _Layout, lmis: Sequence = (), face: bool = False) -> FeasProblem:
+    """The rate problem of a row of `kind` with these LMIs: P > 0, every
+    multiplier floored, and p11 + p22 + the multipliers = 1 (on the face,
+    the sector's left out)."""
     pmap = AffineMatrixMap(constant=np.zeros((2, 2)),
                            basis=[(i, E) for i, E in enumerate(_P_BASIS)], name="P")
-    return FeasProblem(nvar=nvar, nsd_blocks=lmis, pd_blocks=[pmap],
-                       nonneg={i: MULTIPLIER_FLOOR for i in range(3, nvar)},
-                       normalization=np.array([1.0, 0.0] + [float(i not in free)
-                                                            for i in range(2, nvar)]),
+    left_out = ("p12", *(kind.sector if face else ()))
+    return FeasProblem(nvar=len(kind.v), nsd_blocks=list(lmis), pd_blocks=[pmap],
+                       nonneg={i: MULTIPLIER_FLOOR for i in range(len(_P_BASIS), len(kind.v))},
+                       normalization=np.array([float(x not in left_out) for x in kind.v]),
                        margin=MARGIN)
+
+
+def _at_rates(kind: _Layout, stack: Array, rates: Array) -> Array:
+    """The LMIs' basis matrices of compiled rows `stack` at `rates`: P's
+    slots move by 2 alpha E (ct) or -rho² E (dt), and dt's a slot M1
+    becomes rho² M1 + (1 - rho²) M2, M2 being the row's last."""
+    top, message = kind.rates
+    if not np.all((0.0 < rates) & (rates <= top) & (rates < np.inf)):
+        raise ValueError(message)
+    r = rates[:, None, None, None, None]
+    (k, n), p = kind.moves, len(_P_BASIS)
+    mats = stack[:, :, :kind.moved.shape[1]].copy()
+    if kind.rate_kind == "alpha":
+        mats[:, :k, :p, :2, :2] += (2.0 * r) * _P_BASIS
+    else:
+        rho2 = r * r
+        mats[:, :k, :p, :2, :2] -= rho2 * _P_BASIS
+        mats[:, :k, p:n] = rho2 * stack[:, :k, p:n] + (1.0 - rho2) * stack[:, :k, -1:]
+    return mats
 
 
 # ---------------------------------------------------------------------------
@@ -144,23 +184,14 @@ def build_ct(K: float, mu: float, L: float, b_coupled: bool = False) -> CtLmiDat
                      b_coupled=b_coupled)
 
 
-def _ct_certificate(data: CtLmiData, eps_infl: float, alpha: float,
-                    res: FeasResult) -> Optional["Certificate"]:
-    """The certificate of a FEASIBLE ct solve at exponent alpha, or None.
-    Its rate is alpha / cond(P), the exponent of the norm-ball guarantee."""
-    if res.status != FEASIBLE:
-        return None
-    v = res.v
-    P = np.array([[v[0], v[1]], [v[1], v[2]]])
-    eigs = np.linalg.eigvalsh(P)
-    return Certificate(
-        rate=alpha / float(eigs[-1] / eigs[0]), rate_kind="alpha", P=P,
-        multipliers={"eps": eps_infl, "sigma_phi": float(v[3]),
-                     "sigma_1": float(v[4]), "sigma_2": float(v[5])},
-        margin=res.worst_eig,
-        tuning={"K": data.K, "alpha": alpha, "mu": data.mu,
-                "L": data.lipschitz, "b_coupled": data.b_coupled},
-        raw_v=v.copy())
+# a compiled ct row: per LMI its slots at alpha = 0, the jump's padded by a zero
+_CT = _layout("alpha", (np.inf, "alpha must be positive and finite"),
+              "p11 p12 p22 sigma_phi sigma_1 sigma_2",
+              [("flow", _ZERO, "p11 p12 p22 sigma_phi sigma_1"),
+               ("jump", -(CT_RESET_SLACK + MARGIN) * np.eye(3), "p11 p12 p22 sigma_2")],
+              moves=(1, 3),
+              tuning=lambda row, alpha: {"K": row.K, "alpha": alpha, "mu": row.mu,
+                                         "L": row.lipschitz, "b_coupled": row.b_coupled})
 
 
 # ---------------------------------------------------------------------------
@@ -212,50 +243,44 @@ def dt_system(h: float, beta_hi: float, beta_lo: float, disc: str) -> DtSystemMa
                             disc=disc, h=h, beta_hi=beta_hi, beta_lo=beta_lo)
 
 
-@dataclass(frozen=True)
-class DtBranchLmi:
-    """One branch's LMI pieces that do not depend on rho: the function
-    bounds M1, M2, the sector form M3, and per E in _P_BASIS the block
-    [[A'EA, A'EB], [B'EA, B'EB]], whose corner lacks its -rho^2 E."""
-
-    M1: Array
-    M2: Array
-    M3: Array
-    P: tuple
-
-
 # e' ALIGNMENT_FORM e = -<u, q - q_prev> at e = (q_prev, q, u): minus the
-# inner product that `discrete.aligned` reads, signed per branch in _DT_LMIS
+# inner product that `discrete.aligned` reads, + on the main branch, - on the reset
 ALIGNMENT_FORM = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.5, -0.5, 0.0]])
-_P_CORNERS = tuple(np.pad(E, (0, 1)) for E in _P_BASIS)  # E as a 3 x 3 corner
-# per branch LMI: name, indices in v of its basis matrices, sign of the form
-_DT_LMIS = (("flow_lmi", [0, 1, 2, 3, 4, 6], 1.0), ("reset_lmi", [0, 1, 2, 3, 5, 7], -1.0))
+
+# a compiled dt row: per branch LMI its slots (see _dt_stack), then M2
+_DT = _layout("rho", (1.0, "rho must lie in (0, 1]"),
+              "p11 p12 p22 a lambda lambda_r sigma sigma_r",
+              [("flow_lmi", _ZERO, "p11 p12 p22 a lambda sigma"),
+               ("reset_lmi", _ZERO, "p11 p12 p22 a lambda_r sigma_r")],
+              moves=(2, 4),
+              tuning=lambda row, rho: {"h": row.sys.h, "beta_hi": row.sys.beta_hi,
+                                       "beta_lo": row.sys.beta_lo, "disc": row.sys.disc,
+                                       "mu": row.mu, "L": row.lipschitz},
+              sector="lambda lambda_r")
 
 
 @dataclass
 class DtLmiData:
-    """A discrete-time rate row as compiled by build_theorem2, evaluated at
-    factor rho. Moving a row to another rate, dataclasses.replace(data,
-    rho=r), reuses its compiled branches."""
+    """A discrete-time rate row as compiled by build_theorem2 (its stack
+    entry), evaluated at factor rho. Moving a row to another rate,
+    dataclasses.replace(data, rho=r), reuses its stack."""
 
     sys: DtSystemMatrices
     mu: float
     lipschitz: float
     rho: float
-    main: DtBranchLmi
-    reset: DtBranchLmi
+    stack: Array
 
     def __post_init__(self):
-        if not (0.0 < self.rho <= 1.0):
-            raise ValueError("rho must lie in (0, 1]")
+        if not 0.0 < self.rho <= _DT.rates[0]:
+            raise ValueError(_DT.rates[1])
 
 
-def _theorem2_stack(systems: Sequence[DtSystemMatrices], mu: Sequence[float],
-                    L: Sequence[float]) -> Array:
+def _dt_stack(systems: Sequence[DtSystemMatrices], mu: Sequence[float],
+              L: Sequence[float]) -> Array:
     """Compile the switched-rate certificates of rows (systems[k], mu[k],
-    L[k]) as one stack: everything in their two LMIs but the rate, which
-    _at_rates applies, laid out as _rate_free lays out compiled rows,
-    (rows, branch, 7, 3, 3)."""
+    L[k]) as one stack, (rows, branch, 7, 3, 3): all in their two LMIs but
+    the rate, which _at_rates applies."""
     mu, L = (np.asarray(x, dtype=float) for x in (mu, L))
     if not np.all((0.0 < mu) & (mu <= L) & (L < np.inf)):
         raise ValueError("need 0 < mu <= L < inf")
@@ -284,85 +309,34 @@ def _theorem2_stack(systems: Sequence[DtSystemMatrices], mu: Sequence[float],
     n1 = T(sigma1) @ form(L / 2.0, 0.0) @ sigma1
     # the sector form of build_sector, row by row
     sector = form(-(mu * L / (mu + L)), -(1.0 / (mu + L)))
-    out = np.empty((rows, 2, 7, 3, 3))
-    for k, Ek in enumerate(_P_BASIS):
+    P = []
+    for Ek in _P_BASIS:
         tr = T(A) @ Ek @ B
-        out[:, :, k] = np.concatenate([np.concatenate([T(A) @ Ek @ A, tr], -1),
-                                       np.concatenate([T(tr), T(B) @ Ek @ B], -1)], -2)
-    out[:, :, 3] = n1 + T(sigma2) @ w_lower @ sigma2
-    out[:, :, 4] = T(c0) @ sector @ c0
-    out[:, :, 5] = [sign * ALIGNMENT_FORM for *_, sign in _DT_LMIS]
-    out[:, :, 6] = n1 + T(c0) @ w_lower @ c0
-    return out
-
-
-def _compiled(sys: DtSystemMatrices, mu: float, L: float, rho: float,
-              mats: Array) -> DtLmiData:
-    """The row at rho whose branches are views of its _theorem2_stack entry."""
-    return DtLmiData(sys, mu, L, rho, *(DtBranchLmi(M1=m[3], M2=m[6], M3=m[4], P=tuple(m[:3]))
-                                        for m in mats))
+        P.append(np.concatenate([np.concatenate([T(A) @ Ek @ A, tr], -1),
+                                 np.concatenate([T(tr), T(B) @ Ek @ B], -1)], -2))
+    aligned = np.broadcast_to([ALIGNMENT_FORM, -ALIGNMENT_FORM], (rows, 2, 3, 3))
+    # _DT's slots: P's, a's M1, lambda's sector form, sigma's alignment form; then M2
+    return np.stack([*P, n1 + T(sigma2) @ w_lower @ sigma2, T(c0) @ sector @ c0, aligned,
+                     n1 + T(c0) @ w_lower @ c0], axis=2)
 
 
 def build_theorem2(sys: DtSystemMatrices, mu: float, L: float, rho: float) -> DtLmiData:
-    """Compile the switched-rate certificate of one row, once: everything
-    in its two LMIs but the rate, which _at_rates applies. A stack of one
-    of _theorem2_stack."""
-    return _compiled(sys, mu, L, rho, _theorem2_stack([sys], [mu], [L])[0])
-
-
-def _rate_free(datas: Sequence[DtLmiData]) -> Array:
-    """Per row and branch LMI, its basis matrices without rho, then M2."""
-    return np.array([[[*br.P, br.M1, br.M3, sign * ALIGNMENT_FORM, br.M2]
-                      for br, (*_, sign) in zip((x.main, x.reset), _DT_LMIS)]
-                     for x in datas]).reshape(-1, 2, 7, 3, 3)
-
-
-def _at_rates(base: Array, rho: Array) -> Array:
-    """The branch LMIs' basis matrices of rows `base` at rates rho: each
-    P-basis block less rho^2 E, and rho^2 M1 + (1 - rho^2) M2 for a."""
-    rho2 = (rho * rho)[:, None, None, None]
-    mats = base[:, :, :6].copy()
-    mats[:, :, :3] -= rho2[..., None] * _P_CORNERS
-    mats[:, :, 3] = rho2 * base[:, :, 3] + (1.0 - rho2) * base[:, :, 6]
-    return mats
+    """Compile the switched-rate certificate of one row, once: a stack of
+    one of _dt_stack."""
+    return DtLmiData(sys, mu, L, rho, _dt_stack([sys], [mu], [L])[0])
 
 
 def dt_problem(data: DtLmiData) -> FeasProblem:
     """The feasibility problem behind dt_feasible, for export or inspection."""
-    mats = _at_rates(_rate_free([data]), np.array([data.rho]))[0]
-    # v = [p11, p12, p22, a, lam, lam_r, sigma, sigma_r]
-    return _feas(8, [AffineMatrixMap(constant=np.zeros((3, 3)), basis=list(zip(idx, m)),
-                                     name=name) for (name, idx, _), m in zip(_DT_LMIS, mats)])
+    mats = _at_rates(_DT, data.stack[None], np.array([data.rho]))[0]
+    return _feas(_DT, [AffineMatrixMap(constant=const, basis=list(zip(idx, m)), name=name)
+                       for (name, const, idx), m in zip(_DT.lmis, mats)])
 
 
-def _dt_certificate(data: DtLmiData, rho: float, res: FeasResult) -> Optional["Certificate"]:
-    """The certificate of a FEASIBLE dt solve at rate rho, or None."""
-    if res.status != FEASIBLE:
-        return None
-    v = res.v
-    return Certificate(
-        rate=rho, rate_kind="rho",
-        P=np.array([[v[0], v[1]], [v[1], v[2]]]),
-        multipliers={"a": float(v[3]), "lambda": float(v[4]),
-                     "lambda_r": float(v[5]), "sigma": float(v[6]),
-                     "sigma_r": float(v[7])},
-        margin=res.worst_eig,
-        tuning={"h": data.sys.h, "beta_hi": data.sys.beta_hi,
-                "beta_lo": data.sys.beta_lo, "disc": data.sys.disc,
-                "mu": data.mu, "L": data.lipschitz},
-        raw_v=v.copy())
-
-
-def dt_feasible(data: DtLmiData, max_oracle_calls: int = 200, detail: bool = False):
-    """Certificate at contraction factor rho, or None.
-
-    With detail=True returns (status, certificate-or-None), separating
-    "infeasible" from "indeterminate" (budget ran out)."""
-    res = solve_feasibility(dt_problem(data), max_oracle_calls=max_oracle_calls)
-    cert = _dt_certificate(data, data.rho, res)
-    if detail:
-        return res.status, cert
-    return cert
+def dt_feasible(data: DtLmiData, max_oracle_calls: int = 200) -> Optional["Certificate"]:
+    """Certificate at contraction factor rho, or None."""
+    return _certificate(_DT, data, data.rho,
+                        solve_feasibility(dt_problem(data), max_oracle_calls=max_oracle_calls))
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +395,25 @@ class Certificate:
             "margin": self.margin,
             "tuning": self.tuning,
         }, sort_keys=True)
+
+
+def _certificate(kind: _Layout, row, rate: float, res: FeasResult,
+                 **fixed: float) -> Optional[Certificate]:
+    """The certificate of a FEASIBLE solve of `row` at `rate`, or None;
+    `fixed` (ct's eps) leads its multipliers. A ct certificate's rate is
+    alpha / cond(P), the exponent of the norm-ball guarantee."""
+    if res.status != FEASIBLE:
+        return None
+    v, n = res.v, len(_P_BASIS)
+    p11, p12, p22 = v[:n]
+    P = np.array([[p11, p12], [p12, p22]])
+    tuning = kind.tuning(row, rate)
+    if kind.rate_kind == "alpha":
+        eigs = np.linalg.eigvalsh(P)
+        rate = rate / float(eigs[-1] / eigs[0])
+    return Certificate(rate=rate, rate_kind=kind.rate_kind, P=P,
+                       multipliers=dict(fixed, **dict(zip(kind.v[n:], map(float, v[n:])))),
+                       margin=res.worst_eig, tuning=tuning, raw_v=v.copy())
 
 
 @dataclass
@@ -552,13 +545,20 @@ def _verdict(results: list) -> Optional[FeasResult]:
     return None
 
 
-def _rates_probe(rows: list, problems: Callable, certificate: Callable,
-                 max_oracle_calls: int) -> RatesStream:
-    """The stream for bisect_rates over compiled `rows` of one LMI form:
-    `problems(rows, rates)` gives the lifted problems of row rows[k] at
-    rates[k], its full form first and then any face twins (see
-    dt_rates_probe), all of one block shape; `certificate(i, rate,
-    result)` reads row i's certificate, or None.
+def _check(kind: _Layout, mats: Array, slots: Array) -> None:
+    """check_symmetric_stack on the `slots` (LMI, slot) of rows `mats`."""
+    lmi, slot = slots.nonzero()
+    check_symmetric_stack(mats[:, slots].reshape(-1, 3, 3),
+                          lambda i: f"map {kind.lmis[lmi[i % lmi.size]][0]}: "
+                                    f"basis[{slot[i % lmi.size]}]")
+
+
+def _rates_probe(kind: _Layout, rows: Sequence, stack: Array, max_oracle_calls: int,
+                 face_basis: Optional[Array] = None, **fixed: float) -> RatesStream:
+    """The stream for bisect_rates over compiled `rows` of `kind`, `stack`
+    their entries. A probe moves its row to its rate, checks the moved
+    matrices as one stack and lifts only the LMIs; at L == mu, with Q_b per
+    row and LMI in `face_basis`, it has a face twin (see dt_rates_probe).
 
     A call solves a whole bisect_rates call in one `solve_stream` stack,
     in which each row keeps up to LOOKAHEAD probes of its path (fewer on
@@ -568,13 +568,40 @@ def _rates_probe(rows: list, problems: Callable, certificate: Callable,
     calls), as it is. A certified probe drops every later probe of its
     row at once, and the row refills from there. A probe's twins join
     together, with the same warm start, and its verdict (_verdict) drops
-    the twins still running. Certificates are made, and warm starts move,
-    only along the decided path and in its order, so every row gets the
-    result it gets bisected alone."""
+    the twins still running. Certificates (_certificate) are made, and
+    warm starts move, only along the decided path and in its order, so
+    every row gets the result it gets bisected alone."""
+    _check(kind, stack[:, :, :kind.moved.shape[1]], ~kind.moved)
+    skeleton, face_skeleton = lift(_feas(kind)), lift(_feas(kind, face=True))
+    on_face = np.array([bool(kind.sector) and x.lipschitz == x.mu for x in rows], dtype=bool)
+    # per LMI, the slots and the indices in v that stay on the face
+    lmis = np.arange(len(kind.lmis))[:, None]
+    kept = [[s for s, i in enumerate(idx) if kind.v[i] not in kind.sector]
+            for _, _, idx in kind.lmis]
+    face_vars = [[idx[s] for s in slots] for (_, _, idx), slots in zip(kind.lmis, kept)]
+    corner = np.diag([0.0, 0.0, -1.0])
+
+    def problems(idx: list, rates: list) -> list:
+        """The lifted problems of row rows[idx[k]] at rates[k]."""
+        mats = _at_rates(kind, stack[idx], np.array(rates, dtype=float))
+        _check(kind, mats, kind.moved)
+        lmi_mats = [mats[:, b, :len(i)] for b, (_, _, i) in enumerate(kind.lmis)]
+        out = [[skeleton.with_blocks([(const, i, m) for (_, const, i), m in zip(kind.lmis, row)])]
+               for row in zip(*lmi_mats)]
+        on = on_face[idx].nonzero()[0]
+        if on.size:
+            Q = face_basis[np.asarray(idx)[on]]
+            face = np.pad(np.swapaxes(Q, -1, -2) @ mats[on][:, lmis, kept] @ Q,
+                          [(0, 0)] * 3 + [(0, 1)] * 2)
+            for k, row in zip(on, face):
+                out[k].append(face_skeleton.with_blocks(
+                    [(corner, i, m) for i, m in zip(face_vars, row)]))
+        return out
+
     last: list = [None] * len(rows)
 
     def certified(i: int, rate: float, res: FeasResult) -> Optional[Certificate]:
-        cert = certificate(i, rate, res)
+        cert = _certificate(kind, rows[i], rate, res, **fixed)
         if cert is not None:
             last[i] = cert.raw_v
         return cert
@@ -643,91 +670,40 @@ def _rates_probe(rows: list, problems: Callable, certificate: Callable,
 def dt_rates_probe(requests: Sequence[CertRequest],
                    max_oracle_calls: int = 200) -> RatesStream:
     """Stream for bisect_rates over discrete-time rows at factors rho. Each
-    request is compiled once, at rho = 1, into its entry of the stream's
-    `rows`; a probe applies rho as dt_problem does, checks the joining
-    rate-dependent matrices as one stack and lifts only the branch LMIs.
+    request is compiled once, at rho = 1, into its row of `rows`.
 
     At L == mu (exactly) the sector form is negative semidefinite, so
     P = 0 with a sector multiplier carrying the normalization is a
     recession point and the full form is never proved INFEASIBLE. There
     u = mu C_b x, and each probe gets a face twin: each branch LMI F as
     Q_b' F Q_b, Q_b orthonormal with span [I; mu C_b], padded by a -1
-    corner, without the sector multipliers v[4], v[5], which also leave
-    the normalization. A full point clearing the margin gives a face point
-    clearing it (Q_b' F Q_b <= lambda_max(F) I; rescaling by
-    1 / (1 - v[4] - v[5]) >= 1 keeps margin and floors), and one inside
-    the box (|w| < 1.5 with v[4], v[5] at their floors), so the face's
-    INFEASIBLE is a proof. Certificates and warm starts come from the
-    full form only."""
+    corner, without the sector multipliers lambda, lambda_r, which also
+    leave the normalization. A full point clearing the margin gives a
+    face point clearing it (Q_b' F Q_b <= lambda_max(F) I; rescaling by
+    1 / (1 - lambda - lambda_r) >= 1 keeps margin and floors), and one
+    inside the box (|w| < 1.5 with lambda, lambda_r at their floors), so
+    the face's INFEASIBLE is a proof. Certificates and warm starts come
+    from the full form only."""
     systems = [dt_system(r.h, r.beta_hi, r.beta_lo, r.disc) for r in requests]
     mu = np.array([r.mu for r in requests], dtype=float)
-    base = _theorem2_stack(systems, mu, [r.lipschitz for r in requests])
-    compiled = [_compiled(s, r.mu, r.lipschitz, 1.0, m)
-                for s, r, m in zip(systems, requests, base)]
-    check_symmetric_stack(base[:, :, 4:6].reshape(-1, 3, 3),
-                          lambda i: f"map {_DT_LMIS[i // 2 % 2][0]}: basis[{4 + i % 2}]")
-    zero, corner = np.zeros((3, 3)), np.diag([0.0, 0.0, -1.0])
-    skeleton, face_skeleton = lift(_feas(8, [])), lift(_feas(8, [], free=(4, 5)))
-    faces = np.array([r.lipschitz == r.mu for r in requests], dtype=bool)
+    stack = _dt_stack(systems, mu, [r.lipschitz for r in requests])
+    rows = [DtLmiData(s, r.mu, r.lipschitz, 1.0, m) for s, r, m in zip(systems, requests, stack)]
     # Q_b per row and branch: QR of [I; mu C_b]
-    span = np.zeros((len(requests), 2, 3, 2))
-    span[..., 0, 0] = span[..., 1, 1] = 1.0
-    span[..., 2, :] = mu[:, None, None] * np.array([[br.C[0] for br in (s.main, s.reset)]
-                                                     for s in systems])
-    face_basis = np.linalg.qr(span)[0][:, :, None]
-    # a face LMI's indices in v and its matrices' positions: no sector
-    face_idx = [idx[:4] + idx[5:] for _, idx, _ in _DT_LMIS]
-
-    def problems(rows: list, rates: list) -> list:
-        rho = np.array(rates, dtype=float)
-        if not np.all((0.0 < rho) & (rho <= 1.0)):
-            raise ValueError("rho must lie in (0, 1]")
-        mats = _at_rates(base[rows], rho)
-        check_symmetric_stack(mats[:, :, :4].reshape(-1, 3, 3),
-                              lambda i: f"map {_DT_LMIS[i // 4 % 2][0]}: basis[{i % 4}]")
-        out = [[skeleton.with_blocks([(zero, idx, m) for (_, idx, _), m in zip(_DT_LMIS, pair)])]
-               for pair in mats]
-        on = faces[rows].nonzero()[0]
-        if on.size:
-            Q = face_basis[np.asarray(rows)[on]]
-            face = np.pad(np.swapaxes(Q, -1, -2) @ mats[on][:, :, [0, 1, 2, 3, 5]] @ Q,
-                          [(0, 0)] * 3 + [(0, 1)] * 2)
-            for k, pair in zip(on, face):
-                out[k].append(face_skeleton.with_blocks([(corner, idx, m)
-                                                         for idx, m in zip(face_idx, pair)]))
-        return out
-
-    return _rates_probe(compiled, problems,
-                        lambda i, rho, res: _dt_certificate(compiled[i], rho, res),
-                        max_oracle_calls)
+    C = np.array([[br.C for br in (s.main, s.reset)] for s in systems]).reshape(-1, 2, 1, 2)
+    span = np.concatenate([np.broadcast_to(np.eye(2), (len(systems), 2, 2, 2)),
+                           mu[:, None, None, None] * C], -2)
+    return _rates_probe(_DT, rows, stack, max_oracle_calls, np.linalg.qr(span)[0][:, :, None])
 
 
 def ct_rates_probe(rows: Sequence[CtLmiData], eps_infl: float,
                    max_oracle_calls: int = 200) -> RatesStream:
     """Stream for bisect_rates over continuous-time rows at decay exponents
     alpha (bisected with sense="max"), each descent form inflated by
-    eps_infl (CtLmiData.M_eps). Each row's flow basis is built once at
-    alpha = 0, and a probe adds 2 alpha E to its three P blocks."""
+    eps_infl (CtLmiData.M_eps). Each row is compiled once, at alpha = 0,
+    and a probe adds 2 alpha E to its flow LMI's three P blocks."""
     if not 0.0 < eps_infl < np.inf:
         raise ValueError("eps_infl must be positive and finite")
-    # v = [p11, p12, p22, sigma_phi, sigma_1, sigma_2]
-    flow = np.array([[*(x.M_F(E, 0.0) for E in _P_BASIS), x.M_phi, x.M_eps(eps_infl)]
-                     for x in rows]).reshape(-1, 5, 3, 3)
-    jump = np.array([[*(x.M_J(E) for E in _P_BASIS), -x.M0] for x in rows]).reshape(-1, 4, 3, 3)
-    check_symmetric_stack(jump.reshape(-1, 3, 3), lambda i: f"map jump: basis[{i % 4}]")
-    zero, slack = np.zeros((3, 3)), -(CT_RESET_SLACK + MARGIN) * np.eye(3)
-    skeleton = lift(_feas(6, []))
-
-    def problems(idx: list, rates: list) -> list:
-        alpha = np.array(rates, dtype=float)
-        if not np.all((0.0 < alpha) & (alpha < np.inf)):
-            raise ValueError("alpha must be positive and finite")
-        mats = flow[idx]
-        mats[:, :3, :2, :2] += (2.0 * alpha)[:, None, None, None] * np.array(_P_BASIS)
-        check_symmetric_stack(mats.reshape(-1, 3, 3), lambda i: f"map flow: basis[{i % 5}]")
-        return [[skeleton.with_blocks([(zero, [0, 1, 2, 3, 4], f), (slack, [0, 1, 2, 5], j)])]
-                for f, j in zip(mats, jump[idx])]
-
-    return _rates_probe(rows, problems,
-                        lambda i, alpha, res: _ct_certificate(rows[i], eps_infl, alpha, res),
-                        max_oracle_calls)
+    stack = np.array([[[*(x.M_F(E, 0.0) for E in _P_BASIS), x.M_phi, x.M_eps(eps_infl)],
+                       [*(x.M_J(E) for E in _P_BASIS), -x.M0, _ZERO]] for x in rows])
+    return _rates_probe(_CT, rows, stack.reshape(-1, *_CT.moved.shape, 3, 3),
+                        max_oracle_calls, eps=eps_infl)

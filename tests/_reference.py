@@ -17,7 +17,8 @@ the reference of `hybrid._locate`.
 each probe a lone `solve_feasibility` of the row's `dt_problem`: the
 sequential reference of `lmi.dt_rates_probe`'s stream. At L == mu a
 probe is `twin_probe`: the row's `dt_problem` and `dt_face_problem`, the
-face twin that the stream adds, stacked alone. `ct_problem` is
+face twin that the stream adds, stacked alone; `dt_forms` reads a
+compiled row's M1, M2 and sector form. `ct_problem` is
 the continuous-time problem built whole at one alpha, the reference of
 each probe of `lmi.ct_rates_probe`'s stream; `probe_at` probes every row
 of a stream once. `stacked` feeds problems of one block shape to
@@ -192,7 +193,7 @@ def dt_rate_builder(request: lmi.CertRequest, max_oracle_calls: int = 200):
     """A builder for `lmi.bisect_rate` over one discrete-time row: at each
     rho it solves the row's `dt_problem` alone (with its face twin when
     L == mu, see `twin_probe`), warm-started from the last certificate it
-    made. It calls `sdp.solve_feasibility` and `lmi._dt_certificate` by
+    made. It calls `sdp.solve_feasibility` and `lmi._certificate` by
     name, so a test can record or memoize them."""
     row = lmi.build_theorem2(lmi.dt_system(request.h, request.beta_hi, request.beta_lo,
                                            request.disc), request.mu, request.lipschitz, 1.0)
@@ -205,7 +206,7 @@ def dt_rate_builder(request: lmi.CertRequest, max_oracle_calls: int = 200):
             res = twin_probe(lmi.dt_problem(data), dt_face_problem(data), max_oracle_calls, last)
         else:
             res = sdp.solve_feasibility(lmi.dt_problem(data), max_oracle_calls, v_init=last)
-        cert = lmi._dt_certificate(data, rho, res)
+        cert = lmi._certificate(lmi._DT, data, rho, res)
         if cert is not None:
             last = cert.raw_v
         return cert
@@ -240,6 +241,14 @@ def twin_probe(full: sdp.FeasProblem, face: sdp.FeasProblem, max_oracle_calls: i
 
     sdp.solve_stream(feed, max_oracle_calls)
     return verdict[0]
+
+
+def dt_forms(data: lmi.DtLmiData, branch: int) -> tuple:
+    """(M1, M2, M3) of a compiled dt row's branch (0 main, 1 reset): the
+    bounds on phi's change and on phi, and the sector form, read from the
+    row's stack entry at the slots of a (3) and lambda (4) and its last."""
+    entry = data.stack[branch]
+    return entry[3], entry[-1], entry[4]
 
 
 def dt_face_problem(data: lmi.DtLmiData) -> sdp.FeasProblem:

@@ -524,15 +524,15 @@ def test_criterion_09_proof_identities():
             x = q_star + srng.uniform(-5.0, 5.0, 2)
             for _ in range(200):
                 x_next, br, u = switched_step(sys_mats, model, x)
-                stack = data.main if br is sys_mats.main else data.reset
+                M1, M2, _ = ref.dt_forms(data, 0 if br is sys_mats.main else 1)
                 e = np.array([x[0] - q_star, x[1] - q_star, u])
                 gap_now = float(model.gap(x[1:]))
                 gap_next = float(model.gap(x_next[1:]))
                 slack = 1e-8 * (1.0 + abs(gap_next) + abs(gap_now) + e @ e)
                 n_bound += 1
-                if gap_next - gap_now > e @ stack.M1 @ e + slack:
+                if gap_next - gap_now > e @ M1 @ e + slack:
                     failures.append("per-step decrease bound")
-                if gap_next > e @ stack.M2 @ e + slack:
+                if gap_next > e @ M2 @ e + slack:
                     failures.append("distance-to-optimum bound")
                 x = x_next
             if failures:

@@ -7,6 +7,7 @@ import importlib
 import os
 
 import hbreset
+import hbreset.lmi
 from hbreset.lmi import POL, build_theorem2, dt_problem, dt_system
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -66,6 +67,15 @@ def test_bench_checks_names_exist():
     assert {attr for owner, attr in read if owner == "problem"} >= {"margin", "nonneg"}
     for owner, attr in read:
         assert hasattr(owners[owner], attr), f"{owner}.{attr}"
+    # the multipliers that the re-check reads off a certificate, m["..."],
+    # in the order it lays them into v: the dt table's, in v order
+    recheck = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "recheck_certificate")
+    subscripts = sorted((node.lineno, node.col_offset, node.slice.value)
+                        for node in ast.walk(recheck) if isinstance(node, ast.Subscript)
+                        and isinstance(node.value, ast.Name) and node.value.id == "m")
+    multipliers = hbreset.lmi._DT.v[len(hbreset.lmi._P_BASIS):]
+    assert [name for *_, name in subscripts] == list(multipliers)
 
 
 def _trees(directory):

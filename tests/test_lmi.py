@@ -1,6 +1,7 @@
 """Certificate construction: matrix stacks, feasibility calls, bisection."""
 
 import dataclasses
+import hashlib
 import json
 import warnings
 from unittest import mock
@@ -261,9 +262,8 @@ def test_matrix_recursion_matches_step_functions():
 def test_constraint_stacks_shapes_and_symmetry():
     sys_mats = dt_system(0.05, 0.7, 0.2, NES)
     data = build_theorem2(sys_mats, 1.0, 10.0, 0.9)
-    for stack in (data.main, data.reset):
-        for name in ("M1", "M2", "M3"):
-            mat = getattr(stack, name)
+    for branch in (0, 1):
+        for mat in ref.dt_forms(data, branch):
             assert mat.shape == (3, 3)
             np.testing.assert_allclose(mat, mat.T, atol=1e-14)
     for blk in dt_problem(data).nsd_blocks:
@@ -311,14 +311,14 @@ def test_decrease_bounds_along_switched_runs():
             x = q_star + rng.uniform(-5.0, 5.0, 2)
             for _ in range(1000):
                 x_next, br, u = switched_step(sys_mats, model, x)
-                stack = data.main if br is sys_mats.main else data.reset
+                M1, M2, M3 = ref.dt_forms(data, 0 if br is sys_mats.main else 1)
                 e = np.array([x[0] - q_star, x[1] - q_star, u])
                 phi_now = model.gap(np.array([x[1]]))
                 phi_next = model.gap(np.array([x_next[1]]))
                 slack = 1e-8 * (1.0 + abs(phi_next) + abs(phi_now) + e @ e)
-                assert phi_next - phi_now <= e @ stack.M1 @ e + slack
-                assert phi_next <= e @ stack.M2 @ e + slack
-                assert e @ stack.M3 @ e >= -slack
+                assert phi_next - phi_now <= e @ M1 @ e + slack
+                assert phi_next <= e @ M2 @ e + slack
+                assert e @ M3 @ e >= -slack
                 sign = e @ ALIGNMENT_FORM @ e
                 if br is sys_mats.main:
                     assert sign >= -slack
@@ -396,14 +396,14 @@ def test_bench_config_sweep_compiles_each_row_once(monkeypatch, tmp_path):
     # rows too, so the count covers the front end: it compiles nothing
     # itself, not even the dumped problems
     compiled = []
-    stacked = hbreset.lmi._theorem2_stack
+    stacked = hbreset.lmi._dt_stack
 
     def counting(systems, mu, L):
         compiled.extend((s.h, s.beta_hi, s.beta_lo, s.disc, m, l)
                         for s, m, l in zip(systems, mu, L))
         return stacked(systems, mu, L)
 
-    monkeypatch.setattr(hbreset.lmi, "_theorem2_stack", counting)
+    monkeypatch.setattr(hbreset.lmi, "_dt_stack", counting)
     for extra in ([], ["--dump-sdp"]):
         compiled.clear()
         out = tmp_path / f"out{len(extra)}"
@@ -413,6 +413,13 @@ def test_bench_config_sweep_compiles_each_row_once(monkeypatch, tmp_path):
         assert bool(list(out.glob("sdp_*.json"))) == bool(extra)
 
 
+def test_a_stream_of_no_rows_bisects_to_no_results():
+    # both kinds compile an empty stack and solve nothing
+    assert bisect_rates(dt_rates_probe([]), 0.05, 1.0) == []
+    assert bisect_rates(ct_rates_probe([], 1e-6), 0.05, 1.0, sense="max") == []
+    assert dt_rates_probe([]).rows == []
+
+
 def test_stacked_rows_are_build_theorem2_rows_bit_for_bit():
     # the six certify methods at four conditionings under both tuning
     # rules: one stack compiles each row to the bits of its stack of one
@@ -420,17 +427,67 @@ def test_stacked_rows_are_build_theorem2_rows_bit_for_bit():
                 for L in (1.0, 10.0, 25.0, 100.0) for rule in ("mistuned", "optimal")]
     assert len(requests) == 48
     systems = [dt_system(r.h, r.beta_hi, r.beta_lo, r.disc) for r in requests]
-    stack = hbreset.lmi._theorem2_stack(systems, [r.mu for r in requests],
-                                        [r.lipschitz for r in requests])
-    rows = hbreset.lmi._rate_free([build_theorem2(s, r.mu, r.lipschitz, 1.0)
-                                   for s, r in zip(systems, requests)])
+    stack = hbreset.lmi._dt_stack(systems, [r.mu for r in requests],
+                                  [r.lipschitz for r in requests])
+    rows = np.array([build_theorem2(s, r.mu, r.lipschitz, 1.0).stack
+                     for s, r in zip(systems, requests)])
     assert stack.shape == rows.shape == (48, 2, 7, 3, 3)
     assert stack.tobytes() == rows.tobytes()
     compiled = dt_rates_probe(requests).rows
-    assert hbreset.lmi._rate_free(compiled).tobytes() == rows.tobytes()
+    assert np.array([x.stack for x in compiled]).tobytes() == rows.tobytes()
     assert all(isinstance(x, hbreset.lmi.DtLmiData) and x.rho == 1.0 for x in compiled)
     with pytest.raises(ValueError, match="mu <= L"):
-        hbreset.lmi._theorem2_stack(systems[:2], [1.0, 2.0], [10.0, 1.0])
+        hbreset.lmi._dt_stack(systems[:2], [1.0, 2.0], [10.0, 1.0])
+
+
+def _joined_digest(monkeypatch, run) -> tuple:
+    """(count, sha256) of every lifted problem that joins solve_stream
+    during run(), in join order: v_base, basis, each part's (C, G), each
+    block's (constant, idx as intp, mats) and v_init (b"-" for None)."""
+    digest, joined = hashlib.sha256(), []
+    real_stream = hbreset.lmi.solve_stream
+
+    def recording_stream(feed, max_oracle_calls):
+        def fed(decided):
+            joining, dropping = feed(decided)
+            for _, lifted, v_init in joining:
+                joined.append(None)
+                parts = [lifted.v_base, lifted.basis, *(x for part in lifted.parts for x in part)]
+                for const, idx, mats in lifted.blocks:
+                    parts += [const, np.asarray(idx, dtype=np.intp), mats]
+                for x in parts:
+                    digest.update(x.tobytes())
+                digest.update(b"-" if v_init is None else v_init.tobytes())
+            return joining, dropping
+
+        real_stream(fed, max_oracle_calls)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hbreset.lmi, "solve_stream", recording_stream)
+        run()
+    return len(joined), digest.hexdigest()
+
+
+def test_lifted_problems_and_certify_artifacts_keep_their_bits(monkeypatch, tmp_path):
+    # the bits of every problem the bench certify config and a ct bisection
+    # solve, and of a dumped certify pass's artifacts: a change to how rows
+    # are compiled, moved to their rates or lifted shows up as a new digest
+    bench = ["certify", "--grid-L", "1,10,100", "--bisect-iters", "3"]
+    assert _joined_digest(monkeypatch, lambda: cli_main([*bench, "--out", str(tmp_path / "a")])) \
+        == (110, "54a277a5057dc35396c51f64eb0204218eb2d35a2f68a1f9a6d3f87368a054b6")
+    rows = [build_ct(1, 1, L, b_coupled=True) for L in (2, 4)] + [build_ct(1, 1, 10)]
+    assert _joined_digest(monkeypatch, lambda: bisect_rates(
+        ct_rates_probe(rows, 1e-6), 1e-4, 5.0, iters=8, scan=False, sense="max")) \
+        == (39, "39e446abe358692f0ae2b415c0f8fc3400166ba9d544959ff12046aa24f3faaf")
+    out = tmp_path / "dump"
+    assert cli_main([*bench, "--dump-sdp", "--out", str(out)]) == 0
+    digest = hashlib.sha256()
+    files = sorted(out.iterdir())
+    for path in files:
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert len(files) == 27
+    assert digest.hexdigest() == "35521de4021466641f8cf2ee247c2a281494065fd7aad6cda5b249270e4085cb"
 
 
 def _lifted_bytes(lifted):
@@ -455,11 +512,11 @@ def test_compiled_probes_replay_as_solves_of_their_dt_problems(monkeypatch, tmp_
     # L = mu "no" is proved on the face); the third's budget of 20 ends
     # some, one of them at L = mu beside a face twin that stays feasible
     probes, solves = [], []
-    real_cert, real_stream = hbreset.lmi._dt_certificate, hbreset.lmi.solve_stream
+    real_cert, real_stream = hbreset.lmi._certificate, hbreset.lmi.solve_stream
 
-    def recording_cert(data, rho, res):
+    def recording_cert(kind, data, rho, res):
         probes.append((data, rho, res))
-        return real_cert(data, rho, res)
+        return real_cert(kind, data, rho, res)
 
     def recording_stream(feed, max_oracle_calls):
         live, call = {}, len({key[0] for key, *_ in solves})
@@ -473,7 +530,7 @@ def test_compiled_probes_replay_as_solves_of_their_dt_problems(monkeypatch, tmp_
 
         real_stream(fed, max_oracle_calls)
 
-    monkeypatch.setattr(hbreset.lmi, "_dt_certificate", recording_cert)
+    monkeypatch.setattr(hbreset.lmi, "_certificate", recording_cert)
     monkeypatch.setattr(hbreset.lmi, "solve_stream", recording_stream)
     ends = []  # the number of probes after each pass
     for i, args in enumerate((["--grid-L", "1,10,100", "--bisect-iters", "3"],
@@ -528,11 +585,11 @@ def test_ct_probes_replay_as_solves_of_their_reference_problems(monkeypatch):
     # the compiled path solves, and their results, are those of lifting
     # and solving the probed row's reference problem alone
     probes, solves = [], []
-    real_cert, real_stream = hbreset.lmi._ct_certificate, hbreset.lmi.solve_stream
+    real_cert, real_stream = hbreset.lmi._certificate, hbreset.lmi.solve_stream
 
-    def recording_cert(data, eps_infl, alpha, res):
-        probes.append((data, eps_infl, alpha, res))
-        return real_cert(data, eps_infl, alpha, res)
+    def recording_cert(kind, data, alpha, res, eps):
+        probes.append((data, eps, alpha, res))
+        return real_cert(kind, data, alpha, res, eps=eps)
 
     def recording_stream(feed, max_oracle_calls):
         live = {}
@@ -546,7 +603,7 @@ def test_ct_probes_replay_as_solves_of_their_reference_problems(monkeypatch):
 
         real_stream(fed, max_oracle_calls)
 
-    monkeypatch.setattr(hbreset.lmi, "_ct_certificate", recording_cert)
+    monkeypatch.setattr(hbreset.lmi, "_certificate", recording_cert)
     monkeypatch.setattr(hbreset.lmi, "solve_stream", recording_stream)
     rows = [build_ct(K, 1.0, L, b_coupled=L < 10.0) for L in (10.0, 2.0, 4.0)
             for K in (0.5, 1.0, 2.0)]
@@ -574,7 +631,7 @@ def test_ct_probes_replay_as_solves_of_their_reference_problems(monkeypatch):
     for data, got in zip(rows, found, strict=True):
         def cold(alpha, data=data):
             res = sdp.solve_feasibility(ref.ct_problem(data, alpha, 1e-6))
-            return hbreset.lmi._ct_certificate(data, 1e-6, alpha, res)
+            return hbreset.lmi._certificate(hbreset.lmi._CT, data, alpha, res, eps=1e-6)
 
         try:
             want = bisect_rate(cold, 0.05, 2.0, iters=8, scan=False, sense="max")[0]
@@ -588,24 +645,25 @@ def test_a_compiled_row_is_validated_as_its_dt_problem_is(monkeypatch):
     # a compiled matrix made asymmetric by 1e-6 or non-finite is rejected
     # by the probe with the message that building its dt_problem gives:
     # the rate-dependent ones at the probe, M3 when the row is compiled.
-    # A compiled row's matrices are views of its stack entry.
+    # A compiled row's matrices are views of its stack entry, whose P
+    # blocks lead each branch.
     request = CertRequest(1.0, 10.0, 0.1, 0.5, 0.0, NES)
     sys_mats = dt_system(0.1, 0.5, 0.0, NES)
-    stacked = hbreset.lmi._theorem2_stack
-    for matrix, entry, bad in ((lambda x: x.main.M1, (0, 1), 1e-6),
-                               (lambda x: x.reset.P[2], (0, 1), 1e-6),
-                               (lambda x: x.main.P[0], (1, 2), 1e-6),
-                               (lambda x: x.reset.M1, (1, 1), np.nan),
-                               (lambda x: x.main.P[1], (2, 2), np.inf),
-                               (lambda x: x.reset.M2, (2, 0), 1e-6),
-                               (lambda x: x.main.M3, (0, 2), 1e-6),
-                               (lambda x: x.reset.M3, (1, 1), -np.inf)):
+    stacked = hbreset.lmi._dt_stack
+    for matrix, entry, bad in ((lambda x: ref.dt_forms(x, 0)[0], (0, 1), 1e-6),
+                               (lambda x: x.stack[1, 2], (0, 1), 1e-6),
+                               (lambda x: x.stack[0, 0], (1, 2), 1e-6),
+                               (lambda x: ref.dt_forms(x, 1)[0], (1, 1), np.nan),
+                               (lambda x: x.stack[0, 1], (2, 2), np.inf),
+                               (lambda x: ref.dt_forms(x, 1)[1], (2, 0), 1e-6),
+                               (lambda x: ref.dt_forms(x, 0)[2], (0, 2), 1e-6),
+                               (lambda x: ref.dt_forms(x, 1)[2], (1, 1), -np.inf)):
         def tampered(systems, mu, L):
             mats = stacked(systems, mu, L)
-            matrix(hbreset.lmi._compiled(systems[0], mu[0], L[0], 1.0, mats[0]))[entry] += bad
+            matrix(hbreset.lmi.DtLmiData(systems[0], mu[0], L[0], 1.0, mats[0]))[entry] += bad
             return mats
 
-        monkeypatch.setattr(hbreset.lmi, "_theorem2_stack", tampered)
+        monkeypatch.setattr(hbreset.lmi, "_dt_stack", tampered)
         with pytest.raises(ValueError) as want:
             dt_problem(build_theorem2(sys_mats, 1.0, 10.0, 0.9))
         with pytest.raises(ValueError) as got:
@@ -685,7 +743,7 @@ def test_only_rows_with_L_exactly_mu_get_a_face_twin(monkeypatch):
     assert found == [None] * len(grid)
     assert [sum(key[0] == i for key in joined) for i in range(len(grid))] == [2, 1, 1, 1, 2, 1]
     statuses = {}
-    monkeypatch.setattr(hbreset.lmi, "_dt_certificate", lambda data, rho, res: statuses.update(
+    monkeypatch.setattr(hbreset.lmi, "_certificate", lambda kind, data, rho, res: statuses.update(
         {(data.mu, data.lipschitz): (res.status, res.message.startswith(ref.FACE_MESSAGE))}))
     ref.probe_at(dt_rates_probe(requests), 0.2)
     assert [statuses[row] for row in grid] == [(INFEASIBLE, True), *[(INDETERMINATE, False)] * 3,
@@ -721,8 +779,8 @@ def test_nesterov_optimal_tuning_certified():
     # a slightly tighter factor is still certifiable, a clearly smaller
     # one is not
     assert dt_feasible(build_theorem2(sys_mats, mu, L, 0.8240)) is not None
-    status, cert_lo = dt_feasible(build_theorem2(sys_mats, mu, L, 0.80),
-                                  detail=True)
+    low = build_theorem2(sys_mats, mu, L, 0.80)
+    status, cert_lo = sdp.solve_feasibility(dt_problem(low)).status, dt_feasible(low)
     assert status != FEASIBLE and cert_lo is None
 
 
@@ -1042,16 +1100,16 @@ def test_rows_probing_ahead_keep_each_rows_path_and_bits(monkeypatch, scan):
     # seeded rows bisected together through the stream, which keeps up to
     # LOOKAHEAD probes of each row's path in the stack: each row gets the
     # rate and certificate bytes of its own reference builder, and its path
-    # probes reach _dt_certificate in path order, with the results that
+    # probes reach _certificate in path order, with the results that
     # the builder's solves get alone
     # with the scan, every other row: 32 scan probes a row cost more time
     requests = _seeded_rows(18)[::2 if scan else 1]
     seen, joined, dropped = [], [], []
-    real_cert, real_stream = hbreset.lmi._dt_certificate, hbreset.lmi.solve_stream
+    real_cert, real_stream = hbreset.lmi._certificate, hbreset.lmi.solve_stream
 
-    def recording_cert(data, rho, res):
+    def recording_cert(kind, data, rho, res):
         seen.append((data, rho, _result_bits(res)))
-        return real_cert(data, rho, res)
+        return real_cert(kind, data, rho, res)
 
     def recording_stream(feed, max_oracle_calls):
         def fed(decided):
@@ -1074,7 +1132,7 @@ def test_rows_probing_ahead_keep_each_rows_path_and_bits(monkeypatch, scan):
             memo[key] = real_solve(problem, budget, v_init)
         return memo[key]
 
-    monkeypatch.setattr(hbreset.lmi, "_dt_certificate", recording_cert)
+    monkeypatch.setattr(hbreset.lmi, "_certificate", recording_cert)
     monkeypatch.setattr(hbreset.lmi, "solve_stream", recording_stream)
     monkeypatch.setattr(sdp, "solve_feasibility", remembered)
     for iters in (9, 3, 1, 0):
@@ -1160,18 +1218,18 @@ def test_bench_config_rows_wait_only_for_their_own_probes(monkeypatch, tmp_path)
     # FEASIBLE and 50 INFEASIBLE, 20 of them on the face, where the full
     # form alone ends INDETERMINATE ("Newton system not positive definite")
     evals, probes = [], []
-    real_eigh, real_cert = sdp._block_eigh, hbreset.lmi._dt_certificate
+    real_eigh, real_cert = sdp._block_eigh, hbreset.lmi._certificate
 
     def counting_eigh(groups, w):
         evals.append(len(w))
         return real_eigh(groups, w)
 
-    def counting_cert(data, rho, res):
+    def counting_cert(kind, data, rho, res):
         probes.append((res.status, res.message.startswith(ref.FACE_MESSAGE)))
-        return real_cert(data, rho, res)
+        return real_cert(kind, data, rho, res)
 
     monkeypatch.setattr(sdp, "_block_eigh", counting_eigh)
-    monkeypatch.setattr(hbreset.lmi, "_dt_certificate", counting_cert)
+    monkeypatch.setattr(hbreset.lmi, "_certificate", counting_cert)
     assert cli_main(["certify", "--grid-L", "1,10,100", "--bisect-iters", "3",
                      "--out", str(tmp_path)]) == 0
     assert len(probes) == 66
