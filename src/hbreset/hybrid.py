@@ -5,29 +5,24 @@ hybrid variant that jumps (q, p, tau) -> (q, 0, 0) once the timer tau
 exceeds the dwell time T_min and the momentum is not `discrete.aligned`,
 and the switched variant; all take K from a pair (K while aligned, K
 otherwise), (K_lo, K_hi) on the switched flow and (K, K) on the others.
-Fixed-step classical RK4. A jump inside a step is located, to within
-event_tol in time, at the point that bisecting the step would find, by
-`_locate`: Illinois regula falsi on <grad phi, p> inside the bisection
-bracket, about 8 RK4 steps a jump where bisection takes 25.
 
-On a quadratic model (one with `ObjectiveModel.hessian`) the flow is
-linear, so one full RK4 step is an affine map of the state whose matrix
-is the step's stability polynomial R(hA). Such arcs skip ahead through
-steps with no event a block at a time, in the Hessian's eigenbasis: each
-mode steps by its own 2x2 matrices, so a block of up to BLOCK steps is
-two elementwise products over (steps, modes) and one matrix product back
-to (q, p), and the block's values and gradients come from one stacked
-oracle call. Event steps (a jump, a change of damping at any stage, the
-gradient stop), the short last step and every step of a non-quadratic
-model take the stage path, `_rk4`, which evaluates the oracle at each
-stage. A non-finite gradient raises FloatingPointError.
+Arcs are sampled on a fixed step grid; each step flows under one
+damping. A jump and a damping switch are one kind of event, located
+inside its step by `_locate`: a jump ends the step, and after a switch
+the rest of the step flows under the other damping.
+
+A quadratic model (one with `ObjectiveModel.hessian`) flows exactly, each
+mode of its Hessian by a closed-form 2x2 flow (`_ModalFlow`), at any step
+size; event-free full steps go a block at a time, with one stacked oracle
+call. Any other model steps by classical RK4 (`_rk4`), which evaluates the
+oracle at each stage. A non-finite gradient raises FloatingPointError.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import astuple, dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -39,10 +34,10 @@ Array = np.ndarray
 GRAD_STOP = 1e-10
 MAX_EVENT_BISECTIONS = 100
 # _locate evaluates Illinois points while its bracket is wider than
-# ILLINOIS_WIDTH event_tol, and while it has taken fewer than ILLINOIS_LEAD
-# RK4 steps more than the halvings so far. At a multiple root of
-# <grad phi, p>, where regula falsi is slow, a jump then costs at most
-# ILLINOIS_LEAD + 2 steps more than bisection; with no lead bound, a
+# ILLINOIS_WIDTH event_tol, and while it has evaluated fewer than
+# ILLINOIS_LEAD points more than the halvings so far. At a multiple root
+# of <grad phi, p>, where regula falsi is slow, an event then costs at
+# most ILLINOIS_LEAD + 2 points more than bisection; with no lead bound, a
 # triple root on the unit oscillator took more than 100. A lead of 4
 # leaves every jump of the benchmark's arcs where it is with no bound.
 ILLINOIS_WIDTH = 16
@@ -152,16 +147,6 @@ def _damping(inner, pair: tuple, band: float):
     return np.where(aligned(inner, band), *pair)
 
 
-def _accel(pair: tuple, band: float, log: Optional[list] = None):
-    """accel(g, p) = -K p - g, K switched on <g, p>, row-wise; log collects each <g, p>."""
-    def accel(g, p):
-        inner = np.vecdot(g, p)
-        if log is not None:
-            log.append(inner)
-        return -_damping(inner, pair, band)[..., None] * p - g
-    return accel
-
-
 def _stopped(g) -> Array:
     """The stop test: the gradient has vanished. Row-wise over a stack."""
     return np.linalg.norm(g, axis=-1) <= GRAD_STOP
@@ -185,26 +170,28 @@ def energy(state: HybridState, model: ObjectiveModel) -> float:
     return float(model.value(state.q)) + 0.5 * float(np.dot(state.p, state.p))
 
 
-def _rk4(q: Array, p: Array, g: Array, dt: float, model: ObjectiveModel,
-         accel) -> tuple[Array, Array]:
-    """One RK4 step of (qdot, pdot) = (p, accel(grad phi(q), p)); g is the
-    gradient at the start point, which the caller already has."""
-    k1q, k1p = p, accel(g, p)
-    k2q = p + 0.5 * dt * k1p
-    q2 = q + 0.5 * dt * k1q
-    k2p = accel(model.gradient(q2), k2q)
-    k3q = p + 0.5 * dt * k2p
-    q3 = q + 0.5 * dt * k2q
-    k3p = accel(model.gradient(q3), k3q)
-    k4q = p + dt * k3p
-    q4 = q + dt * k3q
-    k4p = accel(model.gradient(q4), k4q)
-    qn = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-    pn = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    return qn, pn
+def _rk4(model: ObjectiveModel, q: Array, p: Array, g: Array, K: float):
+    """dt -> one RK4 step of length dt of (qdot, pdot) = (p, -K p - grad
+    phi(q)) from (q, p); g is the gradient there, which the caller has."""
+    def at(dt: float) -> tuple[Array, Array]:
+        k1q, k1p = p, -K * p - g
+        k2q = p + 0.5 * dt * k1p
+        q2 = q + 0.5 * dt * k1q
+        k2p = -K * k2q - model.gradient(q2)
+        k3q = p + 0.5 * dt * k2p
+        q3 = q + 0.5 * dt * k2q
+        k3p = -K * k3q - model.gradient(q3)
+        k4q = p + dt * k3p
+        q4 = q + dt * k3q
+        k4p = -K * k4q - model.gradient(q4)
+        qn = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        pn = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        return qn, pn
+    return at
 
 
 class _ArcBuilder:
+
     def __init__(self):
         self.parts = []
         self.jumps = []
@@ -236,129 +223,137 @@ class _ArcBuilder:
                          energy=phi + 0.5 * np.vecdot(p, p), jumps=self.jumps)
 
 
-def _check_t_end(t_end: float) -> None:
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be finite and positive, got {t_end}")
+def _modal_coeffs(lam: Array, K: float):
+    """t -> (c, C) of each mode at times t, for lam >= 0: c(t) = x(t) and
+    C(t) = int_0^t x, where x'' + K x' + lam x = 0, x(0) = 0, x'(0) = 1.
+
+    With m = -K/2 and d^2 = m^2 - lam, c = e^{mt} sinh(dt)/d, that is
+    e^{mt} sin(wt)/w for d = iw (w = 0 included) and e^{r1 t} (1 -
+    e^{-2dt})/(2d) for real d > 0, r1 = m + d, finite at any t. C is
+    (1 - c0)/lam for c0 = e^{mt} (cosh(dt) - m sinh(dt)/d), with 1 - c0 =
+    (1 - e^{r1 t}) + e^{r1 t} 2 sin^2(wt/2) + r1 c (r1 = m, and no sine
+    term for real d), which is exact at K = 0. Where K^2 >= 16 lam (lam =
+    0 included) the real roots r1 and r2 = m - d lie apart and C = (E(r1)
+    - E(r2))/(2d), E(r) = (e^{rt} - 1)/r, with no division by lam.
+    """
+    m = -0.5 * K
+    s = m * m - lam
+    osc, stiff = s <= 0.0, K * K >= 16.0 * lam
+    # w >= 1e-150 makes sin(wt)/w exactly t at d = 0, and moves no value
+    w = np.maximum(np.sqrt(np.abs(s)), 1e-150)
+    r1, r2 = np.where(osc, m, m + w), m - w
+    iw = 1.0 / w
+    ilam = 1.0 / np.where(stiff, 1.0, lam)
+    # which forms some mode needs, decided once per damping
+    any_real, any_stiff = not osc.all(), bool(stiff.any())
+
+    def coeffs(t):
+        wt = w * t
+        x = np.expm1(r1 * t)
+        e1 = x + 1.0
+        sn, vs = np.sin(wt) * iw, np.sin(0.5 * wt)
+        vs = 2.0 * vs * vs
+        if any_real:
+            sn, vs = np.where(osc, sn, -0.5 * np.expm1(-2.0 * wt) * iw), np.where(osc, vs, 0.0)
+        c = e1 * sn
+        C = (e1 * vs + r1 * c - x) * ilam
+        if any_stiff:  # r2 < 0, and r1 = 0 where lam = 0
+            E1 = np.where(r1 != 0.0, x / np.where(r1 != 0.0, r1, 1.0), t)
+            E = 0.5 * (E1 - np.expm1(r2 * t) / r2) * iw
+            C = np.where(stiff, np.where(s == 0.0, 0.5 * t * t, E), C)
+        return c, C
+    return coeffs
 
 
-class _SkipAhead:
-    """Steps of a quadratic flow in its Hessian's eigenbasis, a block at a time.
+class _ModalFlow:
+    """The exact flow of a quadratic model, in its Hessian's eigenbasis.
 
-    On the affine field f(z) = A z + c, z = [q; p], A = [[0, I], [-H, -K I]],
-    an RK4 step is z + M f(z) with M = h S(hA), S(X) = I + X/2 + X^2/6 +
-    X^3/24, so i + 1 steps move z0 by C[i] M f(z0), C[i] = sum_{k<=i} T^k,
-    where T = I + A M = R(hA). With H = V diag(lam) V', each mode
-    (V'q, V'p)_j has its own 2x2 A_j = [[0, 1], [-lam_j, -K]], M_j, T_j and
-    C_j[i], built once per damping.
-
-    Rows are the candidate states after 1, 2, ..., BLOCK full steps from
-    the block start, and all rows get their values and gradients from one
-    stacked oracle call. A block ends before the first row that meets the
-    stop test, enters the jump set (resetting flows) or, when the pair's
-    ends differ, would step under another damping than the block's at
-    any of its four stages; the caller takes that step on the stage path.
+    The field f(z) = A z + c of z = [q; p], A = [[0, I], [-H, -K I]], flows
+    by f' = A f, so z moves by Phi(t) f(z0), Phi(t) = int_0^t exp(sA) ds,
+    with no minimizer. With H = V diag(lam) V', exp(tA_j) = c0 I + c A_j
+    gives Phi_j(t) = c I + C (A_j + K I), so mode j of f(z0) = (p, -K p - g),
+    (u, w) = (V'p, -K V'p - V'g), moves by (c u - C V'g, c w - C lam u).
     """
 
-    def __init__(self, model: ObjectiveModel, params: HybridParams,
-                 t_end: float, resets: bool, pair: tuple):
-        self.model, self.params, self.t_end = model, params, t_end
-        self.resets, self.pair = resets, pair
+    def __init__(self, model: ObjectiveModel, params: HybridParams, t_end: float,
+                 resets: bool):
+        self.model, self.params, self.t_end, self.resets = model, params, t_end, resets
         H = model.hessian
-        self.lam, self.V = np.linalg.eigh(0.5 * (H + H.T))
+        lam, self.V = np.linalg.eigh(0.5 * (H + H.T))
+        # a Hessian is positive semidefinite: round-off below 0 is taken as 0
+        self.lam = np.maximum(lam, 0.0)
         self.tables = {}
 
-    def _table(self, K: float) -> tuple[Array, Array]:
-        """(M, C) under damping K, indexed [a, b, j] and [a, b, i, j] for
-        entry (a, b) of mode j's 2x2 M_j and power sum C_j[i]."""
+    def _coeffs(self, K: float):
+        """(t -> (c, C), (c, C) at h, 2h, ..., BLOCK h) under damping K."""
         if K not in self.tables:
-            h, eye = self.params.step, np.eye(2)
-            A = np.zeros((self.lam.size, 2, 2))
-            A[:, 0, 1], A[:, 1, 0], A[:, 1, 1] = 1.0, -self.lam, -K
-            X = h * A
-            S = eye + X / 4.0
-            S = eye + X @ S / 3.0
-            S = eye + X @ S / 2.0
-            M = h * S
-            T = eye + A @ M
-            C = np.empty((BLOCK,) + T.shape)
-            C[0] = Tk = np.broadcast_to(eye, T.shape)
-            for i in range(1, BLOCK):
-                Tk = T @ Tk
-                C[i] = C[i - 1] + Tk
-            # mode last, so a block's products are elementwise over (rows, n)
-            self.tables[K] = (np.ascontiguousarray(M.transpose(1, 2, 0)),
-                              np.ascontiguousarray(C.transpose(2, 3, 0, 1)))
+            coeffs = _modal_coeffs(self.lam, K)
+            self.tables[K] = coeffs, coeffs(self.params.step * np.arange(1.0, BLOCK + 1)[:, None])
         return self.tables[K]
 
-    def steps(self, p: Array, g: Array, K: float, rows: int) -> tuple[Array, Array]:
-        """(dQ, dP), (rows, n) each: the displacements of q and p after 1, 2,
-        ..., rows full steps under damping K from a point with momentum p
-        and gradient g."""
-        M, C = self._table(K)
-        f0 = np.stack((p, -K * p - g)) @ self.V
-        w = M[:, 0] * f0[0] + M[:, 1] * f0[1]
-        D = C[:, 0, :rows] * w[0] + C[:, 1, :rows] * w[1]
-        dz = D.reshape(2 * rows, -1) @ self.V.T
-        return dz[:rows], dz[rows:]
+    def _states(self, q: Array, p: Array, g: Array, K: float):
+        """(c, C) -> the states (q, p), after the times of (c, C), of the
+        flow from (q, p), whose gradient is g, under damping K."""
+        u, gam = np.stack((p, g)) @ self.V
+        w, lu = -K * u - gam, self.lam * u
+        return lambda c, C: (q + (c * u - C * gam) @ self.V.T, p + (c * w - C * lu) @ self.V.T)
 
-    def block(self, q: Array, p: Array, g: Array, t: float, tau: float):
-        """(t, tau, q, p, phi, g) of the accepted rows, or None when the
-        next step takes the stage path."""
-        params, model, h = self.params, self.model, self.params.step
+    def step(self, q: Array, p: Array, g: Array, K: float):
+        """s -> the state (q, p) at time s of the flow from (q, p), whose
+        gradient is g, under damping K."""
+        at, coeffs = self._states(q, p, g, K), self._coeffs(K)[0]
+        return lambda s: at(*coeffs(s))
+
+    def block(self, q: Array, p: Array, g: Array, t: float, tau: float, K: float, event):
+        """(t, tau, q, p, phi, g) of the full steps under damping K from
+        (q, p), up to the first one that meets the stop test or whose end
+        is in `event`(<grad phi, p>, tau), or None when the next step is
+        such a step or is short; the caller takes that step alone."""
+        h = self.params.step
         # the loop's own sequential additions, so t reaches t_end exactly
-        # where the stage path would and the short last step is left to it
+        # where a step at a time would and the short last step is left to it
         ts = np.cumsum(np.concatenate(([t], np.full(BLOCK, h))))
         starts = ts[:-1]
         rows = int(np.count_nonzero((starts < self.t_end - 1e-15)
                                     & (self.t_end - starts >= h)))
         if rows == 0:
             return None
-        K = float(_damping(np.vecdot(g, p), self.pair, params.event_tol))
-        dQ, dP = self.steps(p, g, K, rows)
-        Q, P = q + dQ, p + dP
-        phi, G = model.value_grad(Q)
-        inner = np.vecdot(G, P)
-        stop = _stopped(G)
-        if self.resets:
-            taus = np.cumsum(np.concatenate(([tau], np.full(rows, h))))[1:]
-            stop |= _jumps(inner, taus, params)
-        else:
-            taus = np.full(rows, tau)
-        if self.pair[0] != self.pair[1]:
-            # each row's step from its predecessor, on the stage path
-            inners = []
-            _rk4(np.vstack((q, Q[:-1])), np.vstack((p, P[:-1])), np.vstack((g, G[:-1])),
-                 h, model, _accel(self.pair, params.event_tol, inners))
-            stop |= (_damping(np.array(inners), self.pair, params.event_tol) != K).any(axis=0)
+        c, C = self._coeffs(K)[1]
+        Q, P = self._states(q, p, g, K)(c[:rows], C[:rows])
+        phi, G = self.model.value_grad(Q)
+        taus = np.cumsum(np.concatenate(([tau], np.full(rows, h if self.resets else 0.0))))[1:]
+        stop = _stopped(G) | event(np.vecdot(G, P), taus)
         r = int(np.argmax(stop)) if stop.any() else rows
         if r == 0:
             return None
         return ts[1:r + 1], taus[:r], Q[:r], P[:r], phi[:r], _finite(G[:r])
 
 
-def _locate(model: ObjectiveModel, params: HybridParams, accel, q: Array, p: Array,
-            g: Array, tau: float, dt: float, end: tuple) -> tuple:
-    """The earliest entry into the jump set within the step (0, dt] from
-    (q, p), with gradient g and timer tau, whose end `end` = (q, p, phi, g)
-    at dt is in it: (lo, hi, the state (q, p, phi, g) at hi). lo and hi
-    are the bisection's: the halvings of (0, dt] down to event_tol, each
-    midpoint going to hi when it is in the jump set, else to lo.
+def _locate(model: ObjectiveModel, params: HybridParams, step, event, clock: float,
+            edge: float, f0: float, dt: float, end: tuple) -> tuple:
+    """The earliest entry into the event set within the step (0, dt] whose
+    end `end` = (q, p, phi, g) at dt is in it: (lo, hi, the state (q, p,
+    phi, g) at hi). lo and hi are the bisection's: the halvings of (0, dt]
+    down to event_tol, each midpoint going to hi when it is in the event
+    set, else to lo.
 
-    A point's state is the RK4 step of that length from the step start.
-    The evaluated bracket (a, b), the latest point found outside the jump
-    set and the earliest found in it, decides every midpoint outside it,
-    and the timer every midpoint before T_min, with no new step. For a
-    midpoint inside, an Illinois point (regula falsi on the switching
-    value <grad phi, p> that halves the value kept at an end twice in a
-    row; Dowell & Jarratt, BIT 1971) is evaluated first, while b - a >
-    ILLINOIS_WIDTH event_tol, the ends straddle a sign change and the
-    steps so far lead the halvings by less than ILLINOIS_LEAD; else the
-    timer's crossing of T_min, when it lies in (a, b); else the midpoint.
-    Where the jump set is an interval of the step, as it is when
-    <grad phi, p> changes sign once, that gives bisection's lo and hi.
-    MAX_EVENT_BISECTIONS bounds both the halvings and the evaluations.
+    step(s) is the state (q, p) at s into the step, f0 its <grad phi, p>
+    at 0. event(f, c) is the event set at <grad phi, p> = f and timer
+    reading c = clock + s, empty where c < T_min (the jump set's dwell; a
+    damping switch has clock = inf), with its edge at f = `edge`. The
+    evaluated bracket (a, b), the latest point found outside the event set
+    and the earliest found in it, decides every midpoint outside it, and
+    the timer every midpoint before T_min, with no new point. For one
+    inside, an Illinois point (regula falsi on f - edge that halves the
+    value kept at an end twice in a row; Dowell & Jarratt, BIT 1971) is
+    evaluated first, while b - a > ILLINOIS_WIDTH event_tol, the ends
+    straddle a sign change and the points lead the halvings by less than
+    ILLINOIS_LEAD; else the timer's crossing of T_min, if in (a, b); else
+    the midpoint. Where the event set is an interval of the step, that
+    gives bisection's lo and hi. MAX_EVENT_BISECTIONS bounds both the
+    halvings and the evaluations.
     """
-    tol, ready, calls = params.event_tol, params.T_min - tau, 0
+    tol, ready, calls = params.event_tol, params.T_min - clock, 0
     failed = f"event localization did not converge in {MAX_EVENT_BISECTIONS} bisections"
 
     def at(s: float) -> tuple:
@@ -366,20 +361,20 @@ def _locate(model: ObjectiveModel, params: HybridParams, accel, q: Array, p: Arr
         calls += 1
         if calls > MAX_EVENT_BISECTIONS:
             raise RuntimeError(failed)
-        qs, ps = _rk4(q, p, g, s, model, accel)
+        qs, ps = step(s)
         phis, gs = model.value_grad(qs)
         return qs, ps, phis, _finite(gs)
 
-    a, fa = 0.0, float(np.dot(g, p))
-    b, fb, at_b = dt, float(np.dot(end[3], end[1])), end
+    a, fa = 0.0, f0 - edge
+    b, fb, at_b = dt, float(np.dot(end[3], end[1])) - edge, end
     kept = 0  # +1 after a point moved a, -1 after one moved b
     lo, hi, at_hi = 0.0, dt, end
     for halvings in range(MAX_EVENT_BISECTIONS):
         if hi - lo <= tol:
             return lo, hi, at_hi if at_hi is not None else at(hi)
         mid = 0.5 * (lo + hi)
-        while a < mid < b and tau + mid >= params.T_min:
-            if (b - a > ILLINOIS_WIDTH * tol and fa < 0.0 < fb
+        while a < mid < b and clock + mid >= params.T_min:
+            if (b - a > ILLINOIS_WIDTH * tol and min(fa, fb) < 0.0 < max(fa, fb)
                     and calls < halvings + ILLINOIS_LEAD):
                 s = (a * fb - b * fa) / (fb - fa)
             else:
@@ -387,12 +382,12 @@ def _locate(model: ObjectiveModel, params: HybridParams, accel, q: Array, p: Arr
             s = s if a < s < b else mid
             z = at(s)
             f = float(np.dot(z[3], z[1]))
-            if _jumps(f, tau + s, params):
-                b, fb, at_b = s, f, z
+            if event(f, clock + s):
+                b, fb, at_b = s, f - edge, z
                 fa *= 0.5 if kept < 0 else 1.0
                 kept = -1
             else:
-                a, fa = s, f
+                a, fa = s, f - edge
                 fb *= 0.5 if kept > 0 else 1.0
                 kept = 1
         if mid >= b:
@@ -404,20 +399,27 @@ def _locate(model: ObjectiveModel, params: HybridParams, accel, q: Array, p: Arr
 
 def _integrate(model: ObjectiveModel, params: HybridParams, z0: HybridState,
                t_end: float, resets: bool, pair: tuple) -> HybridArc:
-    """An RK4 arc of (qdot, pdot) = (p, -K p - grad phi(q)).
+    """An arc of (qdot, pdot) = (p, -K p - grad phi(q)), sampled every
+    params.step.
 
-    K is the damping switch `_damping` on the pair (K while `aligned`, K
-    otherwise), re-evaluated at each RK4 stage. A resetting arc jumps
-    (q, p, tau) -> (q, 0, 0) when tau >= T_min and the momentum leaves
-    alignment, located inside the step to within event_tol in time by
-    `_locate`; other arcs keep j = 0 and tau = 0. A quadratic model skips
-    ahead through its event-free full steps (`_SkipAhead`); every other
-    step takes the stage path, `_rk4`.
+    Each step flows under the damping `_damping` of the pair at its start
+    (K while `aligned`, K otherwise). An event, located by `_locate` in a
+    step whose end is in the event set, is a jump (q, p, tau) -> (q, 0, 0)
+    for a resetting arc, which ends the step, and otherwise a switch to the
+    pair's other damping for the rest of the step; more than
+    MAX_EVENT_BISECTIONS switches in one step raise RuntimeError. Arcs that
+    do not reset keep j = 0 and tau = 0.
     """
-    _check_t_end(t_end)
-    accel = _accel(pair, params.event_tol)
-    skip = (_SkipAhead(model, params, t_end, resets, pair)
-            if model.hessian is not None else None)
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and positive, got {t_end}")
+    tol = params.event_tol
+    modal = _ModalFlow(model, params, t_end, resets) if model.hessian is not None else None
+    flow = modal.step if modal is not None else functools.partial(_rk4, model)
+
+    def event(inner, clock):
+        """The event set of a step under damping K."""
+        return _jumps(inner, clock, params) if resets else _damping(inner, pair, tol) != K
+
     arc = _ArcBuilder()
     q, p = z0.q.astype(float).copy(), z0.p.astype(float).copy()
     tau = float(z0.tau) if resets else 0.0
@@ -434,47 +436,58 @@ def _integrate(model: ObjectiveModel, params: HybridParams, z0: HybridState,
     while t < t_end - 1e-15:
         if _stopped(g):
             break
-        block = skip.block(q, p, g, t, tau) if skip is not None else None
+        K = float(_damping(np.dot(g, p), pair, tol))
+        block = modal.block(q, p, g, t, tau, K, event) if modal is not None else None
         if block is not None:
             ts, taus, Q, P, phis, G = block
             arc.rows(ts, j, Q, P, taus, phis)
             t, tau = float(ts[-1]), float(taus[-1])
             q, p, phi, g = Q[-1], P[-1], phis[-1], G[-1]
             continue
-        dt = min(params.step, t_end - t)
-        q1, p1 = _rk4(q, p, g, dt, model, accel)
-        phi1, g1 = model.value_grad(q1)
-        _finite(g1)
-        if resets and _jumps(float(np.dot(g1, p1)), tau + dt, params):
-            _, hi, (q1, p1, phi1, g1) = _locate(model, params, accel, q, p, g, tau, dt,
-                                                (q1, p1, phi1, g1))
-            t += hi
-            z = arc.jump(t, j, HybridState(q1, p1, tau + hi), phi1)
-            q, p, tau, j, phi, g = z.q, z.p, z.tau, j + 1, phi1, g1
-        else:
-            q, p, t, phi, g = q1, p1, t + dt, phi1, g1
+        dt = left = min(params.step, t_end - t)
+        jumped = False
+        for _ in range(MAX_EVENT_BISECTIONS + 1):
+            step = flow(q, p, g, K)
+            q1, p1 = step(left)
+            phi1, g1 = model.value_grad(q1)
+            end = q1, p1, phi1, _finite(g1)
+            if not event(float(np.dot(g1, p1)), tau + left):
+                break
+            _, hi, end = _locate(model, params, step, event,
+                                 *((tau, 0.0) if resets else (math.inf, -tol)),
+                                 float(np.dot(g, p)), left, end)
             if resets:
-                tau += dt
+                dt, jumped = hi, True
+                break
+            q, p, _, g = end
+            left -= hi
+            K = float(_damping(np.dot(g, p), pair, tol))
+        else:
+            raise RuntimeError(f"more than {MAX_EVENT_BISECTIONS} damping switches in one step")
+        q, p, phi, g = end
+        t, tau = t + dt, tau + (dt if resets else 0.0)
+        if jumped:
+            z = arc.jump(t, j, HybridState(q, p, tau), phi)
+            q, p, tau, j = z.q, z.p, z.tau, j + 1
+        else:
             arc.sample(t, j, q, p, tau, phi)
     return arc.build()
 
 
 def integrate_hhb(model: ObjectiveModel, params: HybridParams, z0: HybridState,
                   t_end: float) -> HybridArc:
-    """Simulate the hybrid system: flow under damping K, jump to (q, 0, 0).
-
-    RK4 fixed step; a jump triggers when tau >= T_min and the momentum is
-    not `aligned`, located inside the step to within event_tol in time,
-    at the point that bisecting the step finds, by Illinois regula falsi
-    on <grad phi, p> inside the bisection bracket (`_locate`).
-    """
+    """Simulate the hybrid system: flow under damping K, jump to (q, 0, 0)
+    once tau >= T_min and the momentum is not `aligned`, located inside
+    its step to within event_tol in time (`_locate`)."""
     return _integrate(model, params, z0, t_end, resets=True, pair=(params.K, params.K))
 
 
 def integrate_hihb(model: ObjectiveModel, params: HybridParams, x0: HybridState,
                    t_end: float) -> HybridArc:
     """Simulate the switched-damping flow: K_lo while `aligned` (band
-    event_tol), else K_hi, at each RK4 stage. No jumps: j and tau stay 0."""
+    event_tol), else K_hi. A change of damping is located inside its step
+    by `_locate`, as a jump is, and the rest of the step flows under the
+    new damping. No jumps: j and tau stay 0."""
     return _integrate(model, params, x0, t_end, resets=False, pair=(params.K_lo, params.K_hi))
 
 

@@ -8,9 +8,10 @@ record for record, and the step hand cases and the matrix-recursion
 tests read the states it keeps. It uses only the library's switching
 law, beta schedule and records, never `run_many`.
 
-`propagator` is the dense form of one RK4 step of a linear flow, which
-the hybrid skip-ahead takes mode by mode in the Hessian's eigenbasis.
-`bisect_event` locates a hybrid jump inside a step by plain bisection,
+`propagator` is the dense exact flow of a quadratic's heavy-ball
+dynamics, by `scipy.linalg.expm` of the whole state, which the hybrid
+modal flow takes mode by mode in the Hessian's eigenbasis.
+`bisect_event` locates a hybrid event inside a step by plain bisection,
 the reference of `hybrid._locate`.
 
 `dt_rate_builder` probes one discrete-time rate row a rate at a time,
@@ -145,33 +146,27 @@ def run(model: ObjectiveModel, params: AlgoParams, q0: Array, max_iter: int,
                       q=state.q, phi=float(phi), status=status)
 
 
-def propagator(H: Array, K: float, h: float) -> tuple[Array, Array]:
-    """(T, M) of one RK4 step of size h of the linear flow z' = A z + c,
-    z = [q; p], A = [[0, I], [-H, -K I]].
+def propagator(H: Array, K: float, t: float) -> tuple[Array, Array]:
+    """(exp(tA), Phi(t)) of the linear flow z' = A z + c, z = [q; p],
+    A = [[0, I], [-H, -K I]], Phi(t) = int_0^t exp(sA) ds, both from one
+    dense `scipy.linalg.expm` of t [[A, I], [0, 0]].
 
-    On an affine field the four stages are polynomials in hA applied to
-    f(z) = A z + c, and the step is z + M f(z) with M = h S(hA),
-    S(X) = I + X/2 + X^2/6 + X^3/24. A point z0 + d with f(z0) = f0
-    then steps to z0 + T d + M f0, where T = I + A M = R(hA) is the
-    step's stability polynomial I + X + X^2/2 + X^3/6 + X^4/24.
+    f = A z + c flows by f' = A f, so a point z0 + d with f(z0) = f0
+    moves to z0 + exp(tA) d + Phi(t) f0 after time t.
     """
+    from scipy.linalg import expm
     n = H.shape[0]
-    eye = np.eye(2 * n)
     A = np.block([[np.zeros((n, n)), np.eye(n)], [-H, -K * np.eye(n)]])
-    X = h * A
-    S = eye + X / 4.0
-    S = eye + X @ S / 3.0
-    S = eye + X @ S / 2.0
-    M = h * S
-    return eye + A @ M, M
+    E = expm(t * np.block([[A, np.eye(2 * n)], [np.zeros((2 * n, 4 * n))]]))
+    return E[:2 * n, :2 * n], E[:2 * n, 2 * n:]
 
 
-def bisect_event(model: ObjectiveModel, params, accel, q: Array, p: Array, g: Array,
-                 tau: float, dt: float, end: tuple) -> tuple:
+def bisect_event(model: ObjectiveModel, params, step, event, clock: float, edge: float,
+                 f0: float, dt: float, end: tuple) -> tuple:
     """Plain bisection of an event step, the reference of
     `hybrid._locate`, with its arguments and result: each halving of
-    (0, dt] down to event_tol evaluates its midpoint by the RK4 step of
-    that length and sends it to hi when it is in the jump set, else to
+    (0, dt] down to event_tol evaluates its midpoint by step(mid) and
+    sends it to hi when event(<grad phi, p>, clock + mid) holds, else to
     lo. Returns (lo, hi, the state (q, p, phi, g) at hi)."""
     q1, p1, phi1, g1 = end
     lo, hi = 0.0, dt
@@ -179,9 +174,9 @@ def bisect_event(model: ObjectiveModel, params, accel, q: Array, p: Array, g: Ar
         if hi - lo <= params.event_tol:
             return lo, hi, (q1, p1, phi1, g1)
         mid = 0.5 * (lo + hi)
-        qm, pm = hybrid._rk4(q, p, g, mid, model, accel)
+        qm, pm = step(mid)
         phim, gm = model.value_grad(qm)
-        if hybrid._jumps(float(np.dot(_finite(gm), pm)), tau + mid, params):
+        if event(float(np.dot(_finite(gm), pm)), clock + mid):
             hi, q1, p1, phi1, g1 = mid, qm, pm, phim, gm
         else:
             lo = mid

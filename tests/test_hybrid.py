@@ -3,18 +3,19 @@
 import dataclasses
 import json
 import math
-import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import _reference as ref
 from hbreset.discrete import switching_beta
 import hbreset.hybrid
-from hbreset.hybrid import (BLOCK, ILLINOIS_LEAD, HybridParams, HybridState, _SkipAhead,
-                            _accel, _damping, _jumps, _locate, _rk4, default_dwell, energy,
-                            in_flow_set, in_jump_set, integrate_hb, integrate_hhb,
-                            integrate_hihb, jump_map)
+from hbreset.hybrid import (BLOCK, ILLINOIS_LEAD, MAX_EVENT_BISECTIONS, HybridParams,
+                            HybridState, _damping, _jumps, _locate, _ModalFlow, _rk4,
+                            default_dwell, energy, in_flow_set, in_jump_set, integrate_hb,
+                            integrate_hhb, integrate_hihb, jump_map)
 from hbreset.objectives import QuadraticSpec, gen_random_quadratic, quadratic_model
 
 
@@ -75,8 +76,8 @@ def test_one_switching_law_for_resets_jumps_and_damping():
 
 
 def test_hihb_with_an_equal_pair_is_hb():
-    # the pair (K, K) makes no per-stage damping check: hihb gives hb's
-    # arrays bit for bit with hb's oracle calls
+    # the pair (K, K) never switches: hihb gives hb's arrays bit for bit
+    # with hb's oracle calls
     _, base = gen_random_quadratic(10, 1e3, 3)
     calls = []
 
@@ -102,20 +103,57 @@ def test_hihb_with_an_equal_pair_is_hb():
 
 
 def test_non_finite_arc_raises():
-    # curvature 1e6 at step 1e-2 is past RK4's stability limit, so the hb
-    # and hihb arcs overflow (hhb's resets land on the minimizer first); they
-    # raise rather than return NaN samples, on the skip-ahead (a model with
-    # a Hessian) and on the stage path. Warnings are ignored, as a process
-    # that does not turn them into errors ignores them.
+    # a gradient oracle that turns NaN once q drops below 0.5: the arcs
+    # raise rather than return NaN samples, on the modal flow (a model with
+    # a Hessian, whose exact flow cannot overflow) and on the stage path
+    base = scalar_model(1.0)
+
+    def value_grad(q):
+        phi, g = base.value_grad(q)
+        return phi, np.where(q < 0.5, np.nan, g)
+
+    def grad(q):
+        return np.where(q < 0.5, np.nan, base.grad(q))
+
+    faulty = dataclasses.replace(base, value_grad=value_grad, grad=grad)
     z0 = HybridState(q=np.ones(1), p=np.zeros(1))
-    stiff = scalar_model(1e6)
-    for model in (stiff, dataclasses.replace(stiff, hessian=None)):
+    for model in (faulty, dataclasses.replace(faulty, hessian=None)):
         for par in (HybridParams(step=1e-2), HybridParams(K_lo=0.5, K_hi=2.0, step=1e-2)):
-            for integrate in (integrate_hb, integrate_hihb):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    with pytest.raises(FloatingPointError, match="non-finite gradient"):
-                        integrate(model, par, z0, 20.0)
+            for integrate in (integrate_hb, integrate_hhb, integrate_hihb):
+                with pytest.raises(FloatingPointError, match="non-finite gradient"):
+                    integrate(model, par, z0, 20.0)
+
+
+def _counting(run):
+    """(run(), _rk4 calls, located events) with `hybrid._rk4` and
+    `hybrid._locate` counted. Each located event is (step, clock, dt, hi,
+    points): the step function (step(0) is the step's start), the timer
+    reading at the start, the step length, the located hi, and the points
+    the locator evaluated."""
+    rk4, events = 0, []
+
+    def counting_rk4(*args):
+        nonlocal rk4
+        rk4 += 1
+        return _rk4(*args)
+
+    def counting_locate(model, params, step, event, clock, edge, f0, dt, end):
+        points = 0
+
+        def counted(s):
+            nonlocal points
+            points += 1
+            return step(s)
+
+        out = _locate(model, params, counted, event, clock, edge, f0, dt, end)
+        events.append((step, clock, dt, out[1], points))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hbreset.hybrid, "_rk4", counting_rk4)
+        mp.setattr(hbreset.hybrid, "_locate", counting_locate)
+        out = run()
+    return out, rk4, events
 
 
 def test_hihb_four_oracle_calls_per_step():
@@ -130,93 +168,151 @@ def test_hihb_four_oracle_calls_per_step():
         calls.append("grad")
         return base.grad(q)
 
-    # hessian=None: the stage path, which the skip-ahead of quadratics bypasses
+    # hessian=None: the stage path, RK4 under one damping a step
     model = dataclasses.replace(base, value_grad=value_grad, grad=grad, hessian=None)
     calls.clear()
     par = HybridParams(K_lo=0.5, K_hi=2.0, step=1e-2)
-    arc = integrate_hihb(model, par, HybridState(q=np.ones(3), p=np.zeros(3)), 1.0)
+    arc, _, events = _counting(
+        lambda: integrate_hihb(model, par, HybridState(q=np.ones(3), p=np.zeros(3)), 1.0))
     steps = len(arc) - 1
-    assert steps >= 99
-    # three new RK4 stages per step, gradient-only, plus the end point,
-    # which the next step's first stage and the energy sample share
-    assert len(calls) == 4 * steps + 1
-    assert calls.count("grad") == 3 * steps
+    assert steps >= 99 and len(events) >= 1
+    # each step: three new RK4 stages, gradient-only, plus the end point,
+    # which the next step's first stage and the energy sample share; each
+    # switch: the same four at every point its locator evaluates, and for
+    # the rest of the step under the other damping
+    points = sum(ev[-1] for ev in events)
+    assert len(calls) == 4 * (steps + points + len(events)) + 1
+    assert calls.count("grad") == 3 * (steps + points + len(events))
 
 
-def _two_path_cases():
-    """(integrator, model, params, start, t_end): the criterion 10 arcs,
+def _flow_cases():
+    """(integrator, spec, params, start, t_end): the criterion 10 arcs,
     the benchmark's n = 10 arcs, with hihb both switching and not, and
     n = 200 arcs. Built at collection; the largest model is one 200 x 200
     matrix."""
-    osc = scalar_model(1.0)
-    _, m2 = gen_random_quadratic(2, 30.0, 5)
-    _, m3 = gen_random_quadratic(3, 50.0, 8)
+    osc = QuadraticSpec(Q=np.array([[1.0]]), b=np.zeros(1))
+    s2, _ = gen_random_quadratic(2, 30.0, 5)
+    s3, _ = gen_random_quadratic(3, 50.0, 8)
     z2 = HybridState(q=np.random.default_rng(5).uniform(-3.0, 3.0, 2), p=np.zeros(2))
     z3 = HybridState(q=np.random.default_rng(8).uniform(-2.0, 2.0, 3), p=np.zeros(3))
     cases = [
         (integrate_hhb, osc, HybridParams(K=0.0, T_min=1e-3, step=1e-3),
          HybridState(q=np.array([1.0]), p=np.array([0.0])), 3.0),
-        (integrate_hhb, m2, HybridParams(K=0.2, T_min=0.05, step=1e-3), z2, 20.0),
-        (integrate_hhb, m3, HybridParams(K=0.5, T_min=0.02, step=1e-3), z3, 10.0),
-        (integrate_hihb, m3, HybridParams(K=1.0, K_lo=0.5, K_hi=4.0, T_min=0.02,
+        (integrate_hhb, s2, HybridParams(K=0.2, T_min=0.05, step=1e-3), z2, 20.0),
+        (integrate_hhb, s3, HybridParams(K=0.5, T_min=0.02, step=1e-3), z3, 10.0),
+        (integrate_hihb, s3, HybridParams(K=1.0, K_lo=0.5, K_hi=4.0, T_min=0.02,
                                           step=1e-3), z3, 10.0),
-        (integrate_hb, m3, HybridParams(K=0.5, step=1e-3), z3, 10.0),
+        (integrate_hb, s3, HybridParams(K=0.5, step=1e-3), z3, 10.0),
     ]
     for seed in (3, 7):
-        _, m10 = gen_random_quadratic(10, 1e3, seed)
+        s10, m10 = gen_random_quadratic(10, 1e3, seed)
         z10 = HybridState(q=np.ones(10), p=np.zeros(10))
         T_min = default_dwell(m10.lipschitz)
         for integrate, par in ((integrate_hb, HybridParams(K=1.0, T_min=T_min)),
                                (integrate_hhb, HybridParams(K=1.0, T_min=T_min)),
                                (integrate_hihb, HybridParams(K_lo=1.0, K_hi=1.0, T_min=T_min)),
                                (integrate_hihb, HybridParams(K_lo=0.5, K_hi=2.0, T_min=T_min))):
-            cases.append((integrate, m10, par, z10, 4.0))
-    _, m200 = gen_random_quadratic(200, 1e3, 11)
+            cases.append((integrate, s10, par, z10, 4.0))
+    s200, m200 = gen_random_quadratic(200, 1e3, 11)
     z200 = HybridState(q=np.ones(200), p=np.zeros(200))
     T_min = default_dwell(m200.lipschitz)
-    cases += [(integrate_hhb, m200, HybridParams(K=1.0, T_min=T_min), z200, 0.5),
-              (integrate_hihb, m200, HybridParams(K_lo=0.5, K_hi=2.0, T_min=T_min), z200, 0.5)]
+    cases += [(integrate_hhb, s200, HybridParams(K=1.0, T_min=T_min), z200, 0.5),
+              (integrate_hihb, s200, HybridParams(K_lo=0.5, K_hi=2.0, T_min=T_min), z200, 0.5)]
     return cases
 
 
-@pytest.mark.parametrize("integrate, model, par, z0, t_end", _two_path_cases())
-def test_propagator_path_matches_stage_path(integrate, model, par, z0, t_end):
-    # a model with a Hessian skips ahead through its event-free full steps;
-    # without one every step takes the RK4 stages. Both step the same RK4
-    # map, so they agree to round-off. Energy crosses zero on these arcs,
-    # so differences are relative to each column's largest magnitude.
-    assert model.hessian is not None
-    fast = integrate(model, par, z0, t_end)
-    ref = integrate(dataclasses.replace(model, hessian=None), par, z0, t_end)
-    assert len(fast) == len(ref) and len(fast.jumps) == len(ref.jumps)
-    np.testing.assert_array_equal(fast.j, ref.j)
-    np.testing.assert_allclose([tj for tj, _, _ in fast.jumps],
-                               [tj for tj, _, _ in ref.jumps], rtol=0, atol=1e-6)
-    for got, want in ((fast.q, ref.q), (fast.p, ref.p), (fast.energy, ref.energy)):
-        scale = max(1.0, float(np.max(np.abs(want))))
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * scale)
+def _pair(integrate, par: HybridParams) -> tuple:
+    return (par.K_lo, par.K_hi) if integrate is integrate_hihb else (par.K, par.K)
 
 
-@pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "mu=L"])
+@pytest.mark.parametrize("integrate, spec, par, z0, t_end",
+                         [case for case in _flow_cases() if len(set(_pair(case[0], case[2]))) == 1])
+def test_hessian_path_matches_exact_arc(integrate, spec, par, z0, t_end):
+    # a model with a Hessian flows by each mode's closed form, so its arc
+    # is the flow's to round-off: the largest error on these arcs, against
+    # exact_arc from each flow interval's first sample, is 1.4e-12 of the
+    # arc's largest |q| or |p| (2.6e-14 at n = 200 over 0.5). Switching hihb
+    # arcs are checked at their switches (below) and by
+    # test_hihb_arc_does_not_depend_on_the_step.
+    pair = _pair(integrate, par)
+    arc = integrate(quadratic_model(spec), par, z0, t_end)
+    scale = max(np.abs(arc.q).max(), np.abs(arc.p).max())
+    for j in np.unique(arc.j):
+        idx = np.flatnonzero(arc.j == j)
+        t0 = arc.t[idx[0]]
+        q, p = exact_arc(spec, pair[0], arc.q[idx[0]], arc.p[idx[0]], arc.t[idx] - t0)
+        err = max(np.abs(arc.q[idx] - q).max(), np.abs(arc.p[idx] - p).max())
+        assert err <= 5e-12 * scale, (j, err / scale)
+
+
+def _exact_event(spec, par, pair, step, clock, dt):
+    """The time, from the start step(0) = (q, p) of a step with timer reading
+    clock, of the step's first event on the closed-form flow: the root, by
+    scipy.optimize.brentq, of <grad phi, p> (a jump, with the timer past
+    T_min), or of <grad phi, p> + event_tol (a damping switch, at the end
+    of the aligned band)."""
+    q0, p0 = step(0.0)
+    g0 = spec.Q @ q0 + spec.b
+    K = float(_damping(np.dot(g0, p0), pair, par.event_tol))
+
+    def inner(s):
+        q, p = exact_arc(spec, K, q0, p0, [s])
+        return float(np.dot(spec.Q @ q[0] + spec.b, p[0]))
+
+    lo, shift = 0.0, par.event_tol
+    if math.isfinite(clock):
+        lo, shift = max(0.0, par.T_min - clock), 0.0
+        if inner(lo) >= 0.0:
+            return lo
+    return brentq(lambda s: inner(s) + shift, lo, dt, xtol=1e-18, rtol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("integrate, spec, par, z0, t_end",
+                         [case for case in _flow_cases() if (
+                             case[0] is integrate_hhb or len(set(_pair(case[0], case[2]))) == 2)])
+def test_event_times_match_the_closed_form_roots(integrate, spec, par, z0, t_end):
+    # every located jump and damping switch lies within event_tol after
+    # the root of the closed-form <grad phi, p> in its step (measured
+    # 3.6e-13 to 6.0e-11 after it on these arcs)
+    _, _, events = _counting(lambda: integrate(quadratic_model(spec), par, z0, t_end))
+    assert events
+    pair = _pair(integrate, par)
+    for step, clock, dt, hi, _ in events:
+        root = _exact_event(spec, par, pair, step, clock, dt)
+        assert -1e-14 <= hi - root <= par.event_tol + 1e-14, (hi, root)
+
+
+def _dense_case(kind: str, n: int):
+    """(H, K) for the dense comparison: a random Hessian, one with mu = L
+    (every vector an eigenvector, and eigh may return any basis), one
+    with a mode critically damped at K = 4 (K^2 = 4 lam), and one with a
+    zero eigenvalue."""
+    rng = np.random.default_rng(n)
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lam = {"distinct": np.linspace(1.0, 100.0, n), "mu=L": np.full(n, 30.0),
+           "critical": np.linspace(4.0, 100.0, n), "lam=0": np.linspace(0.0, 100.0, n)}[kind]
+    return (V * lam) @ V.T
+
+
+@pytest.mark.parametrize("kind", ["distinct", "mu=L", "critical", "lam=0"])
 @pytest.mark.parametrize("K", [0.0, 0.5, 4.0])
 @pytest.mark.parametrize("n", [1, 2, 10, 50])
-def test_modal_block_matches_dense_recursion(n, K, repeated):
-    # a skip-ahead block steps each mode of H's eigenbasis on its own; the
-    # dense RK4 propagator of the whole state gives the same rows. With
-    # mu = L every vector is an eigenvector, and eigh may return any basis.
-    rng = np.random.default_rng(n)
-    if repeated:
-        model = quadratic_model(QuadraticSpec(Q=30.0 * np.eye(n), b=rng.uniform(-1, 1, n)))
-    elif n == 1:
-        model = scalar_model(30.0)
-    else:
-        _, model = gen_random_quadratic(n, 100.0, n)
+def test_modal_block_matches_dense_recursion(n, K, kind):
+    # a skip-ahead block moves each mode of H's eigenbasis on its own; the
+    # dense exact flow of the whole state (scipy's expm) gives the same
+    # rows: the displacement after i + 1 steps is D_i = Phi(h) f0 + exp(hA)
+    # D_{i-1}, from f0 = (p, -K p - g) (measured within 1.1e-14 of the
+    # largest)
+    H = _dense_case(kind, n)
     h = 1e-2
+    rng = np.random.default_rng(n + 1)
     p, g = rng.standard_normal(n), rng.standard_normal(n)
-    skip = _SkipAhead(model, HybridParams(K=K, step=h), 1.0, resets=False, pair=(K, K))
-    dQ, dP = skip.steps(p, g, K, BLOCK)
-    T, M = ref.propagator(model.hessian, K, h)
-    w = M @ np.concatenate((p, -K * p - g))
+    # the modal flow reads only the Hessian of its model here
+    flow = _ModalFlow(SimpleNamespace(hessian=H), HybridParams(K=K, step=h), 1.0, resets=False)
+    dQ, P = flow._states(np.zeros(n), p, g, K)(*flow._coeffs(K)[1])
+    dP = P - p
+    T, Phi = ref.propagator(H, K, h)
+    w = Phi @ np.concatenate((p, -K * p - g))
     D = [w]
     for _ in range(BLOCK - 1):
         D.append(T @ D[-1] + w)
@@ -253,12 +349,14 @@ def exact_arc(spec: QuadraticSpec, K: float, q0, p0, t):
     (10, 1e3, 1.0, (4e-3, 2e-3, 1e-3), 2.0, 2e-7),
 ])
 def test_hb_arc_converges_to_exact_arc_at_fourth_order(n, L, K, dts, t_end, bound):
-    # RK4's global error is O(dt^4): halving dt divides the arc's largest
-    # error by about 16 (measured 16.002-16.022 on these cases). The band
-    # 14-18 allows for the dt^5 term. The bound is on the error at the
-    # finest dt relative to the arc's largest |q| or |p|, about 3x the
-    # measured 1.4e-8, 3.2e-8 and 6.6e-8.
+    # the stage path (a model with no Hessian) is RK4, whose global error
+    # is O(dt^4): halving dt divides the arc's largest error by about 16
+    # (measured 16.002-16.022 on these cases). The band 14-18 allows for
+    # the dt^5 term. The bound is on the error at the finest dt relative to
+    # the arc's largest |q| or |p|, about 3x the measured 1.4e-8, 3.2e-8
+    # and 6.6e-8.
     spec, model = gen_random_quadratic(n, L, 4)
+    model = dataclasses.replace(model, hessian=None)
     rng = np.random.default_rng(n)
     q0, p0 = rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 1.0, n)
     errs = []
@@ -298,28 +396,11 @@ BENCH_ARC_COUNTS = {
 }
 
 
-def _counting_rk4(run):
-    """(run(), _rk4 calls, _rk4 rows) with `hybrid._rk4` counted: a stacked
-    call steps len(q) rows."""
-    calls = rows = 0
-
-    def counting(q, *args):
-        nonlocal calls, rows
-        calls += 1
-        rows += len(q) if np.ndim(q) == 2 else 1
-        return _rk4(q, *args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hbreset.hybrid, "_rk4", counting)
-        out = run()
-    return out, calls, rows
-
-
 @pytest.fixture(scope="module")
 def bench_arcs():
-    """{seed: ((samples, jumps, _rk4 calls, _rk4 rows) of the hhb arc, the
-    same of the hihb arc)} at the simulate defaults: cond 1e3, K = K_lo =
-    K_hi = 1, the default dwell, t_end 10, q0 all ones and p0 zero."""
+    """{seed: ((samples, jumps, _rk4 calls, located events) of the hhb arc,
+    the same of the hihb arc)} at the simulate defaults: cond 1e3, K = K_lo
+    = K_hi = 1, the default dwell, t_end 10, q0 all ones and p0 zero."""
     out = {}
     for seed in BENCH_ARC_COUNTS:
         _, model = gen_random_quadratic(10, 1e3, seed)
@@ -327,8 +408,8 @@ def bench_arcs():
         z0 = HybridState(q=np.ones(10), p=np.zeros(10))
         arcs = []
         for integrate in (integrate_hhb, integrate_hihb):
-            arc, calls, rows = _counting_rk4(lambda: integrate(model, par, z0, 10.0))
-            arcs.append((len(arc), len(arc.jumps), calls, rows))
+            arc, rk4, events = _counting(lambda: integrate(model, par, z0, 10.0))
+            arcs.append((len(arc), len(arc.jumps), rk4, events))
         out[seed] = tuple(arcs)
     return out
 
@@ -338,28 +419,65 @@ def test_bench_arc_counts_are_pinned(bench_arcs):
     assert got == BENCH_ARC_COUNTS
 
 
-def test_bench_hhb_arcs_locate_their_jumps_in_few_rk4_steps(bench_arcs):
-    # every stage-path step of the 16 hhb arcs, one _rk4 call each: the
-    # step that meets a jump and its locator's steps (1,508 calls for
-    # 188 jumps, about 8 a jump; bisection alone took 4,716, 25 a jump)
+def test_quadratic_arcs_make_no_rk4_call(bench_arcs):
+    assert all(arc[2] == 0 for arcs in bench_arcs.values() for arc in arcs)
+
+
+def test_bench_hhb_arcs_locate_their_jumps_in_few_point_flows(bench_arcs):
+    # each of the 188 jumps of the 16 hhb arcs is one located event; its
+    # locator evaluates 1,294 points of the exact flow in all, about 6.9 a
+    # jump, where bisection evaluates 24
     hhb = [arcs[0] for arcs in bench_arcs.values()]
     assert sum(jumps for _, jumps, _, _ in hhb) == 188
-    assert all(calls == rows for _, _, calls, rows in hhb)
-    assert sum(calls for _, _, calls, _ in hhb) <= 1700
+    assert all(len(events) == jumps for _, jumps, _, events in hhb)
+    assert sum(ev[-1] for _, _, _, events in hhb for ev in events) == 1294
 
 
-def test_hihb_damping_switch_rk4_rows_are_pinned(bench_arcs):
-    # at an equal pair hihb skips ahead with no damping check (one _rk4
-    # row, the short last step); at (0.5, 2) every skip-ahead block also
-    # steps its rows through the stage path, stacked, to find a damping
-    # change. The bench never runs the switch, so its cost is pinned here.
-    for seed, want in ((0, 42801), (11, 41516)):
-        assert bench_arcs[seed][1][3] == 1
+def test_hihb_damping_switches_are_located_events(bench_arcs):
+    # at an equal pair hihb never switches; at (0.5, 2) each sign change
+    # of <grad phi, p> is one located switch, and the arc makes no _rk4
+    # call. The bench never runs the switch, so its count is pinned here.
+    for seed, want in ((0, 164), (11, 162)):
+        assert bench_arcs[seed][1][3] == []
         _, model = gen_random_quadratic(10, 1e3, seed)
         par = HybridParams(K_lo=0.5, K_hi=2.0, T_min=default_dwell(model.lipschitz), step=1e-3)
         z0 = HybridState(q=np.ones(10), p=np.zeros(10))
-        arc, _, rows = _counting_rk4(lambda: integrate_hihb(model, par, z0, 10.0))
-        assert (len(arc), rows) == (10002, want)
+        arc, rk4, events = _counting(lambda: integrate_hihb(model, par, z0, 10.0))
+        assert (len(arc), rk4, len(events)) == (10002, 0, want)
+
+
+def test_hihb_arc_does_not_depend_on_the_step():
+    # every step flows under one damping and each switch is located inside
+    # its step, so halving the step twice moves the final state by 9.1e-11
+    # (its entries reach 45); RK4 with a damping switch at each stage moved
+    # it by 0.042
+    _, model = gen_random_quadratic(10, 1e3, 0)
+    z0 = HybridState(q=np.random.default_rng(0).uniform(-1.0, 1.0, 10), p=np.zeros(10))
+    ends = []
+    for dt in (1e-3, 2.5e-4):
+        arc = integrate_hihb(model, HybridParams(K_lo=0.5, K_hi=2.0, T_min=1e-3, step=dt),
+                             z0, 2.0)
+        ends.append(np.concatenate((arc.q[-1], arc.p[-1])))
+    assert np.abs(ends[0] - ends[1]).max() <= 1e-9
+
+
+def test_more_switches_in_a_step_than_the_budget_raise(monkeypatch):
+    # a locator that reports each switch event_tol into its step, where
+    # the damping has not changed, makes no progress; the step stops after
+    # MAX_EVENT_BISECTIONS switches, on both propagators
+    def stuck(model, params, step, event, clock, edge, f0, dt, end):
+        q, p = step(params.event_tol)
+        phi, g = model.value_grad(q)
+        return 0.0, params.event_tol, (q, p, phi, g)
+
+    monkeypatch.setattr(hbreset.hybrid, "_locate", stuck)
+    _, model = gen_random_quadratic(3, 50.0, 9)
+    par = HybridParams(K_lo=0.5, K_hi=4.0, step=1e-3)
+    z0 = HybridState(q=np.random.default_rng(9).uniform(-2, 2, 3), p=np.zeros(3))
+    for m in (model, dataclasses.replace(model, hessian=None)):
+        with pytest.raises(RuntimeError,
+                           match=f"more than {MAX_EVENT_BISECTIONS} damping switches"):
+            integrate_hihb(m, par, z0, 10.0)
 
 
 def test_default_dwell_scales_with_stiffness():
@@ -434,14 +552,16 @@ def test_first_jump_at_quarter_period():
 
 
 def _event_step(kind: str):
-    """(model, params, accel, q, p, g, tau, dt, end) of one hhb step of
-    the undamped unit oscillator whose end `end` = (q, p, phi, g) is in
-    the jump set. "crossing" starts 0.4 dt before the exact arc crosses
-    the minimizer at pi/2, its timer long elapsed, so <grad phi, p>
-    changes sign inside the step; "triple" is that step with the value
-    oracle's gradient cubed (times 1e9), so <grad phi, p> has a triple
-    root there; "timer" starts ascending, <grad phi, p> = 0.5, and its
-    timer reaches T_min 0.37 dt into the step."""
+    """The arguments (model, params, step, event, clock, edge, f0, dt, end)
+    of `_locate` for one step of the unit oscillator on its exact flow
+    whose end `end` = (q, p, phi, g) is in the event set. "crossing" is an
+    undamped hhb step that starts 0.4 dt before the arc crosses the
+    minimizer at pi/2, its timer long elapsed, so <grad phi, p> changes
+    sign inside the step; "triple" is that step with the value oracle's
+    gradient cubed (times 1e9), so <grad phi, p> has a triple root there;
+    "timer" starts ascending, <grad phi, p> = 0.5, and its timer reaches
+    T_min 0.37 dt into the step; "switch" is the crossing step of hihb at
+    (0.5, 2), which leaves the aligned band and so K_lo."""
     model, dt = scalar_model(1.0), 1e-3
     if kind == "triple":
         def value_grad(q):
@@ -449,38 +569,55 @@ def _event_step(kind: str):
             return phi, 1e9 * g ** 3
 
         model = dataclasses.replace(model, value_grad=value_grad)
+    par = HybridParams(K=0.0, K_lo=0.5, K_hi=2.0, T_min=1e-3, step=dt)
     if kind != "timer":
         t0 = math.pi / 2.0 - 0.4 * dt
-        par = HybridParams(K=0.0, T_min=1e-3, step=dt)
         q, p, tau = np.array([math.cos(t0)]), np.array([-math.sin(t0)]), 1.0
     else:
-        par = HybridParams(K=0.0, T_min=0.1, step=dt)
+        par = dataclasses.replace(par, T_min=0.1)
         q, p, tau = np.array([1.0]), np.array([0.5]), 0.1 - 0.37 * dt
-    accel = _accel((par.K, par.K), par.event_tol)
+    if kind == "switch":
+        K, clock, edge = par.K_lo, math.inf, -par.event_tol
+
+        def event(f, _):
+            return _damping(f, (par.K_lo, par.K_hi), par.event_tol) != K
+    else:
+        K, clock, edge = par.K, tau, 0.0
+
+        def event(f, c):
+            return _jumps(f, c, par)
     g = model.gradient(q)
-    q1, p1 = _rk4(q, p, g, dt, model, accel)
+    step = _ModalFlow(model, par, 1.0, kind != "switch").step(q, p, g, K)
+    q1, p1 = step(dt)
     phi1, g1 = model.value_grad(q1)
-    return model, par, accel, q, p, g, tau, dt, (q1, p1, phi1, g1)
+    return model, par, step, event, clock, edge, float(np.dot(g, p)), dt, (q1, p1, phi1, g1)
 
 
-# the locator's RK4 steps, where bisection takes 24: at the triple root,
-# where regula falsi is slow, the lead bound holds it to 28
-@pytest.mark.parametrize("kind, most", [("crossing", 10), ("timer", 10),
+# the locator's points, where bisection evaluates 24: at the triple
+# root, where regula falsi is slow, the lead bound holds it to 28
+@pytest.mark.parametrize("kind, most", [("crossing", 10), ("timer", 10), ("switch", 10),
                                         ("triple", 24 + ILLINOIS_LEAD + 2)])
 def test_locator_finds_the_bisection_point_bit_for_bit(kind, most):
-    model, par, accel, q, p, g, tau, dt, end = step = _event_step(kind)
-    assert _jumps(float(np.dot(end[3], end[1])), tau + dt, par)
+    model, par, step, event, clock, edge, f0, dt, end = args = _event_step(kind)
+    assert event(float(np.dot(end[3], end[1])), clock + dt)
     if kind == "timer":
-        assert float(np.dot(g, p)) > 0.0 and tau < par.T_min
-    want_lo, want_hi, want = ref.bisect_event(*step)
-    (lo, hi, got), calls, _ = _counting_rk4(lambda: _locate(*step))
+        assert f0 > 0.0 and clock < par.T_min
+    want_lo, want_hi, want = ref.bisect_event(*args)
+    calls = 0
+
+    def counted(s):
+        nonlocal calls
+        calls += 1
+        return step(s)
+
+    lo, hi, got = _locate(model, par, counted, event, clock, edge, f0, dt, end)
     assert (lo, hi) == (want_lo, want_hi)
     for x, y in zip(got, want):
         assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
-    # the jump set entered at hi, within event_tol, and not at lo
-    q_lo, p_lo = _rk4(q, p, g, lo, model, accel)
-    assert not _jumps(float(np.dot(model.gradient(q_lo), p_lo)), tau + lo, par)
-    assert _jumps(float(np.dot(got[3], got[1])), tau + hi, par)
+    # the event set entered at hi, within event_tol, and not at lo
+    q_lo, p_lo = step(lo)
+    assert not event(float(np.dot(model.gradient(q_lo), p_lo)), clock + lo)
+    assert event(float(np.dot(got[3], got[1])), clock + hi)
     assert 0.0 < hi - lo <= par.event_tol
     assert calls <= most
 
@@ -492,8 +629,8 @@ def test_event_localization_raises_when_out_of_bisections(monkeypatch):
     par = HybridParams(K=0.0, T_min=1e-3, step=1e-3)
     with pytest.raises(RuntimeError, match="did not converge in 24 bisections"):
         integrate_hhb(scalar_model(1.0), par, HybridState(q=np.ones(1), p=np.zeros(1)), 3.0)
-    # the budget bounds the locator's RK4 steps too: at the triple root
-    # they outrun 25 halvings, and with no lead bound they outrun 100
+    # the budget bounds the locator's points too: at the triple root they
+    # outrun 25 halvings, and with no lead bound they outrun 100
     step = _event_step("triple")
     monkeypatch.setattr(hbreset.hybrid, "MAX_EVENT_BISECTIONS", 25)
     with pytest.raises(RuntimeError, match="did not converge in 25 bisections"):
@@ -507,7 +644,7 @@ def test_event_localization_raises_when_out_of_bisections(monkeypatch):
 def test_locator_raises_on_a_non_finite_gradient_inside_the_step():
     # NaN gradients near the minimizer, which the crossing step's start
     # (q = 4e-4) and end (q = -6e-4) stay clear of: the locator raises as
-    # the stage path does, and as bisection does
+    # an arc's step does, and as bisection does
     model, *rest = _event_step("crossing")
 
     def value_grad(x):
