@@ -219,7 +219,10 @@ class ExperimentConfig:
     K_lo: Optional[float] = _knob(None, "--K-lo", float, "simulate", bounds=_DAMPING)
     K_hi: Optional[float] = _knob(None, "--K-hi", float, "simulate", bounds=_DAMPING)
     t_min: Optional[float] = _knob(None, "--t-min", float, "simulate", bounds=_POSITIVE)
-    dt: float = _knob(1e-3, "--dt", float, "simulate", bounds=_POSITIVE)
+    dt: float = _knob(1e-3, "--dt", float, "simulate", bounds=_POSITIVE, help=(
+        "step of the sample grid (default 1e-3); a jump or damping switch is found only "
+        "when its condition holds at a step's end, so a step longer than a quarter "
+        "period pi/(2 sqrt(L)) of the fastest mode can step over one"))
     t_end: float = _knob(10.0, "--t-end", float, "simulate", bounds=_POSITIVE)
     q0: Optional[tuple] = _knob(None, "--q0", _floats, "simulate", bounds=_FINITE)
     p0: Optional[tuple] = _knob(None, "--p0", _floats, "simulate", bounds=_FINITE)

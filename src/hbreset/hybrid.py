@@ -9,7 +9,10 @@ otherwise), (K_lo, K_hi) on the switched flow and (K, K) on the others.
 Arcs are sampled on a fixed step grid; each step flows under one
 damping. A jump and a damping switch are one kind of event, located
 inside its step by `_locate`: a jump ends the step, and after a switch
-the rest of the step flows under the other damping.
+the rest of the step flows under the other damping. An event is seen only
+where it holds at a step's end, so a step longer than a quarter period
+pi/(2 sqrt(L)) of the fastest mode can step over one, and the arc is then
+the flow, not the hybrid system's solution.
 
 A quadratic model (one with `ObjectiveModel.hessian`) flows exactly, each
 mode of its Hessian by a closed-form 2x2 flow (`_ModalFlow`), at any step
@@ -234,7 +237,10 @@ def _modal_coeffs(lam: Array, K: float):
     (1 - e^{r1 t}) + e^{r1 t} 2 sin^2(wt/2) + r1 c (r1 = m, and no sine
     term for real d), which is exact at K = 0. Where K^2 >= 16 lam (lam =
     0 included) the real roots r1 and r2 = m - d lie apart and C = (E(r1)
-    - E(r2))/(2d), E(r) = (e^{rt} - 1)/r, with no division by lam.
+    - E(r2))/(2d), E(r) = (e^{rt} - 1)/r, with no division by lam. That
+    difference cancels to about eps/(Kt), so where also Kt <= 1 (and so
+    lam t^2 <= 1/16) C is summed from its Taylor series instead
+    (`_series_C`).
     """
     m = -0.5 * K
     s = m * m - lam
@@ -246,6 +252,7 @@ def _modal_coeffs(lam: Array, K: float):
     ilam = 1.0 / np.where(stiff, 1.0, lam)
     # which forms some mode needs, decided once per damping
     any_real, any_stiff = not osc.all(), bool(stiff.any())
+    lam_stiff = np.where(stiff, lam, 0.0)
 
     def coeffs(t):
         wt = w * t
@@ -260,9 +267,32 @@ def _modal_coeffs(lam: Array, K: float):
         if any_stiff:  # r2 < 0, and r1 = 0 where lam = 0
             E1 = np.where(r1 != 0.0, x / np.where(r1 != 0.0, r1, 1.0), t)
             E = 0.5 * (E1 - np.expm1(r2 * t) / r2) * iw
-            C = np.where(stiff, np.where(s == 0.0, 0.5 * t * t, E), C)
+            # the series is summed at t = 0 where Kt > 1, and on lam = 0
+            # for the modes that are not stiff, so every term stays finite
+            small = K * t <= 1.0
+            series = _series_C(lam_stiff, K, np.where(small, t, 0.0))
+            C = np.where(stiff, np.where(small, series, E), C)
         return c, C
     return coeffs
+
+
+# 1/(k+2)! for the 20 terms of _series_C; at Kt <= 1 the terms past them
+# sum to less than 1e-19 of C
+_INV_FACTORIALS = [1.0 / math.factorial(k) for k in range(2, 22)]
+
+
+def _series_C(lam: Array, K: float, t):
+    """C(t) = int_0^t x of _modal_coeffs as its Taylor series sum_k h_k
+    t^(k+2)/(k+2)!, h_k = x^(k+1)(0): h_0 = 1, h_1 = -K and h_k = -K h_(k-1)
+    - lam h_(k-2). Summed over g_k = h_k t^k, with no roots and no
+    division; for real roots in [-K, 0], |g_k| <= (k+1) (Kt)^k."""
+    kt, lt2 = K * t, lam * t * t
+    g_prev, g = 0.0, 1.0
+    total = _INV_FACTORIALS[0]
+    for inv in _INV_FACTORIALS[1:]:
+        g_prev, g = g, -kt * g - lt2 * g_prev
+        total = total + g * inv
+    return total * t * t
 
 
 class _ModalFlow:

@@ -11,8 +11,12 @@ value there.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -222,17 +226,49 @@ def gen_random_quadratic(n: int, L: float, seed: int) -> tuple[QuadraticSpec, Ob
 
 @functools.cache
 def _expit():
-    """scipy's logistic sigmoid, imported on first use.
+    """scipy's logistic sigmoid, loaded on first use from its one compiled
+    module.
 
-    Only the logistic objective needs scipy, and importing scipy.special
-    costs more than importing the rest of the package; loading it here
-    keeps it out of every run that never evaluates a sigmoid. scipy's
-    expit (libm exp) stays rather than 1/(1+np.exp(-z)): numpy's SIMD exp
-    differs from it in the last bit on some inputs, enough to move the
-    logreg tuner's pick at ties.
+    Only the logistic objective needs scipy. The package scipy.special
+    loads 66 scipy modules and numpy.f2py, about 0.15 s and 22.2 MiB per
+    process (scipy 1.17.1, 2-vCPU Xeon), while the expit ufunc lives in
+    the extension scipy/special/_special_ufuncs, which loads in about 1 ms.
+    It is loaded under its own name, so a later `import scipy.special`
+    reuses it and scipy.special.expit is this ufunc. Where scipy.special
+    is imported already, or the extension is missing or has no d->d expit
+    (another scipy), the package's expit is taken: the same ufunc, so
+    every value and gradient keeps its bits. scipy's expit (libm exp)
+    stays rather than 1/(1+np.exp(-z)): numpy's SIMD exp differs from it
+    in the last bit on some inputs, enough to move the logreg tuner's pick
+    at ties. ROADMAP item 6 step 2 drops scipy once the benchmark
+    reference can be regenerated with the picks that move.
     """
+    if "scipy.special" not in sys.modules:
+        name = "scipy.special._special_ufuncs"
+        expit = getattr(sys.modules.get(name) or _load_extension(name), "expit", None)
+        if isinstance(expit, np.ufunc) and "d->d" in expit.types:
+            return expit
     from scipy.special import expit
     return expit
+
+
+def _load_extension(name: str):
+    """The compiled module `name` (package.sub.module), loaded from its file
+    under that name without importing its packages, or None when no such
+    file is installed."""
+    top, *inner = name.split(".")
+    package = importlib.util.find_spec(top)
+    for root in (package.submodule_search_locations or ()) if package else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, *inner) + suffix
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(name, loader))
+                loader.exec_module(module)
+                sys.modules[name] = module
+                return module
+    return None
 
 
 def _margins_grad(spec: LogisticSpec, q: Array) -> tuple[Array, Array]:

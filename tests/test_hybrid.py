@@ -5,6 +5,7 @@ import json
 import math
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -13,9 +14,9 @@ import _reference as ref
 from hbreset.discrete import switching_beta
 import hbreset.hybrid
 from hbreset.hybrid import (BLOCK, ILLINOIS_LEAD, MAX_EVENT_BISECTIONS, HybridParams,
-                            HybridState, _damping, _jumps, _locate, _ModalFlow, _rk4,
-                            default_dwell, energy, in_flow_set, in_jump_set, integrate_hb,
-                            integrate_hhb, integrate_hihb, jump_map)
+                            HybridState, _damping, _jumps, _locate, _modal_coeffs, _ModalFlow,
+                            _rk4, default_dwell, energy, in_flow_set, in_jump_set,
+                            integrate_hb, integrate_hhb, integrate_hihb, jump_map)
 from hbreset.objectives import QuadraticSpec, gen_random_quadratic, quadratic_model
 
 
@@ -318,6 +319,21 @@ def test_modal_block_matches_dense_recursion(n, K, kind):
         D.append(T @ D[-1] + w)
     D = np.array(D)
     np.testing.assert_allclose(np.hstack((dQ, dP)), D, rtol=0, atol=1e-12 * np.abs(D).max())
+
+
+@pytest.mark.parametrize("lam, K, t", [(0.0, 1.0, 1e-3), (0.0, 1e-3, 1e-3),
+                                       (1e-20, 1e-9, 1e-3)])
+def test_slow_stiff_mode_integral_matches_mpmath(lam, K, t):
+    # C = (E(r1) - E(r2))/(r1 - r2), E(r) = (e^{rt} - 1)/r, in 60 digits; in
+    # doubles that difference cancels to eps/(Kt) (3.3e-4 relative at the
+    # last point), which the Taylor series of C avoids
+    mpmath.mp.dps = 60
+    m = -mpmath.mpf(K) / 2
+    d = mpmath.sqrt(m * m - mpmath.mpf(lam))
+    E = [mpmath.mpf(t) if r == 0 else mpmath.expm1(r * t) / r for r in (m + d, m - d)]
+    want = (E[0] - E[1]) / (2 * d)
+    C = _modal_coeffs(np.array([lam]), K)(t)[1][0]
+    assert abs((C - want) / want) <= 1e-14
 
 
 def exact_arc(spec: QuadraticSpec, K: float, q0, p0, t):

@@ -287,30 +287,65 @@ def test_logistic_gradient_is_scipy_expit_bitwise():
     assert np.max(np.abs(zs)) == pytest.approx(1e3)
 
 
-def test_scipy_loaded_only_by_the_logistic_objective(tmp_path):
-    # a fresh interpreter: the CLI and the non-logistic subcommands must
-    # not import scipy, and the first logistic evaluation must
-    script = textwrap.dedent("""
-        import sys
-        import numpy as np
-        import hbreset.cli
-        from hbreset.objectives import gen_logistic_dataset, logistic_eval_grad
-        out = sys.argv[1]
-        assert hbreset.cli.main(["simulate", "--model", "scalar", "--t-end", "0.1",
-                                 "--out", out + "/sim"]) == 0
-        assert hbreset.cli.main(["quad", "--seed", "1", "--n", "4", "--iters", "20",
-                                 "--K", "1", "--methods", "polyak",
-                                 "--out", out + "/quad"]) == 0
-        assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
-        logistic_eval_grad(gen_logistic_dataset(3, 5, 0), np.zeros(3))
-        assert "scipy.special" in sys.modules
-    """)
+def _run_fresh(script: str, *args: str) -> None:
+    """Run a script in a fresh interpreter that imports hbreset from here."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hbreset.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_loaded_only_by_the_logistic_objective(tmp_path):
+    # a fresh interpreter: the CLI and the non-logistic subcommands must
+    # not import scipy, and the first logistic evaluation loads scipy's
+    # compiled expit module alone, which the scipy.special package, once
+    # imported, reuses
+    _run_fresh("""
+        import sys
+        import numpy as np
+        import hbreset.cli
+        from hbreset.objectives import _expit, gen_logistic_dataset, logistic_eval_grad
+        out = sys.argv[1]
+        for argv in (["simulate", "--model", "scalar", "--t-end", "0.1"],
+                     ["quad", "--seed", "1", "--n", "4", "--iters", "20", "--K", "1",
+                      "--methods", "polyak"],
+                     ["certify", "--grid-L", "1", "--bisect-iters", "0"],
+                     ["tune", "--method", "gd", "--objective", "quad", "--seed", "1"]):
+            assert hbreset.cli.main(argv + ["--out", out + "/" + argv[0]]) == 0
+            assert "scipy" not in sys.modules, (argv, sorted(m for m in sys.modules
+                                                             if "scipy" in m))
+        logistic_eval_grad(gen_logistic_dataset(3, 5, 0), np.zeros(3))
+        ufuncs = sys.modules["scipy.special._special_ufuncs"]
+        assert "scipy.special" not in sys.modules
+        assert _expit() is ufuncs.expit
+        x = np.concatenate(([0.0, -0.0, np.inf, -np.inf, np.nan, 709.0, -709.0, 745.0,
+                             -745.0, 5e-324, -5e-324], np.linspace(-1e3, 1e3, 20001)))
+        got = _expit()(x)
+        import scipy.special
+        assert scipy.special.expit is _expit()
+        assert got.tobytes() == scipy.special.expit(x).tobytes()
+    """, str(tmp_path))
+
+
+@pytest.mark.parametrize("found", ["none", "no expit", "no d->d loop"])
+def test_expit_falls_back_to_the_scipy_special_package(found):
+    # a scipy without the compiled module, or whose module holds no double
+    # expit, gives the package's expit
+    _run_fresh("""
+        import sys, types
+        import numpy as np
+        from hbreset import objectives
+        fake = {"none": None, "no expit": types.ModuleType("fake"),
+                "no d->d loop": types.SimpleNamespace(expit=np.logical_not)}[sys.argv[1]]
+        asked = []
+        objectives._load_extension = lambda name: asked.append(name) or fake
+        expit = objectives._expit()
+        import scipy.special
+        assert asked == ["scipy.special._special_ufuncs"]
+        assert expit is scipy.special.expit
+    """, found)
 
 
 def test_finite_differences_agree():
