@@ -6,8 +6,8 @@ numpy), `svg` (line charts, whose polylines go through `csv17`),
 `discrete` (the switched two-step iteration family), `hybrid`
 (continuous-time flows with momentum resets or switched damping), `sdp`
 (a self-contained log-det barrier feasibility engine), `lmi` (rate
-certificates built on it, each row kind's layout written once in a
-private table), `cli` (benchmark front end).
+certificates built on it; one private table per row kind, and one
+compiler for the rows of both), `cli` (benchmark front end).
 
 The names below are the entry points of each layer. Building blocks such
 as `lmi.DtLmiData` (a discrete-time rate row: its compiled stack entry,

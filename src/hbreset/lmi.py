@@ -11,9 +11,10 @@ blockwise (P kron I), so a `CertRequest` carries no dimension.
 Both forms are affine in their rate: the ct flow LMI in alpha (2 alpha E
 in its P blocks; Boyd et al., LMIs in System and Control Theory, 5.1),
 the dt LMIs in rho². Each kind's layout is written once, in its table
-(`_CT`, `_DT`), which the problems, checks and certificates read. A row
-is compiled once into its stack entry, its LMIs' slots without the rate,
-and `_at_rates` moves rows to their rates. So one stream, `_rates_probe`,
+(`_CT`, `_DT`), which the problems, checks and certificates read. Rows of
+either kind compile by one `_compile`, from their state-space data, into
+stack entries: their LMIs' slots without the rate, in the table's order.
+`_at_rates` moves rows to their rates. So one stream, `_rates_probe`,
 serves `ct_rates_probe` and `dt_rates_probe`: every probe of a
 `bisect_rates` call joins one `sdp.solve_stream` stack, each row probing
 up to LOOKAHEAD rates ahead on its path; every row gets the result it
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import count
 from numbers import Integral
@@ -128,13 +129,44 @@ def _at_rates(kind: _Layout, stack: Array, rates: Array) -> Array:
     return mats
 
 
+def _pullback(top: Array, form: Array) -> Array:
+    """T' form T, T = [top; 0 0 1]: a form on (top e, u) as one on e = (x, u)."""
+    T = np.concatenate([top, np.broadcast_to([0.0, 0.0, 1.0], top.shape)], -2)
+    return np.swapaxes(T, -1, -2) @ form @ T
+
+
+def _sector(top: Array, mu: Sequence[float], L: Sequence[float]) -> Array:
+    """build_sector(mu[k], L[k]) of each row k pulled back through its own
+    [C 0; 0 1], top = [C 0] (row, LMI, 1, 3): >= 0 at e = (x, u), u = grad(C x)."""
+    forms = {x: build_sector(*x) for x in set(zip(mu, L))}
+    return _pullback(top, np.array([forms[x] for x in zip(mu, L)]).reshape(-1, 1, 2, 2))
+
+
+def _compile(kind: _Layout, maps: Array, forms: dict, last: Optional[Array] = None) -> Array:
+    """Rows of `kind` compiled as one stack (row, LMI, slot, 3, 3), all in
+    their LMIs but the rate, which _at_rates applies. Per row and LMI, maps
+    (row, LMI, term, 2, 2, 3) holds the pairs (X, Y) of its Lyapunov term
+    sum X' P Y at e = (x, u), which give its P slots over _P_BASIS, and
+    forms[v], broadcasting to (row, LMI, 3, 3), is multiplier v's slot;
+    the table orders them. `last` (dt's M2) ends each LMI, zeros pad it."""
+    n, rows = len(_P_BASIS), (len(maps), len(kind.lmis))
+    stack = np.zeros((*rows, kind.moved.shape[1] + (last is not None), 3, 3))
+    stack[:, :, :n] = (np.swapaxes(maps[:, :, :, :1], -1, -2) @ _P_BASIS @ maps[:, :, :, 1:]).sum(2)
+    for b, (_, _, idx) in enumerate(kind.lmis):
+        for s, i in enumerate(idx[n:], n):
+            stack[:, b, s] = np.broadcast_to(forms[kind.v[i]], (*rows, 3, 3))[:, b]
+    if last is not None:
+        stack[:, :, -1] = last
+    return stack
+
+
 # ---------------------------------------------------------------------------
 # continuous time
 
 
 @dataclass
 class CtLmiData:
-    """System and constraint matrices for the flow/jump certificate (n=1)."""
+    """A ct rate row (n=1): x' = A x + B grad(C x) on flows, x+ = A_R x at jumps."""
 
     A: Array
     A_R: Array
@@ -144,30 +176,6 @@ class CtLmiData:
     lipschitz: float
     K: float
     b_coupled: bool
-    M_phi: Array = field(init=False)
-    M0: Array = field(init=False)
-
-    def __post_init__(self):
-        cmat = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])  # [C 0; 0 I]
-        sector = build_sector(self.mu, self.lipschitz)
-        self.M_phi = cmat.T @ sector @ cmat
-        m0 = np.zeros((3, 3))
-        m0[1, 2] = m0[2, 1] = -0.5
-        self.M0 = m0
-
-    def M_eps(self, eps: float) -> Array:
-        return self.M0 + eps * np.diag([1.0, 1.0, 0.0])
-
-    def M_F(self, P: Array, alpha: float) -> Array:
-        tl = P @ self.A + self.A.T @ P + 2.0 * alpha * P
-        tr = P @ self.B
-        return np.block([[tl, tr], [tr.T, np.zeros((1, 1))]])
-
-    def M_J(self, P: Array) -> Array:
-        tl = self.A_R.T @ P @ self.A_R - P
-        out = np.zeros((3, 3))
-        out[:2, :2] = tl
-        return out
 
 
 def build_ct(K: float, mu: float, L: float, b_coupled: bool = False) -> CtLmiData:
@@ -176,6 +184,7 @@ def build_ct(K: float, mu: float, L: float, b_coupled: bool = False) -> CtLmiDat
     [-I; -I]; the default [0; -I] is the plain dynamics."""
     if not 0.0 < K < np.inf:
         raise ValueError("K must be positive and finite")
+    build_sector(mu, L)  # refuses mu and L out of order or not finite
     A = np.array([[0.0, 1.0], [0.0, -K]])
     A_R = np.array([[1.0, 0.0], [0.0, 0.0]])
     B = np.array([[-1.0], [-1.0]]) if b_coupled else np.array([[0.0], [-1.0]])
@@ -194,21 +203,34 @@ _CT = _layout("alpha", (np.inf, "alpha must be positive and finite"),
                                          "L": row.lipschitz, "b_coupled": row.b_coupled})
 
 
+def _ct_stack(rows: Sequence[CtLmiData], eps_infl: float) -> Array:
+    """Compile ct rows as one stack, at alpha = 0. The flow's Lyapunov term
+    is 2 x'P(A x + B u): [I 0] with [A B] and back; the jump's is
+    x'A_R'P A_R x - x'P x. The descent form -p u is >= 0 on the flow set,
+    which takes it inflated by eps_infl |x|², and <= 0 on the jump set."""
+    descent = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -0.5], [0.0, -0.5, 0.0]])
+    I0 = np.eye(2, 3)
+    maps = np.array([[[(I0, AB), (AB, I0)], [(AR, AR), (-I0, I0)]]
+                     for AB, AR in ((np.hstack([x.A, x.B]), np.pad(x.A_R, [(0, 0), (0, 1)]))
+                                    for x in rows)]).reshape(-1, 2, 2, 2, 2, 3)
+    sector = _sector(np.array([np.pad(x.C, [(0, 0), (0, 1)]) for x in rows]).reshape(-1, 1, 1, 3),
+                     [x.mu for x in rows], [x.lipschitz for x in rows])
+    return _compile(_CT, maps, {"sigma_phi": sector, "sigma_2": -descent,
+                                "sigma_1": descent + eps_infl * np.diag([1.0, 1.0, 0.0])})
+
+
 # ---------------------------------------------------------------------------
 # discrete time
 
 
 @dataclass
 class DtBranch:
-    """One branch of the switched two-step system, x = (q_prev, q)."""
+    """A branch of the switched two-step system at x = (q_prev, q): x+ = A x + B grad(C x)."""
 
     A: Array
     B: Array
     C: Array
     E: Array
-    h: float
-    beta: float
-    disc: str
 
 
 def build_dt(h: float, beta: float, disc: str) -> DtBranch:
@@ -222,7 +244,7 @@ def build_dt(h: float, beta: float, disc: str) -> DtBranch:
     B = np.array([[0.0], [-h]])
     E = np.array([[0.0, 1.0]])
     C = np.array([[-beta, beta + 1.0]]) if disc == NES else E.copy()
-    return DtBranch(A=A, B=B, C=C, E=E, h=h, beta=beta, disc=disc)
+    return DtBranch(A=A, B=B, C=C, E=E)
 
 
 @dataclass
@@ -279,45 +301,23 @@ class DtLmiData:
 def _dt_stack(systems: Sequence[DtSystemMatrices], mu: Sequence[float],
               L: Sequence[float]) -> Array:
     """Compile the switched-rate certificates of rows (systems[k], mu[k],
-    L[k]) as one stack, (rows, branch, 7, 3, 3): all in their two LMIs but
-    the rate, which _at_rates applies."""
-    mu, L = (np.asarray(x, dtype=float) for x in (mu, L))
-    if not np.all((0.0 < mu) & (mu <= L) & (L < np.inf)):
-        raise ValueError("need 0 < mu <= L < inf")
-    rows = len(systems)
-
-    def branches(name: str, shape: tuple) -> Array:
-        return np.array([[getattr(br, name) for br in (s.main, s.reset)]
-                         for s in systems]).reshape(rows, 2, *shape)
-
-    def form(corner, last) -> Array:
-        """[[corner, 0.5], [0.5, last]] per row, for both branches."""
-        w = np.full((rows, 1, 2, 2), 0.5)
-        w[:, 0, 0, 0], w[:, 0, 1, 1] = corner, last
-        return w
-
-    def T(x: Array) -> Array:
-        return np.swapaxes(x, -1, -2)
-
-    A, B, C, E = (branches("A", (2, 2)), branches("B", (2, 1)), branches("C", (1, 2)),
-                  branches("E", (1, 2)))
-    # each is a 1 x 3 row stacked on [0 0 1]
-    zero, unit = np.zeros((rows, 2, 1, 1)), np.broadcast_to([[0.0, 0.0, 1.0]], (rows, 2, 1, 3))
-    sigma1, sigma2, c0 = (np.concatenate([np.concatenate(top, -1), unit], -2) for top in (
-        (E @ A - C, E @ B), (C - E, zero), (C, zero)))
-    w_lower = form(-mu / 2.0, 0.0)
-    n1 = T(sigma1) @ form(L / 2.0, 0.0) @ sigma1
-    # the sector form of build_sector, row by row
-    sector = form(-(mu * L / (mu + L)), -(1.0 / (mu + L)))
-    P = []
-    for Ek in _P_BASIS:
-        tr = T(A) @ Ek @ B
-        P.append(np.concatenate([np.concatenate([T(A) @ Ek @ A, tr], -1),
-                                 np.concatenate([T(tr), T(B) @ Ek @ B], -1)], -2))
-    aligned = np.broadcast_to([ALIGNMENT_FORM, -ALIGNMENT_FORM], (rows, 2, 3, 3))
-    # _DT's slots: P's, a's M1, lambda's sector form, sigma's alignment form; then M2
-    return np.stack([*P, n1 + T(sigma2) @ w_lower @ sigma2, T(c0) @ sector @ c0, aligned,
-                     n1 + T(c0) @ w_lower @ c0], axis=2)
+    L[k]) as one stack, (row, branch, 7, 3, 3). On a branch, x+ = [A B] e
+    is both maps of the Lyapunov term, and a's slots bound phi's change
+    (M1) and phi (M2, last): with u = grad(y) and w(c) = [[c, 1/2], [1/2, 0]],
+    phi(z) - phi(y) <= (z - y, u)' w(L/2) (z - y, u) at z = q+, and
+    phi(y) - phi(z) <= (y - z, u)' w(-mu/2) (y - z, u) at z = q and q*."""
+    A, B, C, E = (np.array([[getattr(br, x) for br in (s.main, s.reset)] for s in systems])
+                  .reshape(-1, 2, *shape) for x, shape in zip("ABCE", ((2, 2), (2, 1), (1, 2), (1, 2))))
+    AB = np.concatenate([A, B], -1)
+    C0, E0 = (np.pad(x, [(0, 0)] * 3 + [(0, 1)]) for x in (C, E))
+    sector = _sector(C0, mu, L)
+    upper, lower = (np.divide(c, d)[:, None, None, None] * _P_BASIS[0] + 0.5 * _P_BASIS[1]
+                    for c, d in ((L, 2.0), (mu, -2.0)))
+    n1 = _pullback(E @ AB - C0, upper)
+    return _compile(_DT, np.stack([AB, AB], 2)[:, :, None],
+                    {"a": n1 + _pullback(C0 - E0, lower), "lambda": sector, "lambda_r": sector,
+                     "sigma": ALIGNMENT_FORM, "sigma_r": -ALIGNMENT_FORM},
+                    last=n1 + _pullback(C0, lower))
 
 
 def build_theorem2(sys: DtSystemMatrices, mu: float, L: float, rho: float) -> DtLmiData:
@@ -698,12 +698,9 @@ def dt_rates_probe(requests: Sequence[CertRequest],
 def ct_rates_probe(rows: Sequence[CtLmiData], eps_infl: float,
                    max_oracle_calls: int = 200) -> RatesStream:
     """Stream for bisect_rates over continuous-time rows at decay exponents
-    alpha (bisected with sense="max"), each descent form inflated by
-    eps_infl (CtLmiData.M_eps). Each row is compiled once, at alpha = 0,
-    and a probe adds 2 alpha E to its flow LMI's three P blocks."""
+    alpha (bisected with sense="max"), each flow's descent form inflated by
+    eps_infl (_ct_stack). Each row is compiled once, at alpha = 0, and a
+    probe adds 2 alpha E to its flow LMI's three P blocks."""
     if not 0.0 < eps_infl < np.inf:
         raise ValueError("eps_infl must be positive and finite")
-    stack = np.array([[[*(x.M_F(E, 0.0) for E in _P_BASIS), x.M_phi, x.M_eps(eps_infl)],
-                       [*(x.M_J(E) for E in _P_BASIS), -x.M0, _ZERO]] for x in rows])
-    return _rates_probe(_CT, rows, stack.reshape(-1, *_CT.moved.shape, 3, 3),
-                        max_oracle_calls, eps=eps_infl)
+    return _rates_probe(_CT, rows, _ct_stack(rows, eps_infl), max_oracle_calls, eps=eps_infl)

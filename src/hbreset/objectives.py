@@ -105,6 +105,8 @@ class QuadraticSpec:
         n = self.b.shape[0]
         if self.Q.shape != (n, n):
             raise ValueError(f"Q shape {self.Q.shape} does not match b length {n}")
+        if not (np.isfinite(self.Q).all() and np.isfinite(self.b).all()):
+            raise ValueError("Q and b must be finite")
         scale = max(1.0, float(np.linalg.norm(self.Q)))
         if float(np.linalg.norm(self.Q - self.Q.T)) > 1e-12 * scale:
             raise ValueError("Q is not symmetric")

@@ -19,9 +19,10 @@ each probe a lone `solve_feasibility` of the row's `dt_problem`: the
 sequential reference of `lmi.dt_rates_probe`'s stream. At L == mu a
 probe is `twin_probe`: the row's `dt_problem` and `dt_face_problem`, the
 face twin that the stream adds, stacked alone; `dt_forms` reads a
-compiled row's M1, M2 and sector form. `ct_problem` is
-the continuous-time problem built whole at one alpha, the reference of
-each probe of `lmi.ct_rates_probe`'s stream; `probe_at` probes every row
+compiled row's M1, M2 and sector form, and `ct_forms` a compiled ct
+row's forms. `ct_problem` is the continuous-time problem written out at
+one alpha from the row's matrices, the reference of each probe of
+`lmi.ct_rates_probe`'s stream; `probe_at` probes every row
 of a stream once. `stacked` feeds problems of one block shape to
 `sdp.solve_stream` as one stack. `barrier_terms` is the phase-I
 barrier's derivatives taken from dense inverses, the reference of
@@ -266,17 +267,45 @@ def dt_face_problem(data: lmi.DtLmiData) -> sdp.FeasProblem:
                            nonneg=full.nonneg, normalization=normalization, margin=full.margin)
 
 
+def ct_forms(data: lmi.CtLmiData, eps_infl: float) -> tuple:
+    """(flow, jump, M_phi, M0, M_eps) of a ct row compiled alone with
+    inflation eps_infl, read from its stack: flow(P, alpha) and jump(P)
+    weigh the P slots of the flow LMI, moved to alpha, and of the jump LMI
+    by P's entries; M_phi is sigma_phi's slot, the sector form, M_eps is
+    sigma_1's, the inflated descent form, and M0 is minus sigma_2's."""
+    stack = lmi._ct_stack([data], eps_infl)
+
+    def lyapunov(slots: Array, P: Array) -> Array:
+        return np.tensordot([P[0, 0], P[0, 1], P[1, 1]], slots[:len(lmi._P_BASIS)], 1)
+
+    return (lambda P, alpha: lyapunov(lmi._at_rates(lmi._CT, stack, np.array([alpha]))[0, 0], P),
+            lambda P: lyapunov(stack[0, 1], P), stack[0, 0, 3], -stack[0, 1, 3], stack[0, 0, 4])
+
+
 def ct_problem(data: lmi.CtLmiData, alpha: float, eps_infl: float) -> sdp.FeasProblem:
-    """The continuous-time feasibility problem of one row at exponent alpha."""
+    """The continuous-time feasibility problem of one row at exponent alpha,
+    written out from the row's matrices: per basis matrix E of P, the flow
+    block [[E A + A'E + 2 alpha E, E B], [B'E, 0]] and the jump block
+    A_R'E A_R - E padded by zeros; the sector form on (q, u); the descent
+    form -p u, inflated in the flow by eps_infl (q² + p²), negated in the jump."""
     for name, value in (("alpha", alpha), ("eps_infl", eps_infl)):
         if not 0.0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite")
+    A, A_R, B = data.A, data.A_R, data.B
+    qu = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])  # e = (q, p, u) to (q, u)
+    descent = np.zeros((3, 3))
+    descent[1, 2] = descent[2, 1] = -0.5
     # v = [p11, p12, p22, sigma_phi, sigma_1, sigma_2]
-    flow_basis = [(i, data.M_F(E, alpha)) for i, E in enumerate(lmi._P_BASIS)]
-    flow_basis += [(3, data.M_phi), (4, data.M_eps(eps_infl))]
+    flow_basis, jump_basis = [], []
+    for i, E in enumerate(lmi._P_BASIS):
+        tr = E @ B
+        flow_basis.append((i, np.block([[E @ A + A.T @ E + 2.0 * alpha * E, tr],
+                                        [tr.T, np.zeros((1, 1))]])))
+        jump_basis.append((i, np.pad(A_R.T @ E @ A_R - E, (0, 1))))
+    flow_basis += [(3, qu.T @ lmi.build_sector(data.mu, data.lipschitz) @ qu),
+                   (4, descent + eps_infl * np.diag([1.0, 1.0, 0.0]))]
+    jump_basis += [(5, -descent)]
     flow = sdp.AffineMatrixMap(constant=np.zeros((3, 3)), basis=flow_basis, name="flow")
-    jump_basis = [(i, data.M_J(E)) for i, E in enumerate(lmi._P_BASIS)]
-    jump_basis += [(5, -data.M0)]
     jump = sdp.AffineMatrixMap(constant=-(lmi.CT_RESET_SLACK + lmi.MARGIN) * np.eye(3),
                                basis=jump_basis, name="jump")
     pmap = sdp.AffineMatrixMap(constant=np.zeros((2, 2)),

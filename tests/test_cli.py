@@ -1028,8 +1028,12 @@ def test_simulate_model_file_and_dimension_check(tmp_path):
         main(["simulate", "--mode", "hb", "--model", "file",
               "--model-file", str(path), "--q0", "1",
               "--out", str(tmp_path / "bad")])
-    # a file that does not read as a quadratic spec names the flag too
-    for text in ("{}", "[1]", "not json"):
+    # a file that does not read as a quadratic spec names the flag too, and
+    # so does one with a NaN or infinite entry, which no model is built from
+    for text in ("{}", "[1]", "not json", '{"Q": [[1, 0], [0, NaN]], "b": [0, 0]}',
+                 '{"Q": [[1, 0], [0, 1]], "b": [NaN, 0]}',
+                 '{"Q": [[1, 0], [0, Infinity]], "b": [0, 0]}',
+                 '{"Q": [[1, 0], [0, 1]], "b": [0, -Infinity]}'):
         path.write_text(text)
         with pytest.raises(ValueError, match="--model-file"):
             main(["simulate", "--model", "file", "--model-file", str(path),

@@ -114,25 +114,25 @@ def test_ct_system_matrices():
     np.testing.assert_allclose(coupled.B, [[-1.0], [-1.0]], atol=0)
     with pytest.raises(ValueError):
         build_ct(0.0, 1.0, 10.0)
-    for mat in (data.M_phi, data.M0, data.M_eps(1e-6)):
+    for mat in ref.ct_forms(data, 1e-6)[2:]:
         assert mat.shape == (3, 3)
         np.testing.assert_allclose(mat, mat.T, atol=1e-14)
 
 
 def test_ct_descent_identities():
     # e' M0 e = -p * grad, and the inflated form adds eps |x|^2
-    data = build_ct(2.0, 1.0, 10.0)
     rng = np.random.default_rng(3)
     eps = 1e-4
+    _, _, _, M0, M_eps = ref.ct_forms(build_ct(2.0, 1.0, 10.0), eps)
     for _ in range(1000):
         c = rng.uniform(1.0, 10.0)
         q, p = rng.uniform(-5.0, 5.0, 2)
         u = c * q
         e = np.array([q, p, u])
         scale = 1.0 + e @ e
-        assert abs(e @ data.M0 @ e - (-p * u)) <= 1e-12 * scale
+        assert abs(e @ M0 @ e - (-p * u)) <= 1e-12 * scale
         want = -p * u + eps * (q * q + p * p)
-        assert abs(e @ data.M_eps(eps) @ e - want) <= 1e-12 * scale
+        assert abs(e @ M_eps @ e - want) <= 1e-12 * scale
 
 
 def test_ct_flow_jump_quadratic_forms():
@@ -141,6 +141,7 @@ def test_ct_flow_jump_quadratic_forms():
     rng = np.random.default_rng(4)
     for coupled in (False, True):
         data = build_ct(1.5, 1.0, 10.0, b_coupled=coupled)
+        flow, jump, *_ = ref.ct_forms(data, 1e-6)
         for _ in range(200):
             raw = rng.standard_normal((2, 2))
             P = raw @ raw.T + 0.1 * np.eye(2)
@@ -150,11 +151,11 @@ def test_ct_flow_jump_quadratic_forms():
             e = np.array([x[0], x[1], u])
             xdot = data.A @ x + data.B[:, 0] * u
             want = 2.0 * x @ P @ xdot + 2.0 * alpha * x @ P @ x
-            got = e @ data.M_F(P, alpha) @ e
+            got = e @ flow(P, alpha) @ e
             assert abs(got - want) <= 1e-11 * (1.0 + abs(want))
             xr = data.A_R @ x
             want_j = xr @ P @ xr - x @ P @ x
-            assert abs(e @ data.M_J(P) @ e - want_j) <= 1e-11 * (1.0 + abs(want_j))
+            assert abs(e @ jump(P) @ e - want_j) <= 1e-11 * (1.0 + abs(want_j))
 
 
 def test_ct_standard_input_uncertifiable():
@@ -223,6 +224,8 @@ def _dt_stream_row(h=0.1, L=10.0):
     ("h", lambda x: build_dt(x, 0.5, POL)),
     ("h", lambda x: _dt_stream_row(h=x)),
     ("K", lambda x: build_ct(x, 1.0, 2.0)),
+    ("mu", lambda x: build_ct(1.0, x, 2.0)),
+    ("L", lambda x: build_ct(1.0, 1.0, x)),
     ("L", lambda x: build_sector(1.0, x)),
     ("L", lambda x: _dt_stream_row(L=x)),
     ("alpha", lambda x: ref.probe_at(ct_rates_probe([build_ct(1.0, 1.0, 2.0, b_coupled=True)],
@@ -376,6 +379,28 @@ def test_compiled_row_matches_the_reference_blocks_bit_for_bit():
                     == basis_bytes(reference_dt_lmis(sys_mats, mu, L, rho)))
 
 
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.floats(1e-3, 2.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from((POL, NES)),
+       st.floats(0.1, 3.0), st.just(1.0) | st.floats(1.0, 1e4), st.floats(0.05, 1.0),
+       st.floats(0.01, 10.0), st.booleans(), st.floats(1e-3, 5.0), st.floats(1e-8, 1.0))
+def test_rows_of_both_kinds_compile_to_their_references_bit_for_bit(h, beta_hi, lo, disc, mu,
+                                                                     cond, rho, K, coupled,
+                                                                     alpha, eps):
+    # a dt row (beta_lo <= beta_hi, L >= mu, L == mu included) at rho and
+    # a ct row at alpha: the compiled blocks are the reference's, written
+    # out from the row's matrices, bit for bit
+    L = mu * cond
+    sys_mats = dt_system(h, beta_hi, lo * beta_hi, disc)
+    problem = dt_problem(build_theorem2(sys_mats, mu, L, rho))
+    assert (basis_bytes(blk.basis for blk in problem.nsd_blocks)
+            == basis_bytes(reference_dt_lmis(sys_mats, mu, L, rho)))
+    row = build_ct(K, mu, L, b_coupled=coupled)
+    kind = hbreset.lmi._CT
+    mats = hbreset.lmi._at_rates(kind, hbreset.lmi._ct_stack([row], eps), np.array([alpha]))[0]
+    assert (basis_bytes(zip(idx, m) for (_, _, idx), m in zip(kind.lmis, mats))
+            == basis_bytes(blk.basis for blk in ref.ct_problem(row, alpha, eps).nsd_blocks))
+
+
 def test_a_row_compiled_once_gives_the_same_bits_at_every_rate_in_any_order():
     # a probe must not update the compiled pieces in place: rates visited
     # rising, falling and repeated give the bits of a fresh compile
@@ -392,25 +417,32 @@ def test_a_row_compiled_once_gives_the_same_bits_at_every_rate_in_any_order():
 
 
 def test_bench_config_sweep_compiles_each_row_once(monkeypatch, tmp_path):
-    # every compiled row passes through the stacked builder, build_theorem2's
-    # rows too, so the count covers the front end: it compiles nothing
-    # itself, not even the dumped problems
+    # every row of either kind passes through the one compiler,
+    # build_theorem2's rows too, so the count covers the front end: it
+    # compiles nothing itself, not even the dumped problems; and a ct
+    # bisection compiles each of its rows once
     compiled = []
-    stacked = hbreset.lmi._dt_stack
+    real = hbreset.lmi._compile
 
-    def counting(systems, mu, L):
-        compiled.extend((s.h, s.beta_hi, s.beta_lo, s.disc, m, l)
-                        for s, m, l in zip(systems, mu, L))
-        return stacked(systems, mu, L)
+    def counting(kind, *args, **kwargs):
+        stack = real(kind, *args, **kwargs)
+        compiled.extend((kind.rate_kind, entry.tobytes()) for entry in stack)
+        return stack
 
-    monkeypatch.setattr(hbreset.lmi, "_dt_stack", counting)
+    monkeypatch.setattr(hbreset.lmi, "_compile", counting)
     for extra in ([], ["--dump-sdp"]):
         compiled.clear()
         out = tmp_path / f"out{len(extra)}"
         assert cli_main(["certify", "--grid-L", "1,10,100", "--bisect-iters", "3",
                          *extra, "--out", str(out)]) == 0
         assert len(compiled) == len(set(compiled)) == 18
+        assert {kind for kind, _ in compiled} == {"rho"}
         assert bool(list(out.glob("sdp_*.json"))) == bool(extra)
+    compiled.clear()
+    rows = [build_ct(1, 1, L, b_coupled=True) for L in (2, 4)] + [build_ct(1, 1, 10)]
+    bisect_rates(ct_rates_probe(rows, 1e-6), 1e-4, 5.0, iters=2, scan=False, sense="max")
+    assert len(compiled) == len(set(compiled)) == 3
+    assert {kind for kind, _ in compiled} == {"alpha"}
 
 
 def test_a_stream_of_no_rows_bisects_to_no_results():
