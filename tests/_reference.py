@@ -27,16 +27,20 @@ of a stream once. `stacked` feeds problems of one block shape to
 `sdp.solve_stream` as one stack. `barrier_terms` is the phase-I
 barrier's derivatives taken from dense inverses, the reference of
 `sdp._barrier_terms`.
+
+`format_rows` is `csv17.write_rows` of one 2-D block, into memory: the
+bytes that the csv17 tests compare with `'%.17g' % v`, value by value.
 """
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from hbreset import hybrid, lmi, sdp
+from hbreset import csv17, hybrid, lmi, sdp
 from hbreset.discrete import (DIVERGENCE_FACTOR, STATUS_CONVERGED, STATUS_DIVERGED,
                               STATUS_MAX_ITER, AlgoParams, Trajectory, Variant,
                               nesterov_beta_schedule, switching_beta)
@@ -370,3 +374,11 @@ def barrier_terms(lifts: list, w: Array, s: Array) -> tuple:
         hess[range(d), range(d)] += up * up + dn * dn
         rows.append((grad, hess, trz, bound))
     return tuple(np.array(col) for col in zip(*rows))
+
+
+def format_rows(a) -> bytes:
+    """The bytes that `csv17.write_rows` writes for the 2-D float array a,
+    `"".join(",".join("%.17g" % v for v in row) + "\\n" for row in a)`."""
+    fh = io.BytesIO()
+    csv17.write_rows(fh, [np.asarray(a, dtype=float)])
+    return fh.getvalue()

@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import _reference as ref
 from hbreset import csv17
 
 
@@ -16,7 +19,7 @@ def per_value(a):
 
 def check(a):
     a = np.asarray(a, dtype=float)
-    got, want = csv17.format_rows(a), per_value(a)
+    got, want = ref.format_rows(a), per_value(a)
     if got != want:
         bad = [(g, w) for g, w in zip(got.split(b"\n"), want.split(b"\n")) if g != w]
         pytest.fail(f"{len(bad)} rows differ, first {bad[:1]}")
@@ -81,6 +84,29 @@ def test_shapes(shape):
     a = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
     a.ravel()[::7] = 0.0  # zeros print from the fast path
     check(a)
+
+
+def test_write_rows_memory_stays_within_budget():
+    # an arc of the benchmark's shape, 10,002 rows of t, j, a 10-d q and p,
+    # tau and energy, with the tables built afresh. The budget is what the
+    # kernel with an (8, 414) mask gather took here, 1,078 KiB; this one
+    # takes about 0.73 MiB, and at twice the chunk 1.2 MiB. A larger chunk
+    # or table shows here before it shows in the benchmark's peak_rss_mb.
+    rng = np.random.default_rng(11)
+    t = np.arange(10_002) * 1e-3
+    q = rng.standard_normal((len(t), 10)) * np.exp(-t)[:, None]
+    arc = (t, np.floor(t / 0.7), q, np.diff(q, axis=0, prepend=0.0) / 1e-3, t % 0.7,
+           np.einsum("ij,ij->i", q, q))
+    for built in (csv17._tables, csv17._quads, csv17._seps):
+        built.cache_clear()
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "wb") as fh:
+            csv17.write_rows(fh, arc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1078 * 1024, f"{peak / 1024:.0f} KiB"
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)

@@ -767,17 +767,18 @@ def test_arc_csv_and_jump_log(tmp_path):
         assert set(log[0]) == {"t", "j", "q"}
 
 
-def test_arc_csv_matches_per_value_formatting(tmp_path):
+def check_arc_csv(tmp_path, n):
     # csv17 formats whole chunks of values in numpy, and j as a float; it
     # must give the bytes of formatting each numpy scalar on its own
-    _, model = gen_random_quadratic(2, 20.0, 12)
+    _, model = gen_random_quadratic(n, 20.0, 12)
     par = HybridParams(K=0.3, T_min=0.05, step=1e-3)
-    z0 = HybridState(q=np.array([1.0, -0.5]), p=np.zeros(2))
+    z0 = HybridState(q=np.linspace(1.0, -0.5, n), p=np.zeros(n))
     arc = integrate_hhb(model, par, z0, 5.0)
     assert len(arc.jumps) >= 2 and len(arc) > 2048  # spans many csv17 chunks
     path = tmp_path / "arc.csv"
     arc.to_csv(path)
-    lines = ["t,j,q0,q1,p0,p1,tau,energy"]
+    lines = [",".join(["t", "j"] + [f"q{i}" for i in range(n)] + [f"p{i}" for i in range(n)]
+                      + ["tau", "energy"])]
     for i in range(len(arc.t)):
         vals = [("%.17g" % arc.t[i]), str(int(arc.j[i]))]
         vals += ["%.17g" % v for v in arc.q[i]]
@@ -788,6 +789,16 @@ def test_arc_csv_matches_per_value_formatting(tmp_path):
     assert got[-1] == "" and len(got) == len(lines) + 1
     bad = [i for i, (a, b) in enumerate(zip(got, lines)) if a != b]
     assert not bad, (bad[0], got[bad[0]], lines[bad[0]])
+
+
+def test_arc_csv_matches_per_value_formatting(tmp_path):
+    check_arc_csv(tmp_path, 2)
+    assert (tmp_path / "arc.csv").read_text().startswith("t,j,q0,q1,p0,p1,tau,energy\n")
+
+
+def test_arc_csv_at_the_benchmark_width_matches_per_value_formatting(tmp_path):
+    # n = 10 is the benchmark's width: 24 columns, 128 rows a csv17 chunk
+    check_arc_csv(tmp_path, 10)
 
 
 def test_final_state_round_trip():
