@@ -176,6 +176,17 @@ _ORDER = (Variant.GD, Variant.POL, Variant.NES, Variant.NES_SCHEDULE)
 _HELD = 64
 
 
+def _calm(phi: Array, gnorm: Array, guard: float, grad_tol: float) -> bool:
+    """Whether every phi and gradient norm of a stack is finite (a NaN or
+    inf makes a sum non-finite), phi at most guard and the norm above
+    grad_tol: then no row stops and every gradient row is finite. On a
+    stack's few rows, Python's sum, max and min over lists cost a
+    fraction of a numpy reduction's fixed cost."""
+    phis, norms = phi.tolist(), gnorm.tolist()
+    return (math.isfinite(sum(phis) + sum(norms)) and max(phis) <= guard
+            and min(norms) > grad_tol)
+
+
 def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
              max_iter: int, grad_tol: float = 0.0, *, values: str = "all",
              start: Optional[tuple] = None) -> list[Trajectory]:
@@ -192,12 +203,17 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
     Each iterate makes one stacked value_grad call for every live row
     and, while NES or NES_SCHEDULE rows are live, one model.gradient call
     at their extrapolated points; the oracles must map a (B, n) stack to
-    (B,) values and (B, n) gradients. start, when given, is
+    (B,) values and (B, n) gradients, in fresh arrays: the second call's
+    rows overwrite the first's gradient. start, when given, is
     model.value_grad(q0), for a caller that runs many stacks from one q0.
     A run leaves the stack at the iterate where it stops. With an oracle
     that gives each row the bits it gives that point alone
     (`quad_eval_grad` does), each run's records, status, final q and phi
     are those of its stack of one, `run`.
+
+    Where `_calm` finds that no row stops and every gradient is finite,
+    the loop builds no per-row stop masks and skips the finite check of
+    the gradients that the step reads.
 
     The loop appends each iterate's values, inner products and gradient
     norms (one norm per iterate) to lists, and writes them into the
@@ -222,14 +238,13 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
     params_seq = list(params_seq)
     if not params_seq:
         return []
-    rank = np.array([_ORDER.index(p.variant) for p in params_seq])
-    order = np.argsort(rank, kind="stable")
-    group, rank = [params_seq[i] for i in order], rank[order]
-    # eps and h as (B, 1) columns; GD rows take beta 0
-    eps, h, lo, hi = (np.array([getattr(p, name) for p in group])
-                      for name in ("eps", "h", "beta_lo", "beta_hi"))
+    ranks = [_ORDER.index(p.variant) for p in params_seq]
+    order = sorted(range(len(ranks)), key=ranks.__getitem__)
+    rank, group = np.array(sorted(ranks)), [params_seq[i] for i in order]
+    # eps, h and the betas as (B,) columns; GD rows take beta 0
+    eps, h, lo, hi = np.array([(p.eps, p.h, p.beta_lo, p.beta_hi) if p.variant != Variant.GD
+                               else (p.eps, p.h, 0.0, 0.0) for p in group]).T
     eps, h = eps[:, None], h[:, None]
-    lo, hi = np.where(rank > 0, lo, 0.0), np.where(rank > 0, hi, 0.0)
     size = len(group)
     q0 = np.asarray(q0, dtype=float)
     phi0, g0 = model.value_grad(q0) if start is None else start
@@ -237,10 +252,14 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
     phi_star = math.nan if model.min_value is None else model.min_value
     alpha = 1.0  # NES_SCHEDULE state
 
-    q, p = np.tile(q0, (size, 1)), np.zeros((size, q0.size))
-    phi, g = np.full(size, phi0), np.tile(g0, (size, 1))
+    q, p = np.repeat(q0[None], size, axis=0), np.zeros((size, q0.size))
+    phi, g = np.full(size, phi0), np.repeat(np.asarray(g0)[None], size, axis=0)
     gnorm = np.sqrt(np.vecdot(g, g))
-    diverged, check = np.zeros(size, dtype=bool), True  # check: a row may stop
+    # the rows that stop at this iterate (None: no row), the diverged ones
+    # among them and whether every gradient is finite; none diverges at q0
+    stop = None if gnorm[0] > grad_tol else gnorm <= grad_tol
+    diverged, finite = np.zeros(size, dtype=bool), math.isfinite(gnorm[0])
+    nans = np.full(size, math.nan)  # the phi of a row whose value is skipped
     live = np.arange(size)  # the record row of each stacked row
     at = slice(None)  # live, as a slice while every row is live
     a, b, c = np.searchsorted(rank, (1, 2, 3)).tolist()  # POL, NES, NES_SCHEDULE
@@ -248,74 +267,76 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
     gaps, betas, gnorms = (np.empty((size, max_iter + 1)) for _ in range(3))
     signs = np.empty((size, max_iter + 1), dtype=np.int8)
     resets = np.empty((size, max_iter + 1), dtype=bool)
-    held: tuple = ([], [], [])  # phi, inner and gnorm of iterates first..k
+    phis, inners, norms = held = ([], [], [])  # of iterates first..k
     first = 0
     schedule: list = []  # NES_SCHEDULE's beta at each iterate
     ends: list = [None] * size  # (length, status, q, phi)
     for k in range(max_iter + 1):
         inner = np.vecdot(g, p)
-        beta = switching_beta(inner, lo, hi)[0]
+        beta = np.where(aligned(inner), hi, lo)  # switching_beta's beta
         if c < len(beta):
             beta[c:], alpha = nesterov_beta_schedule(alpha)
             schedule.append(beta[c])
-        for column, v in zip(held, (phi, inner, gnorm)):
-            column.append(v)
-        stopping = check and (
-            stop := diverged | (gnorm <= grad_tol) | (k == max_iter)).any()
+        phis.append(phi)
+        inners.append(inner)
+        norms.append(gnorm)
+        ending = k == max_iter
+        stopping = ending or stop is not None and stop.any()
         if stopping or k + 1 - first == _HELD:
             # the held iterates go into the records as one block, with
             # their signs, betas and resets derived from the inner products
-            phis, inners, norms = (np.array(column).T for column in held)
+            phi_k, inner_k, norm_k = (np.array(column).T for column in held)
             for column in held:
                 column.clear()
-            beta_k, reset_k = switching_beta(inners, lo[:, None], hi[:, None])
+            beta_k, reset_k = switching_beta(inner_k, lo[:, None], hi[:, None])
             reset_k[:a] = reset_k[c:] = False
             if c < len(beta_k):
                 beta_k[c:] = schedule[first:k + 1]
             block = (at, slice(first, k + 1))
-            gaps[block] = phis - phi_star
-            signs[block] = np.sign(np.where(np.isfinite(inners), inners, 0.0))
-            betas[block], resets[block], gnorms[block] = beta_k, reset_k, norms
+            gaps[block] = phi_k - phi_star
+            signs[block] = np.sign(np.where(np.isfinite(inner_k), inner_k, 0.0))
+            betas[block], resets[block], gnorms[block] = beta_k, reset_k, norm_k
             first = k + 1
         if stopping:
-            for i in np.flatnonzero(stop):
-                status = (STATUS_DIVERGED if diverged[i] else
-                          STATUS_MAX_ITER if k == max_iter else STATUS_CONVERGED)
+            for i in range(len(live)) if ending else np.flatnonzero(stop):
+                status = (STATUS_DIVERGED if stop is not None and diverged[i] else
+                          STATUS_MAX_ITER if ending else STATUS_CONVERGED)
                 ends[live[i]] = (k + 1, status, q[i].copy(), float(phi[i]))
-            keep = ~stop
-            if not keep.any():
+            if ending or stop.all():
                 break
-            live, rank, eps, h, lo, hi, q, p, g, beta = (
-                v[keep] for v in (live, rank, eps, h, lo, hi, q, p, g, beta))
+            keep = ~stop
+            live, rank, eps, h, lo, hi, q, p, g, gnorm, beta, nans = (
+                v[keep] for v in (live, rank, eps, h, lo, hi, q, p, g, gnorm, beta, nans))
             at, (a, b, c) = live, np.searchsorted(rank, (1, 2, 3)).tolist()
         # each variant's formula, slice by slice: NES_SCHEDULE reads only
         # the gradient at its extrapolated point, and GD's momentum
         # formula (beta 0) is replaced by q - h*g, whose bits differ.
-        _finite(g[:c])
+        if not finite:
+            _finite(g[:c])
         beta = beta[:, None]
         if b < len(g):
-            g = np.concatenate((g[:b], _finite(
-                model.gradient(q[b:] + eps[b:] * beta[b:] * p[b:]))))
+            g[b:] = _finite(model.gradient(q[b:] + eps[b:] * beta[b:] * p[b:]))
         q_next = q + eps * (beta * p - eps * g)
         if a:
             q_next[:a] = q[:a] - h[:a] * g[:a]
         p, q = (q_next - q) / eps, q_next
-        if bound is None or k + 1 == max_iter:
-            phi, g = model.value_grad(q)
-            gnorm = np.sqrt(np.vecdot(g, g))
-            exact = check = True
-        else:
-            # phi is read where a row may have diverged (its bound, or a
-            # NaN, is above the guard) or stops at grad_tol
-            phi, g = bound(q)
-            gnorm = np.sqrt(np.vecdot(g, g))
-            exact = ~(phi <= guard) | (gnorm <= grad_tol)
-            check = exact.any()
-            phi[~exact] = math.nan
-            if check:
-                phi[exact] = model.value(q[exact])
-        if check:
-            diverged = exact & (~np.isfinite(phi) | (phi > guard))
+        exact = bound is None or k + 1 == max_iter
+        phi, g = model.value_grad(q) if exact else bound(q)
+        gnorm = np.sqrt(np.vecdot(g, g))
+        finite, stop = _calm(phi, gnorm, guard, grad_tol), None
+        if finite and not exact:
+            phi = nans
+        elif not finite:
+            # a bound's phi is read where a row may have diverged (its
+            # bound, or a NaN, is above the guard) or stops at grad_tol
+            read = exact or ~(phi <= guard) | (gnorm <= grad_tol)
+            if not exact:
+                phi[~read] = math.nan
+                if read.any():
+                    phi[read] = model.value(q[read])
+            if np.any(read):
+                diverged = read & (~np.isfinite(phi) | (phi > guard))
+                stop = diverged | (gnorm <= grad_tol)
 
     out: list = [None] * size
     for row, (i, (n, status, q_end, phi_end)) in enumerate(zip(order, ends)):

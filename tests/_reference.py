@@ -30,6 +30,10 @@ barrier's derivatives taken from dense inverses, the reference of
 
 `format_rows` is `csv17.write_rows` of one 2-D block, into memory: the
 bytes that the csv17 tests compare with `'%.17g' % v`, value by value.
+
+`finite_diff_check` compares a model's gradient with central
+differences of its value, and `golden_min` is the tuner's golden-section
+search (`cli._golden`) scored one point at a time.
 """
 from __future__ import annotations
 
@@ -40,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from hbreset import csv17, hybrid, lmi, sdp
+from hbreset import cli, csv17, hybrid, lmi, sdp
 from hbreset.discrete import (DIVERGENCE_FACTOR, STATUS_CONVERGED, STATUS_DIVERGED,
                               STATUS_MAX_ITER, AlgoParams, Trajectory, Variant,
                               nesterov_beta_schedule, switching_beta)
@@ -382,3 +386,31 @@ def format_rows(a) -> bytes:
     fh = io.BytesIO()
     csv17.write_rows(fh, [np.asarray(a, dtype=float)])
     return fh.getvalue()
+
+
+def finite_diff_check(model: ObjectiveModel, q: Array, step: float) -> float:
+    """Max relative error between the analytic gradient and central differences.
+
+    Relative to max(1, ||grad||_inf) per coordinate.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    q = np.asarray(q, dtype=float)
+    g = model.gradient(q)
+    denom = max(1.0, float(np.max(np.abs(g))))
+    worst = 0.0
+    for i in range(model.dim):
+        e = np.zeros(model.dim)
+        e[i] = step
+        hi = model.value(q + e)
+        lo = model.value(q - e)
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise FloatingPointError("non-finite objective value at probe point")
+        fd = (hi - lo) / (2.0 * step)
+        worst = max(worst, abs(fd - g[i]) / denom)
+    return worst
+
+
+def golden_min(f, lo: float, hi: float, iters: int):
+    """Golden-section search; deterministic, returns (x, f(x))."""
+    return cli._finish(cli._golden(lo, hi, iters), lambda xs: [f(x) for x in xs])

@@ -15,8 +15,7 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROOT = os.path.dirname(BENCH)
 
 # the top-level public defs of src/hbreset that only the tests call
-TEST_ONLY = {"energy", "finite_diff_check", "golden_min", "in_flow_set", "in_jump_set",
-             "problem_from_json"}
+TEST_ONLY = {"energy", "in_flow_set", "in_jump_set", "problem_from_json"}
 
 
 def _bench_tree(name):

@@ -15,11 +15,12 @@ import warnings
 import numpy as np
 import pytest
 
+import _reference as ref
 import hbreset.cli
 import hbreset.objectives
 from hbreset.cli import (METHODS, ExperimentConfig, SWEEP_HEADER, certify_request,
                          certify_tuning, config_from_args, build_parser,
-                         golden_min, logreg_start, main, method_entry,
+                         logreg_start, main, method_entry,
                          method_params, quad_params, read_sweep, replot_sweep,
                          tail_slope, tune_method)
 from hbreset.discrete import Variant, run
@@ -619,6 +620,25 @@ def test_tune_round_of_five_methods_is_one_stack(monkeypatch):
     assert all(() not in calls for _, calls, _, _ in rounds)
 
 
+def test_bench_tune_keeps_its_oracle_schedule(monkeypatch):
+    # the bench logreg tune at seed 11 (n = 20, m = 1000, five methods,
+    # budget 15, the default 16 outer and 12 inner iterations) takes 221
+    # rounds. Each takes the bound at its 14 intermediate iterates (no run
+    # nears the guard, so no value is read there), the value at its last,
+    # and the gradient alone at the nesterov rows' extrapolated points;
+    # q0 takes one value. These counts of calls and of rows are the
+    # schedule that a faster loop keeps
+    oracles = {name: counting_oracle(monkeypatch, name) for name in
+               ("logistic_bound_grad", "logistic_eval_grad", "logistic_grad")}
+    model = logistic_model(gen_logistic_dataset(20, 1000, 11))
+    lhat = model.lipschitz
+    tune_method(LOGREG_METHODS, model, logreg_start(11, 20), 15, 1e-3 / lhat, 10.0 / lhat)
+    assert {name: (sum(shapes.values()), sum(math.prod(s) * n for s, n in shapes.items()))
+            for name, shapes in oracles.items()} == {
+        "logistic_bound_grad": (3094, 11088), "logistic_eval_grad": (222, 793),
+        "logistic_grad": (255, 270)}
+
+
 def tune_rounds(method, outer_iters, inner_iters):
     """The stack size of each tuner round of one method's search. Its
     opening pairs go out together, so a method with a beta takes
@@ -676,7 +696,7 @@ def test_tail_slope_on_geometric_decay():
 
 
 def test_golden_min_quadratic():
-    x, fx = golden_min(lambda x: (x - 2.0) ** 2, 0.0, 5.0, 60)
+    x, fx = ref.golden_min(lambda x: (x - 2.0) ** 2, 0.0, 5.0, 60)
     assert x == pytest.approx(2.0, abs=1e-8)
     assert fx == pytest.approx(0.0, abs=1e-15)
 
@@ -830,15 +850,15 @@ def sequential_tune(method, model, q0, budget, h_lo, h_hi, outer_iters=16,
     def eval_h(lh):
         h = 10.0 ** lh
         if has_beta:
-            beta, val = golden_min(lambda b: phi_at_budget(h, b), 0.0, 0.995,
-                                   inner_iters)
+            beta, val = ref.golden_min(lambda b: phi_at_budget(h, b), 0.0, 0.995,
+                                       inner_iters)
         else:
             beta, val = None, phi_at_budget(h, 0.0)
         if val < best["phi"]:
             best.update(phi=val, h=h, beta=beta)
         return val
 
-    golden_min(eval_h, math.log10(h_lo), math.log10(h_hi), outer_iters)
+    ref.golden_min(eval_h, math.log10(h_lo), math.log10(h_hi), outer_iters)
     return {"method": method, "h": best["h"], "beta": best["beta"],
             "phi_at_budget": best["phi"], "budget": int(budget)}
 
@@ -936,6 +956,18 @@ def test_rejected_logreg_writes_nothing(tmp_path, argv, error, match):
     with pytest.raises(error, match=match):
         main(["logreg", "--seed", "1", "--n", "3", "--m", "20", "--iters", "5",
               *argv, "--out", str(out)])
+    assert not out.exists()
+
+
+def test_logreg_rejects_a_reference_run_whose_gradient_norm_is_nan(tmp_path, monkeypatch):
+    # a NaN norm is not within --ref-tol either
+    lone = hbreset.cli.logreg_reference
+    monkeypatch.setattr(hbreset.cli, "logreg_reference",
+                        lambda *args: (*lone(*args)[:3], math.nan))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape("reference run did not converge: |grad| = nan")):
+        main(["logreg", "--seed", "1", "--n", "3", "--m", "20", "--iters", "5",
+              "--out", str(out)])
     assert not out.exists()
 
 

@@ -450,6 +450,76 @@ def test_values_last_matches_run_on_logistic_models(n, m, seed, runs, max_iter, 
         assert not np.isnan(alone.phi_gaps).any()
 
 
+def test_stop_tests_decide_boundary_rows_as_the_reference_does():
+    # on phi = q^2 from q0 = 1 (phi0 = 1, so the guard is 1e12), each
+    # special row meets, at one iterate of its own path, a value of
+    # exactly the guard (not diverged), the next double above it, -inf,
+    # +inf or NaN, or a gradient of norm exactly grad_tol (converged) or
+    # NaN (the NES_SCHEDULE row steps past it); the ordinary rows run to
+    # max_iter. In one stack, under values="all" and values="last", each
+    # row records what the reference loop records alone, but for a NaN
+    # gap where "last" skips a value; bound_grad is the value, with +inf
+    # in place of -inf
+    base, q0, tol, max_iter = scalar_model(2.0), np.ones(1), 2.0 ** -10, 12
+    ordinary = [AlgoParams.from_h(0.1, variant=V.GD), AlgoParams.from_h(0.05, 0.2, 0.5, V.POL),
+                AlgoParams.from_h(0.02, 0.1, 0.9, V.NES)]
+    # (params, iterate, (value, gradient) there, (status, length)); each at
+    # its own iterate, so that no other row's stop is decided there
+    special = [
+        (AlgoParams.from_h(0.3, 0.1, 0.6, V.POL), 2, (1e12, None), (STATUS_MAX_ITER, 13)),
+        (AlgoParams.from_h(0.2, variant=V.GD), 1, (-np.inf, None), (STATUS_DIVERGED, 2)),
+        (AlgoParams.from_h(0.15, 0.3, 0.3, V.NES), 3, (np.inf, None), (STATUS_DIVERGED, 4)),
+        (AlgoParams.from_h(0.25, 0.0, 0.8, V.POL), 4, (np.nan, None), (STATUS_DIVERGED, 5)),
+        (AlgoParams.from_h(0.35, variant=V.GD), 5, (None, tol), (STATUS_CONVERGED, 6)),
+        (AlgoParams.from_h(0.12, variant=V.NES_SCHEDULE), 6, (None, np.nan),
+         (STATUS_MAX_ITER, 13)),
+        (AlgoParams.from_h(0.06, variant=V.GD), 7, (np.nextafter(1e12, np.inf), None),
+         (STATUS_DIVERGED, 8))]
+    params = ordinary + [p for p, *_ in special]
+    keys = {ref.run(base, p, q0, k).q[0]: change for p, k, change, _ in special}
+    path = [ref.run(base, p, q0, k).q[0] for p in params for k in range(max_iter + 1)]
+    # each key lies on one path alone, at its own iterate
+    assert len(keys) == len(special) and sum(x in keys for x in path) == len(special)
+
+    def value_grad(q):
+        phi, g = base.value_grad(q)
+        phi, g = np.array(phi, dtype=float), g.copy()
+        for x, (value, slope) in keys.items():
+            at = q[..., 0] == x
+            if value is not None:
+                phi[at] = value
+            if slope is not None:
+                g[at] = slope
+        return (float(phi) if q.ndim == 1 else phi), g
+
+    def bound_grad(q):
+        phi, g = value_grad(q)
+        return np.where(phi == -np.inf, np.inf, phi), g
+
+    model = dataclasses.replace(base, value_grad=value_grad, bound_grad=bound_grad,
+                                minimizer=None, min_value=0.0)
+    runs = {values: run_many(model, params, q0, max_iter, tol, values=values)
+            for values in ("all", "last")}
+    for values, trajs in runs.items():
+        for p, traj in zip(params, trajs):
+            alone = ref.run(model, p, q0, max_iter, tol)
+            # a final phi of NaN compares by its bits
+            assert np.float64(traj.phi).tobytes() == np.float64(alone.phi).tobytes()
+            traj, alone = dataclasses.replace(traj, phi=0.0), dataclasses.replace(alone, phi=0.0)
+            if values == "all":
+                assert_same_run(traj, alone)
+                continue
+            assert_same_run(dataclasses.replace(traj, phi_gaps=alone.phi_gaps), alone)
+            read = ~np.isnan(traj.phi_gaps)
+            assert traj.phi_gaps[read].tobytes() == alone.phi_gaps[read].tobytes()
+            assert traj.phi_gaps[-1:].tobytes() == alone.phi_gaps[-1:].tobytes()
+    trajs = runs["all"]
+    assert [(t.status, len(t)) for t in trajs] == [(STATUS_MAX_ITER, 13)] * 3 + [
+        ends for *_, ends in special]
+    assert trajs[3].phi_gaps[2] == 1e12 and trajs[7].grad_norms[5] == tol
+    assert np.isnan(trajs[8].grad_norms[6]) and np.isnan(runs["last"][3].phi_gaps[2])
+
+
 def test_nes_schedule_steps_past_a_nan_gradient_at_its_iterate():
     # NES_SCHEDULE steps by the gradient at its extrapolated point alone,
     # so a NaN gradient at q_1 = 0.8 (h = 0.1 on phi = q^2) is recorded,

@@ -14,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import _reference as ref
 import hbreset
 
-from hbreset.objectives import (LogisticSpec, QuadraticSpec, finite_diff_check,
+from hbreset.objectives import (LogisticSpec, QuadraticSpec, _expit,
                                 gen_logistic_dataset, gen_random_quadratic,
                                 logistic_bound_grad, logistic_eval_grad,
                                 logistic_lipschitz, logistic_model,
@@ -166,13 +167,20 @@ def _warned(oracle, spec, q):
 @example(z=np.array([1e308]), scales=[1.0])  # the bound alone overflows
 @example(z=np.full(4096, 1e305), scales=[1.0, -1.0])  # both sums overflow
 def test_logistic_bound_is_above_the_value_with_its_gradient_bitwise(z, scales):
-    # with one feature, labels +1 and features -z, the margins at q = [s]
-    # are s * z: at s = 1 exactly the drawn ones. A point and a stack of
-    # points give the bound at least the value as computed (or both
-    # non-finite), the value's gradient bit for bit and the bits of the
-    # plain formula, with no warning that the value does not raise
-    spec = LogisticSpec(features=-z[None, :], labels=np.ones(z.size))
-    for q in (np.ones(1), np.array(scales)[:, None]):
+    # with three features and labels +1, the margins at q = s (1, 2, 2)
+    # are s (x + 2 u + 2 v): at s = 1 exactly the drawn ones. Features are
+    # finite, so the drawn infinities and NaNs come from overflow: (x, u,
+    # v) is (z, 0, 0) at a finite z, (0, +-MAX, 0) at +-inf and (0, MAX,
+    # -MAX) at a NaN. A point and a stack of points give the bound at
+    # least the value as computed (or both non-finite), the value's
+    # gradient bit for bit and the bits of the plain formula, with no
+    # warning that the value does not raise
+    big, finite = np.finfo(float).max, np.isfinite(z)
+    rows = (np.where(finite, z, 0.0), np.where(finite, 0.0, np.where(z < 0, -big, big)),
+            np.where(np.isnan(z), -big, 0.0))
+    spec = LogisticSpec(features=-np.stack(rows), labels=np.ones(z.size))
+    point = np.array([1.0, 2.0, 2.0])
+    for q in (point, np.array(scales)[:, None] * point):
         value, grad, value_warns = _warned(logistic_eval_grad, spec, q)
         upper, bound_grad, bound_warns = _warned(logistic_bound_grad, spec, q)
         assert np.shape(upper) == np.shape(value)
@@ -183,12 +191,12 @@ def test_logistic_bound_is_above_the_value_with_its_gradient_bitwise(z, scales):
 
 
 def _assert_plain_bound(spec, q, upper):
-    # the bound has the bits of 2 (sum max(z, 0) + m) where that is
-    # finite, and is inf or NaN where that is
+    # the bound has the bits of 2 (sum z expit(z) + m), the sum taken by
+    # np.vecdot, where that is finite, and is inf where it is inf or NaN
     with np.errstate(over="ignore", invalid="ignore"):
         z = spec.signed.T @ q if q.ndim == 1 else np.matmul(spec.signed.T, q[..., None])[..., 0]
-        plain = 2.0 * (np.maximum(z, 0.0).sum(axis=-1) + spec.m)
-    assert np.array_equal(upper, plain, equal_nan=True)
+        plain = 2.0 * (np.vecdot(z, _expit()(z)) + spec.m)
+    assert np.array_equal(upper, np.where(np.isfinite(plain), plain, np.inf))
     finite = np.isfinite(plain)
     assert np.asarray(upper)[finite].tobytes() == np.asarray(plain)[finite].tobytes()
 
@@ -219,6 +227,12 @@ def test_logistic_bound_near_overflow_keeps_its_bits_and_never_warns():
             tops = [logistic_bound_grad(spec, np.array([t, 0.0]))[0] for t in (2e307, 4e307)]
         assert tops == ([4e307, 8e307] if m == 1 else [1.6e308, np.inf] if m == 4
                         else [np.inf, np.inf])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_logistic_spec_refuses_non_finite_features(bad):
+    with pytest.raises(ValueError, match="^features must be finite$"):
+        LogisticSpec(features=[[bad, 1.0], [0.5, 2.0]], labels=[1.0, -1.0])
 
 
 def test_logistic_model_bound_is_its_gradient():
@@ -352,13 +366,13 @@ def test_finite_differences_agree():
     _, qm = gen_random_quadratic(5, 20.0, 9)
     rng = np.random.default_rng(9)
     q = rng.standard_normal(5)
-    assert finite_diff_check(qm, q, 1e-5) <= 1e-6
+    assert ref.finite_diff_check(qm, q, 1e-5) <= 1e-6
 
     lm = logistic_model(gen_logistic_dataset(6, 40, 9))
-    assert finite_diff_check(lm, np.zeros(6), 1e-5) <= 1e-5
+    assert ref.finite_diff_check(lm, np.zeros(6), 1e-5) <= 1e-5
 
     with pytest.raises(ValueError):
-        finite_diff_check(qm, q, 0.0)
+        ref.finite_diff_check(qm, q, 0.0)
 
 
 def test_lipschitz_estimate_matches_power_iteration():
