@@ -613,8 +613,9 @@ def _scores(model: ObjectiveModel, params: list[AlgoParams], q0, budget: int,
     diverges to a non-finite value or meets a non-finite gradient. The
     runs step as one run_many; if that raises, each run is scored alone,
     so only the run that raised scores inf. Only those are read, so
-    run_many evaluates phi only where a run stops or may have diverged
-    (values="last"), with the same scores."""
+    run_many takes the gradient alone at intermediate iterates and
+    evaluates phi only where a run stops or its divergence screen passes
+    the guard (values="last"), with the same scores."""
     try:
         trajs = run_many(model, params, q0, budget, values="last", start=start)
     except FloatingPointError:
@@ -895,11 +896,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console(argv: Optional[Sequence[str]] = None) -> int:
-    """The console script: main, but a ValueError prints in one line, as
+    """The console script: main, but a ValueError, or the
+    FloatingPointError of a run that overflows, prints in one line, as
     argparse prints a usage error, and exits with status 2."""
     try:
         return main(argv)
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         subcommand = build_parser().parse_args(argv).subcommand
         print(f"hbreset {subcommand}: error: {exc}", file=sys.stderr)
         return 2

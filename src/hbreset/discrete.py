@@ -15,6 +15,7 @@ point step as the rows of one (B, n) stack, and `run` is its stack of one.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
@@ -176,15 +177,42 @@ _ORDER = (Variant.GD, Variant.POL, Variant.NES, Variant.NES_SCHEDULE)
 _HELD = 64
 
 
-def _calm(phi: Array, gnorm: Array, guard: float, grad_tol: float) -> bool:
-    """Whether every phi and gradient norm of a stack is finite (a NaN or
-    inf makes a sum non-finite), phi at most guard and the norm above
-    grad_tol: then no row stops and every gradient row is finite. On a
-    stack's few rows, Python's sum, max and min over lists cost a
+def _calm(phis: list, norms: list, guard: float, grad_tol: float) -> bool:
+    """Whether every phi (or screen) and gradient norm of a stack is
+    finite (a NaN or inf makes a sum non-finite), phi at most guard and
+    the norm above grad_tol: then no row stops and every gradient row is
+    finite. On a stack's few rows, Python's sum, max and min cost a
     fraction of a numpy reduction's fixed cost."""
-    phis, norms = phi.tolist(), gnorm.tolist()
     return (math.isfinite(sum(phis) + sum(norms)) and max(phis) <= guard
             and min(norms) > grad_tol)
+
+
+def _screen(phi0: float, q0: Array):
+    """run_many's divergence screen from q0, whose value is phi0: (q, g,
+    norms) -> [phi0 + 2 <g_i, q_i - q0>] over the rows of a stack q,
+    their gradients g and the norms of those, a list. It never warns.
+    Where the sum of the norms times max|q_i| + max|q0_i| is at most
+    1e280, no partial sum of <g, q - q0> can near overflow (below 1e56
+    dimensions); past that, or at an inf or NaN, the products go under
+    np.errstate. The sums with phi0 are Python floats, which overflow to
+    inf silently.
+
+    A row whose value as computed is above the guard G, or not finite,
+    has a screen above G or not finite. An inf or NaN in g or q, or an
+    overflow, makes <g, q - q0> NaN or infinite (a sum that meets one
+    stays so), and the screen with it. Otherwise the convexity that
+    ObjectiveModel asks of its computed oracles gives <g, q - q0> >= 0.6
+    G; as |phi0| <= 1e-12 G, the screen is at least (1.2 - 1e-12) G
+    before its one rounding, which keeps it above G.
+    """
+    phi0, reach = float(phi0), float(np.abs(q0).max())
+
+    def screen(q: Array, g: Array, norms: list) -> list:
+        plain = sum(norms) * (float(np.abs(q).max()) + reach) <= 1e280
+        with nullcontext() if plain else np.errstate(over="ignore", invalid="ignore"):
+            inner = np.vecdot(g, q - q0)
+        return [phi0 + 2.0 * x for x in inner.tolist()]
+    return screen
 
 
 def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
@@ -222,10 +250,11 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
     derived there from its inner products, through `switching_beta` as
     the loop derives its betas.
 
-    values="last" (for callers that read only phi and status) calls
-    model.bound_grad, when there is one, at intermediate iterates: a row
-    whose bound is at most the guard has not diverged and records a NaN
-    gap. Every other row, and every iterate where a run stops, gets
+    values="last" (for callers that read only phi and status) screens
+    intermediate iterates by convexity instead of evaluating phi: it
+    calls model.gradient there, and a row whose `_screen`, phi0 + 2 <g,
+    q - q0>, is finite and at most the guard has not diverged and records
+    a NaN gap. Every other row, and every iterate where a run stops, gets
     value_grad's phi, so status, final q and phi are unchanged. An
     iterate where no row took value_grad's phi skips the stop tests, as
     no row can stop there.
@@ -234,7 +263,6 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
         raise ValueError("max_iter must be >= 0")
     if values not in ("all", "last"):
         raise ValueError(f"values must be 'all' or 'last', got {values!r}")
-    bound = model.bound_grad if values == "last" else None
     params_seq = list(params_seq)
     if not params_seq:
         return []
@@ -249,6 +277,7 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
     q0 = np.asarray(q0, dtype=float)
     phi0, g0 = model.value_grad(q0) if start is None else start
     guard = DIVERGENCE_FACTOR * max(1.0, abs(phi0))
+    screen = _screen(phi0, q0) if values == "last" else None
     phi_star = math.nan if model.min_value is None else model.min_value
     alpha = 1.0  # NES_SCHEDULE state
 
@@ -320,20 +349,20 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
         if a:
             q_next[:a] = q[:a] - h[:a] * g[:a]
         p, q = (q_next - q) / eps, q_next
-        exact = bound is None or k + 1 == max_iter
-        phi, g = model.value_grad(q) if exact else bound(q)
+        exact = screen is None or k + 1 == max_iter
+        phi, g = model.value_grad(q) if exact else (nans, model.gradient(q))
         gnorm = np.sqrt(np.vecdot(g, g))
-        finite, stop = _calm(phi, gnorm, guard, grad_tol), None
-        if finite and not exact:
-            phi = nans
-        elif not finite:
-            # a bound's phi is read where a row may have diverged (its
-            # bound, or a NaN, is above the guard) or stops at grad_tol
-            read = exact or ~(phi <= guard) | (gnorm <= grad_tol)
-            if not exact:
-                phi[~read] = math.nan
-                if read.any():
-                    phi[read] = model.value(q[read])
+        sizes = gnorm.tolist()
+        level = phi.tolist() if exact else screen(q, g, sizes)
+        finite, stop = _calm(level, sizes, guard, grad_tol), None
+        if not finite:
+            # a screened row's phi is read where it may have diverged (its
+            # screen is above the guard or not finite) or stops at grad_tol
+            t = np.array(level)
+            read = exact or ~(np.isfinite(t) & (t <= guard)) | (gnorm <= grad_tol)
+            if not exact and read.any():
+                phi = nans.copy()
+                phi[read] = model.value(q[read])
             if np.any(read):
                 diverged = read & (~np.isfinite(phi) | (phi > guard))
                 stop = diverged | (gnorm <= grad_tol)

@@ -136,10 +136,6 @@ class HybridArc:
             sort_keys=True)
 
 
-def _inner(model: ObjectiveModel, q: Array, p: Array) -> float:
-    return float(np.dot(model.gradient(q), p))
-
-
 def _jumps(inner, tau, params: HybridParams):
     """The jump set, elementwise: tau >= T_min and inner not `aligned`."""
     return (tau >= params.T_min) & ~aligned(inner)
@@ -155,22 +151,8 @@ def _stopped(g) -> Array:
     return np.linalg.norm(g, axis=-1) <= GRAD_STOP
 
 
-def in_flow_set(state: HybridState, params: HybridParams, model: ObjectiveModel) -> bool:
-    if state.tau <= params.T_min:
-        return True
-    return _inner(model, state.q, state.p) <= 0.0
-
-
-def in_jump_set(state: HybridState, params: HybridParams, model: ObjectiveModel) -> bool:
-    return bool(_jumps(_inner(model, state.q, state.p), state.tau, params))
-
-
 def jump_map(state: HybridState) -> HybridState:
     return HybridState(q=state.q.copy(), p=np.zeros_like(state.p), tau=0.0)
-
-
-def energy(state: HybridState, model: ObjectiveModel) -> float:
-    return float(model.value(state.q)) + 0.5 * float(np.dot(state.p, state.p))
 
 
 def _rk4(model: ObjectiveModel, q: Array, p: Array, g: Array, K: float):

@@ -23,24 +23,23 @@ import numpy as np
 
 Array = np.ndarray
 
-_LARGEST = float(np.finfo(float).max)
-
 
 @dataclass
 class ObjectiveModel:
-    """Evaluatable objective with gradient and curvature metadata.
+    """Evaluatable convex objective with gradient and curvature metadata.
 
     value_grad(q) returns (phi(q), grad phi(q)) from one evaluation;
     value() and gradient() are the two halves of it, for callers that
     need only one. grad(q), optional, returns value_grad's gradient bit
     for bit without computing the value; gradient() takes it when there
-    is one. mu = 0 means the strong-convexity modulus is unknown
-    or absent. minimizer/min_value are optional; when minimizer is given its
-    gradient must vanish to within 1e-8 * max(1, ||q*||). hessian is the
+    is one. phi is convex, and mu >= 0 is its strong-convexity modulus
+    (mu = 0: unknown or absent). minimizer/min_value are optional; when
+    minimizer is given its gradient must vanish to within 1e-8 max(1, L)
+    max(1, ||q*||), the scale of a solve's residual. hessian is the
     constant Hessian of a quadratic phi, or None; value_grad (and grad)
-    stay the source of every value and gradient, and a caller that has the
-    Hessian may use it only to move points (the hybrid integrators step
-    quadratic flows with it). discrete.run_many (and so discrete.run,
+    stay the source of every value and gradient, and a caller that has
+    the Hessian may use it only to move points (the hybrid integrators
+    step quadratic flows with it). discrete.run_many (and so discrete.run,
     its stack of one, and the logreg tuner) and the hybrid skip-ahead
     also pass value_grad a (B, n) stack of points, for (B,) values and
     (B, n) gradients: run_many passes all its live runs, of every
@@ -50,9 +49,11 @@ class ObjectiveModel:
     quadratic_model and logistic_model take a stack, and give each row
     the bits of its point alone.
 
-    bound_grad(q), optional, returns (upper, grad phi(q)): grad has the
-    bits of value_grad's, upper >= its phi as computed, and upper is NaN
-    or inf where that phi is NaN. run_many(values="last") uses it.
+    run_many(values="last") screens divergence by convexity, phi(q) <=
+    phi(q0) + <grad phi(q), q - q0>, and asks that it hold as computed to
+    within 40%: where the value at q is above G = 1e12 max(1, |phi(q0)|)
+    or not finite, and gradient(q) computes without overflow, the
+    computed <gradient(q), q - q0> is at least 0.6 G or not finite.
     """
 
     dim: int
@@ -62,7 +63,6 @@ class ObjectiveModel:
     minimizer: Optional[Array] = None
     min_value: Optional[float] = None
     hessian: Optional[Array] = None
-    bound_grad: Optional[Callable[[Array], tuple[float, Array]]] = None
     grad: Optional[Callable[[Array], Array]] = None
 
     def __post_init__(self):
@@ -73,7 +73,8 @@ class ObjectiveModel:
         if self.minimizer is not None:
             self.minimizer = np.asarray(self.minimizer, dtype=float)
             gnorm = float(np.linalg.norm(self.gradient(self.minimizer)))
-            bound = 1e-8 * max(1.0, float(np.linalg.norm(self.minimizer)))
+            bound = (1e-8 * max(1.0, self.lipschitz)
+                     * max(1.0, float(np.linalg.norm(self.minimizer))))
             if gnorm > bound:
                 raise ValueError(
                     f"gradient norm {gnorm:.3e} at claimed minimizer exceeds {bound:.3e}")
@@ -120,14 +121,12 @@ class LogisticSpec:
     """Full-batch logistic regression data: features theta (n x m), labels in {-1,+1}.
 
     signed is theta with column i scaled by -b_i, built once: margins and
-    gradients are then one matrix product each. reach = sum_i
-    ||theta_i||_1 bounds the margins' sum_i |z_i| by max|q| reach.
+    gradients are then one matrix product each.
     """
 
     features: Array
     labels: Array
     signed: Array = field(init=False, repr=False)
-    reach: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -143,8 +142,6 @@ class LogisticSpec:
         if not np.isfinite(self.features).all():
             raise ValueError("features must be finite")
         self.signed = self.features * -self.labels
-        with np.errstate(over="ignore"):  # inf past the largest double
-            self.reach = float(np.abs(self.features).sum())
 
     @property
     def dim(self) -> int:
@@ -316,38 +313,6 @@ def logistic_grad(spec: LogisticSpec, q: Array) -> Array:
     return _margins_grad(spec, q)[2]
 
 
-def logistic_bound_grad(spec: LogisticSpec, q: Array) -> tuple[float, Array]:
-    """logistic_eval_grad's gradient, bit for bit, with the upper bound
-    2 (sum_i z_i s_i + m) in place of its value, s = expit(z): one sum of
-    products with the sigmoid that the gradient takes.
-
-    Why it is at least the value as computed. Each term is log(1 + e^z)
-    = z s + H(s) with H the binary entropy, at most log 2, so the value
-    is at most Z + m log 2, Z = sum z_i s_i (convexity at 0: phi(q) <=
-    phi(0) + <grad phi(q), q>). Split Z = P + N into its terms with z > 0
-    and z < 0: P >= 0 and N >= -0.279 m, as z s >= -0.2785. Both sums
-    round within d = (m + 4) 2^-53 of their terms' absolute sums, so for
-    d <= 0.01 (m up to 10^13) the computed value is at most 1.02 (P +
-    0.694 m) and the bound at least 2 (0.99 P - 0.282 m + m) >= 1.98 P +
-    1.43 m, the larger; a subnormal s moves a term by far less than the
-    slack.
-
-    Past the margins, which warn as the value's do, it never warns. Every
-    |z_i| is at most max|q| ||theta_i||_1 up to rounding, so where max|q|
-    spec.reach is at most a quarter of the largest double the terms are
-    finite and neither the sum nor the bound overflows. Elsewhere the
-    bound is inf where the formula overflows or is NaN (a NaN margin, or
-    -inf * 0 at a margin of -inf, whose loss term is 0).
-    """
-    z, s, grad = _margins_grad(spec, q)
-    if float(np.abs(q).max()) * spec.reach <= 0.25 * _LARGEST:
-        return 2.0 * (np.vecdot(z, s) + spec.m), grad
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.vecdot(z, s) + spec.m
-    return np.multiply(total, 2.0, out=np.full(np.shape(total), np.inf),
-                       where=total <= 0.5 * _LARGEST)[()], grad
-
-
 def logistic_lipschitz(spec: LogisticSpec) -> float:
     """Gradient Lipschitz estimate 1/4 * lambda_max(theta theta')."""
     gram = spec.features @ spec.features.T
@@ -366,7 +331,6 @@ def logistic_model(spec: LogisticSpec, mu: float = 0.0) -> ObjectiveModel:
         mu=mu,
         lipschitz=logistic_lipschitz(spec),
         value_grad=lambda q: logistic_eval_grad(spec, q),
-        bound_grad=lambda q: logistic_bound_grad(spec, q),
         grad=lambda q: logistic_grad(spec, q),
     )
 

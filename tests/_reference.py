@@ -34,10 +34,16 @@ bytes that the csv17 tests compare with `'%.17g' % v`, value by value.
 `finite_diff_check` compares a model's gradient with central
 differences of its value, and `golden_min` is the tuner's golden-section
 search (`cli._golden`) scored one point at a time.
+
+`in_flow_set`, `in_jump_set` and `energy` state the hybrid system's flow
+and jump sets and its energy at one state, which the integrators test
+and record along whole arcs. `problem_from_json` reads back the problem
+JSON that `certify --dump-sdp` writes.
 """
 from __future__ import annotations
 
 import io
+import json
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -414,3 +420,69 @@ def finite_diff_check(model: ObjectiveModel, q: Array, step: float) -> float:
 def golden_min(f, lo: float, hi: float, iters: int):
     """Golden-section search; deterministic, returns (x, f(x))."""
     return cli._finish(cli._golden(lo, hi, iters), lambda xs: [f(x) for x in xs])
+
+
+def _inner(model: ObjectiveModel, q: Array, p: Array) -> float:
+    return float(np.dot(model.gradient(q), p))
+
+
+def in_flow_set(state: hybrid.HybridState, params: hybrid.HybridParams,
+                model: ObjectiveModel) -> bool:
+    """Whether the hybrid state may flow: its timer is at most T_min, or
+    <grad phi(q), p> <= 0."""
+    if state.tau <= params.T_min:
+        return True
+    return _inner(model, state.q, state.p) <= 0.0
+
+
+def in_jump_set(state: hybrid.HybridState, params: hybrid.HybridParams,
+                model: ObjectiveModel) -> bool:
+    """Whether the hybrid state may jump, by the integrators' jump test."""
+    return bool(hybrid._jumps(_inner(model, state.q, state.p), state.tau, params))
+
+
+def energy(state: hybrid.HybridState, model: ObjectiveModel) -> float:
+    """phi(q) + |p|^2 / 2 at one hybrid state."""
+    return float(model.value(state.q)) + 0.5 * float(np.dot(state.p, state.p))
+
+
+def _object(doc, where: str, keys: tuple, optional: tuple) -> dict:
+    """doc, a JSON object with each of keys and no other key but optional ones."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"problem JSON: {where} is not an object")
+    missing = [key for key in keys if key not in doc]
+    unknown = sorted(set(doc) - set(keys) - set(optional))
+    if missing or unknown:
+        what = f"lacks key {missing[0]!r}" if missing else f"has unknown key {unknown[0]!r}"
+        raise ValueError(f"problem JSON: {where} {what}")
+    return doc
+
+
+def _map_from_doc(doc, where: str) -> sdp.AffineMatrixMap:
+    doc = _object(doc, where, ("constant", "basis"), ("name",))
+    return sdp.AffineMatrixMap(constant=np.array(doc["constant"], dtype=float),
+                               basis=[(int(i), np.array(m, dtype=float))
+                                      for i, m in doc["basis"]],
+                               name=doc.get("name", ""))
+
+
+def problem_from_json(text: str) -> sdp.FeasProblem:
+    """The problem `sdp.problem_to_json` (and so `certify --dump-sdp`)
+    wrote; a missing, unknown or bad key is a ValueError naming it.
+    "bounds": null, which earlier dumps hold, reads."""
+    keys = ("nvar", "margin", "nsd_blocks", "pd_blocks")
+    doc = _object(json.loads(text), "the top level", keys, ("nonneg", "normalization", "bounds"))
+    if doc.pop("bounds", None) is not None:
+        raise ValueError('problem JSON: "bounds" is not supported; state them as 1x1 blocks')
+    floors = doc.get("nonneg", {})
+    if not (isinstance(floors, dict) and all(map(str.isdecimal, floors))):
+        raise ValueError("problem JSON: nonneg must map variable indices to floors, "
+                         f"got {json.dumps(floors)}")
+    norm = doc.get("normalization")
+    return sdp.FeasProblem(
+        nvar=int(doc["nvar"]),
+        nsd_blocks=[_map_from_doc(b, f"nsd_blocks[{i}]") for i, b in enumerate(doc["nsd_blocks"])],
+        pd_blocks=[_map_from_doc(b, f"pd_blocks[{i}]") for i, b in enumerate(doc["pd_blocks"])],
+        nonneg={int(k): float(v) for k, v in floors.items()},
+        normalization=None if norm is None else np.array(norm, dtype=float),
+        margin=float(doc["margin"]))

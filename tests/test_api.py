@@ -15,7 +15,10 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROOT = os.path.dirname(BENCH)
 
 # the top-level public defs of src/hbreset that only the tests call
-TEST_ONLY = {"energy", "in_flow_set", "in_jump_set", "problem_from_json"}
+TEST_ONLY = set()
+# the public methods of src/hbreset's classes that only the tests call
+TEST_ONLY_METHODS = {"AlgoParams.from_h", "HybridArc.final_state",
+                     "Certificate.guarantee_constant", "ObjectiveModel.gap"}
 
 
 def _bench_tree(name):
@@ -84,9 +87,10 @@ def _trees(directory):
                 yield ast.parse(fh.read())
 
 
-def _names_read(tree, skip=None, strings=False):
+def _names_read(tree, skip=None, strings=False, attributes=False):
     # names loaded or imported, outside the node `skip`; with strings,
-    # also every string constant (the tracer names its targets in strings)
+    # also every string constant (the tracer names its targets in
+    # strings), and with attributes every attribute read or called
     read, stack = set(), [tree]
     while stack:
         node = stack.pop()
@@ -98,6 +102,8 @@ def _names_read(tree, skip=None, strings=False):
             read.add(node.name)
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             read.add(node.value)
+        elif attributes and isinstance(node, ast.Attribute):
+            read.add(node.attr)
         stack.extend(ast.iter_child_nodes(node))
     return read
 
@@ -115,3 +121,21 @@ def test_test_only_public_names_are_the_pinned_set():
              and not any(node.name in _names_read(other, skip=node) for other in src)
              and node.name not in outside and node.name not in hbreset.__all__}
     assert found == TEST_ONLY
+
+
+def test_test_only_public_methods_are_the_pinned_set():
+    # a public method of a src/ class that src/ reads nowhere but in its
+    # own body, as an attribute or a name, and that bench/ and demos/ do
+    # not name has only the tests as callers; adding one is a decision,
+    # made here
+    src = list(_trees(os.path.join(ROOT, "src", "hbreset")))
+    outside = set().union(*(_names_read(tree, strings=True, attributes=True)
+                            for directory in ("bench", "demos")
+                            for tree in _trees(os.path.join(ROOT, directory))))
+    found = {f"{cls.name}.{node.name}" for tree in src for cls in tree.body
+             if isinstance(cls, ast.ClassDef) for node in cls.body
+             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+             and not any(node.name in _names_read(other, skip=node, attributes=True)
+                         for other in src)
+             and node.name not in outside}
+    assert found == TEST_ONLY_METHODS

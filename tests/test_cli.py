@@ -28,7 +28,6 @@ from hbreset.lmi import build_dt
 from hbreset.objectives import (QuadraticSpec, gen_logistic_dataset,
                                 gen_random_quadratic, logistic_model,
                                 quad_from_json, quad_to_json, quadratic_model)
-from hbreset.sdp import problem_from_json
 
 
 def parse_csv(path):
@@ -205,6 +204,15 @@ def test_validation_names_the_flag_of_an_edge_input(argv, flag, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [["quad", "--iters", "20"], ["tune", "--method", "gd"],
+                                  ["simulate", "--model", "gen", "--t-end", "0.01"]])
+def test_quadratic_commands_run_at_a_condition_number_of_1e12(argv, tmp_path):
+    # --cond only has to be finite and >= 1: at 1e12 the solved minimizer
+    # passes the check, whose tolerance scales with L
+    assert main(argv + ["--seed", "1", "--n", "10", "--cond", "1e12",
+                        "--out", str(tmp_path / "out")]) == 0
+
+
 def test_edge_checks_apply_only_where_the_value_is_used():
     # configs that carry an unused non-finite cond or mu, a zero curv, an
     # empty methods tuple, or an unused bad h, K, dt, t_min, iters, cond,
@@ -299,6 +307,22 @@ def test_console_reports_a_rejected_input_in_one_line(argv, message, tmp_path, m
     assert done.stdout == "" and not (tmp_path / "out").exists()
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         main([*argv, "--out", "out"])
+
+
+def test_console_reports_an_overflowing_arc_in_one_line(tmp_path):
+    # an arc whose state overflows raises FloatingPointError in main; the
+    # console ends on one error line and exits 2, as for a ValueError.
+    # numpy's overflow warnings print before it
+    src = os.path.dirname(os.path.dirname(hbreset.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    argv = ["simulate", "--model", "scalar", "--curv", "1e300", "--t-end", "0.01"]
+    done = subprocess.run([sys.executable, "-m", "hbreset.cli", *argv, "--out", "out"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[-1] == "hbreset simulate: error: non-finite gradient"
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+        main([*argv, "--out", str(tmp_path / "lib")])
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +503,7 @@ def test_certify_uncertified_row(tmp_path):
 def test_certify_dump_sdp(tmp_path):
     assert main(["certify", "--grid-L", "1,10", "--methods", "nesterov,hhb-pol",
                  "--bisect-iters", "4", "--dump-sdp", "--out", str(tmp_path)]) == 0
-    prob = problem_from_json((tmp_path / "sdp_nesterov_L1.json").read_text())
+    prob = ref.problem_from_json((tmp_path / "sdp_nesterov_L1.json").read_text())
     assert prob.nvar == 8
     assert len(prob.nsd_blocks) == 2
     # each certificate's problem is dumped, holds the certificate at half
@@ -490,7 +514,7 @@ def test_certify_dump_sdp(tmp_path):
     assert len(list(tmp_path.glob("cert_*.json"))) == len(dumps)
     for path in dumps:
         assert "bounds" not in json.loads(path.read_text())
-        prob = problem_from_json(path.read_text())
+        prob = ref.problem_from_json(path.read_text())
         cert = json.loads((tmp_path / path.name.replace("sdp_", "cert_")).read_text())
         P, mult = cert["P"], cert["multipliers"]
         v = np.array([P[0][0], P[0][1], P[1][1], mult["a"], mult["lambda"],
@@ -587,25 +611,22 @@ def test_tune_round_of_five_methods_is_one_stack(monkeypatch):
     # inner searches of each beta method. No run stops early there, so
     # each iterate makes one call for all 16 rows and one at the
     # extrapolated points of the two nesterov rows. Only the last
-    # iterate's call is a value; the others take the bound, as no run
-    # diverges there, and every extrapolated point the gradient alone.
-    # The one single point is the start q0, evaluated once before the
-    # first round.
+    # iterate's call is a value; the 14 others take the gradient alone,
+    # as every run's divergence screen clears the guard there, and so
+    # does every extrapolated point. The one single point is the start
+    # q0, evaluated once before the first round.
     spec = gen_logistic_dataset(6, 120, 2)
     model = logistic_model(spec)
     shapes = counting_oracle(monkeypatch, "logistic_eval_grad")
-    bounds = counting_oracle(monkeypatch, "logistic_bound_grad")
     grads = counting_oracle(monkeypatch, "logistic_grad")
     rounds, between, lone_run_many = [], [], hbreset.cli.run_many
 
     def recording_run_many(model, params, q0, budget, **kwargs):
         between.append(dict(shapes))
         shapes.clear()
-        bounds.clear()
         grads.clear()
         trajs = lone_run_many(model, params, q0, budget, **kwargs)
-        rounds.append(([p.variant for p in params], dict(shapes), dict(bounds),
-                       dict(grads)))
+        rounds.append(([p.variant for p in params], dict(shapes), dict(grads)))
         shapes.clear()
         return trajs
 
@@ -614,29 +635,29 @@ def test_tune_round_of_five_methods_is_one_stack(monkeypatch):
     tune_method(LOGREG_METHODS, model, logreg_start(2, 6), 15, 1e-3 / lhat,
                 10.0 / lhat, outer_iters=3, inner_iters=2)
     assert rounds[0] == ([Variant.GD] * 2 + [Variant.POL] * 4 + [Variant.NES_SCHEDULE] * 2
-                         + [Variant.POL] * 8, {(16,): 1}, {(16,): 14}, {(2,): 15})
+                         + [Variant.POL] * 8, {(16,): 1}, {(16,): 14, (2,): 15})
     assert len(rounds) == (3 + 1) * (2 + 1)
     assert between == [{(): 1}] + [{}] * (len(rounds) - 1) and not shapes
-    assert all(() not in calls for _, calls, _, _ in rounds)
+    assert all(() not in calls for _, calls, _ in rounds)
 
 
 def test_bench_tune_keeps_its_oracle_schedule(monkeypatch):
     # the bench logreg tune at seed 11 (n = 20, m = 1000, five methods,
     # budget 15, the default 16 outer and 12 inner iterations) takes 221
-    # rounds. Each takes the bound at its 14 intermediate iterates (no run
-    # nears the guard, so no value is read there), the value at its last,
-    # and the gradient alone at the nesterov rows' extrapolated points;
-    # q0 takes one value. These counts of calls and of rows are the
-    # schedule that a faster loop keeps
+    # rounds. Each takes the gradient alone at its 14 intermediate
+    # iterates (3,094 calls, 11,088 rows: no run's screen nears the
+    # guard, so no value is read there) and at the nesterov rows'
+    # extrapolated points (255 calls, 270 rows), and the value at its
+    # last; q0 takes one value. These counts of calls and of rows are
+    # the schedule that a faster loop keeps
     oracles = {name: counting_oracle(monkeypatch, name) for name in
-               ("logistic_bound_grad", "logistic_eval_grad", "logistic_grad")}
+               ("logistic_eval_grad", "logistic_grad")}
     model = logistic_model(gen_logistic_dataset(20, 1000, 11))
     lhat = model.lipschitz
     tune_method(LOGREG_METHODS, model, logreg_start(11, 20), 15, 1e-3 / lhat, 10.0 / lhat)
     assert {name: (sum(shapes.values()), sum(math.prod(s) * n for s, n in shapes.items()))
             for name, shapes in oracles.items()} == {
-        "logistic_bound_grad": (3094, 11088), "logistic_eval_grad": (222, 793),
-        "logistic_grad": (255, 270)}
+        "logistic_eval_grad": (222, 793), "logistic_grad": (3094 + 255, 11088 + 270)}
 
 
 def tune_rounds(method, outer_iters, inner_iters):
@@ -807,16 +828,23 @@ def test_tune_hihb_polyak_stepsize_coincidence_soft(tmp_path):
 def test_tune_scores_a_setting_with_the_runs_own_evaluations(method, monkeypatch):
     # one value_grad call for the start q0 per tune, then one stacked call
     # per iterate after the first while a run of the round is live, and
-    # none after it: the score is the value the run computed at its last
-    # iterate
+    # none after it: the gradient alone at the intermediate iterates, and
+    # a value where a run stops, diverged or at the budget. polyak takes
+    # one value more: a row whose screen passes the guard (4.9e14) with a
+    # value of 1.5e14 has it read, and goes on. The score is the value
+    # the run computed at its last iterate
     _, base = gen_random_quadratic(4, 50.0, 3)
     calls = []
 
     def value_grad(q):
-        calls.append(1)
+        calls.append("value_grad")
         return base.value_grad(q)
 
-    model = dataclasses.replace(base, value_grad=value_grad)
+    def grad(q):
+        calls.append("grad")
+        return base.grad(q)
+
+    model = dataclasses.replace(base, value_grad=value_grad, grad=grad)
     rounds, lone_run_many = [], hbreset.cli.run_many
 
     def recording_run_many(*args, **kwargs):
@@ -830,7 +858,10 @@ def test_tune_scores_a_setting_with_the_runs_own_evaluations(method, monkeypatch
     trajs = [t for r in rounds for t in r]
     inner = 4 if method == "polyak" else 1
     assert len(trajs) == 5 * inner
-    assert len(calls) == 1 + sum(max(len(t) for t in r) - 1 for r in rounds)
+    iterates = [max(len(t) for t in r) - 1 for r in rounds]
+    assert calls.count("grad") == sum(n - (n == 15) for n in iterates)
+    stops = sum(len({len(t) for t in r}) for r in rounds)
+    assert calls.count("value_grad") == 1 + stops + (method == "polyak")
     assert result["phi_at_budget"] == min(t.phi for t in trajs)
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import _reference as ref
 from hbreset.discrete import (AlgoParams, STATUS_CONVERGED, STATUS_DIVERGED,
-                              STATUS_MAX_ITER, Trajectory, Variant,
+                              STATUS_MAX_ITER, Trajectory, Variant, _screen,
                               count_nonmonotone, nesterov_beta_schedule, run,
                               run_many, switching_beta)
 from hbreset.objectives import (LogisticSpec, QuadraticSpec, gen_logistic_dataset,
@@ -301,7 +301,8 @@ def test_reset_count_drops_with_reset_branch():
 
 def assert_same_run(a, b):
     """Two trajectories agree bit for bit: records, status, final q and phi."""
-    assert (a.status, len(a), a.phi) == (b.status, len(b), b.phi)
+    assert (a.status, len(a)) == (b.status, len(b))
+    assert np.float64(a.phi).tobytes() == np.float64(b.phi).tobytes()
     for name in ("phi_gaps", "inner_signs", "betas", "resets", "grad_norms"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
@@ -377,10 +378,11 @@ def test_run_many_covers_every_stop():
 def test_values_last_reads_phi_where_a_run_stops_or_may_diverge():
     # phi = log(1 + e^-q) + log(1 + e^q) from q0 = 1, so phi0 = 1.63 and the
     # guard is 1.63e12. gd at h = 2.64e12 swings between q = -1.22e12 and
-    # 1.42e12, where phi <= guard < the bound 2 (|q| + 2): every iterate
-    # takes the exact fallback and the run reaches max_iter. h = 1e13
-    # diverges at k = 1, the runs at h in [0.5, 1] meet grad_tol, and
-    # gd at h = 1e-3 reaches max_iter with its value skipped until then.
+    # 1.42e12, where phi <= guard < the screen phi0 + 2 tanh(q/2) (q - 1),
+    # about 2 |q|: every iterate reads its value and the run reaches
+    # max_iter. h = 1e13 diverges at k = 1, the runs at h in [0.5, 1] meet
+    # grad_tol, and gd at h = 1e-3 reaches max_iter with its value skipped
+    # until then.
     spec = LogisticSpec(features=np.ones((1, 2)), labels=np.array([1.0, -1.0]))
     model = dataclasses.replace(logistic_model(spec), min_value=0.0)  # gap = phi
     q0 = np.ones(1)
@@ -401,14 +403,24 @@ def test_values_last_reads_phi_where_a_run_stops_or_may_diverge():
         assert traj.phi_gaps[read].tobytes() == alone.phi_gaps[read].tobytes()
     assert not np.isnan(trajs[0].phi_gaps).any()
     assert all(np.isnan(t.phi_gaps[1:-1]).all() for t in trajs[4:])
-    # a model without bound_grad evaluates every iterate as before
+    # a quadratic is screened too: the gd row at h L = 30 diverges at k =
+    # 6 and the others reach max_iter, each reading its value at its first
+    # and last iterate alone
     _, quad = gen_random_quadratic(4, 100.0, 1)
     q0 = np.full(4, 3.0)
     params = [AlgoParams.from_h(h / quad.lipschitz, 0.2, 0.9, variant)
               for h, variant in ((0.5, V.POL), (1.0, V.NES), (30.0, V.GD),
                                  (0.1, V.NES_SCHEDULE))]
-    for p, traj in zip(params, run_many(quad, params, q0, 80, 1e-6, values="last")):
-        assert_same_run(traj, run(quad, p, q0, 80, 1e-6))
+    trajs = run_many(quad, params, q0, 80, 1e-6, values="last")
+    for p, traj in zip(params, trajs):
+        alone = run(quad, p, q0, 80, 1e-6)
+        assert_same_run(dataclasses.replace(traj, phi_gaps=alone.phi_gaps), alone)
+        read = ~np.isnan(traj.phi_gaps)
+        assert read[0] and read[-1]
+        assert traj.phi_gaps[read].tobytes() == alone.phi_gaps[read].tobytes()
+    assert [(t.status, len(t)) for t in trajs] == [(STATUS_MAX_ITER, 81)] * 2 + [
+        (STATUS_DIVERGED, 7), (STATUS_MAX_ITER, 81)]
+    assert all(np.isnan(t.phi_gaps[1:-1]).all() for t in trajs)
     with pytest.raises(ValueError, match="values"):
         run_many(quad, params, q0, 10, values="first")
 
@@ -455,31 +467,66 @@ def test_stop_tests_decide_boundary_rows_as_the_reference_does():
     # special row meets, at one iterate of its own path, a value of
     # exactly the guard (not diverged), the next double above it, -inf,
     # +inf or NaN, or a gradient of norm exactly grad_tol (converged) or
-    # NaN (the NES_SCHEDULE row steps past it); the ordinary rows run to
-    # max_iter. In one stack, under values="all" and values="last", each
-    # row records what the reference loop records alone, but for a NaN
-    # gap where "last" skips a value; bound_grad is the value, with +inf
-    # in place of -inf
+    # NaN (the NES_SCHEDULE rows step past it); the ordinary rows run to
+    # max_iter. Where a value is set, so is the gradient, such that the
+    # divergence screen 1 + 2 g (q - 1) of values="last" is the value:
+    # exactly the guard (the value is skipped), the next double (read),
+    # +inf and NaN; a gradient of +inf screens another row to -inf, where
+    # the value is read and the row goes on. A NaN gradient on the last
+    # row's path at iterate 2, where the guard row's screen is the guard,
+    # leaves that stack not calm, so the per-row test decides there. In
+    # one stack, under values="all" and values="last",
+    # each row records what the reference loop records alone, but for a
+    # NaN gap where "last" skips a value. An upper screen cannot see a
+    # value of -inf beside a finite gradient, which no convex model has,
+    # so that row runs under "all" alone
     base, q0, tol, max_iter = scalar_model(2.0), np.ones(1), 2.0 ** -10, 12
+    screen = _screen(1.0, q0)
     ordinary = [AlgoParams.from_h(0.1, variant=V.GD), AlgoParams.from_h(0.05, 0.2, 0.5, V.POL),
                 AlgoParams.from_h(0.02, 0.1, 0.9, V.NES)]
+    guard, above = 1e12, np.nextafter(1e12, np.inf)
     # (params, iterate, (value, gradient) there, (status, length)); each at
-    # its own iterate, so that no other row's stop is decided there
+    # its own iterate, so that no other row's stop is decided there. None
+    # keeps phi's value or gradient, and "screen" is the gradient that
+    # screens the value
     special = [
-        (AlgoParams.from_h(0.3, 0.1, 0.6, V.POL), 2, (1e12, None), (STATUS_MAX_ITER, 13)),
+        (AlgoParams.from_h(0.07, variant=V.NES_SCHEDULE), 2, (guard, "screen"),
+         (STATUS_MAX_ITER, 13)),
         (AlgoParams.from_h(0.2, variant=V.GD), 1, (-np.inf, None), (STATUS_DIVERGED, 2)),
-        (AlgoParams.from_h(0.15, 0.3, 0.3, V.NES), 3, (np.inf, None), (STATUS_DIVERGED, 4)),
-        (AlgoParams.from_h(0.25, 0.0, 0.8, V.POL), 4, (np.nan, None), (STATUS_DIVERGED, 5)),
+        (AlgoParams.from_h(0.15, 0.3, 0.3, V.NES), 3, (np.inf, "screen"),
+         (STATUS_DIVERGED, 4)),
+        (AlgoParams.from_h(0.25, 0.0, 0.8, V.POL), 4, (np.nan, np.nan), (STATUS_DIVERGED, 5)),
         (AlgoParams.from_h(0.35, variant=V.GD), 5, (None, tol), (STATUS_CONVERGED, 6)),
         (AlgoParams.from_h(0.12, variant=V.NES_SCHEDULE), 6, (None, np.nan),
          (STATUS_MAX_ITER, 13)),
-        (AlgoParams.from_h(0.06, variant=V.GD), 7, (np.nextafter(1e12, np.inf), None),
-         (STATUS_DIVERGED, 8))]
+        (AlgoParams.from_h(0.06, variant=V.GD), 7, (above, "screen"), (STATUS_DIVERGED, 8)),
+        (AlgoParams.from_h(0.04, variant=V.NES_SCHEDULE), 8, (None, np.inf),
+         (STATUS_MAX_ITER, 13)),
+        (AlgoParams.from_h(0.03, variant=V.NES_SCHEDULE), 2, (None, np.nan),
+         (STATUS_MAX_ITER, 13))]
     params = ordinary + [p for p, *_ in special]
     keys = {ref.run(base, p, q0, k).q[0]: change for p, k, change, _ in special}
     path = [ref.run(base, p, q0, k).q[0] for p in params for k in range(max_iter + 1)]
     # each key lies on one path alone, at its own iterate
     assert len(keys) == len(special) and sum(x in keys for x in path) == len(special)
+
+    def slope(x, value):
+        # the gradient at x whose screen is value: +inf for +inf, else a
+        # double next to (value - 1) / (2 (x - 1)) that screens to it (at
+        # some x, as at h = 0.08 for the guard row, no double does)
+        delta = float(np.float64(x) - q0[0])
+        if value == np.inf:
+            return math.copysign(np.inf, delta)
+        g = (value - 1.0) / 2.0 / delta
+        for _ in range(8):
+            t, = screen(np.array([[x]]), np.array([[g]]), [abs(g)])
+            if t == value:
+                return g
+            g = np.nextafter(g, math.copysign(np.inf, (value - t) * delta))
+        raise AssertionError(f"no gradient screens {x} to {value}")
+
+    keys = {x: (value, slope(x, value) if g == "screen" else g)
+            for x, (value, g) in keys.items()}
 
     def value_grad(q):
         phi, g = base.value_grad(q)
@@ -492,20 +539,14 @@ def test_stop_tests_decide_boundary_rows_as_the_reference_does():
                 g[at] = slope
         return (float(phi) if q.ndim == 1 else phi), g
 
-    def bound_grad(q):
-        phi, g = value_grad(q)
-        return np.where(phi == -np.inf, np.inf, phi), g
-
-    model = dataclasses.replace(base, value_grad=value_grad, bound_grad=bound_grad,
+    model = dataclasses.replace(base, value_grad=value_grad, grad=lambda q: value_grad(q)[1],
                                 minimizer=None, min_value=0.0)
-    runs = {values: run_many(model, params, q0, max_iter, tol, values=values)
-            for values in ("all", "last")}
+    convex = [p for p in params if p is not special[1][0]]
+    runs = {"all": run_many(model, params, q0, max_iter, tol),
+            "last": run_many(model, convex, q0, max_iter, tol, values="last")}
     for values, trajs in runs.items():
-        for p, traj in zip(params, trajs):
+        for p, traj in zip(params if values == "all" else convex, trajs):
             alone = ref.run(model, p, q0, max_iter, tol)
-            # a final phi of NaN compares by its bits
-            assert np.float64(traj.phi).tobytes() == np.float64(alone.phi).tobytes()
-            traj, alone = dataclasses.replace(traj, phi=0.0), dataclasses.replace(alone, phi=0.0)
             if values == "all":
                 assert_same_run(traj, alone)
                 continue
@@ -513,11 +554,20 @@ def test_stop_tests_decide_boundary_rows_as_the_reference_does():
             read = ~np.isnan(traj.phi_gaps)
             assert traj.phi_gaps[read].tobytes() == alone.phi_gaps[read].tobytes()
             assert traj.phi_gaps[-1:].tobytes() == alone.phi_gaps[-1:].tobytes()
-    trajs = runs["all"]
-    assert [(t.status, len(t)) for t in trajs] == [(STATUS_MAX_ITER, 13)] * 3 + [
-        ends for *_, ends in special]
-    assert trajs[3].phi_gaps[2] == 1e12 and trajs[7].grad_norms[5] == tol
-    assert np.isnan(trajs[8].grad_norms[6]) and np.isnan(runs["last"][3].phi_gaps[2])
+    ends = [ends for *_, ends in special]
+    assert [(t.status, len(t)) for t in runs["all"]] == [(STATUS_MAX_ITER, 13)] * 3 + ends
+    assert [(t.status, len(t)) for t in runs["last"]] == [(STATUS_MAX_ITER, 13)] * 3 + [
+        ends[0]] + ends[2:]
+    at_guard, at_inf, _, at_tol, nan_grad, above_guard, below, _ = runs["last"][3:]
+    assert runs["all"][3].phi_gaps[2] == guard and np.isnan(at_guard.phi_gaps[2])
+    assert runs["all"][7].grad_norms[5] == tol == at_tol.grad_norms[5]
+    assert at_inf.phi_gaps[3] == np.inf and above_guard.phi_gaps[7] == above
+    # a NaN or -inf screen reads the value, which is finite, and the row
+    # goes on
+    assert np.isnan(nan_grad.grad_norms[6]) and np.isfinite(nan_grad.phi_gaps[6])
+    x, = (x for x, (_, g) in keys.items() if g == np.inf)
+    assert screen(np.array([[x]]), np.array([[np.inf]]), [np.inf]) == [-np.inf]
+    assert below.grad_norms[8] == np.inf and np.isfinite(below.phi_gaps[8])
 
 
 def test_nes_schedule_steps_past_a_nan_gradient_at_its_iterate():

