@@ -788,7 +788,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         if point.shape != (model.dim,):
             raise ValueError(f"{flag} must have the model dimension {model.dim}, "
                              f"got {point.size} entries")
-    out = _prepare(cfg)
     K_lo, K_hi = cfg.damping_pair()
     params = HybridParams(
         K=cfg.K, K_lo=K_lo, K_hi=K_hi,
@@ -797,7 +796,13 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     z0 = HybridState(q=q0, p=p0, tau=0.0)
     integrate = {"hb": integrate_hb, "hhb": integrate_hhb,
                  "hihb": integrate_hihb}[cfg.mode]
-    arc = integrate(model, params, z0, cfg.t_end)
+    # an arc that overflows ends on its FloatingPointError's one line, with
+    # no numpy warning, and writes nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        arc = integrate(model, params, z0, cfg.t_end)
+    if not (np.isfinite(arc.q).all() and np.isfinite(arc.energy).all()):
+        raise FloatingPointError("non-finite state or energy along the arc")
+    out = _prepare(cfg)
     arc.to_csv(os.path.join(out, "arc.csv"))
     with open(os.path.join(out, "jumps.json"), "w") as fh:
         fh.write(arc.jumps_json() + "\n")

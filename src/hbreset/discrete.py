@@ -230,14 +230,13 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
 
     Each iterate makes one stacked value_grad call for every live row
     and, while NES or NES_SCHEDULE rows are live, one model.gradient call
-    at their extrapolated points; the oracles must map a (B, n) stack to
-    (B,) values and (B, n) gradients, in fresh arrays: the second call's
-    rows overwrite the first's gradient. start, when given, is
-    model.value_grad(q0), for a caller that runs many stacks from one q0.
-    A run leaves the stack at the iterate where it stops. With an oracle
-    that gives each row the bits it gives that point alone
-    (`quad_eval_grad` does), each run's records, status, final q and phi
-    are those of its stack of one, `run`.
+    at their extrapolated points, under the `ObjectiveModel` contract: a
+    (B, n) stack maps to (B,) values and (B, n) gradients, each row with
+    the bits of its point alone, and nothing here writes into them.
+    start, when given, is model.value_grad(q0), for a caller that runs
+    many stacks from one q0. A run leaves the stack at the iterate where
+    it stops, and each run's records, status, final q and phi are those
+    of its stack of one, `run`.
 
     Where `_calm` finds that no row stops and every gradient is finite,
     the loop builds no per-row stop masks and skips the finite check of
@@ -344,7 +343,8 @@ def run_many(model: ObjectiveModel, params_seq: Sequence[AlgoParams], q0: Array,
             _finite(g[:c])
         beta = beta[:, None]
         if b < len(g):
-            g[b:] = _finite(model.gradient(q[b:] + eps[b:] * beta[b:] * p[b:]))
+            ahead = q[b:] + eps[b:] * beta[b:] * p[b:]
+            g = np.concatenate((g[:b], _finite(model.gradient(ahead))))
         q_next = q + eps * (beta * p - eps * g)
         if a:
             q_next[:a] = q[:a] - h[:a] * g[:a]

@@ -45,8 +45,8 @@ MAX_EVENT_BISECTIONS = 100
 # leaves every jump of the benchmark's arcs where it is with no bound.
 ILLINOIS_WIDTH = 16
 ILLINOIS_LEAD = 4
-# full steps a skip-ahead block advances before its stacked oracle call;
-# 128 ran the benchmark's n = 10 arcs about 9% faster than 64
+# full steps that one _ModalFlow.block takes from its start, with one stacked
+# oracle call; each block restarts the closed-form flow, so BLOCK sets arc bits
 BLOCK = 128
 
 

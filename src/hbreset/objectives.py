@@ -39,15 +39,15 @@ class ObjectiveModel:
     constant Hessian of a quadratic phi, or None; value_grad (and grad)
     stay the source of every value and gradient, and a caller that has
     the Hessian may use it only to move points (the hybrid integrators
-    step quadratic flows with it). discrete.run_many (and so discrete.run,
-    its stack of one, and the logreg tuner) and the hybrid skip-ahead
-    also pass value_grad a (B, n) stack of points, for (B,) values and
-    (B, n) gradients: run_many passes all its live runs, of every
-    variant, as one stack, and the extrapolated points of its NES and
-    NES_SCHEDULE rows as a second, through gradient(). So a model given
-    to discrete.run needs stack-capable oracles. The oracles of
-    quadratic_model and logistic_model take a stack, and give each row
-    the bits of its point alone.
+    step quadratic flows with it).
+
+    An oracle maps a point (n,) to a float value and an (n,) gradient,
+    and a (B, n) stack of points to (B,) values and (B, n) gradients;
+    each row gets the bits of that point alone, and nothing writes into
+    what an oracle returns. discrete.run_many (and so discrete.run, its
+    stack of one, and the logreg tuner) steps its live runs as one stack,
+    and hybrid's _ModalFlow takes a block of steps as one. quadratic_model
+    and logistic_model take both with one kernel per family.
 
     run_many(values="last") screens divergence by convexity, phi(q) <=
     phi(q0) + <grad phi(q), q - q0>, and asks that it hold as computed to
@@ -107,8 +107,11 @@ class QuadraticSpec:
             raise ValueError(f"Q shape {self.Q.shape} does not match b length {n}")
         if not (np.isfinite(self.Q).all() and np.isfinite(self.b).all()):
             raise ValueError("Q and b must be finite")
-        scale = max(1.0, float(np.linalg.norm(self.Q)))
-        if float(np.linalg.norm(self.Q - self.Q.T)) > 1e-12 * scale:
+        # ||Q - Q'|| <= 1e-12 max(1, ||Q||) at Q / 2^k >= max |Q_ij|: the
+        # unscaled decision, with no overflow near the float range
+        k = max(0, int(np.frexp(np.abs(self.Q).max(initial=0.0))[1]))
+        Q = np.ldexp(self.Q, -k)
+        if float(np.linalg.norm(Q - Q.T)) > 1e-12 * max(2.0 ** -k, float(np.linalg.norm(Q))):
             raise ValueError("Q is not symmetric")
 
     @property
@@ -152,36 +155,31 @@ class LogisticSpec:
         return self.features.shape[1]
 
 
+def _points(q: Array, dim: int) -> Array:
+    """q as a float array: one point (dim,) or a (B, dim) stack of points."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim not in (1, 2) or q.shape[-1] != dim:
+        raise ValueError(f"point of dim {q.shape} does not match spec dim {dim}")
+    return q
+
+
 def quad_eval_grad(spec: QuadraticSpec, q: Array) -> tuple[float, Array]:
     """Value 1/2 q'Qq + b'q and gradient Qq + b.
 
     q is one point (n,) or a (B, n) stack of points, which gives (B,)
-    values and (B, n) gradients. Each row costs one gemv and two dot
-    products, as a single point does, so a row of a stack gets the bits
-    that the point gets alone. One point keeps the `@` form: the stack
-    form's gufunc calls cost about a microsecond more per call, which
-    the hybrid stage path and the certificate replay along simulated
-    runs (acceptance criterion 05) would pay at every evaluation.
+    values and (B, n) gradients. np.matvec and np.vecdot broadcast over
+    the rows with the bits of one gemv and two dot products per row, so a
+    row of a stack gets the bits that its point gets alone.
     """
-    q, Qq = _quad_product(spec, q)
-    if q.ndim == 1:
-        return 0.5 * float(q @ Qq) + float(spec.b @ q), Qq + spec.b
-    return 0.5 * np.vecdot(q, Qq) + np.vecdot(spec.b, q), Qq + spec.b
+    q = _points(q, spec.dim)
+    Qq = np.matvec(spec.Q, q)
+    phi = 0.5 * np.vecdot(q, Qq) + np.vecdot(spec.b, q)
+    return (float(phi) if q.ndim == 1 else phi), Qq + spec.b
 
 
 def quad_grad(spec: QuadraticSpec, q: Array) -> Array:
     """quad_eval_grad's gradient Qq + b, bit for bit, without the value."""
-    return _quad_product(spec, q)[1] + spec.b
-
-
-def _quad_product(spec: QuadraticSpec, q: Array) -> tuple[Array, Array]:
-    """(q, Qq) for one point (n,) or a (B, n) stack, as a float array."""
-    q = np.asarray(q, dtype=float)
-    if q.shape == (spec.dim,):
-        return q, spec.Q @ q
-    if q.ndim != 2 or q.shape[1] != spec.dim:
-        raise ValueError(f"point of dim {q.shape} does not match spec dim {spec.dim}")
-    return q, np.matmul(spec.Q, q[..., None])[..., 0]
+    return np.matvec(spec.Q, _points(q, spec.dim)) + spec.b
 
 
 def quadratic_model(spec: QuadraticSpec) -> ObjectiveModel:
@@ -275,20 +273,10 @@ def _load_extension(name: str):
     return None
 
 
-def _margins_grad(spec: LogisticSpec, q: Array) -> tuple[Array, Array, Array]:
-    """Margins z = signed'q, s = expit(z) and the gradient signed s, at a
-    point or stack."""
-    q = np.asarray(q, dtype=float)
-    A = spec.signed
-    if q.shape == (spec.dim,):
-        z = A.T @ q
-        s = _expit()(z)
-        return z, s, A @ s
-    if q.ndim != 2 or q.shape[1] != spec.dim:
-        raise ValueError(f"point of dim {q.shape} does not match spec dim {spec.dim}")
-    z = np.matmul(A.T, q[..., None])[..., 0]
-    s = _expit()(z)
-    return z, s, np.matmul(A, s[..., None])[..., 0]
+def _margins_grad(spec: LogisticSpec, q: Array) -> tuple[Array, Array]:
+    """Margins z = signed'q and the gradient signed expit(z), at a point or stack."""
+    z = np.matvec(spec.signed.T, _points(q, spec.dim))
+    return z, np.matvec(spec.signed, _expit()(z))
 
 
 def logistic_eval_grad(spec: LogisticSpec, q: Array) -> tuple[float, Array]:
@@ -303,14 +291,14 @@ def logistic_eval_grad(spec: LogisticSpec, q: Array) -> tuple[float, Array]:
     values and (B, n) gradients, each row with the bits that its point
     gets alone (one gemv each way per row, as quad_eval_grad does).
     """
-    z, _, grad = _margins_grad(spec, q)
+    z, grad = _margins_grad(spec, q)
     phi = np.logaddexp(0.0, z).sum(axis=-1)
     return (float(phi) if z.ndim == 1 else phi), grad
 
 
 def logistic_grad(spec: LogisticSpec, q: Array) -> Array:
     """logistic_eval_grad's gradient, bit for bit, without the value."""
-    return _margins_grad(spec, q)[2]
+    return _margins_grad(spec, q)[1]
 
 
 def logistic_lipschitz(spec: LogisticSpec) -> float:

@@ -281,6 +281,15 @@ def test_tune_requires_method_flag():
         build_parser().parse_args(["tune", "--seed", "1"])
 
 
+def console_run(tmp_path, argv):
+    """`python -m hbreset.cli` (the console script) run on argv in tmp_path."""
+    src = os.path.dirname(os.path.dirname(hbreset.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run([sys.executable, "-m", "hbreset.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["certify", "--mu", "0"], "--mu must be finite and positive, got 0.0"),
     (["quad", "--config", "bad.json"], "--config 'bad.json' is not valid JSON: "),
@@ -296,11 +305,7 @@ def test_console_reports_a_rejected_input_in_one_line(argv, message, tmp_path, m
     # ValueError as argparse prints a usage error; main itself raises it
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.json").write_text("{not json")
-    src = os.path.dirname(os.path.dirname(hbreset.cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    done = subprocess.run([sys.executable, "-m", "hbreset.cli", *argv, "--out", "out"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    done = console_run(tmp_path, [*argv, "--out", "out"])
     assert done.returncode == 2
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
     assert done.stderr.startswith(f"hbreset {argv[0]}: error: {message}")
@@ -311,18 +316,28 @@ def test_console_reports_a_rejected_input_in_one_line(argv, message, tmp_path, m
 
 def test_console_reports_an_overflowing_arc_in_one_line(tmp_path):
     # an arc whose state overflows raises FloatingPointError in main; the
-    # console ends on one error line and exits 2, as for a ValueError.
-    # numpy's overflow warnings print before it
-    src = os.path.dirname(os.path.dirname(hbreset.cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    # console prints one error line and nothing else, exits 2, as for a
+    # ValueError, and writes no output directory
     argv = ["simulate", "--model", "scalar", "--curv", "1e300", "--t-end", "0.01"]
-    done = subprocess.run([sys.executable, "-m", "hbreset.cli", *argv, "--out", "out"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 2 and "Traceback" not in done.stderr
-    assert done.stderr.splitlines()[-1] == "hbreset simulate: error: non-finite gradient"
+    done = console_run(tmp_path, [*argv, "--out", "out"])
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.splitlines() == ["hbreset simulate: error: non-finite gradient"]
+    assert not (tmp_path / "out").exists()
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
         main([*argv, "--out", str(tmp_path / "lib")])
+    assert not (tmp_path / "lib").exists()
+
+
+@pytest.mark.parametrize("start", [["--q0", "1e200"], ["--p0", "1e200"]])
+def test_console_refuses_an_arc_whose_energy_overflows(tmp_path, start):
+    # a finite gradient along the arc, but phi or |p|^2/2 overflows: the
+    # arc ends on one error line and writes nothing
+    done = console_run(tmp_path, ["simulate", "--model", "scalar", "--t-end", "0.01",
+                                  *start, "--out", "out"])
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "hbreset simulate: error: non-finite state or energy along the arc"]
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

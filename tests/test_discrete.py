@@ -375,6 +375,35 @@ def test_run_many_covers_every_stop():
         run_many(model, params, q0, -1)
 
 
+def _frozen(array):
+    """array, read-only: a write into it raises ValueError."""
+    array = np.asarray(array)
+    array.flags.writeable = False
+    return array
+
+
+@pytest.mark.parametrize("values", ["all", "last"])
+@pytest.mark.parametrize("objective", ["quad", "logreg"])
+def test_run_many_never_writes_into_an_oracles_arrays(objective, values):
+    # the oracles of a copy of the model return read-only arrays; every
+    # variant, the NES and NES_SCHEDULE rows' extrapolated gradients
+    # included, steps as with the writable ones, bit for bit
+    if objective == "quad":
+        _, model = gen_random_quadratic(5, 100.0, 3)
+    else:
+        model = logistic_model(gen_logistic_dataset(4, 60, 3))
+    frozen = dataclasses.replace(
+        model, value_grad=lambda q: tuple(map(_frozen, model.value_grad(q))),
+        grad=lambda q: _frozen(model.grad(q)))
+    q0 = np.linspace(-2.0, 3.0, model.dim)
+    params = [AlgoParams.from_h(h / model.lipschitz, 0.2, 0.8, variant)
+              for h in (0.3, 1.0) for variant in Variant]
+    tol = 1e-6 * float(np.linalg.norm(model.gradient(q0)))
+    for got, want in zip(run_many(frozen, params, q0, 80, tol, values=values),
+                         run_many(model, params, q0, 80, tol, values=values)):
+        assert_same_run(got, want)
+
+
 def test_values_last_reads_phi_where_a_run_stops_or_may_diverge():
     # phi = log(1 + e^-q) + log(1 + e^q) from q0 = 1, so phi0 = 1.63 and the
     # guard is 1.63e12. gd at h = 2.64e12 swings between q = -1.22e12 and

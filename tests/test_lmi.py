@@ -1272,6 +1272,38 @@ def test_bench_config_rows_wait_only_for_their_own_probes(monkeypatch, tmp_path)
     assert probes.count((INFEASIBLE, True)) == 20
 
 
+def test_bench_certify_keeps_its_stream_schedule(monkeypatch, tmp_path):
+    # the stream under the bench config, seen from solve_stream's side: 92
+    # passes evaluate 2,529 rows; the feed is given 85 results, 35
+    # FEASIBLE and 50 INFEASIBLE (probes and face twins, none
+    # INDETERMINATE), and drops 25 problems undecided (twins of a decided
+    # probe, and probes past a new certificate). These counts are the
+    # schedule that a faster stream keeps
+    evals, results, dropped = [], [], []
+    real_eigh, real_stream = sdp._block_eigh, hbreset.lmi.solve_stream
+
+    def counting_eigh(groups, w):
+        evals.append(len(w))
+        return real_eigh(groups, w)
+
+    def recording_stream(feed, max_oracle_calls):
+        def fed(decided):
+            results.extend(res.status for _, res in decided)
+            joining, dropping = feed(decided)
+            dropped.extend(dropping)
+            return joining, dropping
+
+        real_stream(fed, max_oracle_calls)
+
+    monkeypatch.setattr(sdp, "_block_eigh", counting_eigh)
+    monkeypatch.setattr(hbreset.lmi, "solve_stream", recording_stream)
+    assert cli_main(["certify", "--grid-L", "1,10,100", "--bisect-iters", "3",
+                     "--out", str(tmp_path)]) == 0
+    assert (len(evals), sum(evals)) == (92, 2529)
+    assert [results.count(s) for s in (FEASIBLE, INFEASIBLE, INDETERMINATE)] == [35, 50, 0]
+    assert len(results) == 85 and len(dropped) == 25
+
+
 def test_certificate_json_round_trip():
     cert = dt_feasible(build_theorem2(dt_system(0.1, 0.0, 0.0, POL),
                                       1.0, 10.0, 0.95))

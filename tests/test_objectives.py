@@ -65,6 +65,22 @@ def test_quad_eval_grad_stack_rows_match_single_points_bitwise():
         quad_eval_grad(spec, np.zeros((2, n + 1)))
 
 
+def test_symmetry_check_takes_the_unscaled_decision_without_overflow():
+    # ||Q - Q'|| <= 1e-12 max(1, ||Q||) decides, as the unscaled Frobenius
+    # norms decide it, on both sides of the bound and near the float range,
+    # where those norms overflow
+    with np.errstate(over="raise"):
+        for big in (1.0, 3e5, 1e300, 1.7e308):
+            QuadraticSpec(Q=np.array([[big, big], [big, big]]), b=np.zeros(2))
+            QuadraticSpec(Q=np.array([[big, big], [big * (1 + 2 ** -45), big]]), b=np.zeros(2))
+            with pytest.raises(ValueError, match="not symmetric"):
+                QuadraticSpec(Q=np.array([[big, big], [big * (1 + 2 ** -30), big]]),
+                              b=np.zeros(2))
+        QuadraticSpec(Q=np.array([[0.0, 0.0], [7e-13, 0.0]]), b=np.zeros(2))
+        with pytest.raises(ValueError, match="not symmetric"):
+            QuadraticSpec(Q=np.array([[0.0, 0.0], [7.1e-13, 0.0]]), b=np.zeros(2))
+
+
 def test_quadratic_model_minimizer_and_gap():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((5, 5))
